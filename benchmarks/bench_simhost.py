@@ -332,15 +332,22 @@ def test_simhost_telemetry_overhead(benchmark):
 
 
 def _git_rev() -> str:
-    try:
+    """Short HEAD revision, ``-dirty`` when the tree has uncommitted
+    changes (the numbers then belong to HEAD plus that change)."""
+
+    def git(*args: str) -> str:
         return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", *args],
             capture_output=True,
             text=True,
             cwd=Path(__file__).resolve().parent,
             check=True,
         ).stdout.strip()
-    except Exception:
+
+    try:
+        rev = git("rev-parse", "--short", "HEAD")
+        return rev + "-dirty" if git("status", "--porcelain") else rev
+    except (OSError, subprocess.CalledProcessError):
         return "unknown"
 
 

@@ -24,11 +24,10 @@ than lazy synchronization (batched flushes, one barrier, Figure 4c).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from repro.config import SystemConfig
 from repro.hw import stats as statnames
-from repro.hw.cache import CacheHierarchy
+from repro.hw.cache import CacheHierarchy, LineRun
 from repro.hw.clock import SimClock
 from repro.hw.memory import NvramDevice
 from repro.hw.stats import Stats, TimeBucket
@@ -36,19 +35,6 @@ from repro.hw.stats import Stats, TimeBucket
 #: Raw Counter key for the dccmvac time bucket, hoisted out of the batched
 #: flush loop (enum attribute access is measurable at this call volume).
 _DCCMVAC_KEY = TimeBucket.DCCMVAC.value
-
-
-@dataclass
-class PendingPersist:
-    """A cache line travelling through the memory subsystem.
-
-    It has left the CPU cache (``dccmvac`` issued) but is not durable until
-    a persist barrier drains it — or a crash happens to land it.
-    """
-
-    addr: int
-    data: bytes
-    completion_ns: float
 
 
 class Cpu:
@@ -67,13 +53,15 @@ class Cpu:
         self.cache = cache
         self.nvram = nvram
         self.stats = stats
-        #: Lines in the memory subsystem awaiting a persist barrier.
-        self.pending: list[PendingPersist] = []
+        #: Runs of lines in the memory subsystem awaiting a persist barrier:
+        #: they have left the CPU cache (``dccmvac`` issued, or evicted) but
+        #: are not durable until a barrier drains them — or a crash happens
+        #: to land them.
+        self.pending: list[LineRun] = []
         #: Completion time of the most recently issued flush.
         self._pipeline_last_completion = 0.0
-        #: Largest completion time over ``pending`` — tracked incrementally
-        #: so the barriers do not rescan the whole queue (it only grows
-        #: until a persist barrier clears it, so the max never decreases).
+        #: Latest completion time of anything in ``pending`` — the only
+        #: thing the barriers need to know about the queue's timing.
         self._pending_max_completion = 0.0
         #: Optional crash hook, set by the CrashController; called once per
         #: primitive operation so tests can fire a power failure at any step.
@@ -94,11 +82,10 @@ class Cpu:
     def store(self, addr: int, data: bytes) -> None:
         """Plain store: volatile write into the cache, minimal cost."""
         self._tick("store")
+        cost = self.config.cache.memcpy_ns_per_byte * len(data)
         self.cache.store(addr, data)
-        self.clock.advance(self.config.cache.memcpy_ns_per_byte * len(data))
-        self.stats.add_time(
-            TimeBucket.CPU, self.config.cache.memcpy_ns_per_byte * len(data)
-        )
+        self.clock.advance(cost)
+        self.stats.add_time(TimeBucket.CPU, cost)
 
     def memcpy(self, dst: int, data: bytes) -> None:
         """Copy ``data`` to NVRAM address ``dst`` through the cache.
@@ -123,18 +110,13 @@ class Cpu:
         memory subsystem while the CPU keeps copying — their write latency
         hides under the memcpy, so a later dccmvac for them is nearly free
         (lazy synchronization's masking effect, Section 5.1)."""
-        cache = self.cache
-        excess = cache.dirty_line_count() - self.config.cache.eviction_threshold_lines
+        excess = (
+            self.cache.dirty_line_count() - self.config.cache.eviction_threshold_lines
+        )
         if excess <= 0:
             return
+        self.pending += self.cache.evict_oldest(excess)
         now = self.clock.now_ns
-        pending = self.pending
-        for _ in range(excess):
-            evicted = cache.evict_oldest_dirty()
-            if evicted is None:
-                break
-            addr, data = evicted
-            pending.append(PendingPersist(addr, data, now))
         if now > self._pending_max_completion:
             self._pending_max_completion = now
         self.stats.count("cache_evictions", excess)
@@ -179,29 +161,7 @@ class Cpu:
         synchronization, which always flushes cache-hot lines, pays full
         price (Section 5.1, Figure 5).
         """
-        self._tick("dccmvac")
-        issue = self.config.cache.flush_issue_ns
-        self.clock.advance(issue)
-        self.stats.add_time(TimeBucket.DCCMVAC, issue)
-        self.stats.count(statnames.FLUSHES)
-
-        data = self.cache.clean_line(line_base)
-        if data is None:
-            # Flushing a clean line costs the instruction but moves no data.
-            return
-        latency = self.config.nvram.write_latency_ns
-        interval = latency / self.config.cache.pipeline_depth
-        self.clock.advance(interval)  # injection backpressure
-        self.stats.add_time(TimeBucket.DCCMVAC, interval)
-        now = self.clock.now_ns
-        if self._pipeline_last_completion <= now:
-            completion = now + latency
-        else:
-            completion = self._pipeline_last_completion + interval
-        self._pipeline_last_completion = completion
-        if completion > self._pending_max_completion:
-            self._pending_max_completion = completion
-        self.pending.append(PendingPersist(line_base, data, completion))
+        self._dccmvac_lines(line_base, line_base + self.config.cache.line_size)
 
     def cache_line_flush(self, start: int, end: int) -> None:
         """The Algorithm 2 system call: flush every line in [start, end).
@@ -215,68 +175,82 @@ class Cpu:
         self.clock.advance(self.config.cache.syscall_ns)
         self.stats.add_time(TimeBucket.SYSCALL, self.config.cache.syscall_ns)
         self.stats.count(statnames.FLUSH_CALLS)
-        length = end - start
-        if length <= 0:
-            return
-        if self.crash_hook is not None:
-            # Crash injection counts every dccmvac as one step; keep the
-            # per-instruction path so armed failures land mid-range.
-            for base in self.cache.lines_covering(start, length):
-                self.dccmvac(base)
-            return
-        self._dccmvac_batch(start, length)
+        if end > start:
+            self._dccmvac_lines(self.cache.line_base(start), end)
 
-    def _dccmvac_batch(self, start: int, length: int) -> None:
-        """Issue ``dccmvac`` for every line covering [start, start+length)
-        in one pass.
+    def _dccmvac_lines(self, first: int, stop: int) -> None:
+        """Issue ``dccmvac`` for the lines at [first, stop), ``first`` a
+        line base.
 
-        Charges exactly the same sequence of clock and stats additions as
-        the per-line :meth:`dccmvac` loop (same floating-point operations in
-        the same order, so simulated time is bit-identical), but without the
-        per-line method dispatch, Counter updates, and clock calls.
+        Time is charged line by line (the pipeline interval need not be an
+        integer, so no closed form is bit-exact), while the data moves by
+        run: adjacent dirty lines enter the memory subsystem as one
+        :class:`LineRun`.  Every instruction is a crash-injection step;
+        before an armed hook runs, the open run is queued and the clock,
+        stats and pipeline state are written back, so a power failure it
+        raises sees exactly the lines flushed so far.
         """
-        cache = self.cache
-        lines = cache._lines
-        dirty = cache._dirty
-        pending = self.pending
+        dirty = self.cache._dirty
         cache_cfg = self.config.cache
         line_size = cache_cfg.line_size
         issue = cache_cfg.flush_issue_ns
         latency = self.config.nvram.write_latency_ns
         interval = latency / cache_cfg.pipeline_depth
-        clock = self.clock
-        now = clock.now_ns
+        hook = self.crash_hook
+        now = self.clock.now_ns
         dccmvac_ns = self.stats.time_ns[_DCCMVAC_KEY]
         last = self._pipeline_last_completion
-        pending_max = self._pending_max_completion
+        issued = 0
+        run = -1  # base of the open run of flushed lines, -1 when none
 
-        first = start - (start % line_size)
-        stop = start + length  # covered bases are [first, stop)
-        count = 0
         for base in range(first, stop, line_size):
-            count += 1
+            if hook is not None:
+                if issued:
+                    if run >= 0:
+                        self._enqueue_flushed(run, base, last)
+                        run = -1
+                    self._retire_flushes(issued, now, dccmvac_ns, last)
+                    issued = 0
+                hook("dccmvac")
+            issued += 1
             now += issue
             dccmvac_ns += issue
             if base not in dirty:
+                # Flushing a clean line costs the instruction, moves no data.
+                if run >= 0:
+                    self._enqueue_flushed(run, base, last)
+                    run = -1
                 continue
             del dirty[base]
-            data = bytes(lines[base])
-            now += interval
+            if run < 0:
+                run = base
+            now += interval  # injection backpressure
             dccmvac_ns += interval
             if last <= now:
-                completion = now + latency
+                last = now + latency
             else:
-                completion = last + interval
-            last = completion
-            if completion > pending_max:
-                pending_max = completion
-            pending.append(PendingPersist(base, data, completion))
+                last += interval
 
-        clock.now_ns = now
+        if run >= 0:
+            self._enqueue_flushed(run, base + line_size, last)
+        self._retire_flushes(issued, now, dccmvac_ns, last)
+
+    def _retire_flushes(
+        self, issued: int, now: float, dccmvac_ns: float, last: float
+    ) -> None:
+        """Write the flush loop's running totals back after ``issued``
+        instructions."""
+        self.clock.now_ns = now
         self.stats.time_ns[_DCCMVAC_KEY] = dccmvac_ns
-        self.stats.count(statnames.FLUSHES, count)
+        self.stats.count(statnames.FLUSHES, issued)
         self._pipeline_last_completion = last
-        self._pending_max_completion = pending_max
+
+    def _enqueue_flushed(self, start: int, stop: int, completion: float) -> None:
+        """Queue the just-flushed lines [start, stop); ``completion`` is
+        when the last (hence latest) of them reaches the memory subsystem."""
+        self.pending.append(LineRun(start, self.cache.snapshot(start, stop)))
+        if completion > self._pending_max_completion:
+            self._pending_max_completion = completion
 
     # ------------------------------------------------------------------
     # barriers
@@ -311,12 +285,22 @@ class Cpu:
         self.clock.advance(self.config.cache.persist_barrier_ns)
         self.stats.add_time(TimeBucket.PERSIST_BARRIER, self.clock.now_ns - start)
         self.stats.count(statnames.PERSIST_BARRIERS)
-        if self.pending:
-            bytes_written = self.nvram.persist_lines(self.pending)
-            self.stats.count(statnames.NVRAM_LINES_PERSISTED, len(self.pending))
-            self.stats.count(statnames.NVRAM_BYTES_WRITTEN, bytes_written)
+        if self.drain(self.pending):
             self.pending.clear()
             self._pending_max_completion = 0.0
+
+    def drain(self, runs: list[LineRun]) -> int:
+        """Commit ``runs`` to the durable device and account for them —
+        the one way lines reach NVRAM short of a crash.  Returns the
+        number of lines written."""
+        if not runs:
+            return 0
+        line_size = self.config.cache.line_size
+        written = self.nvram.persist_lines(runs, line_size)
+        lines = written // line_size
+        self.stats.count(statnames.NVRAM_LINES_PERSISTED, lines)
+        self.stats.count(statnames.NVRAM_BYTES_WRITTEN, written)
+        return lines
 
     # ------------------------------------------------------------------
     # CPU work
@@ -338,9 +322,10 @@ class Cpu:
     # crash support
     # ------------------------------------------------------------------
 
-    def volatile_state(self) -> tuple[dict[int, bytes], list[PendingPersist]]:
-        """Expose tiers 1 and 2 to the crash controller."""
-        return self.cache.dirty_lines(), list(self.pending)
+    def volatile_state(self) -> tuple[list[LineRun], list[LineRun]]:
+        """Expose tiers 1 and 2 to the crash controller: the dirty cache
+        lines (oldest first) and the memory-subsystem queue."""
+        return self.cache.dirty_runs(), list(self.pending)
 
     def drop_volatile(self) -> None:
         """Discard tiers 1 and 2 — the power has gone out."""

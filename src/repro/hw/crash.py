@@ -110,13 +110,13 @@ class CrashController:
         if self.powered_off:
             return
         self.powered_off = True
-        dirty_lines, pending = self.cpu.volatile_state()
+        dirty, pending = self.cpu.volatile_state()
         # Memory-subsystem entries are "closer" to the device, but without a
         # persist barrier nothing guarantees they landed: same coin flip.
-        for entry in pending:
-            self._land_partially(entry.addr, entry.data)
-        for base, data in dirty_lines.items():
-            self._land_partially(base, data)
+        for addr, data in pending:
+            self._land_partially(addr, data)
+        for addr, data in dirty:
+            self._land_partially(addr, data)
         self.cpu.drop_volatile()
 
     def _land_partially(self, addr: int, data: bytes) -> None:

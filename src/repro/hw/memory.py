@@ -105,26 +105,30 @@ class NvramDevice:
                 for region in range(first, last + 1):
                     wear[region] = wear.get(region, 0) + 1
 
-    def persist_lines(self, entries) -> int:
-        """Durably write many queued lines; returns total bytes written.
+    def persist_lines(self, runs, line_size: int) -> int:
+        """Durably write queued runs of cache lines; returns bytes written.
 
-        Equivalent to calling :meth:`persist` once per entry — identical
-        wear accounting (one increment per entry per covered region) and
-        identical fault-injector notifications — without the per-call
-        overhead.  ``entries`` is any iterable of objects with ``addr``
-        and ``data`` attributes (the persist-barrier drain queue).
+        Equivalent to calling :meth:`persist` once per *line* — each wear
+        region is charged one write per line of the run that falls in it,
+        and the poison a line-by-line drain would clear is exactly the
+        poison of the atomic units the run covers (lines are unit-aligned)
+        — at the cost of one slice assignment and one fault-injector
+        notification per run.  ``runs`` is any iterable of ``(addr, data)``
+        pairs of whole, aligned ``line_size``-byte lines (the
+        persist-barrier drain queue); ``line_size`` divides
+        :data:`WEAR_REGION` (the cache checks its configuration).
         """
         size = self.config.size
         data = self._data
         wear = self._wear
         injector = self.fault_injector
         total = 0
-        for entry in entries:
-            addr = entry.addr
-            payload = entry.data
+        for addr, payload in runs:
             length = len(payload)
+            if not length:
+                continue
             end = addr + length
-            if addr < 0 or length < 0 or end > size:
+            if addr < 0 or end > size:
                 self.check_range(addr, length)
             if end > len(data):
                 self._materialize(end)
@@ -132,16 +136,24 @@ class NvramDevice:
             data[addr:end] = payload
             if injector is not None:
                 injector.on_write(addr, length)
-            if length:
-                first = addr // WEAR_REGION
-                last = (end - 1) // WEAR_REGION
-                if first == last:
-                    wear[first] = wear.get(first, 0) + 1
-                else:
-                    for region in range(first, last + 1):
-                        wear[region] = wear.get(region, 0) + 1
+            first = addr // WEAR_REGION
+            last = (end - 1) // WEAR_REGION
+            if first == last:
+                wear[first] = wear.get(first, 0) + length // line_size
+            else:
+                edge = (first + 1) * WEAR_REGION
+                wear[first] = wear.get(first, 0) + (edge - addr) // line_size
+                for region in range(first + 1, last):
+                    wear[region] = wear.get(region, 0) + WEAR_REGION // line_size
+                edge = last * WEAR_REGION
+                wear[last] = wear.get(last, 0) + (end - edge) // line_size
             total += length
         return total
+
+    def has_poison(self) -> bool:
+        """Whether a read can currently raise :class:`MediaError`."""
+        injector = self.fault_injector
+        return injector is not None and bool(injector.poisoned)
 
     def read(self, addr: int, length: int) -> bytes:
         """Return the durable contents of [addr, addr+length).

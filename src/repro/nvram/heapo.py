@@ -23,6 +23,7 @@ Named allocations act as the persistent namespace: after a reboot,
 
 from __future__ import annotations
 
+import bisect
 import enum
 import heapq
 import struct
@@ -81,10 +82,19 @@ class Heapo:
         #   _by_name: name -> set of non-free slots carrying it
         #   _live:    set of non-free slots
         #   _free_slots: min-heap of free slot indices (lazily deduped)
+        #   _holes:   address-ordered maximal free extents (start, end) of
+        #             the heap area — what first-fit walks
         self._by_addr: dict[int, int] = {}
         self._by_name: dict[str, set[int]] = {}
         self._live: set[int] = set()
         self._free_slots: list[int] = []
+        self._holes: list[tuple[int, int]] = []
+        # Whether some occupied extent overlaps another (or the metadata
+        # area).  Allocation never produces that; descriptors decayed into
+        # a plausible-but-wrong extent can.  Freeing such an extent need
+        # not free its bytes, so the hole list is then re-derived instead
+        # of patched.
+        self._overlapping = False
         # Slots whose durable descriptor is corrupt or unreadable, mapped
         # to the (addr, size) extent they *may* still cover (None when the
         # extent itself is unknown).  Volatile-only: quarantined slots are
@@ -128,6 +138,7 @@ class Heapo:
         self._by_name = {}
         self._live = set()
         self._free_slots = list(range(self.num_slots))
+        self._rebuild_holes()
 
     def attach(self) -> None:
         """Rebuild the volatile allocator state from durable descriptors.
@@ -230,6 +241,33 @@ class Heapo:
                 self._by_name.setdefault(name, set()).add(slot)
         # Already sorted ascending, which is a valid heap.
         self._free_slots = free
+        self._rebuild_holes()
+
+    def _rebuild_holes(self) -> None:
+        """Derive the hole list from the live and quarantined extents."""
+        used = sorted(
+            [
+                (addr, addr + self._slots[slot][1])
+                for addr, slot in self._by_addr.items()
+            ]
+            + [
+                (extent[0], extent[0] + extent[1])
+                for extent in self._quarantined.values()
+                if extent is not None
+            ]
+        )
+        holes = []
+        self._overlapping = False
+        cursor = self.heap_start
+        for start, end in used:
+            if start > cursor:
+                holes.append((cursor, start))
+            elif start < cursor:
+                self._overlapping = True
+            cursor = max(cursor, end)
+        if cursor < self.nvram.size:
+            holes.append((cursor, self.nvram.size))
+        self._holes = holes
 
     def recover(self) -> list[int]:
         """Reclaim every **pending** block; return their addresses.
@@ -362,31 +400,36 @@ class Heapo:
         raise OutOfNvram("heap descriptor table is full")
 
     def _find_gap(self, size: int) -> int:
-        """First-fit search of the heap area for a free extent.
-
-        Scans live allocations (via the by-address index) rather than the
-        whole descriptor table, so allocation cost tracks the number of
-        live blocks, not the table size.
-        """
-        used = sorted(
-            [
-                (addr, addr + self._slots[slot][1])
-                for addr, slot in self._by_addr.items()
-            ]
-            + [
-                (extent[0], extent[0] + extent[1])
-                for extent in self._quarantined.values()
-                if extent is not None
-            ]
-        )
-        cursor = self.heap_start
-        for start, end in used:
-            if start - cursor >= size:
-                return cursor
-            cursor = max(cursor, end)
-        if self.nvram.size - cursor >= size:
-            return cursor
+        """First-fit search of the heap area for a free extent: the
+        lowest-addressed hole that is large enough."""
+        for start, end in self._holes:
+            if end - start >= size:
+                return start
         raise OutOfNvram(f"no free extent of {size} bytes")
+
+    def _occupy(self, addr: int, size: int) -> None:
+        """Take [addr, addr+size), which starts a hole, out of the holes."""
+        holes = self._holes
+        at = bisect.bisect_left(holes, (addr,))
+        start, end = holes[at]
+        if start != addr or end < addr + size:
+            raise HeapStateError(f"extent {addr:#x}+{size} is not free")
+        if end == addr + size:
+            del holes[at]
+        else:
+            holes[at] = (addr + size, end)
+
+    def _release(self, addr: int, size: int) -> None:
+        """Return [addr, addr+size) to the holes, merging neighbours."""
+        holes = self._holes
+        start, end = addr, addr + size
+        at = bisect.bisect_left(holes, (addr,))
+        if at < len(holes) and holes[at][0] == end:
+            end = holes.pop(at)[1]
+        if at and holes[at - 1][1] == start:
+            at -= 1
+            start = holes.pop(at)[0]
+        holes.insert(at, (start, end))
 
     def _write_slot(
         self, slot: int, state: BlockState, size: int, addr: int, name: str
@@ -401,7 +444,7 @@ class Heapo:
             _DESC_FMT, int(state), size, addr, name.encode("utf-8")[:16]
         )
         self.nvram.persist(_SUPERBLOCK_SIZE + slot * _DESC_SIZE, record)
-        old_state, _old_size, old_addr, old_name = self._slots[slot]
+        old_state, old_size, old_addr, old_name = self._slots[slot]
         if old_state is not BlockState.FREE:
             self._by_addr.pop(old_addr, None)
             holders = self._by_name.get(old_name)
@@ -417,6 +460,13 @@ class Heapo:
             self._live.add(slot)
             self._by_addr[addr] = slot
             self._by_name.setdefault(name, set()).add(slot)
+        if (old_state is BlockState.FREE) != (state is BlockState.FREE):
+            if self._overlapping:
+                self._rebuild_holes()
+            elif state is BlockState.FREE:
+                self._release(old_addr, old_size)
+            else:
+                self._occupy(addr, size)
 
 
 def _align_up(value: int, alignment: int) -> int:

@@ -86,35 +86,30 @@ class PersistDomain:
 
     def _persist_now_serialized(self, addr: int, length: int) -> None:
         """Strict persistency: each line persists in order, full latency."""
-        cache = self.cpu.cache
-        latency = self.cpu.config.nvram.write_latency_ns
-        for base in cache.lines_covering(addr, length):
-            data = cache.clean_line(base)
-            if data is None:
-                continue
-            self.cpu.clock.advance(latency)
-            self.cpu.stats.add_time(TimeBucket.PERSIST_BARRIER, latency)
-            self.cpu.nvram.persist(base, data)
-            self.cpu.stats.count("strict_persists")
+        cpu = self.cpu
+        lines = cpu.drain(cpu.cache.clean_range(addr, length))
+        if not lines:
+            return
+        latency = cpu.config.nvram.write_latency_ns
+        for _ in range(lines):  # line by line: float sums are order-bound
+            cpu.clock.advance(latency)
+            cpu.stats.add_time(TimeBucket.PERSIST_BARRIER, latency)
+        cpu.stats.count("strict_persists", lines)
 
     def _epoch_barrier(self) -> None:
         """Epoch persistency: drain all dirty lines, pipelined, no
         per-line instruction cost (the hardware tracks the epoch)."""
-        cache = self.cpu.cache
-        dirty = sorted(cache.dirty_lines())
-        latency = self.cpu.config.nvram.write_latency_ns
-        interval = latency / self.cpu.config.cache.pipeline_depth
-        if dirty:
-            cost = latency + interval * (len(dirty) - 1)
-            self.cpu.clock.advance(cost)
-            self.cpu.stats.add_time(TimeBucket.PERSIST_BARRIER, cost)
-        for base in dirty:
-            data = cache.clean_line(base)
-            if data is not None:
-                self.cpu.nvram.persist(base, data)
+        cpu = self.cpu
+        lines = cpu.drain(cpu.cache.clean_all())
+        latency = cpu.config.nvram.write_latency_ns
+        interval = latency / cpu.config.cache.pipeline_depth
+        if lines:
+            cost = latency + interval * (lines - 1)
+            cpu.clock.advance(cost)
+            cpu.stats.add_time(TimeBucket.PERSIST_BARRIER, cost)
         # The barrier itself still costs the persist-barrier latency.
-        self.cpu.clock.advance(self.cpu.config.cache.persist_barrier_ns)
-        self.cpu.stats.add_time(
-            TimeBucket.PERSIST_BARRIER, self.cpu.config.cache.persist_barrier_ns
+        cpu.clock.advance(cpu.config.cache.persist_barrier_ns)
+        cpu.stats.add_time(
+            TimeBucket.PERSIST_BARRIER, cpu.config.cache.persist_barrier_ns
         )
-        self.cpu.stats.count("epoch_barriers")
+        cpu.stats.count("epoch_barriers")

@@ -1,282 +1,626 @@
-"""The bulk data path must be indistinguishable from per-line semantics.
+"""The extent data path must be indistinguishable from per-line semantics.
 
-The fast-path work (bulk ``store``/``load`` in the cache, batched
-``dccmvac`` issue, incrementally tracked pipeline completion) is allowed to
-change host wall-clock only.  These tests pin that contract two ways:
+``src/`` moves *runs*: the cache overlay is a chunk arena, the flush queue
+holds one entry per run of adjacent lines, the device drains a run with one
+slice assignment.  The per-line semantics the paper's model is stated in
+live only here: :class:`ReferenceMachine` is a self-contained line-by-line
+simulator — its own dict of lines, dirty-age order, per-line flush queue,
+``max()``-rescanning barriers, per-line device writes and per-unit power
+loss — that shares nothing with ``repro.hw`` but the clock, the stats
+container and the device's single-write primitive (:meth:`NvramDevice.persist`).
 
-* :class:`ReferenceMachine` re-implements the original per-line semantics —
-  line-by-line fill-then-patch stores, per-line loads, one :meth:`Cpu.dccmvac`
-  call per covered line, and barrier waits that re-scan ``pending`` with
-  ``max()`` — and a randomized op sequence must leave both machines with
-  identical cache contents, dirty-line age order, pending queue, stats, and
-  a bit-identical simulated clock.
-* Setting a no-op ``crash_hook`` forces ``cache_line_flush`` down the real
-  per-instruction path that crash injection uses; a hooked and an unhooked
-  system fed the same ops must stay bit-identical, so the batch path cannot
-  drift from the instruction-level model it replaces.
+Both machines are fed the same primitive ops and compared on everything the
+simulation can observe: loaded bytes, the volatile view, dirty-age order,
+the flush queue flattened to per-line ``(addr, data)``, every counter and
+time bucket, ``repr(clock.now_ns)`` (exact, not approximate), the durable
+image and per-region wear.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
-from repro.config import nexus5, tuna
+from repro.config import ATOMIC_UNIT, SystemConfig, nexus5, tuna
+from repro.errors import MediaError, PowerFailure
+from repro.faults import MediaFaultSpec, NvramFaultInjector
 from repro.hw import stats as statnames
-from repro.hw.cpu import PendingPersist
-from repro.hw.stats import TimeBucket
-from repro.system import System
+from repro.hw.cache import CHUNK, CacheHierarchy
+from repro.hw.clock import SimClock
+from repro.hw.cpu import Cpu
+from repro.hw.crash import CrashController
+from repro.hw.memory import WEAR_REGION, NvramDevice
+from repro.hw.stats import Stats, TimeBucket
 
-#: Scratch window well above the Heapo metadata region; both machines use
-#: the same addresses so any divergence is the data path's fault.
-WINDOW_BASE = 1 << 20
-WINDOW_SIZE = 64 * 1024
+#: Scratch window straddling an arena chunk boundary, on a small device so
+#: whole-image comparisons stay cheap.
+NVRAM_SIZE = 3 * CHUNK
+WINDOW_BASE = CHUNK - 16 * 1024
+WINDOW_SIZE = 32 * 1024
+
+PROFILES = pytest.mark.parametrize(
+    "make_config", [tuna, nexus5], ids=["tuna", "nexus5"]
+)
+
+
+def small(make_config) -> SystemConfig:
+    config = make_config()
+    return dataclasses.replace(
+        config, nvram=dataclasses.replace(config.nvram, size=NVRAM_SIZE)
+    )
+
+
+class FastMachine:
+    """The production hardware tier, wired without the rest of ``System``."""
+
+    def __init__(self, config: SystemConfig, seed: int = 0) -> None:
+        self.config = config
+        self.clock = SimClock()
+        self.stats = Stats()
+        self.nvram = NvramDevice(config.nvram)
+        self.cache = CacheHierarchy(config.cache, self.nvram)
+        self.cpu = Cpu(config, self.clock, self.cache, self.nvram, self.stats)
+        self.crash = CrashController(
+            self.cpu, self.nvram, config.crash_land_probability, seed=seed
+        )
+        # the op surface apply_op drives
+        self.store = self.cpu.store
+        self.memcpy = self.cpu.memcpy
+        self.load = self.cpu.load
+        self.cache_line_flush = self.cpu.cache_line_flush
+        self.dmb = self.cpu.dmb
+        self.persist_barrier = self.cpu.persist_barrier
+        self.power_fail = self.crash.apply_power_loss
+
+    def set_hook(self, hook) -> None:
+        self.cpu.crash_hook = hook
+
+    def volatile_view(self, addr: int, length: int) -> bytes:
+        return self.cpu.load_free(addr, length)
+
+    def dirty_lines(self) -> list[tuple[int, bytes]]:
+        return per_line(self.cache.dirty_runs(), self.cache.line_size)
+
+    def pending_lines(self) -> list[tuple[int, bytes]]:
+        return per_line(self.cpu.pending, self.cache.line_size)
+
+
+def per_line(runs, line_size: int) -> list[tuple[int, bytes]]:
+    """Flatten ``(addr, data)`` runs into one entry per cache line."""
+    return [
+        (addr + offset, data[offset : offset + line_size])
+        for addr, data in runs
+        for offset in range(0, len(data), line_size)
+    ]
 
 
 class ReferenceMachine:
-    """The pre-fast-path simulator semantics, kept as the test oracle.
+    """The model as the paper states it: one cache line at a time."""
 
-    Drives a real :class:`System` but routes every operation through the
-    original per-line algorithms.  Timing *formulas* match the production
-    code operation for operation (same floats added in the same order), so
-    the clocks must compare equal exactly, not approximately.
-    """
+    def __init__(self, config: SystemConfig, seed: int = 0) -> None:
+        self.config = config
+        self.clock = SimClock()
+        self.stats = Stats()
+        self.nvram = NvramDevice(config.nvram)
+        self.line_size = config.cache.line_size
+        self.lines: dict[int, bytearray] = {}  # resident lines
+        self.dirty: dict[int, None] = {}  # insertion order = dirty age
+        self.pending: list[tuple[int, bytes, float]] = []  # + completion time
+        self.pipeline_last = 0.0
+        self.crash_hook = None
+        self.rng = random.Random(seed)
 
-    def __init__(self, config) -> None:
-        self.system = System(config, seed=0)
-        self.cpu = self.system.cpu
-        self.cache = self.cpu.cache
-        self.config = self.cpu.config
+    def set_hook(self, hook) -> None:
+        self.crash_hook = hook
+
+    def _tick(self, op: str) -> None:
+        if self.crash_hook is not None:
+            self.crash_hook(op)
+
+    def _covering(self, addr: int, length: int) -> range:
+        if length <= 0:
+            return range(0)
+        return range(addr - addr % self.line_size, addr + length, self.line_size)
 
     # -- data path ------------------------------------------------------
 
     def _store_lines(self, addr: int, data: bytes) -> None:
-        cache = self.cache
-        cache.nvram.check_range(addr, len(data))
-        offset = 0
-        for base in cache.lines_covering(addr, len(data)):
-            line = cache._fill(base)  # always fill, even full overwrites
+        self.nvram.check_range(addr, len(data))
+        size = self.line_size
+        for base in self._covering(addr, len(data)):
+            line = self.lines.get(base)
+            if line is None:  # always fill, even when fully overwritten
+                try:
+                    line = bytearray(self.nvram.read(base, size))
+                except MediaError:
+                    line = bytearray(size)
+                self.lines[base] = line
             lo = max(addr, base)
-            hi = min(addr + len(data), base + cache.line_size)
-            line[lo - base : hi - base] = data[offset : offset + hi - lo]
-            offset += hi - lo
-            cache._dirty.pop(base, None)
-            cache._dirty[base] = None
+            hi = min(addr + len(data), base + size)
+            line[lo - base : hi - base] = data[lo - addr : hi - addr]
+            self.dirty.pop(base, None)
+            self.dirty[base] = None
 
     def store(self, addr: int, data: bytes) -> None:
+        self._tick("store")
         self._store_lines(addr, data)
         cost = self.config.cache.memcpy_ns_per_byte * len(data)
-        self.cpu.clock.advance(cost)
-        self.cpu.stats.add_time(TimeBucket.CPU, cost)
+        self.clock.advance(cost)
+        self.stats.add_time(TimeBucket.CPU, cost)
 
     def memcpy(self, dst: int, data: bytes) -> None:
-        cpu = self.cpu
-        cost = (
-            self.config.cache.memcpy_base_ns
-            + self.config.cache.memcpy_ns_per_byte * len(data)
-        )
+        self._tick("memcpy")
+        cache = self.config.cache
+        cost = cache.memcpy_base_ns + cache.memcpy_ns_per_byte * len(data)
         self._store_lines(dst, data)
-        cpu.clock.advance(cost)
-        cpu.stats.add_time(TimeBucket.MEMCPY, cost)
-        cpu.stats.count("memcpy_bytes", len(data))
-        threshold = self.config.cache.eviction_threshold_lines
-        while self.cache.dirty_line_count() > threshold:
-            evicted = self.cache.evict_oldest_dirty()
-            if evicted is None:
-                break
-            addr, line = evicted
-            cpu.pending.append(PendingPersist(addr, line, cpu.clock.now_ns))
-            cpu.stats.count("cache_evictions")  # one count per eviction
+        self.clock.advance(cost)
+        self.stats.add_time(TimeBucket.MEMCPY, cost)
+        self.stats.count("memcpy_bytes", len(data))
+        while len(self.dirty) > cache.eviction_threshold_lines:
+            base = next(iter(self.dirty))
+            del self.dirty[base]
+            self.pending.append((base, bytes(self.lines[base]), self.clock.now_ns))
+            self.stats.count("cache_evictions")
+
+    def volatile_view(self, addr: int, length: int) -> bytes:
+        # The device read spans the whole range, so a poisoned unit fails
+        # the load even when a resident line shadows it.
+        out = bytearray(self.nvram.read(addr, length))
+        for base in self._covering(addr, length):
+            line = self.lines.get(base)
+            if line is not None:
+                lo = max(addr, base)
+                hi = min(addr + length, base + self.line_size)
+                out[lo - addr : hi - addr] = line[lo - base : hi - base]
+        return bytes(out)
 
     def load(self, addr: int, length: int) -> bytes:
-        cpu, cache = self.cpu, self.cache
-        cache.nvram.check_range(addr, length)
-        bases = cache.lines_covering(addr, length)
-        cost = self.config.nvram.read_latency_ns * len(bases)
-        cpu.clock.advance(cost)
-        cpu.stats.add_time(TimeBucket.CPU, cost)
-        chunks = []
-        for base in bases:
-            line = cache._lines.get(base)
-            if line is None:
-                line = cache.nvram.read(base, cache.line_size)
-            lo = max(addr, base)
-            hi = min(addr + length, base + cache.line_size)
-            chunks.append(bytes(line[lo - base : hi - base]))
-        return b"".join(chunks)
+        cost = self.config.nvram.read_latency_ns * len(self._covering(addr, length))
+        self.clock.advance(cost)
+        self.stats.add_time(TimeBucket.CPU, cost)
+        return self.volatile_view(addr, length)
 
     # -- flush + barriers ----------------------------------------------
 
+    def dccmvac(self, base: int) -> None:
+        self._tick("dccmvac")
+        issue = self.config.cache.flush_issue_ns
+        self.clock.advance(issue)
+        self.stats.add_time(TimeBucket.DCCMVAC, issue)
+        self.stats.count(statnames.FLUSHES)
+        if base not in self.dirty:
+            return
+        del self.dirty[base]
+        latency = self.config.nvram.write_latency_ns
+        interval = latency / self.config.cache.pipeline_depth
+        self.clock.advance(interval)
+        self.stats.add_time(TimeBucket.DCCMVAC, interval)
+        now = self.clock.now_ns
+        if self.pipeline_last <= now:
+            completion = now + latency
+        else:
+            completion = self.pipeline_last + interval
+        self.pipeline_last = completion
+        self.pending.append((base, bytes(self.lines[base]), completion))
+
     def cache_line_flush(self, start: int, end: int) -> None:
-        cpu = self.cpu
-        cpu.clock.advance(self.config.cache.syscall_ns)
-        cpu.stats.add_time(TimeBucket.SYSCALL, self.config.cache.syscall_ns)
-        cpu.stats.count(statnames.FLUSH_CALLS)
-        for base in self.cache.lines_covering(start, end - start):
-            cpu.dccmvac(base)  # the per-instruction path, unchanged
+        self._tick("cache_line_flush")
+        self.clock.advance(self.config.cache.syscall_ns)
+        self.stats.add_time(TimeBucket.SYSCALL, self.config.cache.syscall_ns)
+        self.stats.count(statnames.FLUSH_CALLS)
+        for base in self._covering(start, end - start):
+            self.dccmvac(base)
 
     def dmb(self) -> None:
-        cpu = self.cpu
-        start = cpu.clock.now_ns
-        cpu.clock.advance(self.config.cache.dmb_ns)
-        if cpu.pending:
-            # the original O(pending) rescan the tracked max replaced
-            cpu.clock.advance_to(max(p.completion_ns for p in cpu.pending))
-        cpu.stats.add_time(TimeBucket.DMB, cpu.clock.now_ns - start)
-        cpu.stats.count(statnames.DMBS)
+        self._tick("dmb")
+        start = self.clock.now_ns
+        self.clock.advance(self.config.cache.dmb_ns)
+        if self.pending:
+            self.clock.advance_to(max(done for _, _, done in self.pending))
+        self.stats.add_time(TimeBucket.DMB, self.clock.now_ns - start)
+        self.stats.count(statnames.DMBS)
 
     def persist_barrier(self) -> None:
-        cpu = self.cpu
-        start = cpu.clock.now_ns
-        if cpu.pending:
-            cpu.clock.advance_to(max(p.completion_ns for p in cpu.pending))
-        cpu.clock.advance(self.config.cache.persist_barrier_ns)
-        cpu.stats.add_time(
-            TimeBucket.PERSIST_BARRIER, cpu.clock.now_ns - start
-        )
-        cpu.stats.count(statnames.PERSIST_BARRIERS)
-        for entry in cpu.pending:
-            cpu.nvram.persist(entry.addr, entry.data)
-            cpu.stats.count(statnames.NVRAM_LINES_PERSISTED)
-            cpu.stats.count(statnames.NVRAM_BYTES_WRITTEN, len(entry.data))
-        cpu.pending.clear()
-        cpu._pending_max_completion = 0.0
+        self._tick("persist_barrier")
+        start = self.clock.now_ns
+        if self.pending:
+            self.clock.advance_to(max(done for _, _, done in self.pending))
+        self.clock.advance(self.config.cache.persist_barrier_ns)
+        self.stats.add_time(TimeBucket.PERSIST_BARRIER, self.clock.now_ns - start)
+        self.stats.count(statnames.PERSIST_BARRIERS)
+        for base, data, _ in self.pending:
+            self.nvram.persist(base, data)
+            self.stats.count(statnames.NVRAM_LINES_PERSISTED)
+            self.stats.count(statnames.NVRAM_BYTES_WRITTEN, len(data))
+        self.pending.clear()
+
+    # -- power loss -----------------------------------------------------
+
+    def power_fail(self) -> None:
+        """Every volatile 8-byte unit lands with the configured
+        probability: the flush queue first, then dirty lines by age."""
+        in_flight = [(base, data) for base, data, _ in self.pending]
+        in_flight += [(base, bytes(self.lines[base])) for base in self.dirty]
+        for base, data in in_flight:
+            for offset in range(0, len(data), ATOMIC_UNIT):
+                if self.rng.random() < self.config.crash_land_probability:
+                    self.nvram.persist(
+                        base + offset, data[offset : offset + ATOMIC_UNIT]
+                    )
+        self.lines.clear()
+        self.dirty.clear()
+        self.pending.clear()
+        self.pipeline_last = 0.0
+
+    def dirty_lines(self) -> list[tuple[int, bytes]]:
+        return [(base, bytes(self.lines[base])) for base in self.dirty]
+
+    def pending_lines(self) -> list[tuple[int, bytes]]:
+        return [(base, data) for base, data, _ in self.pending]
 
 
-def observable_state(system: System) -> dict:
+def observable_state(machine) -> dict:
     """Everything the simulation can observe, floats via repr (exact)."""
-    cache = system.cache
     return {
-        "clock": repr(system.clock.now_ns),
-        "time_ns": {k: repr(v) for k, v in system.stats.time_ns.items()},
-        "counters": dict(system.stats.counters),
-        "lines": {base: bytes(line) for base, line in cache._lines.items()},
-        "line_order": list(cache._lines),
-        "dirty_order": list(cache._dirty),
-        "pending": [
-            (p.addr, p.data, repr(p.completion_ns)) for p in system.cpu.pending
-        ],
-        "durable": system.nvram.read(WINDOW_BASE, WINDOW_SIZE),
-        "wear": dict(system.nvram._wear),
+        "clock": repr(machine.clock.now_ns),
+        "time_ns": {k: repr(v) for k, v in machine.stats.time_ns.items()},
+        "counters": dict(machine.stats.counters),
+        "volatile": volatile_or_error(machine),
+        "dirty": machine.dirty_lines(),
+        "pending": machine.pending_lines(),
+        "durable": machine.nvram.durable_image(),
+        "wear": machine.nvram.hottest_regions(NVRAM_SIZE // WEAR_REGION),
     }
 
 
-def random_ops(rng: random.Random, steps: int):
-    """A randomized primitive-op script over the scratch window."""
-    line_hint = 64
+def volatile_or_error(machine):
+    try:
+        return machine.volatile_view(WINDOW_BASE, WINDOW_SIZE)
+    except MediaError:
+        return "MediaError"
+
+
+def assert_same_state(fast, ref, where: str) -> None:
+    got, want = observable_state(fast), observable_state(ref)
+    for key in want:
+        assert got[key] == want[key], f"{key} diverged {where}"
+
+
+def random_ops(rng: random.Random, steps: int, storms: bool = False):
+    """A randomized primitive-op script over the scratch window.
+
+    Half the addresses are drawn near the chunk boundary inside the window
+    and near a recently written extent, so partial head/tail lines, stores
+    re-dirtying the middle of a resident run and chunk-crossing ranges all
+    occur; 4 KB memcpys supply the eviction pressure.
+    """
+    boundary = CHUNK - WINDOW_BASE
+    recent = 0
+
+    def place(length: int) -> int:
+        room = WINDOW_SIZE - max(length, 1)
+        pick = rng.random()
+        if pick < 0.25:
+            offset = boundary - rng.randrange(length + 1)
+        elif pick < 0.5:
+            offset = recent + rng.randrange(-64, 4096)
+        else:
+            offset = rng.randrange(room)
+        return WINDOW_BASE + min(max(offset, 0), room)
+
+    kinds = ["store", "store", "memcpy", "memcpy", "load", "flush", "flush",
+             "dmb", "pb"]
+    if storms:
+        kinds.append("storm")
     for _ in range(steps):
-        kind = rng.choice(
-            ["store", "store", "memcpy", "load", "flush", "flush", "dmb", "pb"]
-        )
+        kind = rng.choice(kinds)
         if kind in ("store", "memcpy"):
-            length = rng.choice([1, 7, line_hint - 1, line_hint, 200, 4096])
-            addr = WINDOW_BASE + rng.randrange(WINDOW_SIZE - length)
+            length = rng.choice([1, 7, 8, 31, 63, 64, 200, 1000, 4096, 4128])
+            addr = place(length)
+            recent = addr - WINDOW_BASE
             yield (kind, addr, rng.randbytes(length))
         elif kind == "load":
-            length = rng.choice([0, 1, 63, 64, 65, 300])
-            addr = WINDOW_BASE + rng.randrange(WINDOW_SIZE - max(length, 1))
-            yield (kind, addr, length)
+            length = rng.choice([0, 1, 63, 64, 65, 300, 4096, 8192])
+            yield (kind, place(length), length)
         elif kind == "flush":
-            start = WINDOW_BASE + rng.randrange(WINDOW_SIZE - 4096)
-            end = start + rng.choice([0, 1, 64, 100, 2048, 4096])
-            yield (kind, start, end)
+            length = rng.choice([0, 1, 64, 100, 2048, 4096, 8192])
+            start = place(length)
+            yield (kind, start, start + length)
         else:
             yield (kind,)
 
 
-def apply_op(machine, op) -> bytes | None:
-    """Apply one scripted op to a machine exposing the Cpu-like surface."""
+def apply_op(machine, op):
+    """Apply one scripted op; loads return their bytes (or the error)."""
     kind = op[0]
     if kind == "store":
         machine.store(op[1], op[2])
     elif kind == "memcpy":
         machine.memcpy(op[1], op[2])
     elif kind == "load":
-        return machine.load(op[1], op[2])
+        try:
+            return machine.load(op[1], op[2])
+        except MediaError:
+            return "MediaError"
     elif kind == "flush":
         machine.cache_line_flush(op[1], op[2])
     elif kind == "dmb":
         machine.dmb()
-    else:
+    elif kind == "pb":
         machine.persist_barrier()
+    else:  # "storm": media decay at run time, no power loss
+        machine.nvram.fault_injector.on_power_loss(machine.nvram)
     return None
 
 
-@pytest.mark.parametrize("make_config", [tuna, nexus5], ids=["tuna", "nexus5"])
-def test_randomized_ops_match_per_line_oracle(make_config):
-    """500 random primitive ops: fast path == per-line reference, exactly."""
-    fast = System(make_config(), seed=0)
-    ref = ReferenceMachine(make_config())
-    rng = random.Random(20160227)  # the paper's conference year, why not
-    for step, op in enumerate(random_ops(rng, 500)):
-        got = apply_op(fast.cpu, op)
+def run_lockstep(fast, ref, ops, check_every: int = 25) -> None:
+    for step, op in enumerate(ops):
+        got = apply_op(fast, op)
         want = apply_op(ref, op)
         assert got == want, f"load mismatch at step {step}: {op[:2]}"
-        if step % 25 == 0 or op[0] in ("dmb", "pb"):
-            assert observable_state(fast) == observable_state(ref.system), (
-                f"state diverged at step {step}: {op[:2]}"
-            )
-    assert observable_state(fast) == observable_state(ref.system)
+        if step % check_every == 0 or op[0] in ("dmb", "pb", "storm"):
+            assert_same_state(fast, ref, f"at step {step}: {op[:2]}")
+    assert_same_state(fast, ref, "at the end")
 
 
-@pytest.mark.parametrize("make_config", [tuna, nexus5], ids=["tuna", "nexus5"])
+@PROFILES
+def test_randomized_ops_match_per_line_oracle(make_config):
+    """500 random primitive ops: extent path == per-line reference, exactly."""
+    fast = FastMachine(small(make_config))
+    ref = ReferenceMachine(small(make_config))
+    rng = random.Random(20160227)  # the paper's conference year, why not
+    run_lockstep(fast, ref, random_ops(rng, 500))
+    assert fast.stats.get_count("cache_evictions") > 0  # pressure happened
+    assert fast.stats.get_count(statnames.NVRAM_LINES_PERSISTED) > 0
+
+
+@PROFILES
 def test_batched_flush_matches_hooked_per_line_path(make_config):
-    """A no-op crash hook forces the per-instruction flush path; it must be
-    bit-identical to the batch path an unhooked system takes."""
-    batched = System(make_config(), seed=0)
-    per_line = System(make_config(), seed=0)
-    per_line.cpu.crash_hook = lambda op: None
+    """An armed (here: never-firing) crash hook makes the flush loop queue
+    line by line; unarmed it queues runs.  Same loop, same observable
+    state, bit-identical clock after every op."""
+    runs = FastMachine(small(make_config))
+    hooked = FastMachine(small(make_config))
+    steps_seen = []
+    hooked.set_hook(steps_seen.append)
     rng = random.Random(7)
     for step, op in enumerate(random_ops(rng, 400)):
-        got = apply_op(batched.cpu, op)
-        want = apply_op(per_line.cpu, op)
-        assert got == want
-        assert repr(batched.clock.now_ns) == repr(per_line.clock.now_ns), (
+        assert apply_op(runs, op) == apply_op(hooked, op)
+        assert repr(runs.clock.now_ns) == repr(hooked.clock.now_ns), (
             f"clock diverged at step {step}: {op[:2]}"
         )
-    per_line.cpu.crash_hook = None
-    assert observable_state(batched) == observable_state(per_line)
+    assert_same_state(runs, hooked, "hooked vs unhooked")
+    # one crash-injection step per instruction, not per run
+    assert steps_seen.count("dccmvac") == hooked.stats.get_count(statnames.FLUSHES)
+    assert len(runs.cpu.pending) <= len(hooked.cpu.pending)
 
 
 def test_full_line_store_skips_device_fill_but_matches_contents():
     """Whole-line overwrites skip the device read; contents still match a
     fill-then-patch, and a partial store on the same line still fills."""
-    fast = System(tuna(), seed=0)
-    ref = ReferenceMachine(tuna())
+    fast = FastMachine(small(tuna))
+    ref = ReferenceMachine(small(tuna))
     line = fast.cache.line_size
     seeded = bytes(range(256))[: 2 * line]
-    fast.nvram.persist(WINDOW_BASE, seeded)
-    ref.cpu.nvram.persist(WINDOW_BASE, seeded)
-    # full-line overwrite, then a partial poke on the next (seeded) line
-    for machine in (fast.cpu, ref):
+    for machine in (fast, ref):
+        machine.nvram.persist(WINDOW_BASE, seeded)
+        # full-line overwrite, then a partial poke on the next (seeded) line
         machine.store(WINDOW_BASE, b"\xaa" * line)
         machine.store(WINDOW_BASE + line + 3, b"\xbb")
-    assert observable_state(fast) == observable_state(ref.system)
-    assert fast.cpu.load_free(WINDOW_BASE, 2 * line) == ref.load(
-        WINDOW_BASE, 2 * line
+    assert_same_state(fast, ref, "after the two stores")
+    assert fast.load(WINDOW_BASE, 2 * line) == ref.load(WINDOW_BASE, 2 * line)
+    assert fast.load(WINDOW_BASE, 2 * line) == (
+        b"\xaa" * line + seeded[line : line + 3] + b"\xbb" + seeded[line + 4 :]
     )
 
 
 def test_pending_max_survives_partial_flush_dmb_interleaving():
-    """The incrementally tracked pending max must equal a fresh max() scan
-    at every barrier, even when flushes interleave with dmb (which does not
-    clear the queue — only persist_barrier does)."""
-    system = System(tuna(), seed=0)
-    cpu = system.cpu
-    line = system.cache.line_size
-    for i in range(8):
-        cpu.store(WINDOW_BASE + i * line, b"\x11" * line)
-    cpu.cache_line_flush(WINDOW_BASE, WINDOW_BASE + 3 * line)
-    assert cpu._pending_max_completion == max(
-        p.completion_ns for p in cpu.pending
+    """The barriers wait on an incrementally tracked latest completion;
+    it must equal a fresh max() over per-line completions at every
+    barrier, even when flushes interleave with dmb (which does not clear
+    the queue — only persist_barrier does)."""
+    fast = FastMachine(small(tuna))
+    ref = ReferenceMachine(small(tuna))
+    line = fast.cache.line_size
+    for machine in (fast, ref):
+        for i in range(8):
+            machine.store(WINDOW_BASE + i * line, b"\x11" * line)
+        machine.cache_line_flush(WINDOW_BASE, WINDOW_BASE + 3 * line)
+        machine.dmb()  # waits, but pending stays queued
+    assert fast.cpu.pending
+    assert_same_state(fast, ref, "after the first dmb")
+    for machine in (fast, ref):
+        machine.cache_line_flush(WINDOW_BASE + 3 * line, WINDOW_BASE + 8 * line)
+        machine.dmb()
+    assert_same_state(fast, ref, "after the second dmb")
+    for machine in (fast, ref):
+        machine.persist_barrier()
+        machine.store(WINDOW_BASE, b"\x22")
+        machine.cache_line_flush(WINDOW_BASE, WINDOW_BASE + 1)
+        machine.dmb()  # must wait on the new flush only
+    assert not ref.pending_lines() or fast.cpu.pending
+    assert_same_state(fast, ref, "after barrier + reflush")
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_power_fail_at_every_step_matches_oracle(seed):
+    """Cut power after every prefix of a random op sequence: the same
+    8-byte units land in the same order (one seeded RNG stream each), so
+    the durable images must be equal."""
+    make_config = (tuna, nexus5)[seed % 2]
+    ops = list(random_ops(random.Random(seed), 24))
+    for cut in range(1, len(ops) + 1):
+        fast = FastMachine(small(make_config), seed=seed)
+        ref = ReferenceMachine(small(make_config), seed=seed)
+        for op in ops[:cut]:
+            apply_op(fast, op)
+            apply_op(ref, op)
+        fast.power_fail()
+        ref.power_fail()
+        assert_same_state(fast, ref, f"after power loss at step {cut} (seed {seed})")
+        assert not fast.cpu.pending and fast.cache.dirty_line_count() == 0
+
+
+class _Boom(Exception):
+    pass
+
+
+@PROFILES
+def test_crash_hook_mid_range_matches_oracle(make_config):
+    """A hook firing on the k-th dccmvac of one flush call sees exactly
+    the lines flushed so far: queue, dirty set, clock and stats equal the
+    per-instruction model's — for a bare exception and for a real
+    controller-driven power failure."""
+    line = make_config().cache.line_size
+    start = WINDOW_BASE + 5  # unaligned: covers 41 lines, the first partial
+    length = 40 * line
+    for k in range(1, 42):
+        fast = FastMachine(small(make_config), seed=k)
+        ref = ReferenceMachine(small(make_config), seed=k)
+        for machine in (fast, ref):
+            machine.memcpy(start, bytes(range(256)) * (length // 256) + b"\x01" * (length % 256))
+            # punch clean holes so the range is several runs
+            machine.cache_line_flush(start + 7 * line, start + 9 * line)
+            machine.store(start + 20 * line, b"again")
+            seen = [0]
+
+            def hook(op, seen=seen):
+                if op == "dccmvac":
+                    seen[0] += 1
+                    if seen[0] == k:
+                        raise _Boom
+
+            machine.set_hook(hook)
+            with pytest.raises(_Boom):
+                machine.cache_line_flush(start, start + length)
+            machine.set_hook(None)
+        assert_same_state(fast, ref, f"with the hook firing at dccmvac {k}")
+
+        # the same cut as a real power failure
+        for machine in (fast, ref):
+            machine.cache_line_flush(start, start + length)  # finish the range
+            machine.memcpy(start, b"\x5a" * length)
+        fast.crash.arm(k, op_filter=lambda op: op == "dccmvac")
+        with pytest.raises(PowerFailure):
+            fast.cache_line_flush(start, start + length)
+        countdown = [k]
+
+        def cut(op, countdown=countdown):
+            if op == "dccmvac":
+                countdown[0] -= 1
+                if countdown[0] == 0:
+                    ref.set_hook(None)
+                    ref.power_fail()
+                    raise PowerFailure("reference power failure")
+
+        ref.set_hook(cut)
+        with pytest.raises(PowerFailure):
+            ref.cache_line_flush(start, start + length)
+        assert_same_state(fast, ref, f"after power failure at dccmvac {k}")
+
+
+@PROFILES
+def test_run_drain_matches_per_line_drains_under_fault_injector(make_config):
+    """Random ops with run-time decay storms on both devices: a run drain
+    charges each wear region and clears each poisoned unit exactly as the
+    per-line drains do, and loads fail on the same poisoned units."""
+    spec = MediaFaultSpec(bit_flips=2, stuck_units=2, poison_units=3)
+    fast = FastMachine(small(make_config))
+    ref = ReferenceMachine(small(make_config))
+    for machine in (fast, ref):
+        machine.nvram.fault_injector = NvramFaultInjector(spec, seed=11)
+    rng = random.Random(2016)
+    cleared = 0
+    for step, op in enumerate(random_ops(rng, 600, storms=True)):
+        before = len(ref.nvram.fault_injector.poisoned)
+        got = apply_op(fast, op)
+        want = apply_op(ref, op)
+        assert got == want, f"load mismatch at step {step}: {op[:2]}"
+        if op[0] == "pb":
+            cleared += before - len(ref.nvram.fault_injector.poisoned)
+        if op[0] in ("pb", "storm"):
+            assert (
+                fast.nvram.fault_injector.poisoned
+                == ref.nvram.fault_injector.poisoned
+            ), f"poison diverged at step {step}"
+            assert fast.nvram.fault_injector.stuck == ref.nvram.fault_injector.stuck
+            assert_same_state(fast, ref, f"at step {step}: {op[0]}")
+    assert_same_state(fast, ref, "at the end")
+    assert cleared > 0  # some drain really did clear poison
+
+
+def test_run_drain_wear_and_poison_at_the_device():
+    """One run spanning several wear regions vs. the same lines written one
+    by one: identical image, per-region wear and cleared poison."""
+    line = 32
+    config = small(tuna).nvram
+    by_run, by_line = NvramDevice(config), NvramDevice(config)
+    spec = MediaFaultSpec()
+    addr = 5 * WEAR_REGION - 2 * line  # starts late in a region
+    data = random.Random(3).randbytes(3 * WEAR_REGION + line)  # ends early in one
+    for device in (by_run, by_line):
+        device.fault_injector = NvramFaultInjector(spec, seed=0)
+        device.fault_injector.poisoned = {
+            addr - ATOMIC_UNIT,  # just below: stays
+            addr,  # first unit
+            addr + 4 * line + ATOMIC_UNIT,  # interior
+            addr + len(data) - ATOMIC_UNIT,  # last unit
+            addr + len(data),  # just above: stays
+        }
+    assert by_run.persist_lines([(addr, data)], line) == len(data)
+    for offset in range(0, len(data), line):
+        by_line.persist(addr + offset, data[offset : offset + line])
+    assert by_run.durable_image() == by_line.durable_image()
+    assert by_run.hottest_regions(100) == by_line.hottest_regions(100)
+    assert by_run.hottest_regions(100)[0][1] == WEAR_REGION // line
+    assert by_run.fault_injector.poisoned == by_line.fault_injector.poisoned
+    assert by_run.fault_injector.poisoned == {addr - ATOMIC_UNIT, addr + len(data)}
+
+
+@PROFILES
+def test_media_error_on_partial_write_allocate_zero_fills(make_config):
+    """Write-allocating a line that holds a poisoned unit cannot read it:
+    the unwritten bytes of that line become zeros (not stale arena bytes,
+    not an exception), on the head and on the tail line of an extent."""
+    fast = FastMachine(small(make_config))
+    ref = ReferenceMachine(small(make_config))
+    line = fast.cache.line_size
+    head = WINDOW_BASE + 4 * line
+    tail = head + 6 * line
+    for machine in (fast, ref):
+        machine.nvram.persist(head, b"\xee" * (7 * line))
+        injector = NvramFaultInjector(MediaFaultSpec(), seed=0)
+        injector.poisoned = {head + ATOMIC_UNIT, tail + 2 * ATOMIC_UNIT}
+        machine.nvram.fault_injector = injector
+        # partial head line, five full lines, partial tail line
+        machine.store(head + line - 3, b"\x77" * (3 + 5 * line + 2))
+        machine.cache_line_flush(head, tail + line)
+        machine.dmb()
+        machine.persist_barrier()  # full-line write-back clears the poison
+    assert not fast.nvram.fault_injector.poisoned
+    assert_same_state(fast, ref, "after the write-back")
+    want = (
+        bytes(line - 3) + b"\x77" * (3 + 5 * line + 2) + bytes(line - 2)
     )
-    cpu.dmb()  # waits, but pending stays queued
-    assert cpu.pending
-    cpu.cache_line_flush(WINDOW_BASE + 3 * line, WINDOW_BASE + 8 * line)
-    assert cpu._pending_max_completion == max(
-        p.completion_ns for p in cpu.pending
-    )
-    cpu.persist_barrier()
-    assert not cpu.pending
-    assert cpu._pending_max_completion == 0.0
+    assert fast.nvram.read(head, 7 * line) == want
+
+
+def test_poisoned_unit_under_resident_lines_still_fails_the_load():
+    """The single-slice load shortcut is only for healthy media: a unit
+    poisoned at run time fails loads over it even though every line of the
+    range is resident, until a write-back clears it."""
+    fast = FastMachine(small(tuna))
+    line = fast.cache.line_size
+    fast.store(WINDOW_BASE, b"\x42" * (4 * line))
+    injector = NvramFaultInjector(MediaFaultSpec(), seed=0)
+    fast.nvram.fault_injector = injector
+    assert fast.load(WINDOW_BASE, 4 * line) == b"\x42" * (4 * line)
+    injector.poisoned = {WINDOW_BASE + line}
+    with pytest.raises(MediaError):
+        fast.load(WINDOW_BASE, 4 * line)
+    fast.cache_line_flush(WINDOW_BASE, WINDOW_BASE + 4 * line)
+    fast.dmb()
+    fast.persist_barrier()
+    assert fast.load(WINDOW_BASE, 4 * line) == b"\x42" * (4 * line)

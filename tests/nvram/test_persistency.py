@@ -43,6 +43,22 @@ class TestStrict:
         elapsed = system.clock.now_ns - before
         assert elapsed >= n * system.config.nvram.write_latency_ns
 
+    def test_strict_persists_count_as_nvram_writes(self, system):
+        """Strict drains go through the persist barrier's drain primitive,
+        so they show up in the same NVRAM byte/line counters (the §4.4
+        ablation used to report zero NVRAM bytes for this model)."""
+        domain = PersistDomain(system.cpu, PersistencyModel.STRICT)
+        addr = scratch(system)
+        line = system.config.cache.line_size
+        system.cpu.memcpy(addr + 5, b"y" * (line * 3))  # straddles 4 lines
+        domain.after_store(addr + 5, line * 3)
+        assert system.stats.get_count("strict_persists") == 4
+        assert system.stats.get_count("nvram_lines_persisted") == 4
+        assert system.stats.get_count("nvram_bytes_written") == 4 * line
+        domain.after_store(addr + 5, line * 3)  # now clean: nothing to write
+        assert system.stats.get_count("nvram_lines_persisted") == 4
+        assert system.nvram.wear_stats()["max"] >= 1
+
 
 class TestEpoch:
     def test_durable_only_after_barrier(self, system):
@@ -83,6 +99,20 @@ class TestEpoch:
         domain.commit_barrier()
         assert system.stats.get_count("epoch_barriers") == 1
 
+    def test_epoch_drain_counts_as_nvram_writes(self, system):
+        domain = PersistDomain(system.cpu, PersistencyModel.EPOCH)
+        addr = scratch(system)
+        line = system.config.cache.line_size
+        system.cpu.memcpy(addr, b"q" * (2 * line))
+        system.cpu.memcpy(addr + 10 * line, b"r")  # a second, separate run
+        domain.commit_barrier()
+        assert system.stats.get_count("nvram_lines_persisted") == 3
+        assert system.stats.get_count("nvram_bytes_written") == 3 * line
+        assert system.cache.dirty_line_count() == 0
+        domain.commit_barrier()  # empty epoch: barrier cost only
+        assert system.stats.get_count("nvram_lines_persisted") == 3
+        assert system.stats.get_count("epoch_barriers") == 2
+
 
 class TestExplicit:
     def test_persist_range_issues_flush_syscall(self, system):
@@ -97,3 +127,23 @@ class TestExplicit:
         domain.commit_barrier()
         assert system.stats.get_count("dmb_instructions") == 1
         assert system.stats.get_count("persist_barriers") == 1
+
+    def test_all_models_write_the_same_nvram_bytes(self):
+        """Same stores, same durable lines: the three models differ in when
+        and at what cost lines persist, not in how many bytes reach NVRAM."""
+        written = {}
+        for model in PersistencyModel:
+            system = System(tuna(), seed=0)
+            domain = PersistDomain(system.cpu, model)
+            addr = scratch(system)
+            system.cpu.memcpy(addr + 3, b"m" * 500)
+            domain.after_store(addr + 3, 500)
+            domain.persist_range(addr + 3, 500)
+            domain.commit_barrier()
+            assert system.nvram.read(addr + 3, 500) == b"m" * 500
+            written[model] = (
+                system.stats.get_count("nvram_bytes_written"),
+                system.stats.get_count("nvram_lines_persisted"),
+            )
+        assert len(set(written.values())) == 1
+        assert written[PersistencyModel.EXPLICIT][0] > 0
