@@ -19,20 +19,18 @@ commit and after a checkpoint + power-fail recovery cycle, and B-tree
 invariants plus page accounting are re-checked between transactions.
 
 Failing streams are recorded as JSON repro files and shrunk to the
-statements that matter by :mod:`repro.difftest.reduce` (built on the
-shared :mod:`repro.shrink` engine).  ``python -m repro.difftest`` is
-the CLI; see EXPERIMENTS.md for triage workflow.
+statements that matter by :func:`repro.difftest.runner.minimize_stream`
+(two passes of the shared :mod:`repro.harness` minimizer).  ``python -m
+repro.difftest`` is the CLI; see EXPERIMENTS.md for triage workflow.
 """
 
 from repro.difftest.grammar import Stmt, StreamGenerator, stream_from_dict, stream_to_dict
-from repro.difftest.reduce import finding_kinds, minimize_stream
-from repro.difftest.runner import Finding, run_stream
+from repro.difftest.runner import Finding, minimize_stream, run_stream
 
 __all__ = [
     "Finding",
     "Stmt",
     "StreamGenerator",
-    "finding_kinds",
     "minimize_stream",
     "run_stream",
     "stream_from_dict",

@@ -11,35 +11,32 @@ Examples::
     # replay a recorded failing stream
     python -m repro.difftest --replay difftest-repros/minimized-3.json
 
-Exit status: 0 for a clean sweep (or a sabotage self-test that found the
-planted bug and minimized it to at most 5 statements), 1 otherwise.  The
-final digest line is a SHA-256 over the canonical JSON results; it is
-bit-identical for any ``--jobs`` value.
+Sweep, digest, traces, minimization and exit status are
+:mod:`repro.harness`'s; this module declares what is the fuzzer's own.
+Its trace documents keep the committed corpus's ``{"statements", "meta"}``
+shape, a replay takes its run parameters from the command line, and the
+sabotage self-test also has to minimize to at most 5 statements.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
-import os
 import sys
 from dataclasses import dataclass
 
-from repro.bench.harness import parallel_map
+from repro import harness
 from repro.difftest.grammar import (
     StreamGenerator,
     stream_from_dict,
     stream_to_dict,
 )
-from repro.difftest.reduce import minimize_stream
 from repro.difftest.runner import (
     DEFAULT_CHECKPOINT_THRESHOLD,
+    STREAM_PASSES,
+    Stream,
     run_stream,
 )
 
-#: Raw repro files written per sweep before we stop.
-_MAX_REPROS = 5
 #: The sabotage self-test must shrink its repro at least this far.
 _SABOTAGE_MAX_STMTS = 5
 
@@ -56,13 +53,9 @@ class DiffTask:
     sabotage: bool
 
 
-def generate(task: DiffTask):
-    return StreamGenerator(task.seed, max_tables=task.tables).stream(task.stmts)
-
-
 def run_diff_seed(task: DiffTask) -> dict:
     """Generate and run one seed's stream; JSON-safe result for digests."""
-    stmts = generate(task)
+    stmts = StreamGenerator(task.seed, max_tables=task.tables).stream(task.stmts)
     findings = run_stream(
         stmts,
         checkpoint_threshold=task.checkpoint_threshold,
@@ -84,206 +77,115 @@ def run_diff_seed(task: DiffTask) -> dict:
     }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.difftest",
-        description="Differential SQL fuzzer: run generated statement "
-        "streams through real SQLite and the repro engine on every WAL "
-        "backend, in lockstep.",
+class DiffHarness(harness.Harness):
+    prog = "python -m repro.difftest"
+    description = (
+        "Differential SQL fuzzer: run generated statement streams through "
+        "real SQLite and the repro engine on every WAL backend, in lockstep."
     )
-    parser.add_argument("--seeds", type=int, default=8, help="seeds 0..N-1 to sweep")
-    parser.add_argument(
-        "--stmts", type=int, default=60, help="statements per stream"
+    trace_dir = "difftest-repros"
+    sabotage_help = (
+        "plant a wrong-result bug in the NVWAL executor's access path; the "
+        f"repro must also minimize to <= {_SABOTAGE_MAX_STMTS} statements"
     )
-    parser.add_argument(
-        "--tables", type=int, default=3, help="max tables per stream"
-    )
-    parser.add_argument(
-        "--checkpoint-threshold",
-        type=int,
-        default=DEFAULT_CHECKPOINT_THRESHOLD,
-        help="WAL frames per checkpoint (small = frequent checkpoints)",
-    )
-    parser.add_argument(
-        "--integrity-every",
-        type=int,
-        default=8,
-        help="statements between structural integrity checks",
-    )
-    parser.add_argument("--jobs", type=int, default=1, help="parallel seed workers")
-    parser.add_argument(
-        "--out-dir",
-        default="difftest-repros",
-        help="directory for failing-stream JSON repro files",
-    )
-    parser.add_argument(
-        "--replay", metavar="FILE", help="replay one recorded stream and exit"
-    )
-    parser.add_argument(
-        "--sabotage",
-        action="store_true",
-        help="self-test: plant a wrong-result bug in the NVWAL executor's "
-        "access path; the sweep must catch it and minimize the repro to "
-        f"<= {_SABOTAGE_MAX_STMTS} statements",
-    )
-    parser.add_argument(
-        "--no-minimize",
-        action="store_true",
-        help="record raw failing streams without shrinking them",
-    )
-    return parser
+    task_type = DiffTask
+    run_task = staticmethod(run_diff_seed)
+    passes = STREAM_PASSES
 
+    def __init__(self, args: argparse.Namespace | None = None) -> None:
+        #: The invocation's flags: run parameters are not part of a repro
+        #: file, so a replay takes them from the command line too.
+        self.args = args
 
-def _run_for_stream(stmts, args):
-    return run_stream(
-        stmts,
-        checkpoint_threshold=args.checkpoint_threshold,
-        sabotage=args.sabotage,
-        integrity_every=args.integrity_every,
-    )
+    def add_arguments(self, parser) -> None:
+        parser.add_argument(
+            "--stmts", type=int, default=60, help="statements per stream"
+        )
+        parser.add_argument(
+            "--tables", type=int, default=3, help="max tables per stream"
+        )
+        parser.add_argument(
+            "--checkpoint-threshold",
+            type=int,
+            default=DEFAULT_CHECKPOINT_THRESHOLD,
+            help="WAL frames per checkpoint (small = frequent checkpoints)",
+        )
+        parser.add_argument(
+            "--integrity-every",
+            type=int,
+            default=8,
+            help="statements between structural integrity checks",
+        )
+        parser.add_argument(
+            "--out-dir",
+            dest="trace_dir",
+            default=argparse.SUPPRESS,
+            help="same as --trace-dir",
+        )
 
+    def failures(self, result: dict) -> list[dict]:
+        if not result["findings"]:
+            return []
+        args = self.args
+        stmts = StreamGenerator(result["seed"], max_tables=args.tables).stream(args.stmts)
+        meta = {
+            "seed": result["seed"],
+            "sabotage": args.sabotage,
+            "findings": result["findings"],
+        }
+        return [stream_to_dict(stmts, meta=meta)]
 
-def _replay(path: str, args) -> int:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    stmts = stream_from_dict(data)
-    meta = data.get("meta", {})
-    if meta.get("sabotage"):
-        args.sabotage = True
-    first = _run_for_stream(stmts, args)
-    second = _run_for_stream(stmts, args)
-    print(f"replaying {path}: {len(stmts)} statement(s)")
-    for finding in first:
-        print(f"  {finding.format()}")
-    if [f.format() for f in first] != [f.format() for f in second]:
-        print("replay is NOT deterministic — harness bug")
-        return 1
-    if not first:
-        print("  no findings (stream passes)")
-        return 0
-    print(f"  {len(first)} finding(s), deterministic across replays")
-    return 1
+    def format_result(self, result: dict) -> str:
+        lines = [
+            f"seed {result['seed']}: {result['statements']} statement(s), "
+            f"{len(result['findings'])} finding(s)"
+        ]
+        for f in result["findings"][:4]:
+            where = "end" if f["stmt_index"] is None else f["stmt_index"]
+            lines.append(f"  {f['kind']} @ {where} [{f['executor']}]: {f['detail']}")
+        return "\n".join(lines)
 
+    def run(self, stream: Stream) -> list[str]:
+        findings = run_stream(
+            list(stream.stmts),
+            checkpoint_threshold=self.args.checkpoint_threshold,
+            sabotage=stream.sabotage,
+            integrity_every=self.args.integrity_every,
+        )
+        return [finding.format() for finding in findings]
 
-def _write_repro(out_dir: str, name: str, payload: dict) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-    return path
+    def dump(self, stream: Stream, violations: list[str]) -> dict:
+        meta = {"seed": stream.seed, "sabotage": stream.sabotage, "findings": violations}
+        return stream_to_dict(stream.stmts, meta=meta)
 
+    def load(self, document: dict) -> Stream:
+        meta = document.get("meta", {})
+        return Stream(
+            seed=meta.get("seed", 0),
+            stmts=tuple(stream_from_dict(document)),
+            sabotage=bool(meta.get("sabotage")) or self.args.sabotage,
+        )
 
-def _minimize_and_verify(task: DiffTask, args) -> tuple[bool, int]:
-    """Shrink the failing seed's stream, record it, and prove the replay
-    is deterministic.  Returns (verified, minimized statement count)."""
-    stmts = generate(task)
-
-    def run(candidate):
-        return _run_for_stream(candidate, args)
-
-    small = minimize_stream(stmts, run)
-    first = run(small)
-    second = run(small)
-    path = _write_repro(
-        args.out_dir,
-        f"minimized-{task.seed}.json",
-        stream_to_dict(
-            small,
-            meta={
-                "seed": task.seed,
-                "sabotage": task.sabotage,
-                "findings": [f.format() for f in first],
-            },
-        ),
-    )
-    print(f"minimized: {len(stmts)} -> {len(small)} statement(s)")
-    for stmt in small:
-        print(f"  {stmt.sql}" + (f"  -- params {stmt.params!r}" if stmt.params else ""))
-    for finding in first:
-        print(f"  {finding.format()}")
-    print(f"minimized repro: {path}")
-    if not first or [f.format() for f in first] != [f.format() for f in second]:
-        print("minimized stream does NOT replay deterministically — harness bug")
-        return False, len(small)
-    print("minimized stream replays deterministically")
-    return True, len(small)
+    def minimize_and_verify(self, stream: Stream, trace_dir: str):
+        small = super().minimize_and_verify(stream, trace_dir)
+        if small is None:
+            return None
+        print(f"minimized: {len(stream.stmts)} -> {len(small.stmts)} statement(s)")
+        for stmt in small.stmts:
+            print(f"  {stmt.sql}" + (f"  -- params {stmt.params!r}" if stmt.params else ""))
+        if stream.sabotage and len(small.stmts) > _SABOTAGE_MAX_STMTS:
+            print(f"sabotage self-test FAILED: more than {_SABOTAGE_MAX_STMTS} statements")
+            return None
+        return small
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.replay:
-        return _replay(args.replay, args)
-    tasks = [
-        DiffTask(
-            seed=seed,
-            stmts=args.stmts,
-            tables=args.tables,
-            checkpoint_threshold=args.checkpoint_threshold,
-            integrity_every=args.integrity_every,
-            sabotage=args.sabotage,
-        )
-        for seed in range(args.seeds)
-    ]
-    print(
-        f"difftest: {args.seeds} seed(s) x {args.stmts} statements, "
-        f"4 executors (sqlite + {3} repro backends), jobs={args.jobs}"
-        + (", SABOTAGE" if args.sabotage else "")
+    parser = argparse.ArgumentParser(
+        prog=DiffHarness.prog, description=DiffHarness.description
     )
-    results = parallel_map(run_diff_seed, tasks, jobs=args.jobs)
-    failing: list[DiffTask] = []
-    total_stmts = 0
-    for task, result in zip(tasks, results):
-        total_stmts += result["statements"]
-        n = len(result["findings"])
-        if n:
-            failing.append(task)
-        print(f"seed {result['seed']}: {result['statements']} statement(s), "
-              f"{n} finding(s)")
-        for finding in result["findings"][:4]:
-            print(
-                f"  {finding['kind']} @ "
-                f"{finding['stmt_index'] if finding['stmt_index'] is not None else 'end'} "
-                f"[{finding['executor']}]: {finding['detail']}"
-            )
-    canonical = json.dumps(results, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    print(f"total: {total_stmts} statement(s), {len(failing)} failing seed(s)")
-    print(f"result digest: sha256:{digest}")
-
-    if args.sabotage:
-        if not failing:
-            print("sabotage self-test FAILED: the planted bug went undetected")
-            return 1
-        print(
-            f"sabotage self-test: planted bug detected in {len(failing)} seed(s)"
-        )
-        ok, n_stmts = _minimize_and_verify(failing[0], args)
-        if not ok:
-            return 1
-        if n_stmts > _SABOTAGE_MAX_STMTS:
-            print(
-                f"sabotage self-test FAILED: minimized to {n_stmts} "
-                f"statements (> {_SABOTAGE_MAX_STMTS})"
-            )
-            return 1
-        return 0
-
-    if not failing:
-        return 0
-    for i, task in enumerate(failing[:_MAX_REPROS]):
-        stmts = generate(task)
-        findings = run_diff_seed(task)["findings"]
-        path = _write_repro(
-            args.out_dir,
-            f"stream-{task.seed}.json",
-            stream_to_dict(
-                stmts, meta={"seed": task.seed, "findings": findings}
-            ),
-        )
-        print(f"failing stream: {path}")
-    if not args.no_minimize:
-        _minimize_and_verify(failing[0], args)
-    return 1
+    harness.add_arguments(DiffHarness(), parser)
+    args = parser.parse_args(argv)
+    return harness.run(DiffHarness(args), args)
 
 
 if __name__ == "__main__":

@@ -29,8 +29,9 @@ the scheme oracle must catch — the self-test for the whole subsystem.
 from __future__ import annotations
 
 import os
+import re
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.config import tuna
 from repro.db.database import Database
@@ -45,6 +46,7 @@ from repro.difftest.oracles import (
     rows_sorted,
 )
 from repro.errors import DatabaseError, ReproError
+from repro.harness import field_lens, minimize, shrink_to_prefix
 from repro.system import System
 from repro.wal.filewal import FileWalBackend
 from repro.wal.journal import RollbackJournalBackend
@@ -340,3 +342,56 @@ def _finish(stmts, oracle, executors, sabotage) -> list[Finding]:
             findings.append(Finding("recovery", None, executor.label, str(exc)))
     findings.extend(_check_scheme_equivalence(None, executors))
     return findings
+
+
+# ----------------------------------------------------------------------
+# statement-level reduction of failing streams
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Stream:
+    """A statement stream as a :mod:`repro.harness` scenario."""
+
+    seed: int
+    stmts: tuple
+    sabotage: bool = False
+
+
+def _after_first_divergence(stream: Stream, still_fails, violations) -> Stream:
+    """Pass: truncate everything after the first diverging statement (on
+    a 100-statement stream this alone usually removes most of the work)."""
+    indexed = [
+        int(match.group(1))
+        for match in (re.match(r"\S+ @ stmt (\d+) ", v) for v in violations)
+        if match
+    ]
+    if not indexed:
+        return stream
+    kept = shrink_to_prefix(
+        stream.stmts,
+        lambda stmts: still_fails(replace(stream, stmts=tuple(stmts))),
+        min(indexed),
+    )
+    return replace(stream, stmts=tuple(kept))
+
+
+#: Cheapest first: the prefix cut, then chunked greedy deletion down to
+#: single statements.  The runner auto-commits a dangling transaction
+#: before its end-of-stream checks, so candidates that lose their COMMIT
+#: (or BEGIN) stay runnable — an unbalanced transaction statement fails
+#: identically in all four executors, which is not a divergence.
+STREAM_PASSES = (_after_first_divergence, field_lens("stmts"))
+
+
+def minimize_stream(stmts: list[Stmt], run=run_stream) -> list[Stmt]:
+    """Shrink ``stmts`` while at least one original finding kind still
+    fires (a reduction cannot drift from a wrong-result divergence to an
+    unrelated error-class mismatch).  ``run`` maps a stream to findings;
+    tests inject cheaper runners."""
+    small = minimize(
+        Stream(0, tuple(stmts)),
+        lambda stream: [f.format() for f in run(list(stream.stmts))],
+        STREAM_PASSES,
+    )
+    return list(small.stmts)

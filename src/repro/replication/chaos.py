@@ -26,36 +26,43 @@ truncates the model to the promotion watermark; released epochs above
 it are checked against the ack records (who held them durable) before
 being declared legitimately lost.
 
-With the segment archive enabled (the default), the same storms also
-exercise the cold store: sealed epochs spill to ext4 segment files,
-power cuts land mid-archive-write, GC races slow followers, and
-post-failover catch-up reseeds from disk.  Two archive-specific oracles
-ride along: every GC'd epoch must be at or below ``min(live fleet's
-durable cursor, checkpoint floor)`` (``gc-premature`` otherwise), and a
-caught-up follower's pages must be *byte-identical* to the primary's —
-reseed-from-disk is held to the same standard as live snapshot reseed.
+The same storms also exercise the segment archive: sealed epochs spill
+to ext4 segment files, power cuts land mid-archive-write, GC races slow
+followers, and post-failover catch-up reseeds from disk.  Two
+archive-specific oracles ride along: every GC'd epoch must be at or
+below ``min(live fleet's durable cursor, checkpoint floor)``
+(``gc-premature`` otherwise), and a caught-up follower's pages must be
+*byte-identical* to the primary's however it caught up.
 
 ``sabotage`` plants a planted-bug self-test the oracle must catch:
 ``"torn"`` — followers skip segment verification and the primary ships
 one deliberately torn segment; ``"gc"`` — the archive GC ignores
 follower cursors and the floor (trimming epochs a follower still
-needs).  The legacy boolean form maps to ``"torn"``.
+needs).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from repro.errors import PowerFailure
 from repro.faults import FaultPlan, IoFaultSpec, ShipFaultSpec
+from repro import harness
+from repro.harness import session_stream
 from repro.replication.cluster import Cluster, ReplicationConfig
-from repro.service.chaos import _session_stream
+from repro.service.chaos import (
+    absorb_stats,
+    daemon_failures,
+    fold,
+    make_clients,
+    starved_clients,
+)
 from repro.service.sched import Scheduler
 from repro.service.server import ServiceConfig
 from repro.service.session import ClientSession
-from repro.torture.driver import SCHEMES
-from repro.torture.workload import TABLE
+from repro.torture.driver import SCHEMES, rotated
+from repro.torture.workload import TABLE, generate_txns
 from repro.wal.base import SyncMode
 
 #: Per-seed scheme rotation: one eager, one lazy-sync, one checksum.
@@ -63,6 +70,10 @@ ROTATION = ("uh_ls_diff", "eager", "uh_cs_diff")
 
 #: Per-seed durability-mode rotation.
 MODE_ROTATION = ("semisync", "sync", "async")
+
+#: ``ReplicationScenario.sabotage`` values: off, a torn segment past
+#: lenient followers, a GC-past-durable-cursor bug in the archive trim.
+SABOTAGE_KINDS = ("", "torn", "gc")
 
 _READ_SQL = f"SELECT k, v FROM {TABLE}"
 
@@ -86,13 +97,10 @@ class ReplicationScenario:
     writer_kill_ns: int = 0
     #: ((follower_idx, down_ns, up_ns), ...); up_ns 0 = stays down.
     follower_kills: tuple = ()
-    #: "" (off), "torn" (torn-segment + lenient followers), or "gc"
-    #: (GC-past-durable-cursor bug in the archive trim).
+    #: One of :data:`SABOTAGE_KINDS`.
     sabotage: str = ""
     read_interval_ns: int = 600_000
-    #: The ext4 cold store; False runs the legacy memory-resident mode.
-    archive: bool = True
-    #: Aggressive cadences (vs the production defaults) so short storms
+    #: Aggressive archive cadences (vs the production defaults) so short storms
     #: still roll files, advance the floor, and GC.
     archive_epochs_per_file: int = 4
     archive_snapshot_every: int = 12
@@ -144,17 +152,6 @@ def build_ship_plan(seed: int, faults) -> FaultPlan | None:
     return FaultPlan(seed=seed, ship=spec, archive_io=archive_io)
 
 
-def _sabotage_kind(value) -> str:
-    """Normalize the sabotage field (legacy bool traces map to torn)."""
-    if value is True:
-        return "torn"
-    if value is False or value is None:
-        return ""
-    if value not in ("", "torn", "gc"):
-        raise ValueError(f"unknown sabotage kind {value!r}")
-    return value
-
-
 def make_scenario(
     seed: int,
     sessions: int = 4,
@@ -166,9 +163,8 @@ def make_scenario(
     faults=("drop", "dup", "reorder", "corrupt", "archive"),
     writer_kill: bool = False,
     follower_kills: int = 0,
-    sabotage="",
+    sabotage: str = "",
     group_commit: bool = True,
-    archive: bool = True,
 ) -> ReplicationScenario:
     """Build a scenario; kill times are placed by a clean profiling run.
 
@@ -179,9 +175,11 @@ def make_scenario(
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; pick from {sorted(SCHEMES)}")
+    if sabotage not in SABOTAGE_KINDS:
+        raise ValueError(f"unknown sabotage kind {sabotage!r}")
     per_session = max(1, txns // sessions)
     streams = tuple(
-        _session_stream(seed, s, sessions, per_session, txn_size)
+        session_stream(generate_txns, seed, s, sessions, per_session, txn_size)
         for s in range(sessions)
     )
     scenario = ReplicationScenario(
@@ -191,9 +189,8 @@ def make_scenario(
         streams=streams,
         followers=followers,
         plan=build_ship_plan(seed, faults),
-        sabotage=_sabotage_kind(sabotage),
+        sabotage=sabotage,
         group_commit=group_commit,
-        archive=archive,
     )
     if not writer_kill and follower_kills <= 0:
         return scenario
@@ -232,20 +229,6 @@ def _measure_duration(scenario: ReplicationScenario) -> int:
     driver = _Driver(probe)
     driver.run()
     return max(1, int(driver.clock.now_ns - driver.start_ns))
-
-
-def _fold(base: dict, ops) -> dict:
-    """Fold ops with the service's SQL semantics (see service chaos)."""
-    out = dict(base)
-    for kind, key, value in ops:
-        if kind == "delete":
-            out.pop(key, None)
-        elif kind == "update":
-            if key in out:
-                out[key] = value
-        else:  # insert-as-upsert
-            out[key] = value
-    return out
 
 
 class _Driver:
@@ -296,7 +279,7 @@ class _Driver:
         for meta in entry.metas:
             if self.applied_tail and self.applied_tail[0] == meta:
                 self.applied_tail.pop(0)
-            self.kv = _fold(self.kv, meta[1])
+            self.kv = fold(self.kv, meta[1])
         self.states.append(sorted(self.kv.items()))
         self.commit_log.append(entry.metas)
         if entry.seq != len(self.states) - 1:
@@ -336,14 +319,14 @@ class _Driver:
             if f.alive and f.role == "follower"
         ]
         min_cursor = min((f.durable_seq for f in live), default=None)
-        floor = self.cluster.archive.floor if self.cluster.archive else None
+        floor = self.cluster.archive.floor
         worst = max(deleted_seqs)
         if min_cursor is not None and worst > min_cursor:
             self.violations.append(
                 f"gc-premature: archived epoch {worst} deleted while a "
                 f"live follower's durable cursor is {min_cursor}"
             )
-        elif floor is not None and worst > floor:
+        elif worst > floor:
             self.violations.append(
                 f"gc-premature: archived epoch {worst} deleted above the "
                 f"checkpoint floor {floor}"
@@ -354,7 +337,7 @@ class _Driver:
     def _check_primary_read(self, rows) -> None:
         kv = dict(self.kv)
         for _sid, ops in self.applied_tail:
-            kv = _fold(kv, ops)
+            kv = fold(kv, ops)
         if sorted(rows) != sorted(kv.items()):
             self.stale_reads += 1
             self.violations.append(
@@ -603,9 +586,8 @@ class _Driver:
                 )
                 continue
             # Byte-identity: however this follower got here — live
-            # entries, archived epochs, floor snapshot + roll-forward,
-            # or a legacy live snapshot — its pages must equal the
-            # primary's bit for bit.
+            # entries, archived epochs, or floor snapshot + roll-forward
+            # — its pages must equal the primary's bit for bit.
             primary_pager = self.cluster.db.pager
             pager = node.db.pager
             if pager.n_pages != primary_pager.n_pages:
@@ -640,7 +622,6 @@ class _Driver:
                 checkpoint_threshold=sc.checkpoint_threshold,
                 lenient_followers=sc.sabotage == "torn",
                 sabotage_seq=2 if sc.sabotage == "torn" else 0,
-                archive=sc.archive,
                 archive_epochs_per_file=sc.archive_epochs_per_file,
                 archive_snapshot_every=sc.archive_snapshot_every,
                 archive_gc_every=sc.archive_gc_every,
@@ -658,17 +639,7 @@ class _Driver:
         self.clock = cluster.clock
         self.start_ns = self.clock.now_ns
         service_config = ServiceConfig(group_commit=sc.group_commit)
-        clients = [
-            ClientSession(
-                service=None,
-                session_id=f"c{s}",
-                deadline_budget_ns=(4_000_000 if s % 3 == 2 else 60_000_000),
-            )
-            for s in range(len(sc.streams))
-        ]
-        for client, stream in zip(clients, sc.streams):
-            for txn in stream:
-                client.enqueue(txn)
+        clients = make_clients(sc.streams)
 
         stalled = False
         while True:
@@ -704,7 +675,7 @@ class _Driver:
                 scheduler.spawn("grim", self._grim_job(), daemon=True)
             try:
                 scheduler.run(deadline_ns=self.start_ns + sc.deadline_ns)
-                self._absorb_stats(service)
+                absorb_stats(self.stats_total, service)
                 if any(not j.done and not j.daemon for j in scheduler.jobs):
                     stalled = True
                     self.violations.append(
@@ -714,25 +685,19 @@ class _Driver:
                     )
                     scheduler.abandon()
                     break
-                self._check_daemons(scheduler)
+                self.violations.extend(daemon_failures(scheduler))
                 break
             except PowerFailure:
                 self.crashes += 1
                 scheduler.abandon()
-                self._absorb_stats(service)
+                absorb_stats(self.stats_total, service)
                 # Open-epoch members died with the primary's DRAM; the
                 # clients resubmit anything never acknowledged.
                 self.applied_tail.clear()
                 if not self._failover():
                     return self._outcome()
 
-        for client in clients:
-            if client.gave_up:
-                self.violations.append(
-                    f"starved: client {client.session_id} gave up with "
-                    f"{len(client.pending)} txn(s) pending "
-                    f"(rejections: {client.rejections})"
-                )
+        self.violations.extend(starved_clients(clients))
 
         if not stalled:
             self._settle()
@@ -754,17 +719,6 @@ class _Driver:
                     continue
                 self._check_primary_read(rows)
 
-    def _check_daemons(self, scheduler: Scheduler) -> None:
-        for job in scheduler.failed_jobs():
-            self.violations.append(
-                f"error: job {job.name!r} died with "
-                f"{type(job.error).__name__}: {job.error}"
-            )
-
-    def _absorb_stats(self, service) -> None:
-        for key, value in service.stats.as_dict().items():
-            self.stats_total[key] = self.stats_total.get(key, 0) + value
-
     def _ship_fault_counts(self) -> dict:
         counts = {"dropped": 0, "duplicated": 0, "reordered": 0, "corrupted": 0}
         for replicator in (
@@ -783,15 +737,10 @@ class _Driver:
 
     def _archive_summary(self) -> dict | None:
         cluster = self.cluster
-        if cluster is None or cluster.archive is None:
+        if cluster is None:
             return None
         archive = cluster.archive
-        from_archive, from_snapshot = cluster.reseed_counts()
-        injector = (
-            cluster.archive_device.fault_injector
-            if cluster.archive_device is not None
-            else None
-        )
+        injector = cluster.archive_device.fault_injector
         return {
             "files": archive.files_count,
             "bytes": archive.bytes_total,
@@ -805,8 +754,7 @@ class _Driver:
             "floor_fallbacks": archive.floor_fallbacks,
             "floor_advances": self.floor_advances,
             "io_faults": injector.injected if injector is not None else 0,
-            "reseeds_from_archive": from_archive,
-            "reseeds_from_snapshot": from_snapshot,
+            "reseeds_from_archive": cluster.reseeds_from_archive(),
             "peak_log_entries": cluster.log_peak(),
         }
 
@@ -871,59 +819,24 @@ def run_replication_chaos(scenario: ReplicationScenario) -> ReplicationOutcome:
 # ----------------------------------------------------------------------
 
 
-def scenario_to_dict(scenario: ReplicationScenario) -> dict:
-    return {
-        "seed": scenario.seed,
-        "scheme": scenario.scheme,
-        "mode": scenario.mode,
-        "streams": [
-            [[list(op) for op in txn] for txn in stream]
-            for stream in scenario.streams
-        ],
-        "followers": scenario.followers,
-        "plan": scenario.plan.to_json() if scenario.plan else None,
-        "writer_kill_ns": scenario.writer_kill_ns,
-        "follower_kills": [list(kill) for kill in scenario.follower_kills],
-        "sabotage": scenario.sabotage,
-        "read_interval_ns": scenario.read_interval_ns,
-        "checkpoint_threshold": scenario.checkpoint_threshold,
-        "group_commit": scenario.group_commit,
-        "settle_ns": scenario.settle_ns,
-        "deadline_ns": scenario.deadline_ns,
-        "archive": scenario.archive,
-        "archive_epochs_per_file": scenario.archive_epochs_per_file,
-        "archive_snapshot_every": scenario.archive_snapshot_every,
-        "archive_gc_every": scenario.archive_gc_every,
-    }
+scenario_to_dict = harness.to_json
 
 
 def scenario_from_dict(data: dict) -> ReplicationScenario:
-    return ReplicationScenario(
-        seed=data["seed"],
-        scheme=data["scheme"],
-        mode=data["mode"],
-        streams=tuple(
-            tuple(tuple(tuple(op) for op in txn) for txn in stream)
-            for stream in data["streams"]
-        ),
-        followers=data.get("followers", 2),
-        plan=FaultPlan.from_json(data["plan"]) if data.get("plan") else None,
-        writer_kill_ns=data.get("writer_kill_ns", 0),
-        follower_kills=tuple(
-            tuple(kill) for kill in data.get("follower_kills", ())
-        ),
-        sabotage=_sabotage_kind(data.get("sabotage", "")),
-        read_interval_ns=data.get("read_interval_ns", 600_000),
-        checkpoint_threshold=data.get("checkpoint_threshold", 48),
-        group_commit=data.get("group_commit", True),
-        settle_ns=data.get("settle_ns", 60_000_000),
-        deadline_ns=data.get("deadline_ns", 4_000_000_000),
-        # Traces recorded before the cold store existed replay in the
-        # mode they ran in: archive off.
-        archive=data.get("archive", False),
-        archive_epochs_per_file=data.get("archive_epochs_per_file", 4),
-        archive_snapshot_every=data.get("archive_snapshot_every", 12),
-        archive_gc_every=data.get("archive_gc_every", 4),
+    # Traces are outside input: one recorded in a mode this code no longer
+    # has must be refused, not silently replayed in a different mode.
+    if data.get("archive", True) is not True:
+        raise ValueError(
+            "trace field 'archive': the memory-resident (archive-off) mode "
+            "was removed; this trace cannot be replayed"
+        )
+    if data.get("sabotage", "") not in SABOTAGE_KINDS:
+        raise ValueError(
+            f"trace field 'sabotage': {data['sabotage']!r} is not one of "
+            f"{SABOTAGE_KINDS}"
+        )
+    return harness.from_json(
+        ReplicationScenario, data, plan=FaultPlan.from_json
     )
 
 
@@ -948,31 +861,17 @@ class ReplicationTask:
     follower_kills: int = 0
     sabotage: str = ""
     group_commit: bool = True
-    archive: bool = True
 
 
 def run_task(task: ReplicationTask) -> dict:
     """Run one task; result is the summary plus the scenario trace."""
-    scheme = task.scheme
-    if scheme == "rotate":
-        scheme = ROTATION[task.seed % len(ROTATION)]
-    mode = task.mode
-    if mode == "rotate":
-        mode = MODE_ROTATION[task.seed % len(MODE_ROTATION)]
+    # The task's fields are make_scenario's parameters, by name.
     scenario = make_scenario(
-        task.seed,
-        sessions=task.sessions,
-        txns=task.txns,
-        txn_size=task.txn_size,
-        scheme=scheme,
-        mode=mode,
-        followers=task.followers,
-        faults=task.faults,
-        writer_kill=task.writer_kill,
-        follower_kills=task.follower_kills,
-        sabotage=task.sabotage,
-        group_commit=task.group_commit,
-        archive=task.archive,
+        **{
+            **asdict(task),
+            "scheme": rotated(task.scheme, task.seed, ROTATION),
+            "mode": rotated(task.mode, task.seed, MODE_ROTATION),
+        }
     )
     outcome = run_replication_chaos(scenario)
     result = dict(outcome.summary)

@@ -17,283 +17,156 @@ Examples::
     # replay a recorded failing trace
     python -m repro.replication --replay replication-traces/minimized-1.json
 
-Exit status: 0 for a clean sweep (or a sabotage self-test that found,
-minimized, and deterministically replayed the planted bug), 1 otherwise.
-The digest line is a SHA-256 over canonical JSON results and is
-bit-identical for any ``--jobs`` value.
+Sweep, digest, traces, minimization and exit status are
+:mod:`repro.harness`'s; this module declares what is the replication
+harness's own.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
-import os
 import sys
+from dataclasses import replace
 
-from repro.bench.harness import parallel_map
+from repro import harness
 from repro.replication.chaos import (
     MODE_ROTATION,
     ROTATION,
+    SABOTAGE_KINDS,
+    ReplicationScenario,
     ReplicationTask,
     run_replication_chaos,
     run_task,
     scenario_from_dict,
-    scenario_to_dict,
 )
 from repro.replication.ship import MODES
-from repro.torture.driver import SCHEMES
-
-#: Raw traces written per run before we stop (one per failure otherwise).
-_MAX_TRACES = 5
+from repro.torture.driver import add_scheme_flag, comma_list
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.replication",
-        description="Replication chaos harness: a primary service ships "
-        "sealed WAL epochs to follower machines over a fault-injected "
-        "channel, with scripted writer/follower power cuts, failover "
-        "promotion, and a replication-consistency oracle.",
-    )
-    parser.add_argument("--seeds", type=int, default=6, help="seeds 0..N-1 to sweep")
-    parser.add_argument(
-        "--sessions", type=int, default=4, help="concurrent client sessions"
-    )
-    parser.add_argument(
-        "--txns", type=int, default=36, help="total transactions across sessions"
-    )
-    parser.add_argument(
-        "--txn-size", type=int, default=3, help="max ops per transaction"
-    )
-    parser.add_argument(
-        "--scheme",
-        default="rotate",
-        choices=["rotate", *sorted(SCHEMES)],
-        help="NVWAL scheme; 'rotate' cycles %s by seed" % (ROTATION,),
-    )
-    parser.add_argument(
-        "--mode",
-        default="rotate",
-        choices=["rotate", *MODES],
-        help="replication durability mode; 'rotate' cycles %s by seed"
-        % (MODE_ROTATION,),
-    )
-    parser.add_argument(
-        "--followers", type=int, default=2, help="follower machines"
-    )
-    parser.add_argument(
-        "--faults",
-        default="drop,dup,reorder,corrupt,archive",
-        help="comma list of faults: drop,dup,reorder,corrupt on the "
-        "shipping channel, 'archive' for transient I/O errors on the "
-        "cold-store volume ('none' for a clean run)",
-    )
-    parser.add_argument(
-        "--writer-kill",
-        action="store_true",
-        help="power-fail the primary mid-run and fail over to the "
-        "longest-prefix follower",
-    )
-    parser.add_argument(
-        "--follower-kills",
-        type=int,
-        default=0,
-        help="scripted follower power cuts (most restart mid-run)",
-    )
-    parser.add_argument(
-        "--no-group-commit",
-        action="store_true",
-        help="ship per-transaction instead of per group-commit epoch",
-    )
-    parser.add_argument("--jobs", type=int, default=1, help="parallel seed workers")
-    parser.add_argument(
-        "--trace-dir",
-        default="replication-traces",
-        help="directory for failing-trace JSON files",
-    )
-    parser.add_argument(
-        "--replay", metavar="TRACE", help="replay one recorded trace and exit"
-    )
-    parser.add_argument(
-        "--no-archive",
-        action="store_true",
-        help="disable the ext4 cold store: keep every sealed epoch in "
-        "memory and reseed followers from live snapshot segments",
-    )
-    parser.add_argument(
-        "--sabotage",
-        nargs="?",
-        const="torn",
-        default="",
-        choices=["torn", "gc"],
-        help="self-test: plant a bug the sweep must find, minimize, and "
-        "deterministically replay.  'torn' (the bare-flag default) ships "
-        "one deliberately torn segment past lenient followers; 'gc' "
-        "makes the archive trim past the follower fleet's durable "
-        "cursor, so a reseed after failover comes up short",
-    )
-    parser.add_argument(
-        "--no-minimize",
-        action="store_true",
-        help="write raw failing traces without shrinking them",
-    )
-    return parser
+def _one_dimension_less(scenario: ReplicationScenario):
+    """The scenario as recorded minus one whole dimension; first hit wins.
+
+    The fault plan goes last: a torn-segment failure keeps failing
+    without it, but with it (and lenient followers) the workload below
+    can shrink all the way to zero operations.
+    """
+    yield replace(scenario, group_commit=False)
+    # A scripted kill names its follower by index; only a kill-free
+    # scenario can lose a follower without rewriting the script.
+    if scenario.followers > 1 and not scenario.follower_kills:
+        yield replace(scenario, followers=1)
+    yield replace(scenario, writer_kill_ns=0)
+    yield replace(scenario, follower_kills=())
+    yield replace(scenario, plan=None)
 
 
-def _replay(path: str) -> int:
-    with open(path, encoding="utf-8") as fh:
-        trace = json.load(fh)
-    scenario = scenario_from_dict(trace["scenario"])
-    first = run_replication_chaos(scenario)
-    second = run_replication_chaos(scenario)
-    print(
-        f"replaying {path}: seed={scenario.seed} scheme={scenario.scheme} "
-        f"mode={scenario.mode} followers={scenario.followers} "
-        f"writer_kill_ns={scenario.writer_kill_ns}"
+def _fault_kinds(flag: str) -> tuple:
+    """``--faults``: a comma list, or ``none`` for a clean run."""
+    return tuple(k for k in comma_list(flag) if k != "none")
+
+
+class ReplicationHarness(harness.Harness):
+    prog = "python -m repro.replication"
+    description = (
+        "Replication chaos harness: a primary service ships sealed WAL "
+        "epochs to follower machines over a fault-injected channel, with "
+        "scripted writer/follower power cuts, failover promotion, and a "
+        "replication-consistency oracle."
     )
-    for violation in first.violations:
-        print(f"  {violation}")
-    if first.violations != second.violations:
-        print("replay is NOT deterministic — harness bug")
-        return 1
-    if not first.violations:
-        print("  no violations (scenario passes)")
-        return 0
-    print(f"  {len(first.violations)} violation(s), deterministic across replays")
-    return 1
-
-
-def _write_trace(trace_dir: str, name: str, payload: dict) -> str:
-    os.makedirs(trace_dir, exist_ok=True)
-    path = os.path.join(trace_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-    return path
-
-
-def _minimize_and_verify(failure: dict, trace_dir: str) -> bool:
-    """Shrink the first failure, record it, and prove the replay is
-    deterministic.  Returns True on a verified deterministic trace."""
-    from repro.replication.minimize import minimize
-
-    scenario = scenario_from_dict(failure["scenario"])
-    small = minimize(scenario)
-    first = run_replication_chaos(small)
-    second = run_replication_chaos(small)
-    path = _write_trace(
-        trace_dir,
-        f"minimized-{small.seed}.json",
-        {
-            "scenario": scenario_to_dict(small),
-            "violations": list(first.violations),
-        },
+    trace_dir = "replication-traces"
+    seeds = 6
+    task_type = ReplicationTask
+    run_task = staticmethod(run_task)
+    from_json = staticmethod(scenario_from_dict)
+    #: One whole dimension first, then fewer scripted kills, then the
+    #: workload: sessions, then transactions, then operations.
+    passes = (
+        harness.structural(_one_dimension_less),
+        harness.field_lens("follower_kills", min_size=1),
+        harness.nested_lens("streams", (1, 0, 1)),
     )
-    txns = sum(len(stream) for stream in small.streams)
-    ops = sum(len(txn) for stream in small.streams for txn in stream)
-    print(
-        f"minimized: {ops} op(s) in {txns} txn(s) across "
-        f"{len(small.streams)} session(s), followers={small.followers}, "
-        f"writer_kill={'yes' if small.writer_kill_ns else 'no'}, "
-        f"follower_kills={len(small.follower_kills)}"
-        + (", channel faults kept" if small.plan else ", channel faults dropped")
-    )
-    for violation in first.violations:
-        print(f"  {violation}")
-    print(f"minimized trace: {path}")
-    if not first.violations or first.violations != second.violations:
-        print("minimized trace does NOT replay deterministically — harness bug")
-        return False
-    print("minimized trace replays deterministically")
-    return True
 
-
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.replay:
-        return _replay(args.replay)
-    raw = {f.strip() for f in args.faults.split(",") if f.strip()}
-    faults = tuple(sorted(raw - {"none"}))
-    tasks = [
-        ReplicationTask(
-            seed=seed,
-            sessions=args.sessions,
-            txns=args.txns,
-            txn_size=args.txn_size,
-            scheme=args.scheme,
-            mode=args.mode,
-            followers=args.followers,
-            faults=faults,
-            writer_kill=args.writer_kill,
-            follower_kills=args.follower_kills,
-            sabotage=args.sabotage,
-            group_commit=not args.no_group_commit,
-            archive=not args.no_archive,
+    def add_arguments(self, parser) -> None:
+        parser.add_argument(
+            "--sessions", type=int, default=4, help="concurrent client sessions"
         )
-        for seed in range(args.seeds)
-    ]
-    print(
-        f"replication chaos: {args.seeds} seed(s) x {args.sessions} "
-        f"session(s) x {args.txns} txns, scheme={args.scheme}, "
-        f"mode={args.mode}, followers={args.followers}, "
-        f"faults={','.join(faults) if faults else 'none'}, "
-        f"writer_kill={'yes' if args.writer_kill else 'no'}, "
-        f"follower_kills={args.follower_kills}, "
-        f"archive={'no' if args.no_archive else 'yes'}, jobs={args.jobs}"
-        + (f", SABOTAGE({args.sabotage})" if args.sabotage else "")
-    )
-    results = parallel_map(run_task, tasks, jobs=args.jobs)
-    failures: list[dict] = []
-    acked = promotions = 0
-    for result in results:
-        acked += result.get("acked", 0)
-        promotions += result.get("promotions", 0)
-        violations = result.get("violations", [])
-        if violations:
-            failures.append(result)
+        parser.add_argument(
+            "--txns", type=int, default=36, help="total transactions across sessions"
+        )
+        parser.add_argument(
+            "--txn-size", type=int, default=3, help="max ops per transaction"
+        )
+        add_scheme_flag(parser, ROTATION)
+        parser.add_argument(
+            "--mode",
+            default="rotate",
+            choices=["rotate", *MODES],
+            help="replication durability mode; 'rotate' cycles %s by seed"
+            % (MODE_ROTATION,),
+        )
+        parser.add_argument(
+            "--followers", type=int, default=2, help="follower machines"
+        )
+        parser.add_argument(
+            "--faults",
+            type=_fault_kinds,
+            default="drop,dup,reorder,corrupt,archive",
+            help="comma list of faults: drop,dup,reorder,corrupt on the "
+            "shipping channel, 'archive' for transient I/O errors on the "
+            "cold-store volume ('none' for a clean run)",
+        )
+        parser.add_argument(
+            "--writer-kill",
+            action="store_true",
+            help="power-fail the primary mid-run and fail over to the "
+            "longest-prefix follower",
+        )
+        parser.add_argument(
+            "--follower-kills",
+            type=int,
+            default=0,
+            help="scripted follower power cuts (most restart mid-run)",
+        )
+        kinds = SABOTAGE_KINDS[1:]
+        parser.add_argument(
+            "--sabotage",
+            nargs="?",
+            const=kinds[0],
+            default="",
+            choices=kinds,
+            help="self-test: 'torn' (the bare-flag default) ships one "
+            "deliberately torn segment past lenient followers; 'gc' makes "
+            "the archive trim past the follower fleet's durable cursor, so "
+            "a reseed after failover comes up short; the sweep must find, "
+            "minimize, and deterministically replay the planted bug",
+        )
+        parser.add_argument(
+            "--no-group-commit",
+            dest="group_commit",
+            action="store_false",
+            help="ship per-transaction instead of per group-commit epoch",
+        )
+
+    def format_result(self, result: dict) -> str:
         failover = result.get("failover_ms")
-        print(
+        return (
             f"seed {result['seed']} [{result['scheme']}/{result['mode']}]: "
             f"{result.get('acked', 0)} acked, "
             f"{result.get('sealed', 0)} sealed, "
             f"{result.get('follower_reads', 0)} replica read(s), "
             f"{result.get('promotions', 0)} promotion(s)"
             + (f", failover {failover:.2f} ms" if failover else "")
-            + f", {len(violations)} violation(s)"
+            + f", {len(result.get('violations', []))} violation(s)"
         )
-    canonical = json.dumps(results, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    print(
-        f"total: {acked} acked txn(s), {promotions} promotion(s), "
-        f"{len(failures)} violating seed(s)"
-    )
-    print(f"result digest: sha256:{digest}")
 
-    if args.sabotage:
-        planted = (
-            "torn segment" if args.sabotage == "torn" else "premature GC"
-        )
-        if not failures:
-            print(f"sabotage self-test FAILED: the {planted} went undetected")
-            return 1
-        print(
-            f"sabotage self-test: {planted} detected in "
-            f"{len(failures)} seed(s)"
-        )
-        return 0 if _minimize_and_verify(failures[0], args.trace_dir) else 1
+    def run(self, scenario: ReplicationScenario):
+        return run_replication_chaos(scenario).violations
 
-    if not failures:
-        return 0
-    for i, failure in enumerate(failures[:_MAX_TRACES]):
-        path = _write_trace(
-            args.trace_dir,
-            f"trace-{failure['seed']}-{i}.json",
-            failure,
-        )
-        print(f"failing trace: {path}")
-    if not args.no_minimize:
-        _minimize_and_verify(failures[0], args.trace_dir)
-    return 1
+
+HARNESS = ReplicationHarness()
+
+
+def main(argv=None) -> int:
+    return harness.main(HARNESS, argv)
 
 
 if __name__ == "__main__":

@@ -13,10 +13,11 @@ protocol:
    replication term — fencing any segment the dead primary still had in
    flight;
 3. the promoted node becomes an ordinary primary: a fresh shipping log
-   (based at the promotion watermark) taps its WAL, and the surviving
-   followers are re-seeded through a full-state snapshot segment, which
-   degenerates to a cheap watermark bump for followers already at the
-   watermark (differential logging ships only the pages that differ).
+   (based at the promotion watermark) taps its WAL, the cold store is
+   recovered and fenced at the watermark, and surviving followers that
+   hold divergent history are reset from the on-disk floor snapshot and
+   climb archived epochs (followers already at the watermark just adopt
+   the new term).
 
 Epochs past the watermark are *lost* — they were durable only on the
 dead primary.  Whether any of them was promised to a client is exactly
@@ -34,7 +35,6 @@ from repro.faults.inject import BlockIoFaultInjector
 from repro.hw.clock import SimClock
 from repro.hw.stats import Stats
 from repro.replication.node import FollowerNode
-from repro.replication.segment import FLAG_SNAPSHOT, Segment
 from repro.replication.ship import Replicator, ReplicatorConfig, ShippingLog
 from repro.service.server import DatabaseService
 from repro.storage.blockdev import BlockDevice
@@ -64,11 +64,8 @@ class ReplicationConfig:
     #: tears the wire blob of the first eligible epoch at/after this seq.
     lenient_followers: bool = False
     sabotage_seq: int = 0
-    #: The ext4 cold store.  On by default: sealed epochs spill to
-    #: segment files, reseeds come from disk, and the in-memory shipping
-    #: log stays bounded.  ``archive=False`` is the legacy memory-resident
-    #: mode (live snapshot reseed) kept for byte-identity comparison.
-    archive: bool = True
+    #: The ext4 cold store: sealed epochs spill to segment files, reseeds
+    #: come from disk, and the in-memory shipping log stays bounded.
     archive_epochs_per_file: int = 8
     archive_sync_every: int = 4
     archive_snapshot_every: int = 24
@@ -116,42 +113,38 @@ class Cluster:
         # The cold store is its own ext4 volume on its own (seeded)
         # device: archive I/O shares the timeline but never the WAL
         # device's bandwidth or fault plan.
-        self.archive = None
-        self.archive_device: BlockDevice | None = None
-        if config.archive:
-            # Imported here, not at module top: repro.archive decodes the
-            # shipped-segment wire format, so it imports this package.
-            from repro.archive import ArchiveConfig, SegmentArchive
+        # Imported here, not at module top: repro.archive decodes the
+        # shipped-segment wire format, so it imports this package.
+        from repro.archive import ArchiveConfig, SegmentArchive
 
-            self._archive_stats = Stats()
-            self.archive_device = BlockDevice(
-                (profile or tuna()).blockdev,
-                self.clock,
-                self._archive_stats,
-                seed=(seed * 977 + 61) & 0x7FFFFFFF,
+        self.archive_device = BlockDevice(
+            (profile or tuna()).blockdev,
+            self.clock,
+            Stats(),
+            seed=(seed * 977 + 61) & 0x7FFFFFFF,
+        )
+        if archive_io_spec is not None:
+            self.archive_device.fault_injector = BlockIoFaultInjector(
+                archive_io_spec, (seed * 53 + 11) & 0x7FFFFFFF
             )
-            if archive_io_spec is not None:
-                self.archive_device.fault_injector = BlockIoFaultInjector(
-                    archive_io_spec, (seed * 53 + 11) & 0x7FFFFFFF
-                )
-            archive_fs = Ext4FileSystem(self.archive_device)
-            archive_fs.format()
-            self.archive = SegmentArchive(
-                archive_fs,
-                self.clock,
-                config=ArchiveConfig(
-                    epochs_per_file=config.archive_epochs_per_file,
-                    sync_every=config.archive_sync_every,
-                    snapshot_every=config.archive_snapshot_every,
-                    gc_every=config.archive_gc_every,
-                ),
-                telemetry=system.telemetry,
-                on_gc=on_gc,
-                on_snapshot=on_snapshot,
-            )
-            # The seq-0 floor: the pristine pre-schema database, so any
-            # follower — however far behind — can be reseeded from disk.
-            self.archive.bootstrap(_pager_frames(db), term=self.term)
+        archive_fs = Ext4FileSystem(self.archive_device)
+        archive_fs.format()
+        self.archive = SegmentArchive(
+            archive_fs,
+            self.clock,
+            config=ArchiveConfig(
+                epochs_per_file=config.archive_epochs_per_file,
+                sync_every=config.archive_sync_every,
+                snapshot_every=config.archive_snapshot_every,
+                gc_every=config.archive_gc_every,
+            ),
+            telemetry=system.telemetry,
+            on_gc=on_gc,
+            on_snapshot=on_snapshot,
+        )
+        # The seq-0 floor: the pristine pre-schema database, so any
+        # follower — however far behind — can be reseeded from disk.
+        self.archive.bootstrap(_pager_frames(db), term=self.term)
         # The shipping log taps the WAL *before* the schema exists, so
         # followers build their entire state — schema included — from
         # the stream alone.
@@ -176,12 +169,12 @@ class Cluster:
             )
             for node_id in range(config.followers)
         ]
-        self.replicator = self._make_replicator(self.followers, None)
+        self.replicator = self._make_replicator(self.followers)
         self.service: DatabaseService | None = None
         #: Replicators retired by promotion (their lag samples count).
         self.retired_replicators: list[Replicator] = []
 
-    def _make_replicator(self, followers, base_snapshot) -> Replicator:
+    def _make_replicator(self, followers) -> Replicator:
         return Replicator(
             self.clock,
             self.shiplog,
@@ -193,16 +186,15 @@ class Cluster:
                 resend_ns=self.config.resend_ns,
                 send_window=self.config.send_window,
             ),
+            self.archive,
             term=self.term,
             ship_spec=self.ship_spec,
             ship_seed=self.seed,
             on_release=self.on_release,
             sabotage_seq=self.config.sabotage_seq,
-            base_snapshot=base_snapshot,
             # The *current* primary machine's registry: after a promotion
             # this is the promoted follower's, not the dead machine's.
             telemetry=self.db.system.telemetry,
-            archive=self.archive,
             gc_sabotage=self.config.gc_sabotage,
         )
 
@@ -249,8 +241,7 @@ class Cluster:
             self.primary_node.system.power_fail()
         else:
             self.primary_system.power_fail()
-        if self.archive is not None:
-            self.archive.power_fail()
+        self.archive.power_fail()
 
     def promote(self):
         """Elect and promote the longest-prefix live follower.
@@ -269,24 +260,14 @@ class Cluster:
         self.term += 1
         self.promotions += 1
         best.become_primary(self.term)
-        if self.archive is not None:
-            # Recover the cold store (journal replay + torn-tail
-            # salvage), fence epochs past the watermark, and make sure a
-            # reseed chain through the watermark exists on disk — falling
-            # back to a snapshot of the promoted node's live pages only
-            # when the crash broke the archived chain.
-            self.archive.recover()
-            self.archive.truncate_above(watermark)
-            self.archive.ensure_floor(watermark, self.term, best.snapshot_frames)
-            snapshot = None
-        else:
-            snapshot = Segment(
-                seq=watermark,
-                term=self.term,
-                txns=0,
-                frames=best.snapshot_frames(),
-                flags=FLAG_SNAPSHOT,
-            )
+        # Recover the cold store (journal replay + torn-tail salvage),
+        # fence epochs past the watermark, and make sure a reseed chain
+        # through the watermark exists on disk — falling back to a
+        # snapshot of the promoted node's live pages only when the crash
+        # broke the archived chain.
+        self.archive.recover()
+        self.archive.truncate_above(watermark)
+        self.archive.ensure_floor(watermark, self.term, best.snapshot_frames)
         self.peak_log_entries = max(self.peak_log_entries, self.shiplog.peak_entries)
         self.shiplog = ShippingLog(
             best.wal, self.clock, base_seq=watermark, on_seal=self.on_seal
@@ -295,7 +276,7 @@ class Cluster:
         self.primary_node = best
         self.retired_replicators.append(self.replicator)
         survivors = [f for f in self.followers if f is not best]
-        self.replicator = self._make_replicator(survivors, snapshot)
+        self.replicator = self._make_replicator(survivors)
         self.service = None
         if not best.db.table_exists(TABLE):
             # Total-loss corner: the cluster died before the bootstrap
@@ -321,13 +302,12 @@ class Cluster:
         """Lifetime high-water mark of in-memory shiplog entries."""
         return max(self.peak_log_entries, self.shiplog.peak_entries)
 
-    def reseed_counts(self) -> tuple[int, int]:
-        """(reseeds from the archive, reseeds from a live snapshot)."""
-        from_archive = from_snapshot = 0
-        for replicator in (*self.retired_replicators, self.replicator):
-            from_archive += replicator.reseeds_from_archive
-            from_snapshot += replicator.reseeds_from_snapshot
-        return from_archive, from_snapshot
+    def reseeds_from_archive(self) -> int:
+        """Follower resets served from the on-disk floor snapshot."""
+        return sum(
+            replicator.reseeds_from_archive
+            for replicator in (*self.retired_replicators, self.replicator)
+        )
 
 
 def _pager_frames(db) -> tuple:

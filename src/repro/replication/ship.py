@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.faults.inject import ShipFaultInjector
 from repro.replication.segment import FLAG_SNAPSHOT, Segment, encode_segment
@@ -56,8 +56,8 @@ class ShippingLog:
     Entries are held decoded in memory until :meth:`evict_through`
     releases them — the replicator evicts everything already durable in
     the segment archive, acked, and applied by every live follower, so
-    with the cold store attached the in-memory tail stays bounded at a
-    few epochs (``peak_entries`` records the high-water mark).
+    the in-memory tail stays bounded at a few epochs (``peak_entries``
+    records the high-water mark).
     """
 
     def __init__(self, wal, clock, base_seq: int = 0, on_seal=None) -> None:
@@ -98,11 +98,6 @@ class ShippingLog:
         if 0 <= index < len(self.entries):
             return self.entries[index]
         return None
-
-    def window(self, lo_seq: int, hi_seq: int) -> list[LogEntry]:
-        lo = max(0, lo_seq - self.base_seq - self._evicted - 1)
-        hi = hi_seq - self.base_seq - self._evicted
-        return self.entries[lo:max(lo, hi)]
 
     def evict_through(self, seq: int) -> int:
         """Drop entries up to ``seq`` from memory (archived elsewhere)."""
@@ -167,14 +162,13 @@ class Replicator:
         shiplog: ShippingLog,
         followers,
         config: ReplicatorConfig,
+        archive,
         term: int = 1,
         ship_spec=None,
         ship_seed: int = 0,
         on_release=None,
         sabotage_seq: int = 0,
-        base_snapshot: Segment | None = None,
         telemetry=None,
-        archive=None,
         gc_sabotage: bool = False,
     ) -> None:
         if config.mode not in MODES:
@@ -188,17 +182,15 @@ class Replicator:
         #: The service whose tickets this replicator releases (set by the
         #: cluster when the service is built).
         self.service = None
-        self.base_snapshot = base_snapshot
-        #: The ext4 cold store (:class:`repro.archive.SegmentArchive`).
-        #: When attached, reseeds come from disk (floor snapshot + epoch
-        #: files) and the in-memory shiplog is evicted behind it.
+        #: The ext4 cold store (:class:`repro.archive.SegmentArchive`):
+        #: reseeds come from disk (floor snapshot + epoch files) and the
+        #: in-memory shiplog is evicted behind it.
         self.archive = archive
         #: Sabotage: GC ignores follower cursors and the floor (a planted
         #: GC-past-durable-cursor bug the chaos oracle must catch).
         self.gc_sabotage = gc_sabotage
-        self._last_gc_head = archive.durable_head if archive is not None else 0
+        self._last_gc_head = archive.durable_head
         self.reseeds_from_archive = 0
-        self.reseeds_from_snapshot = 0
         self.channels = {
             node.node_id: Channel(
                 clock,
@@ -232,10 +224,8 @@ class Replicator:
         self._t_gate = telemetry.histogram("repl.ack_gate_wait_ns")
         self._c_sends = telemetry.counter("repl.sends")
         self._c_resends = telemetry.counter("repl.resends")
-        self._c_snapshots = telemetry.counter("repl.snapshots")
         self._g_released = telemetry.gauge("repl.released_seq")
         self._c_reseed_archive = telemetry.counter("repl.reseed_from_archive")
-        self._c_reseed_snapshot = telemetry.counter("repl.reseed_from_snapshot")
         self._t_reseed = telemetry.histogram("archive.reseed_ns")
 
     # -- commit gating ------------------------------------------------------
@@ -315,25 +305,12 @@ class Replicator:
             torn[min(start + frac, len(torn) - 1)] ^= 0x10
         return bytes(torn)
 
-    def _encode_snapshot(self) -> bytes | None:
-        if self.base_snapshot is None:
-            return None
-        return encode_segment(
-            Segment(
-                seq=self.base_snapshot.seq,
-                term=self.term,
-                txns=0,
-                frames=self.base_snapshot.frames,
-                flags=FLAG_SNAPSHOT,
-            )
-        )
-
     def _available(self, seq: int) -> bool:
         """Whether the epoch at ``seq`` can still be served from memory
         or the cold store."""
         if self.shiplog.entry(seq) is not None:
             return True
-        return self.archive is not None and self.archive.segment_at(seq) is not None
+        return self.archive.segment_at(seq) is not None
 
     def _entry_blob(self, seq: int) -> bytes | None:
         """Wire blob for one epoch: live entry first, then the archive.
@@ -345,43 +322,19 @@ class Replicator:
         entry = self.shiplog.entry(seq)
         if entry is not None:
             return self._encode_entry(entry)
-        if self.archive is None:
-            return None
         segment = self.archive.segment_at(seq)
         if segment is None:
             return None
-        return encode_segment(
-            Segment(
-                seq=segment.seq,
-                term=self.term,
-                txns=segment.txns,
-                frames=segment.frames,
-            )
-        )
+        return encode_segment(replace(segment, term=self.term))
 
     def _catchup_blob(self, node, head: int, stale: bool) -> bytes | None:
         """Build one send for a behind/stale follower.
 
-        Without a cold store this is the legacy protocol: live snapshot
-        for stale followers, in-memory entry window otherwise.  With the
-        archive attached, a stale follower (or one whose next epoch was
-        GC'd or evicted) is *reset* with the on-disk floor snapshot and
-        then rolled forward with archived epochs — the promoted primary
-        never has to hold a full state transfer in memory.
+        A stale follower (or one whose next epoch was GC'd or evicted) is
+        *reset* with the on-disk floor snapshot and then rolled forward
+        with archived epochs — the promoted primary never has to hold a
+        full state transfer in memory.
         """
-        if self.archive is None:
-            if stale:
-                blob = self._encode_snapshot()
-                if blob is not None:
-                    self._c_snapshots.inc()
-                    self._c_reseed_snapshot.inc()
-                    self.reseeds_from_snapshot += 1
-                return blob
-            lo = node.durable_seq + 1
-            hi = min(head, node.durable_seq + self.config.send_window)
-            return b"".join(
-                self._encode_entry(entry) for entry in self.shiplog.window(lo, hi)
-            )
         start_ns = self.clock.now_ns
         cursor = node.durable_seq
         parts: list[bytes] = []
@@ -389,23 +342,12 @@ class Replicator:
         if stale or (cursor < head and not self._available(cursor + 1)):
             floor = self.archive.floor_segment()
             if floor is None:
-                # No floor on disk (archive never bootstrapped — or its
-                # snapshot was destroyed): legacy live snapshot if any.
-                blob = self._encode_snapshot()
-                if blob is not None:
-                    self._c_snapshots.inc()
-                    self._c_reseed_snapshot.inc()
-                    self.reseeds_from_snapshot += 1
-                return blob
+                # The floor snapshot was destroyed: nothing to reset the
+                # follower with until promotion's ``ensure_floor`` rebuilds it.
+                return None
             parts.append(
                 encode_segment(
-                    Segment(
-                        seq=floor.seq,
-                        term=self.term,
-                        txns=0,
-                        frames=floor.frames,
-                        flags=FLAG_SNAPSHOT,
-                    )
+                    replace(floor, term=self.term, txns=0, flags=FLAG_SNAPSHOT)
                 )
             )
             cursor = floor.seq
@@ -427,16 +369,14 @@ class Replicator:
         # A follower whose durable cursor runs *past* the base under an
         # older term holds divergent history and needs a full snapshot.
         # One *below* the base cannot be caught up by in-memory entries
-        # (they were truncated at promotion) — without a cold store that
-        # also takes a snapshot, but the archive serves epochs below the
-        # base from disk, so the follower just climbs; flagging it stale
-        # here would reset it to the floor on every pump and it could
-        # never out-climb the send window.  A follower sitting exactly
-        # at the base — including a fresh one at seq 0, term 0 — catches
-        # up through ordinary entries, adopting the term as it applies.
-        stale = (
-            node.term < self.term and node.durable_seq > self.shiplog.base_seq
-        ) or (self.archive is None and node.durable_seq < self.shiplog.base_seq)
+        # (they were truncated at promotion), but the archive serves
+        # epochs below the base from disk, so the follower just climbs;
+        # flagging it stale here would reset it to the floor on every
+        # pump and it could never out-climb the send window.  A follower
+        # sitting exactly at the base — including a fresh one at seq 0,
+        # term 0 — catches up through ordinary entries, adopting the
+        # term as it applies.
+        stale = node.term < self.term and node.durable_seq > self.shiplog.base_seq
         if not stale and node.durable_seq >= head:
             return
         idle = channel.pending() == 0
@@ -483,8 +423,6 @@ class Replicator:
         :meth:`tick`: the NVWAL ack path must not wait on disk I/O.
         """
         archive = self.archive
-        if archive is None:
-            return
         while archive.head < self.shiplog.head_seq:
             entry = self.shiplog.entry(archive.head + 1)
             if entry is None:

@@ -27,7 +27,7 @@ Oracles (generalizing the torture driver's single-session checks):
 
 Results are JSON-able and digested (sha256 over canonical JSON), and the
 digest is identical for any ``--jobs`` value.  Failing scenarios shrink
-via :mod:`repro.service.minimize` into replayable JSON traces.
+through :mod:`repro.harness` into replayable JSON traces.
 
 Run ``python -m repro.service.chaos --help`` (or ``python -m
 repro.service``) for the CLI.
@@ -35,19 +35,22 @@ repro.service``) for the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
+from repro import harness
 from repro.config import tuna
 from repro.db.database import Database
 from repro.errors import IoError, PowerFailure
 from repro.faults import FaultPlan, IoFaultSpec, MediaFaultSpec
+from repro.harness import session_stream
 from repro.service.sched import Scheduler
 from repro.service.server import DatabaseService, ServiceConfig
 from repro.service.session import ClientSession
 from repro.system import System
 from repro.telemetry.collector import Collector
 from repro.telemetry.export import build_export, canonical_json, export_digest
-from repro.torture.driver import ROTATION, SCHEMES
+from repro.torture.driver import SCHEMES, rotated
 from repro.torture.workload import TABLE, generate_txns
 from repro.wal.base import SyncMode
 from repro.wal.nvwal import NvwalBackend
@@ -112,10 +115,6 @@ class ChaosOutcome:
 # ----------------------------------------------------------------------
 
 
-#: Stream generators selectable via ``ChaosScenario.workload``.
-CHAOS_WORKLOADS = ("mobi", "ycsb", "queue")
-
-
 def _ycsb_stream(stream_seed: int, op_count: int, txn_size: int):
     """Zipfian-skewed mixed stream: most writes land on a few hot keys,
     the YCSB access pattern the original free-key mix never produces."""
@@ -172,42 +171,15 @@ def _group_ops(rng, ops, txn_size: int):
     return tuple(txns)
 
 
-def _session_stream(
-    seed: int,
-    session: int,
-    sessions: int,
-    txns: int,
-    txn_size: int,
-    workload: str = "mobi",
-):
-    """One session's txn stream over its own key-space slice.
-
-    Keys are remapped to ``k * sessions + session`` so streams never
-    collide: each session's insert/update/delete semantics then match a
-    per-key last-writer model no matter how commits interleave.
-    """
-    stream_seed = (seed * 8191 + session * 127 + 1) & 0x7FFFFFFF
-    if workload == "ycsb":
-        raw = _ycsb_stream(stream_seed, txns * txn_size, txn_size)
-    elif workload == "queue":
-        raw = _queue_stream(stream_seed, txns * txn_size, txn_size)
-    elif workload == "mobi":
-        raw = generate_txns(
-            stream_seed, op_count=txns * txn_size, txn_size=txn_size
-        )
-    else:
-        raise ValueError(
-            f"unknown chaos workload {workload!r}; pick from {CHAOS_WORKLOADS}"
-        )
-    remapped = []
-    for txn in raw[:txns]:
-        remapped.append(
-            tuple(
-                (kind, key * sessions + session, value)
-                for kind, key, value in txn
-            )
-        )
-    return tuple(remapped)
+#: Stream generators selectable via ``ChaosScenario.workload``, each a
+#: ``generate(stream_seed, op_count, txn_size)`` for
+#: :func:`repro.harness.session_stream`.
+STREAM_GENERATORS = {
+    "mobi": generate_txns,
+    "ycsb": _ycsb_stream,
+    "queue": _queue_stream,
+}
+CHAOS_WORKLOADS = tuple(STREAM_GENERATORS)
 
 
 def build_fault_plan(seed: int, faults) -> FaultPlan | None:
@@ -262,9 +234,15 @@ def make_scenario(
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; pick from {sorted(SCHEMES)}")
+    if workload not in STREAM_GENERATORS:
+        raise ValueError(
+            f"unknown chaos workload {workload!r}; pick from {CHAOS_WORKLOADS}"
+        )
     per_session = max(1, txns // sessions)
     streams = tuple(
-        _session_stream(seed, s, sessions, per_session, txn_size, workload)
+        session_stream(
+            STREAM_GENERATORS[workload], seed, s, sessions, per_session, txn_size
+        )
         for s in range(sessions)
     )
     scenario = ChaosScenario(
@@ -297,6 +275,76 @@ def _measure_ops(scenario: ChaosScenario) -> int:
     driver = _Driver(probe, count_ops=True)
     driver.run()
     return driver.ops_counted
+
+
+# ----------------------------------------------------------------------
+# driver helpers (shared with the replication chaos driver)
+# ----------------------------------------------------------------------
+
+
+def fold(base: dict, ops) -> dict:
+    """Fold ops with the service's exact SQL semantics.
+
+    ``insert`` upserts (the service falls back to UPDATE on a duplicate
+    key) and ``update`` only touches an existing row — this matters after
+    a legitimate WAL shed, when a client's later transactions update keys
+    whose inserts were shed: SQL no-ops, and so must the model.
+    """
+    out = dict(base)
+    for kind, key, value in ops:
+        if kind == "delete":
+            out.pop(key, None)
+        elif kind == "update":
+            if key in out:
+                out[key] = value
+        else:  # insert-as-upsert
+            out[key] = value
+    return out
+
+
+def make_clients(streams) -> list[ClientSession]:
+    """One client per stream, its transactions queued; the service is
+    attached per power-on epoch."""
+    clients = [
+        ClientSession(
+            service=None,
+            session_id=f"c{s}",
+            # A third of the clients run tight per-attempt deadlines,
+            # exercising DeadlineExceeded + resubmission under load.
+            deadline_budget_ns=4_000_000 if s % 3 == 2 else 60_000_000,
+        )
+        for s in range(len(streams))
+    ]
+    for client, stream in zip(clients, streams):
+        for txn in stream:
+            client.enqueue(txn)
+    return clients
+
+
+def starved_clients(clients) -> list[str]:
+    """One ``starved:`` violation per client that exhausted its budget."""
+    return [
+        f"starved: client {client.session_id} gave up with "
+        f"{len(client.pending)} txn(s) pending "
+        f"(rejections: {client.rejections})"
+        for client in clients
+        if client.gave_up
+    ]
+
+
+def daemon_failures(scheduler: Scheduler) -> list[str]:
+    """One ``error:`` violation per scheduler job that died."""
+    return [
+        f"error: job {job.name!r} died with "
+        f"{type(job.error).__name__}: {job.error}"
+        for job in scheduler.failed_jobs()
+    ]
+
+
+def absorb_stats(totals: dict, service: DatabaseService) -> None:
+    """Add one service incarnation's counters into the run's totals."""
+    for key, value in service.stats.as_dict().items():
+        totals[key] = totals.get(key, 0) + value
 
 
 # ----------------------------------------------------------------------
@@ -343,30 +391,10 @@ class _Driver:
 
     # -- model ---------------------------------------------------------
 
-    def _fold(self, base: dict, ops) -> dict:
-        """Fold ops with the service's exact SQL semantics.
-
-        ``insert`` upserts (the service falls back to UPDATE on a
-        duplicate key) and ``update`` only touches an existing row —
-        this matters after a legitimate WAL shed, when a client's later
-        transactions update keys whose inserts were shed: SQL no-ops,
-        and so must the model.
-        """
-        out = dict(base)
-        for kind, key, value in ops:
-            if kind == "delete":
-                out.pop(key, None)
-            elif kind == "update":
-                if key in out:
-                    out[key] = value
-            else:  # insert-as-upsert
-                out[key] = value
-        return out
-
     def _on_ack(self, session_id: str, ops) -> None:
         if self.applied_tail and self.applied_tail[0] == (session_id, ops):
             self.applied_tail.pop(0)  # the epoch flush is acking in order
-        self.kv = self._fold(self.kv, ops)
+        self.kv = fold(self.kv, ops)
         self.acks.append((session_id, list(ops)))
         self.states.append(sorted(self.kv.items()))
 
@@ -383,7 +411,7 @@ class _Driver:
             # they join the epoch).
             kv = dict(self.kv)
             for _sid, ops in self.applied_tail:
-                kv = self._fold(kv, ops)
+                kv = fold(kv, ops)
             expected = sorted(kv.items())
         if sorted(rows) != expected:
             self.stale_reads += 1
@@ -451,7 +479,7 @@ class _Driver:
         if epoch_members:
             kv = dict(self.kv)
             for _sid, ops in epoch_members:
-                kv = self._fold(kv, ops)
+                kv = fold(kv, ops)
             if rows == sorted(kv.items()) and rows != self.states[n]:
                 for sid, ops in epoch_members:
                     self._on_ack(sid, ops)
@@ -459,7 +487,7 @@ class _Driver:
         # In-flight landing: an unacknowledged head-of-queue txn whose
         # commit mark persisted before the lights went out.
         for sid, head in inflight_heads:
-            if rows == sorted(self._fold(self.kv, head).items()):
+            if rows == sorted(fold(self.kv, head).items()):
                 self._on_ack(sid, head)  # adopt: resubmission is idempotent
                 return
         for i in range(n, floor - 1, -1):
@@ -524,21 +552,7 @@ class _Driver:
             ack_before_commit=scenario.sabotage,
             group_commit=scenario.group_commit,
         )
-        clients = [
-            ClientSession(
-                service=None,  # attached per epoch
-                session_id=f"c{s}",
-                # A third of the clients run tight per-attempt deadlines,
-                # exercising DeadlineExceeded + resubmission under load.
-                deadline_budget_ns=(
-                    4_000_000 if s % 3 == 2 else 60_000_000
-                ),
-            )
-            for s in range(len(scenario.streams))
-        ]
-        for client, stream in zip(clients, scenario.streams):
-            for txn in stream:
-                client.enqueue(txn)
+        clients = make_clients(scenario.streams)
 
         epoch = 0
         service = None
@@ -584,8 +598,8 @@ class _Driver:
                 scheduler.run()
                 if armed:
                     system.crash.disarm()
-                self._absorb_stats(service)
-                self._check_daemons(scheduler)
+                absorb_stats(self.stats_total, service)
+                self.violations.extend(daemon_failures(scheduler))
                 break
             except PowerFailure:
                 self.crashes += 1
@@ -596,7 +610,7 @@ class _Driver:
                 ]
                 members = service.epoch_members()
                 scheduler.abandon()
-                self._absorb_stats(service)
+                absorb_stats(self.stats_total, service)
                 self.applied_tail.clear()  # volatile epoch state is gone
                 system.power_fail()
                 db = self._recover(system)
@@ -606,13 +620,7 @@ class _Driver:
                 epoch += 1
             self.epochs = epoch
 
-        for client in clients:
-            if client.gave_up:
-                self.violations.append(
-                    f"starved: client {client.session_id} gave up with "
-                    f"{len(client.pending)} txn(s) pending "
-                    f"(rejections: {client.rejections})"
-                )
+        self.violations.extend(starved_clients(clients))
 
         if self.count_ops:
             self.ops_counted = counter[0]
@@ -660,17 +668,6 @@ class _Driver:
             except Exception:  # noqa: BLE001
                 return
             self._check_read(rows)
-
-    def _check_daemons(self, scheduler: Scheduler) -> None:
-        for job in scheduler.failed_jobs():
-            self.violations.append(
-                f"error: job {job.name!r} died with "
-                f"{type(job.error).__name__}: {job.error}"
-            )
-
-    def _absorb_stats(self, service: DatabaseService) -> None:
-        for key, value in service.stats.as_dict().items():
-            self.stats_total[key] = self.stats_total.get(key, 0) + value
 
     def _telemetry_summary(self, system: System) -> dict:
         """Final telemetry state + the oracle's determinism checks.
@@ -744,48 +741,10 @@ def run_chaos(scenario: ChaosScenario) -> ChaosOutcome:
 # ----------------------------------------------------------------------
 
 
-def scenario_to_dict(scenario: ChaosScenario) -> dict:
-    return {
-        "seed": scenario.seed,
-        "scheme": scenario.scheme,
-        "streams": [
-            [[list(op) for op in txn] for txn in stream]
-            for stream in scenario.streams
-        ],
-        "plan": scenario.plan.to_json() if scenario.plan else None,
-        "storms": scenario.storms,
-        "storm_interval_ns": scenario.storm_interval_ns,
-        "power_cycles": list(scenario.power_cycles),
-        "checkpoint_threshold": scenario.checkpoint_threshold,
-        "sabotage": scenario.sabotage,
-        "final_power_cycle": scenario.final_power_cycle,
-        "read_every": scenario.read_every,
-        "group_commit": scenario.group_commit,
-        "workload": scenario.workload,
-    }
-
-
-def scenario_from_dict(data: dict) -> ChaosScenario:
-    return ChaosScenario(
-        seed=data["seed"],
-        scheme=data["scheme"],
-        streams=tuple(
-            tuple(tuple(tuple(op) for op in txn) for txn in stream)
-            for stream in data["streams"]
-        ),
-        plan=FaultPlan.from_json(data["plan"]) if data.get("plan") else None,
-        storms=data.get("storms", 0),
-        storm_interval_ns=data.get("storm_interval_ns", 4_000_000),
-        power_cycles=tuple(data.get("power_cycles", ())),
-        checkpoint_threshold=data.get(
-            "checkpoint_threshold", DEFAULT_CHAOS_THRESHOLD
-        ),
-        sabotage=data.get("sabotage", False),
-        final_power_cycle=data.get("final_power_cycle", True),
-        read_every=data.get("read_every", 2),
-        group_commit=data.get("group_commit", False),
-        workload=data.get("workload", "mobi"),
-    )
+scenario_to_dict = harness.to_json
+scenario_from_dict = partial(
+    harness.from_json, ChaosScenario, plan=FaultPlan.from_json
+)
 
 
 # ----------------------------------------------------------------------
@@ -813,24 +772,9 @@ class ChaosTask:
 
 def run_task(task: ChaosTask) -> dict:
     """Build and run one seed's scenario; JSON-able result for digests."""
-    scheme = (
-        ROTATION[task.seed % len(ROTATION)]
-        if task.scheme == "rotate"
-        else task.scheme
-    )
+    # The task's fields are make_scenario's parameters, by name.
     scenario = make_scenario(
-        task.seed,
-        sessions=task.sessions,
-        txns=task.txns,
-        txn_size=task.txn_size,
-        scheme=scheme,
-        faults=task.faults,
-        storms=task.storms,
-        power_cycles=task.power_cycles,
-        checkpoint_threshold=task.checkpoint_threshold,
-        sabotage=task.sabotage,
-        group_commit=task.group_commit,
-        workload=task.workload,
+        **{**asdict(task), "scheme": rotated(task.scheme, task.seed)}
     )
     outcome = run_chaos(scenario)
     result = dict(outcome.summary)

@@ -12,273 +12,147 @@ Examples::
     # replay a recorded failing trace
     python -m repro.service.chaos --replay chaos-traces/minimized-2.json
 
-Exit status: 0 for a clean sweep (or a sabotage self-test that found,
-minimized, and deterministically replayed the planted bug), 1 otherwise.
-The digest line is a SHA-256 over canonical JSON results and is
-bit-identical for any ``--jobs`` value.
+Sweep, digest, traces, minimization and exit status are
+:mod:`repro.harness`'s; this module declares what is the chaos harness's
+own.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
-import os
 import sys
+from dataclasses import replace
 
-from repro.bench.harness import parallel_map
+from repro import harness
 from repro.service.chaos import (
     CHAOS_WORKLOADS,
     DEFAULT_CHAOS_THRESHOLD,
+    ChaosScenario,
     ChaosTask,
     run_chaos,
     run_task,
     scenario_from_dict,
-    scenario_to_dict,
 )
-from repro.torture.driver import ROTATION, SCHEMES
-
-#: Raw traces written per run before we stop (one per failure otherwise).
-_MAX_TRACES = 5
+from repro.torture.driver import add_scheme_flag, comma_list
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.service.chaos",
-        description="Concurrent-service chaos harness: N cooperative client "
-        "sessions against one NVWAL database under fault storms, scripted "
-        "power cuts, deadlines, and degraded modes, checked against an "
-        "acked-transaction oracle.",
-    )
-    parser.add_argument("--seeds", type=int, default=8, help="seeds 0..N-1 to sweep")
-    parser.add_argument(
-        "--sessions", type=int, default=4, help="concurrent client sessions"
-    )
-    parser.add_argument(
-        "--txns", type=int, default=40, help="total transactions across sessions"
-    )
-    parser.add_argument(
-        "--txn-size", type=int, default=3, help="max ops per transaction"
-    )
-    parser.add_argument(
-        "--scheme",
-        default="rotate",
-        choices=["rotate", *sorted(SCHEMES)],
-        help="NVWAL scheme; 'rotate' cycles %s by seed" % (ROTATION,),
-    )
-    parser.add_argument(
-        "--faults",
-        default="power",
-        help="comma list of power,media,io (media adds NVRAM decay at power "
-        "loss, io adds transient eMMC errors that escape the filesystem's "
-        "bounded retries into the service layer)",
-    )
-    parser.add_argument(
-        "--storms",
-        type=int,
-        default=0,
-        help="runtime NVRAM decay events injected mid-run with no power loss "
-        "(requires media faults); each storm re-rolls the media plan",
-    )
-    parser.add_argument(
-        "--power-cycles",
-        type=int,
-        default=1,
-        help="mid-flight power cuts per seed (0 = only the final one)",
-    )
-    parser.add_argument(
-        "--checkpoint-threshold",
-        type=int,
-        default=DEFAULT_CHAOS_THRESHOLD,
-        help="WAL frames per checkpoint (small = frequent checkpoints)",
-    )
-    parser.add_argument("--jobs", type=int, default=1, help="parallel seed workers")
-    parser.add_argument(
-        "--trace-dir",
-        default="chaos-traces",
-        help="directory for failing-trace JSON files",
-    )
-    parser.add_argument(
-        "--replay", metavar="TRACE", help="replay one recorded trace and exit"
-    )
-    parser.add_argument(
-        "--workload",
-        default="mobi",
-        choices=list(CHAOS_WORKLOADS),
-        help="session stream generator: 'mobi' (free-key insert/update/"
-        "delete mix), 'ycsb' (zipfian-skewed hot-key read-write mix), or "
-        "'queue' (FIFO enqueue/dequeue streams)",
-    )
-    parser.add_argument(
-        "--group-commit",
-        action="store_true",
-        help="enable the commit coalescer: writers park in a shared WAL "
-        "epoch and a batcher daemon closes it on size/age thresholds; acks "
-        "are released only after the epoch barrier",
-    )
-    parser.add_argument(
-        "--sabotage",
-        action="store_true",
-        help="self-test: acknowledge clients before the commit is durable "
-        "(with --group-commit, before the epoch barrier); the sweep must "
-        "find, minimize, and deterministically replay an ack-lost violation",
-    )
-    parser.add_argument(
-        "--no-minimize",
-        action="store_true",
-        help="write raw failing traces without shrinking them",
-    )
-    return parser
+def _one_dimension_less(scenario: ChaosScenario):
+    """The scenario as recorded minus one whole class of events; first
+    hit wins.
+
+    The order is a preference and it is pinned: the minimized traces on
+    record (``tests/service/traces``, the artifacts of CI's sabotage
+    steps) are reproduced byte for byte only by this one.
+    """
+    yield replace(scenario, read_every=0)
+    yield replace(scenario, final_power_cycle=False)
+    yield replace(scenario, power_cycles=())
+    yield replace(scenario, storms=0)
+    yield replace(scenario, plan=None, storms=0)
 
 
-def _replay(path: str) -> int:
-    with open(path, encoding="utf-8") as fh:
-        trace = json.load(fh)
-    scenario = scenario_from_dict(trace["scenario"])
-    first = run_chaos(scenario)
-    second = run_chaos(scenario)
-    print(
-        f"replaying {path}: seed={scenario.seed} scheme={scenario.scheme} "
-        f"sessions={len(scenario.streams)} "
-        f"power_cycles={list(scenario.power_cycles)}"
+class ChaosHarness(harness.Harness):
+    prog = "python -m repro.service.chaos"
+    description = (
+        "Concurrent-service chaos harness: N cooperative client sessions "
+        "against one NVWAL database under fault storms, scripted power "
+        "cuts, deadlines, and degraded modes, checked against an "
+        "acked-transaction oracle."
     )
-    for violation in first.violations:
-        print(f"  {violation}")
-    if first.violations != second.violations:
-        print("replay is NOT deterministic — harness bug")
-        return 1
-    if not first.violations:
-        print("  no violations (scenario passes)")
-        return 0
-    print(f"  {len(first.violations)} violation(s), deterministic across replays")
-    return 1
-
-
-def _write_trace(trace_dir: str, name: str, payload: dict) -> str:
-    os.makedirs(trace_dir, exist_ok=True)
-    path = os.path.join(trace_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-    return path
-
-
-def _minimize_and_verify(failure: dict, trace_dir: str) -> bool:
-    """Shrink the first failure, record it, and prove the replay is
-    deterministic.  Returns True on a verified deterministic trace."""
-    from repro.service.minimize import minimize
-
-    scenario = scenario_from_dict(failure["scenario"])
-    small = minimize(scenario)
-    first = run_chaos(small)
-    second = run_chaos(small)
-    path = _write_trace(
-        trace_dir,
-        f"minimized-{small.seed}.json",
-        {
-            "scenario": scenario_to_dict(small),
-            "violations": list(first.violations),
-        },
+    trace_dir = "chaos-traces"
+    sabotage_help = (
+        "acknowledge clients before the commit is durable (with "
+        "--group-commit, before the epoch barrier)"
     )
-    txns = sum(len(stream) for stream in small.streams)
-    ops = sum(len(txn) for stream in small.streams for txn in stream)
-    print(
-        f"minimized: {ops} op(s) in {txns} txn(s) across "
-        f"{len(small.streams)} session(s), "
-        f"power_cycles={list(small.power_cycles)}, storms={small.storms}"
-        + (", faults kept" if small.plan else ", faults dropped")
+    task_type = ChaosTask
+    run_task = staticmethod(run_task)
+    from_json = staticmethod(scenario_from_dict)
+    #: One whole dimension first, then fewer power cuts, then the
+    #: workload: sessions, then transactions, then operations.
+    passes = (
+        harness.structural(_one_dimension_less),
+        harness.field_lens("power_cycles", min_size=1),
+        harness.nested_lens("streams", (1, 0, 1)),
     )
-    for violation in first.violations:
-        print(f"  {violation}")
-    print(f"minimized trace: {path}")
-    if not first.violations or first.violations != second.violations:
-        print("minimized trace does NOT replay deterministically — harness bug")
-        return False
-    print("minimized trace replays deterministically")
-    return True
 
-
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.replay:
-        return _replay(args.replay)
-    faults = tuple(
-        sorted({f.strip() for f in args.faults.split(",") if f.strip()})
-    )
-    if args.storms and "media" not in faults:
-        print("--storms requires media faults (add --faults media,...)")
-        return 2
-    tasks = [
-        ChaosTask(
-            seed=seed,
-            sessions=args.sessions,
-            txns=args.txns,
-            txn_size=args.txn_size,
-            scheme=args.scheme,
-            faults=faults,
-            storms=args.storms,
-            power_cycles=args.power_cycles,
-            checkpoint_threshold=args.checkpoint_threshold,
-            sabotage=args.sabotage,
-            group_commit=args.group_commit,
-            workload=args.workload,
+    def add_arguments(self, parser) -> None:
+        parser.add_argument(
+            "--sessions", type=int, default=4, help="concurrent client sessions"
         )
-        for seed in range(args.seeds)
-    ]
-    print(
-        f"chaos: {args.seeds} seed(s) x {args.sessions} session(s) x "
-        f"{args.txns} txns, workload={args.workload}, scheme={args.scheme}, "
-        f"faults={','.join(faults)}, "
-        f"storms={args.storms}, power_cycles={args.power_cycles}, "
-        f"jobs={args.jobs}"
-        + (", GROUP-COMMIT" if args.group_commit else "")
-        + (", SABOTAGE" if args.sabotage else "")
-    )
-    results = parallel_map(run_task, tasks, jobs=args.jobs)
-    failures: list[dict] = []
-    acked = crashes = 0
-    for result in results:
-        acked += result.get("acked", 0)
-        crashes += result.get("crashes", 0)
-        violations = result.get("violations", [])
-        if violations:
-            failures.append(result)
-        print(
+        parser.add_argument(
+            "--txns", type=int, default=40, help="total transactions across sessions"
+        )
+        parser.add_argument(
+            "--txn-size", type=int, default=3, help="max ops per transaction"
+        )
+        add_scheme_flag(parser)
+        parser.add_argument(
+            "--faults",
+            type=comma_list,
+            default="power",
+            help="comma list of power,media,io (media adds NVRAM decay at "
+            "power loss, io adds transient eMMC errors that escape the "
+            "filesystem's bounded retries into the service layer)",
+        )
+        parser.add_argument(
+            "--storms",
+            type=int,
+            default=0,
+            help="runtime NVRAM decay events injected mid-run with no power "
+            "loss (requires media faults); each storm re-rolls the media plan",
+        )
+        parser.add_argument(
+            "--power-cycles",
+            type=int,
+            default=1,
+            help="mid-flight power cuts per seed (0 = only the final one)",
+        )
+        parser.add_argument(
+            "--checkpoint-threshold",
+            type=int,
+            default=DEFAULT_CHAOS_THRESHOLD,
+            help="WAL frames per checkpoint (small = frequent checkpoints)",
+        )
+        parser.add_argument(
+            "--workload",
+            default="mobi",
+            choices=list(CHAOS_WORKLOADS),
+            help="session stream generator: 'mobi' (free-key insert/update/"
+            "delete mix), 'ycsb' (zipfian-skewed hot-key read-write mix), or "
+            "'queue' (FIFO enqueue/dequeue streams)",
+        )
+        parser.add_argument(
+            "--group-commit",
+            action="store_true",
+            help="enable the commit coalescer: writers park in a shared WAL "
+            "epoch and a batcher daemon closes it on size/age thresholds; "
+            "acks are released only after the epoch barrier",
+        )
+
+    def tasks(self, args) -> list:
+        if args.storms and "media" not in args.faults:
+            raise ValueError(
+                "--storms requires media faults (add --faults media,...)"
+            )
+        return super().tasks(args)
+
+    def format_result(self, result: dict) -> str:
+        return (
             f"seed {result['seed']} [{result['scheme']}]: "
             f"{result.get('acked', 0)} acked, {result.get('crashes', 0)} "
             f"crash(es), {result.get('storms', 0)} storm(s), "
             f"{result.get('shed_acked', 0)} shed, "
-            f"{len(violations)} violation(s)"
+            f"{len(result.get('violations', []))} violation(s)"
         )
-    canonical = json.dumps(results, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    print(
-        f"total: {acked} acked txn(s), {crashes} power cycle(s), "
-        f"{len(failures)} violating seed(s)"
-    )
-    print(f"result digest: sha256:{digest}")
 
-    if args.sabotage:
-        if not failures:
-            print("sabotage self-test FAILED: the planted bug went undetected")
-            return 1
-        print(
-            f"sabotage self-test: planted bug detected in "
-            f"{len(failures)} seed(s)"
-        )
-        return 0 if _minimize_and_verify(failures[0], args.trace_dir) else 1
+    def run(self, scenario: ChaosScenario):
+        return run_chaos(scenario).violations
 
-    if not failures:
-        return 0
-    for i, failure in enumerate(failures[:_MAX_TRACES]):
-        path = _write_trace(
-            args.trace_dir,
-            f"trace-{failure['seed']}-{i}.json",
-            failure,
-        )
-        print(f"failing trace: {path}")
-    if not args.no_minimize:
-        _minimize_and_verify(failures[0], args.trace_dir)
-    return 1
+
+HARNESS = ChaosHarness()
+
+
+def main(argv=None) -> int:
+    return harness.main(HARNESS, argv)
 
 
 if __name__ == "__main__":

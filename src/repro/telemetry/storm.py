@@ -18,13 +18,14 @@ with ``cmp``).
 from __future__ import annotations
 
 from repro.faults import FaultPlan, MediaFaultSpec
+from repro.harness import session_stream
 from repro.replication.cluster import Cluster, ReplicationConfig
-from repro.service.chaos import _session_stream
 from repro.service.sched import Scheduler
 from repro.service.server import ServiceConfig
 from repro.service.session import ClientSession
 from repro.telemetry.collector import Collector
 from repro.telemetry.export import build_export
+from repro.torture.workload import generate_txns
 
 
 def _storm_job(system, storms: int, interval_ns: int):
@@ -78,8 +79,8 @@ def run_storm(
         for s in range(sessions)
     ]
     for s, client in enumerate(clients):
-        for txn in _session_stream(
-            seed, s, sessions, txns_per_session, txn_size
+        for txn in session_stream(
+            generate_txns, seed, s, sessions, txns_per_session, txn_size
         ):
             client.enqueue(txn)
 

@@ -22,7 +22,6 @@ from repro.torture.driver import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from repro.torture.minimize import minimize, violation_codes
 from repro.torture.workload import (
     DDL,
     TABLE,
@@ -47,7 +46,6 @@ __all__ = [
     "generate_txns",
     "make_scenario",
     "measure_recovery_ops",
-    "minimize",
     "model_states",
     "profile_scenario",
     "run_scenario",
@@ -55,5 +53,4 @@ __all__ = [
     "run_workload",
     "scenario_from_dict",
     "scenario_to_dict",
-    "violation_codes",
 ]

@@ -11,239 +11,150 @@ Examples::
     # replay a recorded failing trace
     python -m repro.torture --replay torture-traces/minimized-3.json
 
-Exit status: 0 for a clean sweep (or a sabotage self-test that found,
-minimized, and deterministically replayed the planted bug), 1 otherwise.
-The final digest line is a SHA-256 over the canonical JSON results; it is
-bit-identical for any ``--jobs`` value, which is what makes parallel
-sweeps trustworthy.
+Sweep, digest, traces, minimization and exit status are
+:mod:`repro.harness`'s; this module declares what is torture's own.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
-import os
 import sys
+from dataclasses import replace
 
-from repro.bench.harness import parallel_map
+from repro import harness
+from repro.faults import MediaFaultSpec
 from repro.torture.driver import (
     DEFAULT_TORTURE_THRESHOLD,
-    ROTATION,
-    SCHEMES,
     SeedTask,
+    TortureScenario,
+    add_scheme_flag,
+    comma_list,
     run_scenario,
     run_seed,
     scenario_from_dict,
-    scenario_to_dict,
 )
-from repro.torture.minimize import minimize
-
-#: Raw traces written per run before we stop (one per failure otherwise).
-_MAX_TRACES = 5
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.torture",
-        description="Crash-consistency torture harness: sweep every crash "
-        "point, layer media/IO faults, and check recovery invariants.",
-    )
-    parser.add_argument("--seeds", type=int, default=8, help="seeds 0..N-1 to sweep")
-    parser.add_argument("--ops", type=int, default=30, help="workload operations per seed")
-    parser.add_argument(
-        "--txn-size", type=int, default=3, help="max ops per transaction"
-    )
-    parser.add_argument(
-        "--faults",
-        default="power",
-        help="comma list of power,media,io (power loss is always exercised; "
-        "media adds NVRAM decay, io adds transient eMMC errors)",
-    )
-    parser.add_argument(
-        "--scheme",
-        default="rotate",
-        choices=["rotate", *sorted(SCHEMES)],
-        help="NVWAL scheme; 'rotate' cycles %s by seed" % (ROTATION,),
-    )
-    parser.add_argument(
-        "--stride", type=int, default=1, help="crash-point stride (1 = every op)"
-    )
-    parser.add_argument(
-        "--recovery-points",
-        type=int,
-        default=2,
-        help="commit boundaries whose recovery is swept op by op",
-    )
-    parser.add_argument(
-        "--checkpoint-threshold",
-        type=int,
-        default=DEFAULT_TORTURE_THRESHOLD,
-        help="WAL frames per checkpoint (small = frequent checkpoints)",
-    )
-    parser.add_argument(
-        "--group-epoch",
-        type=int,
-        default=0,
-        metavar="N",
-        help="commit through the WAL group-commit path, closing the shared "
-        "epoch every N transactions (0 = per-transaction durability); the "
-        "state oracle then only accepts whole-epoch boundaries",
-    )
-    parser.add_argument("--jobs", type=int, default=1, help="parallel seed workers")
-    parser.add_argument(
-        "--trace-dir",
-        default="torture-traces",
-        help="directory for failing-trace JSON files",
-    )
-    parser.add_argument(
-        "--replay", metavar="TRACE", help="replay one recorded trace and exit"
-    )
-    parser.add_argument(
-        "--sabotage",
-        action="store_true",
-        help="self-test: run a backend whose commit mark is never flushed; "
-        "the sweep must find, minimize, and deterministically replay a "
-        "durability violation",
-    )
-    parser.add_argument(
-        "--no-minimize",
-        action="store_true",
-        help="write raw failing traces without shrinking them",
-    )
-    return parser
+def _earlier_crash(scenario: TortureScenario):
+    """Prefer no crash at all, otherwise the earliest failing op index."""
+    if scenario.crash_point > 0:
+        yield replace(scenario, crash_point=0, recovery_crash_point=None)
+        for k in range(1, scenario.crash_point):
+            yield replace(scenario, crash_point=k)
 
 
-def _replay(path: str) -> int:
-    with open(path, encoding="utf-8") as fh:
-        trace = json.load(fh)
-    scenario = scenario_from_dict(trace["scenario"])
-    first = run_scenario(scenario)
-    second = run_scenario(scenario)
-    print(f"replaying {path}: seed={scenario.seed} scheme={scenario.scheme} "
-          f"crash_point={scenario.crash_point}")
-    for violation in first.violations:
-        print(f"  {violation}")
-    if first.violations != second.violations:
-        print("replay is NOT deterministic — harness bug")
-        return 1
-    if not first.violations:
-        print("  no violations (scenario passes)")
-        return 0
-    print(f"  {len(first.violations)} violation(s), deterministic across replays")
-    return 1
+def _earlier_recovery_crash(scenario: TortureScenario):
+    if scenario.recovery_crash_point:
+        yield replace(scenario, recovery_crash_point=None)
+        for r in range(1, scenario.recovery_crash_point):
+            yield replace(scenario, recovery_crash_point=r)
 
 
-def _write_trace(trace_dir: str, name: str, payload: dict) -> str:
-    os.makedirs(trace_dir, exist_ok=True)
-    path = os.path.join(trace_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-    return path
+def _one_fault_class(scenario: TortureScenario):
+    if scenario.plan is not None:
+        yield replace(scenario, plan=replace(scenario.plan, io=None))
+        yield replace(scenario, plan=replace(scenario.plan, media=None))
 
 
-def _minimize_and_verify(failure: dict, trace_dir: str) -> bool:
-    """Shrink the first failure, record it, and prove the replay is
-    deterministic.  Returns True on a verified deterministic trace."""
-    scenario = scenario_from_dict(failure["scenario"])
-    small = minimize(scenario)
-    first = run_scenario(small)
-    second = run_scenario(small)
-    path = _write_trace(
-        trace_dir,
-        f"minimized-{small.seed}.json",
-        {"scenario": scenario_to_dict(small), "violations": list(first.violations)},
+def _without_media_fault(field: str):
+    def candidates(scenario: TortureScenario):
+        plan = scenario.plan
+        if plan is None or plan.media is None:
+            return
+        media = replace(plan.media, **{field: 0})
+        # Dropping the last media fault is _one_fault_class's candidate.
+        if media != MediaFaultSpec():
+            yield replace(scenario, plan=replace(plan, media=media))
+
+    return candidates
+
+
+class TortureHarness(harness.Harness):
+    prog = "python -m repro.torture"
+    description = (
+        "Crash-consistency torture harness: sweep every crash point, layer "
+        "media/IO faults, and check recovery invariants."
     )
-    ops = sum(len(txn) for txn in small.txns)
-    print(
-        f"minimized: {ops} op(s) in {len(small.txns)} txn(s), "
-        f"crash_point={small.crash_point}"
-        + (
-            f", recovery_crash_point={small.recovery_crash_point}"
-            if small.recovery_crash_point
-            else ""
+    trace_dir = "torture-traces"
+    sabotage_help = "run a backend whose commit mark is never flushed"
+    task_type = SeedTask
+    run_task = staticmethod(run_seed)
+    from_json = staticmethod(scenario_from_dict)
+    #: Shrink in the order that preserves the most meaning: operations,
+    #: then the crash points, then the fault set (the whole plan, a whole
+    #: fault class, individual fault counts).
+    passes = (
+        harness.nested_lens("txns", (0, 1)),
+        harness.structural(_earlier_crash),
+        harness.structural(_earlier_recovery_crash),
+        harness.structural(lambda s: [replace(s, plan=None)]),
+        harness.structural(_one_fault_class),
+        *(
+            harness.structural(_without_media_fault(field))
+            for field in ("bit_flips", "stuck_units", "poison_units")
+        ),
+    )
+
+    def add_arguments(self, parser) -> None:
+        parser.add_argument(
+            "--ops", type=int, default=30, help="workload operations per seed"
         )
-        + (", faults kept" if small.plan else ", faults dropped")
-    )
-    for violation in first.violations:
-        print(f"  {violation}")
-    print(f"minimized trace: {path}")
-    if not first.violations or first.violations != second.violations:
-        print("minimized trace does NOT replay deterministically — harness bug")
-        return False
-    print("minimized trace replays deterministically")
-    return True
-
-
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.replay:
-        return _replay(args.replay)
-    faults = tuple(
-        sorted({f.strip() for f in args.faults.split(",") if f.strip()})
-    )
-    tasks = [
-        SeedTask(
-            seed=seed,
-            ops=args.ops,
-            scheme=(
-                ROTATION[seed % len(ROTATION)]
-                if args.scheme == "rotate"
-                else args.scheme
-            ),
-            faults=faults,
-            txn_size=args.txn_size,
-            stride=args.stride,
-            recovery_points=args.recovery_points,
-            checkpoint_threshold=args.checkpoint_threshold,
-            sabotage=args.sabotage,
-            group_epoch=args.group_epoch,
+        parser.add_argument(
+            "--txn-size", type=int, default=3, help="max ops per transaction"
         )
-        for seed in range(args.seeds)
-    ]
-    print(
-        f"torture: {args.seeds} seed(s) x {args.ops} ops, scheme={args.scheme}, "
-        f"faults={','.join(faults)}, stride={args.stride}, jobs={args.jobs}"
-        + (f", GROUP-EPOCH={args.group_epoch}" if args.group_epoch else "")
-        + (", SABOTAGE" if args.sabotage else "")
-    )
-    results = parallel_map(run_seed, tasks, jobs=args.jobs)
-    total_runs = 0
-    failures: list[dict] = []
-    for result in results:
-        total_runs += result["runs"] + result["recovery_runs"]
-        failures.extend(result["failures"])
-        print(
+        parser.add_argument(
+            "--faults",
+            type=comma_list,
+            default="power",
+            help="comma list of power,media,io (power loss is always "
+            "exercised; media adds NVRAM decay, io adds transient eMMC errors)",
+        )
+        add_scheme_flag(parser)
+        parser.add_argument(
+            "--stride", type=int, default=1, help="crash-point stride (1 = every op)"
+        )
+        parser.add_argument(
+            "--recovery-points",
+            type=int,
+            default=2,
+            help="commit boundaries whose recovery is swept op by op",
+        )
+        parser.add_argument(
+            "--checkpoint-threshold",
+            type=int,
+            default=DEFAULT_TORTURE_THRESHOLD,
+            help="WAL frames per checkpoint (small = frequent checkpoints)",
+        )
+        parser.add_argument(
+            "--group-epoch",
+            type=int,
+            default=0,
+            metavar="N",
+            help="commit through the WAL group-commit path, closing the "
+            "shared epoch every N transactions (0 = per-transaction "
+            "durability); the state oracle then only accepts whole-epoch "
+            "boundaries",
+        )
+
+    def failures(self, result: dict) -> list[dict]:
+        return result["failures"]
+
+    def format_result(self, result: dict) -> str:
+        return (
             f"seed {result['seed']} [{result['scheme']}]: "
             f"{result['runs']} crash-point runs, {result['recovery_runs']} "
             f"recovery-crash runs, {result['checkpoints']} checkpoint(s), "
             f"{len(result['failures'])} violation(s)"
         )
-    canonical = json.dumps(results, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    print(f"total: {total_runs} runs, {len(failures)} violating scenario(s)")
-    print(f"result digest: sha256:{digest}")
 
-    if args.sabotage:
-        if not failures:
-            print("sabotage self-test FAILED: the planted bug went undetected")
-            return 1
-        print(f"sabotage self-test: planted bug detected in "
-              f"{len(failures)} scenario(s)")
-        return 0 if _minimize_and_verify(failures[0], args.trace_dir) else 1
+    def run(self, scenario: TortureScenario):
+        return run_scenario(scenario).violations
 
-    if not failures:
-        return 0
-    for i, failure in enumerate(failures[:_MAX_TRACES]):
-        path = _write_trace(
-            args.trace_dir,
-            f"trace-{failure['scenario']['seed']}-{i}.json",
-            failure,
-        )
-        print(f"failing trace: {path}")
-    if not args.no_minimize:
-        _minimize_and_verify(failures[0], args.trace_dir)
-    return 1
+
+HARNESS = TortureHarness()
+
+
+def main(argv=None) -> int:
+    return harness.main(HARNESS, argv)
 
 
 if __name__ == "__main__":

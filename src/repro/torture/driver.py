@@ -27,7 +27,9 @@ The oracles generalize the paper's Section 4.3 case analysis:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
+from repro import harness
 from repro.config import tuna
 from repro.db.database import Database
 from repro.errors import PowerFailure
@@ -66,6 +68,26 @@ SCHEMES = {
 
 #: Default per-seed scheme rotation (the three the crash matrix covers).
 ROTATION = ("uh_ls_diff", "ls", "eager")
+
+
+def add_scheme_flag(parser, rotation=ROTATION) -> None:
+    """The ``--scheme`` flag every harness CLI shares."""
+    parser.add_argument(
+        "--scheme",
+        default="rotate",
+        choices=["rotate", *sorted(SCHEMES)],
+        help="NVWAL scheme; 'rotate' cycles %s by seed" % (rotation,),
+    )
+
+
+def comma_list(flag: str) -> tuple:
+    """A ``--faults a,b``-style flag as a sorted, de-duplicated tuple."""
+    return tuple(sorted({item.strip() for item in flag.split(",") if item.strip()}))
+
+
+def rotated(name: str, seed: int, rotation=ROTATION) -> str:
+    """Resolve a ``rotate``-able flag: ``rotate`` cycles ``rotation`` by seed."""
+    return rotation[seed % len(rotation)] if name == "rotate" else name
 
 
 class SabotagedNvwalBackend(NvwalBackend):
@@ -568,7 +590,7 @@ def run_seed(task: SeedTask) -> dict:
     base = make_scenario(
         task.seed,
         task.ops,
-        task.scheme,
+        rotated(task.scheme, task.seed),
         faults=task.faults,
         txn_size=task.txn_size,
         checkpoint_threshold=task.checkpoint_threshold,
@@ -625,36 +647,7 @@ def run_seed(task: SeedTask) -> dict:
 # trace (de)serialization
 # ----------------------------------------------------------------------
 
-
-def scenario_to_dict(scenario: TortureScenario) -> dict:
-    """JSON-able form of a scenario, for trace files."""
-    return {
-        "seed": scenario.seed,
-        "scheme": scenario.scheme,
-        "txns": [[list(op) for op in txn] for txn in scenario.txns],
-        "crash_point": scenario.crash_point,
-        "recovery_crash_point": scenario.recovery_crash_point,
-        "plan": scenario.plan.to_json() if scenario.plan else None,
-        "checkpoint_threshold": scenario.checkpoint_threshold,
-        "sabotage": scenario.sabotage,
-        "group_epoch": scenario.group_epoch,
-    }
-
-
-def scenario_from_dict(data: dict) -> TortureScenario:
-    """Rebuild a scenario from :func:`scenario_to_dict` output."""
-    return TortureScenario(
-        seed=data["seed"],
-        scheme=data["scheme"],
-        txns=tuple(
-            tuple(tuple(op) for op in txn) for txn in data["txns"]
-        ),
-        crash_point=data.get("crash_point", 0),
-        recovery_crash_point=data.get("recovery_crash_point"),
-        plan=FaultPlan.from_json(data["plan"]) if data.get("plan") else None,
-        checkpoint_threshold=data.get(
-            "checkpoint_threshold", DEFAULT_TORTURE_THRESHOLD
-        ),
-        sabotage=data.get("sabotage", False),
-        group_epoch=data.get("group_epoch", 0),
-    )
+scenario_to_dict = harness.to_json
+scenario_from_dict = partial(
+    harness.from_json, TortureScenario, plan=FaultPlan.from_json
+)

@@ -12,20 +12,24 @@ Examples::
     # crash-point sweep of the durable queue (exactly-once oracle)
     python -m repro.workloads torture --workload queue --seeds 2 --stride 3
 
+    # replay a recorded failing crash point
+    python -m repro.workloads torture --replay workload-traces/minimized-0.json
+
 Exit status: 0 for a clean sweep, 1 when any oracle was violated.  The
 digest line is a SHA-256 over canonical JSON results and is
-bit-identical for any ``--jobs`` value.
+bit-identical for any ``--jobs`` value.  ``torture`` runs on
+:mod:`repro.harness` (traces, minimization, ``--replay``).
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import sys
+from dataclasses import replace
 
+from repro import harness
 from repro.bench.harness import parallel_map
-from repro.torture.driver import ROTATION, SCHEMES
+from repro.torture.driver import add_scheme_flag, rotated
 from repro.workloads.runner import (
     DEFAULT_WORKLOAD_THRESHOLD,
     WORKLOADS,
@@ -35,8 +39,81 @@ from repro.workloads.runner import (
 from repro.workloads.torture import (
     DEFAULT_TORTURE_THRESHOLD,
     SweepTask,
+    WorkloadScenario,
+    run_scenario,
     run_seed,
+    scenario_from_dict,
 )
+
+
+def _workload_names(arg: str) -> list[str]:
+    return list(WORKLOADS) if arg == "all" else [arg]
+
+
+def _shorter_script(scenario: WorkloadScenario):
+    # The script is regenerated from (seed, ops), so only its length can
+    # shrink; a crash point past the shorter run's end is a clean run.
+    for ops in (scenario.ops // 4, scenario.ops // 2):
+        if ops > 0:
+            yield replace(scenario, ops=ops)
+
+
+class WorkloadTortureHarness(harness.Harness):
+    prog = "python -m repro.workloads torture"
+    description = "Crash-point sweeps with per-workload recovered-state oracles."
+    trace_dir = "workload-traces"
+    seeds = 2
+    task_type = SweepTask
+    run_task = staticmethod(run_seed)
+    from_json = staticmethod(scenario_from_dict)
+    passes = (
+        harness.structural(lambda s: [replace(s, crash_point=0)]),
+        harness.structural(_shorter_script),
+    )
+
+    def add_arguments(self, parser) -> None:
+        parser.add_argument(
+            "--workload",
+            default="queue",
+            choices=["all", *WORKLOADS],
+            help="workload to sweep (default: queue)",
+        )
+        parser.add_argument("--ops", type=int, default=24, help="ops per workload")
+        parser.add_argument(
+            "--stride", type=int, default=1, help="crash-point stride"
+        )
+        add_scheme_flag(parser)
+        parser.add_argument(
+            "--checkpoint-threshold",
+            type=int,
+            default=DEFAULT_TORTURE_THRESHOLD,
+            help="WAL frames per checkpoint",
+        )
+
+    def tasks(self, args) -> list:
+        per_seed = super().tasks(args)
+        return [
+            replace(task, workload=name)
+            for name in _workload_names(args.workload)
+            for task in per_seed
+        ]
+
+    def failures(self, result: dict) -> list[dict]:
+        return result["failures"]
+
+    def format_result(self, r: dict) -> str:
+        return (
+            f"{r['workload']} seed {r['seed']} [{r['scheme']}]: "
+            f"{r['runs']} run(s), {r['crashes']} crash(es), "
+            f"{r['checkpoints']} checkpoint(s), "
+            f"{len(r['failures'])} failure(s)"
+        )
+
+    def run(self, scenario: WorkloadScenario):
+        return run_scenario(scenario).violations
+
+
+TORTURE = WorkloadTortureHarness()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,12 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument("--seeds", type=int, default=4, help="seeds 0..N-1")
     run_p.add_argument("--ops", type=int, default=120, help="ops per run")
-    run_p.add_argument(
-        "--scheme",
-        default="rotate",
-        choices=["rotate", *sorted(SCHEMES)],
-        help="NVWAL scheme; 'rotate' cycles %s by seed" % (ROTATION,),
-    )
+    add_scheme_flag(run_p)
     run_p.add_argument(
         "--group-epoch",
         type=int,
@@ -81,50 +153,18 @@ def _build_parser() -> argparse.ArgumentParser:
     tort_p = sub.add_parser(
         "torture", help="crash-point sweeps with per-workload oracles"
     )
-    tort_p.add_argument(
-        "--workload",
-        default="queue",
-        choices=["all", *WORKLOADS],
-        help="workload to sweep (default: queue)",
-    )
-    tort_p.add_argument("--seeds", type=int, default=2, help="seeds 0..N-1")
-    tort_p.add_argument("--ops", type=int, default=24, help="ops per workload")
-    tort_p.add_argument(
-        "--stride", type=int, default=1, help="crash-point stride"
-    )
-    tort_p.add_argument(
-        "--scheme",
-        default="rotate",
-        choices=["rotate", *sorted(SCHEMES)],
-        help="NVWAL scheme; 'rotate' cycles %s by seed" % (ROTATION,),
-    )
-    tort_p.add_argument(
-        "--checkpoint-threshold",
-        type=int,
-        default=DEFAULT_TORTURE_THRESHOLD,
-        help="WAL frames per checkpoint",
-    )
-    tort_p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    harness.add_arguments(TORTURE, tort_p)
     return parser
 
 
-def _digest(results) -> str:
-    canonical = json.dumps(results, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _scheme_for(arg: str, seed: int) -> str:
-    return ROTATION[seed % len(ROTATION)] if arg == "rotate" else arg
-
-
 def _cmd_run(args) -> int:
-    names = list(WORKLOADS) if args.workload == "all" else [args.workload]
+    names = _workload_names(args.workload)
     tasks = [
         RunConfig(
             workload=name,
             seed=seed,
             ops=args.ops,
-            scheme=_scheme_for(args.scheme, seed),
+            scheme=rotated(args.scheme, seed),
             group_epoch=args.group_epoch,
             checkpoint_threshold=args.checkpoint_threshold,
         )
@@ -148,52 +188,15 @@ def _cmd_run(args) -> int:
         )
         for violation in r["violations"]:
             print(f"  {violation}")
-    print(f"result digest: sha256:{_digest(results)}")
+    print(f"result digest: sha256:{harness.digest(results)}")
     return 1 if bad else 0
-
-
-def _cmd_torture(args) -> int:
-    names = list(WORKLOADS) if args.workload == "all" else [args.workload]
-    tasks = [
-        SweepTask(
-            workload=name,
-            seed=seed,
-            ops=args.ops,
-            scheme=_scheme_for(args.scheme, seed),
-            stride=args.stride,
-            checkpoint_threshold=args.checkpoint_threshold,
-        )
-        for name in names
-        for seed in range(args.seeds)
-    ]
-    print(
-        f"workload torture: {len(names)} workload(s) x {args.seeds} seed(s), "
-        f"{args.ops} ops, stride={args.stride}, scheme={args.scheme}, "
-        f"jobs={args.jobs}"
-    )
-    results = parallel_map(run_seed, tasks, jobs=args.jobs)
-    failures = 0
-    for r in results:
-        failures += len(r["failures"])
-        print(
-            f"{r['workload']} seed {r['seed']} [{r['scheme']}]: "
-            f"{r['runs']} run(s), {r['crashes']} crash(es), "
-            f"{r['checkpoints']} checkpoint(s), "
-            f"{len(r['failures'])} failure(s)"
-        )
-        for failure in r["failures"][:5]:
-            point = failure["scenario"]["crash_point"]
-            for violation in failure["violations"]:
-                print(f"  crash@{point}: {violation}")
-    print(f"result digest: sha256:{_digest(results)}")
-    return 1 if failures else 0
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
-    return _cmd_torture(args)
+    return harness.run(TORTURE, args)
 
 
 if __name__ == "__main__":

@@ -27,12 +27,14 @@ last completed checkpoint, exactly as in the base driver.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
+from repro import harness
 from repro.config import tuna
 from repro.db.database import Database
 from repro.errors import DatabaseError, PowerFailure
 from repro.system import System
-from repro.torture.driver import SCHEMES
+from repro.torture.driver import SCHEMES, rotated
 from repro.wal.base import SyncMode
 from repro.wal.nvwal import NvwalBackend
 from repro.workloads.core import apply_txn, db_state, model_states
@@ -70,28 +72,8 @@ class Outcome:
     matched_boundary: int | None = None
 
 
-def scenario_to_dict(scenario: WorkloadScenario) -> dict:
-    return {
-        "workload": scenario.workload,
-        "seed": scenario.seed,
-        "ops": scenario.ops,
-        "scheme": scenario.scheme,
-        "crash_point": scenario.crash_point,
-        "checkpoint_threshold": scenario.checkpoint_threshold,
-    }
-
-
-def scenario_from_dict(data: dict) -> WorkloadScenario:
-    return WorkloadScenario(
-        workload=data["workload"],
-        seed=data["seed"],
-        ops=data["ops"],
-        scheme=data["scheme"],
-        crash_point=data.get("crash_point", 0),
-        checkpoint_threshold=data.get(
-            "checkpoint_threshold", DEFAULT_TORTURE_THRESHOLD
-        ),
-    )
+scenario_to_dict = harness.to_json
+scenario_from_dict = partial(harness.from_json, WorkloadScenario)
 
 
 def _make_db(system: System, scenario: WorkloadScenario) -> Database:
@@ -289,7 +271,7 @@ def run_seed(task: SweepTask) -> dict:
         workload=task.workload,
         seed=task.seed,
         ops=task.ops,
-        scheme=task.scheme,
+        scheme=rotated(task.scheme, task.seed),
         checkpoint_threshold=task.checkpoint_threshold,
     )
     profile = profile_scenario(base)
@@ -310,7 +292,7 @@ def run_seed(task: SweepTask) -> dict:
     return {
         "workload": task.workload,
         "seed": task.seed,
-        "scheme": task.scheme,
+        "scheme": base.scheme,
         "total_ops": profile.total_ops,
         "boundaries": len(profile.bounds) - 1,
         "checkpoints": len(profile.ckpt_events),

@@ -4,9 +4,12 @@ streams, with fake runners (fast) and the real sabotage bug (marked)."""
 import pytest
 
 from repro.difftest.grammar import Stmt, StreamGenerator
-from repro.difftest.reduce import finding_kinds, minimize_stream
-from repro.difftest.runner import Finding, run_stream
-from repro.shrink import shrink_sequence, shrink_to_prefix
+from repro.difftest.runner import Finding, minimize_stream, run_stream
+from repro.harness import shrink_sequence, shrink_to_prefix
+
+
+def finding_kinds(findings):
+    return frozenset(f.kind for f in findings)
 
 
 def _stmt(i):

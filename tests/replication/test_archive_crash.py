@@ -124,8 +124,7 @@ def _pump(cluster, ticks=200):
     for _ in range(ticks):
         cluster.clock.advance(_STEP_NS)
         cluster.replicator.tick()
-        if cluster.archive is not None:
-            cluster.replicator._archive_work()
+        cluster.replicator._archive_work()
 
 
 def _insert(cluster, k):
@@ -133,13 +132,12 @@ def _insert(cluster, k):
     cluster.shiplog.seal(())
 
 
-def _run_failover_script(archive: bool, scheme: str) -> Cluster:
+def _run_failover_script(scheme: str) -> Cluster:
     cluster = Cluster(
         ReplicationConfig(
-            followers=2,
+            followers=3,
             mode="semisync",
             scheme=scheme,
-            archive=archive,
             archive_epochs_per_file=2,
             archive_snapshot_every=4,
             archive_gc_every=2,
@@ -151,6 +149,9 @@ def _run_failover_script(archive: bool, scheme: str) -> Cluster:
     # Follower 1 dies at cursor 2 and stays dead long enough for GC to
     # trim its next epoch (dead cursors don't hold the trim): it must
     # come back through a floor-snapshot reset, not an epoch climb.
+    # Followers 0 and 2 stay up and level: promotion picks the lowest id
+    # among the longest prefixes, so 0 is promoted and 2 is the witness
+    # that was never killed, never promoted, and never reseeded.
     cluster.followers[1].kill()
     for k in range(1, 10):
         _insert(cluster, k)
@@ -181,26 +182,23 @@ def _follower_pages(cluster):
 @pytest.mark.parametrize("scheme", ["eager", "uh_ls_diff", "uh_cs_diff"])
 class TestReseedIdentity:
     def test_disk_reseed_matches_snapshot_reseed_bytes(self, scheme):
-        """The archived-chain reseed and the legacy live-snapshot reseed
-        must produce byte-identical follower state."""
-        disk = _run_failover_script(archive=True, scheme=scheme)
-        live = _run_failover_script(archive=False, scheme=scheme)
+        """A follower reset from the on-disk floor that then climbed
+        archived epochs must end byte-identical to one that applied every
+        epoch live and was never reseeded."""
+        cluster = _run_failover_script(scheme)
+        assert cluster.primary_node is cluster.followers[0]
         want = sorted((k, f"v{k}") for k in range(13))
-        for cluster in (disk, live):
-            assert sorted(cluster.db.dump_table(TABLE)) == want
-            for node in cluster.followers:
-                if node.role == "follower":
-                    assert node.durable_seq == cluster.head_seq
-        disk_pages = _follower_pages(disk)
-        live_pages = _follower_pages(live)
-        assert disk_pages.keys() == live_pages.keys()
-        for node_id in disk_pages:
-            assert disk_pages[node_id] == live_pages[node_id]
-        # The disk cluster really reseeded from the archive; the live
-        # cluster really used a snapshot segment.
-        assert disk.reseed_counts()[0] > 0
-        assert live.reseed_counts() == (0, live.reseed_counts()[1])
-        assert live.reseed_counts()[1] > 0
+        assert sorted(cluster.db.dump_table(TABLE)) == want
+        for node in cluster.followers[1:]:
+            assert node.durable_seq == cluster.head_seq
+            assert sorted(node.db.dump_table(TABLE)) == want
+        pages = _follower_pages(cluster)
+        assert pages.keys() == {1, 2}
+        assert pages[1] == pages[2]
+        # Follower 1 really was reset from the archive; follower 2 never.
+        assert cluster.reseeds_from_archive() > 0
+        assert cluster.followers[1].snapshots_applied > 0
+        assert cluster.followers[2].snapshots_applied == 0
 
 
 class _Ticket:

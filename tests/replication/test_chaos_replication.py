@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+from repro import harness
 from repro.bench.harness import parallel_map
 from repro.replication.chaos import (
     ReplicationTask,
@@ -13,7 +16,11 @@ from repro.replication.chaos import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from repro.replication.minimize import minimize
+from repro.replication.cli import HARNESS
+
+
+def minimize(scenario):
+    return harness.minimize(scenario, HARNESS.run, HARNESS.passes)
 
 
 def small_scenario(seed=0, **kw):
@@ -83,13 +90,7 @@ class TestArchive:
         archive = outcome.summary["archive"]
         assert archive is not None
         assert archive["head"] > 0
-        assert archive["reseeds_from_snapshot"] == 0  # disk serves reseeds
         assert archive["peak_log_entries"] > 0
-
-    def test_archive_off_matches_legacy_summary(self):
-        outcome = run_replication_chaos(small_scenario(archive=False))
-        assert outcome.violations == ()
-        assert outcome.summary["archive"] is None
 
     def test_archive_io_faults_are_absorbed(self):
         outcome = run_replication_chaos(
@@ -98,18 +99,25 @@ class TestArchive:
         assert outcome.violations == ()
         assert outcome.summary["archive"]["io_faults"] > 0
 
-    def test_pre_archive_trace_replays_archive_off(self):
-        scenario = small_scenario()
-        data = scenario_to_dict(scenario)
-        for key in list(data):
-            if key.startswith("archive"):
-                del data[key]  # a trace recorded before the cold store
-        assert scenario_from_dict(data).archive is False
+    @pytest.mark.parametrize(
+        "field, value", [("archive", False), ("sabotage", True), ("sabotage", False)]
+    )
+    def test_trace_from_a_removed_mode_is_rejected(self, field, value):
+        """A trace recorded with the cold store off, or with the legacy
+        bool sabotage form, asks for a mode that no longer exists: it
+        must be refused by name, not replayed in a different mode."""
+        data = scenario_to_dict(small_scenario())
+        assert scenario_from_dict(dict(data)) == small_scenario()
+        data[field] = value
+        with pytest.raises(ValueError, match=field):
+            scenario_from_dict(data)
+        with pytest.raises(ValueError, match="sabotage"):
+            small_scenario(sabotage=True)
 
 
 class TestSabotage:
     def test_torn_segment_is_caught(self):
-        outcome = run_replication_chaos(small_scenario(sabotage=True))
+        outcome = run_replication_chaos(small_scenario(sabotage="torn"))
         assert any(
             v.startswith("replica-divergence") for v in outcome.violations
         )
@@ -129,12 +137,9 @@ class TestSabotage:
         second = run_replication_chaos(small)
         assert first.violations and first.violations == second.violations
         assert any(v.startswith("gc-premature") for v in first.violations)
-        # The planted bug lives in the cold store: shedding the archive
-        # would make the failure vanish, so the minimizer must keep it.
-        assert small.archive
 
     def test_sabotage_violation_minimizes_and_replays(self):
-        scenario = small_scenario(sabotage=True)
+        scenario = small_scenario(sabotage="torn")
         small = minimize(scenario)
         first = run_replication_chaos(small)
         second = run_replication_chaos(small)
@@ -148,7 +153,7 @@ class TestSabotage:
 
 class TestShrink:
     def test_minimize_preserves_failure_class(self):
-        scenario = small_scenario(sabotage=True)
+        scenario = small_scenario(sabotage="torn")
         target = {
             v.split(":", 1)[0]
             for v in run_replication_chaos(scenario).violations
@@ -159,7 +164,3 @@ class TestShrink:
             for v in run_replication_chaos(small).violations
         }
         assert got & target
-
-    def test_minimize_returns_passing_scenario_unchanged(self):
-        scenario = small_scenario()
-        assert minimize(scenario) == scenario

@@ -151,4 +151,5 @@ class TestValidation:
                 shiplog=None,
                 followers=(),
                 config=ReplicatorConfig(mode="paranoid"),
+                archive=None,
             )

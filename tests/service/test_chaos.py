@@ -10,14 +10,19 @@ import pytest
 from repro.bench.harness import parallel_map
 from repro.service.chaos import (
     ChaosTask,
+    fold,
     make_scenario,
     run_chaos,
     run_task,
     scenario_from_dict,
     scenario_to_dict,
-    _Driver,
 )
-from repro.service.minimize import minimize
+from repro import harness
+from repro.service.cli import HARNESS
+
+
+def minimize(scenario):
+    return harness.minimize(scenario, HARNESS.run, HARNESS.passes)
 
 
 def small_task(seed, **kwargs):
@@ -54,9 +59,7 @@ class TestScenarioSerialization:
 
 
 class TestOracleFold:
-    def fold(self, base, ops):
-        scenario = make_scenario(0, sessions=1, txns=1)
-        return _Driver(scenario)._fold(base, ops)
+    fold = staticmethod(fold)
 
     def test_update_on_missing_key_is_a_noop(self):
         # SQL UPDATE touches zero rows for an absent key; after a

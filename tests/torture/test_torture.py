@@ -14,22 +14,29 @@ import os
 
 import pytest
 
+from repro import harness
 from repro.torture import (
     SeedTask,
     build_fault_plan,
     generate_txns,
     make_scenario,
-    minimize,
     model_states,
     profile_scenario,
     run_scenario,
     run_seed,
     scenario_from_dict,
     scenario_to_dict,
-    violation_codes,
 )
-from repro.torture.__main__ import main
+from repro.torture.__main__ import HARNESS, main
 from repro.torture.driver import _close_boundaries
+
+
+def minimize(scenario):
+    return harness.minimize(scenario, HARNESS.run, HARNESS.passes)
+
+
+def violation_codes(outcome):
+    return harness.failure_classes(outcome.violations)
 
 # Sized to run in tier-1; the marker lets `pytest -m torture` select the
 # crash-consistency tests on their own.
