@@ -152,6 +152,37 @@ def probe_heapo_lookup() -> float:
     return _rate(step)
 
 
+def probe_heapo_attach() -> float:
+    """Boot-time ``attach()`` over a mostly free 4096-slot descriptor
+    table — the floor under every reboot (and every torture crash point)."""
+    system, _ = _fresh_system()
+    heapo = system.heapo
+    for _ in range(64):
+        heapo.nvmalloc(PAGE, name="nvwal-blk")
+
+    return _rate(heapo.attach)
+
+
+def probe_ext4_append_fsync() -> float:
+    """Append one WAL frame to a file already 1000 pages long, then fsync.
+
+    The stock WAL-on-flash commit.  Its host cost must not depend on how
+    long the file already is or how full the file system is: the journal
+    commit re-packs one inode slot and snapshots the dirty blocks.
+    """
+    system, _ = _fresh_system()
+    wal_file = system.fs.create("probe.db-wal")
+    wal_file.write(0, bytes(1000 * PAGE))
+    wal_file.fsync()
+    frame = b"\xab" * (24 + PAGE)
+
+    def step() -> None:
+        wal_file.write(wal_file.size, frame)
+        wal_file.fsync()
+
+    return _rate(step)
+
+
 def probe_diff_extents() -> float:
     """Differential logging's page diff on a realistically dirtied page."""
     old = bytes(range(256)) * (PAGE // 256)
@@ -264,6 +295,8 @@ PROBES = {
     "wal_group_append_frames_per_sec": probe_group_append,
     "heapo_alloc_free_per_sec": probe_heapo_churn,
     "heapo_lookup_per_sec": probe_heapo_lookup,
+    "heapo_attach_per_sec": probe_heapo_attach,
+    "ext4_append_fsync_per_sec": probe_ext4_append_fsync,
     "diff_compute_extents_per_sec": probe_diff_extents,
     "host_insert_txns_per_sec": probe_insert_txns,
     "telemetry_overhead_txns_per_sec": probe_telemetry_overhead,
@@ -316,6 +349,14 @@ def test_simhost_group_append(benchmark):
 
 def test_simhost_heapo(benchmark):
     _bench(benchmark, "heapo_alloc_free_per_sec")
+
+
+def test_simhost_heapo_attach(benchmark):
+    _bench(benchmark, "heapo_attach_per_sec")
+
+
+def test_simhost_ext4_append_fsync(benchmark):
+    _bench(benchmark, "ext4_append_fsync_per_sec")
 
 
 def test_simhost_diff(benchmark):

@@ -48,7 +48,7 @@ class LineRun(NamedTuple):
     data: bytes
 
 
-def _bit_runs(bits: int) -> Iterator[tuple[int, int]]:
+def bit_runs(bits: int) -> Iterator[tuple[int, int]]:
     """Maximal runs of set bits in ``bits`` as ``(first, past_last)``."""
     pos = 0
     while bits:
@@ -208,7 +208,7 @@ class CacheHierarchy:
             if out is None:
                 out = bytearray(self.nvram.read(addr, length))
             delta = index * CHUNK - addr  # chunk offset -> offset in ``out``
-            for run_low, run_high in _bit_runs(have):
+            for run_low, run_high in bit_runs(have):
                 lo = max((low + run_low) * line_size, offset)
                 hi = min((low + run_high) * line_size, offset + take)
                 out[lo + delta : hi + delta] = chunk[lo:hi]

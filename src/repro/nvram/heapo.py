@@ -76,7 +76,7 @@ class Heapo:
         # Volatile mirror of the descriptor table, rebuilt by attach().
         self._slots: list[tuple[BlockState, int, int, str]] = []
         # Volatile indexes over _slots, kept in sync by _write_slot (the
-        # single mutation point) and rebuilt wholesale by format()/attach():
+        # single mutation point) and built wholesale by format()/attach():
         #   _by_addr: block start address -> slot (non-free slots only;
         #             addresses are unique because _find_gap never overlaps)
         #   _by_name: name -> set of non-free slots carrying it
@@ -132,8 +132,8 @@ class Heapo:
         self.nvram.persist(_SUPERBLOCK_SIZE, empty * self.num_slots)
         self._slots = [(BlockState.FREE, 0, 0, "")] * self.num_slots
         self._quarantined = {}
-        # An all-free table indexes trivially; skip the _rebuild_indexes
-        # scan (it dominated fresh-system setup in benchmarks).
+        # An all-free table indexes trivially; skip the attach() scan (it
+        # dominated fresh-system setup in benchmarks).
         self._by_addr = {}
         self._by_name = {}
         self._live = set()
@@ -152,61 +152,57 @@ class Heapo:
         boot: the block they covered is unusable, but every other
         allocation attaches normally.
         """
-        self._slots = []
-        self._quarantined = {}
-        base = _SUPERBLOCK_SIZE
+        free = (BlockState.FREE, 0, 0, "")
+        slots = self._slots = [free] * self.num_slots
+        quarantined = self._quarantined = {}
+        by_addr = self._by_addr = {}
+        by_name = self._by_name = {}
         try:
-            raw = self.nvram.read(base, self.num_slots * _DESC_SIZE)
+            records = struct.iter_unpack(
+                _DESC_FMT,
+                self.nvram.read(_SUPERBLOCK_SIZE, self.num_slots * _DESC_SIZE),
+            )
         except MediaError:
             # A poisoned unit somewhere in the table: fall back to
             # per-descriptor reads so one bad slot costs one slot.
-            raw = None
-        seen_addrs: set[int] = set()
-        for i in range(self.num_slots):
-            if raw is not None:
-                record: bytes | None = raw
-                offset = i * _DESC_SIZE
-            else:
-                offset = 0
-                try:
-                    record = self.nvram.read(base + i * _DESC_SIZE, _DESC_SIZE)
-                except MediaError:
-                    record = None
+            records = map(self._read_descriptor, range(self.num_slots))
+        for i, record in enumerate(records):
             if record is None:
-                self._slots.append((BlockState.FREE, 0, 0, ""))
-                self._quarantined[i] = None
+                quarantined[i] = None
                 continue
-            state_b, size, addr, name_b = struct.unpack_from(
-                _DESC_FMT, record, offset
-            )
-            if not self._descriptor_valid(state_b, size, addr):
-                self._slots.append((BlockState.FREE, 0, 0, ""))
-                self._quarantined[i] = self._plausible_extent(addr, size)
+            state_b, size, addr, name_b = record
+            if state_b == 0:
+                continue  # free (almost every slot); its payload is ignored
+            if not self._descriptor_valid(state_b, size, addr) or addr in by_addr:
+                # Decayed, or two descriptors claiming one address (at
+                # least one is decayed): keep the first, quarantine this.
+                quarantined[i] = self._plausible_extent(addr, size)
                 continue
-            if state_b != int(BlockState.FREE):
-                if addr in seen_addrs:
-                    # Two descriptors claiming one address: at least one
-                    # is decayed; keep the first, quarantine the other.
-                    self._slots.append((BlockState.FREE, 0, 0, ""))
-                    self._quarantined[i] = self._plausible_extent(addr, size)
-                    continue
-                seen_addrs.add(addr)
             name = name_b.rstrip(b"\x00").decode("utf-8", "replace")
-            self._slots.append((BlockState(state_b), size, addr, name))
-        self._rebuild_indexes()
+            slots[i] = (BlockState(state_b), size, addr, name)
+            by_addr[addr] = i
+            by_name.setdefault(name, set()).add(i)
+        self._live = set(by_addr.values())
+        # Quarantined slots are neither live nor reusable.  Ascending
+        # order is already a valid heap.
+        taken = self._live.union(quarantined)
+        self._free_slots = [i for i in range(self.num_slots) if i not in taken]
+        self._rebuild_holes()
+
+    def _read_descriptor(self, slot: int) -> tuple[int, int, int, bytes] | None:
+        """One descriptor's fields, or ``None`` when its unit is unreadable."""
+        try:
+            raw = self.nvram.read(_SUPERBLOCK_SIZE + slot * _DESC_SIZE, _DESC_SIZE)
+        except MediaError:
+            return None
+        return struct.unpack(_DESC_FMT, raw)
 
     def _descriptor_valid(self, state_b: int, size: int, addr: int) -> bool:
-        """Whether a durable descriptor decodes to a usable allocation."""
-        if state_b not in (
-            int(BlockState.FREE),
-            int(BlockState.PENDING),
-            int(BlockState.IN_USE),
-        ):
-            return False
-        if state_b == int(BlockState.FREE):
-            return True  # payload fields of free slots are ignored
+        """Whether a non-free durable descriptor decodes to a usable
+        allocation."""
         return (
-            size > 0
+            state_b in (BlockState.PENDING, BlockState.IN_USE)
+            and size > 0
             and size % 64 == 0
             and addr % 64 == 0
             and addr >= self.heap_start
@@ -223,25 +219,6 @@ class Heapo:
     def quarantined_slots(self) -> list[int]:
         """Slots quarantined by the last :meth:`attach` (sorted)."""
         return sorted(self._quarantined)
-
-    def _rebuild_indexes(self) -> None:
-        """Derive the volatile lookup indexes from ``_slots``."""
-        self._by_addr = {}
-        self._by_name = {}
-        self._live = set()
-        free: list[int] = []
-        for slot, (state, _size, addr, name) in enumerate(self._slots):
-            if slot in self._quarantined:
-                continue  # neither live nor reusable
-            if state is BlockState.FREE:
-                free.append(slot)
-            else:
-                self._live.add(slot)
-                self._by_addr[addr] = slot
-                self._by_name.setdefault(name, set()).add(slot)
-        # Already sorted ascending, which is a valid heap.
-        self._free_slots = free
-        self._rebuild_holes()
 
     def _rebuild_holes(self) -> None:
         """Derive the hole list from the live and quarantined extents."""

@@ -24,12 +24,24 @@ Metadata truly round-trips through serialized blocks: ``mount()`` replays
 committed journal transactions (highest sequence number wins) and rebuilds
 all in-memory state from the block images, so crash tests exercise real
 recovery, not bookkeeping shortcuts.
+
+The inode table and the block bitmap stay resident as *live home-block
+images* (one ``bytearray`` per block, loaded by ``mount()``) and are mutated
+where the change happens: ``_alloc_block``/``_free_block`` flip one bitmap
+bit, ``Inode.append_block``/``pop_block`` keep the extent list in step with
+the page list, and a journal commit re-packs only the dirty inodes' slots
+before snapshotting the dirty blocks.  ``fsync`` therefore costs
+O(dirty pages of the file + dirty metadata blocks), whatever the file's
+length or the file system's fill; the bytes written are those a from-scratch
+encode of the in-memory state would produce
+(``tests/storage/test_ext4_metadata_equivalence.py`` holds that encoder).
 """
 
 from __future__ import annotations
 
 import heapq
 import struct
+from itertools import chain
 
 from repro.errors import (
     FileExists,
@@ -39,6 +51,7 @@ from repro.errors import (
     OutOfSpace,
     StorageError,
 )
+from repro.hw.cache import bit_runs
 from repro.storage.blockdev import BlockDevice
 
 _SUPER_MAGIC = 0x4558_5434_5349_4D31  # "EXT4SIM1"
@@ -69,9 +82,12 @@ _IO_RETRIES = 4
 
 
 class Inode:
-    """In-memory inode: size, mtime, and the block of every file page."""
+    """In-memory inode: size, mtime, the block of every file page, and the
+    file's share of the OS page cache."""
 
-    __slots__ = ("used", "size", "mtime", "page_blocks")
+    __slots__ = (
+        "used", "size", "mtime", "page_blocks", "extents", "pages", "dirty_pages"
+    )
 
     def __init__(self) -> None:
         self.used = False
@@ -79,6 +95,41 @@ class Inode:
         self.mtime = 0
         #: Device block number of each file page, in page order.
         self.page_blocks: list[int] = []
+        #: The same blocks as maximal ``(start, length)`` runs — what the
+        #: on-disk slot stores.  Only :meth:`append_block`,
+        #: :meth:`pop_block` and :meth:`reset` change either list.
+        self.extents: list[tuple[int, int]] = []
+        #: Cached pages by page index, and which of them fsync must write.
+        self.pages: dict[int, bytearray] = {}
+        self.dirty_pages: set[int] = set()
+
+    def append_block(self, bno: int) -> None:
+        """Back one more page with ``bno``: extends the last run or opens one."""
+        self.page_blocks.append(bno)
+        extents = self.extents
+        if extents:
+            start, length = extents[-1]
+            if start + length == bno:
+                extents[-1] = (start, length + 1)
+                return
+        extents.append((bno, 1))
+
+    def pop_block(self) -> int:
+        """Drop the last page's block: shrinks the last run or drops it."""
+        start, length = self.extents[-1]
+        if length == 1:
+            self.extents.pop()
+        else:
+            self.extents[-1] = (start, length - 1)
+        return self.page_blocks.pop()
+
+    def reset(self) -> None:
+        """Back to an empty file with nothing cached."""
+        self.size = 0
+        self.page_blocks = []
+        self.extents = []
+        self.pages = {}
+        self.dirty_pages = set()
 
 
 class File:
@@ -134,6 +185,13 @@ class Ext4FileSystem:
         # volatile state, rebuilt by mount()
         self._inodes: list[Inode] = []
         self._dir: dict[str, int] = {}
+        #: ``file:<name>`` trace tag of each linked inode (the reverse of
+        #: ``_dir``, kept by create/unlink).
+        self._tags: dict[int, str] = {}
+        # Live home-block images of the inode table and the block bitmap;
+        # see the module docstring for who mutates them.
+        self._itab: list[bytearray] = []
+        self._bitmaps: list[bytearray] = []
         # Free-space tracking is lazy: ``_free_heap`` holds only recycled
         # blocks; everything at or past ``_free_cursor`` that is not in
         # ``_used_set`` is virgin-free.  Allocation still hands out the
@@ -143,8 +201,6 @@ class Ext4FileSystem:
         self._free_heap: list[int] = []
         self._free_cursor = self.data_start
         self._used_set: set[int] = set()
-        self._page_cache: dict[tuple[int, int], bytearray] = {}
-        self._dirty_pages: set[tuple[int, int]] = set()
         self._dirty_inodes: set[int] = set()
         self._dirty_bitmap_blocks: set[int] = set()
         self._dir_dirty = False
@@ -250,14 +306,19 @@ class Ext4FileSystem:
                 return replayed[bno]
             return self.device.read_page_silent(bno)
 
-        # inodes
-        self._inodes = []
-        for ino in range(_NUM_INODES):
-            bno = self.itab_start + (ino * _INODE_SIZE) // self.page_size
-            off = (ino * _INODE_SIZE) % self.page_size
-            self._inodes.append(_decode_inode(block_image(bno), off))
+        # inodes (each decoded Inode starts with an empty page cache)
+        self._itab = [
+            bytearray(block_image(self.itab_start + i))
+            for i in range(self.itab_blocks)
+        ]
+        per_block = self.page_size // _INODE_SIZE
+        self._inodes = [
+            _decode_inode(self._itab[ino // per_block], ino % per_block * _INODE_SIZE)
+            for ino in range(_NUM_INODES)
+        ]
         # directory
         self._dir = {}
+        self._tags = {}
         for i in range(_DIR_BLOCKS):
             img = block_image(self.dir_start + i)
             for j in range(self.page_size // _DIRENT_SIZE):
@@ -265,28 +326,26 @@ class Ext4FileSystem:
                     _DIRENT_FMT, img, j * _DIRENT_SIZE
                 )
                 if used:
-                    self._dir[name_b.rstrip(b"\x00").decode()] = ino
+                    name = name_b.rstrip(b"\x00").decode()
+                    self._dir[name] = ino
+                    self._tags.setdefault(ino, f"file:{name}")
         # bitmap -> used set; free space is its (lazy) complement over the
         # data area, tracked by cursor + recycle heap instead of a set.
-        self._used_set = set()
-        for i in range(self.bitmap_blocks):
-            img = block_image(self.bitmap_start + i)
-            if not any(img):
-                continue  # fresh filesystems are almost entirely zero
-            base_bit = i * self.page_size * 8
-            for byte_idx, byte in enumerate(img):
-                if byte == 0:
-                    continue
-                for bit in range(8):
-                    if byte & (1 << bit):
-                        bno = self.data_start + base_bit + byte_idx * 8 + bit
-                        if bno < self.device.num_pages:
-                            self._used_set.add(bno)
+        self._bitmaps = [
+            bytearray(block_image(self.bitmap_start + i))
+            for i in range(self.bitmap_blocks)
+        ]
+        self._used_set = used_blocks = set()
+        num_pages = self.device.num_pages
+        for i, img in enumerate(self._bitmaps):
+            # Allocation is lowest-first, so the set bits are a few dense
+            # runs near the bottom: strip the zero tail, walk runs.
+            base = self.data_start + i * self.page_size * 8
+            for low, high in bit_runs(int.from_bytes(img.rstrip(b"\x00"), "little")):
+                used_blocks.update(range(base + low, min(base + high, num_pages)))
         self._free_heap = []
         self._free_cursor = self.data_start
 
-        self._page_cache.clear()
-        self._dirty_pages.clear()
         self._dirty_inodes.clear()
         self._dirty_bitmap_blocks.clear()
         self._dir_dirty = False
@@ -325,10 +384,10 @@ class Ext4FileSystem:
             raise OutOfSpace("inode table full")
         inode = self._inodes[ino]
         inode.used = True
-        inode.size = 0
+        inode.reset()
         inode.mtime = int(self.device.clock.now_ns)
-        inode.page_blocks = []
         self._dir[name] = ino
+        self._tags[ino] = f"file:{name}"
         self._dir_dirty = True
         self._dirty_inodes.add(ino)
         return File(self, ino, name)
@@ -350,15 +409,12 @@ class Ext4FileSystem:
         if name not in self._dir:
             raise NoSuchFile(name)
         ino = self._dir.pop(name)
+        self._tags.pop(ino, None)
         inode = self._inodes[ino]
         for bno in inode.page_blocks:
             self._free_block(bno)
-        for key in [k for k in self._page_cache if k[0] == ino]:
-            self._page_cache.pop(key)
-            self._dirty_pages.discard(key)
         inode.used = False
-        inode.size = 0
-        inode.page_blocks = []
+        inode.reset()
         self._dir_dirty = True
         self._dirty_inodes.add(ino)
 
@@ -380,10 +436,10 @@ class Ext4FileSystem:
             page_idx = pos // self.page_size
             in_page = pos % self.page_size
             chunk = min(end - pos, self.page_size - in_page)
-            self._ensure_page_allocated(ino, page_idx)
-            page = self._cached_page(ino, page_idx)
+            self._ensure_page_allocated(ino, inode, page_idx)
+            page = self._cached_page(inode, page_idx)
             page[in_page : in_page + chunk] = data[pos - offset : pos - offset + chunk]
-            self._dirty_pages.add((ino, page_idx))
+            inode.dirty_pages.add(page_idx)
             pos += chunk
         if end > inode.size:
             inode.size = end
@@ -397,22 +453,20 @@ class Ext4FileSystem:
         length = max(0, min(length, inode.size - offset))
         out = bytearray(length)
         pos = 0
-        name = self._name_of(ino)
         while pos < length:
             page_idx = (offset + pos) // self.page_size
             in_page = (offset + pos) % self.page_size
             chunk = min(length - pos, self.page_size - in_page)
-            key = (ino, page_idx)
-            page = self._page_cache.get(key)
+            page = inode.pages.get(page_idx)
             if page is None:
                 if page_idx < len(inode.page_blocks):
                     raw = self._dev_read(
-                        inode.page_blocks[page_idx], tag=f"file:{name}"
+                        inode.page_blocks[page_idx], tag=self._tag_of(ino)
                     )
                 else:
                     raw = bytes(self.page_size)
                 page = bytearray(raw)
-                self._page_cache[key] = page
+                inode.pages[page_idx] = page
             out[pos : pos + chunk] = page[in_page : in_page + chunk]
             pos += chunk
         return bytes(out)
@@ -421,31 +475,31 @@ class Ext4FileSystem:
         """Set file size; free whole pages beyond the new size."""
         self._require_mounted()
         inode = self._inode(ino)
+        # Marked before the first change: a failing free must not leave a
+        # shortened inode that no commit will re-pack.
+        self._dirty_inodes.add(ino)
         keep_pages = (size + self.page_size - 1) // self.page_size
         while len(inode.page_blocks) > keep_pages:
-            self._free_block(inode.page_blocks.pop())
-            key = (ino, len(inode.page_blocks))
-            self._page_cache.pop(key, None)
-            self._dirty_pages.discard(key)
+            self._free_block(inode.pop_block())
+            page_idx = len(inode.page_blocks)
+            inode.pages.pop(page_idx, None)
+            inode.dirty_pages.discard(page_idx)
         tail = size % self.page_size
         if size < inode.size and tail and keep_pages <= len(inode.page_blocks):
             # POSIX: bytes between a shrink point and a later extension
             # read as zeros — scrub the stale tail of the last kept page.
-            page = self._cached_page(ino, keep_pages - 1)
+            page = self._cached_page(inode, keep_pages - 1)
             page[tail:] = bytes(self.page_size - tail)
-            self._dirty_pages.add((ino, keep_pages - 1))
+            inode.dirty_pages.add(keep_pages - 1)
         inode.size = size
         inode.mtime = int(self.device.clock.now_ns)
-        self._dirty_inodes.add(ino)
 
     def preallocate(self, ino: int, total_pages: int) -> None:
         """Grow the file to ``total_pages`` zero pages (WALDIO-style)."""
         self._require_mounted()
         inode = self._inode(ino)
         for page_idx in range(len(inode.page_blocks), total_pages):
-            self._ensure_page_allocated(ino, page_idx)
-            self._cached_page(ino, page_idx)
-            self._dirty_pages.add((ino, page_idx))
+            self._ensure_page_allocated(ino, inode, page_idx)
         inode.size = max(inode.size, total_pages * self.page_size)
         inode.mtime = int(self.device.clock.now_ns)
         self._dirty_inodes.add(ino)
@@ -467,27 +521,19 @@ class Ext4FileSystem:
         """
         self._require_mounted()
         inode = self._inode(ino)
-        name = self._name_of(ino)
-        wrote_data = False
-        for key in sorted(k for k in self._dirty_pages if k[0] == ino):
-            _ino, page_idx = key
-            self._dev_write(
-                inode.page_blocks[page_idx],
-                bytes(self._page_cache[key]),
-                tag=f"file:{name}",
-            )
-            self._dirty_pages.discard(key)
-            wrote_data = True
-        if wrote_data:
+        dirty = inode.dirty_pages
+        if dirty:
+            tag = self._tag_of(ino)
+            for page_idx in sorted(dirty):
+                self._dev_write(
+                    inode.page_blocks[page_idx], bytes(inode.pages[page_idx]), tag=tag
+                )
+                dirty.discard(page_idx)
             self.device.flush()
 
+        # fdatasync still journals when allocation or the directory changed.
         structural = bool(self._dirty_bitmap_blocks) or self._dir_dirty
-        inode_dirty = ino in self._dirty_inodes
-        must_journal = structural or (inode_dirty and not datasync)
-        if datasync and inode_dirty and structural:
-            # fdatasync still journals when allocation changed.
-            must_journal = True
-        if must_journal:
+        if structural or (ino in self._dirty_inodes and not datasync):
             self._journal_commit()
 
     def sync_all(self) -> None:
@@ -503,16 +549,28 @@ class Ext4FileSystem:
     # ------------------------------------------------------------------
 
     def _dirty_metadata_blocks(self) -> dict[int, bytes]:
-        """Serialize every dirty metadata block to its home image."""
+        """Snapshot every dirty metadata block's home image.
+
+        The dirty inodes' slots are re-packed into the live inode-table
+        images first — after checking all of them, so a too-fragmented
+        file fails the commit with every image untouched.
+        """
         images: dict[int, bytes] = {}
-        itab_blocks_dirty = {
-            self.itab_start + (ino * _INODE_SIZE) // self.page_size
-            for ino in self._dirty_inodes
-        }
-        for bno in sorted(itab_blocks_dirty):
-            images[bno] = self._encode_inode_block(bno)
+        dirty_inodes = sorted(self._dirty_inodes)
+        for ino in dirty_inodes:
+            n_extents = len(self._inodes[ino].extents)
+            if n_extents > _MAX_EXTENTS:
+                raise FsConsistencyError(
+                    f"file too fragmented: {n_extents} extents (max {_MAX_EXTENTS})"
+                )
+        per_block = self.page_size // _INODE_SIZE
+        for ino in dirty_inodes:
+            block, slot = divmod(ino, per_block)
+            _pack_inode(self._inodes[ino], self._itab[block], slot * _INODE_SIZE)
+        for block in sorted({ino // per_block for ino in dirty_inodes}):
+            images[self.itab_start + block] = bytes(self._itab[block])
         for i in sorted(self._dirty_bitmap_blocks):
-            images[self.bitmap_start + i] = self._encode_bitmap_block(i)
+            images[self.bitmap_start + i] = bytes(self._bitmaps[i])
         if self._dirty_bitmap_blocks or self._gdesc_dirty:
             images[self.gdesc_start] = self._encode_gdesc_block()
         if self._dir_dirty:
@@ -533,7 +591,7 @@ class Ext4FileSystem:
         home_blocks = sorted(images)
         desc = struct.pack(
             _JDESC_FMT, _JMAGIC, _JTYPE_DESC, seq, len(home_blocks)
-        ) + b"".join(struct.pack("<I", b) for b in home_blocks)
+        ) + struct.pack(f"<{len(home_blocks)}I", *home_blocks)
         jpos = self.journal_start + self._journal_head
         self._dev_write(jpos, desc.ljust(self.page_size, b"\x00"), tag="journal")
         for i, bno in enumerate(home_blocks):
@@ -599,24 +657,6 @@ class Ext4FileSystem:
     # serialization helpers
     # ------------------------------------------------------------------
 
-    def _encode_inode_block(self, bno: int) -> bytes:
-        first_ino = (bno - self.itab_start) * (self.page_size // _INODE_SIZE)
-        out = bytearray(self.page_size)
-        for i in range(self.page_size // _INODE_SIZE):
-            ino = first_ino + i
-            if ino < _NUM_INODES:
-                _encode_inode(self._inodes[ino], out, i * _INODE_SIZE)
-        return bytes(out)
-
-    def _encode_bitmap_block(self, index: int) -> bytes:
-        out = bytearray(self.page_size)
-        base_bit = index * self.page_size * 8
-        for bno in self._used_set:
-            bit = bno - self.data_start - base_bit
-            if 0 <= bit < self.page_size * 8:
-                out[bit // 8] |= 1 << (bit % 8)
-        return bytes(out)
-
     def _encode_gdesc_block(self) -> bytes:
         used = len(self._used_set)
         free = self.device.num_pages - self.data_start - used
@@ -662,8 +702,7 @@ class Ext4FileSystem:
         else:
             raise OutOfSpace("no free data blocks")
         used.add(bno)
-        self._mark_bitmap_dirty(bno)
-        self._gdesc_dirty = True
+        self._set_bitmap_bit(bno, True)
         return bno
 
     def _is_free(self, bno: int) -> bool:
@@ -677,12 +716,17 @@ class Ext4FileSystem:
             raise FsConsistencyError(f"double free of block {bno}")
         self._used_set.discard(bno)
         heapq.heappush(self._free_heap, bno)
-        self._mark_bitmap_dirty(bno)
-        self._gdesc_dirty = True
+        self._set_bitmap_bit(bno, False)
 
-    def _mark_bitmap_dirty(self, bno: int) -> None:
-        bit = bno - self.data_start
-        self._dirty_bitmap_blocks.add(bit // (self.page_size * 8))
+    def _set_bitmap_bit(self, bno: int, used: bool) -> None:
+        """Record ``bno``'s new state in its live bitmap image."""
+        index, bit = divmod(bno - self.data_start, self.page_size * 8)
+        if used:
+            self._bitmaps[index][bit >> 3] |= 1 << (bit & 7)
+        else:
+            self._bitmaps[index][bit >> 3] &= ~(1 << (bit & 7))
+        self._dirty_bitmap_blocks.add(index)
+        self._gdesc_dirty = True
 
     # ------------------------------------------------------------------
     # small internals
@@ -694,35 +738,29 @@ class Ext4FileSystem:
             raise NoSuchFile(f"inode {ino} is not in use")
         return inode
 
-    def _name_of(self, ino: int) -> str:
-        for name, i in self._dir.items():
-            if i == ino:
-                return name
-        return f"ino{ino}"
+    def _tag_of(self, ino: int) -> str:
+        return self._tags.get(ino) or f"file:ino{ino}"
 
-    def _ensure_page_allocated(self, ino: int, page_idx: int) -> None:
-        inode = self._inode(ino)
+    def _ensure_page_allocated(self, ino: int, inode: Inode, page_idx: int) -> None:
         while len(inode.page_blocks) <= page_idx:
-            inode.page_blocks.append(self._alloc_block())
+            inode.append_block(self._alloc_block())
             # A recycled block still holds its previous owner's bytes on
             # the device — a fresh allocation must read (and flush) as
             # zeros, so seed the cache instead of faulting the page in.
             idx = len(inode.page_blocks) - 1
-            self._page_cache[(ino, idx)] = bytearray(self.page_size)
-            self._dirty_pages.add((ino, idx))
+            inode.pages[idx] = bytearray(self.page_size)
+            inode.dirty_pages.add(idx)
             self._dirty_inodes.add(ino)
 
-    def _cached_page(self, ino: int, page_idx: int) -> bytearray:
-        key = (ino, page_idx)
-        page = self._page_cache.get(key)
+    def _cached_page(self, inode: Inode, page_idx: int) -> bytearray:
+        page = inode.pages.get(page_idx)
         if page is None:
-            inode = self._inode(ino)
-            if page_idx < len(inode.page_blocks) and (ino, page_idx) not in self._dirty_pages:
+            if page_idx < len(inode.page_blocks) and page_idx not in inode.dirty_pages:
                 raw = self.device.read_page_silent(inode.page_blocks[page_idx])
             else:
                 raw = bytes(self.page_size)
             page = bytearray(raw)
-            self._page_cache[key] = page
+            inode.pages[page_idx] = page
         return page
 
     def _require_mounted(self) -> None:
@@ -730,25 +768,25 @@ class Ext4FileSystem:
             raise StorageError("filesystem is not mounted")
 
 
-def _encode_inode(inode: Inode, out: bytearray, offset: int) -> None:
-    extents = _runs(inode.page_blocks)
-    if len(extents) > _MAX_EXTENTS:
-        raise FsConsistencyError(
-            f"file too fragmented: {len(extents)} extents (max {_MAX_EXTENTS})"
-        )
+def _pack_inode(inode: Inode, image: bytearray, offset: int) -> None:
+    """Rewrite one inode's slot of a live inode-table image."""
+    image[offset : offset + _INODE_SIZE] = bytes(_INODE_SIZE)
+    extents = inode.extents
     struct.pack_into(
         _INODE_HEADER_FMT,
-        out,
+        image,
         offset,
         1 if inode.used else 0,
         len(extents),
         inode.size,
         inode.mtime,
     )
-    for i, (start, length) in enumerate(extents):
-        struct.pack_into(
-            _EXTENT_FMT, out, offset + _INODE_HEADER_SIZE + 8 * i, start, length
-        )
+    struct.pack_into(
+        f"<{2 * len(extents)}I",
+        image,
+        offset + _INODE_HEADER_SIZE,
+        *chain.from_iterable(extents),
+    )
 
 
 def _decode_inode(block: bytes, offset: int) -> Inode:
@@ -762,15 +800,5 @@ def _decode_inode(block: bytes, offset: int) -> Inode:
             _EXTENT_FMT, block, offset + _INODE_HEADER_SIZE + 8 * i
         )
         inode.page_blocks.extend(range(start, start + length))
+        inode.extents.append((start, length))
     return inode
-
-
-def _runs(blocks: list[int]) -> list[tuple[int, int]]:
-    """Compress a block list into (start, length) extents."""
-    extents: list[tuple[int, int]] = []
-    for bno in blocks:
-        if extents and extents[-1][0] + extents[-1][1] == bno:
-            extents[-1] = (extents[-1][0], extents[-1][1] + 1)
-        else:
-            extents.append((bno, 1))
-    return extents
