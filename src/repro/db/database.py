@@ -341,9 +341,7 @@ class Database:
             self.system.config.db_costs.txn_base_ns, TimeBucket.CPU
         )
         dirty = self.pager.dirty_pages()
-        self.wal.write_transaction(
-            dirty, commit=True, pre_images=self.pager.pre_images()
-        )
+        self.wal.write_transaction(dirty, pre_images=self.pager.pre_images())
         self.pager.commit_finish()
 
     # ------------------------------------------------------------------

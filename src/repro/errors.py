@@ -217,6 +217,11 @@ class ChecksumError(WalError):
     """A frame checksum did not match its payload."""
 
 
+class FrameFormatError(WalError):
+    """No whole NVWAL frame starts at the position being decoded; the
+    message is the stop reason a log or segment scan reports."""
+
+
 # ---------------------------------------------------------------------------
 # Service-layer errors
 # ---------------------------------------------------------------------------

@@ -40,10 +40,10 @@ class PersistencyModel(str, enum.Enum):
 class PersistDomain:
     """Applies one persistency model's cost and durability semantics.
 
-    NVWAL calls :meth:`persist_range` for the log-write phase and
-    :meth:`commit_barrier` before/after writing the commit mark; how much
-    that costs — and whether explicit instructions are simulated — depends
-    on the model.
+    NVWAL reports every NVRAM store to :meth:`after_store` and makes data
+    durable with :meth:`flush_ranges`, once per flush phase and once per
+    durable commit mark; whether that costs explicit flush and barrier
+    instructions is decided here and nowhere else.
     """
 
     def __init__(self, cpu: Cpu, model: PersistencyModel) -> None:
@@ -59,11 +59,27 @@ class PersistDomain:
         if self.model is PersistencyModel.STRICT:
             self._persist_now_serialized(addr, length)
 
-    def persist_range(self, addr: int, length: int) -> None:
-        """Make [addr, addr+length) durable, model-appropriately.
+    def flush_ranges(self, ranges: list[tuple[int, int]]) -> None:
+        """Make ``(addr, length)`` ranges durable and order them before
+        the next store: N flushes, one fence.
 
-        Under the explicit model this is the lazy-synchronization sequence
-        (cache_line_flush syscall; the caller adds dmb/persist_barrier).
+        Explicit model: ``dmb``, one flush call per range, ``dmb``, persist
+        barrier — and nothing for an empty list, since only what software
+        flushes is ordered.  The hardware models track every store
+        themselves: ranges are free and the barrier is always issued.
+        """
+        if self.model is PersistencyModel.EXPLICIT:
+            if not ranges:
+                return
+            self.cpu.dmb()
+        for addr, length in ranges:
+            self.persist_range(addr, length)
+        self.commit_barrier()
+
+    def persist_range(self, addr: int, length: int) -> None:
+        """Start [addr, addr+length) on its way to NVRAM.
+
+        Under the explicit model this is one ``cache_line_flush`` call.
         Under strict persistency the data is already durable.  Under epoch
         persistency durability arrives at the next epoch barrier, so this is
         free.
@@ -72,7 +88,7 @@ class PersistDomain:
             self.cpu.cache_line_flush(addr, addr + length)
 
     def commit_barrier(self) -> None:
-        """Order the log-write phase before the commit phase."""
+        """Order everything flushed so far before the next store."""
         if self.model is PersistencyModel.EXPLICIT:
             self.cpu.dmb()
             self.cpu.persist_barrier()

@@ -40,10 +40,9 @@ from repro.service.server import DatabaseService
 from repro.storage.blockdev import BlockDevice
 from repro.storage.ext4 import Ext4FileSystem
 from repro.system import System
-from repro.torture.driver import SCHEMES
 from repro.torture.workload import TABLE
 from repro.wal.frames import NvFrame
-from repro.wal.nvwal import NvwalBackend
+from repro.wal.nvwal import SCHEMES, NvwalBackend
 
 _CREATE_SQL = f"CREATE TABLE {TABLE} (k INTEGER PRIMARY KEY, v TEXT)"
 

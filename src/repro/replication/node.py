@@ -32,8 +32,7 @@ from repro.errors import ChecksumError
 from repro.replication.segment import decode_stream
 from repro.system import System
 from repro.wal.frames import NvFrame
-from repro.wal.nvwal import NvwalBackend
-from repro.torture.driver import SCHEMES
+from repro.wal.nvwal import SCHEMES, NvwalBackend
 
 #: Pseudo page carrying the replication watermark inside the WAL.  Far
 #: above any page number a real database reaches in simulation.
@@ -85,7 +84,7 @@ class ReplicaWalBackend(NvwalBackend):
         watermark = self._logged_images.pop(PSEUDO_PAGE, None)
         written = super().checkpoint()
         if watermark is not None and not self.primary_mode:
-            self.write_transaction({PSEUDO_PAGE: watermark}, commit=True)
+            self.write_transaction({PSEUDO_PAGE: watermark})
         return written
 
 
@@ -202,7 +201,7 @@ class FollowerNode:
     def _install(self, final: dict[int, bytes], seq: int, term: int) -> None:
         txn = dict(final)
         txn[PSEUDO_PAGE] = watermark_image(self.system.page_size, seq, term)
-        self.wal.write_transaction(txn, commit=True)
+        self.wal.write_transaction(txn)
         for pno, image in final.items():
             self.db.pager.install_page(pno, image)
         self.durable_seq = seq

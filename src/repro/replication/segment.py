@@ -1,11 +1,11 @@
 """Wire format for shipped WAL segments.
 
 One *segment* carries one sealed group-commit epoch: a fixed header
-followed by the epoch's NVWAL frames, re-encoded with the standard
-32-byte frame header (:data:`repro.wal.frames.NV_HEADER_FMT`).  The
-encoding deliberately reuses the NVWAL on-media commit discipline so a
-follower applies exactly the WAL's longest-valid-prefix salvage rules to
-the byte stream it received:
+followed by the epoch's NVWAL frames.  This module frames the epoch
+header around them; the frames themselves are written and parsed by the
+one codec in :mod:`repro.wal.frames`.  The encoding deliberately reuses
+the NVWAL on-media commit discipline so a follower applies exactly the
+WAL's longest-valid-prefix salvage rules to the byte stream it received:
 
 * every frame's payload checksum must match;
 * every frame but the last carries commit word ``0`` (pending);
@@ -29,16 +29,14 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from repro.errors import FrameFormatError
 from repro.wal.frames import (
-    NV_FRAME_MAGIC,
-    NV_HEADER_FMT,
-    NV_HEADER_SIZE,
-    NvFrame,
-    decode_nv_frame_header,
+    decode_nv_frame,
+    encode_nv_frame,
     epoch_close_value,
-    payload_checksum,
+    pending_value,
 )
 
 #: "EPCH" — segment header magic.
@@ -69,10 +67,6 @@ class Segment:
         return bool(self.flags & FLAG_SNAPSHOT)
 
 
-def _align8(n: int) -> int:
-    return (n + 7) & ~7
-
-
 def _pack_header(
     term: int, seq: int, flags: int, txns: int, frame_count: int, byte_len: int
 ) -> bytes:
@@ -94,20 +88,10 @@ def encode_segment(segment: Segment) -> bytes:
     frames = segment.frames
     body = bytearray()
     for index, frame in enumerate(frames):
-        checksum = payload_checksum(frame.payload, frame.page_no, frame.offset)
-        word = epoch_close_value(checksum) if index == len(frames) - 1 else 0
-        body += struct.pack(
-            NV_HEADER_FMT,
-            NV_FRAME_MAGIC,
-            frame.page_no,
-            frame.offset,
-            len(frame.payload),
-            checksum,
-            word,
-            frame.checkpoint_id,
+        closing = index == len(frames) - 1
+        body += encode_nv_frame(
+            frame, word_of=epoch_close_value if closing else pending_value
         )
-        body += frame.payload
-        body += bytes(_align8(len(frame.payload)) - len(frame.payload))
     header = _pack_header(
         segment.term,
         segment.seq,
@@ -165,39 +149,25 @@ def decode_stream(data: bytes, verify: bool = True) -> StreamReport:
         frames = []
         fpos = pos + EPOCH_HEADER_SIZE
         for index in range(frame_count):
-            if fpos + NV_HEADER_SIZE > body_end:
-                report.reason = "torn frame header"
+            try:
+                frame, checksum, word, intact, fpos = decode_nv_frame(
+                    data, fpos, body_end
+                )
+            except FrameFormatError as exc:
+                report.reason = str(exc)
                 return report
-            fmagic, page_no, off, size, checksum, ckpt, commit = (
-                decode_nv_frame_header(data, fpos)
-            )
-            if fmagic != NV_FRAME_MAGIC:
-                report.reason = "bad frame magic"
-                return report
-            payload_end = fpos + NV_HEADER_SIZE + size
-            if payload_end > body_end:
-                report.reason = "torn frame payload"
-                return report
-            payload = bytes(data[fpos + NV_HEADER_SIZE : payload_end])
+            closing = index == frame_count - 1
             if verify:
-                if payload_checksum(payload, page_no, off) != checksum:
+                if not intact:
                     report.reason = "frame checksum mismatch"
                     return report
-                closing = index == frame_count - 1
-                expected = epoch_close_value(checksum) if closing else 0
-                if commit != expected:
+                word_of = epoch_close_value if closing else pending_value
+                if word != word_of(checksum):
                     report.reason = "missing epoch close word"
                     return report
-            frames.append(
-                NvFrame(
-                    page_no,
-                    off,
-                    payload,
-                    ckpt,
-                    commit=index == frame_count - 1,
-                )
-            )
-            fpos += NV_HEADER_SIZE + _align8(size)
+            elif frame.commit != closing:  # unverified: a stray word got in
+                frame = replace(frame, commit=closing)
+            frames.append(frame)
         if fpos != body_end:
             report.reason = "segment length mismatch"
             return report

@@ -36,6 +36,7 @@ from dataclasses import dataclass, replace
 
 from repro.faults.inject import ShipFaultInjector
 from repro.replication.segment import FLAG_SNAPSHOT, Segment, encode_segment
+from repro.wal.frames import NV_HEADER_SIZE, encode_nv_frame
 
 MODES = ("sync", "semisync", "async")
 
@@ -299,7 +300,7 @@ class Replicator:
         segment, a sabotaged (non-verifying) one applies garbage.
         """
         torn = bytearray(blob)
-        start = len(blob) - (len(last_frame.payload) + 7) // 8 * 8
+        start = len(blob) - len(encode_nv_frame(last_frame)) + NV_HEADER_SIZE
         span = max(1, len(last_frame.payload))
         for frac in (0, span // 3, 2 * span // 3):
             torn[min(start + frac, len(torn) - 1)] ^= 0x10

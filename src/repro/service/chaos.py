@@ -50,10 +50,10 @@ from repro.service.session import ClientSession
 from repro.system import System
 from repro.telemetry.collector import Collector
 from repro.telemetry.export import build_export, canonical_json, export_digest
-from repro.torture.driver import SCHEMES, rotated
+from repro.torture.driver import rotated
 from repro.torture.workload import TABLE, generate_txns
 from repro.wal.base import SyncMode
-from repro.wal.nvwal import NvwalBackend
+from repro.wal.nvwal import SCHEMES, NvwalBackend
 
 DB_NAME = "chaos.db"
 

@@ -46,25 +46,14 @@ from repro.torture.workload import (
     run_workload,
 )
 from repro.wal.base import SyncMode
-from repro.wal.frames import commit_mark_bytes
-from repro.wal.nvwal import NvwalBackend, NvwalScheme
+from repro.wal.frames import commit_mark_value
+from repro.wal.nvwal import SCHEMES, NvwalBackend
 
 #: Small checkpoint threshold (in WAL frames) so a 30-op workload crosses
 #: several checkpoints and the sweep exercises crash-during-checkpoint.
 DEFAULT_TORTURE_THRESHOLD = 12
 
 DB_NAME = "torture.db"
-
-#: Schemes the harness knows how to build, by trace-friendly name.
-SCHEMES = {
-    "eager": NvwalScheme.eager,
-    "ls": NvwalScheme.ls,
-    "ls_diff": NvwalScheme.ls_diff,
-    "cs_diff": NvwalScheme.cs_diff,
-    "uh_ls": NvwalScheme.uh_ls,
-    "uh_ls_diff": NvwalScheme.uh_ls_diff,
-    "uh_cs_diff": NvwalScheme.uh_cs_diff,
-}
 
 #: Default per-seed scheme rotation (the three the crash matrix covers).
 ROTATION = ("uh_ls_diff", "ls", "eager")
@@ -93,20 +82,19 @@ def rotated(name: str, seed: int, rotation=ROTATION) -> str:
 class SabotagedNvwalBackend(NvwalBackend):
     """Deliberately broken backend for harness self-tests.
 
-    The commit mark is stored but never flushed or fenced — exactly the
-    bug Algorithm 1's final persist barrier exists to prevent.  The mark
-    sits in a volatile cache line, so a crash after "commit" loses the
-    transaction with roughly the landing probability.  A healthy torture
-    run against this backend MUST produce durability violations; if it
-    does not, the harness itself is broken.
+    The standalone commit mark is stored but never flushed or fenced —
+    exactly the bug Algorithm 1's final persist barrier exists to prevent
+    (an epoch-close mark still is).  The mark sits in a volatile cache
+    line, so a crash after "commit" loses the transaction with roughly
+    the landing probability.  A healthy torture run against this backend
+    MUST produce durability violations; if it does not, the harness
+    itself is broken.
     """
 
-    def _write_commit_mark(self, last_frame_addr, checksum, explicit):
-        mark_offset, mark = commit_mark_bytes(self._checkpoint_id, checksum)
-        mark_addr = last_frame_addr + mark_offset
-        self.cpu.store(mark_addr, mark)
-        self.persist_domain.after_store(mark_addr, len(mark))
+    def _mark(self, frame_addr, checksum, word_of, durable=True):
         # Injected bug: no dmb / cache_line_flush / persist_barrier.
+        durable = durable and word_of is not commit_mark_value
+        super()._mark(frame_addr, checksum, word_of, durable)
 
 
 @dataclass(frozen=True)

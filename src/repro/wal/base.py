@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 from repro.errors import TransactionError
 from repro.storage.ext4 import File
+from repro.system import System
 
 #: SQLite's default checkpoint threshold: 1000 logged frames.
 DEFAULT_CHECKPOINT_THRESHOLD = 1000
@@ -63,7 +64,12 @@ class SyncMode(str, enum.Enum):
 class WalBackend(abc.ABC):
     """What the database engine needs from a write-ahead log."""
 
-    def __init__(self, checkpoint_threshold: int = DEFAULT_CHECKPOINT_THRESHOLD):
+    def __init__(
+        self,
+        system: System,
+        checkpoint_threshold: int = DEFAULT_CHECKPOINT_THRESHOLD,
+    ):
+        self.system = system
         self.checkpoint_threshold = checkpoint_threshold
         self.db_file: File | None = None
         #: Report of the most recent :meth:`recover` call (None before one).
@@ -84,10 +90,9 @@ class WalBackend(abc.ABC):
     def write_transaction(
         self,
         dirty_pages: dict[int, bytes],
-        commit: bool = True,
         pre_images: dict[int, bytes] | None = None,
     ) -> None:
-        """Log one transaction's dirty page images; if ``commit``, make the
+        """Log one transaction's dirty page images and make the
         transaction durable before returning.
 
         ``pre_images`` holds the pre-transaction images of the same pages;
@@ -143,7 +148,7 @@ class WalBackend(abc.ABC):
         """Append one transaction to the open epoch."""
         if not self._group_open:
             raise TransactionError("no group-commit epoch is open")
-        self.write_transaction(dirty_pages, commit=True, pre_images=pre_images)
+        self.write_transaction(dirty_pages, pre_images=pre_images)
         self._group_txns += 1
 
     def group_close(self) -> int:
@@ -183,17 +188,15 @@ class WalBackend(abc.ABC):
     # telemetry
     # ------------------------------------------------------------------
     #
-    # Backends that carry a ``system`` publish occupancy gauges and
-    # checkpoint histograms into ``system.telemetry``.  Both helpers are
-    # pure observers on the simulated clock: they never touch the CPU or
-    # storage models, so instrumented backends spend zero simulated time
-    # (and change zero behavior) on telemetry.
+    # Backends publish occupancy gauges and checkpoint histograms into
+    # ``system.telemetry``.  Both helpers are pure observers on the
+    # simulated clock: they never touch the CPU or storage models, so
+    # instrumented backends spend zero simulated time (and change zero
+    # behavior) on telemetry.
 
     def note_occupancy(self) -> None:
         """Publish current log occupancy (frames; log bytes if known)."""
-        registry = getattr(getattr(self, "system", None), "telemetry", None)
-        if registry is None:
-            return
+        registry = self.system.telemetry
         registry.gauge("wal.frames").set(self.frame_count())
         log_bytes = getattr(self, "log_bytes_in_use", None)
         if log_bytes is not None:
@@ -201,12 +204,9 @@ class WalBackend(abc.ABC):
 
     def _note_checkpoint(self, started_ns: float, pages: int) -> None:
         """Record one finished checkpoint (duration, pages, occupancy)."""
-        registry = getattr(getattr(self, "system", None), "telemetry", None)
-        if registry is None:
-            return
-        clock = self.system.clock  # type: ignore[attr-defined]
+        registry = self.system.telemetry
         registry.histogram("wal.checkpoint_ns").observe(
-            int(clock.now_ns) - int(started_ns)
+            int(self.system.clock.now_ns) - int(started_ns)
         )
         registry.counter("wal.checkpoints").inc()
         registry.gauge("wal.checkpoint_pages").set(pages)

@@ -69,15 +69,13 @@ class FileWalBackend(WalBackend):
         optimized: bool = False,
         checkpoint_threshold: int = DEFAULT_CHECKPOINT_THRESHOLD,
     ) -> None:
-        super().__init__(checkpoint_threshold)
-        self.system = system
+        super().__init__(system, checkpoint_threshold)
         self.optimized = optimized
         self.wal_file: File | None = None
         self._salt = 1
         self._frame_index = 0
         self._prealloc_pages = 0
         self._logged_images: dict[int, bytes] = {}
-        self._defer_fsync = False
 
     @property
     def name(self) -> str:
@@ -131,15 +129,21 @@ class FileWalBackend(WalBackend):
     def write_transaction(
         self,
         dirty_pages: dict[int, bytes],
-        commit: bool = True,
         pre_images: dict[int, bytes] | None = None,
     ) -> None:
         """Append one frame per dirty page; the last carries the commit
         marker; a single fsync makes the transaction durable."""
+        if self._append_frames(dirty_pages):
+            _fsync_retry(self.wal_file)
+            self.note_occupancy()
+
+    def _append_frames(self, dirty_pages: dict[int, bytes]) -> bool:
+        """Write one transaction's frames, commit marker on the last,
+        without syncing them; False when there was nothing to write."""
         if self.wal_file is None:
             raise RuntimeError("file WAL is not bound (call bind_files)")
         if not dirty_pages:
-            return
+            return False
         costs = self.system.config.db_costs
         items = list(dirty_pages.items())
         content_size = self._content_size()
@@ -148,7 +152,7 @@ class FileWalBackend(WalBackend):
             self.system.cpu.compute(
                 costs.checksum_ns_per_byte * content_size, TimeBucket.CPU
             )
-            is_commit = commit and i == len(items) - 1
+            is_commit = i == len(items) - 1
             frame = encode_file_frame(
                 pno, image[:content_size], 1 if is_commit else 0, self._salt
             )
@@ -158,9 +162,7 @@ class FileWalBackend(WalBackend):
             self.wal_file.write(offset, frame)
             self._frame_index += 1
             self._logged_images[pno] = bytes(image)
-        if commit and not self._defer_fsync:
-            _fsync_retry(self.wal_file)
-        self.note_occupancy()
+        return True
 
     # -- group commit --------------------------------------------------------
 
@@ -177,11 +179,8 @@ class FileWalBackend(WalBackend):
         are only released after the close fsync."""
         if not self._group_open:
             raise TransactionError("no group-commit epoch is open")
-        self._defer_fsync = True
-        try:
-            self.write_transaction(dirty_pages, commit=True, pre_images=pre_images)
-        finally:
-            self._defer_fsync = False
+        if self._append_frames(dirty_pages):
+            self.note_occupancy()
         self._group_txns += 1
 
     def group_close(self) -> int:

@@ -1,5 +1,9 @@
 """WAL frame formats and checksums.
 
+Only this module knows the NVWAL header layout, the 8-byte payload padding
+and the checksum binding: the NVRAM log and the shipped-segment wire format
+both go through :func:`encode_nv_frame` and :func:`decode_nv_frame`.
+
 Two frame shapes exist in the paper:
 
 * the stock SQLite **file** frame: a 24-byte header (page number, db-size/
@@ -20,8 +24,10 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
+from typing import Callable
 
-from repro.errors import ChecksumError
+from repro.config import FILE_FRAME_HEADER_SIZE, NV_FRAME_HEADER_SIZE
+from repro.errors import ChecksumError, FrameFormatError
 
 NV_FRAME_MAGIC = 0x4E_56_46_52  # "NVFR"
 # magic u32 | page_no u32 | offset u32 | size u32 | checksum u64 |
@@ -33,11 +39,12 @@ NV_FRAME_MAGIC = 0x4E_56_46_52  # "NVFR"
 # (Section 4.1).
 NV_HEADER_FMT = "<IIIIQII"
 NV_HEADER_SIZE = struct.calcsize(NV_HEADER_FMT)
-assert NV_HEADER_SIZE == 32
+assert NV_HEADER_SIZE == NV_FRAME_HEADER_SIZE
 _NV_COMMIT_OFFSET = 24  # byte offset of the commit field within the header
 
 FILE_HEADER_FMT = "<IIIIII"  # page_no, commit_db_size, salt1, salt2, chk1, chk2
 FILE_HEADER_SIZE = struct.calcsize(FILE_HEADER_FMT)
+assert FILE_HEADER_SIZE == FILE_FRAME_HEADER_SIZE
 
 #: Number of low bits of the checksum actually stored.  64 keeps the full
 #: (doubled) CRC; tests shrink it to make the asynchronous-commit
@@ -118,19 +125,21 @@ class NvFrame:
             image[offset : offset + len(data)] = data
         return bytes(image)
 
-    @property
-    def size(self) -> int:
-        """Payload size in bytes."""
-        return len(self.payload)
 
-    def stored_size(self, align: int = 8) -> int:
-        """Bytes the frame occupies in NVRAM (header + padded payload)."""
-        return NV_HEADER_SIZE + _align_up(len(self.payload), align)
+def encode_nv_frame(
+    frame: NvFrame,
+    checksum_bits: int = FULL_CHECKSUM_BITS,
+    word_of: Callable[[int], int] | None = None,
+) -> bytes:
+    """Serialize a frame: header, payload, zero padding to 8 bytes.
 
-
-def encode_nv_frame(frame: NvFrame, checksum_bits: int = FULL_CHECKSUM_BITS) -> bytes:
-    """Serialize a frame; the commit field is encoded as written (it may be
-    set later in NVRAM by the commit-mark store)."""
+    The commit field holds ``word_of(checksum)`` — by default the
+    standalone commit word for a frame flagged ``commit`` and
+    :func:`pending_value` otherwise (NVWAL stores the word later, with
+    the commit mark).
+    """
+    if word_of is None:
+        word_of = commit_mark_value if frame.commit else pending_value
     checksum = payload_checksum(
         frame.payload, frame.page_no, frame.offset, checksum_bits
     )
@@ -141,11 +150,16 @@ def encode_nv_frame(frame: NvFrame, checksum_bits: int = FULL_CHECKSUM_BITS) -> 
         frame.offset,
         len(frame.payload),
         checksum,
-        commit_mark_value(checksum) if frame.commit else 0,
+        word_of(checksum),
         frame.checkpoint_id,
     )
-    padded = frame.payload + bytes(_align_up(len(frame.payload), 8) - len(frame.payload))
+    padded = frame.payload + bytes(_align8(len(frame.payload)) - len(frame.payload))
     return header + padded
+
+
+def pending_value(checksum: int) -> int:
+    """Commit word of a frame that marks no boundary (yet): zero."""
+    return 0
 
 
 def commit_mark_value(checksum: int) -> int:
@@ -216,19 +230,39 @@ def decode_nv_frame_header(
     return magic, page_no, off, size, checksum, ckpt, commit
 
 
-def validate_nv_frame(
-    page_no: int,
-    offset: int,
-    payload: bytes,
-    stored_checksum: int,
-    checksum_bits: int = FULL_CHECKSUM_BITS,
-) -> None:
-    """Raise :class:`ChecksumError` unless the payload matches."""
-    expected = payload_checksum(payload, page_no, offset, checksum_bits)
-    if expected != stored_checksum:
-        raise ChecksumError(
-            f"frame for page {page_no} offset {offset}: checksum mismatch"
-        )
+def decode_nv_frame(
+    raw: bytes, pos: int, limit: int, checksum_bits: int = FULL_CHECKSUM_BITS
+) -> tuple[NvFrame, int, int, bool, int]:
+    """Decode the frame at ``raw[pos:limit]``.
+
+    Returns ``(frame, checksum, word, intact, end)``: the frame (flagged
+    ``commit`` if it carries any word), its stored checksum and commit
+    word — which words are legal where is the caller's epoch discipline —
+    whether the payload matches that checksum, and the position of the
+    next frame (past the padding).
+
+    Raises :class:`FrameFormatError`, whose message is the stop reason,
+    when no whole frame is there.  A checksum mismatch is reported, not
+    raised: a stale frame of an earlier log generation is the normal end
+    of an NVRAM block, and only the caller knows its generation.
+    """
+    if pos + NV_HEADER_SIZE > limit:
+        raise FrameFormatError("torn frame header")
+    magic, page_no, offset, size, checksum, ckpt, word = decode_nv_frame_header(
+        raw, pos
+    )
+    if magic != NV_FRAME_MAGIC:
+        raise FrameFormatError("bad frame magic")
+    start = pos + NV_HEADER_SIZE
+    if start + size > limit:
+        raise FrameFormatError("torn frame payload")
+    frame = NvFrame(
+        page_no, offset, bytes(raw[start : start + size]), ckpt, commit=bool(word)
+    )
+    intact = checksum == payload_checksum(
+        frame.payload, page_no, offset, checksum_bits
+    )
+    return frame, checksum, word, intact, start + _align8(size)
 
 
 # ---------------------------------------------------------------------------
@@ -271,5 +305,5 @@ def decode_file_frame(
     return page_no, commit_db_size, bytes(image)
 
 
-def _align_up(value: int, alignment: int) -> int:
-    return (value + alignment - 1) // alignment * alignment
+def _align8(value: int) -> int:
+    return (value + 7) & ~7

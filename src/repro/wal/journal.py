@@ -44,8 +44,7 @@ class RollbackJournalBackend(WalBackend):
     """DELETE-mode rollback journaling (the paper's status-quo baseline)."""
 
     def __init__(self, system: System) -> None:
-        super().__init__(DEFAULT_CHECKPOINT_THRESHOLD)
-        self.system = system
+        super().__init__(system, DEFAULT_CHECKPOINT_THRESHOLD)
         self.journal_file: File | None = None
         self._nonce = 1
 
@@ -75,7 +74,6 @@ class RollbackJournalBackend(WalBackend):
     def write_transaction(
         self,
         dirty_pages: dict[int, bytes],
-        commit: bool = True,
         pre_images: dict[int, bytes] | None = None,
     ) -> None:
         """Journal undo images, update the database in place, invalidate."""
@@ -87,10 +85,25 @@ class RollbackJournalBackend(WalBackend):
             raise RuntimeError(
                 "rollback journaling requires the pre-transaction images"
             )
+        # 1. undo log first
+        self.write_undo_journal(dirty_pages, pre_images)
+        # 2. database file in place
+        for pno, image in dirty_pages.items():
+            self.db_file.write((pno - 1) * self.system.page_size, image)
+        self.db_file.fsync()
+        # 3. commit point: invalidate the journal
+        self.journal_file.truncate(0)
+        self.journal_file.fsync()
+        self.note_occupancy()
+
+    def write_undo_journal(
+        self, dirty_pages: dict[int, bytes], pre_images: dict[int, bytes]
+    ) -> None:
+        """Step 1 of the commit protocol: make the pages' pre-images
+        durable in the journal, which stays hot — recovery rolls them
+        back — until step 3 invalidates it."""
         costs = self.system.config.db_costs
         page_size = self.system.page_size
-
-        # 1. undo log first
         self._nonce += 1
         header = struct.pack(
             _HEADER_FMT, _JOURNAL_MAGIC, page_size, len(dirty_pages), self._nonce
@@ -106,16 +119,6 @@ class RollbackJournalBackend(WalBackend):
             self.journal_file.write(offset, record)
             offset += len(record)
         self.journal_file.fsync()
-
-        # 2. database file in place
-        if commit:
-            for pno, image in dirty_pages.items():
-                self.db_file.write((pno - 1) * page_size, image)
-            self.db_file.fsync()
-            # 3. commit point: invalidate the journal
-            self.journal_file.truncate(0)
-            self.journal_file.fsync()
-        self.note_occupancy()
 
     # ------------------------------------------------------------------
     # recovery

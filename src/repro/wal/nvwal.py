@@ -28,8 +28,14 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
-from repro.errors import ChecksumError, MediaError, TransactionError
+from repro.errors import (
+    ChecksumError,
+    FrameFormatError,
+    MediaError,
+    TransactionError,
+)
 from repro.hw.stats import TimeBucket
 from repro.nvram.heapo import NvAllocation
 from repro.nvram.persistency import PersistDomain, PersistencyModel
@@ -41,15 +47,14 @@ from repro.wal.base import (
     SyncMode,
     WalBackend,
 )
-from repro.wal.diff import DiffMode, apply_extents, compute_extents
+from repro.wal.diff import DiffMode, compute_extents
 from repro.wal.frames import (
     FULL_CHECKSUM_BITS,
-    NV_FRAME_MAGIC,
     NV_HEADER_SIZE,
     NvFrame,
     commit_mark_bytes,
     commit_mark_value,
-    decode_nv_frame_header,
+    decode_nv_frame,
     encode_nv_frame,
     epoch_close_value,
     epoch_member_value,
@@ -146,20 +151,29 @@ class NvwalScheme:
         ]
 
 
+#: Every scheme by the name configs, CLIs and trace files use for it.
+SCHEMES = {
+    "eager": NvwalScheme.eager,
+    "ls": NvwalScheme.ls,
+    "ls_diff": NvwalScheme.ls_diff,
+    "cs_diff": NvwalScheme.cs_diff,
+    "uh_ls": NvwalScheme.uh_ls,
+    "uh_ls_diff": NvwalScheme.uh_ls_diff,
+    "uh_cs_diff": NvwalScheme.uh_cs_diff,
+}
+
+
 @dataclass
 class _EpochState:
     """Volatile bookkeeping for one open group-commit epoch."""
 
     #: (addr, encoded length) of every frame appended this epoch, in order.
     frame_ptrs: list[tuple[int, int]] = field(default_factory=list)
-    #: Transactions appended so far (including frameless no-ops).
-    txns: int = 0
     #: Per-transaction frame lists, in append order (empty list for a
     #: frameless no-op) — what the shipping hook exports at close.
     txn_frames: list = field(default_factory=list)
-    #: Address / stored checksum of the epoch's last frame — the close
-    #: mark is stamped there.
-    last_addr: int | None = None
+    #: Stored checksum of the epoch's last frame (the last of
+    #: ``frame_ptrs``) — the close mark is stamped there.
     last_checksum: int = 0
 
 
@@ -173,13 +187,16 @@ class NvwalBackend(WalBackend):
         checkpoint_threshold: int = DEFAULT_CHECKPOINT_THRESHOLD,
         checksum_bits: int = FULL_CHECKSUM_BITS,
     ) -> None:
-        super().__init__(checkpoint_threshold)
-        self.system = system
+        super().__init__(system, checkpoint_threshold)
         self.cpu = system.cpu
         self.heapo = system.heapo
         self.scheme = scheme or NvwalScheme.uh_ls_diff()
         self.checksum_bits = checksum_bits
         self.persist_domain = PersistDomain(self.cpu, self.scheme.persistency)
+        #: Root and block links are flushed explicitly under *every* model:
+        #: Section 4.4's hardware stands in for Algorithm 1's three steps,
+        #: so the persistency ablation varies those and nothing else.
+        self._metadata = PersistDomain(self.cpu, PersistencyModel.EXPLICIT)
         self.userheap = UserHeap(self.heapo, self.scheme.block_size)
         #: Latest committed image of every page present in the log; the
         #: base for differential logging and the source for checkpointing.
@@ -210,10 +227,7 @@ class NvwalBackend(WalBackend):
         root = self.heapo.nvmalloc(_ROOT_SIZE, name=_ROOT_NAME)
         image = struct.pack("<QIIQ", _ROOT_MAGIC, 1, 0, 0)
         self.cpu.memcpy(root.addr, image)
-        self.cpu.dmb()
-        self.cpu.cache_line_flush(root.addr, root.addr + _ROOT_SIZE)
-        self.cpu.dmb()
-        self.cpu.persist_barrier()
+        self._metadata.flush_ranges([(root.addr, _ROOT_SIZE)])
         return root
 
     def _read_checkpoint_id(self) -> int:
@@ -231,11 +245,15 @@ class NvwalBackend(WalBackend):
     # ------------------------------------------------------------------
     # Algorithm 1: sqliteWriteWalFramesToNVRAM
     # ------------------------------------------------------------------
+    #
+    # Three steps — ``_log_frames``, ``PersistDomain.flush_ranges``,
+    # ``_mark`` — composed three ways: ``write_transaction`` (solo),
+    # ``group_append`` and ``group_close`` (grouped).  DESIGN.md section 4
+    # tabulates the cadence each composition gives E, LS and CS.
 
     def write_transaction(
         self,
         dirty_pages: dict[int, bytes],
-        commit: bool = True,
         pre_images: dict[int, bytes] | None = None,
     ) -> None:
         """Log one transaction's dirty pages per Algorithm 1."""
@@ -247,11 +265,38 @@ class NvwalBackend(WalBackend):
         frames = self._build_frames(dirty_pages)
         if not frames:
             return
-        costs = self.system.config.db_costs
-        explicit = self.scheme.persistency is PersistencyModel.EXPLICIT
-        frame_ptrs: list[tuple[int, int]] = []
+        scheme = self.scheme
+        ptrs: list[tuple[int, int]] = []
+        # Figure 4(b): E synchronizes per log entry — the one cadence that
+        # exists only where software issues the flushes.
+        checksum = self._log_frames(
+            frames,
+            ptrs,
+            sync_each=scheme.sync is SyncMode.EAGER
+            and scheme.persistency is PersistencyModel.EXPLICIT,
+        )
+        # Figure 4(c): LS flushes every frame, one call each (the syscalls
+        # Table 1 counts), behind one barrier.  Nothing is left to flush
+        # under E, and CS never flushes log entries (Figure 4d).
+        self.persist_domain.flush_ranges(
+            ptrs if scheme.sync is SyncMode.LAZY else []
+        )
+        self._mark(ptrs[-1][0], checksum, commit_mark_value)
+        self._note_logged(dirty_pages, frames)
+        if self.on_commit is not None:
+            self.on_commit([frames])
+        self.note_occupancy()
 
-        # --- logging phase (Algorithm 1 lines 1-20) ---
+    def _log_frames(
+        self,
+        frames: list[NvFrame],
+        ptrs: list[tuple[int, int]],
+        sync_each: bool = False,
+    ) -> int:
+        """Logging step (Algorithm 1 lines 1-20): copy each frame into
+        NVRAM and append its ``(addr, length)`` to ``ptrs``.  Returns the
+        last frame's stored checksum, which the mark step binds to."""
+        costs = self.system.config.db_costs
         for frame in frames:
             self.cpu.compute(costs.frame_assembly_ns, TimeBucket.CPU)
             self.cpu.compute(
@@ -263,64 +308,50 @@ class NvwalBackend(WalBackend):
             addr = self.userheap.allocate(len(encoded))
             self.cpu.memcpy(addr, encoded)
             self.persist_domain.after_store(addr, len(encoded))
-            frame_ptrs.append((addr, len(encoded)))
-            if explicit and self.scheme.sync is SyncMode.EAGER:
-                # Figure 4(b): synchronize per log entry.
-                self.cpu.dmb()
-                self.cpu.cache_line_flush(addr, addr + len(encoded))
-                self.cpu.dmb()
-                self.cpu.persist_barrier()
+            ptrs.append((addr, len(encoded)))
+            if sync_each:
+                self.persist_domain.flush_ranges(ptrs[-1:])
         self._frame_count += len(frames)
+        last = frames[-1]
+        return payload_checksum(
+            last.payload, last.page_no, last.offset, self.checksum_bits
+        )
 
-        # --- flush phase (Algorithm 1 lines 21-28) ---
-        if explicit and self.scheme.sync is SyncMode.LAZY:
-            self.cpu.dmb()
-            for addr, length in frame_ptrs:
-                self.cpu.cache_line_flush(addr, addr + length)
-            self.cpu.dmb()
-            self.cpu.persist_barrier()
-        elif not explicit:
-            self.persist_domain.commit_barrier()
-        # SyncMode.CHECKSUM: no flush of log entries (Figure 4d).
-
-        # --- commit phase (Algorithm 1 lines 29-36) ---
-        if commit:
-            last = frames[-1]
-            checksum = payload_checksum(
-                last.payload, last.page_no, last.offset, self.checksum_bits
-            )
-            self._write_commit_mark(frame_ptrs[-1][0], checksum, explicit)
-
-        for frame in frames:
-            base = self._logged_images.get(
-                frame.page_no, bytes(self.system.page_size)
-            )
-            self._logged_images[frame.page_no] = frame.apply_to(base)
-        if commit and self.on_commit is not None:
-            self.on_commit([frames])
-        self.note_occupancy()
-
-    def _write_commit_mark(
-        self, last_frame_addr: int, checksum: int, explicit: bool
+    def _mark(
+        self,
+        frame_addr: int,
+        checksum: int,
+        word_of: Callable[[int], int],
+        durable: bool = True,
     ) -> None:
-        mark_offset, mark = commit_mark_bytes(self._checkpoint_id, checksum)
-        mark_addr = last_frame_addr + mark_offset
+        """Mark step (Algorithm 1 lines 29-36): one atomic 8-byte store of
+        ``word_of(checksum)`` into the frame header at ``frame_addr``,
+        then — the separate half — make it durable.  Commit, epoch member
+        and epoch close differ only in ``word_of``; a member mark is not
+        ``durable`` by itself (the close sweep flushes it with the frames).
+        """
+        mark_offset, mark = commit_mark_bytes(
+            self._checkpoint_id, checksum, word=word_of(checksum)
+        )
+        mark_addr = frame_addr + mark_offset
         self.cpu.store(mark_addr, mark)
         self.persist_domain.after_store(mark_addr, len(mark))
-        if explicit:
-            self.cpu.dmb()
-            if self.scheme.sync is SyncMode.CHECKSUM:
-                # Flush the whole frame header so the checksum bytes reach
-                # NVRAM along with the commit mark (Figure 4d).
-                self.cpu.cache_line_flush(
-                    last_frame_addr, last_frame_addr + NV_HEADER_SIZE
-                )
-            else:
-                self.cpu.cache_line_flush(mark_addr, mark_addr + len(mark))
-            self.cpu.dmb()
-            self.cpu.persist_barrier()
+        if not durable:
+            return
+        if self.scheme.sync is SyncMode.CHECKSUM:
+            # Flush the whole frame header so the checksum bytes reach
+            # NVRAM along with the mark (Figure 4d).
+            self.persist_domain.flush_ranges([(frame_addr, NV_HEADER_SIZE)])
         else:
-            self.persist_domain.commit_barrier()
+            self.persist_domain.flush_ranges([(mark_addr, len(mark))])
+
+    def _note_logged(
+        self, dirty_pages: dict[int, bytes], frames: list[NvFrame]
+    ) -> None:
+        """Advance the diff base to the images just logged — after the
+        three steps, so a failure in any of them leaves it untouched."""
+        for frame in frames:
+            self._logged_images[frame.page_no] = bytes(dirty_pages[frame.page_no])
 
     # ------------------------------------------------------------------
     # group commit: epoch-batched persistence (Section 4.2 extended)
@@ -352,7 +383,7 @@ class NvwalBackend(WalBackend):
     ) -> None:
         """Append one transaction's frames to the open epoch.
 
-        This is Algorithm 1's logging phase with the synchronization
+        This is Algorithm 1's logging step with the synchronization
         cadence lifted out: no per-entry flush (even under E — grouping
         overrides the per-entry discipline, that is its point) and no
         per-transaction flush/barrier pair.  E/LS stamp an epoch-member
@@ -364,60 +395,25 @@ class NvwalBackend(WalBackend):
         if self._epoch is None:
             raise TransactionError("no group-commit epoch is open")
         epoch = self._epoch
-        epoch.txns += 1
         frames = self._build_frames(dirty_pages)
         epoch.txn_frames.append(frames)
         if not frames:
             return
-        costs = self.system.config.db_costs
-        for frame in frames:
-            self.cpu.compute(costs.frame_assembly_ns, TimeBucket.CPU)
-            self.cpu.compute(
-                costs.checksum_ns_per_byte * len(frame.payload), TimeBucket.CPU
-            )
-            encoded = encode_nv_frame(frame, self.checksum_bits)
-            if not self.userheap.fits(len(encoded)):
-                self._chain_new_block(len(encoded))
-            addr = self.userheap.allocate(len(encoded))
-            self.cpu.memcpy(addr, encoded)
-            self.persist_domain.after_store(addr, len(encoded))
-            epoch.frame_ptrs.append((addr, len(encoded)))
-        self._frame_count += len(frames)
-
-        last = frames[-1]
-        checksum = payload_checksum(
-            last.payload, last.page_no, last.offset, self.checksum_bits
-        )
-        epoch.last_addr = epoch.frame_ptrs[-1][0]
-        epoch.last_checksum = checksum
+        epoch.last_checksum = self._log_frames(frames, epoch.frame_ptrs)
         if self.scheme.sync is not SyncMode.CHECKSUM:
-            # Epoch-member mark: a durable transaction boundary that
-            # commits nothing by itself (the close sweep flushes it along
-            # with the frame bytes).
-            mark_offset, mark = commit_mark_bytes(
-                self._checkpoint_id, checksum, word=epoch_member_value(checksum)
+            self._mark(
+                epoch.frame_ptrs[-1][0],
+                epoch.last_checksum,
+                epoch_member_value,
+                durable=False,
             )
-            mark_addr = epoch.last_addr + mark_offset
-            self.cpu.store(mark_addr, mark)
-            self.persist_domain.after_store(mark_addr, len(mark))
-
-        for frame in frames:
-            base = self._logged_images.get(
-                frame.page_no, bytes(self.system.page_size)
-            )
-            self._logged_images[frame.page_no] = frame.apply_to(base)
+        self._note_logged(dirty_pages, frames)
 
     def group_close(self) -> int:
         """Persist the epoch with one coalesced flush + barrier sequence
         and commit it with a single close mark.  Returns the number of
-        transactions the epoch carried.
-
-        E/LS: one dmb, one coalesced cache-line sweep over the epoch's
-        (mostly contiguous) frame ranges, one dmb, one persist barrier —
-        then the atomic close-mark store with its own small ordering
-        point.  CS flushes only the closing frame's header.  The acks the
-        service layer releases on return are therefore the first moment
-        any of the epoch's transactions is durable.
+        transactions the epoch carried.  The acks the service layer
+        releases on return are the first moment any of them is durable.
         """
         if self._epoch is None:
             raise TransactionError("no group-commit epoch is open")
@@ -429,64 +425,21 @@ class NvwalBackend(WalBackend):
                 # log still needs the (empty) transaction boundaries so
                 # replica sequence numbers stay aligned.
                 self.on_commit(epoch.txn_frames)
-            return epoch.txns
-        explicit = self.scheme.persistency is PersistencyModel.EXPLICIT
-
-        # --- epoch flush phase: one sweep for every transaction ---
-        if explicit and self.scheme.sync is not SyncMode.CHECKSUM:
-            self.cpu.dmb()
-            self._flush_coalesced(epoch.frame_ptrs)
-            self.cpu.dmb()
-            self.cpu.persist_barrier()
-        elif not explicit:
-            self.persist_domain.commit_barrier()
-        # CS: no flush of log entries at all (Figure 4d).
-
-        # --- epoch commit: one atomic close-mark store ---
-        self._write_epoch_close(epoch.last_addr, epoch.last_checksum, explicit)
+            return len(epoch.txn_frames)
+        # One sweep for the whole epoch: E and LS flush each contiguous
+        # run of frames with one call; CS flushes no log entries.
+        self.persist_domain.flush_ranges(
+            []
+            if self.scheme.sync is SyncMode.CHECKSUM
+            else _contiguous_runs(epoch.frame_ptrs)
+        )
+        self._mark(
+            epoch.frame_ptrs[-1][0], epoch.last_checksum, epoch_close_value
+        )
         if self.on_commit is not None:
             self.on_commit(epoch.txn_frames)
         self.note_occupancy()
-        return epoch.txns
-
-    def _flush_coalesced(self, ptrs: list[tuple[int, int]]) -> None:
-        """Issue one cache-line sweep per contiguous run of frame ranges.
-
-        Frames are bump-allocated, so an epoch's frames form one run per
-        log block touched; each run becomes a single ``dccmvac`` batch
-        instead of one flush call per frame."""
-        start, end = ptrs[0][0], ptrs[0][0] + ptrs[0][1]
-        for addr, length in ptrs[1:]:
-            if addr == end:
-                end = addr + length
-            else:
-                self.cpu.cache_line_flush(start, end)
-                start, end = addr, addr + length
-        self.cpu.cache_line_flush(start, end)
-
-    def _write_epoch_close(
-        self, last_frame_addr: int, checksum: int, explicit: bool
-    ) -> None:
-        mark_offset, mark = commit_mark_bytes(
-            self._checkpoint_id, checksum, word=epoch_close_value(checksum)
-        )
-        mark_addr = last_frame_addr + mark_offset
-        self.cpu.store(mark_addr, mark)
-        self.persist_domain.after_store(mark_addr, len(mark))
-        if explicit:
-            self.cpu.dmb()
-            if self.scheme.sync is SyncMode.CHECKSUM:
-                # Flush the whole closing header so the checksum reaches
-                # NVRAM with the close mark (Figure 4d).
-                self.cpu.cache_line_flush(
-                    last_frame_addr, last_frame_addr + NV_HEADER_SIZE
-                )
-            else:
-                self.cpu.cache_line_flush(mark_addr, mark_addr + len(mark))
-            self.cpu.dmb()
-            self.cpu.persist_barrier()
-        else:
-            self.persist_domain.commit_barrier()
+        return len(epoch.txn_frames)
 
     def _build_frames(self, dirty_pages: dict[int, bytes]) -> list[NvFrame]:
         """Turn dirty page images into WAL frames — exactly one per page.
@@ -534,11 +487,9 @@ class NvwalBackend(WalBackend):
             struct.pack("<QII", 0, alloc.size, len(self.userheap.blocks)),
         )
         self.cpu.store(self._link_addr, struct.pack("<Q", alloc.addr))
-        self.cpu.dmb()
-        self.cpu.cache_line_flush(alloc.addr, alloc.addr + _BLOCK_HEADER_SIZE)
-        self.cpu.cache_line_flush(self._link_addr, self._link_addr + 8)
-        self.cpu.dmb()
-        self.cpu.persist_barrier()
+        self._metadata.flush_ranges(
+            [(alloc.addr, _BLOCK_HEADER_SIZE), (self._link_addr, 8)]
+        )
         if self.scheme.user_heap:
             # line 13: mark the in-use flag now that the reference is durable
             self.userheap.commit_block(alloc, reserved=_BLOCK_HEADER_SIZE)
@@ -718,36 +669,29 @@ class NvwalBackend(WalBackend):
                 block_bytes = self.cpu.load(alloc.addr, alloc.size)
             except MediaError:
                 return salvage("log block unreadable")
-            while pos + NV_HEADER_SIZE <= alloc.size:
-                magic, page_no, offset, size, checksum, ckpt, commit = (
-                    decode_nv_frame_header(block_bytes, pos)
-                )
-                if magic != NV_FRAME_MAGIC or ckpt != self._checkpoint_id:
-                    break
-                padded = _align8(size)
-                if pos + NV_HEADER_SIZE + padded > alloc.size:
-                    break
-                payload = bytes(
-                    block_bytes[pos + NV_HEADER_SIZE : pos + NV_HEADER_SIZE + size]
-                )
-                if payload_checksum(
-                    payload, page_no, offset, self.checksum_bits
-                ) != checksum:
+            while True:
+                try:
+                    frame, checksum, word, intact, end = decode_nv_frame(
+                        block_bytes, pos, alloc.size, self.checksum_bits
+                    )
+                except FrameFormatError:
+                    break  # no further frame in this block
+                if frame.checkpoint_id != self._checkpoint_id:
+                    break  # leftover of an earlier log generation
+                if not intact:
                     # Torn frame (or the asynchronous-commit window): the
                     # transaction it belongs to is considered aborted.
                     return salvage("frame checksum mismatch")
                 member_word = epoch_member_value(checksum)
-                if commit and commit not in (
+                if word and word not in (
                     commit_mark_value(checksum),
                     member_word,
                     epoch_close_value(checksum),
                 ):
                     return salvage("invalid commit word")
-                pending.append(
-                    NvFrame(page_no, offset, payload, ckpt, commit=bool(commit))
-                )
-                pos += NV_HEADER_SIZE + padded
-                if commit and commit != member_word:
+                pending.append(frame)
+                pos = end
+                if word and word != member_word:
                     committed.extend(pending)
                     pending.clear()
                     tail = (block_index, pos)
@@ -841,12 +785,9 @@ class NvwalBackend(WalBackend):
         self.cpu.store(
             self._root.addr + _ROOT_FIRST_BLOCK_OFFSET, struct.pack("<Q", 0)
         )
-        self.cpu.dmb()
-        self.cpu.cache_line_flush(
-            self._root.addr + _ROOT_CKPT_OFFSET, self._root.addr + _ROOT_SIZE
+        self._metadata.flush_ranges(
+            [(self._root.addr + _ROOT_CKPT_OFFSET, _ROOT_SIZE - _ROOT_CKPT_OFFSET)]
         )
-        self.cpu.dmb()
-        self.cpu.persist_barrier()
         self.userheap.free_all()
         self._checkpoint_id = new_id
         self._logged_images.clear()
@@ -876,11 +817,20 @@ class NvwalBackend(WalBackend):
     def _store_durable_u64(self, addr: int, value: int) -> None:
         """Store + flush + barrier one 8-byte pointer (recovery-side)."""
         self.cpu.store(addr, struct.pack("<Q", value))
-        self.cpu.dmb()
-        self.cpu.cache_line_flush(addr, addr + 8)
-        self.cpu.dmb()
-        self.cpu.persist_barrier()
+        self._metadata.flush_ranges([(addr, 8)])
 
 
-def _align8(value: int) -> int:
-    return (value + 7) // 8 * 8
+def _contiguous_runs(ptrs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Merge adjacent ``(addr, length)`` ranges.
+
+    Frames are bump-allocated, so an epoch's frames form one run per log
+    block touched; each run becomes a single ``dccmvac`` batch instead of
+    one flush call per frame."""
+    runs = [ptrs[0]]
+    for addr, length in ptrs[1:]:
+        start, run_length = runs[-1]
+        if addr == start + run_length:
+            runs[-1] = (start, run_length + length)
+        else:
+            runs.append((addr, length))
+    return runs

@@ -34,9 +34,9 @@ from repro.config import tuna
 from repro.db.database import Database
 from repro.errors import DatabaseError, PowerFailure
 from repro.system import System
-from repro.torture.driver import SCHEMES, rotated
+from repro.torture.driver import rotated
 from repro.wal.base import SyncMode
-from repro.wal.nvwal import NvwalBackend
+from repro.wal.nvwal import SCHEMES, NvwalBackend
 from repro.workloads.core import apply_txn, db_state, model_states
 from repro.workloads.runner import make_workload
 

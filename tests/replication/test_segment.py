@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import json
+import struct
+import zlib
+from pathlib import Path
+
 import pytest
 
 from repro.replication.segment import (
+    EPOCH_HEADER_FMT,
     EPOCH_HEADER_SIZE,
     FLAG_SNAPSHOT,
     Segment,
@@ -139,6 +145,140 @@ class TestSalvage:
         report = decode_stream(good + bytes(bad))
         assert [s.seq for s in report.segments] == [1]
         assert report.consumed == len(good)
+
+
+# ---------------------------------------------------------------------------
+# pinned wire bytes and decode reports
+# ---------------------------------------------------------------------------
+
+SEGMENT_PINS = Path(__file__).with_name("segment_pins.json")
+
+#: Every stop reason ``decode_stream`` can give.
+ALL_REASONS = {
+    "torn segment header",
+    "bad segment magic",
+    "segment header corrupt",
+    "torn segment body",
+    "torn frame header",
+    "bad frame magic",
+    "torn frame payload",
+    "frame checksum mismatch",
+    "missing epoch close word",
+    "segment length mismatch",
+}
+
+
+def pinned_segments() -> list[Segment]:
+    """Four shapes: empty epoch, one plain frame, an epoch mixing an
+    extent-list frame, an odd-length payload and a frame already flagged
+    ``commit`` (a decoded segment being re-encoded), and a snapshot."""
+    multi = NvFrame.from_extents(9, [(0, b"head"), (500, b"tail!")], 4)
+    flagged = NvFrame(page_no=11, offset=8, payload=b"z" * 13, checkpoint_id=4, commit=True)
+    return [
+        Segment(seq=1, term=1, txns=2, frames=()),
+        segment(2, [b"hello world"]),
+        Segment(seq=3, term=2, txns=3, frames=(multi, flagged, frame(12, b"q" * 40, offset=96))),
+        segment(4, [b"page image" * 10, b"p" * 24], term=3, flags=FLAG_SNAPSHOT),
+    ]
+
+
+def restamp(blob: bytes, *, frame_count=None, byte_len=None) -> bytes:
+    """Rewrite a segment header's counts under a fresh, valid header CRC:
+    damage the CRC cannot catch, so the frame-level checks are reached."""
+    fields = list(struct.unpack_from(EPOCH_HEADER_FMT, blob, 0))
+    if frame_count is not None:
+        fields[5] = frame_count
+    if byte_len is not None:
+        fields[6] = byte_len
+    head = struct.pack(EPOCH_HEADER_FMT[:-1], *fields[:-1])
+    return head + struct.pack("<I", zlib.crc32(head)) + blob[EPOCH_HEADER_SIZE:]
+
+
+def outcome(data: bytes, verify: bool = True) -> list:
+    report = decode_stream(data, verify=verify)
+    return [len(report.segments), report.consumed, report.reason]
+
+
+def run_lengths(outcomes: list) -> list:
+    """[[count, outcome], ...] — consecutive equal outcomes folded."""
+    runs: list = []
+    for item in outcomes:
+        if runs and runs[-1][1] == item:
+            runs[-1][0] += 1
+        else:
+            runs.append([1, item])
+    return runs
+
+
+def decode_reports() -> dict:
+    """Reports on the pinned stream cut at every byte, with one bit
+    flipped in every byte (strict and lenient), and on seven crafted
+    segments whose header CRC is valid but whose counts lie."""
+    blobs = [encode_segment(seg) for seg in pinned_segments()]
+    stream = b"".join(blobs)
+    flips = {True: [], False: []}
+    for index in range(len(stream)):
+        damaged = bytearray(stream)
+        damaged[index] ^= 1 << (index % 8)
+        for verify in flips:
+            flips[verify].append(outcome(bytes(damaged), verify))
+    one = blobs[1]  # header + one frame: 32-byte header, 11 bytes padded to 16
+    unclosed = bytearray(one)
+    unclosed[EPOCH_HEADER_SIZE + 24] = 0  # wipe the close word's low byte
+    bad_frame_magic = bytearray(one)
+    bad_frame_magic[EPOCH_HEADER_SIZE] ^= 0xFF
+    crafted = {
+        "frame_count_too_high": restamp(one, frame_count=2),
+        "frame_count_too_low": restamp(blobs[2], frame_count=2),
+        "body_cut_inside_frame_header": restamp(one[:-30], byte_len=len(one) - EPOCH_HEADER_SIZE - 30),
+        "body_cut_inside_payload": restamp(one[:-10], byte_len=len(one) - EPOCH_HEADER_SIZE - 10),
+        "body_cut_inside_padding": restamp(one[:-3], byte_len=len(one) - EPOCH_HEADER_SIZE - 3),
+        "close_word_wiped": bytes(unclosed),
+        "frame_magic_flipped": bytes(bad_frame_magic),
+    }
+    return {
+        "cuts": run_lengths([outcome(stream[:cut]) for cut in range(len(stream) + 1)]),
+        "flips_strict": run_lengths(flips[True]),
+        "flips_lenient": run_lengths(flips[False]),
+        "crafted": {name: outcome(blob) for name, blob in crafted.items()},
+        "crafted_lenient": {name: outcome(blob, False) for name, blob in crafted.items()},
+    }
+
+
+def wire_pins() -> dict:
+    return {
+        "encoded": [encode_segment(seg).hex() for seg in pinned_segments()],
+        "reports": decode_reports(),
+    }
+
+
+class TestPinnedWireFormat:
+    """``segment_pins.json`` was recorded before the frame codec moved into
+    ``wal/frames.py``; bytes and reports must not have moved with it."""
+
+    def test_encoded_bytes_are_pinned(self):
+        pinned = json.loads(SEGMENT_PINS.read_text())["encoded"]
+        assert wire_pins()["encoded"] == pinned
+
+    @pytest.mark.parametrize(
+        "family",
+        ["cuts", "flips_strict", "flips_lenient", "crafted", "crafted_lenient"],
+    )
+    def test_decode_reports_are_pinned(self, family):
+        pinned = json.loads(SEGMENT_PINS.read_text())["reports"]
+        assert decode_reports()[family] == pinned[family]
+
+    def test_pins_cover_every_stop_reason(self):
+        reports = json.loads(SEGMENT_PINS.read_text())["reports"]
+        seen = {item[2] for _n, item in reports["cuts"] + reports["flips_strict"]}
+        seen |= {item[2] for item in reports["crafted"].values()}
+        assert seen - {""} == ALL_REASONS
+
+    def test_re_encoding_a_decoded_stream_is_the_identity(self):
+        stream = b"".join(encode_segment(seg) for seg in pinned_segments())
+        decoded = decode_stream(stream)
+        assert decoded.clean
+        assert b"".join(map(encode_segment, decoded.segments)) == stream
 
 
 class TestValidation:

@@ -11,9 +11,8 @@ from repro.system import System
 from repro.telemetry.export import validate_export
 from repro.telemetry.report import render_report
 from repro.telemetry.storm import run_storm
-from repro.torture.driver import SCHEMES
 from repro.torture.workload import TABLE
-from repro.wal.nvwal import NvwalBackend
+from repro.wal.nvwal import SCHEMES, NvwalBackend
 from repro.workloads.runner import RunConfig, run_one
 
 

@@ -16,10 +16,11 @@ from repro.wal.frames import (
     NV_HEADER_SIZE,
     commit_mark_bytes,
     commit_mark_value,
+    _align8,
     decode_nv_frame_header,
 )
 from repro.wal.journal import RollbackJournalBackend
-from repro.wal.nvwal import _BLOCK_HEADER_SIZE, _align8
+from repro.wal.nvwal import _BLOCK_HEADER_SIZE
 from tests.conftest import make_file_db, make_nvwal_db
 
 DDL = "CREATE TABLE t (k INTEGER PRIMARY KEY, v TEXT)"
@@ -184,9 +185,8 @@ class TestJournalSalvage:
 
         # The transaction stalls after journaling its undo images but
         # before its commit point: the journal is hot with two records.
-        backend.write_transaction(
+        backend.write_undo_journal(
             {1: b"\x33" * page_size, 2: b"\x44" * page_size},
-            commit=False,
             pre_images={1: orig1, 2: orig2},
         )
         record_size = 12 + page_size  # record header + page image
