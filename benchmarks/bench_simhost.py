@@ -228,6 +228,49 @@ def probe_group_append() -> float:
     return _rate(step) * appends
 
 
+def _point_lookup_table():
+    """A depth-3 table of 4000 rows and a uniform stream of its keys."""
+    import random
+
+    from repro.bench.harness import make_database
+
+    db = make_database(tuna(500), BackendSpec.nvwal(NvwalScheme.uh_ls_diff()))
+    db.execute("CREATE TABLE t (key INTEGER PRIMARY KEY, value TEXT)")
+    rng = random.Random(2016)
+    keys = sorted(rng.sample(range(1, 2**31), 4000))
+    db.executemany("INSERT INTO t VALUES (?, ?)", [(k, "v" * 400) for k in keys])
+    tree = db.table_tree(db.table("t"))
+    assert tree.depth() == 3, tree.depth()
+    return db, tree, [rng.choice(keys) for _ in range(1024)]
+
+
+def probe_btree_point_get() -> float:
+    """``BTree.get`` of uniform keys on a depth-3 tree: two interior
+    binary searches, the leaf search, one cell decode."""
+    _db, tree, keys = _point_lookup_table()
+    state = {"i": 0}
+
+    def step() -> None:
+        i = state["i"] = (state["i"] + 1) % len(keys)
+        tree.get(keys[i])
+
+    return _rate(step)
+
+
+def probe_sql_point_select() -> float:
+    """One parse-cache-hit ``SELECT ... WHERE key = ?`` end to end
+    (autocommit): plan lookup, bind, key-range scan, row decode."""
+    db, _tree, keys = _point_lookup_table()
+    sql = "SELECT value FROM t WHERE key = ?"
+    state = {"i": 0}
+
+    def step() -> None:
+        i = state["i"] = (state["i"] + 1) % len(keys)
+        db.execute(sql, (keys[i],))
+
+    return _rate(step)
+
+
 def probe_insert_txns() -> float:
     """End-to-end host txns/sec of the paper's default workload.
 
@@ -298,6 +341,8 @@ PROBES = {
     "heapo_attach_per_sec": probe_heapo_attach,
     "ext4_append_fsync_per_sec": probe_ext4_append_fsync,
     "diff_compute_extents_per_sec": probe_diff_extents,
+    "btree_point_get_per_sec": probe_btree_point_get,
+    "sql_point_select_per_sec": probe_sql_point_select,
     "host_insert_txns_per_sec": probe_insert_txns,
     "telemetry_overhead_txns_per_sec": probe_telemetry_overhead,
 }
@@ -361,6 +406,14 @@ def test_simhost_ext4_append_fsync(benchmark):
 
 def test_simhost_diff(benchmark):
     _bench(benchmark, "diff_compute_extents_per_sec")
+
+
+def test_simhost_btree_point_get(benchmark):
+    _bench(benchmark, "btree_point_get_per_sec")
+
+
+def test_simhost_sql_point_select(benchmark):
+    _bench(benchmark, "sql_point_select_per_sec")
 
 
 def test_simhost_telemetry_overhead(benchmark):

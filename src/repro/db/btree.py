@@ -102,8 +102,8 @@ class BTree:
 
     def _resolve(self, leaf: SlottedPage, index: int) -> bytes:
         """Cell payload with overflow indirection resolved."""
-        payload = leaf.leaf_payload(index)
-        if leaf.leaf_flags(index) & CELL_FLAG_OVERFLOW:
+        _key, payload, flags = leaf.leaf_cell(index)
+        if flags & CELL_FLAG_OVERFLOW:
             return self._read_overflow_chain(payload)
         return payload
 
@@ -129,11 +129,7 @@ class BTree:
         pno = self.root
         page = self._page(pno)
         while not page.is_leaf:
-            index, exact = page.find(key)
-            if index < page.n_cells:
-                pno = page.interior_child(index)
-            else:
-                pno = page.aux
+            pno = page.child_for(key)
             page = self._page(pno)
         return pno
 
@@ -146,10 +142,12 @@ class BTree:
             index = leaf.find(start)[0] if lo is not None else 0
             lo = None  # only position within the first leaf
             for i in range(index, leaf.n_cells):
-                key = leaf.cell_key(i)
+                key, payload, flags = leaf.leaf_cell(i)
                 if hi is not None and key > hi:
                     return
-                yield key, self._resolve(leaf, i)
+                if flags & CELL_FLAG_OVERFLOW:
+                    payload = self._read_overflow_chain(payload)
+                yield key, payload
             pno = leaf.aux
 
     def count(self) -> int:
@@ -259,10 +257,7 @@ class BTree:
         """Split leaf ``pno`` and insert (key, payload) into the proper half."""
         self.pager.mark_dirty(pno)
         left = self._page(pno)
-        cells = [
-            (left.cell_key(i), left.leaf_payload(i), left.leaf_flags(i))
-            for i in range(left.n_cells)
-        ]
+        cells = [left.leaf_cell(i) for i in range(left.n_cells)]
         cells.append((key, payload, flags))
         cells.sort(key=lambda c: c[0])
         split_at = _byte_split_point(

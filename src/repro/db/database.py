@@ -76,6 +76,10 @@ class Database:
         self.system = system
         self.name = name
         self.auto_checkpoint = auto_checkpoint
+        # Charged once per statement / commit: resolve the lookups once.
+        self._compute = system.cpu.compute
+        self._statement_ns = system.config.db_costs.statement_ns
+        self._txn_base_ns = system.config.db_costs.txn_base_ns
         fs = system.fs
         if fs.exists(name):
             self.db_file = fs.open(name)
@@ -106,7 +110,14 @@ class Database:
         self.busy_handler = None
         self._tables_cache: dict[str, TableInfo] = {}
         self._indexes_cache: dict[str, IndexInfo] = {}
+        #: table name -> its indexes sorted by name, same cache generation.
+        self._indexes_on_cache: dict[str, list[IndexInfo]] = {}
         self._tables_cookie = -1
+        #: Counts catalog (re)loads.  Everything derived from a TableInfo
+        #: or IndexInfo (the executor's plans) is stale once this moves.
+        #: Not the cookie itself: a rolled-back DDL followed by a different
+        #: one lands on the same cookie value, but reloads in between.
+        self.catalog_generation = 0
 
     # ------------------------------------------------------------------
     # public API
@@ -118,9 +129,7 @@ class Database:
         Returns rows for SELECT, an affected-row count for writes.
         Outside an explicit transaction, writes autocommit.
         """
-        self.system.cpu.compute(
-            self.system.config.db_costs.statement_ns, TimeBucket.CPU
-        )
+        self._compute(self._statement_ns, TimeBucket.CPU)
         stmt = parse(sql)
         if isinstance(stmt, ast.Begin):
             self.begin()
@@ -180,9 +189,7 @@ class Database:
 
     def snapshot_query(self, sql: str, params: tuple = ()) -> list[tuple]:
         """Run one SELECT against the last-committed snapshot."""
-        self.system.cpu.compute(
-            self.system.config.db_costs.statement_ns, TimeBucket.CPU
-        )
+        self._compute(self._statement_ns, TimeBucket.CPU)
         stmt = parse(sql)
         if not isinstance(stmt, ast.Select):
             raise SqlError("snapshot_query() requires a SELECT statement")
@@ -263,9 +270,7 @@ class Database:
         if not self._in_explicit_txn:
             raise TransactionError("no transaction in progress")
         self._check_owner(owner)
-        self.system.cpu.compute(
-            self.system.config.db_costs.txn_base_ns, TimeBucket.CPU
-        )
+        self._compute(self._txn_base_ns, TimeBucket.CPU)
         if not self.wal.group_open:
             self.wal.group_begin()
         self.wal.group_append(
@@ -337,9 +342,7 @@ class Database:
         return result
 
     def _commit_pager_txn(self) -> None:
-        self.system.cpu.compute(
-            self.system.config.db_costs.txn_base_ns, TimeBucket.CPU
-        )
+        self._compute(self._txn_base_ns, TimeBucket.CPU)
         dirty = self.pager.dirty_pages()
         self.wal.write_transaction(dirty, pre_images=self.pager.pre_images())
         self.pager.commit_finish()
@@ -391,7 +394,11 @@ class Database:
                     ) from exc
         self._tables_cache = tables
         self._indexes_cache = indexes
+        self._indexes_on_cache = {name: [] for name in tables}
+        for _name, info in sorted(indexes.items()):
+            self._indexes_on_cache.setdefault(info.table, []).append(info)
         self._tables_cookie = cookie
+        self.catalog_generation += 1
         return tables, indexes
 
     def _load_tables(self) -> dict[str, TableInfo]:
@@ -470,11 +477,8 @@ class Database:
         """The indexes maintained on ``table_name``, sorted by name (a
         deterministic order so every WAL backend mutates index pages in
         the same sequence)."""
-        indexes = self._load_catalog()[1]
-        return sorted(
-            (i for i in indexes.values() if i.table == table_name),
-            key=lambda i: i.name,
-        )
+        self._load_catalog()
+        return list(self._indexes_on_cache.get(table_name, ()))
 
     def table_and_indexes(
         self, name: str
@@ -483,14 +487,10 @@ class Database:
 
         Statement execution uses this so a write costs exactly one
         schema-cookie page visit whether or not any index exists."""
-        tables, indexes = self._load_catalog()
+        tables, _indexes = self._load_catalog()
         if name not in tables:
             raise TableError(f"no such table: {name}")
-        on = sorted(
-            (i for i in indexes.values() if i.table == name),
-            key=lambda i: i.name,
-        )
-        return tables[name], on
+        return tables[name], self._indexes_on_cache[name]
 
     def index_tree(self, info: IndexInfo) -> IndexTree:
         """The B-tree holding an index's entries."""

@@ -40,6 +40,12 @@ SLOT_SIZE = 2
 
 _LEAF_CELL_HEADER = struct.Struct("<qHB")  # key, payload length, flags
 _INTERIOR_CELL = struct.Struct("<qI")  # key, child page number
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_read_u16 = _U16.unpack_from
+_read_u32 = _U32.unpack_from
+_read_key = struct.Struct("<q").unpack_from
+_read_leaf_header = _LEAF_CELL_HEADER.unpack_from
 
 #: Leaf-cell flag: the payload is an overflow stub
 #: (first overflow page u32 + total length u32), not the value itself.
@@ -52,6 +58,8 @@ class SlottedPage:
     The buffer is owned by the pager; this class only interprets and
     mutates it.
     """
+
+    __slots__ = ("data", "usable_size")
 
     def __init__(self, data: bytearray, usable_size: int | None = None):
         if usable_size is None:
@@ -86,8 +94,8 @@ class SlottedPage:
         self.data[1] = 0
         self._set_n_cells(0)
         self._set_content_start(self.usable_size)
-        struct.pack_into("<H", self.data, 6, 0)
-        struct.pack_into("<I", self.data, 8, 0)
+        _U16.pack_into(self.data, 6, 0)
+        _U32.pack_into(self.data, 8, 0)
 
     # ------------------------------------------------------------------
     # header accessors
@@ -101,32 +109,32 @@ class SlottedPage:
     @property
     def is_leaf(self) -> bool:
         """Whether this is a leaf page."""
-        return self.page_type == PAGE_TYPE_LEAF
+        return self.data[0] == PAGE_TYPE_LEAF
 
     @property
     def n_cells(self) -> int:
         """Number of cells on the page."""
-        return struct.unpack_from("<H", self.data, 2)[0]
+        return _read_u16(self.data, 2)[0]
 
     def _set_n_cells(self, n: int) -> None:
-        struct.pack_into("<H", self.data, 2, n)
+        _U16.pack_into(self.data, 2, n)
 
     @property
     def content_start(self) -> int:
         """Lowest offset of cell content."""
-        return struct.unpack_from("<H", self.data, 4)[0]
+        return _read_u16(self.data, 4)[0]
 
     def _set_content_start(self, offset: int) -> None:
-        struct.pack_into("<H", self.data, 4, offset)
+        _U16.pack_into(self.data, 4, offset)
 
     @property
     def aux(self) -> int:
         """Right-most child (interior) or next-leaf pointer (leaf)."""
-        return struct.unpack_from("<I", self.data, 8)[0]
+        return _read_u32(self.data, 8)[0]
 
     @aux.setter
     def aux(self, value: int) -> None:
-        struct.pack_into("<I", self.data, 8, value)
+        _U32.pack_into(self.data, 8, value)
 
     # ------------------------------------------------------------------
     # slots
@@ -137,16 +145,18 @@ class SlottedPage:
 
     def cell_offset(self, index: int) -> int:
         """Content offset of cell ``index``."""
-        if not 0 <= index < self.n_cells:
-            raise PageError(f"slot index {index} out of range (n={self.n_cells})")
-        return struct.unpack_from("<H", self.data, self._slot_offset(index))[0]
-
-    def _set_cell_offset(self, index: int, offset: int) -> None:
-        struct.pack_into("<H", self.data, self._slot_offset(index), offset)
+        data = self.data
+        n = _read_u16(data, 2)[0]
+        if not 0 <= index < n:
+            raise PageError(f"slot index {index} out of range (n={n})")
+        return _read_u16(data, HEADER_SIZE + SLOT_SIZE * index)[0]
 
     def free_space(self) -> int:
         """Bytes available for one more cell plus its slot."""
-        return self.content_start - (HEADER_SIZE + SLOT_SIZE * self.n_cells)
+        data = self.data
+        return _read_u16(data, 4)[0] - (
+            HEADER_SIZE + SLOT_SIZE * _read_u16(data, 2)[0]
+        )
 
     # ------------------------------------------------------------------
     # cell accessors
@@ -154,23 +164,25 @@ class SlottedPage:
 
     def cell_key(self, index: int) -> int:
         """Key of cell ``index``."""
+        return _read_key(self.data, self.cell_offset(index))[0]
+
+    def leaf_cell(self, index: int) -> tuple[int, bytes, int]:
+        """``(key, payload, flags)`` of leaf cell ``index`` off one header
+        decode (the payload is an overflow stub if flagged)."""
+        self._require_leaf()
         offset = self.cell_offset(index)
-        return struct.unpack_from("<q", self.data, offset)[0]
+        key, length, flags = _read_leaf_header(self.data, offset)
+        start = offset + _LEAF_CELL_HEADER.size
+        return key, bytes(self.data[start : start + length]), flags
 
     def leaf_payload(self, index: int) -> bytes:
         """Payload of leaf cell ``index`` (an overflow stub if flagged)."""
-        self._require_leaf()
-        offset = self.cell_offset(index)
-        key, length, _flags = _LEAF_CELL_HEADER.unpack_from(self.data, offset)
-        start = offset + _LEAF_CELL_HEADER.size
-        return bytes(self.data[start : start + length])
+        return self.leaf_cell(index)[1]
 
     def leaf_flags(self, index: int) -> int:
         """Flags byte of leaf cell ``index``."""
         self._require_leaf()
-        offset = self.cell_offset(index)
-        _key, _length, flags = _LEAF_CELL_HEADER.unpack_from(self.data, offset)
-        return flags
+        return _read_leaf_header(self.data, self.cell_offset(index))[2]
 
     def interior_child(self, index: int) -> int:
         """Child page number of interior cell ``index``."""
@@ -178,6 +190,17 @@ class SlottedPage:
         offset = self.cell_offset(index)
         _key, child = _INTERIOR_CELL.unpack_from(self.data, offset)
         return child
+
+    def child_for(self, key: int) -> int:
+        """The child page an interior page routes ``key`` to: the first
+        cell with ``key <= cell key``, else the right-most child."""
+        self._require_interior()
+        index, _exact = self.find(key)
+        data = self.data
+        if index == _read_u16(data, 2)[0]:
+            return _read_u32(data, 8)[0]
+        offset = _read_u16(data, HEADER_SIZE + SLOT_SIZE * index)[0]
+        return _INTERIOR_CELL.unpack_from(data, offset)[1]
 
     def keys(self) -> list[int]:
         """All keys in slot order."""
@@ -189,10 +212,15 @@ class SlottedPage:
 
     def find(self, key: int) -> tuple[int, bool]:
         """Binary search: (insertion index, exact match?)."""
-        lo, hi = 0, self.n_cells
+        # Every probed slot lies in [0, n_cells), so the range check
+        # cell_offset() makes for outside callers is not repeated here.
+        data = self.data
+        lo, hi = 0, _read_u16(data, 2)[0]
         while lo < hi:
             mid = (lo + hi) // 2
-            mid_key = self.cell_key(mid)
+            mid_key = _read_key(
+                data, _read_u16(data, HEADER_SIZE + SLOT_SIZE * mid)[0]
+            )[0]
             if mid_key < key:
                 lo = mid + 1
             elif mid_key > key:
@@ -267,10 +295,11 @@ class SlottedPage:
             ]
         self._set_content_start(cs + removed_size)
         # fix slot offsets of cells that moved
-        for i in range(self.n_cells):
-            offset = self.cell_offset(i)
+        data = self.data
+        for slot in range(HEADER_SIZE, slots_end - SLOT_SIZE, SLOT_SIZE):
+            offset = _read_u16(data, slot)[0]
             if offset < removed_offset:
-                self._set_cell_offset(i, offset + removed_size)
+                _U16.pack_into(data, slot, offset + removed_size)
 
     def update_leaf_payload(
         self, index: int, payload: bytes, flags: int = 0
@@ -317,7 +346,7 @@ class SlottedPage:
         self.data[slots_start + SLOT_SIZE : slots_end + SLOT_SIZE] = self.data[
             slots_start:slots_end
         ]
-        struct.pack_into("<H", self.data, slots_start, offset)
+        _U16.pack_into(self.data, slots_start, offset)
         self._set_n_cells(n + 1)
 
     def _cell_size_at(self, offset: int) -> int:
@@ -336,11 +365,11 @@ class SlottedPage:
             )
 
     def _require_leaf(self) -> None:
-        if not self.is_leaf:
+        if self.data[0] != PAGE_TYPE_LEAF:
             raise PageError("operation requires a leaf page")
 
     def _require_interior(self) -> None:
-        if self.is_leaf:
+        if self.data[0] == PAGE_TYPE_LEAF:
             raise PageError("operation requires an interior page")
 
     def __repr__(self) -> str:

@@ -25,8 +25,8 @@ from repro.storage.ext4 import File
 from repro.system import System
 
 _HEADER_MAGIC = 0x4E56_5741_4C44_4231  # "NVWALDB1"
-_HEADER_FMT = "<QIIIII"  # magic, page_size, n_pages, freelist, catalog_root, cookie
-_HEADER_SIZE = struct.calcsize(_HEADER_FMT)
+# magic, page_size, n_pages, freelist, catalog_root, cookie
+_HEADER = struct.Struct("<QIIIII")
 
 #: Bytes reserved at the tail of every page by the early-split optimization
 #: so that a 24-byte WAL frame header plus the page fit one filesystem block.
@@ -45,6 +45,9 @@ class Pager:
         self.system = system
         self.db_file = db_file
         self.page_size = system.page_size
+        # get_page runs once per B-tree page visit: resolve its charge once.
+        self._compute = system.cpu.compute
+        self._page_visit_ns = system.config.db_costs.btree_page_visit_ns
         self.early_split = early_split
         self.usable_size = self.page_size - (
             EARLY_SPLIT_RESERVE if early_split else 0
@@ -67,14 +70,12 @@ class Pager:
 
     def _format_header(self) -> None:
         page = bytearray(self.page_size)
-        struct.pack_into(
-            _HEADER_FMT, page, 0, _HEADER_MAGIC, self.page_size, 1, 0, 0, 0
-        )
+        _HEADER.pack_into(page, 0, _HEADER_MAGIC, self.page_size, 1, 0, 0, 0)
         self._pages[1] = page
 
     def _load_header(self) -> None:
         page = self.get_page(1)
-        magic, page_size, _n, _f, _c, _k = struct.unpack_from(_HEADER_FMT, page, 0)
+        magic, page_size, _n, _f, _c, _k = _HEADER.unpack_from(page, 0)
         if magic != _HEADER_MAGIC:
             raise DatabaseError("not a database file (bad header magic)")
         if page_size != self.page_size:
@@ -84,13 +85,13 @@ class Pager:
             )
 
     def _header_field(self, index: int) -> int:
-        return struct.unpack_from(_HEADER_FMT, self.get_page(1), 0)[index]
+        return _HEADER.unpack_from(self.get_page(1), 0)[index]
 
     def _set_header_field(self, index: int, value: int) -> None:
         self.mark_dirty(1)
-        fields = list(struct.unpack_from(_HEADER_FMT, self._pages[1], 0))
+        fields = list(_HEADER.unpack_from(self._pages[1], 0))
         fields[index] = value
-        struct.pack_into(_HEADER_FMT, self._pages[1], 0, *fields)
+        _HEADER.pack_into(self._pages[1], 0, *fields)
 
     @property
     def n_pages(self) -> int:
@@ -132,9 +133,7 @@ class Pager:
         """
         if pno < 1:
             raise PageError(f"invalid page number {pno}")
-        self.system.cpu.compute(
-            self.system.config.db_costs.btree_page_visit_ns, TimeBucket.CPU
-        )
+        self._compute(self._page_visit_ns, TimeBucket.CPU)
         page = self._pages.get(pno)
         if page is None:
             page = bytearray(self._read_from_file(pno))

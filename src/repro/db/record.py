@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 
-from repro.errors import DatabaseError
+from repro.errors import DatabaseError, SqlError
 
 Value = None | int | float | str | bytes
 
@@ -21,8 +21,20 @@ _TAG_REAL = 2
 _TAG_TEXT = 3
 _TAG_BLOB = 4
 
-#: SQL type names accepted by CREATE TABLE, mapped to a validator.
+_I64 = struct.Struct("<q")
+_F64 = struct.Struct("<d")
+_U16 = struct.Struct("<H")
+
+#: SQL type names accepted by CREATE TABLE.
 SQL_TYPES = ("INTEGER", "REAL", "TEXT", "BLOB")
+#: Declared type -> the Python types a non-NULL value of it may have.
+_PYTHON_TYPES = {
+    "INTEGER": int,
+    "REAL": (int, float),
+    "TEXT": str,
+    "BLOB": bytes,
+}
+_INT_MIN, _INT_MAX = -(2**63), 2**63 - 1
 
 
 def encode_value(value: Value) -> bytes:
@@ -31,18 +43,18 @@ def encode_value(value: Value) -> bytes:
         return bytes([_TAG_NULL])
     if isinstance(value, bool):
         # bools are ints in Python; store them as integers explicitly.
-        return bytes([_TAG_INT]) + struct.pack("<q", int(value))
+        return bytes([_TAG_INT]) + _I64.pack(int(value))
     if isinstance(value, int):
-        return bytes([_TAG_INT]) + struct.pack("<q", value)
+        return bytes([_TAG_INT]) + _I64.pack(value)
     if isinstance(value, float):
-        return bytes([_TAG_REAL]) + struct.pack("<d", value)
+        return bytes([_TAG_REAL]) + _F64.pack(value)
     if isinstance(value, str):
         raw = value.encode("utf-8")
         _check_length(len(raw))
-        return bytes([_TAG_TEXT]) + struct.pack("<H", len(raw)) + raw
+        return bytes([_TAG_TEXT]) + _U16.pack(len(raw)) + raw
     if isinstance(value, bytes):
         _check_length(len(value))
-        return bytes([_TAG_BLOB]) + struct.pack("<H", len(value)) + value
+        return bytes([_TAG_BLOB]) + _U16.pack(len(value)) + value
     raise DatabaseError(f"unsupported value type: {type(value).__name__}")
 
 
@@ -60,11 +72,11 @@ def decode_value(buf: bytes, offset: int) -> tuple[Value, int]:
     if tag == _TAG_NULL:
         return None, offset
     if tag == _TAG_INT:
-        return struct.unpack_from("<q", buf, offset)[0], offset + 8
+        return _I64.unpack_from(buf, offset)[0], offset + 8
     if tag == _TAG_REAL:
-        return struct.unpack_from("<d", buf, offset)[0], offset + 8
+        return _F64.unpack_from(buf, offset)[0], offset + 8
     if tag in (_TAG_TEXT, _TAG_BLOB):
-        length = struct.unpack_from("<H", buf, offset)[0]
+        length = _U16.unpack_from(buf, offset)[0]
         offset += 2
         raw = buf[offset : offset + length]
         offset += length
@@ -97,16 +109,13 @@ def decode_row(buf: bytes) -> tuple[Value, ...]:
 
 
 def validate_type(value: Value, sql_type: str, column: str) -> None:
-    """Check ``value`` against a declared column type (NULL always passes)."""
+    """Check ``value`` against a declared column type (NULL always passes).
+
+    An integer must also fit the signed 64 bits :func:`encode_value` stores
+    it in — whether it came from a literal, a parameter or arithmetic."""
     if value is None:
         return
-    expectations = {
-        "INTEGER": int,
-        "REAL": (int, float),
-        "TEXT": str,
-        "BLOB": bytes,
-    }
-    expected = expectations.get(sql_type)
+    expected = _PYTHON_TYPES.get(sql_type)
     if expected is None:
         raise DatabaseError(f"unknown SQL type {sql_type!r}")
     if not isinstance(value, expected):
@@ -114,3 +123,5 @@ def validate_type(value: Value, sql_type: str, column: str) -> None:
             f"type mismatch for column {column!r}: expected {sql_type}, "
             f"got {type(value).__name__}"
         )
+    if isinstance(value, int) and not _INT_MIN <= value <= _INT_MAX:
+        raise SqlError(f"integer out of range for column {column!r}: {value}")

@@ -1,330 +1,166 @@
-"""SQL statement execution against the storage engine."""
+"""SQL statement execution against the storage engine: prepare, bind, step.
+
+*Prepare* happens once per parsed statement and catalog generation: a
+plan object resolves every column reference to a position in the decoded
+row tuple, compiles the WHERE / SET / VALUES expressions to closures
+(:mod:`repro.db.sql.expr`), and picks out the conjuncts that can bound a
+primary-key range or a secondary-index probe.  *Bind* is what depends on
+the ``?`` values of one execution: the arity check and the actual bounds.
+*Step* walks the B-tree through the same ``BTree`` entry points, in the
+same order, as the interpreter it replaced — page visits are what the
+simulated clock charges, so a plan may save host work but never a visit.
+"""
 
 from __future__ import annotations
 
 from repro.db.index import index_key
 from repro.db.record import decode_row, encode_row, encode_value, validate_type
 from repro.db.sql import ast_nodes as ast
-from repro.errors import DatabaseError, KeyNotFound, SqlError
+from repro.db.sql import parser
+from repro.db.sql.expr import compile_expr
+from repro.errors import DatabaseError, SqlError
 
-_MIN_KEY = -(2**63)
-_MAX_KEY = 2**63 - 1
+#: One plan per statement the parse LRU can hold: past that the statements
+#: behind the oldest plans have been evicted and re-parsed anyway.
+_PLAN_LIMIT = parser.parse.cache_parameters()["maxsize"]
+
+_RANGE_OPS = ("=", "<", ">", "<=", ">=")
+_FLIP = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "=": "="}
 
 
-class Executor:
-    """Evaluates parsed statements.
+# ----------------------------------------------------------------------
+# plans
+# ----------------------------------------------------------------------
+
+
+class _Plan:
+    """What one statement needs that does not depend on its parameters;
+    valid for one generation of the database's catalog."""
+
+    def __init__(self, stmt, table, indexes, tree) -> None:
+        self.stmt = stmt  # pins id(stmt), the key this plan is filed under
+        self.table = table
+        self.tree = tree
+        self.columns = table.columns
+        self.names = [c.name for c in table.columns]
+        self.index_columns = [
+            (info, self.names.index(info.column)) for info in indexes
+        ]
+
+
+class _RowsPlan(_Plan):
+    """A statement that reads the rows matching a WHERE clause.
 
     The only access-path optimization is the one that matters for the
-    Mobibench workload: WHERE clauses constraining the INTEGER PRIMARY KEY
-    become point lookups or range scans; everything else is a full scan.
+    Mobibench workload: AND-ed comparisons constraining the INTEGER
+    PRIMARY KEY become point lookups or range scans, and failing that,
+    comparisons on an indexed column become an index probe; everything
+    else is a full scan.  Bounds only narrow the scan, they never replace
+    the filter, so inexact extraction stays correct.
     """
 
-    def __init__(self, database) -> None:
-        self.db = database
-
-    # ------------------------------------------------------------------
-    # dispatch
-    # ------------------------------------------------------------------
-
-    def run(self, stmt: ast.Statement, params: tuple) -> list[tuple] | int:
-        """Execute one (non-transaction-control) statement."""
-        if isinstance(stmt, ast.CreateTable):
-            return self._create_table(stmt)
-        if isinstance(stmt, ast.DropTable):
-            self.db.drop_table(stmt.name)
-            return 0
-        if isinstance(stmt, ast.CreateIndex):
-            if stmt.if_not_exists and self.db.index_exists(stmt.name):
-                return 0
-            self.db.create_index(stmt.name, stmt.table, stmt.column)
-            return 0
-        if isinstance(stmt, ast.DropIndex):
-            if stmt.if_exists and not self.db.index_exists(stmt.name):
-                return 0
-            self.db.drop_index(stmt.name)
-            return 0
-        if isinstance(stmt, ast.Insert):
-            return self._insert(stmt, params)
-        if isinstance(stmt, ast.Select):
-            return self._select(stmt, params)
-        if isinstance(stmt, ast.Update):
-            return self._update(stmt, params)
-        if isinstance(stmt, ast.Delete):
-            return self._delete(stmt, params)
-        raise SqlError(f"cannot execute {type(stmt).__name__} here")
-
-    def _create_table(self, stmt: ast.CreateTable) -> int:
-        if stmt.if_not_exists and self.db.table_exists(stmt.name):
-            return 0
-        self.db.create_table(stmt.name, stmt.columns)
-        return 0
-
-    # ------------------------------------------------------------------
-    # INSERT
-    # ------------------------------------------------------------------
-
-    def _insert(self, stmt: ast.Insert, params: tuple) -> int:
-        table, indexes = self.db.table_and_indexes(stmt.table)
-        names = [c.name for c in table.columns]
-        count = 0
-        for row_exprs in stmt.rows:
-            values = [_eval(e, None, params) for e in row_exprs]
-            if stmt.columns is not None:
-                if len(values) != len(stmt.columns):
-                    raise SqlError("VALUES arity does not match column list")
-                by_name = dict(zip(stmt.columns, values))
-                unknown = set(by_name) - set(names)
-                if unknown:
-                    raise SqlError(f"unknown columns {sorted(unknown)}")
-                values = [by_name.get(n) for n in names]
-            elif len(values) != len(names):
-                raise SqlError(
-                    f"table {table.name} has {len(names)} columns but "
-                    f"{len(values)} values were supplied"
-                )
-            for value, col in zip(values, table.columns):
-                validate_type(value, col.type, col.name)
-            key = self._key_for_insert(table, values)
-            if table.key_index is not None:
-                values[table.key_index] = key
-            tree = self.db.table_tree(table)
-            # INSERT OR REPLACE may silently overwrite: fetch the old
-            # row first so the victim's index entries can be retired.
-            old = tree.get(key) if (indexes and stmt.or_replace) else None
-            tree.insert(key, encode_row(values), replace=stmt.or_replace)
-            if old is not None:
-                self._index_remove_row(table, indexes, key, decode_row(old))
-            self._index_add_row(table, indexes, key, values)
-            count += 1
-        return count
-
-    def _index_add_row(self, table, indexes, key: int, values) -> None:
-        names = [c.name for c in table.columns]
-        for info in indexes:
-            self.db.index_tree(info).add(
-                values[names.index(info.column)], key
-            )
-
-    def _index_remove_row(self, table, indexes, key: int, values) -> None:
-        names = [c.name for c in table.columns]
-        for info in indexes:
-            self.db.index_tree(info).remove(
-                values[names.index(info.column)], key
-            )
-
-    def _key_for_insert(self, table, values: list) -> int:
-        if table.key_index is None:
-            return self.db.next_rowid(table)
-        key = values[table.key_index]
-        if key is None:
-            # SQLite semantics: NULL primary key auto-assigns max+1.
-            return self.db.next_rowid(table)
-        if not isinstance(key, int):
-            raise SqlError("PRIMARY KEY values must be integers")
-        return key
-
-    # ------------------------------------------------------------------
-    # SELECT
-    # ------------------------------------------------------------------
-
-    def _select(self, stmt: ast.Select, params: tuple) -> list[tuple]:
-        table, indexes = self.db.table_and_indexes(stmt.table)
-        names = [c.name for c in table.columns]
-        _validate_expr(stmt.where, names, params)
-        rows = list(self._matching_rows(table, indexes, stmt.where, params))
-        if stmt.aggregate is not None:
-            return [self._aggregate(stmt.aggregate, names, rows)]
-        if stmt.order_by is not None:
-            if stmt.order_by not in names:
-                raise SqlError(f"unknown ORDER BY column {stmt.order_by!r}")
-            idx = names.index(stmt.order_by)
-            # SQLite sorts NULLs first ascending (NULL is the smallest
-            # storage class), hence last when descending.
-            rows.sort(
-                key=lambda kv: (kv[1][idx] is not None, kv[1][idx]),
-                reverse=stmt.descending,
-            )
-        if stmt.limit is not None:
-            rows = rows[: stmt.limit]
-        if stmt.columns is None:
-            return [values for _key, values in rows]
-        indices = []
-        for name in stmt.columns:
-            if name not in names:
-                raise SqlError(f"unknown column {name!r}")
-            indices.append(names.index(name))
-        return [tuple(values[i] for i in indices) for _key, values in rows]
-
-    def _aggregate(
-        self, aggregate: tuple[str, str | None], names: list[str], rows
-    ) -> tuple:
-        """Evaluate COUNT/SUM/MIN/MAX/AVG over the matching rows.
-
-        SQL semantics: NULLs are skipped; SUM/MIN/MAX/AVG of no values is
-        NULL, COUNT of no rows is 0."""
-        func, column = aggregate
-        if func == "COUNT" and column is None:
-            return (len(rows),)
-        if column not in names:
-            raise SqlError(f"unknown column {column!r}")
-        idx = names.index(column)
-        values = [r[1][idx] for r in rows if r[1][idx] is not None]
-        if func == "COUNT":
-            return (len(values),)
-        if not values:
-            return (None,)
-        if func == "SUM":
-            return (sum(values),)
-        if func == "MIN":
-            return (min(values),)
-        if func == "MAX":
-            return (max(values),)
-        if func == "AVG":
-            return (sum(values) / len(values),)
-        raise SqlError(f"unknown aggregate {func}")
-
-    # ------------------------------------------------------------------
-    # UPDATE / DELETE
-    # ------------------------------------------------------------------
-
-    def _update(self, stmt: ast.Update, params: tuple) -> int:
-        table, indexes = self.db.table_and_indexes(stmt.table)
-        names = [c.name for c in table.columns]
-        for name, expr in stmt.assignments:
-            if name not in names:
-                raise SqlError(f"unknown column {name!r}")
-            _validate_expr(expr, names, params)
-        _validate_expr(stmt.where, names, params)
-        tree = self.db.table_tree(table)
-        matches = list(self._matching_rows(table, indexes, stmt.where, params))
-        # Key order keeps the mutation sequence identical whether the
-        # matches came off a table scan or a secondary-index probe.
-        matches.sort(key=lambda kv: kv[0])
-        count = 0
-        for key, values in matches:
-            row = dict(zip(names, values))
-            new_values = list(values)
-            for name, expr in stmt.assignments:
-                new_values[names.index(name)] = _eval(expr, row, params)
-            for value, col in zip(new_values, table.columns):
-                validate_type(value, col.type, col.name)
-            new_key = key
-            if table.key_index is not None:
-                new_key = new_values[table.key_index]
-                if not isinstance(new_key, int):
-                    raise SqlError("PRIMARY KEY values must be integers")
-            if new_key != key:
-                tree.delete(key)
-                tree.insert(new_key, encode_row(new_values))
-            else:
-                tree.update(key, encode_row(new_values))
-            for info in indexes:
-                idx = names.index(info.column)
-                old_v, new_v = values[idx], new_values[idx]
-                if new_key == key and encode_value(old_v) == encode_value(new_v):
-                    continue  # entry bytes unchanged, nothing to refile
-                itree = self.db.index_tree(info)
-                itree.remove(old_v, key)
-                itree.add(new_v, new_key)
-            count += 1
-        return count
-
-    def _delete(self, stmt: ast.Delete, params: tuple) -> int:
-        table, indexes = self.db.table_and_indexes(stmt.table)
-        _validate_expr(
-            stmt.where, [c.name for c in table.columns], params
+    def __init__(self, stmt, table, indexes, tree) -> None:
+        super().__init__(stmt, table, indexes, tree)
+        #: Expression columns resolve the way a name -> value dict of the
+        #: row would (the last of two same-named columns wins).
+        self.positions = {name: i for i, name in enumerate(self.names)}
+        # Bind-time checks, matching SQLite's prepare step: unknown
+        # columns and missing parameters are errors even when no row is
+        # ever scanned (e.g. the table is empty), so error behaviour
+        # cannot depend on data.  Collected by require() in expression
+        # order up to the first unknown column; raised by check_bind().
+        self._params_needed = 0
+        self._param_order: list[int] = []
+        self._bind_error: str | None = None
+        where = stmt.where
+        self.predicate = (
+            None if where is None else compile_expr(where, self.positions)
         )
-        tree = self.db.table_tree(table)
-        matches = list(self._matching_rows(table, indexes, stmt.where, params))
-        matches.sort(key=lambda kv: kv[0])
-        for key, values in matches:
-            tree.delete(key)
-            self._index_remove_row(table, indexes, key, values)
-        return len(matches)
+        conjuncts = [] if where is None else _conjuncts(where)
+        #: ``key <op> constant`` conjuncts as (op, constant).
+        self.key_bounds = []
+        if table.key_index is not None:
+            key_name = table.columns[table.key_index].name
+            for conj in conjuncts:
+                bound = _column_bound(conj, (key_name,))
+                if bound is not None:
+                    self.key_bounds.append(bound[1:])
+        #: ``indexed_column <op> constant`` conjuncts as (column, op, constant).
+        self.index_bounds = []
+        self.index_of = {}
+        for info in indexes:
+            self.index_of.setdefault(info.column, info)
+        for conj in conjuncts:
+            bound = _column_bound(conj, self.index_of)
+            if bound is not None:
+                self.index_bounds.append(bound)
 
-    # ------------------------------------------------------------------
-    # row access with key-range planning
-    # ------------------------------------------------------------------
+    def require_column(self, name: str) -> None:
+        if self._bind_error is None and name not in self.positions:
+            self._bind_error = f"unknown column {name!r}"
 
-    def _matching_rows(
-        self, table, indexes, where: ast.Expr | None, params: tuple
-    ):
-        """Yield (key, decoded_row) for rows matching ``where``."""
-        names = [c.name for c in table.columns]
-        tree = self.db.table_tree(table)
-        lo, hi, residual = self._plan_key_range(table, where, params)
-        if lo is None and hi is None and where is not None:
-            probe = self._plan_index_probe(table, indexes, where, params)
-            if probe is not None:
-                for key, values in probe:
-                    if _truthy(
-                        _eval(where, dict(zip(names, values)), params)
-                    ):
-                        yield key, values
-                return
-        for key, payload in tree.scan(lo, hi):
-            values = decode_row(payload)
-            if residual is None or _truthy(
-                _eval(residual, dict(zip(names, values)), params)
-            ):
-                yield key, values
+    def require(self, expr: ast.Expr | None) -> None:
+        """Queue the bind-time checks of ``expr``."""
+        if expr is None or self._bind_error is not None:
+            return
+        if isinstance(expr, ast.Column):
+            self.require_column(expr.name)
+        elif isinstance(expr, ast.Param):
+            if expr.index not in self._param_order:
+                self._param_order.append(expr.index)
+                self._params_needed = max(self._params_needed, expr.index + 1)
+        elif isinstance(expr, ast.UnaryOp):
+            self.require(expr.operand)
+        elif isinstance(expr, ast.BinOp):
+            self.require(expr.left)
+            self.require(expr.right)
 
-    def _plan_key_range(self, table, where: ast.Expr | None, params: tuple):
-        """Extract key bounds from AND-ed comparisons on the primary key.
+    def check_bind(self, params: tuple) -> None:
+        supplied = len(params)
+        if supplied < self._params_needed:
+            index = next(i for i in self._param_order if i >= supplied)
+            raise SqlError(
+                f"statement has parameter ?{index + 1} but only "
+                f"{supplied} values were supplied"
+            )
+        if self._bind_error is not None:
+            raise SqlError(self._bind_error)
 
-        Returns (lo, hi, residual_predicate); the residual still runs on
-        every scanned row (bounds only narrow the scan, they never replace
-        the filter, so inexact extraction stays correct).
-        """
-        if where is None or table.key_index is None:
-            return None, None, where
-        key_name = table.columns[table.key_index].name
-        lo: int | None = None
-        hi: int | None = None
-        for conj in _conjuncts(where):
-            bound = _key_bound(conj, key_name, params)
-            if bound is None:
+    def key_range(self, params: tuple) -> tuple[int | None, int | None]:
+        """Primary-key bounds (inclusive) this execution's constants give."""
+        lo = hi = None
+        for op, constant in self.key_bounds:
+            value = constant(None, params)
+            if not isinstance(value, int):
                 continue
-            op, value = bound
-            if op in ("=",):
+            if op == "=":
                 lo = value if lo is None else max(lo, value)
                 hi = value if hi is None else min(hi, value)
             elif op in (">", ">="):
                 adjusted = value + 1 if op == ">" else value
                 lo = adjusted if lo is None else max(lo, adjusted)
-            elif op in ("<", "<="):
+            else:
                 adjusted = value - 1 if op == "<" else value
                 hi = adjusted if hi is None else min(hi, adjusted)
-        return lo, hi, where
+        return lo, hi
 
-    # ------------------------------------------------------------------
-    # secondary-index access path
-    # ------------------------------------------------------------------
+    def index_probe(self, params: tuple):
+        """``(index, lo, hi)`` for a secondary-index probe, or None.
 
-    def _plan_index_probe(
-        self, table, indexes, where: ast.Expr, params: tuple
-    ):
-        """Candidate-row generator off a secondary index, or None.
-
-        Picks the indexed column whose AND-ed ``col <op> constant``
-        conjuncts narrow the index-key range the most.  The bounds are a
-        *superset* guarantee, never a filter: ``index_key`` is lossy, and
-        storage-class ordering means e.g. ``col > 5`` is true for every
-        TEXT value, so ``>``/``>=`` leave the upper bound open and
-        ``<``/``<=`` the lower one.  The caller re-applies the whole
-        WHERE predicate to every candidate.
+        Picks the indexed column whose conjuncts narrow the index-key
+        range the most.  The bounds are a *superset* guarantee, never a
+        filter: ``index_key`` is lossy, and storage-class ordering means
+        e.g. ``col > 5`` is true for every TEXT value, so ``>``/``>=``
+        leave the upper bound open and ``<``/``<=`` the lower one.  The
+        caller re-applies the whole WHERE predicate to every candidate.
         """
-        if not indexes:
-            return None
-        by_column = {}
-        for info in indexes:
-            by_column.setdefault(info.column, info)
         bounds: dict[str, list] = {}
-        for conj in _conjuncts(where):
-            hit = _index_bound(conj, by_column, params)
-            if hit is None:
+        for column, op, constant in self.index_bounds:
+            value = constant(None, params)
+            if value is None:
+                # ``col <op> NULL`` is never true; the predicate rejects
+                # every row anyway, so it plans nothing.
                 continue
-            column, op, value = hit
             lo, hi = bounds.setdefault(column, [None, None])
             key = index_key(value)
             if op == "=":
@@ -341,20 +177,93 @@ class Executor:
             sorted(bounds),
             key=lambda c: (bounds[c][0] is not None) + (bounds[c][1] is not None),
         )
-        info = by_column[column]
-        lo, hi = bounds[column]
+        return (self.index_of[column], *bounds[column])
 
-        def rows():
-            tree = self.db.table_tree(table)
-            for rowid in self.db.index_tree(info).rowids(lo, hi):
-                payload = tree.get(rowid)
-                if payload is None:
-                    raise DatabaseError(
-                        f"index {info.name} references missing row {rowid}"
-                    )
-                yield rowid, decode_row(payload)
 
-        return rows()
+class _SelectPlan(_RowsPlan):
+    def __init__(self, stmt: ast.Select, table, indexes, tree) -> None:
+        super().__init__(stmt, table, indexes, tree)
+        self.require(stmt.where)
+        #: Unknown output columns are reported only after the rows were
+        #: read, as the first of: aggregate argument, ORDER BY, projection.
+        self.late_error: str | None = None
+        self.aggregate = None
+        if stmt.aggregate is not None:
+            func, column = stmt.aggregate
+            if func not in _AGGREGATES:
+                raise SqlError(f"unknown aggregate {func}")
+            self.aggregate = (func, self._output(column, "unknown column"))
+        self.order_by = self._output(stmt.order_by, "unknown ORDER BY column")
+        self.descending = stmt.descending
+        self.limit = stmt.limit
+        self.projection = None
+        if stmt.columns is not None:
+            self.projection = [
+                self._output(name, "unknown column") for name in stmt.columns
+            ]
+
+    def _output(self, name: str | None, complaint: str) -> int | None:
+        if name is None:
+            return None
+        if name in self.names:
+            return self.names.index(name)
+        if self.late_error is None:
+            self.late_error = f"{complaint} {name!r}"
+        return None
+
+
+class _UpdatePlan(_RowsPlan):
+    def __init__(self, stmt: ast.Update, table, indexes, tree) -> None:
+        super().__init__(stmt, table, indexes, tree)
+        #: (position of the target column, compiled new-value expression)
+        self.assignments = []
+        for name, expr in stmt.assignments:
+            self.require_column(name)
+            self.require(expr)
+            if name in self.names:
+                self.assignments.append(
+                    (self.names.index(name), compile_expr(expr, self.positions))
+                )
+        self.require(stmt.where)
+
+
+class _DeletePlan(_RowsPlan):
+    def __init__(self, stmt: ast.Delete, table, indexes, tree) -> None:
+        super().__init__(stmt, table, indexes, tree)
+        self.require(stmt.where)
+
+
+class _InsertPlan(_Plan):
+    def __init__(self, stmt: ast.Insert, table, indexes, tree) -> None:
+        super().__init__(stmt, table, indexes, tree)
+        names = self.names
+        self.or_replace = stmt.or_replace
+        #: With a column list: for each table column, the position of its
+        #: value in the VALUES tuple (None: not listed, stored as NULL).
+        self.slots = None
+        unknown = None
+        if stmt.columns is not None:
+            listed = {name: i for i, name in enumerate(stmt.columns)}
+            self.slots = [listed.get(name) for name in names]
+            unknown = sorted(set(listed) - set(names))
+        #: Per VALUES tuple: its compiled expressions, and the shape error
+        #: to raise once they have been evaluated (VALUES expressions fail
+        #: row by row, after the rows before them went in).
+        self.rows = []
+        for row_exprs in stmt.rows:
+            error = None
+            if stmt.columns is not None:
+                if len(row_exprs) != len(stmt.columns):
+                    error = "VALUES arity does not match column list"
+                elif unknown:
+                    error = f"unknown columns {unknown}"
+            elif len(row_exprs) != len(names):
+                error = (
+                    f"table {table.name} has {len(names)} columns but "
+                    f"{len(row_exprs)} values were supplied"
+                )
+            fns = [compile_expr(e, None) for e in row_exprs]
+            self.rows.append((fns, error))
 
 
 def _conjuncts(expr: ast.Expr) -> list[ast.Expr]:
@@ -363,50 +272,23 @@ def _conjuncts(expr: ast.Expr) -> list[ast.Expr]:
     return [expr]
 
 
-def _key_bound(expr: ast.Expr, key_name: str, params: tuple):
-    """If ``expr`` is ``key <op> constant`` (either side), return
-    (normalized_op, int_value), else None."""
+def _column_bound(expr: ast.Expr, columns):
+    """If ``expr`` is ``column <op> constant`` (either side) for one of
+    ``columns``, return (column, normalized_op, compiled constant), else
+    None."""
     if not isinstance(expr, ast.BinOp):
         return None
-    flip = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "=": "="}
     op, left, right = expr.op, expr.left, expr.right
-    if isinstance(right, ast.Column) and right.name == key_name:
+    if isinstance(right, ast.Column) and right.name in columns:
         left, right = right, left
-        op = flip.get(op)
-    if op is None or not (isinstance(left, ast.Column) and left.name == key_name):
+        op = _FLIP.get(op)
+    if op not in _RANGE_OPS:
+        return None
+    if not (isinstance(left, ast.Column) and left.name in columns):
         return None
     if not _is_constant(right):
         return None
-    if op not in ("=", "<", ">", "<=", ">="):
-        return None
-    value = _eval(right, None, params)
-    if not isinstance(value, int):
-        return None
-    return op, value
-
-
-def _index_bound(expr: ast.Expr, by_column: dict, params: tuple):
-    """If ``expr`` is ``col <op> constant`` on an indexed column (either
-    side), return (column, normalized_op, value), else None.  NULL
-    constants plan nothing: ``col <op> NULL`` is never true, and the
-    residual predicate rejects every row anyway."""
-    if not isinstance(expr, ast.BinOp):
-        return None
-    flip = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "=": "="}
-    op, left, right = expr.op, expr.left, expr.right
-    if isinstance(right, ast.Column) and right.name in by_column:
-        left, right = right, left
-        op = flip.get(op)
-    if op not in ("=", "<", ">", "<=", ">="):
-        return None
-    if not (isinstance(left, ast.Column) and left.name in by_column):
-        return None
-    if not _is_constant(right):
-        return None
-    value = _eval(right, None, params)
-    if value is None:
-        return None
-    return left.name, op, value
+    return left.name, op, compile_expr(right, None)
 
 
 def _is_constant(expr: ast.Expr) -> bool:
@@ -417,139 +299,271 @@ def _is_constant(expr: ast.Expr) -> bool:
     return False
 
 
-def _truthy(value) -> bool:
-    """Collapse SQL three-valued logic to a WHERE decision: a row is kept
-    only when the predicate is true — both false and NULL reject it."""
-    return value is not None and bool(value)
+def _average(values: list):
+    return sum(values) / len(values)
 
 
-def _validate_expr(expr: ast.Expr | None, names: list[str], params: tuple):
-    """Bind-time checks, matching SQLite's prepare step: unknown columns
-    and missing parameters are errors even when no row is ever scanned
-    (e.g. the table is empty), so error behaviour cannot depend on data."""
-    if expr is None:
-        return
-    if isinstance(expr, ast.Column):
-        if expr.name not in names:
-            raise SqlError(f"unknown column {expr.name!r}")
-    elif isinstance(expr, ast.Param):
-        if expr.index >= len(params):
-            raise SqlError(
-                f"statement has parameter ?{expr.index + 1} but only "
-                f"{len(params)} values were supplied"
-            )
-    elif isinstance(expr, ast.UnaryOp):
-        _validate_expr(expr.operand, names, params)
-    elif isinstance(expr, ast.BinOp):
-        _validate_expr(expr.left, names, params)
-        _validate_expr(expr.right, names, params)
+#: Aggregate -> function of the non-NULL values (never called with none,
+#: except COUNT).
+_AGGREGATES = {
+    "COUNT": len, "SUM": sum, "MIN": min, "MAX": max, "AVG": _average,
+}
 
 
-#: SQLite storage-class ordering: NULL < numeric < TEXT < BLOB.  NULL is
-#: handled by the three-valued-logic short circuit before ranking.
-_STORAGE_RANK = {int: 1, float: 1, bool: 1, str: 2, bytes: 3}
+# ----------------------------------------------------------------------
+# executor
+# ----------------------------------------------------------------------
 
 
-def _cmp_values(left, right) -> int:
-    """Three-way compare under SQLite storage-class ordering.
+class Executor:
+    """Runs parsed statements against one database.
 
-    Values of different storage classes never compare equal; the class
-    rank alone decides (any number < any text < any blob).  Within a
-    class, Python's ordering matches SQLite's (numeric comparison,
-    memcmp for text/blob given our byte-for-byte encodings)."""
-    lrank = _STORAGE_RANK[type(left)]
-    rrank = _STORAGE_RANK[type(right)]
-    if lrank != rrank:
-        return -1 if lrank < rrank else 1
-    if left == right:
+    Plans are filed under the identity of the parsed statement (the parse
+    LRU hands every execution of one SQL text the same tree) and belong to
+    this executor, because they are bound to *this* database's catalog.
+    """
+
+    def __init__(self, database) -> None:
+        self.db = database
+        self._plans: dict[int, _Plan] = {}
+        self._plans_generation = 0
+
+    # ------------------------------------------------------------------
+    # dispatch
+    # ------------------------------------------------------------------
+
+    def run(self, stmt: ast.Statement, params: tuple) -> list[tuple] | int:
+        """Execute one (non-transaction-control) statement."""
+        entry = _STATEMENTS.get(type(stmt))
+        if entry is None:
+            raise SqlError(f"cannot execute {type(stmt).__name__} here")
+        plan_type, step = entry
+        if plan_type is None:
+            return step(self, stmt)
+        return step(self, self._prepare(stmt, plan_type), params)
+
+    def _prepare(self, stmt, plan_type) -> _Plan:
+        """The statement's plan against the catalog as it is now.
+
+        ``table_and_indexes`` is the statement's one schema-cookie page
+        visit, plan or no plan; when the cookie it read had moved, the
+        catalog was reloaded and every plan here is stale.
+        """
+        db = self.db
+        table, indexes = db.table_and_indexes(stmt.table)
+        plans = self._plans
+        if db.catalog_generation != self._plans_generation:
+            plans.clear()
+            self._plans_generation = db.catalog_generation
+        plan = plans.get(id(stmt))
+        if plan is None:
+            if len(plans) >= _PLAN_LIMIT:
+                plans.clear()
+            plan = plan_type(stmt, table, indexes, db.table_tree(table))
+            plans[id(stmt)] = plan
+        return plan
+
+    def _create_table(self, stmt: ast.CreateTable) -> int:
+        if stmt.if_not_exists and self.db.table_exists(stmt.name):
+            return 0
+        self.db.create_table(stmt.name, stmt.columns)
         return 0
-    return -1 if left < right else 1
 
+    def _drop_table(self, stmt: ast.DropTable) -> int:
+        self.db.drop_table(stmt.name)
+        return 0
 
-def _eval(expr: ast.Expr, row: dict | None, params: tuple):
-    """Evaluate an expression; ``row`` maps column names to values."""
-    if isinstance(expr, ast.Literal):
-        return expr.value
-    if isinstance(expr, ast.Param):
-        if expr.index >= len(params):
-            raise SqlError(
-                f"statement has parameter ?{expr.index + 1} but only "
-                f"{len(params)} values were supplied"
+    def _create_index(self, stmt: ast.CreateIndex) -> int:
+        if stmt.if_not_exists and self.db.index_exists(stmt.name):
+            return 0
+        self.db.create_index(stmt.name, stmt.table, stmt.column)
+        return 0
+
+    def _drop_index(self, stmt: ast.DropIndex) -> int:
+        if stmt.if_exists and not self.db.index_exists(stmt.name):
+            return 0
+        self.db.drop_index(stmt.name)
+        return 0
+
+    # ------------------------------------------------------------------
+    # INSERT
+    # ------------------------------------------------------------------
+
+    def _insert(self, plan: _InsertPlan, params: tuple) -> int:
+        table, tree, columns = plan.table, plan.tree, plan.columns
+        index_columns, or_replace = plan.index_columns, plan.or_replace
+        count = 0
+        for fns, error in plan.rows:
+            values = [fn(None, params) for fn in fns]
+            if error is not None:
+                raise SqlError(error)
+            if plan.slots is not None:
+                values = [
+                    None if slot is None else values[slot] for slot in plan.slots
+                ]
+            for value, col in zip(values, columns):
+                validate_type(value, col.type, col.name)
+            key = self._key_for_insert(table, values)
+            if table.key_index is not None:
+                values[table.key_index] = key
+            # INSERT OR REPLACE may silently overwrite: fetch the old
+            # row first so the victim's index entries can be retired.
+            old = tree.get(key) if (index_columns and or_replace) else None
+            tree.insert(key, encode_row(values), replace=or_replace)
+            if old is not None:
+                self._index_remove_row(index_columns, key, decode_row(old))
+            for info, position in index_columns:
+                self.db.index_tree(info).add(values[position], key)
+            count += 1
+        return count
+
+    def _index_remove_row(self, index_columns, key: int, values) -> None:
+        for info, position in index_columns:
+            self.db.index_tree(info).remove(values[position], key)
+
+    def _key_for_insert(self, table, values: list) -> int:
+        key = None if table.key_index is None else values[table.key_index]
+        if key is None:
+            # SQLite semantics: no (or a NULL) primary key auto-assigns
+            # max+1 — which the largest rowid leaves no room for.
+            key = self.db.next_rowid(table)
+            validate_type(key, "INTEGER", "rowid")
+        elif not isinstance(key, int):
+            raise SqlError("PRIMARY KEY values must be integers")
+        return key
+
+    # ------------------------------------------------------------------
+    # SELECT
+    # ------------------------------------------------------------------
+
+    def _select(self, plan: _SelectPlan, params: tuple) -> list[tuple]:
+        plan.check_bind(params)
+        rows = list(self._matching_rows(plan, params))
+        if plan.late_error is not None:
+            raise SqlError(plan.late_error)
+        if plan.aggregate is not None:
+            return [_aggregate(plan.aggregate, rows)]
+        position = plan.order_by
+        if position is not None:
+            # SQLite sorts NULLs first ascending (NULL is the smallest
+            # storage class), hence last when descending.
+            rows.sort(
+                key=lambda kv: (kv[1][position] is not None, kv[1][position]),
+                reverse=plan.descending,
             )
-        return params[expr.index]
-    if isinstance(expr, ast.Column):
-        if row is None:
-            raise SqlError(f"column {expr.name!r} not allowed here")
-        if expr.name not in row:
-            raise SqlError(f"unknown column {expr.name!r}")
-        return row[expr.name]
-    if isinstance(expr, ast.UnaryOp):
-        value = _eval(expr.operand, row, params)
-        if expr.op == "NOT":
-            # Three-valued logic: NOT NULL is NULL.
-            return None if value is None else not _truthy(value)
-        if expr.op == "-":
-            return -value if value is not None else None
-        raise SqlError(f"unknown unary operator {expr.op}")
-    if isinstance(expr, ast.BinOp):
-        return _eval_binop(expr, row, params)
-    raise SqlError(f"cannot evaluate {type(expr).__name__}")
+        if plan.limit is not None:
+            rows = rows[: plan.limit]
+        if plan.projection is None:
+            return [values for _key, values in rows]
+        return [
+            tuple(values[i] for i in plan.projection) for _key, values in rows
+        ]
+
+    # ------------------------------------------------------------------
+    # UPDATE / DELETE
+    # ------------------------------------------------------------------
+
+    def _update(self, plan: _UpdatePlan, params: tuple) -> int:
+        plan.check_bind(params)
+        table, tree, columns = plan.table, plan.tree, plan.columns
+        matches = list(self._matching_rows(plan, params))
+        # Key order keeps the mutation sequence identical whether the
+        # matches came off a table scan or a secondary-index probe.
+        matches.sort(key=lambda kv: kv[0])
+        count = 0
+        for key, values in matches:
+            new_values = list(values)
+            for position, expr in plan.assignments:
+                new_values[position] = expr(values, params)
+            for value, col in zip(new_values, columns):
+                validate_type(value, col.type, col.name)
+            new_key = key
+            if table.key_index is not None:
+                new_key = new_values[table.key_index]
+                if not isinstance(new_key, int):
+                    raise SqlError("PRIMARY KEY values must be integers")
+            if new_key != key:
+                tree.delete(key)
+                tree.insert(new_key, encode_row(new_values))
+            else:
+                tree.update(key, encode_row(new_values))
+            for info, position in plan.index_columns:
+                old_v, new_v = values[position], new_values[position]
+                if new_key == key and encode_value(old_v) == encode_value(new_v):
+                    continue  # entry bytes unchanged, nothing to refile
+                itree = self.db.index_tree(info)
+                itree.remove(old_v, key)
+                itree.add(new_v, new_key)
+            count += 1
+        return count
+
+    def _delete(self, plan: _DeletePlan, params: tuple) -> int:
+        plan.check_bind(params)
+        tree = plan.tree
+        matches = list(self._matching_rows(plan, params))
+        matches.sort(key=lambda kv: kv[0])
+        for key, values in matches:
+            tree.delete(key)
+            self._index_remove_row(plan.index_columns, key, values)
+        return len(matches)
+
+    # ------------------------------------------------------------------
+    # row access
+    # ------------------------------------------------------------------
+
+    def _matching_rows(self, plan: _RowsPlan, params: tuple):
+        """Yield (key, decoded_row) for the rows the plan's WHERE keeps:
+        both false and NULL reject a row (three-valued logic)."""
+        tree, predicate = plan.tree, plan.predicate
+        lo, hi = plan.key_range(params)
+        if lo is None and hi is None and plan.index_bounds:
+            probe = plan.index_probe(params)
+            if probe is not None:
+                info, index_lo, index_hi = probe
+                for rowid in self.db.index_tree(info).rowids(index_lo, index_hi):
+                    payload = tree.get(rowid)
+                    if payload is None:
+                        raise DatabaseError(
+                            f"index {info.name} references missing row {rowid}"
+                        )
+                    values = decode_row(payload)
+                    verdict = predicate(values, params)
+                    if verdict is not None and verdict:
+                        yield rowid, values
+                return
+        if predicate is None:
+            for key, payload in tree.scan(lo, hi):
+                yield key, decode_row(payload)
+            return
+        for key, payload in tree.scan(lo, hi):
+            values = decode_row(payload)
+            verdict = predicate(values, params)
+            if verdict is not None and verdict:
+                yield key, values
 
 
-def _eval_binop(expr: ast.BinOp, row: dict | None, params: tuple):
-    op = expr.op
-    if op in ("AND", "OR"):
-        # Three-valued logic with short circuit: false dominates AND,
-        # true dominates OR, NULL propagates otherwise.
-        left = _eval(expr.left, row, params)
-        lval = None if left is None else _truthy(left)
-        if op == "AND" and lval is False:
-            return False
-        if op == "OR" and lval is True:
-            return True
-        right = _eval(expr.right, row, params)
-        rval = None if right is None else _truthy(right)
-        if op == "AND":
-            if rval is False:
-                return False
-            return None if None in (lval, rval) else True
-        if rval is True:
-            return True
-        return None if None in (lval, rval) else False
-    left = _eval(expr.left, row, params)
-    if op == "IS NULL":
-        return left is None
-    right = _eval(expr.right, row, params)
-    if op in ("=", "!=", "<", ">", "<=", ">="):
-        # Comparing anything with NULL yields NULL (never true/false).
-        if left is None or right is None:
-            return None
-        c = _cmp_values(left, right)
-        return {
-            "=": c == 0,
-            "!=": c != 0,
-            "<": c < 0,
-            ">": c > 0,
-            "<=": c <= 0,
-            ">=": c >= 0,
-        }[op]
-    if left is None or right is None:
-        return None
-    if isinstance(left, (str, bytes)) or isinstance(right, (str, bytes)):
-        raise SqlError(f"cannot apply {op} to non-numeric operands")
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        # SQLite: division by zero is NULL, and integer division
-        # truncates toward zero (-7/2 = -3, not floor's -4).
-        if right == 0:
-            return None
-        if isinstance(left, float) or isinstance(right, float):
-            return left / right
-        q = abs(left) // abs(right)
-        return -q if (left < 0) != (right < 0) else q
-    raise SqlError(f"unknown operator {op}")
+def _aggregate(aggregate: tuple[str, int | None], rows) -> tuple:
+    """Evaluate COUNT/SUM/MIN/MAX/AVG over the matching rows.
+
+    SQL semantics: NULLs are skipped; SUM/MIN/MAX/AVG of no values is
+    NULL, COUNT of no rows is 0."""
+    func, position = aggregate
+    if position is None:
+        return (len(rows),)  # COUNT(*)
+    values = [r[1][position] for r in rows if r[1][position] is not None]
+    if not values and func != "COUNT":
+        return (None,)
+    return (_AGGREGATES[func](values),)
+
+
+#: Statement type -> (plan type or None for DDL, step function).
+_STATEMENTS = {
+    ast.CreateTable: (None, Executor._create_table),
+    ast.DropTable: (None, Executor._drop_table),
+    ast.CreateIndex: (None, Executor._create_index),
+    ast.DropIndex: (None, Executor._drop_index),
+    ast.Insert: (_InsertPlan, Executor._insert),
+    ast.Select: (_SelectPlan, Executor._select),
+    ast.Update: (_UpdatePlan, Executor._update),
+    ast.Delete: (_DeletePlan, Executor._delete),
+}

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from repro.errors import SqlError
 
@@ -16,14 +17,8 @@ KEYWORDS = {
     "VALUES", "WHERE",
 }
 
-_PUNCT = {
-    "(", ")", ",", "*", "?", "=", "+", "-", "/", ";",
-    "<", ">", "<=", ">=", "!=", "<>",
-}
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token."""
 
     kind: str  # "keyword" | "ident" | "int" | "float" | "string" | "punct" | "eof"
@@ -31,82 +26,62 @@ class Token:
     pos: int
 
 
+# One token per match: leading whitespace, then exactly one alternative, the
+# last of which takes whatever character no token can start with — so the
+# matches tile the text and finditer() never skips anything.
+# A string's closing quote may not be followed by another quote, which makes
+# the split into characters, '' escapes and terminator unique — the regex can
+# only find the decomposition a left-to-right reader finds.  Digits are ASCII
+# only (str.isdigit() also accepts superscripts and other Unicode digits that
+# int() rejects); a word is ``\w+`` here and must start with a letter or
+# underscore, checked in tokenize().
+_TOKEN = re.compile(
+    r"""\s*(?:
+        '(?P<string>[^']*(?:''[^']*)*)'(?!')
+      | (?P<number>[0-9]+(?:\.[0-9]*)?|\.[0-9]+)
+      | (?P<word>\w+)
+      | (?P<punct><=|>=|!=|<>|[(),*?=+\-/;<>])
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+    )""",
+    re.VERBOSE | re.DOTALL,
+)
+
+
 def tokenize(text: str) -> list[Token]:
     """Tokenize a SQL statement; raises :class:`SqlError` on bad input."""
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "'":
-            value, i = _read_string(text, i)
-            tokens.append(Token("string", value, i))
-            continue
-        if _is_digit(ch) or (ch == "." and i + 1 < n and _is_digit(text[i + 1])):
-            token, i = _read_number(text, i)
-            tokens.append(token)
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            upper = word.upper()
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        value = match.group(kind)
+        start = match.start(kind)
+        if kind == "word":
+            if not (value[0].isalpha() or value[0] == "_"):
+                raise _unexpected(value[0], start)
+            upper = value.upper()
             if upper in KEYWORDS:
                 tokens.append(Token("keyword", upper, start))
             else:
-                tokens.append(Token("ident", word, start))
-            continue
-        two = text[i : i + 2]
-        if two in _PUNCT:
-            tokens.append(Token("punct", two, i))
-            i += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token("punct", ch, i))
-            i += 1
-            continue
-        raise SqlError(f"unexpected character {ch!r} at position {i}")
-    tokens.append(Token("eof", None, n))
-    return tokens
+                tokens.append(Token("ident", value, start))
+        elif kind == "punct":
+            tokens.append(Token("punct", value, start))
+        elif kind == "number":
+            if "." in value:
+                tokens.append(Token("float", float(value), start))
+            else:
+                tokens.append(Token("int", int(value), start))
+        elif kind == "string":
+            # A string token's position is where the string *ends*.
+            tokens.append(Token("string", value.replace("''", "'"), match.end()))
+        elif kind == "eof":
+            tokens.append(Token("eof", None, start))
+            return tokens
+        elif value == "'":
+            raise SqlError(f"unterminated string starting at position {start}")
+        else:
+            raise _unexpected(value, start)
+    raise AssertionError("unreachable: the eof alternative matches at the end")
 
 
-def _read_string(text: str, i: int) -> tuple[str, int]:
-    """Read a '...'-quoted string with '' escaping."""
-    start = i
-    i += 1
-    parts: list[str] = []
-    while i < len(text):
-        ch = text[i]
-        if ch == "'":
-            if i + 1 < len(text) and text[i + 1] == "'":
-                parts.append("'")
-                i += 2
-                continue
-            return "".join(parts), i + 1
-        parts.append(ch)
-        i += 1
-    raise SqlError(f"unterminated string starting at position {start}")
-
-
-def _is_digit(ch: str) -> bool:
-    """ASCII digits only — str.isdigit() also accepts superscripts and
-    other Unicode digits that int() rejects."""
-    return "0" <= ch <= "9"
-
-
-def _read_number(text: str, i: int) -> tuple[Token, int]:
-    start = i
-    n = len(text)
-    seen_dot = False
-    while i < n and (_is_digit(text[i]) or (text[i] == "." and not seen_dot)):
-        if text[i] == ".":
-            seen_dot = True
-        i += 1
-    raw = text[start:i]
-    if seen_dot:
-        return Token("float", float(raw), start), i
-    return Token("int", int(raw), start), i
+def _unexpected(ch: str, pos: int) -> SqlError:
+    return SqlError(f"unexpected character {ch!r} at position {pos}")

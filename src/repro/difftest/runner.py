@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 from repro.config import tuna
 from repro.db.database import Database
 from repro.db.record import decode_row
-from repro.db.sql.executor import Executor, _eval, _truthy
+from repro.db.sql.executor import Executor
 from repro.difftest.grammar import Stmt
 from repro.difftest.oracles import (
     Outcome,
@@ -78,17 +78,14 @@ class _SabotagedExecutor(Executor):
     scan — extra rows leak into every SELECT/UPDATE/DELETE whose
     predicate is wider than its key range."""
 
-    def _matching_rows(self, table, indexes, where, params):
-        names = [c.name for c in table.columns]
-        tree = self.db.table_tree(table)
-        lo, hi, residual = self._plan_key_range(table, where, params)
+    def _matching_rows(self, plan, params):
+        lo, hi = plan.key_range(params)
+        residual = plan.predicate
         if lo is not None or hi is not None:
             residual = None  # the bug: bounds treated as the whole filter
-        for key, payload in tree.scan(lo, hi):
+        for key, payload in plan.tree.scan(lo, hi):
             values = decode_row(payload)
-            if residual is None or _truthy(
-                _eval(residual, dict(zip(names, values)), params)
-            ):
+            if residual is None or residual(values, params):
                 yield key, values
 
 

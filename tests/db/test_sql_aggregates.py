@@ -56,6 +56,17 @@ class TestAggregates:
         with pytest.raises(SqlError):
             sales.query("SELECT SUM(ghost) FROM sales")
 
+    def test_unknown_order_by_column_under_an_aggregate(self, sales):
+        """ORDER BY is resolved even though one aggregate row has nothing
+        to sort: SQLite says "no such column", and so do we."""
+        for query in (
+            "SELECT COUNT(*) FROM sales ORDER BY nope",
+            "SELECT SUM(amount) FROM sales WHERE id > 100 ORDER BY nope DESC",
+        ):
+            with pytest.raises(SqlError, match="unknown ORDER BY column 'nope'"):
+                sales.query(query)
+        assert sales.query("SELECT COUNT(*) FROM sales ORDER BY region") == [(5,)]
+
     def test_star_only_for_count(self, sales):
         with pytest.raises(SqlError):
             sales.query("SELECT SUM(*) FROM sales")

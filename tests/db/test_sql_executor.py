@@ -192,3 +192,50 @@ class TestHiddenRowid:
         db.execute("INSERT INTO log VALUES ('first')")
         db.execute("INSERT INTO log VALUES ('second')")
         assert db.query("SELECT message FROM log") == [("first",), ("second",)]
+
+
+class TestIntegerRange:
+    """An INTEGER outside the signed 64 bits a record stores is a
+    ``SqlError`` raised before any page is dirtied — it used to reach
+    ``struct.pack`` and escape the error taxonomy as ``struct.error``."""
+
+    ROUTES = [
+        ("INSERT INTO people VALUES (99999999999999999999, 'x', 1)", ()),
+        ("INSERT INTO people VALUES (?, 'x', 1)", (2**63,)),
+        ("INSERT INTO people VALUES (4, 'x', ?)", (-(2**63) - 1,)),
+        ("UPDATE people SET age = ? WHERE id = 1", (2**63,)),
+        ("UPDATE people SET age = age * 9223372036854775807 * 4", ()),
+    ]
+
+    @pytest.mark.parametrize("sql, params", ROUTES)
+    def test_out_of_range_is_a_clean_sql_error(self, people, sql, params):
+        before = people.dump_table("people")
+        pages = [people.pager.page_image(p) for p in range(1, people.pager.n_pages + 1)]
+        with pytest.raises(SqlError, match="integer out of range"):
+            people.execute(sql, params)
+        assert people.dump_table("people") == before
+        assert pages == [
+            people.pager.page_image(p) for p in range(1, people.pager.n_pages + 1)
+        ]
+        people.check_integrity()
+
+    def test_the_extremes_still_fit(self, people):
+        people.execute(
+            "INSERT INTO people VALUES (?, 'edge', ?)", (2**63 - 1, -(2**63))
+        )
+        assert people.query("SELECT age FROM people WHERE id = ?", (2**63 - 1,)) == [
+            (-(2**63),)
+        ]
+
+    def test_auto_rowid_past_the_largest_key(self, people):
+        people.execute("INSERT INTO people VALUES (?, 'last', 1)", (2**63 - 1,))
+        with pytest.raises(SqlError, match="integer out of range"):
+            people.execute("INSERT INTO people (name) VALUES ('one more')")
+        people.check_integrity()
+
+    def test_real_column_rejects_an_unstorable_integer(self, system):
+        db = make_nvwal_db(system)
+        db.execute("CREATE TABLE m (id INTEGER PRIMARY KEY, x REAL)")
+        with pytest.raises(SqlError, match="integer out of range"):
+            db.execute("INSERT INTO m VALUES (1, ?)", (2**64,))
+        assert db.query("SELECT COUNT(*) FROM m") == [(0,)]
