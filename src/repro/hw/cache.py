@@ -16,15 +16,18 @@ commit mark.
 
 Semantics are per line; the representation is per extent.  Resident bytes
 live in a sparse arena of :data:`CHUNK`-byte buffers, residency is one
-integer bitmask per chunk, and dirty age is an insertion-ordered dict of line
-base addresses, so a store is a slice assignment plus bulk set/dict updates
-and whatever leaves the cache leaves as a :class:`LineRun` — adjacent lines
-that travel together, the unit NVWAL hands the hardware (Section 4.2).
+integer bitmask per chunk, and dirty age is a list of line-aligned
+``(start, stop)`` extents, oldest first: a list position *is* an age, and
+address order inside an extent is the order inside that age.  Log frames are
+bump-allocated, so the whole dirty set is one to three extents almost all of
+the time and a linear scan of that list is the entire index.  A store is a
+slice assignment plus one cut-and-append on the list, and whatever leaves
+the cache leaves as a :class:`LineRun` — adjacent lines that travel
+together, the unit NVWAL hands the hardware (Section 4.2).
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
 from repro.config import CacheConfig
@@ -61,6 +64,18 @@ def bit_runs(bits: int) -> Iterator[tuple[int, int]]:
         pos += ones
 
 
+def by_address(extents: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Disjoint ``(start, stop)`` extents in address order, with extents
+    that touch joined into one."""
+    merged: list[tuple[int, int]] = []
+    for lo, hi in sorted(extents):
+        if merged and merged[-1][1] == lo:
+            merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
 class CacheHierarchy:
     """The (volatile) L1/L2 overlay in front of the NVRAM device."""
 
@@ -77,10 +92,11 @@ class CacheHierarchy:
         self._chunks: dict[int, bytearray] = {}
         # chunk index -> bitmask of resident lines (bit i = i-th line)
         self._resident: dict[int, int] = {}
-        # line base addresses whose overlay contents differ from what has
-        # been handed to the flush pipeline / device; dict used as an
-        # insertion-ordered set so eviction can pick the oldest dirty line
-        self._dirty: dict[int, None] = {}
+        # line-aligned (start, stop) extents whose overlay contents differ
+        # from what has been handed to the flush pipeline / device: pairwise
+        # disjoint, oldest first, so eviction takes from the front
+        self._dirty: list[tuple[int, int]] = []
+        self._dirty_lines = 0
 
     # -- geometry -----------------------------------------------------------
 
@@ -168,12 +184,16 @@ class CacheHierarchy:
             )
             pos += take
 
+        self.undirty(first, stop)  # re-dirtied lines move to the young end
         dirty = self._dirty
-        bases = range(first, stop, line_size)
-        if not dirty.keys().isdisjoint(bases):
-            for base in bases:  # re-dirtied lines move to the young end
-                dirty.pop(base, None)
-        dirty.update(dict.fromkeys(bases))
+        if dirty and dirty[-1][1] == first:
+            # Address successor of the youngest extent: the same age order
+            # as one longer extent.  (Adjacent to an *older* extent is not:
+            # younger lines sit between the two in age.)
+            dirty[-1] = (dirty[-1][0], stop)
+        else:
+            dirty.append((first, stop))
+        self._dirty_lines += (stop - first) // line_size
 
     def load(self, addr: int, length: int) -> bytes:
         """Read the *volatile view*: cache contents where present, durable
@@ -220,73 +240,104 @@ class CacheHierarchy:
 
     def snapshot(self, start: int, stop: int) -> bytes:
         """Contents of the resident lines [start, stop) (line-aligned)."""
-        parts = [
+        index, offset = divmod(start, CHUNK)
+        end = offset + stop - start
+        if end <= CHUNK:
+            return bytes(memoryview(self._chunks[index])[offset:end])
+        return b"".join(
             memoryview(self._chunks[index])[offset : offset + take]
             for index, offset, take in self._pieces(start, stop)
-        ]
-        return bytes(parts[0]) if len(parts) == 1 else b"".join(parts)
+        )
 
-    def _snapshot_runs(self, bases: Iterable[int]) -> list[LineRun]:
-        """Coalesce ``bases`` into runs, preserving their order: a line
-        joins the run before it only when it is also its address
-        successor, so the runs flattened line by line spell ``bases``."""
-        line_size = self.line_size
-        runs = []
-        start = stop = -1
-        for base in bases:
-            if base != stop:
-                if start >= 0:
-                    runs.append(LineRun(start, self.snapshot(start, stop)))
-                start = base
-            stop = base + line_size
-        if start >= 0:
-            runs.append(LineRun(start, self.snapshot(start, stop)))
-        return runs
+    def _runs(self, extents: Iterable[tuple[int, int]]) -> list[LineRun]:
+        """One snapshot run per extent, in the order given."""
+        return [LineRun(lo, self.snapshot(lo, hi)) for lo, hi in extents]
+
+    def undirty(self, first: int, stop: int) -> list[tuple[int, int]]:
+        """Cut the lines [first, stop) (line-aligned) out of the dirty set
+        and return the pieces that were dirty, oldest first.
+
+        What is left of an overlapped extent stays where it was: a cut in
+        the middle leaves both remainders at the old age.
+        """
+        kept = []
+        pieces = []
+        removed = 0
+        for extent in self._dirty:
+            lo, hi = extent
+            if hi <= first or stop <= lo:
+                kept.append(extent)
+                continue
+            if lo < first:
+                kept.append((lo, first))
+                lo = first
+            if stop < hi:
+                kept.append((stop, hi))
+                hi = stop
+            pieces.append((lo, hi))
+            removed += hi - lo
+        if pieces:
+            self._dirty = kept
+            self._dirty_lines -= removed // self.line_size
+        return pieces
 
     def clean_range(self, addr: int, length: int) -> list[LineRun]:
-        """Snapshot the dirty lines overlapping [addr, addr+length) for the
-        flush pipeline and mark them clean.
+        """Snapshot the dirty lines overlapping [addr, addr+length), in
+        address order, for the flush pipeline and mark them clean.
 
         A store issued afterwards re-dirties its lines; flushing a clean
         line moves no data (the instruction still costs time).
         """
-        dirty = self._dirty
-        bases = [base for base in self.lines_covering(addr, length) if base in dirty]
-        for base in bases:
-            del dirty[base]
-        return self._snapshot_runs(bases)
+        if length <= 0:
+            return []
+        end = addr + length
+        stop = end + (-end % self.line_size)
+        return self._runs(by_address(self.undirty(self.line_base(addr), stop)))
 
     def clean_all(self) -> list[LineRun]:
         """Snapshot every dirty line, in address order, and mark it clean."""
-        bases = sorted(self._dirty)
-        self._dirty.clear()
-        return self._snapshot_runs(bases)
+        runs = self._runs(by_address(self._dirty))
+        self._dirty = []
+        self._dirty_lines = 0
+        return runs
 
     def evict_oldest(self, count: int) -> list[LineRun]:
         """Write-back eviction: remove and return the ``count`` oldest
-        dirty lines, oldest first.
+        dirty lines, oldest first — whole extents off the front of the
+        list, then the head of the extent the count runs out in.
 
         Models capacity pressure in L1/L2: lines dirtied long ago migrate
         toward memory on their own, which is what lets lazy synchronization
         mask most of its flush latency behind memcpy (Section 5.1).
         """
         dirty = self._dirty
-        bases = list(islice(dirty, count))
-        for base in bases:
-            del dirty[base]
-        return self._snapshot_runs(bases)
+        line_size = self.line_size
+        left = count  # lines still to take
+        taken = []
+        while left > 0 and dirty:
+            lo, hi = dirty[0]
+            cut = min(hi, lo + left * line_size)
+            if cut < hi:
+                dirty[0] = (cut, hi)
+            else:
+                del dirty[0]
+            taken.append((lo, cut))
+            left -= (cut - lo) // line_size
+        self._dirty_lines -= count - left
+        return self._runs(taken)
 
     def dirty_runs(self) -> list[LineRun]:
         """Snapshot of all dirty lines, oldest first (used by the crash
         controller)."""
-        return self._snapshot_runs(self._dirty)
+        return self._runs(self._dirty)
 
     def drop_all(self) -> None:
         """Discard the entire overlay — what a power failure does."""
         self._chunks.clear()
         self._resident.clear()
-        self._dirty.clear()
+        self._dirty = []
+        self._dirty_lines = 0
 
     def dirty_line_count(self) -> int:
         """Number of currently dirty lines."""
-        return len(self._dirty)
+        return self._dirty_lines

@@ -19,6 +19,12 @@ pipeline completes a full ``write_latency`` later.  ``dmb`` waits for the
 last completion and therefore drains the pipeline — which is precisely why
 eager synchronization (flush + barrier per log entry, Figure 4b) is slower
 than lazy synchronization (batched flushes, one barrier, Figure 4c).
+
+That model is stated per instruction; the host does the bookkeeping per
+range.  A flush call cuts the dirty part of its range out of the cache's
+age-ordered extent list in one step and queues it run by run; the only work
+left per line is the time arithmetic, whose float additions have to happen
+one at a time, in instruction order, to stay bit-exact.
 """
 
 from __future__ import annotations
@@ -27,13 +33,13 @@ import random
 
 from repro.config import SystemConfig
 from repro.hw import stats as statnames
-from repro.hw.cache import CacheHierarchy, LineRun
+from repro.hw.cache import CacheHierarchy, LineRun, by_address
 from repro.hw.clock import SimClock
 from repro.hw.memory import NvramDevice
 from repro.hw.stats import Stats, TimeBucket
 
-#: Raw Counter key for the dccmvac time bucket, hoisted out of the batched
-#: flush loop (enum attribute access is measurable at this call volume).
+#: Raw Counter key for the dccmvac time bucket, hoisted out of the flush
+#: routine (enum attribute access is measurable at this call volume).
 _DCCMVAC_KEY = TimeBucket.DCCMVAC.value
 
 
@@ -149,8 +155,9 @@ class Cpu:
     # flush instructions
     # ------------------------------------------------------------------
 
-    def dccmvac(self, line_base: int) -> None:
-        """Issue one non-blocking cache-line flush (clean to PoC by MVA).
+    def dccmvac(self, addr: int) -> None:
+        """Issue one non-blocking cache-line flush (clean to PoC by MVA)
+        for the line containing ``addr``.
 
         Flushing a *clean* line (e.g. one that capacity eviction already
         wrote back during memcpy) costs only the instruction.  Flushing a
@@ -161,7 +168,8 @@ class Cpu:
         synchronization, which always flushes cache-hot lines, pays full
         price (Section 5.1, Figure 5).
         """
-        self._dccmvac_lines(line_base, line_base + self.config.cache.line_size)
+        base = self.cache.line_base(addr)
+        self._dccmvac_lines(base, base + self.config.cache.line_size)
 
     def cache_line_flush(self, start: int, end: int) -> None:
         """The Algorithm 2 system call: flush every line in [start, end).
@@ -176,81 +184,78 @@ class Cpu:
         self.stats.add_time(TimeBucket.SYSCALL, self.config.cache.syscall_ns)
         self.stats.count(statnames.FLUSH_CALLS)
         if end > start:
-            self._dccmvac_lines(self.cache.line_base(start), end)
+            line_size = self.config.cache.line_size
+            self._dccmvac_lines(
+                self.cache.line_base(start), end + (-end % line_size)
+            )
 
     def _dccmvac_lines(self, first: int, stop: int) -> None:
-        """Issue ``dccmvac`` for the lines at [first, stop), ``first`` a
-        line base.
+        """Issue ``dccmvac`` for the lines [first, stop), line-aligned.
 
-        Time is charged line by line (the pipeline interval need not be an
-        integer, so no closed form is bit-exact), while the data moves by
-        run: adjacent dirty lines enter the memory subsystem as one
-        :class:`LineRun`.  Every instruction is a crash-injection step;
-        before an armed hook runs, the open run is queued and the clock,
-        stats and pipeline state are written back, so a power failure it
-        raises sees exactly the lines flushed so far.
+        Every instruction is a crash-injection step, so an armed hook
+        drives the range one line at a time: each call below writes the
+        clock, stats and pipeline state back and queues what it flushed,
+        and a power failure the hook raises therefore sees exactly the
+        lines flushed so far.
         """
-        dirty = self.cache._dirty
+        hook = self.crash_hook
+        if hook is None:
+            self._flush_lines(first, stop)
+            return
+        line_size = self.config.cache.line_size
+        for base in range(first, stop, line_size):
+            hook("dccmvac")
+            self._flush_lines(base, base + line_size)
+
+    def _flush_lines(self, first: int, stop: int) -> None:
+        """Charge and queue the flushes of the lines [first, stop).
+
+        The data moves by run: the dirty part of the range is cut out of
+        the cache's dirty set in one call and each run of adjacent dirty
+        lines enters the memory subsystem as one :class:`LineRun`.  Time
+        is charged line by line, clean gap / dirty run / clean gap in
+        address order: the pipeline interval need not be an integer, so
+        only the same additions in the same order are bit-exact.
+        """
         cache_cfg = self.config.cache
         line_size = cache_cfg.line_size
         issue = cache_cfg.flush_issue_ns
         latency = self.config.nvram.write_latency_ns
         interval = latency / cache_cfg.pipeline_depth
-        hook = self.crash_hook
         now = self.clock.now_ns
         dccmvac_ns = self.stats.time_ns[_DCCMVAC_KEY]
         last = self._pipeline_last_completion
-        issued = 0
-        run = -1  # base of the open run of flushed lines, -1 when none
 
-        for base in range(first, stop, line_size):
-            if hook is not None:
-                if issued:
-                    if run >= 0:
-                        self._enqueue_flushed(run, base, last)
-                        run = -1
-                    self._retire_flushes(issued, now, dccmvac_ns, last)
-                    issued = 0
-                hook("dccmvac")
-            issued += 1
+        runs = by_address(self.cache.undirty(first, stop))
+        at = first
+        for lo, hi in runs:
+            for _ in range(at, lo, line_size):
+                # Flushing a clean line costs the instruction, moves no data.
+                now += issue
+                dccmvac_ns += issue
+            for _ in range(lo, hi, line_size):
+                now += issue
+                dccmvac_ns += issue
+                now += interval  # injection backpressure
+                dccmvac_ns += interval
+                if last <= now:
+                    last = now + latency
+                else:
+                    last += interval
+            self.pending.append(LineRun(lo, self.cache.snapshot(lo, hi)))
+            at = hi
+        for _ in range(at, stop, line_size):
             now += issue
             dccmvac_ns += issue
-            if base not in dirty:
-                # Flushing a clean line costs the instruction, moves no data.
-                if run >= 0:
-                    self._enqueue_flushed(run, base, last)
-                    run = -1
-                continue
-            del dirty[base]
-            if run < 0:
-                run = base
-            now += interval  # injection backpressure
-            dccmvac_ns += interval
-            if last <= now:
-                last = now + latency
-            else:
-                last += interval
 
-        if run >= 0:
-            self._enqueue_flushed(run, base + line_size, last)
-        self._retire_flushes(issued, now, dccmvac_ns, last)
-
-    def _retire_flushes(
-        self, issued: int, now: float, dccmvac_ns: float, last: float
-    ) -> None:
-        """Write the flush loop's running totals back after ``issued``
-        instructions."""
         self.clock.now_ns = now
         self.stats.time_ns[_DCCMVAC_KEY] = dccmvac_ns
-        self.stats.count(statnames.FLUSHES, issued)
+        self.stats.count(statnames.FLUSHES, (stop - first) // line_size)
         self._pipeline_last_completion = last
-
-    def _enqueue_flushed(self, start: int, stop: int, completion: float) -> None:
-        """Queue the just-flushed lines [start, stop); ``completion`` is
-        when the last (hence latest) of them reaches the memory subsystem."""
-        self.pending.append(LineRun(start, self.cache.snapshot(start, stop)))
-        if completion > self._pending_max_completion:
-            self._pending_max_completion = completion
+        # Completions only move forward, so the last line flushed is the
+        # latest thing in the queue.
+        if runs and last > self._pending_max_completion:
+            self._pending_max_completion = last
 
     # ------------------------------------------------------------------
     # barriers

@@ -43,6 +43,8 @@ class UserHeap:
         self.blocks: list[NvAllocation] = []
         #: Bump offset within the newest block.
         self.used = 0
+        #: Sum of ``alloc.size`` over :attr:`blocks`.
+        self.bytes_held = 0
 
     # ------------------------------------------------------------------
     # space accounting
@@ -74,6 +76,7 @@ class UserHeap:
         (the caller's block header) are excluded from bump allocation."""
         self.heapo.nv_malloc_set_used_flag(alloc)
         self.blocks.append(alloc)
+        self.bytes_held += alloc.size
         self.used = reserved
 
     def adopt(self, alloc: NvAllocation, used: int) -> None:
@@ -84,7 +87,15 @@ class UserHeap:
                 f"bump offset {used} out of range for block of {alloc.size}"
             )
         self.blocks.append(alloc)
+        self.bytes_held += alloc.size
         self.used = used
+
+    def reset(self) -> None:
+        """Forget every block without freeing any: recovery starts from an
+        empty heap and re-adopts what the caller's durable list reaches."""
+        self.blocks.clear()
+        self.bytes_held = 0
+        self.used = 0
 
     def free_all(self) -> None:
         """Checkpoint truncation: release every block back to the kernel.
@@ -94,8 +105,7 @@ class UserHeap:
         """
         for alloc in reversed(self.blocks):
             self.heapo.nvfree(alloc)
-        self.blocks.clear()
-        self.used = 0
+        self.reset()
 
     # ------------------------------------------------------------------
     # frame placement

@@ -77,6 +77,8 @@ class WalBackend(abc.ABC):
         # Degenerate group-commit bookkeeping (see group_begin).
         self._group_open = False
         self._group_txns = 0
+        # The occupancy gauges, looked up on the first note_occupancy().
+        self._occupancy_gauges = None
 
     def bind(self, db_file: File) -> None:
         """Attach the database file (needed for checkpoint and recovery)."""
@@ -116,6 +118,10 @@ class WalBackend(abc.ABC):
     @abc.abstractmethod
     def frame_count(self) -> int:
         """Frames currently in the log (drives the checkpoint policy)."""
+
+    def log_bytes_in_use(self) -> int | None:
+        """Bytes the log holds, for backends that keep count."""
+        return None
 
     # ------------------------------------------------------------------
     # group commit (epoch batching)
@@ -196,11 +202,19 @@ class WalBackend(abc.ABC):
 
     def note_occupancy(self) -> None:
         """Publish current log occupancy (frames; log bytes if known)."""
-        registry = self.system.telemetry
-        registry.gauge("wal.frames").set(self.frame_count())
-        log_bytes = getattr(self, "log_bytes_in_use", None)
+        gauges = self._occupancy_gauges
+        if gauges is None:
+            # Registered here and not in __init__, so that a backend that
+            # never commits adds nothing to the export.
+            registry = self.system.telemetry
+            log_bytes = None
+            if self.log_bytes_in_use() is not None:
+                log_bytes = registry.gauge("wal.log_bytes")
+            gauges = self._occupancy_gauges = (registry.gauge("wal.frames"), log_bytes)
+        frames, log_bytes = gauges
+        frames.set(self.frame_count())
         if log_bytes is not None:
-            registry.gauge("wal.log_bytes").set(log_bytes())
+            log_bytes.set(self.log_bytes_in_use())
 
     def _note_checkpoint(self, started_ns: float, pages: int) -> None:
         """Record one finished checkpoint (duration, pages, occupancy)."""

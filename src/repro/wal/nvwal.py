@@ -514,8 +514,7 @@ class NvwalBackend(WalBackend):
         self.last_recovery = report
         self._root = self._ensure_root()
         self._checkpoint_id = self._read_checkpoint_id()
-        self.userheap.blocks.clear()
-        self.userheap.used = 0
+        self.userheap.reset()
         self._logged_images.clear()
         self._frame_count = 0
         self._link_addr = self._root.addr + _ROOT_FIRST_BLOCK_OFFSET
@@ -806,7 +805,7 @@ class NvwalBackend(WalBackend):
 
     def log_bytes_in_use(self) -> int:
         """NVRAM bytes held by log blocks (ablation A1)."""
-        return sum(alloc.size for alloc in self.userheap.blocks)
+        return self.userheap.bytes_held
 
     def frames_per_block(self) -> float:
         """Average frames stored per NVRAM block (paper: 4.9 at 8 KB)."""

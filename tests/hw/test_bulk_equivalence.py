@@ -286,6 +286,22 @@ def assert_same_state(fast, ref, where: str) -> None:
     got, want = observable_state(fast), observable_state(ref)
     for key in want:
         assert got[key] == want[key], f"{key} diverged {where}"
+    assert_extent_invariants(fast.cache, where)
+
+
+def assert_extent_invariants(cache: CacheHierarchy, where: str) -> None:
+    """What the dirty extent list promises beyond its per-line flattening
+    (``dirty_runs`` is one run per extent, oldest first)."""
+    line = cache.line_size
+    extents = [(addr, addr + len(data)) for addr, data in cache.dirty_runs()]
+    for lo, hi in extents:
+        assert lo % line == 0 and hi % line == 0, f"unaligned extent {where}"
+        assert lo < hi, f"empty extent {where}"
+    extents.sort()
+    for (_, hi), (lo, _) in zip(extents, extents[1:]):
+        assert hi <= lo, f"overlapping extents {where}"
+    lines = sum(hi - lo for lo, hi in extents) // line
+    assert cache.dirty_line_count() == lines, f"dirty line count drifted {where}"
 
 
 def random_ops(rng: random.Random, steps: int, storms: bool = False):
@@ -365,27 +381,40 @@ def run_lockstep(fast, ref, ops, check_every: int = 25) -> None:
     assert_same_state(fast, ref, "at the end")
 
 
-@PROFILES
-def test_randomized_ops_match_per_line_oracle(make_config):
+def seeded_profiles(first_seed: int):
+    """Both profiles x eight seeds: ``first_seed`` (under the bare profile
+    id it has always run as) and seven more."""
+    cases = [
+        pytest.param(
+            make_config, seed, id=name if seed == first_seed else f"{name}-{seed}"
+        )
+        for name, make_config in (("tuna", tuna), ("nexus5", nexus5))
+        for seed in (first_seed, *range(101, 108))
+    ]
+    return pytest.mark.parametrize("make_config,seed", cases)
+
+
+@seeded_profiles(20160227)  # the paper's conference year, why not
+def test_randomized_ops_match_per_line_oracle(make_config, seed):
     """500 random primitive ops: extent path == per-line reference, exactly."""
     fast = FastMachine(small(make_config))
     ref = ReferenceMachine(small(make_config))
-    rng = random.Random(20160227)  # the paper's conference year, why not
+    rng = random.Random(seed)
     run_lockstep(fast, ref, random_ops(rng, 500))
     assert fast.stats.get_count("cache_evictions") > 0  # pressure happened
     assert fast.stats.get_count(statnames.NVRAM_LINES_PERSISTED) > 0
 
 
-@PROFILES
-def test_batched_flush_matches_hooked_per_line_path(make_config):
-    """An armed (here: never-firing) crash hook makes the flush loop queue
-    line by line; unarmed it queues runs.  Same loop, same observable
-    state, bit-identical clock after every op."""
+@seeded_profiles(7)
+def test_batched_flush_matches_hooked_per_line_path(make_config, seed):
+    """An armed (here: never-firing) crash hook drives the flush routine
+    one line at a time; unarmed it takes the range in one call.  Same
+    routine, same observable state, bit-identical clock after every op."""
     runs = FastMachine(small(make_config))
     hooked = FastMachine(small(make_config))
     steps_seen = []
     hooked.set_hook(steps_seen.append)
-    rng = random.Random(7)
+    rng = random.Random(seed)
     for step, op in enumerate(random_ops(rng, 400)):
         assert apply_op(runs, op) == apply_op(hooked, op)
         assert repr(runs.clock.now_ns) == repr(hooked.clock.now_ns), (

@@ -149,6 +149,17 @@ class TestPipelineTiming:
         clean_cost = system.clock.now_ns - t0
         assert clean_cost < dirty_cost
 
+    def test_dccmvac_cleans_the_line_containing_the_address(self, system):
+        """``DC CVAC`` takes any VA inside the line, not only its base."""
+        addr = addr_base(system)
+        system.cpu.store(addr + 5, b"mark")
+        system.cpu.dccmvac(addr + 5)
+        system.cpu.dmb()
+        system.cpu.persist_barrier()
+        assert system.nvram.read(addr + 5, 4) == b"mark"
+        assert system.stats.get_count(statnames.FLUSHES) == 1
+        assert system.cache.dirty_line_count() == 0
+
 
 class TestEviction:
     def test_eviction_caps_dirty_lines(self, system):

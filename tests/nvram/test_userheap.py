@@ -103,6 +103,30 @@ class TestProtocol:
         ]
         assert live == []
 
+    def test_bytes_held_tracks_the_block_list(self, system, heap):
+        """The running total equals the sum over ``blocks`` through every
+        way a block enters or leaves the heap."""
+
+        def held():
+            return sum(alloc.size for alloc in heap.blocks)
+
+        assert heap.bytes_held == 0
+        chained_block(heap)
+        big = heap.pre_allocate_block(size=4096)
+        heap.commit_block(big)
+        assert heap.bytes_held == held() > 4096
+        heap.adopt(system.heapo.nvmalloc(1024), used=0)
+        assert heap.bytes_held == held()
+        heap.free_all()
+        assert heap.bytes_held == held() == 0
+
+    def test_reset_forgets_blocks_without_freeing(self, system, heap):
+        alloc = chained_block(heap)
+        heap.allocate(8)
+        heap.reset()
+        assert (heap.blocks, heap.used, heap.bytes_held) == ([], 0, 0)
+        assert system.heapo.state_of(alloc.addr) is BlockState.IN_USE
+
     def test_named_blocks(self, system, heap):
         alloc = heap.pre_allocate_block(name="nvwal-blk")
         assert alloc.name == "nvwal-blk"

@@ -76,6 +76,38 @@ def test_wal_layer_metrics_populate():
     assert snap["gauges"]["wal.frames"] == 0
 
 
+def test_occupancy_gauges_follow_the_log_and_appear_on_first_commit():
+    """``wal.log_bytes`` is the running block total (equal to the sum over
+    the block list through commits, a checkpoint and a recovery); a backend
+    that never commits registers no gauge, and one that does not count log
+    bytes registers only ``wal.frames``."""
+    from repro.wal.filewal import FileWalBackend
+
+    system = System(tuna(), seed=0)
+    wal = NvwalBackend(system, SCHEMES["ls"](), checkpoint_threshold=1000)
+    db = Database(system, wal=wal, name="occ.db")
+    assert system.telemetry.snapshot()["gauges"] == {}
+
+    def held():
+        return sum(alloc.size for alloc in wal.userheap.blocks)
+
+    db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v TEXT)")
+    for i in range(12):
+        db.execute("INSERT INTO t VALUES (?, ?)", (i, "x" * 300))
+        gauges = system.telemetry.snapshot()["gauges"]
+        assert gauges["wal.log_bytes"] == held() > 0
+        assert gauges["wal.frames"] == wal.frame_count()
+    wal.recover()
+    assert wal.log_bytes_in_use() == held() > 0
+    db.checkpoint()
+    assert system.telemetry.snapshot()["gauges"]["wal.log_bytes"] == held() == 0
+
+    other = System(tuna(), seed=0)
+    file_db = Database(other, wal=FileWalBackend(other), name="occ.db")
+    file_db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v TEXT)")
+    assert set(other.telemetry.snapshot()["gauges"]) == {"wal.frames"}
+
+
 def test_replication_layer_metrics_populate():
     cluster = Cluster(
         ReplicationConfig(followers=2, mode="semisync"), seed=0
