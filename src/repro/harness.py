@@ -1,12 +1,12 @@
 """The harness kernel: everything around an oracle that is not the oracle.
 
 Every adversarial harness here (crash torture, service chaos, replication
-chaos, workload torture, the differential fuzzer) is the same machine
-around a different generator and oracle: sweep seeds on a process pool,
-digest the results, write failing scenarios as JSON traces, shrink the
-first to a minimal reproducer of the *same failure class*, prove it
-deterministic by running it twice, and — under ``--sabotage`` — make
-"the planted bug was caught, minimized and replayed" the exit status.
+chaos, the differential fuzzer) is the same machine around a different
+generator and oracle: sweep seeds on a process pool, digest the results,
+write failing scenarios as JSON traces, shrink the first to a minimal
+reproducer of the *same failure class*, prove it deterministic by running
+it twice, and — under ``--sabotage`` — make "the planted bug was caught,
+minimized and replayed" the exit status.
 This module is that machine, once; a harness declares a :class:`Harness`.
 (:mod:`repro.bench.harness` is the unrelated benchmark sweep runner; it
 keeps ``parallel_map``.)

@@ -62,9 +62,9 @@ from repro.service.sched import Scheduler
 from repro.service.server import ServiceConfig
 from repro.service.session import ClientSession
 from repro.torture.driver import rotated
-from repro.torture.workload import TABLE, generate_txns
 from repro.wal.base import SyncMode
 from repro.wal.nvwal import SCHEMES
+from repro.workloads.mobi import TABLE, generate_txns
 
 #: Per-seed scheme rotation: one eager, one lazy-sync, one checksum.
 ROTATION = ("uh_ls_diff", "eager", "uh_cs_diff")

@@ -40,9 +40,9 @@ from repro.service.server import DatabaseService
 from repro.storage.blockdev import BlockDevice
 from repro.storage.ext4 import Ext4FileSystem
 from repro.system import System
-from repro.torture.workload import TABLE
 from repro.wal.frames import NvFrame
 from repro.wal.nvwal import SCHEMES, NvwalBackend
+from repro.workloads.mobi import TABLE
 
 _CREATE_SQL = f"CREATE TABLE {TABLE} (k INTEGER PRIMARY KEY, v TEXT)"
 

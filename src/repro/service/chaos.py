@@ -51,9 +51,9 @@ from repro.system import System
 from repro.telemetry.collector import Collector
 from repro.telemetry.export import build_export, canonical_json, export_digest
 from repro.torture.driver import rotated
-from repro.torture.workload import TABLE, generate_txns
 from repro.wal.base import SyncMode
 from repro.wal.nvwal import SCHEMES, NvwalBackend
+from repro.workloads.mobi import TABLE, generate_txns
 
 DB_NAME = "chaos.db"
 

@@ -48,6 +48,7 @@ from repro.errors import (
 from repro.service.breaker import CircuitBreaker
 from repro.service.retry import RetryPolicy, call_with_retry
 from repro.telemetry.metrics import COUNT_BOUNDS
+from repro.workloads.mobi import TABLE
 
 READ_WRITE = "rw"
 READ_ONLY = "ro"
@@ -326,7 +327,6 @@ class DatabaseService:
         the same final value must converge instead of raising
         :class:`DuplicateKey`.
         """
-        table = self._table_name()
         for i, (kind, key, value) in enumerate(ops):
             if i and self.config.txn_op_pause_ns:
                 yield self.config.txn_op_pause_ns
@@ -334,18 +334,18 @@ class DatabaseService:
             if kind == "insert":
                 try:
                     self.db.execute(
-                        f"INSERT INTO {table} VALUES (?, ?)", (key, value)
+                        f"INSERT INTO {TABLE} VALUES (?, ?)", (key, value)
                     )
                 except DuplicateKey:
                     self.db.execute(
-                        f"UPDATE {table} SET v = ? WHERE k = ?", (value, key)
+                        f"UPDATE {TABLE} SET v = ? WHERE k = ?", (value, key)
                     )
             elif kind == "update":
                 self.db.execute(
-                    f"UPDATE {table} SET v = ? WHERE k = ?", (value, key)
+                    f"UPDATE {TABLE} SET v = ? WHERE k = ?", (value, key)
                 )
             elif kind == "delete":
-                self.db.execute(f"DELETE FROM {table} WHERE k = ?", (key,))
+                self.db.execute(f"DELETE FROM {TABLE} WHERE k = ?", (key,))
             else:
                 raise SqlError(f"unknown service op kind: {kind!r}")
         return len(ops)
@@ -633,11 +633,6 @@ class DatabaseService:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-
-    def _table_name(self) -> str:
-        from repro.torture.workload import TABLE
-
-        return TABLE
 
     def checkpoint_now(self):
         """Foreground checkpoint (demo / shutdown path)."""

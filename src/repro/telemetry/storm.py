@@ -25,7 +25,7 @@ from repro.service.server import ServiceConfig
 from repro.service.session import ClientSession
 from repro.telemetry.collector import Collector
 from repro.telemetry.export import build_export
-from repro.torture.workload import generate_txns
+from repro.workloads.mobi import generate_txns
 
 
 def _storm_job(system, storms: int, interval_ns: int):

@@ -8,6 +8,11 @@ Examples::
     # prove the harness catches a real bug (persist barrier removed)
     python -m repro.torture --seeds 4 --ops 12 --sabotage
 
+    # crash-point sweep of the durable queue (exactly-once oracle), or of
+    # the default mix plus all eight suite workloads
+    python -m repro.torture --workload queue --seeds 2 --stride 3
+    python -m repro.torture --workload all --seeds 2 --ops 14 --stride 5
+
     # replay a recorded failing trace
     python -m repro.torture --replay torture-traces/minimized-3.json
 
@@ -32,6 +37,10 @@ from repro.torture.driver import (
     run_seed,
     scenario_from_dict,
 )
+from repro.workloads.runner import WORKLOADS
+
+#: What ``--workload all`` sweeps: the default mix plus the suite.
+SWEPT = ("mobi", *WORKLOADS)
 
 
 def _earlier_crash(scenario: TortureScenario):
@@ -96,6 +105,13 @@ class TortureHarness(harness.Harness):
 
     def add_arguments(self, parser) -> None:
         parser.add_argument(
+            "--workload",
+            default="mobi",
+            choices=["all", *SWEPT],
+            help="workload to sweep (default: mobi, the insert/update/delete "
+            "mix; 'all' = mobi plus the eight-workload suite)",
+        )
+        parser.add_argument(
             "--ops", type=int, default=30, help="workload operations per seed"
         )
         parser.add_argument(
@@ -135,12 +151,17 @@ class TortureHarness(harness.Harness):
             "boundaries",
         )
 
+    def tasks(self, args) -> list:
+        names = SWEPT if args.workload == "all" else (args.workload,)
+        per_seed = super().tasks(args)
+        return [replace(task, workload=name) for name in names for task in per_seed]
+
     def failures(self, result: dict) -> list[dict]:
         return result["failures"]
 
     def format_result(self, result: dict) -> str:
         return (
-            f"seed {result['seed']} [{result['scheme']}]: "
+            f"{result['workload']} seed {result['seed']} [{result['scheme']}]: "
             f"{result['runs']} crash-point runs, {result['recovery_runs']} "
             f"recovery-crash runs, {result['checkpoints']} checkpoint(s), "
             f"{len(result['failures'])} violation(s)"

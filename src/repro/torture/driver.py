@@ -1,53 +1,59 @@
 """The torture driver: sweep every crash point, check every invariant.
 
 One :class:`TortureScenario` is a fully reproducible experiment: a seed,
-a scheme, a scripted workload, a crash point (a primitive-CPU-op index,
-as counted by the crash controller), optionally a second crash point
-*inside recovery*, and optionally a :class:`FaultPlan`.  Scenarios are
-plain data — they pickle across process pools and round-trip through
+a scheme, a workload (any :class:`repro.workloads.core.Workload`, by
+name) and its transaction script, a crash point (a primitive-CPU-op
+index, as counted by the crash controller), optionally a second crash
+point *inside recovery*, and optionally a :class:`FaultPlan`.  Scenarios
+are plain data — they pickle across process pools and round-trip through
 JSON trace files, which is what makes failing runs replayable and
 minimizable.
 
 The oracles generalize the paper's Section 4.3 case analysis:
 
-* **committed-prefix durability / atomicity** — the recovered table must
-  equal the model state at *some* transaction boundary the crash point
+* **committed-prefix durability / atomicity** — the recovered state must
+  equal the fold model's state at *some* boundary the crash point
   allows: the last committed transaction or the in-flight one (power
   alone), down to the last completed checkpoint when media decay or an
   asynchronous-commit scheme may legitimately shed WAL tail state.
+  Each setup statement (CREATE TABLE, then CREATE INDEX) is a boundary
+  of its own, so a crash between them recovers to a legitimate
+  partial-setup state; when no boundary matches, the workload names the
+  broken guarantee (the queue tells double delivery from a lost message).
+* **structural integrity** — :meth:`Database.check_integrity` on the
+  recovered image, whatever boundary it landed on: B-tree invariants,
+  secondary index agreeing row for row with its table, exact page
+  accounting.
 * **heap consistency** — live NVRAM allocations must be non-overlapping
   and in-bounds, and descriptor quarantine may only happen under media
   faults.
 * **no leaks** — after a post-recovery checkpoint, no ``nvwal-blk``
   allocation may remain live.
 * **recovery idempotence** — a second power cycle after the checkpoint
-  must reproduce the same table.
+  must reproduce the same state, still structurally sound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 
 from repro import harness
 from repro.config import tuna
 from repro.db.database import Database
-from repro.errors import PowerFailure
+from repro.errors import DatabaseError, PowerFailure
 from repro.faults import FaultPlan, IoFaultSpec, MediaFaultSpec
 from repro.system import System
-from repro.torture.workload import (
-    DDL,
-    NO_TABLE,
-    TABLE,
-    apply_txn,
-    apply_txn_grouped,
-    generate_txns,
-    model_states,
-    run_workload,
-)
 from repro.wal.base import SyncMode
 from repro.wal.frames import commit_mark_value
 from repro.wal.nvwal import SCHEMES, NvwalBackend
+from repro.workloads.core import (
+    Workload,
+    apply_txn,
+    apply_txn_grouped,
+    db_state,
+    model_states,
+)
+from repro.workloads.runner import make_workload
 
 #: Small checkpoint threshold (in WAL frames) so a 30-op workload crosses
 #: several checkpoints and the sweep exercises crash-during-checkpoint.
@@ -103,7 +109,7 @@ class TortureScenario:
 
     seed: int
     scheme: str
-    txns: tuple  # tuple of transactions; each a tuple of (kind, k, v) ops
+    txns: tuple  # tuple of transactions; each a tuple of (kind, arg, payload) ops
     crash_point: int = 0  # 0: run to completion, then cut power
     recovery_crash_point: int | None = None
     plan: FaultPlan | None = None
@@ -115,6 +121,8 @@ class TortureScenario:
     #: allowed boundaries to them: a crash inside an open epoch must
     #: lose the whole epoch, never a transaction from a closed one.
     group_epoch: int = 0
+    #: Registry name of the workload that gives ``txns`` their meaning.
+    workload: str = "mobi"
 
 
 @dataclass(frozen=True)
@@ -178,6 +186,7 @@ def make_scenario(
     checkpoint_threshold: int = DEFAULT_TORTURE_THRESHOLD,
     sabotage: bool = False,
     group_epoch: int = 0,
+    workload: str = "mobi",
 ) -> TortureScenario:
     """Generate the base (no-crash-point) scenario for a seed."""
     if scheme not in SCHEMES:
@@ -185,11 +194,12 @@ def make_scenario(
     return TortureScenario(
         seed=seed,
         scheme=scheme,
-        txns=generate_txns(seed, ops, txn_size),
+        txns=make_workload(workload, txn_size).generate_txns(seed, ops),
         plan=build_fault_plan(seed, faults),
         checkpoint_threshold=checkpoint_threshold,
         sabotage=sabotage,
         group_epoch=group_epoch,
+        workload=workload,
     )
 
 
@@ -215,6 +225,38 @@ def _make_db(system: System, scenario: TortureScenario) -> Database:
 # ----------------------------------------------------------------------
 
 
+def _run_script(
+    db: Database,
+    workload: Workload,
+    scenario: TortureScenario,
+    boundary_done=lambda: None,
+) -> None:
+    """The full scripted run: every setup statement, then every
+    transaction, calling ``boundary_done()`` as each completes.
+
+    With ``group_epoch`` > 0 the transactions commit through the WAL's
+    group-commit path instead: each joins the open epoch, and the epoch
+    is closed (one flush + persist-barrier sequence) every
+    ``group_epoch`` transactions and again after the last one.  The
+    setup statements stay individually durable — they model the setup
+    phase before the service's coalescer takes over.
+    """
+    for sql in workload.setup_sql():
+        db.execute(sql)
+        boundary_done()
+    group = scenario.group_epoch
+    for i, txn in enumerate(scenario.txns):
+        if group > 0:
+            apply_txn_grouped(workload, db, txn)
+            if (i + 1) % group == 0:
+                db.flush_group()
+        else:
+            apply_txn(workload, db, txn)
+        boundary_done()
+    if group > 0:
+        db.flush_group()
+
+
 def profile_scenario(scenario: TortureScenario) -> Profile:
     """Run the workload once, uncrashed, counting primitive CPU ops.
 
@@ -222,6 +264,7 @@ def profile_scenario(scenario: TortureScenario) -> Profile:
     point, so the measured transaction boundaries and checkpoint
     completions are valid for the whole sweep.
     """
+    workload = make_workload(scenario.workload)
     system = _make_system(scenario)
     db = _make_db(system, scenario)
     counter = [0]
@@ -231,32 +274,22 @@ def profile_scenario(scenario: TortureScenario) -> Profile:
 
     system.cpu.crash_hook = hook
     bounds = [0]
-    boundary = [1]
+    last_boundary = len(workload.setup_sql()) + len(scenario.txns)
     ckpt_events: list[tuple[int, int]] = []
     wal_checkpoint = db.wal.checkpoint
 
     def tracked_checkpoint() -> int:
         written = wal_checkpoint()
-        ckpt_events.append((counter[0], boundary[0]))
+        # The boundary in flight is the next to complete; a grouped run's
+        # drain flush comes after the last one and belongs to it.
+        ckpt_events.append((counter[0], min(len(bounds), last_boundary)))
         return written
 
     db.wal.checkpoint = tracked_checkpoint
-    db.execute(DDL)
-    bounds.append(counter[0])
-    group = scenario.group_epoch
-    for i, txn in enumerate(scenario.txns):
-        boundary[0] = i + 2
-        if group > 0:
-            apply_txn_grouped(db, txn)
-            if (i + 1) % group == 0:
-                db.flush_group()
-        else:
-            apply_txn(db, txn)
-        bounds.append(counter[0])
-    if group > 0:
+    _run_script(db, workload, scenario, lambda: bounds.append(counter[0]))
+    if scenario.group_epoch > 0:
         # The drain flush belongs to the last boundary: a crash before it
         # completes must not count that epoch as committed.
-        db.flush_group()
         bounds[-1] = counter[0]
     system.cpu.crash_hook = None
     return Profile(
@@ -264,26 +297,6 @@ def profile_scenario(scenario: TortureScenario) -> Profile:
         bounds=tuple(bounds),
         ckpt_events=tuple(ckpt_events),
     )
-
-
-def measure_recovery_ops(scenario: TortureScenario) -> int:
-    """Primitive ops spent recovering from this scenario's crash.
-
-    Runs the scenario to its crash point, cuts power, then counts the
-    ops in reboot + database recovery — the sweep space for
-    ``recovery_crash_point``.  Returns 0 if the crash point is past the
-    end of the workload.
-    """
-    system, crashed = _run_until_crash(scenario)
-    if not crashed:
-        return 0
-    system.power_fail()
-
-    def do_recovery() -> None:
-        system.reboot()
-        _make_db(system, scenario)
-
-    return system.crash.count_ops(do_recovery)
 
 
 # ----------------------------------------------------------------------
@@ -299,7 +312,7 @@ def _run_until_crash(scenario: TortureScenario) -> tuple[System, bool]:
     if scenario.crash_point > 0:
         system.crash.arm(scenario.crash_point)
     try:
-        run_workload(db, scenario.txns, group_epoch=scenario.group_epoch)
+        _run_script(db, make_workload(scenario.workload), scenario)
     except PowerFailure:
         crashed = True
     if not crashed and scenario.crash_point > 0:
@@ -315,10 +328,13 @@ def run_scenario(
     Any exception other than the injected :class:`PowerFailure` is itself
     an invariant violation (recovery code must degrade, not crash), so
     the harness converts it into an ``error:`` finding instead of dying.
+    Profiling is inside the ``try``: a script the engine refuses (the
+    minimizer can delete the ``delete`` between two inserts of one key)
+    is an ``error:`` finding too, not a traceback.
     """
-    if profile is None:
-        profile = profile_scenario(scenario)
     try:
+        if profile is None:
+            profile = profile_scenario(scenario)
         return _run_scenario_checked(scenario, profile)
     except Exception as exc:  # noqa: BLE001 - any escape is a finding
         return ScenarioOutcome(
@@ -332,8 +348,8 @@ def run_scenario(
 def _run_scenario_checked(
     scenario: TortureScenario, profile: Profile
 ) -> ScenarioOutcome:
-    states = model_states(scenario.txns)
-    last_boundary = len(states) - 1
+    workload = make_workload(scenario.workload)
+    states = model_states(workload, scenario.txns)
     system, crashed = _run_until_crash(scenario)
     # The machine goes down even on a clean run: recovery must also cope
     # with a power cut in the idle state after the last commit.
@@ -369,11 +385,25 @@ def _run_scenario_checked(
         recovery_ops = counter[0]
 
     violations: list[str] = []
-    allowed = _allowed_boundaries(scenario, profile, crashed, last_boundary)
-    matched, state_violations = _match_state(db, states, allowed)
-    violations.extend(state_violations)
+    allowed = _allowed_boundaries(
+        scenario, profile, crashed, len(workload.setup_sql())
+    )
+    recovered = db_state(workload, db)
+    matched = next(
+        (b for b in sorted(allowed, reverse=True) if recovered == states[b]), None
+    )
+    if matched is None:
+        violations.append(
+            workload.describe_mismatch(recovered, states, allowed)
+            or f"state: recovered {workload.name} state matches no allowed "
+            f"boundary {sorted(allowed)} — a committed transaction was "
+            "lost, torn, or resurrected"
+        )
+    violations.extend(_check_integrity(db))
     violations.extend(_check_heap(system, scenario))
-    violations.extend(_check_leaks_and_idempotence(system, db, scenario, states, matched))
+    violations.extend(
+        _check_leaks_and_idempotence(system, db, scenario, workload, recovered, matched)
+    )
     return ScenarioOutcome(
         violations=tuple(violations),
         crashed=crashed,
@@ -383,51 +413,42 @@ def _run_scenario_checked(
     )
 
 
-def _close_boundaries(group_epoch: int, last_boundary: int) -> list[int]:
+def _close_boundaries(group_epoch: int, last_boundary: int, setup_n: int) -> list[int]:
     """Model boundaries that coincide with an epoch close under group
-    commit: the pre-DDL state, the individually-durable DDL, every
-    ``group_epoch``-th transaction, and the final drain flush."""
-    closes = [0]
-    if last_boundary >= 1:
-        closes.append(1)
-    b = 1 + group_epoch
-    while b < last_boundary:
-        closes.append(b)
-        b += group_epoch
-    if last_boundary > 1:
+    commit: the pre-setup state, each individually-durable setup
+    statement, every ``group_epoch``-th transaction, and the final drain
+    flush."""
+    closes = [
+        *range(setup_n + 1),
+        *range(setup_n + group_epoch, last_boundary, group_epoch),
+    ]
+    if last_boundary > setup_n:
         closes.append(last_boundary)
     return closes
 
 
 def _allowed_boundaries(
-    scenario: TortureScenario, profile: Profile, crashed: bool, last_boundary: int
+    scenario: TortureScenario, profile: Profile, crashed: bool, setup_n: int
 ) -> set[int]:
     """Which model boundaries a recovered database may legitimately show."""
+    last_boundary = len(profile.bounds) - 1
     if scenario.group_epoch > 0:
         # Group commit quantizes durability to epoch closes: recovery
         # replays the longest valid prefix of *whole* epochs.  A crash
         # inside an open epoch loses every transaction in it; a crash
         # during the close sequence may land the whole epoch atomically
         # (the next close boundary) or none of it — never a part.
-        closes = _close_boundaries(scenario.group_epoch, last_boundary)
-        if crashed:
-            k = scenario.crash_point
-            committed = max(b for b in closes if profile.bounds[b] <= k - 1)
-            pending = [b for b in closes if b > committed]
-            high = pending[0] if pending else committed
-        else:
-            committed = high = last_boundary
-        allowed = {b for b in closes if committed <= b <= high}
+        candidates = _close_boundaries(scenario.group_epoch, last_boundary, setup_n)
     else:
-        if crashed:
-            k = scenario.crash_point
-            committed = max(
-                b for b, ops in enumerate(profile.bounds) if ops <= k - 1
-            )
-            high = min(committed + 1, last_boundary)  # the in-flight txn may land
-        else:
-            committed = high = last_boundary
-        allowed = set(range(committed, high + 1))
+        candidates = list(range(last_boundary + 1))
+    if crashed:
+        k = scenario.crash_point
+        committed = max(b for b in candidates if profile.bounds[b] <= k - 1)
+        # the in-flight transaction (or epoch) may land
+        high = next((b for b in candidates if b > committed), committed)
+    else:
+        committed = high = last_boundary
+    floor = committed
     # Media decay and asynchronous (checksum) commit may legitimately shed
     # the WAL tail — but never below the last completed checkpoint, whose
     # pages are fsynced into the database file.
@@ -435,36 +456,23 @@ def _allowed_boundaries(
         scenario.plan is not None and scenario.plan.media is not None
     ) or SCHEMES[scenario.scheme]().sync is SyncMode.CHECKSUM
     if relaxed:
-        floor = 0
         cutoff = scenario.crash_point - 1 if crashed else profile.total_ops
-        for ops_at_completion, boundary in profile.ckpt_events:
-            if ops_at_completion <= cutoff:
-                floor = max(floor, boundary)
-        if scenario.group_epoch > 0:
-            closes = _close_boundaries(scenario.group_epoch, last_boundary)
-            return {b for b in closes if floor <= b <= high}
-        return set(range(floor, high + 1))
-    return allowed
+        floor = max(
+            (b for ops_done, b in profile.ckpt_events if ops_done <= cutoff),
+            default=0,
+        )
+    return {b for b in candidates if floor <= b <= high}
 
 
-def _match_state(db: Database, states: list, allowed: set[int]):
-    """Committed-prefix durability + atomicity oracle."""
-    if not db.table_exists(TABLE):
-        if 0 in allowed and states[0] is NO_TABLE:
-            return 0, []
-        return None, [
-            "state: table missing after recovery although the DDL "
-            f"transaction must have survived (allowed boundaries {sorted(allowed)})"
-        ]
-    rows = sorted(db.dump_table(TABLE))
-    for b in sorted(allowed, reverse=True):
-        if b > 0 and rows == states[b]:
-            return b, []
-    return None, [
-        f"state: recovered table ({len(rows)} rows) matches no allowed "
-        f"transaction boundary {sorted(allowed)} — a committed transaction "
-        "was lost, torn, or resurrected"
-    ]
+def _check_integrity(db: Database) -> list[str]:
+    """The recovered image must be structurally sound whatever boundary
+    it landed on: B-tree invariants, index/table agreement, and exact
+    page accounting (freelist + live pages + overflow == all pages)."""
+    try:
+        db.check_integrity()
+    except DatabaseError as exc:
+        return [f"integrity: {exc}"]
+    return []
 
 
 def _check_heap(system: System, scenario: TortureScenario) -> list[str]:
@@ -498,11 +506,12 @@ def _check_leaks_and_idempotence(
     system: System,
     db: Database,
     scenario: TortureScenario,
-    states: list,
+    workload: Workload,
+    recovered: tuple,
     matched: int | None,
 ) -> list[str]:
     """Checkpoint the recovered database, then prove nothing leaked and a
-    second power cycle reproduces the same table."""
+    second power cycle reproduces the same (still sound) state."""
     try:
         db.checkpoint()
     except Exception as exc:  # noqa: BLE001
@@ -523,18 +532,12 @@ def _check_leaks_and_idempotence(
         system.power_fail()
         system.reboot()
         db2 = _make_db(system, scenario)
-        if matched == 0:
-            stable = not db2.table_exists(TABLE)
-        else:
-            stable = (
-                db2.table_exists(TABLE)
-                and sorted(db2.dump_table(TABLE)) == states[matched]
-            )
-        if not stable:
+        if db_state(workload, db2) != recovered:
             violations.append(
                 "idempotence: a second power cycle after the checkpoint "
                 f"does not reproduce boundary {matched}"
             )
+        violations.extend(_check_integrity(db2))
     except Exception as exc:  # noqa: BLE001
         violations.append(
             f"error: second recovery raised {type(exc).__name__}: {exc}"
@@ -561,6 +564,7 @@ class SeedTask:
     checkpoint_threshold: int = DEFAULT_TORTURE_THRESHOLD
     sabotage: bool = False
     group_epoch: int = 0
+    workload: str = "mobi"
 
 
 def run_seed(task: SeedTask) -> dict:
@@ -584,6 +588,7 @@ def run_seed(task: SeedTask) -> dict:
         checkpoint_threshold=task.checkpoint_threshold,
         sabotage=task.sabotage,
         group_epoch=task.group_epoch,
+        workload=task.workload,
     )
     profile = profile_scenario(base)
     runs = 0
@@ -619,6 +624,7 @@ def run_seed(task: SeedTask) -> dict:
             recovery_runs += 1
 
     return {
+        "workload": task.workload,
         "seed": task.seed,
         "scheme": base.scheme,
         "total_ops": profile.total_ops,
@@ -636,6 +642,16 @@ def run_seed(task: SeedTask) -> dict:
 # ----------------------------------------------------------------------
 
 scenario_to_dict = harness.to_json
-scenario_from_dict = partial(
-    harness.from_json, TortureScenario, plan=FaultPlan.from_json
-)
+
+
+def scenario_from_dict(data: dict) -> TortureScenario:
+    # Traces are outside input: one in the retired ``workloads torture``
+    # schema, which regenerated its script from (seed, ops), would decode
+    # to an empty script and "pass"; refuse it instead.
+    if "ops" in data and "txns" not in data:
+        raise ValueError(
+            "trace field 'txns' is missing: this trace carries 'ops' and "
+            "expects its script to be regenerated, but scenarios now carry "
+            "their transactions explicitly; re-record it"
+        )
+    return harness.from_json(TortureScenario, data, plan=FaultPlan.from_json)

@@ -1,7 +1,11 @@
 """Seeded, deterministic workload suite over the repro database.
 
-Three workload families, each derived from one integer seed:
+Four workload families, each derived from one integer seed:
 
+* :mod:`repro.workloads.mobi` — the keyed insert/update/delete mix the
+  crash torture sweep defaults to and the chaos harnesses draw their
+  streams from (``make_workload("mobi")``; not one of the eight
+  :data:`WORKLOADS` the suite run and the bench iterate).
 * :mod:`repro.workloads.ycsb` — YCSB-style key/value mixes A–F over a
   ``ycsb`` table with a secondary index on its group column (zipfian,
   hotspot, and read-latest key distributions; read-modify-write; range
@@ -19,15 +23,16 @@ Every workload plugs into three harnesses:
 * the ``workloads`` bench experiment
   (``python -m repro.bench workloads``) measuring throughput and p95
   latency per mix x scheme x group-commit setting;
-* the crash-point torture sweep (:mod:`repro.workloads.torture`,
-  ``python -m repro.workloads torture``) with per-workload recovered-
-  state oracles;
+* the crash-point torture sweep (:mod:`repro.torture`,
+  ``python -m repro.torture --workload NAME``) with per-workload
+  recovered-state oracles;
 * the chaos/service harness (``python -m repro.service.chaos
   --workload ycsb|queue``) replacing its insert-only streams with
   mixed read-write streams.
 """
 
 from repro.workloads.core import Workload, db_state, model_states
+from repro.workloads.mobi import MobiWorkload
 from repro.workloads.queue import QueueWorkload
 from repro.workloads.runner import WORKLOADS, make_workload, run_one
 from repro.workloads.timeseries import TimeSeriesWorkload
@@ -36,6 +41,7 @@ from repro.workloads.ycsb import YcsbWorkload
 __all__ = [
     "Workload",
     "WORKLOADS",
+    "MobiWorkload",
     "QueueWorkload",
     "TimeSeriesWorkload",
     "YcsbWorkload",

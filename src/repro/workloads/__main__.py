@@ -12,23 +12,21 @@ Examples::
     # crash-point sweep of the durable queue (exactly-once oracle)
     python -m repro.workloads torture --workload queue --seeds 2 --stride 3
 
-    # replay a recorded failing crash point
-    python -m repro.workloads torture --replay workload-traces/minimized-0.json
-
 Exit status: 0 for a clean sweep, 1 when any oracle was violated.  The
 digest line is a SHA-256 over canonical JSON results and is
-bit-identical for any ``--jobs`` value.  ``torture`` runs on
-:mod:`repro.harness` (traces, minimization, ``--replay``).
+bit-identical for any ``--jobs`` value.  ``torture`` is
+``python -m repro.torture`` under a second name: the same harness object
+with the same flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from repro import harness
 from repro.bench.harness import parallel_map
+from repro.torture.__main__ import HARNESS
 from repro.torture.driver import add_scheme_flag, rotated
 from repro.workloads.runner import (
     DEFAULT_WORKLOAD_THRESHOLD,
@@ -36,84 +34,6 @@ from repro.workloads.runner import (
     RunConfig,
     run_one,
 )
-from repro.workloads.torture import (
-    DEFAULT_TORTURE_THRESHOLD,
-    SweepTask,
-    WorkloadScenario,
-    run_scenario,
-    run_seed,
-    scenario_from_dict,
-)
-
-
-def _workload_names(arg: str) -> list[str]:
-    return list(WORKLOADS) if arg == "all" else [arg]
-
-
-def _shorter_script(scenario: WorkloadScenario):
-    # The script is regenerated from (seed, ops), so only its length can
-    # shrink; a crash point past the shorter run's end is a clean run.
-    for ops in (scenario.ops // 4, scenario.ops // 2):
-        if ops > 0:
-            yield replace(scenario, ops=ops)
-
-
-class WorkloadTortureHarness(harness.Harness):
-    prog = "python -m repro.workloads torture"
-    description = "Crash-point sweeps with per-workload recovered-state oracles."
-    trace_dir = "workload-traces"
-    seeds = 2
-    task_type = SweepTask
-    run_task = staticmethod(run_seed)
-    from_json = staticmethod(scenario_from_dict)
-    passes = (
-        harness.structural(lambda s: [replace(s, crash_point=0)]),
-        harness.structural(_shorter_script),
-    )
-
-    def add_arguments(self, parser) -> None:
-        parser.add_argument(
-            "--workload",
-            default="queue",
-            choices=["all", *WORKLOADS],
-            help="workload to sweep (default: queue)",
-        )
-        parser.add_argument("--ops", type=int, default=24, help="ops per workload")
-        parser.add_argument(
-            "--stride", type=int, default=1, help="crash-point stride"
-        )
-        add_scheme_flag(parser)
-        parser.add_argument(
-            "--checkpoint-threshold",
-            type=int,
-            default=DEFAULT_TORTURE_THRESHOLD,
-            help="WAL frames per checkpoint",
-        )
-
-    def tasks(self, args) -> list:
-        per_seed = super().tasks(args)
-        return [
-            replace(task, workload=name)
-            for name in _workload_names(args.workload)
-            for task in per_seed
-        ]
-
-    def failures(self, result: dict) -> list[dict]:
-        return result["failures"]
-
-    def format_result(self, r: dict) -> str:
-        return (
-            f"{r['workload']} seed {r['seed']} [{r['scheme']}]: "
-            f"{r['runs']} run(s), {r['crashes']} crash(es), "
-            f"{r['checkpoints']} checkpoint(s), "
-            f"{len(r['failures'])} failure(s)"
-        )
-
-    def run(self, scenario: WorkloadScenario):
-        return run_scenario(scenario).violations
-
-
-TORTURE = WorkloadTortureHarness()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -151,14 +71,14 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
     tort_p = sub.add_parser(
-        "torture", help="crash-point sweeps with per-workload oracles"
+        "torture", help="the crash-point sweep, `python -m repro.torture`"
     )
-    harness.add_arguments(TORTURE, tort_p)
+    harness.add_arguments(HARNESS, tort_p)
     return parser
 
 
 def _cmd_run(args) -> int:
-    names = _workload_names(args.workload)
+    names = WORKLOADS if args.workload == "all" else (args.workload,)
     tasks = [
         RunConfig(
             workload=name,
@@ -196,7 +116,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
-    return harness.run(TORTURE, args)
+    return harness.run(HARNESS, args)
 
 
 if __name__ == "__main__":

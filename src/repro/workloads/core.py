@@ -7,13 +7,14 @@ oracles, expected results for read checks, recovered-state matching —
 derives from that description, so each workload module only says what
 its operations mean.
 
-State snapshots use the same boundary convention as the torture driver,
-extended for multi-statement setup: boundary ``b`` for
-``b < len(setup_sql())`` means "the first ``b`` setup statements are
-visible" (``("setup", b)``); every later boundary is the canonical row
-set after that many committed transactions (``("rows", rows)``).  A
-crash between CREATE TABLE and CREATE INDEX therefore recovers to a
-legitimate named state instead of confusing the matcher.
+State snapshots are the boundary states the torture driver
+(:mod:`repro.torture.driver`) holds recovered databases to: boundary
+``b`` for ``b < len(setup_sql())`` means "the first ``b`` setup
+statements are visible" (``("setup", b)``); every later boundary is the
+canonical row set after that many committed transactions
+(``("rows", rows)``).  A crash between CREATE TABLE and CREATE INDEX
+therefore recovers to a legitimate named state instead of confusing the
+matcher.
 
 Key-choice samplers follow YCSB: zipfian (theta 0.99 by default),
 hotspot (a small hot set absorbs most accesses), uniform, and
@@ -214,8 +215,9 @@ def db_state(workload: Workload, db) -> tuple:
     return ("rows", workload.db_rows(db))
 
 
-def apply_txn(workload: Workload, db, txn: Txn, model=None) -> list[str]:
-    """Run one transaction; fold the model alongside and check reads.
+def _apply_ops(workload: Workload, db, txn: Txn, model) -> list[str]:
+    """Run a transaction's ops in order; fold the model alongside and
+    check reads.
 
     Returns read-check violation strings (empty on agreement).  The
     model is folded op by op so a read inside a transaction sees the
@@ -224,54 +226,41 @@ def apply_txn(workload: Workload, db, txn: Txn, model=None) -> list[str]:
     violations: list[str] = []
     telemetry = db.system.telemetry
     clock = db.system.clock
-
-    def run_ops() -> None:
-        for op in txn:
-            op_start = clock.now_ns
-            actual = workload.apply_op(db, op)
-            telemetry.histogram(f"workload.op.{op[0]}_ns").observe(
-                int(clock.now_ns - op_start)
-            )
-            if model is not None:
-                expected = workload.expected_read(model, op)
-                if expected is not None and sorted(actual) != list(expected):
-                    violations.append(
-                        f"read: {workload.name} op {op[0]!r} returned "
-                        f"{len(actual)} row(s), expected {len(expected)}"
-                    )
-                workload.fold_op(model, op)
-
-    if len(txn) == 1:
-        run_ops()
-    else:
-        with db.transaction():
-            run_ops()
+    for op in txn:
+        op_start = clock.now_ns
+        actual = workload.apply_op(db, op)
+        telemetry.histogram(f"workload.op.{op[0]}_ns").observe(
+            int(clock.now_ns - op_start)
+        )
+        if model is not None:
+            expected = workload.expected_read(model, op)
+            if expected is not None and sorted(actual) != list(expected):
+                violations.append(
+                    f"read: {workload.name} op {op[0]!r} returned "
+                    f"{len(actual)} row(s), expected {len(expected)}"
+                )
+            workload.fold_op(model, op)
     return violations
+
+
+def apply_txn(workload: Workload, db, txn: Txn, model=None) -> list[str]:
+    """Run one transaction (a single op autocommits); returns
+    :func:`_apply_ops`'s read-check violations."""
+    if len(txn) == 1:
+        return _apply_ops(workload, db, txn, model)
+    with db.transaction():
+        return _apply_ops(workload, db, txn, model)
 
 
 def apply_txn_grouped(workload: Workload, db, txn: Txn, model=None) -> list[str]:
     """Like :func:`apply_txn` but through the group-commit epoch: the
     transaction joins the open epoch and only becomes durable when the
-    caller closes it with ``db.flush_group()``."""
-    violations: list[str] = []
-    telemetry = db.system.telemetry
-    clock = db.system.clock
+    caller closes it with ``db.flush_group()``.  Even a single-op
+    transaction goes through an explicit BEGIN/``group_commit`` pair —
+    *no* transaction is individually durable until the epoch closes."""
     db.begin()
     try:
-        for op in txn:
-            op_start = clock.now_ns
-            actual = workload.apply_op(db, op)
-            telemetry.histogram(f"workload.op.{op[0]}_ns").observe(
-                int(clock.now_ns - op_start)
-            )
-            if model is not None:
-                expected = workload.expected_read(model, op)
-                if expected is not None and sorted(actual) != list(expected):
-                    violations.append(
-                        f"read: {workload.name} op {op[0]!r} returned "
-                        f"{len(actual)} row(s), expected {len(expected)}"
-                    )
-                workload.fold_op(model, op)
+        violations = _apply_ops(workload, db, txn, model)
     except BaseException:
         if db.pager.in_transaction:
             db.rollback()

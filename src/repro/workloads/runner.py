@@ -33,6 +33,7 @@ from repro.workloads.core import (
     apply_txn_grouped,
     db_state,
 )
+from repro.workloads.mobi import MobiWorkload
 from repro.workloads.queue import QueueWorkload
 from repro.workloads.timeseries import TimeSeriesWorkload
 from repro.workloads.ycsb import YcsbWorkload
@@ -53,15 +54,21 @@ WORKLOADS = (
 )
 
 
-def make_workload(name: str) -> Workload:
-    """Instantiate a workload by its registry name."""
+def make_workload(name: str, txn_size: int = 3) -> Workload:
+    """Instantiate a workload by its registry name: one of the
+    :data:`WORKLOADS` suite, or ``mobi`` (the crash sweep's default mix,
+    not part of the suite ``workloads run`` and the bench iterate)."""
     if name.startswith("ycsb-"):
-        return YcsbWorkload(mix=name.split("-", 1)[1])
+        return YcsbWorkload(mix=name.split("-", 1)[1], txn_size=txn_size)
     if name == "timeseries":
-        return TimeSeriesWorkload()
+        return TimeSeriesWorkload(txn_size)
     if name == "queue":
-        return QueueWorkload()
-    raise ValueError(f"unknown workload {name!r}; pick from {WORKLOADS}")
+        return QueueWorkload(txn_size)
+    if name == "mobi":
+        return MobiWorkload(txn_size)
+    raise ValueError(
+        f"unknown workload {name!r}; pick from {('mobi', *WORKLOADS)}"
+    )
 
 
 @dataclass(frozen=True)

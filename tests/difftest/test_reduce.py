@@ -72,12 +72,15 @@ class TestMinimizeStream:
 
 @pytest.mark.difftest
 def test_minimizes_real_sabotage_bug_to_few_statements():
-    stmts = StreamGenerator(2).stream(60)
-
     def run(candidate):
         return run_stream(candidate, sabotage=True)
 
-    assert finding_kinds(run(stmts))
+    # The CLI self-test's rule (``--seeds 4 --stmts 60 --sabotage``): the
+    # first seed whose stream trips the planted bug.  Which seeds do moves
+    # whenever the grammar grows; that one of the four does must not.
+    streams = (StreamGenerator(seed).stream(60) for seed in range(4))
+    stmts = next((stmts for stmts in streams if run(stmts)), None)
+    assert stmts is not None, "no seed in range(4) trips the planted bug"
     small = minimize_stream(stmts, run)
     assert len(small) <= 5
     assert finding_kinds(run(small))

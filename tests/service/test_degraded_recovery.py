@@ -19,8 +19,8 @@ from repro.errors import PowerFailure
 from repro.faults import MediaFaultSpec, NvramFaultInjector
 from repro.service.server import READ_ONLY, DatabaseService, ServiceConfig
 from repro.torture.driver import ROTATION
-from repro.torture.workload import TABLE
 from repro.wal.nvwal import SCHEMES
+from repro.workloads.mobi import TABLE
 from tests.conftest import make_nvwal_db
 
 DB_NAME = "degraded.db"

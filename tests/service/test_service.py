@@ -21,7 +21,7 @@ from repro.service.server import (
     DatabaseService,
     ServiceConfig,
 )
-from repro.torture.workload import TABLE
+from repro.workloads.mobi import TABLE
 from tests.conftest import make_nvwal_db
 
 

@@ -11,8 +11,8 @@ from repro.system import System
 from repro.telemetry.export import validate_export
 from repro.telemetry.report import render_report
 from repro.telemetry.storm import run_storm
-from repro.torture.workload import TABLE
 from repro.wal.nvwal import SCHEMES, NvwalBackend
+from repro.workloads.mobi import TABLE
 from repro.workloads.runner import RunConfig, run_one
 
 

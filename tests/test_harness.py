@@ -1,5 +1,5 @@
-"""The harness kernel, driven by a toy harness — and the five real CLIs
-pinned to the digests they printed before they moved onto it."""
+"""The harness kernel, driven by a toy harness — and the real CLIs pinned
+to the digests they printed before they moved onto it."""
 
 from __future__ import annotations
 
@@ -323,11 +323,15 @@ class TestMain:
 #: 101c559, before the CLIs moved onto the kernel.  Replication's moved
 #: with the deletion of ``scenario.archive`` and
 #: ``archive.reseeds_from_snapshot`` from its results (parent: 7e104536…).
+#: The two torture pins moved when the workload sweep became the torture
+#: sweep and every record got both ``workload`` and ``recovery_runs``
+#: (parents: 7597cf0e…cab28 and bbabcbe1…97758, kept whole in
+#: ``ONE_KEY_ADDED``, which proves nothing else moved).
 CLI_DIGESTS = {
     "torture": (
         "repro.torture.__main__",
         ["--seeds", "2", "--ops", "20", "--jobs", "2"],
-        "7597cf0ee7d607bafa7a42eccecb2efb66473183d02209f88be60ce7bd5cab28",
+        "705a4c2508f665559fb20b9b6042540ba87d22f1ac9501150ba256613726b167",
     ),
     "service-chaos": (
         "repro.service.cli",
@@ -346,8 +350,9 @@ CLI_DIGESTS = {
     ),
     "workloads-torture": (
         "repro.workloads.__main__",
-        ["torture", "--workload", "queue", "--seeds", "1", "--ops", "12"],
-        "bbabcbe1830c890d1f33a8711156f0a1751f8aa879110dda79c0971ada997758",
+        ["torture", "--workload", "queue", "--seeds", "1", "--ops", "12",
+         "--recovery-points", "0"],
+        "0118994c6fd4495ced8396db6e3519d67890aa2c5ee137e8ada17b2877f23b6b",
     ),
     "difftest": (
         "repro.difftest.__main__",
@@ -357,13 +362,38 @@ CLI_DIGESTS = {
 }
 
 
+#: The key each moved pin's records gained, and the digest the same sweep
+#: printed at 689c061 (``workloads-torture`` as ``python -m repro.workloads
+#: torture --workload queue --seeds 1 --ops 12``, on the driver deleted
+#: since): without that key the records must still digest to it.
+ONE_KEY_ADDED = {
+    "torture": (
+        "workload",
+        "7597cf0ee7d607bafa7a42eccecb2efb66473183d02209f88be60ce7bd5cab28",
+    ),
+    "workloads-torture": (
+        "recovery_runs",
+        "bbabcbe1830c890d1f33a8711156f0a1751f8aa879110dda79c0971ada997758",
+    ),
+}
+
+
 @pytest.mark.parametrize("name", list(CLI_DIGESTS))
-def test_cli_digest_is_pinned(name, capsys):
+def test_cli_digest_is_pinned(name, capsys, monkeypatch):
     import importlib
 
+    digest, digested = harness.digest, []
+    monkeypatch.setattr(
+        harness, "digest", lambda results: digested.append(results) or digest(results)
+    )
     module, argv, expected = CLI_DIGESTS[name]
     assert importlib.import_module(module).main(argv) == 0
     assert _digest_line(capsys.readouterr().out) == expected
+    if name in ONE_KEY_ADDED:
+        key, parent = ONE_KEY_ADDED[name]
+        [records] = digested
+        assert all(record.pop(key) is not None for record in records)
+        assert digest(records) == parent
 
 
 #: One committed trace per harness (CI replays the same files): module,
@@ -375,6 +405,9 @@ COMMITTED_TRACES = {
     "replication": ("repro.replication.cli", [], "replication/traces/premature_gc.json", 1),
     "workloads-torture": (
         "repro.workloads.__main__", ["torture"], "workloads/traces/queue_crash_point_400.json", 0,
+    ),
+    "workloads-sabotage": (
+        "repro.torture.__main__", [], "workloads/traces/queue_unflushed_commit_mark.json", 1,
     ),
     "difftest": ("repro.difftest.__main__", [], "difftest/corpus/order-by-nulls-first.json", 0),
 }

@@ -13,14 +13,15 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import harness
 from repro.torture import (
     SeedTask,
+    TortureScenario,
     build_fault_plan,
-    generate_txns,
     make_scenario,
-    model_states,
     profile_scenario,
     run_scenario,
     run_seed,
@@ -29,6 +30,8 @@ from repro.torture import (
 )
 from repro.torture.__main__ import HARNESS, main
 from repro.torture.driver import _close_boundaries
+from repro.workloads.core import model_states
+from repro.workloads.mobi import MobiWorkload, generate_txns
 
 
 def minimize(scenario):
@@ -50,10 +53,54 @@ class TestWorkload:
 
     def test_model_states_has_one_state_per_boundary(self):
         txns = generate_txns(3, 6)
-        states = model_states(txns)
-        assert states[0] is None  # before the DDL: no table
-        assert states[1] == []  # after the DDL: empty table
+        states = model_states(MobiWorkload(), txns)
+        assert states[0] == ("setup", 0)  # before the DDL: no table
+        assert states[1] == ("rows", ())  # after the DDL: empty table
         assert len(states) == len(txns) + 2
+
+
+class TestModelClosedUnderDeletion:
+    """The minimizer deletes ops, so the model and the driver must stay
+    right on any subset of a generated script."""
+
+    def test_update_of_a_missing_key_is_a_no_op(self):
+        # nested_lens can drop an insert ahead of its update; SQL then
+        # updates nothing, and so must the model.
+        scenario = TortureScenario(
+            seed=0, scheme="uh_ls_diff", txns=((("update", 3, "x"),),)
+        )
+        assert run_scenario(scenario).violations == ()
+
+    def test_a_script_the_engine_refuses_is_an_error_finding(self):
+        # What is left when the delete between two inserts of a reused
+        # key is dropped: the profile run itself raises DuplicateKey.
+        scenario = TortureScenario(
+            seed=0,
+            scheme="uh_ls_diff",
+            txns=((("insert", 3, "a"),), (("insert", 3, "b"),)),
+        )
+        assert violation_codes(run_scenario(scenario)) == {"error"}
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 7),
+        keep=st.lists(st.booleans(), min_size=12, max_size=12),
+        crash_point=st.integers(0, 400),
+    )
+    def test_no_subset_of_a_generated_script_is_a_state_finding(
+        self, seed, keep, crash_point
+    ):
+        kept = iter(keep)
+        txns = tuple(
+            tuple(op for op in txn if next(kept)) for txn in generate_txns(seed, 12)
+        )
+        scenario = TortureScenario(
+            seed=seed,
+            scheme="uh_ls_diff",
+            txns=tuple(txn for txn in txns if txn),
+            crash_point=crash_point,
+        )
+        assert violation_codes(run_scenario(scenario)) <= {"error"}
 
 
 class TestScenarioSerialization:
@@ -120,7 +167,7 @@ class TestGroupCommit:
         base = make_scenario(seed=2, ops=12, scheme=scheme, group_epoch=group)
         profile = profile_scenario(base)
         last = len(base.txns) + 1
-        closes = set(_close_boundaries(group, last))
+        closes = set(_close_boundaries(group, last, 1))
         mids = [b for b in range(2, last) if b not in closes]
         assert mids, "workload too small to place a crash inside an epoch"
         for b in mids:
@@ -141,7 +188,7 @@ class TestGroupCommit:
         base = make_scenario(seed=2, ops=12, scheme="ls", group_epoch=group)
         profile = profile_scenario(base)
         last = len(base.txns) + 1
-        closes = [b for b in _close_boundaries(group, last) if 0 < b < last]
+        closes = [b for b in _close_boundaries(group, last, 1) if 0 < b < last]
         for b in closes:
             scenario = dataclasses.replace(
                 base, crash_point=profile.bounds[b] + 1

@@ -19,18 +19,15 @@ entry, so an index/table divergence cannot hide behind a state-boundary
 relaxation.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.config import tuna
 from repro.db.index import IndexTree
-from repro.system import System
-from repro.wal.nvwal import SCHEMES, NvwalBackend
-from repro.db.database import Database
-from repro.errors import PowerFailure
-from repro.workloads.runner import make_workload
-from repro.workloads.core import apply_txn
-from repro.workloads.torture import (
-    WorkloadScenario,
+from repro.torture.driver import (
+    _make_db,
+    _run_until_crash,
+    make_scenario,
     profile_scenario,
     run_scenario,
 )
@@ -53,32 +50,10 @@ def _checkpoint_crash_points(profile):
 
 def _recover_after_crash(scenario):
     """Run the scenario to its crash point, power-cycle, reopen."""
-    workload = make_workload(scenario.workload)
-    txns = workload.generate_txns(scenario.seed, scenario.ops)
-    system = System(tuna(), seed=scenario.seed)
-    wal = NvwalBackend(
-        system,
-        SCHEMES[scenario.scheme](),
-        checkpoint_threshold=scenario.checkpoint_threshold,
-    )
-    db = Database(system, wal=wal, name=f"{scenario.workload}.db")
-    system.crash.arm(scenario.crash_point)
-    try:
-        for sql in workload.setup_sql():
-            db.execute(sql)
-        for txn in txns:
-            apply_txn(workload, db, txn)
-        system.crash.disarm()
-    except PowerFailure:
-        pass
+    system, _crashed = _run_until_crash(scenario)
     system.power_fail()
     system.reboot()
-    wal = NvwalBackend(
-        system,
-        SCHEMES[scenario.scheme](),
-        checkpoint_threshold=scenario.checkpoint_threshold,
-    )
-    return Database(system, wal=wal, name=f"{scenario.workload}.db")
+    return _make_db(system, scenario)
 
 
 def _assert_index_matches_scan(db, table, index_name, column_pos):
@@ -101,18 +76,15 @@ def _assert_index_matches_scan(db, table, index_name, column_pos):
 @pytest.mark.parametrize("scheme", SCHEME_FAMILIES)
 @pytest.mark.parametrize("workload", sorted(_INDEXED))
 def test_index_agrees_at_every_checkpoint_boundary(scheme, workload):
-    base = WorkloadScenario(
-        workload, seed=0, ops=30, scheme=scheme, checkpoint_threshold=10
+    base = make_scenario(
+        0, 30, scheme, checkpoint_threshold=10, workload=workload
     )
     profile = profile_scenario(base)
     points = _checkpoint_crash_points(profile)
     assert points, "sweep is vacuous: no checkpoint ever completed"
     table, index_name, column_pos = _INDEXED[workload]
     for k in points:
-        scenario = WorkloadScenario(
-            workload, seed=0, ops=30, scheme=scheme,
-            checkpoint_threshold=10, crash_point=k,
-        )
+        scenario = replace(base, crash_point=k)
         # Full boundary oracle (state match + integrity + idempotence)...
         outcome = run_scenario(scenario, profile)
         assert outcome.violations == (), (scheme, k, outcome.violations)
@@ -125,16 +97,13 @@ def test_index_agrees_at_every_checkpoint_boundary(scheme, workload):
 @pytest.mark.parametrize("scheme", SCHEME_FAMILIES)
 def test_index_agrees_at_every_crash_point(scheme):
     """Deep variant: every primitive op, not just checkpoint edges."""
-    base = WorkloadScenario(
-        "ycsb-a", seed=1, ops=20, scheme=scheme, checkpoint_threshold=10
+    base = make_scenario(
+        1, 20, scheme, checkpoint_threshold=10, workload="ycsb-a"
     )
     profile = profile_scenario(base)
     table, index_name, column_pos = _INDEXED["ycsb-a"]
     for k in range(1, profile.total_ops + 1, 2):
-        scenario = WorkloadScenario(
-            "ycsb-a", seed=1, ops=20, scheme=scheme,
-            checkpoint_threshold=10, crash_point=k,
-        )
+        scenario = replace(base, crash_point=k)
         outcome = run_scenario(scenario, profile)
         assert outcome.violations == (), (scheme, k, outcome.violations)
         db = _recover_after_crash(scenario)
