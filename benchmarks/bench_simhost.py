@@ -1,20 +1,16 @@
 """Host-side performance of the simulator's hot primitives.
 
-Everything else in ``benchmarks/`` reports *simulated* numbers (throughput
+``python -m repro.bench <name>`` reports *simulated* numbers (throughput
 on the simulated clock); this module instead measures how fast the
 *simulator itself* runs on the host — the ops/sec of the primitives the
 fast-path work of the "Simulator fast path" PR optimizes.  The contract
 those optimizations must honor is: host wall-clock may change freely,
 simulated time may not.
 
-Two entry points:
-
-* ``pytest benchmarks/bench_simhost.py`` — pytest-benchmark wrappers, for
-  interactive comparison;
-* ``python benchmarks/bench_simhost.py [--out BENCH_simulator.json]`` — the
-  perf-regression harness: runs every probe and emits a JSON report
-  (see ``BENCH_simulator.json`` at the repo root) so future PRs can track
-  the host-performance trajectory across commits.
+``python benchmarks/bench_simhost.py [--out BENCH_simulator.json]`` is the
+perf-regression harness: it runs every probe and emits a JSON report (see
+``BENCH_simulator.json`` at the repo root) so future PRs can track the
+host-performance trajectory across commits.
 """
 
 from __future__ import annotations
@@ -405,65 +401,6 @@ def run_all(repeat: int = 1) -> dict[str, float]:
             if rate > results.get(name, 0.0):
                 results[name] = rate
     return results
-
-
-# ---------------------------------------------------------------------------
-# pytest-benchmark wrappers
-# ---------------------------------------------------------------------------
-
-
-def _bench(benchmark, name):
-    rate = benchmark.pedantic(PROBES[name], rounds=1, iterations=1)
-    benchmark.extra_info["host_ops_per_sec"] = round(rate, 1)
-    assert rate > 0
-
-
-def test_simhost_store(benchmark):
-    _bench(benchmark, "cache_store_page_per_sec")
-
-
-def test_simhost_load(benchmark):
-    _bench(benchmark, "cache_load_page_per_sec")
-
-
-def test_simhost_flush_cycle(benchmark):
-    _bench(benchmark, "flush_commit_cycle_per_sec")
-
-
-def test_simhost_lazy_cycle(benchmark):
-    _bench(benchmark, "lazy_commit_cycle_per_sec")
-
-
-def test_simhost_group_append(benchmark):
-    _bench(benchmark, "wal_group_append_frames_per_sec")
-
-
-def test_simhost_heapo(benchmark):
-    _bench(benchmark, "heapo_alloc_free_per_sec")
-
-
-def test_simhost_heapo_attach(benchmark):
-    _bench(benchmark, "heapo_attach_per_sec")
-
-
-def test_simhost_ext4_append_fsync(benchmark):
-    _bench(benchmark, "ext4_append_fsync_per_sec")
-
-
-def test_simhost_diff(benchmark):
-    _bench(benchmark, "diff_compute_extents_per_sec")
-
-
-def test_simhost_btree_point_get(benchmark):
-    _bench(benchmark, "btree_point_get_per_sec")
-
-
-def test_simhost_sql_point_select(benchmark):
-    _bench(benchmark, "sql_point_select_per_sec")
-
-
-def test_simhost_telemetry_overhead(benchmark):
-    _bench(benchmark, "telemetry_overhead_txns_per_sec")
 
 
 # ---------------------------------------------------------------------------

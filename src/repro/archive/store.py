@@ -313,21 +313,25 @@ class SegmentArchive:
 
     # -- GC -----------------------------------------------------------------
 
-    def gc(self, min_live_cursor: int, limit_override: int | None = None) -> int:
+    def _gc_limit(self, min_live_cursor: int | None) -> int | None:
+        """Highest epoch GC may delete; None — delete nothing — while no
+        floor snapshot or no live follower's cursor bounds the trim."""
+        if self.floor is None or min_live_cursor is None:
+            return None
+        return min(min_live_cursor, self.floor)
+
+    def gc(self, min_live_cursor: int | None) -> int:
         """Trim files strictly behind ``min(min_live_cursor, floor)``.
 
-        Only whole epoch files whose entire run is at or below the limit
-        are unlinked — a partially-needed run stays.  Snapshots strictly
+        ``min_live_cursor`` is the lowest durable cursor of the live
+        follower fleet (None when no follower is alive).  Only whole
+        epoch files whose entire run is at or below the limit are
+        unlinked — a partially-needed run stays.  Snapshots strictly
         below the limit are retired, except the floor itself.
-        ``limit_override`` exists for sabotage self-tests (a planted
-        GC-past-cursor bug) and must never be used by production callers.
         """
-        if limit_override is not None:
-            limit = limit_override
-        else:
-            if self.floor is None:
-                return 0
-            limit = min(min_live_cursor, self.floor)
+        limit = self._gc_limit(min_live_cursor)
+        if limit is None:
+            return 0
         deleted: list[int] = []
         freed = 0
         while self._files and self._files[0].last_seq <= limit:

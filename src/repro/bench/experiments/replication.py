@@ -25,8 +25,9 @@ import json
 
 from repro.bench.harness import parallel_map
 from repro.bench.report import Report, Table
-from repro.replication.chaos import ReplicationTask, run_task
+from repro.replication.chaos import ReplicationTask
 from repro.replication.ship import MODES
+from repro.service.chaos import run_task
 
 SEEDS = (0, 1, 2, 3)
 QUICK_SEEDS = (0, 1)

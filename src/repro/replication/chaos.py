@@ -34,35 +34,41 @@ below ``min(live fleet's durable cursor, checkpoint floor)``
 (``gc-premature`` otherwise), and a caught-up follower's pages must be
 *byte-identical* to the primary's however it caught up.
 
-``sabotage`` plants a planted-bug self-test the oracle must catch:
-``"torn"`` — followers skip segment verification and the primary ships
-one deliberately torn segment; ``"gc"`` — the archive GC ignores
-follower cursors and the floor (trimming epochs a follower still
-needs).
+``sabotage`` plants a bug the oracle must catch, each a subclass of the
+product class it breaks (:data:`SABOTAGED_CLUSTERS`): ``"torn"`` —
+followers skip segment verification and the primary ships one
+deliberately torn segment; ``"gc"`` — the archive GC ignores follower
+cursors and the floor (trimming epochs a follower still needs).
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from repro.errors import PowerFailure
-from repro.faults import FaultPlan, IoFaultSpec, ShipFaultSpec
 from repro import harness
-from repro.harness import session_stream
+from repro.archive import SegmentArchive
+from repro.errors import ChecksumError, PowerFailure
+from repro.faults import FaultPlan, IoFaultSpec, ShipFaultSpec
 from repro.replication.cluster import Cluster, ReplicationConfig
+from repro.replication.node import FollowerNode
+from repro.replication.segment import decode_stream
+from repro.replication.ship import Replicator
 from repro.service.chaos import (
-    absorb_stats,
+    READ_SQL,
+    Outcome,
+    SessionDriver,
+    SessionTask,
     daemon_failures,
-    fold,
     make_clients,
+    placement_rng,
+    session_streams,
     starved_clients,
 )
 from repro.service.sched import Scheduler
 from repro.service.server import ServiceConfig
-from repro.service.session import ClientSession
 from repro.torture.driver import rotated
 from repro.wal.base import SyncMode
+from repro.wal.frames import NV_HEADER_SIZE, encode_nv_frame
 from repro.wal.nvwal import SCHEMES
 from repro.workloads.mobi import TABLE, generate_txns
 
@@ -71,12 +77,6 @@ ROTATION = ("uh_ls_diff", "eager", "uh_cs_diff")
 
 #: Per-seed durability-mode rotation.
 MODE_ROTATION = ("semisync", "sync", "async")
-
-#: ``ReplicationScenario.sabotage`` values: off, a torn segment past
-#: lenient followers, a GC-past-durable-cursor bug in the archive trim.
-SABOTAGE_KINDS = ("", "torn", "gc")
-
-_READ_SQL = f"SELECT k, v FROM {TABLE}"
 
 _GRIM_POLL_NS = 100_000
 _SETTLE_POLL_NS = 200_000
@@ -114,12 +114,71 @@ class ReplicationScenario:
     deadline_ns: int = 4_000_000_000
 
 
-@dataclass(frozen=True)
-class ReplicationOutcome:
-    """What one scenario run produced (JSON-able)."""
+class _UnverifyingFollower(FollowerNode):
+    """``"torn"``, the bug: segments are applied without their integrity
+    checks."""
 
-    violations: tuple
-    summary: dict = field(default_factory=dict)
+    def _decode(self, payload: bytes):
+        return decode_stream(payload, verify=False)
+
+    def _fold_frames(self, frames, base_for):
+        final: dict[int, bytes] = {}
+        for frame in frames:
+            base = final.get(frame.page_no)
+            if base is None:
+                base = base_for(frame.page_no)
+            try:
+                final[frame.page_no] = frame.apply_to(base)
+            except ChecksumError:
+                pass  # a broken extent list is skipped, divergence and all
+        return final
+
+
+class _TearingReplicator(Replicator):
+    """``"torn"``, the trigger: the first frame-bearing, transaction-
+    bearing epoch at or above seq 2 goes out torn, however often it is
+    sent (a verifying follower would reject it every time)."""
+
+    _torn_seq: int | None = None
+
+    def _encode_entry(self, entry) -> bytes:
+        blob = super()._encode_entry(entry)
+        if self._torn_seq is None and entry.frames and entry.metas and entry.seq >= 2:
+            self._torn_seq = entry.seq
+        if entry.seq != self._torn_seq:
+            return blob
+        # Three bytes spread across the last frame's payload are flipped,
+        # so the damage cannot hide entirely in dead page space;
+        # checksums and close word stay as encoded.
+        last_frame = entry.frames[-1]
+        torn = bytearray(blob)
+        start = len(blob) - len(encode_nv_frame(last_frame)) + NV_HEADER_SIZE
+        span = max(1, len(last_frame.payload))
+        for frac in (0, span // 3, 2 * span // 3):
+            torn[min(start + frac, len(torn) - 1)] ^= 0x10
+        return bytes(torn)
+
+
+class _PrematureGcArchive(SegmentArchive):
+    """``"gc"``: the trim runs up to the archived head, ignoring follower
+    cursors and the checkpoint floor."""
+
+    def _gc_limit(self, min_live_cursor):
+        return self.head
+
+
+class _TornCluster(Cluster):
+    follower_class = _UnverifyingFollower
+    replicator_class = _TearingReplicator
+
+
+class _GcCluster(Cluster):
+    archive_class = _PrematureGcArchive
+
+
+#: ``ReplicationScenario.sabotage`` value -> the cluster that has the bug.
+SABOTAGED_CLUSTERS = {"": Cluster, "torn": _TornCluster, "gc": _GcCluster}
+SABOTAGE_KINDS = tuple(SABOTAGED_CLUSTERS)
 
 
 def build_ship_plan(seed: int, faults) -> FaultPlan | None:
@@ -172,22 +231,20 @@ def make_scenario(
     The scenario is first run without any kills to measure its simulated
     duration, and the writer/follower kill times are placed at seeded
     fractions of it — deterministic, and dense enough across seeds to
-    land mid-epoch.
+    land mid-epoch.  A ``scheme`` or ``mode`` of ``rotate`` cycles
+    :data:`ROTATION` / :data:`MODE_ROTATION` by seed.
     """
+    scheme = rotated(scheme, seed, ROTATION)
+    mode = rotated(mode, seed, MODE_ROTATION)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; pick from {sorted(SCHEMES)}")
     if sabotage not in SABOTAGE_KINDS:
         raise ValueError(f"unknown sabotage kind {sabotage!r}")
-    per_session = max(1, txns // sessions)
-    streams = tuple(
-        session_stream(generate_txns, seed, s, sessions, per_session, txn_size)
-        for s in range(sessions)
-    )
     scenario = ReplicationScenario(
         seed=seed,
         scheme=scheme,
         mode=mode,
-        streams=streams,
+        streams=session_streams(generate_txns, seed, sessions, txns, txn_size),
         followers=followers,
         plan=build_ship_plan(seed, faults),
         sabotage=sabotage,
@@ -196,7 +253,7 @@ def make_scenario(
     if not writer_kill and follower_kills <= 0:
         return scenario
     duration = _measure_duration(scenario)
-    rng = random.Random((seed * 0x2545F491 + 0x3C6EF35F) & 0xFFFFFFFF)
+    rng = placement_rng(seed)
     writer_kill_ns = 0
     if writer_kill:
         writer_kill_ns = max(1, int(duration * (0.30 + 0.40 * rng.random())))
@@ -232,61 +289,66 @@ def _measure_duration(scenario: ReplicationScenario) -> int:
     return max(1, int(driver.clock.now_ns - driver.start_ns))
 
 
-class _Driver:
+class _Driver(SessionDriver):
     """Mutable state of one replication chaos run."""
 
     def __init__(self, scenario: ReplicationScenario) -> None:
-        self.scenario = scenario
+        super().__init__(scenario)
         #: Checksum (asynchronous) commit may shed the last commit window
         #: of a follower's own WAL at its power loss, legitimately
         #: regressing its durable cursor — the one scheme-sanctioned
         #: excuse for losing a released epoch at failover.
         self.relaxed = SCHEMES[scenario.scheme]().sync is SyncMode.CHECKSUM
-        self.violations: list[str] = []
-        self.kv: dict = {}
-        #: states[s]: sorted rows after s sealed epochs.
-        self.states: list = [[]]
-        #: commit_log[s]: the (session_id, ops) metas epoch s carried.
+        #: commit_log[s]: the (session_id, ops) metas sealed epoch s
+        #: carried; states[s] is the row set after it.
         self.commit_log: list = [()]
-        #: group commit: epoch members applied but not yet sealed.
-        self.applied_tail: list = []
         #: seq -> frozenset of follower ids durable at release time.
         self.ack_records: dict[int, frozenset] = {}
         self.released = 0
         self.lost_released = 0
-        self.crashes = 0
         self.follower_crashes = 0
         self.follower_restarts = 0
         self.follower_reads = 0
-        self.stale_reads = 0
-        self.gc_deleted = 0
         self.gc_events = 0
         self.floor_advances = 0
-        self.stats_total: dict[str, int] = {}
         self.failover_ms: float | None = None
         self.first_ack_after_failover_ms: float | None = None
         self._writer_killed = False
         self._kills_done: set[int] = set()
         self._restarts_done: set[int] = set()
-        self.cluster: Cluster | None = None
-        self.clock = None
-        #: Clock reading once the cluster is built (machine boots advance
-        #: the shared clock); every scenario time is relative to this.
-        self.start_ns = 0
+        sc = scenario
+        self.cluster = SABOTAGED_CLUSTERS[sc.sabotage](
+            ReplicationConfig(
+                followers=sc.followers,
+                mode=sc.mode,
+                scheme=sc.scheme,
+                checkpoint_threshold=sc.checkpoint_threshold,
+                archive_epochs_per_file=sc.archive_epochs_per_file,
+                archive_snapshot_every=sc.archive_snapshot_every,
+                archive_gc_every=sc.archive_gc_every,
+            ),
+            seed=sc.seed,
+            ship_spec=sc.plan.ship if sc.plan is not None else None,
+            on_seal=self._on_seal,
+            on_release=self._on_release,
+            archive_io_spec=sc.plan.archive_io if sc.plan is not None else None,
+            on_gc=self._on_gc,
+            on_snapshot=self._on_snapshot,
+        )
+        self.clock = self.cluster.clock
+        #: Machine boots advanced the shared clock; every scenario time is
+        #: relative to this reading.
+        self.start_ns = self.clock.now_ns
 
     # -- model hooks ---------------------------------------------------
 
     def _on_seal(self, entry) -> None:
-        for meta in entry.metas:
-            if self.applied_tail and self.applied_tail[0] == meta:
-                self.applied_tail.pop(0)
-            self.kv = fold(self.kv, meta[1])
-        self.states.append(sorted(self.kv.items()))
+        self._commit_point(entry.metas)
         self.commit_log.append(entry.metas)
-        if entry.seq != len(self.states) - 1:
+        if entry.seq != self.head:
             self.violations.append(
                 f"error: sealed epoch {entry.seq} does not extend the model "
-                f"head {len(self.states) - 1}"
+                f"head {self.head}"
             )
 
     def _on_release(self, seq: int, acked_by: frozenset) -> None:
@@ -301,9 +363,6 @@ class _Driver:
                 self.clock.now_ns - self.cluster.kill_ns
             ) / 1e6
 
-    def _on_apply(self, session_id: str, ops) -> None:
-        self.applied_tail.append((session_id, ops))
-
     def _on_snapshot(self, seq: int) -> None:
         self.floor_advances += 1
 
@@ -311,15 +370,11 @@ class _Driver:
         """GC oracle: nothing a live follower needs — and nothing above
         the checkpoint floor — is ever deleted."""
         self.gc_events += 1
-        self.gc_deleted += len(deleted_seqs)
         if not deleted_seqs:
             return
-        live = [
-            f
-            for f in self.cluster.followers
-            if f.alive and f.role == "follower"
-        ]
-        min_cursor = min((f.durable_seq for f in live), default=None)
+        min_cursor = min(
+            (f.durable_seq for f in self.cluster.live_followers()), default=None
+        )
         floor = self.cluster.archive.floor
         worst = max(deleted_seqs)
         if min_cursor is not None and worst > min_cursor:
@@ -333,18 +388,7 @@ class _Driver:
                 f"checkpoint floor {floor}"
             )
 
-    # -- read oracles --------------------------------------------------
-
-    def _check_primary_read(self, rows) -> None:
-        kv = dict(self.kv)
-        for _sid, ops in self.applied_tail:
-            kv = fold(kv, ops)
-        if sorted(rows) != sorted(kv.items()):
-            self.stale_reads += 1
-            self.violations.append(
-                f"stale-read: primary read diverged from the sealed history "
-                f"after {len(self.states) - 1} epoch(s)"
-            )
+    # -- follower read oracle ------------------------------------------
 
     def _follower_reader(self, node):
         """Daemon: bounded-staleness checked reads against one follower."""
@@ -355,15 +399,15 @@ class _Driver:
             if node.term != self.cluster.term:
                 continue  # awaiting post-failover state transfer
             seq = node.durable_seq
-            if seq >= len(self.states):
+            if seq > self.head:
                 self.violations.append(
                     f"replica-divergence: follower {node.node_id} cursor "
                     f"{seq} is beyond the sealed history "
-                    f"({len(self.states) - 1})"
+                    f"({self.head})"
                 )
                 continue
             try:
-                rows = node.db.snapshot_query(_READ_SQL)
+                rows = node.db.snapshot_query(READ_SQL)
             except Exception:  # noqa: BLE001 - cursor 0 / no table yet
                 continue
             if sorted(rows) != self.states[seq]:
@@ -440,13 +484,7 @@ class _Driver:
             self.follower_restarts += 1
         watermark = max(f.durable_seq for f in cluster.live_followers())
         self._truncate_model(watermark)
-        promoted = cluster.promote()
-        if promoted is None:
-            self.violations.append(
-                "failover-lost: promotion found no live follower"
-            )
-            return False
-        node, promoted_watermark, _scrub = promoted
+        _node, promoted_watermark, _scrub = cluster.promote()
         if promoted_watermark != watermark:
             self.violations.append(
                 f"error: promotion watermark {promoted_watermark} != the "
@@ -458,8 +496,7 @@ class _Driver:
 
     def _truncate_model(self, watermark: int) -> None:
         """Epochs above the watermark died with the primary; audit them."""
-        head = len(self.states) - 1
-        for seq in range(watermark + 1, head + 1):
+        for seq in range(watermark + 1, self.head + 1):
             acked_by = self.ack_records.get(seq)
             if acked_by is None:
                 continue  # never released: clients will resubmit
@@ -486,14 +523,13 @@ class _Driver:
 
     # -- settle + audit ------------------------------------------------
 
-    def _caught_up(self) -> bool:
-        head = len(self.states) - 1
-        for node in self.cluster.followers:
-            if not node.alive or node.role != "follower":
-                continue
-            if node.term != self.cluster.term or node.durable_seq != head:
-                return False
-        return True
+    def _lagging(self) -> list:
+        """Live followers not yet at the sealed head in the current term."""
+        return [
+            node
+            for node in self.cluster.live_followers()
+            if node.term != self.cluster.term or node.durable_seq != self.head
+        ]
 
     def _settle(self) -> None:
         """Drain the channel until every live follower reaches the head."""
@@ -503,7 +539,7 @@ class _Driver:
             def waiter():
                 deadline = self.clock.now_ns + self.scenario.settle_ns
                 while self.clock.now_ns < deadline:
-                    if self._caught_up():
+                    if not self._lagging():
                         return
                     yield _SETTLE_POLL_NS
 
@@ -518,25 +554,18 @@ class _Driver:
             except PowerFailure:
                 # The scripted writer kill landed after the clients
                 # drained; fail over and settle onto the new primary.
-                self.crashes += 1
-                scheduler.abandon()
-                self.applied_tail.clear()
+                self._power_cut(scheduler)
                 if not self._failover():
                     return
                 continue
             break
-        if not self._caught_up():
-            head = len(self.states) - 1
-            for node in self.cluster.followers:
-                if not node.alive or node.role != "follower":
-                    continue
-                if node.term != self.cluster.term or node.durable_seq != head:
-                    self.violations.append(
-                        "replication-stalled: follower "
-                        f"{node.node_id} stuck at seq {node.durable_seq} "
-                        f"term {node.term} (head {head} term "
-                        f"{self.cluster.term}) after the settle budget"
-                    )
+        for node in self._lagging():
+            self.violations.append(
+                f"replication-stalled: follower {node.node_id} stuck at seq "
+                f"{node.durable_seq} term {node.term} (head "
+                f"{self.head} term {self.cluster.term}) after the "
+                "settle budget"
+            )
 
     def _grim_pending(self) -> bool:
         sc = self.scenario
@@ -551,7 +580,7 @@ class _Driver:
         )
 
     def _final_audit(self) -> None:
-        head = len(self.states) - 1
+        head = self.head
         expected = self.states[head]
         try:
             rows = sorted(self.cluster.db.dump_table(TABLE))
@@ -566,11 +595,10 @@ class _Driver:
                 f"match the sealed history at seq {head} "
                 f"({len(expected)} rows)"
             )
-        for node in self.cluster.followers:
-            if not node.alive or node.role != "follower":
+        lagging = self._lagging()  # already reported by _settle
+        for node in self.cluster.live_followers():
+            if node in lagging:
                 continue
-            if node.term != self.cluster.term or node.durable_seq != head:
-                continue  # already reported by _settle
             try:
                 frows = sorted(node.db.dump_table(TABLE))
             except Exception as exc:  # noqa: BLE001
@@ -613,32 +641,9 @@ class _Driver:
 
     # -- main loop -----------------------------------------------------
 
-    def run(self) -> ReplicationOutcome:
+    def run(self) -> Outcome:
         sc = self.scenario
-        cluster = Cluster(
-            ReplicationConfig(
-                followers=sc.followers,
-                mode=sc.mode,
-                scheme=sc.scheme,
-                checkpoint_threshold=sc.checkpoint_threshold,
-                lenient_followers=sc.sabotage == "torn",
-                sabotage_seq=2 if sc.sabotage == "torn" else 0,
-                archive_epochs_per_file=sc.archive_epochs_per_file,
-                archive_snapshot_every=sc.archive_snapshot_every,
-                archive_gc_every=sc.archive_gc_every,
-                gc_sabotage=sc.sabotage == "gc",
-            ),
-            seed=sc.seed,
-            ship_spec=sc.plan.ship if sc.plan is not None else None,
-            on_seal=self._on_seal,
-            on_release=self._on_release,
-            archive_io_spec=sc.plan.archive_io if sc.plan is not None else None,
-            on_gc=self._on_gc,
-            on_snapshot=self._on_snapshot,
-        )
-        self.cluster = cluster
-        self.clock = cluster.clock
-        self.start_ns = self.clock.now_ns
+        cluster = self.cluster
         service_config = ServiceConfig(group_commit=sc.group_commit)
         clients = make_clients(sc.streams)
 
@@ -648,21 +653,8 @@ class _Driver:
             service = cluster.start_service(
                 service_config, seed=sc.seed, on_apply=self._on_apply
             )
-            live = False
-            for client in clients:
-                client.attach(service)
-                if client.pending and not client.gave_up:
-                    live = True
-                    scheduler.spawn(
-                        client.session_id, self._client_job(client, service)
-                    )
-            if not live:
+            if not self._spawn_clients(scheduler, service, clients):
                 break
-            scheduler.spawn("maintenance", service.maintenance(), daemon=True)
-            if sc.group_commit:
-                scheduler.spawn(
-                    "batcher", service.commit_batcher(), daemon=True
-                )
             scheduler.spawn(
                 "replicator", cluster.replicator.daemon(), daemon=True
             )
@@ -676,7 +668,7 @@ class _Driver:
                 scheduler.spawn("grim", self._grim_job(), daemon=True)
             try:
                 scheduler.run(deadline_ns=self.start_ns + sc.deadline_ns)
-                absorb_stats(self.stats_total, service)
+                self._absorb_stats(service)
                 if any(not j.done and not j.daemon for j in scheduler.jobs):
                     stalled = True
                     self.violations.append(
@@ -689,57 +681,30 @@ class _Driver:
                 self.violations.extend(daemon_failures(scheduler))
                 break
             except PowerFailure:
-                self.crashes += 1
-                scheduler.abandon()
-                absorb_stats(self.stats_total, service)
-                # Open-epoch members died with the primary's DRAM; the
-                # clients resubmit anything never acknowledged.
-                self.applied_tail.clear()
+                self._power_cut(scheduler)
+                self._absorb_stats(service)
                 if not self._failover():
-                    return self._outcome()
+                    return self._finish()
 
         self.violations.extend(starved_clients(clients))
 
         if not stalled:
             self._settle()
             self._final_audit()
-        return self._outcome()
-
-    def _client_job(self, client: ClientSession, service):
-        runner = client.run()
-        acked_before = len(client.acked)
-        for delay in runner:
-            yield delay
-            if len(client.acked) >= acked_before + 2:
-                acked_before = len(client.acked)
-                try:
-                    rows = yield from service.submit_read(
-                        client.session_id, _READ_SQL
-                    )
-                except Exception:  # noqa: BLE001 - reads may be refused
-                    continue
-                self._check_primary_read(rows)
+        return self._finish()
 
     def _ship_fault_counts(self) -> dict:
-        counts = {"dropped": 0, "duplicated": 0, "reordered": 0, "corrupted": 0}
-        for replicator in (
-            *self.cluster.retired_replicators,
-            self.cluster.replicator,
-        ):
+        counts = dict.fromkeys(("dropped", "duplicated", "reordered", "corrupted"), 0)
+        cluster = self.cluster
+        for replicator in (*cluster.retired_replicators, cluster.replicator):
             for channel in replicator.channels.values():
-                injector = channel.injector
-                if injector is None:
-                    continue
-                counts["dropped"] += injector.dropped
-                counts["duplicated"] += injector.duplicated
-                counts["reordered"] += injector.reordered
-                counts["corrupted"] += injector.corrupted
+                if channel.injector is not None:
+                    for kind in counts:
+                        counts[kind] += getattr(channel.injector, kind)
         return counts
 
-    def _archive_summary(self) -> dict | None:
+    def _archive_summary(self) -> dict:
         cluster = self.cluster
-        if cluster is None:
-            return None
         archive = cluster.archive
         injector = cluster.archive_device.fault_injector
         return {
@@ -759,60 +724,31 @@ class _Driver:
             "peak_log_entries": cluster.log_peak(),
         }
 
-    def _outcome(self) -> ReplicationOutcome:
-        lag = sorted(self.cluster.lag_samples()) if self.cluster else []
-        summary = {
-            "seed": self.scenario.seed,
-            "scheme": self.scenario.scheme,
-            "mode": self.scenario.mode,
-            "sessions": len(self.scenario.streams),
-            "followers": self.scenario.followers,
-            "acked": self.stats_total.get("txns_acked", 0),
-            "sealed": len(self.states) - 1,
-            "released": self.released,
-            "crashes": self.crashes,
-            "follower_crashes": self.follower_crashes,
-            "follower_restarts": self.follower_restarts,
-            "promotions": self.cluster.promotions if self.cluster else 0,
-            "lost_released": self.lost_released,
-            "follower_reads": self.follower_reads,
-            "stale_reads": self.stale_reads,
-            "relaxed": self.relaxed,
-            "ship_faults": self._ship_fault_counts() if self.cluster else {},
-            "lag_samples": len(lag),
-            "lag_mean_us": (sum(lag) / len(lag) / 1e3) if lag else 0.0,
-            "lag_p95_us": (lag[int(len(lag) * 0.95) - 1] / 1e3) if lag else 0.0,
-            "lag_max_us": (lag[-1] / 1e3) if lag else 0.0,
-            "failover_ms": self.failover_ms,
-            "first_ack_after_failover_ms": self.first_ack_after_failover_ms,
-            "archive": self._archive_summary(),
-            "sim_time_ms": int((self.clock.now_ns - self.start_ns) // 1_000_000)
-            if self.clock
-            else 0,
-            "stats": dict(sorted(self.stats_total.items())),
-            "violations": list(self.violations),
-        }
-        return ReplicationOutcome(
-            violations=tuple(self.violations), summary=summary
+    def _finish(self) -> Outcome:
+        lag = sorted(self.cluster.lag_samples())
+        return self._outcome(
+            mode=self.scenario.mode,
+            followers=self.scenario.followers,
+            sealed=self.head,
+            released=self.released,
+            follower_crashes=self.follower_crashes,
+            follower_restarts=self.follower_restarts,
+            promotions=self.cluster.promotions,
+            lost_released=self.lost_released,
+            follower_reads=self.follower_reads,
+            ship_faults=self._ship_fault_counts(),
+            lag_samples=len(lag),
+            lag_mean_us=(sum(lag) / len(lag) / 1e3) if lag else 0.0,
+            lag_p95_us=(lag[int(len(lag) * 0.95) - 1] / 1e3) if lag else 0.0,
+            lag_max_us=(lag[-1] / 1e3) if lag else 0.0,
+            failover_ms=self.failover_ms,
+            first_ack_after_failover_ms=self.first_ack_after_failover_ms,
+            archive=self._archive_summary(),
+            sim_time_ms=int((self.clock.now_ns - self.start_ns) // 1_000_000),
         )
 
 
-def run_replication_chaos(scenario: ReplicationScenario) -> ReplicationOutcome:
-    """Run one scenario end to end; unexpected escapes become findings."""
-    try:
-        return _Driver(scenario).run()
-    except Exception as exc:  # noqa: BLE001 - any escape is a finding
-        return ReplicationOutcome(
-            violations=(
-                f"error: unhandled {type(exc).__name__} escaped the "
-                f"replication driver: {exc}",
-            ),
-            summary={
-                "seed": scenario.seed,
-                "scheme": scenario.scheme,
-                "mode": scenario.mode,
-            },
-        )
+run_replication_chaos = _Driver.run_scenario
 
 
 # ----------------------------------------------------------------------
@@ -847,14 +783,10 @@ def scenario_from_dict(data: dict) -> ReplicationScenario:
 
 
 @dataclass(frozen=True)
-class ReplicationTask:
+class ReplicationTask(SessionTask):
     """Picklable work item for one chaos run (parallel_map-able)."""
 
-    seed: int
-    sessions: int = 4
     txns: int = 36
-    txn_size: int = 3
-    scheme: str = "rotate"
     mode: str = "rotate"
     followers: int = 2
     faults: tuple = ("drop", "dup", "reorder", "corrupt", "archive")
@@ -863,18 +795,13 @@ class ReplicationTask:
     sabotage: str = ""
     group_commit: bool = True
 
+    make_scenario = staticmethod(make_scenario)
+    driver = _Driver
 
-def run_task(task: ReplicationTask) -> dict:
-    """Run one task; result is the summary plus the scenario trace."""
-    # The task's fields are make_scenario's parameters, by name.
-    scenario = make_scenario(
-        **{
-            **asdict(task),
-            "scheme": rotated(task.scheme, task.seed, ROTATION),
-            "mode": rotated(task.mode, task.seed, MODE_ROTATION),
-        }
-    )
-    outcome = run_replication_chaos(scenario)
-    result = dict(outcome.summary)
-    result["scenario"] = scenario_to_dict(scenario)
-    return result
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.followers < 1 and (self.writer_kill or self.follower_kills):
+            raise ValueError(
+                "--writer-kill and --follower-kills need at least one "
+                "follower (--followers)"
+            )

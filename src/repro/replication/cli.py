@@ -35,10 +35,10 @@ from repro.replication.chaos import (
     ReplicationScenario,
     ReplicationTask,
     run_replication_chaos,
-    run_task,
     scenario_from_dict,
 )
 from repro.replication.ship import MODES
+from repro.service.chaos import run_task
 from repro.torture.driver import add_scheme_flag, comma_list
 
 
@@ -46,8 +46,8 @@ def _one_dimension_less(scenario: ReplicationScenario):
     """The scenario as recorded minus one whole dimension; first hit wins.
 
     The fault plan goes last: a torn-segment failure keeps failing
-    without it, but with it (and lenient followers) the workload below
-    can shrink all the way to zero operations.
+    without it, but with it (and unverifying followers) the workload
+    below can shrink all the way to zero operations.
     """
     yield replace(scenario, group_commit=False)
     # A scripted kill names its follower by index; only a kill-free
@@ -134,7 +134,7 @@ class ReplicationHarness(harness.Harness):
             default="",
             choices=kinds,
             help="self-test: 'torn' (the bare-flag default) ships one "
-            "deliberately torn segment past lenient followers; 'gc' makes "
+            "deliberately torn segment past unverifying followers; 'gc' makes "
             "the archive trim past the follower fleet's durable cursor, so "
             "a reseed after failover comes up short; the sweep must find, "
             "minimize, and deterministically replay the planted bug",

@@ -42,9 +42,7 @@ from repro.storage.ext4 import Ext4FileSystem
 from repro.system import System
 from repro.wal.frames import NvFrame
 from repro.wal.nvwal import SCHEMES, NvwalBackend
-from repro.workloads.mobi import TABLE
-
-_CREATE_SQL = f"CREATE TABLE {TABLE} (k INTEGER PRIMARY KEY, v TEXT)"
+from repro.workloads.mobi import DDL, TABLE
 
 
 @dataclass(frozen=True)
@@ -59,22 +57,24 @@ class ReplicationConfig:
     poll_ns: int = 150_000
     resend_ns: int = 1_500_000
     send_window: int = 4
-    #: Sabotage: followers skip segment verification, and the primary
-    #: tears the wire blob of the first eligible epoch at/after this seq.
-    lenient_followers: bool = False
-    sabotage_seq: int = 0
     #: The ext4 cold store: sealed epochs spill to segment files, reseeds
     #: come from disk, and the in-memory shipping log stays bounded.
     archive_epochs_per_file: int = 8
     archive_sync_every: int = 4
     archive_snapshot_every: int = 24
     archive_gc_every: int = 8
-    #: Sabotage: plant a GC-past-durable-cursor bug in the archive trim.
-    gc_sabotage: bool = False
 
 
 class Cluster:
     """One primary + followers sharing a clock and a shipping fleet."""
+
+    #: The classes the cluster builds its machines from.  ``archive_class``
+    #: None means :class:`repro.archive.SegmentArchive`, resolved at
+    #: construction: repro.archive decodes the shipped-segment wire
+    #: format, so it imports this package.
+    follower_class = FollowerNode
+    replicator_class = Replicator
+    archive_class = None
 
     def __init__(
         self,
@@ -112,8 +112,6 @@ class Cluster:
         # The cold store is its own ext4 volume on its own (seeded)
         # device: archive I/O shares the timeline but never the WAL
         # device's bandwidth or fault plan.
-        # Imported here, not at module top: repro.archive decodes the
-        # shipped-segment wire format, so it imports this package.
         from repro.archive import ArchiveConfig, SegmentArchive
 
         self.archive_device = BlockDevice(
@@ -128,7 +126,7 @@ class Cluster:
             )
         archive_fs = Ext4FileSystem(self.archive_device)
         archive_fs.format()
-        self.archive = SegmentArchive(
+        self.archive = (self.archive_class or SegmentArchive)(
             archive_fs,
             self.clock,
             config=ArchiveConfig(
@@ -148,7 +146,7 @@ class Cluster:
         # followers build their entire state — schema included — from
         # the stream alone.
         self.shiplog = ShippingLog(wal, self.clock, on_seal=on_seal)
-        db.execute(_CREATE_SQL)
+        db.execute(DDL)
         self.shiplog.seal(())  # seq 1: the bootstrap (schema) epoch
 
         self.primary_system = system
@@ -157,13 +155,12 @@ class Cluster:
         #: the original primary is alive).
         self.primary_node: FollowerNode | None = None
         self.followers = [
-            FollowerNode(
+            self.follower_class(
                 node_id,
                 self.clock,
                 seed,
                 scheme=config.scheme,
                 checkpoint_threshold=config.checkpoint_threshold,
-                lenient=config.lenient_followers,
                 profile=profile,
             )
             for node_id in range(config.followers)
@@ -174,7 +171,7 @@ class Cluster:
         self.retired_replicators: list[Replicator] = []
 
     def _make_replicator(self, followers) -> Replicator:
-        return Replicator(
+        return self.replicator_class(
             self.clock,
             self.shiplog,
             followers,
@@ -190,11 +187,9 @@ class Cluster:
             ship_spec=self.ship_spec,
             ship_seed=self.seed,
             on_release=self.on_release,
-            sabotage_seq=self.config.sabotage_seq,
             # The *current* primary machine's registry: after a promotion
             # this is the promoted follower's, not the dead machine's.
             telemetry=self.db.system.telemetry,
-            gc_sabotage=self.config.gc_sabotage,
         )
 
     # -- service wiring -----------------------------------------------------
@@ -281,7 +276,7 @@ class Cluster:
             # Total-loss corner: the cluster died before the bootstrap
             # epoch ever shipped.  Re-create the schema so the promoted
             # primary can serve resubmitted transactions.
-            best.db.execute(_CREATE_SQL)
+            best.db.execute(DDL)
             self.shiplog.seal(())
         return best, watermark, scrub
 

@@ -28,7 +28,6 @@ import struct
 
 from repro.config import tuna
 from repro.db.database import Database
-from repro.errors import ChecksumError
 from repro.replication.segment import decode_stream
 from repro.system import System
 from repro.wal.frames import NvFrame
@@ -98,7 +97,6 @@ class FollowerNode:
         seed: int,
         scheme: str = "uh_ls_diff",
         checkpoint_threshold: int = 48,
-        lenient: bool = False,
         profile=None,
     ) -> None:
         self.node_id = node_id
@@ -106,8 +104,6 @@ class FollowerNode:
         self.seed = seed
         self.scheme = scheme
         self.checkpoint_threshold = checkpoint_threshold
-        #: Sabotage: skip segment integrity verification on ingest.
-        self.lenient = lenient
         self.profile = profile
         self.role = "follower"
         self.alive = True
@@ -145,9 +141,8 @@ class FollowerNode:
         Snapshots reset the whole node when they carry a newer term (the
         follower's history may have diverged) or a farther seq.
         """
-        report = decode_stream(payload, verify=not self.lenient)
         applied = 0
-        for segment in report.segments:
+        for segment in self._decode(payload).segments:
             if segment.snapshot:
                 if segment.term > self.term or (
                     segment.term == self.term and segment.seq > self.durable_seq
@@ -163,19 +158,17 @@ class FollowerNode:
             applied += 1
         return applied
 
+    def _decode(self, payload: bytes):
+        """The verified segments of one received batch."""
+        return decode_stream(payload)
+
     def _fold_frames(self, frames, base_for):
         final: dict[int, bytes] = {}
         for frame in frames:
             base = final.get(frame.page_no)
             if base is None:
                 base = base_for(frame.page_no)
-            try:
-                final[frame.page_no] = frame.apply_to(base)
-            except ChecksumError:
-                if not self.lenient:
-                    raise
-                # Sabotaged ingest: a structurally broken extent list is
-                # skipped, leaving whatever divergence it implies.
+            final[frame.page_no] = frame.apply_to(base)
         return final
 
     def _apply(self, segment) -> None:

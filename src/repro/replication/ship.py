@@ -36,7 +36,6 @@ from dataclasses import dataclass, replace
 
 from repro.faults.inject import ShipFaultInjector
 from repro.replication.segment import FLAG_SNAPSHOT, Segment, encode_segment
-from repro.wal.frames import NV_HEADER_SIZE, encode_nv_frame
 
 MODES = ("sync", "semisync", "async")
 
@@ -168,9 +167,7 @@ class Replicator:
         ship_spec=None,
         ship_seed: int = 0,
         on_release=None,
-        sabotage_seq: int = 0,
         telemetry=None,
-        gc_sabotage: bool = False,
     ) -> None:
         if config.mode not in MODES:
             raise ValueError(f"unknown durability mode {config.mode!r}")
@@ -187,9 +184,6 @@ class Replicator:
         #: reseeds come from disk (floor snapshot + epoch files) and the
         #: in-memory shiplog is evicted behind it.
         self.archive = archive
-        #: Sabotage: GC ignores follower cursors and the floor (a planted
-        #: GC-past-durable-cursor bug the chaos oracle must catch).
-        self.gc_sabotage = gc_sabotage
         self._last_gc_head = archive.durable_head
         self.reseeds_from_archive = 0
         self.channels = {
@@ -210,10 +204,6 @@ class Replicator:
         #: seq -> frozenset of follower ids durable at release time.
         self.ack_records: dict[int, frozenset] = {}
         self.released_seq = shiplog.base_seq
-        #: Sabotage: corrupt the wire blob of the first frame-bearing,
-        #: transaction-bearing entry at or above this seq (0 = off).
-        self.sabotage_seq = sabotage_seq
-        self._sabotaged_seq: int | None = None
         # Standalone replicators (unit tests) run without a registry: a
         # disabled local one hands out shared no-op instruments.
         if telemetry is None:
@@ -274,37 +264,14 @@ class Replicator:
     # -- shipping -----------------------------------------------------------
 
     def _encode_entry(self, entry: LogEntry) -> bytes:
-        frames = entry.frames
-        if self.sabotage_seq and frames and entry.metas:
-            if self._sabotaged_seq is None and entry.seq >= self.sabotage_seq:
-                self._sabotaged_seq = entry.seq
-        blob = encode_segment(
+        return encode_segment(
             Segment(
                 seq=entry.seq,
                 term=self.term,
                 txns=len(entry.metas),
-                frames=frames,
+                frames=entry.frames,
             )
         )
-        if entry.seq == self._sabotaged_seq:
-            blob = self._tear(blob, frames[-1])
-        return blob
-
-    @staticmethod
-    def _tear(blob: bytes, last_frame) -> bytes:
-        """Corrupt the last frame's payload in place — a torn segment.
-
-        Three bytes spread across the payload are flipped, so the damage
-        cannot hide entirely in dead page space.  Checksums and close
-        word are left as encoded: a verifying follower rejects the
-        segment, a sabotaged (non-verifying) one applies garbage.
-        """
-        torn = bytearray(blob)
-        start = len(blob) - len(encode_nv_frame(last_frame)) + NV_HEADER_SIZE
-        span = max(1, len(last_frame.payload))
-        for frac in (0, span // 3, 2 * span // 3):
-            torn[min(start + frac, len(torn) - 1)] ^= 0x10
-        return bytes(torn)
 
     def _available(self, seq: int) -> bool:
         """Whether the epoch at ``seq`` can still be served from memory
@@ -438,13 +405,9 @@ class Replicator:
             )
         archive.maybe_advance_floor(self.term)
         if archive.durable_head - self._last_gc_head >= archive.config.gc_every:
-            live = self._live()
-            if live or self.gc_sabotage:
-                min_cursor = min(
-                    (node.durable_seq for node in live), default=archive.durable_head
-                )
-                limit_override = self.shiplog.head_seq if self.gc_sabotage else None
-                archive.gc(min_cursor, limit_override)
+            archive.gc(
+                min((node.durable_seq for node in self._live()), default=None)
+            )
             self._last_gc_head = archive.durable_head
         # Evict what is durable on disk, released to clients, and applied
         # by every live follower — resends and lag sampling for the live

@@ -35,6 +35,7 @@ repro.service``) for the CLI.
 
 from __future__ import annotations
 
+import random
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
@@ -53,7 +54,7 @@ from repro.telemetry.export import build_export, canonical_json, export_digest
 from repro.torture.driver import rotated
 from repro.wal.base import SyncMode
 from repro.wal.nvwal import SCHEMES, NvwalBackend
-from repro.workloads.mobi import TABLE, generate_txns
+from repro.workloads.mobi import DDL, TABLE, generate_txns
 
 DB_NAME = "chaos.db"
 
@@ -64,7 +65,7 @@ DEFAULT_CHAOS_THRESHOLD = 48
 #: Attempts at rebooting + recovering before recovery counts as dead.
 _RECOVERY_ATTEMPTS = 10
 
-_READ_SQL = f"SELECT k, v FROM {TABLE}"
+READ_SQL = f"SELECT k, v FROM {TABLE}"
 
 
 @dataclass(frozen=True)
@@ -100,14 +101,6 @@ class ChaosScenario:
     #: chaos).  All emit the same (kind, key, value) op language, so the
     #: service, fold model, and oracles are workload-agnostic.
     workload: str = "mobi"
-
-
-@dataclass(frozen=True)
-class ChaosOutcome:
-    """What one scenario run produced (JSON-able)."""
-
-    violations: tuple
-    summary: dict = field(default_factory=dict)
 
 
 # ----------------------------------------------------------------------
@@ -226,29 +219,26 @@ def make_scenario(
 ) -> ChaosScenario:
     """Build a scenario; crash points are placed by profiling.
 
-    ``txns`` is the total across all sessions.  When ``power_cycles`` is
+    ``txns`` is the total across all sessions, and a ``scheme`` of
+    ``rotate`` cycles the torture rotation by seed.  When ``power_cycles`` is
     positive, the scenario is first run uncrashed (same seed, same
     storms) to measure its primitive-op count, and the cycles are placed
     at seeded fractions of it — deterministic, and dense enough across
     seeds to land inside commit windows.
     """
+    scheme = rotated(scheme, seed)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; pick from {sorted(SCHEMES)}")
     if workload not in STREAM_GENERATORS:
         raise ValueError(
             f"unknown chaos workload {workload!r}; pick from {CHAOS_WORKLOADS}"
         )
-    per_session = max(1, txns // sessions)
-    streams = tuple(
-        session_stream(
-            STREAM_GENERATORS[workload], seed, s, sessions, per_session, txn_size
-        )
-        for s in range(sessions)
-    )
     scenario = ChaosScenario(
         seed=seed,
         scheme=scheme,
-        streams=streams,
+        streams=session_streams(
+            STREAM_GENERATORS[workload], seed, sessions, txns, txn_size
+        ),
         plan=build_fault_plan(seed, faults),
         storms=storms,
         checkpoint_threshold=checkpoint_threshold,
@@ -258,9 +248,7 @@ def make_scenario(
     )
     if power_cycles > 0:
         total = _measure_ops(scenario)
-        import random as _random
-
-        rng = _random.Random((seed * 0x2545F491 + 0x3C6EF35F) & 0xFFFFFFFF)
+        rng = placement_rng(seed)
         cycles = sorted(
             max(1, int(total * (0.10 + 0.80 * rng.random())))
             for _ in range(power_cycles)
@@ -280,6 +268,28 @@ def _measure_ops(scenario: ChaosScenario) -> int:
 # ----------------------------------------------------------------------
 # driver helpers (shared with the replication chaos driver)
 # ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """What one scenario run produced (JSON-able)."""
+
+    violations: tuple
+    summary: dict = field(default_factory=dict)
+
+
+def session_streams(generate, seed: int, sessions: int, txns: int, txn_size: int):
+    """``txns`` transactions dealt out as ``sessions`` seeded streams."""
+    per_session = max(1, txns // sessions)
+    return tuple(
+        session_stream(generate, seed, s, sessions, per_session, txn_size)
+        for s in range(sessions)
+    )
+
+
+def placement_rng(seed: int) -> random.Random:
+    """The seeded RNG that places a scenario's scripted power cuts."""
+    return random.Random((seed * 0x2545F491 + 0x3C6EF35F) & 0xFFFFFFFF)
 
 
 def fold(base: dict, ops) -> dict:
@@ -341,10 +351,180 @@ def daemon_failures(scheduler: Scheduler) -> list[str]:
     ]
 
 
-def absorb_stats(totals: dict, service: DatabaseService) -> None:
-    """Add one service incarnation's counters into the run's totals."""
-    for key, value in service.stats.as_dict().items():
-        totals[key] = totals.get(key, 0) + value
+@dataclass(frozen=True)
+class SessionTask:
+    """One seed of a sweep, in picklable form: the parameters of the
+    subclass's ``make_scenario``, by name, and its ``driver`` class."""
+
+    seed: int
+    sessions: int = 4
+    txns: int = 40
+    txn_size: int = 3
+    scheme: str = "rotate"
+
+    def __post_init__(self) -> None:
+        # Raised where ``Harness.tasks`` builds the sweep: exit status 2.
+        if self.sessions < 1:
+            raise ValueError("--sessions must be at least 1")
+
+
+def run_task(task: SessionTask) -> dict:
+    """Build and run one seed's scenario; JSON-able result for digests."""
+    scenario = task.make_scenario(**asdict(task))
+    result = dict(task.driver.run_scenario(scenario).summary)
+    result["scenario"] = harness.to_json(scenario)
+    return result
+
+
+class SessionDriver:
+    """What both chaos drivers are built on: the fold model of the
+    committed rows with its open-epoch tail, the primary read oracle, and
+    the client side of one scheduler round."""
+
+    #: A freshness-checked read after every Nth ack of a client (0: none) ...
+    read_every = 2
+    #: ... and one more once the client's stream has drained.
+    final_read = False
+
+    def __init__(self, scenario) -> None:
+        self.scenario = scenario
+        self.violations: list[str] = []
+        self.kv: dict = {}
+        #: states[i]: sorted rows after i commit points (acknowledged
+        #: transactions for the service, sealed epochs for replication).
+        self.states: list = [[]]
+        #: group commit: (session_id, ops) applied into the open epoch —
+        #: visible to readers, not yet durable or acknowledged.
+        self.applied_tail: list = []
+        self.stale_reads = 0
+        self.crashes = 0
+        self.stats_total: dict[str, int] = {}
+
+    @classmethod
+    def run_scenario(cls, scenario) -> Outcome:
+        """Run one scenario end to end; unexpected escapes become findings."""
+        try:
+            return cls(scenario).run()
+        except Exception as exc:  # noqa: BLE001 - any escape is a finding
+            return Outcome(
+                violations=(
+                    f"error: unhandled {type(exc).__name__} escaped the "
+                    f"{cls.__module__} driver: {exc}",
+                ),
+                summary={
+                    key: getattr(scenario, key)
+                    for key in ("seed", "scheme", "mode")
+                    if hasattr(scenario, key)
+                },
+            )
+
+    # -- model ---------------------------------------------------------
+
+    @property
+    def head(self) -> int:
+        """Commit points so far: the index of the newest state."""
+        return len(self.states) - 1
+
+    def _on_apply(self, session_id: str, ops) -> None:
+        """A transaction joined the open epoch: readers see it already,
+        its commit point comes at the epoch barrier."""
+        self.applied_tail.append((session_id, ops))
+
+    def _commit_point(self, metas) -> None:
+        """The ``(session_id, ops)`` of one commit point leave the open
+        epoch (the barrier commits its members in order) for the model."""
+        for meta in metas:
+            if self.applied_tail and self.applied_tail[0] == meta:
+                self.applied_tail.pop(0)
+            self.kv = fold(self.kv, meta[1])
+        self.states.append(sorted(self.kv.items()))
+
+    def _rows_with(self, metas) -> list:
+        """The committed rows with ``metas`` folded on top, sorted."""
+        kv = self.kv
+        for _sid, ops in metas:
+            kv = fold(kv, ops)
+        return sorted(kv.items())
+
+    def _check_read(self, rows) -> None:
+        """Primary read oracle: the committed rows plus the open epoch's
+        members (commit order is fixed the moment they join it)."""
+        if sorted(rows) != self._rows_with(self.applied_tail):
+            self.stale_reads += 1
+            self.violations.append(
+                f"stale-read: primary read returned {len(rows)} row(s) not "
+                f"matching the history after {self.head} commit point(s)"
+            )
+
+    # -- one scheduler round -------------------------------------------
+
+    def _spawn_clients(self, scheduler: Scheduler, service, clients) -> bool:
+        """Attach the clients to this round's service and spawn those with
+        work left, then the service's daemons; False once all are done."""
+        live = False
+        for client in clients:
+            client.attach(service)
+            if client.pending and not client.gave_up:
+                live = True
+                scheduler.spawn(
+                    client.session_id, self._client_job(client, service)
+                )
+        if live:
+            scheduler.spawn("maintenance", service.maintenance(), daemon=True)
+            if self.scenario.group_commit:
+                scheduler.spawn(
+                    "batcher", service.commit_batcher(), daemon=True
+                )
+        return live
+
+    def _client_job(self, client: ClientSession, service):
+        """Client run loop plus freshness-checked reads."""
+        read_every = self.read_every
+        acked_before = len(client.acked)
+        for delay in client.run():
+            yield delay
+            if read_every and len(client.acked) >= acked_before + read_every:
+                acked_before = len(client.acked)
+                yield from self._checked_read(client, service)
+        # One more check of the snapshot path, degraded mode included.
+        if self.final_read and read_every and client.acked:
+            yield from self._checked_read(client, service)
+
+    def _checked_read(self, client: ClientSession, service):
+        try:
+            rows = yield from service.submit_read(client.session_id, READ_SQL)
+        except Exception:  # noqa: BLE001 - reads may be refused
+            return
+        self._check_read(rows)
+
+    def _absorb_stats(self, service) -> None:
+        """Add one service incarnation's counters into the run's totals."""
+        for key, value in service.stats.as_dict().items():
+            self.stats_total[key] = self.stats_total.get(key, 0) + value
+
+    def _power_cut(self, scheduler: Scheduler) -> None:
+        """The primary lost power mid-round: its jobs and the open epoch
+        are gone (clients resubmit what was never acknowledged)."""
+        self.crashes += 1
+        scheduler.abandon()
+        self.applied_tail.clear()
+
+    def _outcome(self, **own) -> Outcome:
+        """The run's findings and its JSON-able summary: what every
+        driver reports, plus the driver's ``own`` entries."""
+        summary = {
+            "seed": self.scenario.seed,
+            "scheme": self.scenario.scheme,
+            "sessions": len(self.scenario.streams),
+            "acked": self.stats_total.get("txns_acked", 0),
+            "crashes": self.crashes,
+            "stale_reads": self.stale_reads,
+            "relaxed": self.relaxed,
+            "stats": dict(sorted(self.stats_total.items())),
+            "violations": list(self.violations),
+            **own,
+        }
+        return Outcome(violations=tuple(self.violations), summary=summary)
 
 
 # ----------------------------------------------------------------------
@@ -352,11 +532,43 @@ def absorb_stats(totals: dict, service: DatabaseService) -> None:
 # ----------------------------------------------------------------------
 
 
-class _Driver:
+class _AckEarlyService(DatabaseService):
+    """The planted bug (``scenario.sabotage``): the ack goes out before
+    the commit is durable — ahead of the commit mark or, under group
+    commit, of the epoch barrier.  No replicator is ever attached here."""
+
+    _held_commit: str | None = None  # solo: the commit _ack still owes
+    _epoch_acked = False  # group: the epoch in flush was acked up front
+
+    def _commit(self, session_id: str) -> None:
+        self._held_commit = session_id  # the ack goes first ...
+
+    def _ack(self, session_id: str, ops) -> None:
+        if self._epoch_acked:
+            return
+        super()._ack(session_id, ops)
+        if self._held_commit is not None:
+            held, self._held_commit = self._held_commit, None
+            super()._commit(held)  # ... the commit mark second
+
+    def _flush_epoch(self) -> None:
+        for ticket in self._epoch_queue:
+            self._ack(ticket.session_id, ticket.ops)
+        self._epoch_acked = True
+        try:
+            super()._flush_epoch()
+        finally:
+            self._epoch_acked = False
+
+
+class _Driver(SessionDriver):
     """Mutable state of one chaos run: model, oracle, epoch loop."""
 
+    final_read = True
+
     def __init__(self, scenario: ChaosScenario, count_ops: bool = False) -> None:
-        self.scenario = scenario
+        super().__init__(scenario)
+        self.read_every = scenario.read_every
         # Media decay (at power loss or via storms) can legitimately shed
         # the un-checkpointed WAL tail, and asynchronous (checksum)
         # commit can shed the last commit window; everything else must
@@ -366,90 +578,48 @@ class _Driver:
             or scenario.storms > 0
             or SCHEMES[scenario.scheme]().sync is SyncMode.CHECKSUM
         )
-        self.violations: list[str] = []
-        #: commit log: (session_id, ops) in acknowledgement order.
-        self.acks: list = []
-        #: states[i]: sorted rows after i acknowledged txns.
-        self.states: list = [[]]
-        self.kv: dict = {}
-        #: durability floor (index into acks) from completed checkpoints.
+        #: durability floor (index into states) from completed checkpoints.
         self.floor = 0
-        #: group commit: (session_id, ops) applied into the open epoch —
-        #: visible to readers, not yet durable or acknowledged.
-        self.applied_tail: list = []
         self.storms_done = 0
-        self.crashes = 0
         self.shed_acked = 0
-        self.stale_reads = 0
-        self.epochs = 0
-        self.stats_total: dict[str, int] = {}
         self.count_ops = count_ops
         self.ops_counted = 0
-        #: Telemetry time-series collector (built in run() once the
-        #: system exists; one sample list spans every power cycle).
-        self.collector = None
+        self.system = System(tuna(), seed=scenario.seed)
+        #: Telemetry time series; one sample list spans every power cycle.
+        self.collector = Collector(self.system.telemetry)
 
     # -- model ---------------------------------------------------------
 
     def _on_ack(self, session_id: str, ops) -> None:
-        if self.applied_tail and self.applied_tail[0] == (session_id, ops):
-            self.applied_tail.pop(0)  # the epoch flush is acking in order
-        self.kv = fold(self.kv, ops)
-        self.acks.append((session_id, list(ops)))
-        self.states.append(sorted(self.kv.items()))
-
-    def _on_apply(self, session_id: str, ops) -> None:
-        """A transaction joined the open epoch: readers see it already,
-        the durable ack comes at the epoch barrier."""
-        self.applied_tail.append((session_id, ops))
-
-    def _check_read(self, rows) -> None:
-        expected = self.states[len(self.acks)]
-        if self.applied_tail:
-            # Group commit: the snapshot legitimately includes applied-
-            # but-unacked epoch members (commit order is fixed the moment
-            # they join the epoch).
-            kv = dict(self.kv)
-            for _sid, ops in self.applied_tail:
-                kv = fold(kv, ops)
-            expected = sorted(kv.items())
-        if sorted(rows) != expected:
-            self.stale_reads += 1
-            self.violations.append(
-                f"stale-read: read returned {len(rows)} row(s) not matching "
-                f"the committed snapshot after {len(self.acks)} ack(s)"
-            )
+        self._commit_point(((session_id, ops),))
 
     # -- world building ------------------------------------------------
 
-    def _build_db(self, system: System) -> Database:
+    def _build_db(self) -> Database:
         wal = NvwalBackend(
-            system,
+            self.system,
             SCHEMES[self.scenario.scheme](),
             checkpoint_threshold=self.scenario.checkpoint_threshold,
         )
-        db = Database(system, wal=wal, name=DB_NAME)
-        self._track_checkpoints(db)
-        return db
-
-    def _track_checkpoints(self, db: Database) -> None:
-        inner = db.wal.checkpoint
+        db = Database(self.system, wal=wal, name=DB_NAME)
+        inner = wal.checkpoint
 
         def tracked() -> int:
             written = inner()
-            self.floor = len(self.acks)
+            self.floor = self.head  # all acked so far is in the db file
             return written
 
-        db.wal.checkpoint = tracked
+        wal.checkpoint = tracked
+        return db
 
-    def _recover(self, system: System) -> Database | None:
+    def _recover(self) -> Database | None:
         """Reboot until the database comes back (bounded IoError retries)."""
         for _attempt in range(_RECOVERY_ATTEMPTS):
             try:
-                system.reboot()
-                return self._build_db(system)
+                self.system.reboot()
+                return self._build_db()
             except IoError:
-                system.power_fail()
+                self.system.power_fail()
         self.violations.append(
             f"error: recovery did not survive {_RECOVERY_ATTEMPTS} attempts "
             "of transient IO failure"
@@ -470,24 +640,20 @@ class _Driver:
             self._rebase([])
             return
         rows = sorted(db.dump_table(TABLE))
-        n = len(self.acks)
+        n = self.head
         floor = min(self.floor, n) if self.relaxed else n
         # Whole-epoch landing (group commit): the epoch's close mark
         # persisted before the lights went out, so *all* of its members
         # are durable — none of them acked.  Adopt them in commit order;
         # the clients' resubmissions are idempotent.
-        if epoch_members:
-            kv = dict(self.kv)
-            for _sid, ops in epoch_members:
-                kv = fold(kv, ops)
-            if rows == sorted(kv.items()) and rows != self.states[n]:
-                for sid, ops in epoch_members:
-                    self._on_ack(sid, ops)
-                return
+        if rows == self._rows_with(epoch_members) and rows != self.states[n]:
+            for sid, ops in epoch_members:
+                self._on_ack(sid, ops)
+            return
         # In-flight landing: an unacknowledged head-of-queue txn whose
         # commit mark persisted before the lights went out.
         for sid, head in inflight_heads:
-            if rows == sorted(fold(self.kv, head).items()):
+            if rows == self._rows_with([(sid, head)]):
                 self._on_ack(sid, head)  # adopt: resubmission is idempotent
                 return
         for i in range(n, floor - 1, -1):
@@ -506,13 +672,13 @@ class _Driver:
     def _rebase(self, rows) -> None:
         """Restart the model from ``rows``; the durable image IS the floor."""
         self.kv = dict(rows)
-        self.acks = []
         self.states = [sorted(self.kv.items())]
         self.floor = 0
 
     # -- jobs ----------------------------------------------------------
 
-    def _storm_job(self, system: System):
+    def _storm_job(self):
+        system = self.system
         while self.storms_done < self.scenario.storms:
             yield self.scenario.storm_interval_ns
             if system.nvram_faults is None:
@@ -522,21 +688,19 @@ class _Driver:
 
     # -- main loop -----------------------------------------------------
 
-    def run(self) -> ChaosOutcome:
+    def run(self) -> Outcome:
         scenario = self.scenario
-        system = System(tuna(), seed=scenario.seed)
-        self.collector = Collector(system.telemetry)
+        system = self.system
         if scenario.plan is not None:
             system.inject_faults(scenario.plan)
         if self.count_ops:
-            counter = [0]
 
             def hook(_op: str) -> None:
-                counter[0] += 1
+                self.ops_counted += 1
 
             system.cpu.crash_hook = hook
-        db = self._build_db(system)
-        db.execute(f"CREATE TABLE {TABLE} (k INTEGER PRIMARY KEY, v TEXT)")
+        db = self._build_db()
+        db.execute(DDL)
         # The table's existence must be durable before any chaos; the IO
         # injector caps failure streaks, so a bounded retry always lands.
         for _attempt in range(_RECOVERY_ATTEMPTS):
@@ -548,42 +712,25 @@ class _Driver:
         else:
             raise IoError("setup checkpoint did not survive bounded retries")
 
-        config = ServiceConfig(
-            ack_before_commit=scenario.sabotage,
-            group_commit=scenario.group_commit,
-        )
+        service_cls = _AckEarlyService if scenario.sabotage else DatabaseService
+        config = ServiceConfig(group_commit=scenario.group_commit)
         clients = make_clients(scenario.streams)
 
         epoch = 0
-        service = None
         while True:
             scheduler = Scheduler(system.clock)
-            service = DatabaseService(
+            service = service_cls(
                 db,
                 config,
                 seed=scenario.seed,
                 on_ack=self._on_ack,
                 on_apply=self._on_apply,
             )
-            live = False
-            for client in clients:
-                client.attach(service)
-                if client.pending and not client.gave_up:
-                    live = True
-                    scheduler.spawn(
-                        client.session_id,
-                        self._client_job(client, service),
-                    )
-            if not live:
+            if not self._spawn_clients(scheduler, service, clients):
                 break
-            scheduler.spawn("maintenance", service.maintenance(), daemon=True)
-            if scenario.group_commit:
-                scheduler.spawn(
-                    "batcher", service.commit_batcher(), daemon=True
-                )
             if self.storms_done < scenario.storms:
                 scheduler.spawn(
-                    "storms", self._storm_job(system), daemon=True
+                    "storms", self._storm_job(), daemon=True
                 )
             # Fresh generator per epoch (abandon() closes the old one);
             # the collector's sample list spans all epochs.
@@ -598,78 +745,47 @@ class _Driver:
                 scheduler.run()
                 if armed:
                     system.crash.disarm()
-                absorb_stats(self.stats_total, service)
+                self._absorb_stats(service)
                 self.violations.extend(daemon_failures(scheduler))
                 break
             except PowerFailure:
-                self.crashes += 1
                 inflight = [
                     (c.session_id, c.pending[0])
                     for c in clients
                     if c.pending and not c.gave_up
                 ]
                 members = service.epoch_members()
-                scheduler.abandon()
-                absorb_stats(self.stats_total, service)
-                self.applied_tail.clear()  # volatile epoch state is gone
+                self._power_cut(scheduler)
+                self._absorb_stats(service)
                 system.power_fail()
-                db = self._recover(system)
+                db = self._recover()
                 if db is None:
-                    return self._outcome(system, None)
+                    return self._finish()
                 self._check_recovery(db, inflight, epoch_members=members)
                 epoch += 1
-            self.epochs = epoch
 
         self.violations.extend(starved_clients(clients))
 
         if self.count_ops:
-            self.ops_counted = counter[0]
-            system.cpu.crash_hook = None
+            system.cpu.crash_hook = None  # the workload is over
 
         # Every run ends by proving the final state is recoverable.
         if scenario.final_power_cycle:
             self.crashes += 1
             system.power_fail()
-            db = self._recover(system)
+            db = self._recover()
             if db is None:
-                return self._outcome(system, None)
+                return self._finish()
             self._check_recovery(db, inflight_heads=())
         else:
             rows = sorted(db.dump_table(TABLE))
-            if rows != self.states[len(self.acks)]:
+            if rows != self.states[-1]:
                 self.violations.append(
                     "ack-lost: final state does not match the ack-log fold"
                 )
-        return self._outcome(system, service)
+        return self._finish()
 
-    def _client_job(self, client: ClientSession, service: DatabaseService):
-        """Client run loop plus freshness-checked reads."""
-        read_every = self.scenario.read_every
-        runner = client.run()
-        acked_before = len(client.acked)
-        for delay in runner:
-            yield delay
-            if read_every and len(client.acked) >= acked_before + read_every:
-                acked_before = len(client.acked)
-                try:
-                    rows = yield from service.submit_read(
-                        client.session_id, _READ_SQL
-                    )
-                except Exception:  # noqa: BLE001 - reads may be refused
-                    continue
-                self._check_read(rows)
-        # Drain finished; one final read per client checks the snapshot
-        # path once more (degraded mode included).
-        if read_every and client.acked:
-            try:
-                rows = yield from service.submit_read(
-                    client.session_id, _READ_SQL
-                )
-            except Exception:  # noqa: BLE001
-                return
-            self._check_read(rows)
-
-    def _telemetry_summary(self, system: System) -> dict:
+    def _telemetry_summary(self) -> dict:
         """Final telemetry state + the oracle's determinism checks.
 
         Building the export twice must yield identical canonical JSON
@@ -677,7 +793,7 @@ class _Driver:
         values — trips here), and collector samples must be monotone in
         simulated time.  Both failures are chaos violations.
         """
-        registry = system.telemetry
+        registry = self.system.telemetry
         if not registry.enabled:
             return {"enabled": False}
         doc = build_export(registry, self.collector)
@@ -685,16 +801,12 @@ class _Driver:
             build_export(registry, self.collector)
         ):
             self.violations.append("telemetry: export is not deterministic")
-        samples = self.collector.samples if self.collector else []
-        last_t = -1
-        for sample in samples:
-            if sample["t_ns"] < last_t:
-                self.violations.append(
-                    "telemetry: collector samples are not monotone in "
-                    "simulated time"
-                )
-                break
-            last_t = sample["t_ns"]
+        samples = self.collector.samples
+        times = [sample["t_ns"] for sample in samples]
+        if times != sorted(times):
+            self.violations.append(
+                "telemetry: collector samples are not monotone in simulated time"
+            )
         return {
             "enabled": True,
             "digest": export_digest(doc),
@@ -702,38 +814,17 @@ class _Driver:
             **registry.snapshot(),
         }
 
-    def _outcome(self, system: System, service) -> ChaosOutcome:
-        telemetry = self._telemetry_summary(system)
-        summary = {
-            "seed": self.scenario.seed,
-            "scheme": self.scenario.scheme,
-            "sessions": len(self.scenario.streams),
-            "acked": self.stats_total.get("txns_acked", 0),
-            "crashes": self.crashes,
-            "storms": self.storms_done,
-            "shed_acked": self.shed_acked,
-            "stale_reads": self.stale_reads,
-            "relaxed": self.relaxed,
-            "sim_time_ms": int(system.clock.now_ns // 1_000_000),
-            "stats": dict(sorted(self.stats_total.items())),
-            "telemetry": telemetry,
-            "violations": list(self.violations),
-        }
-        return ChaosOutcome(violations=tuple(self.violations), summary=summary)
-
-
-def run_chaos(scenario: ChaosScenario) -> ChaosOutcome:
-    """Run one scenario end to end; unexpected escapes become findings."""
-    try:
-        return _Driver(scenario).run()
-    except Exception as exc:  # noqa: BLE001 - any escape is a finding
-        return ChaosOutcome(
-            violations=(
-                f"error: unhandled {type(exc).__name__} escaped the chaos "
-                f"driver: {exc}",
-            ),
-            summary={"seed": scenario.seed, "scheme": scenario.scheme},
+    def _finish(self) -> Outcome:
+        telemetry = self._telemetry_summary()  # may add violations
+        return self._outcome(
+            storms=self.storms_done,
+            shed_acked=self.shed_acked,
+            sim_time_ms=int(self.system.clock.now_ns // 1_000_000),
+            telemetry=telemetry,
         )
+
+
+run_chaos = _Driver.run_scenario
 
 
 # ----------------------------------------------------------------------
@@ -753,14 +844,9 @@ scenario_from_dict = partial(
 
 
 @dataclass(frozen=True)
-class ChaosTask:
+class ChaosTask(SessionTask):
     """Everything one seed's chaos run needs, in picklable form."""
 
-    seed: int
-    sessions: int = 4
-    txns: int = 40
-    txn_size: int = 3
-    scheme: str = "rotate"
     faults: tuple = ("power",)
     storms: int = 0
     power_cycles: int = 1
@@ -769,26 +855,11 @@ class ChaosTask:
     group_commit: bool = False
     workload: str = "mobi"
 
-
-def run_task(task: ChaosTask) -> dict:
-    """Build and run one seed's scenario; JSON-able result for digests."""
-    # The task's fields are make_scenario's parameters, by name.
-    scenario = make_scenario(
-        **{**asdict(task), "scheme": rotated(task.scheme, task.seed)}
-    )
-    outcome = run_chaos(scenario)
-    result = dict(outcome.summary)
-    result["scenario"] = scenario_to_dict(scenario)
-    return result
-
-
-def main(argv=None) -> int:
-    from repro.service.cli import main as cli_main
-
-    return cli_main(argv)
+    make_scenario = staticmethod(make_scenario)
+    driver = _Driver
 
 
 if __name__ == "__main__":
-    import sys
+    from repro.service.cli import main
 
-    sys.exit(main())
+    raise SystemExit(main())

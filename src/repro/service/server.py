@@ -90,11 +90,6 @@ class ServiceConfig:
     max_epoch_delay_ns: int = 400_000  # 0.4 ms
     #: Cadence of the batcher daemon's epoch-age check.
     batcher_poll_ns: int = 100_000  # 0.1 ms
-    #: Self-test sabotage: acknowledge the client *before* the commit is
-    #: durable.  With ``group_commit`` this acks parked writers before
-    #: the epoch barrier.  Exists so the chaos harness can prove its
-    #: acked-vs-recovered oracle catches exactly this bug class.
-    ack_before_commit: bool = False
 
 
 @dataclass
@@ -247,9 +242,6 @@ class DatabaseService:
                     if self.config.group_commit:
                         ticket = self._join_epoch(session_id, ops)
                         yield from self._await_ticket(ticket)
-                    elif self.config.ack_before_commit:
-                        self._ack(session_id, ops)
-                        self._commit(session_id)
                     elif self.replicator is not None:
                         self._commit(session_id)
                         # Durable locally; the ack waits behind the
@@ -408,9 +400,7 @@ class DatabaseService:
 
         Acks are emitted in the same scheduler step as the barrier (no
         yield in between), so there is no window where a transaction is
-        durable-and-acked for some members but lost for others.  The
-        ``ack_before_commit`` sabotage inverts exactly this: acks go out
-        before the barrier, which the chaos oracle must catch.
+        durable-and-acked for some members but lost for others.
         """
         if not self._epoch_queue:
             if self.db.wal.group_open:
@@ -421,9 +411,6 @@ class DatabaseService:
         self._epoch_queue = []
         self._flushing = tuple(tickets)
         self._t_epoch.observe(len(tickets))
-        if self.config.ack_before_commit:
-            for ticket in tickets:  # sabotage: ack ahead of the barrier
-                self._ack(ticket.session_id, ticket.ops)
         try:
             self.db.flush_group()
         except PowerFailure:
@@ -439,16 +426,15 @@ class DatabaseService:
                 raise
             # Epoch closed durably; only the auto-checkpoint failed.
             self.stats.checkpoint_failures += 1
-        if self.replicator is not None and not self.config.ack_before_commit:
+        if self.replicator is not None:
             # Epoch durable locally; acks and ticket release wait behind
             # the replication gate (mode-dependent).
             self.stats.epochs_flushed += 1
             self._flushing = ()
             self.replicator.gate(tuple(tickets))
             return
-        if not self.config.ack_before_commit:
-            for ticket in tickets:
-                self._ack(ticket.session_id, ticket.ops)
+        for ticket in tickets:
+            self._ack(ticket.session_id, ticket.ops)
         self.stats.epochs_flushed += 1
         barrier_ns = int(self.clock.now_ns)
         for ticket in tickets:

@@ -1,8 +1,8 @@
 """Smoke + shape tests for every experiment module (quick configurations).
 
 These assert the *qualitative* paper results — who wins, in which
-direction — on small runs; the full-size regeneration lives in
-``benchmarks/`` and EXPERIMENTS.md.
+direction — on small runs; ``python -m repro.bench <name>`` regenerates
+the full-size tables EXPERIMENTS.md discusses.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.experiments import EXPERIMENTS
-from repro.bench.experiments import fig8, table1
+from repro.bench.experiments import fig8, table1, table2
 from repro.bench.report import Report
 
 
@@ -39,6 +39,15 @@ def test_table1_flushes_grow_with_inserts():
     row = report.tables[0].rows[0]
     flushes = row[1:]
     assert all(b > a for a, b in zip(flushes, flushes[1:]))
+
+
+def test_table2_diff_writes_fewer_bytes_and_bytes_grow_with_ops():
+    rows = {r[0]: r[1:-1] for r in table2.run(quick=True).tables[0].rows}
+    for op in ("Insert", "Update", "Delete"):
+        full, diff = rows[op], rows[f"{op} (Diff)"]
+        assert all(d < f for d, f in zip(diff, full))
+        for series in (full, diff):
+            assert all(b > a for a, b in zip(series, series[1:]))
 
 
 def test_fig6_overhead_percentage_decreases():

@@ -12,13 +12,14 @@ from repro.faults.inject import BlockIoFaultInjector
 from repro.faults.plan import FaultPlan, IoFaultSpec
 from repro.hw.clock import SimClock
 from repro.hw.stats import Stats
+from repro.replication.chaos import _PrematureGcArchive
 from repro.replication.segment import Segment
 from repro.storage.blockdev import BlockDevice
 from repro.storage.ext4 import Ext4FileSystem
 from repro.wal.frames import NvFrame
 
 
-def make_archive(seed=7, io_spec=None, **cfg):
+def make_archive(seed=7, io_spec=None, archive_cls=SegmentArchive, **cfg):
     clock = SimClock()
     device = BlockDevice(tuna().blockdev, clock, Stats(), seed=seed)
     if io_spec is not None:
@@ -29,7 +30,7 @@ def make_archive(seed=7, io_spec=None, **cfg):
     cfg.setdefault("sync_every", 2)
     cfg.setdefault("snapshot_every", 6)
     cfg.setdefault("gc_every", 2)
-    return SegmentArchive(fs, clock, config=ArchiveConfig(**cfg))
+    return archive_cls(fs, clock, config=ArchiveConfig(**cfg))
 
 
 def page(pno, fill, size=256):
@@ -123,13 +124,15 @@ class TestFloor:
         assert archive.floor_fallbacks == 0
 
     def test_ensure_floor_falls_back_when_chain_broken(self):
-        archive = make_archive(epochs_per_file=2)
+        archive = make_archive(epochs_per_file=2, archive_cls=_PrematureGcArchive)
         archive.bootstrap((page(1, 0x11),))
-        fill(archive, 6)
+        fill(archive, 2)
         archive.sync()
-        # Simulate a GC bug / lost prefix: drop the first epoch run so
+        # The planted GC bug loses the prefix: the first epoch run goes, so
         # nothing connects the seq-0 floor to the watermark.
-        archive.gc(0, limit_override=2)
+        archive.gc(0)
+        fill(archive, 6, start=3)
+        archive.sync()
         assert archive.min_seq == 3
         assert archive.ensure_floor(6, 2, lambda: (page(1, 0x99),))
         assert archive.floor == 6 and archive.floor_fallbacks == 1
@@ -168,14 +171,24 @@ class TestGc:
         assert archive.gc(99) == 0
         assert archive.min_seq == 1
 
-    def test_limit_override_models_the_planted_bug(self):
-        archive = make_archive(epochs_per_file=2)
+    def test_no_live_cursor_deletes_nothing(self):
+        archive = make_archive(epochs_per_file=2, snapshot_every=4)
+        archive.bootstrap((page(1, 0x11),))
+        fill(archive, 8)
+        archive.sync()
+        assert archive.maybe_advance_floor(term=1)
+        assert archive.gc(None) == 0
+        assert archive.min_seq == 1
+
+    def test_premature_gc_archive_models_the_planted_bug(self):
+        """The chaos harness's ``"gc"`` bug: trim to the archived head."""
+        archive = make_archive(epochs_per_file=2, archive_cls=_PrematureGcArchive)
         archive.bootstrap((page(1, 0x11),))
         fill(archive, 4)
         archive.sync()
         deleted = []
         archive.on_gc = lambda dels, snaps, limit: deleted.extend(dels)
-        archive.gc(1, limit_override=4)  # past the fleet cursor AND floor
+        archive.gc(1)  # past the fleet cursor AND the floor
         assert deleted == [1, 2, 3, 4]
         assert archive.segment_at(2) is None
 

@@ -12,11 +12,11 @@ from repro.replication.chaos import (
     ReplicationTask,
     make_scenario,
     run_replication_chaos,
-    run_task,
     scenario_from_dict,
     scenario_to_dict,
 )
 from repro.replication.cli import HARNESS
+from repro.service.chaos import run_task
 
 
 def minimize(scenario):

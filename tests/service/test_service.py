@@ -25,12 +25,12 @@ from repro.workloads.mobi import TABLE
 from tests.conftest import make_nvwal_db
 
 
-def make_service(system=None, config=None, **db_kwargs):
+def make_service(system=None, config=None, service_cls=DatabaseService, **db_kwargs):
     system = system or System(tuna(), seed=0)
     db_kwargs.setdefault("checkpoint_threshold", 1000)
     db = make_nvwal_db(system, name="svc.db", **db_kwargs)
     db.execute(f"CREATE TABLE {TABLE} (k INTEGER PRIMARY KEY, v TEXT)")
-    return system, db, DatabaseService(db, config or ServiceConfig(), seed=0)
+    return system, db, service_cls(db, config or ServiceConfig(), seed=0)
 
 
 def drive(gen, clock=None):
@@ -127,10 +127,11 @@ class TestDurableCommitVsCheckpoint:
 
 class TestSabotage:
     def test_ack_before_commit_orders_ack_first(self):
+        """The planted bug is a subclass beside the chaos driver."""
+        from repro.service.chaos import _AckEarlyService
+
         events = []
-        _system, _db, service = make_service(
-            config=ServiceConfig(ack_before_commit=True)
-        )
+        _system, _db, service = make_service(service_cls=_AckEarlyService)
         service.on_ack = lambda sid, ops: events.append("ack")
         inner_commit = service.db.commit
         service.db.commit = lambda owner=None: (
