@@ -19,7 +19,6 @@ import argparse
 import dataclasses
 import json
 import platform
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -29,6 +28,7 @@ if __name__ == "__main__":  # allow running as a plain script from repo root
 
 from repro.bench.harness import BackendSpec, run_workload
 from repro.bench.mobibench import WorkloadSpec
+from repro.bench.report import git_rev
 from repro.config import tuna
 from repro.system import System
 from repro.telemetry.metrics import telemetry_disabled
@@ -408,26 +408,6 @@ def run_all(repeat: int = 1) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 
-def _git_rev() -> str:
-    """Short HEAD revision, ``-dirty`` when the tree has uncommitted
-    changes (the numbers then belong to HEAD plus that change)."""
-
-    def git(*args: str) -> str:
-        return subprocess.run(
-            ["git", *args],
-            capture_output=True,
-            text=True,
-            cwd=Path(__file__).resolve().parent,
-            check=True,
-        ).stdout.strip()
-
-    try:
-        rev = git("rev-parse", "--short", "HEAD")
-        return rev + "-dirty" if git("status", "--porcelain") else rev
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Measure host-side simulator performance and emit JSON."
@@ -450,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
     results = run_all(repeat=args.repeat)
     report = {
         "schema": 1,
-        "git_rev": _git_rev(),
+        "git_rev": git_rev(),
         "python": platform.python_version(),
         "machine": platform.machine(),
         "probes": results,

@@ -43,7 +43,7 @@ from repro.replication.segment import (
     decode_stream,
     encode_segment,
 )
-from repro.wal.frames import NvFrame
+from repro.wal.frames import NvFrame, fold_frames
 
 _EPOCH_PREFIX = "epochs-"
 _SNAP_PREFIX = "snap-"
@@ -271,21 +271,20 @@ class SegmentArchive:
         base = self._snapshot_segment(floor_seq) if floor_seq in self._snapshots else None
         if base is None and floor_seq != 0:
             return None
-        page_size = self.fs.page_size
         state: dict[int, bytes] = (
             {frame.page_no: bytes(frame.payload) for frame in base.frames}
             if base is not None
             else {}
         )
+        frames = []
         for seq in range(floor_seq + 1, target_seq + 1):
             segment = self.segment_at(seq)
             if segment is None:
                 return None
-            for frame in segment.frames:
-                if frame.page_no == PSEUDO_PAGE:
-                    continue  # watermark bookkeeping, not database state
-                prior = state.get(frame.page_no, bytes(page_size))
-                state[frame.page_no] = frame.apply_to(prior)
+            # The watermark pseudo page is bookkeeping, not database state.
+            frames += [f for f in segment.frames if f.page_no != PSEUDO_PAGE]
+        blank = bytes(self.fs.page_size)
+        state.update(fold_frames(frames, lambda page_no: state.get(page_no, blank)))
         return tuple(
             NvFrame(page_no, 0, state[page_no], 0, commit=False)
             for page_no in sorted(state)

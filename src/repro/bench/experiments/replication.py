@@ -21,19 +21,14 @@ replication probes.
 
 from __future__ import annotations
 
-import json
-
 from repro.bench.harness import parallel_map
-from repro.bench.report import Report, Table
+from repro.bench.report import Report, Table, write_snapshot
 from repro.replication.chaos import ReplicationTask
 from repro.replication.ship import MODES
 from repro.service.chaos import run_task
 
 SEEDS = (0, 1, 2, 3)
 QUICK_SEEDS = (0, 1)
-
-OUT_FILE = "BENCH_replication.json"
-
 
 def _aggregate(results) -> dict:
     acked = sum(r["acked"] for r in results)
@@ -111,19 +106,17 @@ def run(quick: bool = False, jobs: int = 1) -> Report:
             agg["archive_gc_segments"], agg["peak_log_entries"],
             agg["violations"],
         ])
-    with open(OUT_FILE, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "experiment": "replication",
-                "quick": quick,
-                "seeds": list(seeds),
-                "sessions": sessions,
-                "txns_per_seed": txns,
-                "modes": snapshot,
-            },
-            fh, indent=2, sort_keys=True,
-        )
-        fh.write("\n")
+    out_file = write_snapshot(
+        "replication",
+        {
+            "experiment": "replication",
+            "quick": quick,
+            "seeds": list(seeds),
+            "sessions": sessions,
+            "txns_per_seed": txns,
+            "modes": snapshot,
+        },
+    )
     return Report(
         "replication",
         "Log-shipping replication lag and failover time per durability mode",
@@ -144,6 +137,6 @@ def run(quick: bool = False, jobs: int = 1) -> Report:
             "replication oracle must report 0 violations.",
             "Reseeds from disk: follower resets served from the archived",
             "floor snapshot + segment files.",
-            f"Snapshot written to {OUT_FILE}.",
+            f"Snapshot written to {out_file}.",
         ],
     )

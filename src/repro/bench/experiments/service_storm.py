@@ -17,10 +17,8 @@ track service-level throughput.
 
 from __future__ import annotations
 
-import json
-
 from repro.bench.harness import parallel_map
-from repro.bench.report import Report, Table
+from repro.bench.report import Report, Table, write_snapshot
 from repro.service.chaos import ChaosTask, run_task
 from repro.telemetry.metrics import Histogram
 
@@ -34,9 +32,6 @@ CONFIGS = (
     ("media storms", ("power", "media"), 2, 1),
     ("full storm", ("power", "media", "io"), 2, 1),
 )
-
-OUT_FILE = "BENCH_service.json"
-
 
 def _merge_metrics(results) -> dict:
     """Fold per-seed telemetry snapshots into one metrics section.
@@ -116,19 +111,17 @@ def run(quick: bool = False, jobs: int = 1) -> Report:
             agg["busy_waits"], agg["deadline_misses"],
             agg["demotions"], agg["promotions"], agg["violations"],
         ])
-    with open(OUT_FILE, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "experiment": "service_storm",
-                "quick": quick,
-                "seeds": list(seeds),
-                "sessions": sessions,
-                "txns_per_seed": txns,
-                "configs": snapshot,
-            },
-            fh, indent=2, sort_keys=True,
-        )
-        fh.write("\n")
+    out_file = write_snapshot(
+        "service",
+        {
+            "experiment": "service_storm",
+            "quick": quick,
+            "seeds": list(seeds),
+            "sessions": sessions,
+            "txns_per_seed": txns,
+            "configs": snapshot,
+        },
+    )
     return Report(
         "service_storm",
         "Concurrent service throughput under fault storms",
@@ -144,6 +137,6 @@ def run(quick: bool = False, jobs: int = 1) -> Report:
             f"{txns} txns/seed, NVWAL UH+LS+Diff.",
             "Violations must be 0: the chaos oracle (ack durability,",
             "read freshness, liveness) runs inside every cell.",
-            f"Snapshot written to {OUT_FILE}.",
+            f"Snapshot written to {out_file}.",
         ],
     )

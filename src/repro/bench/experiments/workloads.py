@@ -17,10 +17,8 @@ per-mix throughput.
 
 from __future__ import annotations
 
-import json
-
 from repro.bench.harness import parallel_map
-from repro.bench.report import Report, Table
+from repro.bench.report import Report, Table, write_snapshot
 from repro.workloads.runner import WORKLOADS, RunConfig, run_one
 
 SEEDS = (0, 1, 2)
@@ -37,9 +35,6 @@ SCHEMES_UNDER_TEST = (
 
 #: (label, group_epoch) — per-transaction durability vs the coalescer.
 GROUP_MODES = (("off", 0), ("on", 4))
-
-OUT_FILE = "BENCH_workloads.json"
-
 
 def _aggregate(results) -> dict:
     txns = sum(r["txns"] for r in results)
@@ -100,19 +95,17 @@ def run(quick: bool = False, jobs: int = 1) -> Report:
                 cells_out["off"]["violations"] + cells_out["on"]["violations"],
             ])
 
-    with open(OUT_FILE, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "experiment": "workloads",
-                "quick": quick,
-                "seeds": list(seeds),
-                "ops_per_run": ops,
-                "group_epoch": dict(GROUP_MODES)["on"],
-                "probes": snapshot,
-            },
-            fh, indent=2, sort_keys=True,
-        )
-        fh.write("\n")
+    out_file = write_snapshot(
+        "workloads",
+        {
+            "experiment": "workloads",
+            "quick": quick,
+            "seeds": list(seeds),
+            "ops_per_run": ops,
+            "group_epoch": dict(GROUP_MODES)["on"],
+            "probes": snapshot,
+        },
+    )
     return Report(
         "workloads",
         "Workload suite: mix x scheme x group commit",
@@ -129,6 +122,6 @@ def run(quick: bool = False, jobs: int = 1) -> Report:
             "Group commit closes the shared epoch every 4 transactions.",
             "Violations must be 0: every cell runs fold-model read checks,",
             "page-accounting integrity, and a post-run recovery check.",
-            f"Snapshot written to {OUT_FILE}.",
+            f"Snapshot written to {out_file}.",
         ],
     )

@@ -1,4 +1,5 @@
-"""ASCII report formatting for experiment output.
+"""ASCII report formatting for experiment output, and the one writer of
+the tracked ``BENCH_*.json`` trajectory files.
 
 Every experiment returns a :class:`Report`: a title, commentary lines, and
 one or more tables.  The `__main__` CLI prints them; EXPERIMENTS.md embeds
@@ -7,7 +8,10 @@ them.
 
 from __future__ import annotations
 
+import json
+import subprocess
 from dataclasses import dataclass, field
+from pathlib import Path
 
 
 @dataclass
@@ -53,6 +57,42 @@ class Report:
             parts.append("")
             parts.append(table.render())
         return "\n".join(parts)
+
+
+def git_rev() -> str:
+    """Short HEAD revision of this checkout, ``-dirty`` when the tree has
+    uncommitted changes (the numbers then belong to HEAD plus that change)."""
+
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", *args],
+            capture_output=True,
+            text=True,
+            cwd=Path(__file__).resolve().parent,
+            check=True,
+        ).stdout.strip()
+
+    try:
+        rev = git("rev-parse", "--short", "HEAD")
+        return rev + "-dirty" if git("status", "--porcelain") else rev
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def write_snapshot(stem: str, doc: dict) -> str:
+    """Write an experiment's snapshot, stamped with :func:`git_rev`, into
+    the working directory; returns the file name.
+
+    Only a full-size run refreshes the tracked ``BENCH_<stem>.json``; a
+    ``--quick`` run (``doc["quick"]``) goes to the untracked
+    ``BENCH_<stem>.quick.json`` beside it, so a smoke run never dirties
+    the tree.
+    """
+    name = f"BENCH_{stem}.quick.json" if doc["quick"] else f"BENCH_{stem}.json"
+    with open(name, "w", encoding="utf-8") as fh:
+        json.dump({**doc, "git_rev": git_rev()}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return name
 
 
 def _fmt(value: object) -> str:

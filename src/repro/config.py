@@ -52,8 +52,6 @@ class NvramConfig:
     write_latency_ns: int = 500
     #: Read latency per cache line; NVRAM reads are close to DRAM.
     read_latency_ns: int = 120
-    #: Persist-atomicity unit in bytes.
-    atomic_unit: int = ATOMIC_UNIT
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,16 @@ Crash *injection* works through a hook on the CPU: every primitive operation
 (store, memcpy, dccmvac, dmb, persist_barrier) counts as one step, and the
 controller can be armed to cut power at step N.  Sweeping N over a whole
 transaction exercises every intermediate state of Algorithm 1.
+
+The controller owns that hook (nothing else assigns ``cpu.crash_hook``) and
+the op count (:meth:`CrashController.counting`), and installs the hook only
+while armed or counting: a set hook makes the CPU single-step flush ranges.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from typing import Callable
 
 from repro.config import ATOMIC_UNIT
@@ -44,6 +49,10 @@ class CrashController:
         self._armed_at: int | None = None
         self._op_count = 0
         self._op_filter: Callable[[str], bool] | None = None
+        #: Matching ops seen by the current (or last) :meth:`counting` block.
+        self.ops_counted = 0
+        self._counting = False
+        self._count_filter: Callable[[str], bool] | None = None
         #: True between a power failure and the next :meth:`power_on`.
         self.powered_off = False
 
@@ -69,9 +78,14 @@ class CrashController:
     def disarm(self) -> None:
         """Cancel a pending injection."""
         self._armed_at = None
-        self.cpu.crash_hook = None
+        if not self._counting:
+            self.cpu.crash_hook = None
 
     def _on_op(self, op: str) -> None:
+        if self._counting and (
+            self._count_filter is None or self._count_filter(op)
+        ):
+            self.ops_counted += 1
         if self._armed_at is None:
             return
         if self._op_filter is not None and not self._op_filter(op):
@@ -127,26 +141,36 @@ class CrashController:
                 self.nvram.persist(addr + offset, chunk)
 
     # ------------------------------------------------------------------
-    # convenience for tests
+    # counting
     # ------------------------------------------------------------------
 
-    def count_ops(self, fn: Callable[[], None], op_filter=None) -> int:
-        """Run ``fn`` while counting matching CPU ops (without crashing).
+    @contextmanager
+    def counting(self, op_filter: Callable[[str], bool] | None = None):
+        """Count matching CPU ops inside the block, without crashing.
 
-        Tests use this to learn how many injection points a code path has,
-        then sweep ``arm(k)`` for k in 1..N.
+        ``ops_counted`` restarts at zero and is the running count: read it
+        mid-run to place an event, or after the block for the total.
+        :meth:`arm` works inside the block; the hook installed before it,
+        if any, is back after it.
         """
-        count = 0
-
-        def hook(op: str) -> None:
-            nonlocal count
-            if op_filter is None or op_filter(op):
-                count += 1
-
         previous = self.cpu.crash_hook
-        self.cpu.crash_hook = hook
+        if previous == self._on_op:
+            previous = None  # ours: kept below only while still armed
+        self.ops_counted = 0
+        self._count_filter = op_filter
+        self._counting = True
+        self.cpu.crash_hook = self._on_op
         try:
-            fn()
+            yield
         finally:
-            self.cpu.crash_hook = previous
-        return count
+            self._counting = False
+            self.cpu.crash_hook = (
+                previous if self._armed_at is None else self._on_op
+            )
+
+    def count_ops(self, fn: Callable[[], None], op_filter=None) -> int:
+        """How many matching CPU ops ``fn()`` issues: the injection points
+        a test then sweeps with ``arm(k)`` for k in 1..N."""
+        with self.counting(op_filter):
+            fn()
+        return self.ops_counted

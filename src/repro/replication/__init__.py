@@ -28,7 +28,6 @@ from repro.replication.ship import (
     Channel,
     LogEntry,
     Replicator,
-    ReplicatorConfig,
     ShippingLog,
 )
 
@@ -41,7 +40,6 @@ __all__ = [
     "ReplicaWalBackend",
     "ReplicationConfig",
     "Replicator",
-    "ReplicatorConfig",
     "Segment",
     "ShippingLog",
     "decode_stream",

@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro import harness
-from repro.archive import SegmentArchive
+from repro.archive import ArchiveConfig, SegmentArchive
 from repro.errors import ChecksumError, PowerFailure
 from repro.faults import FaultPlan, IoFaultSpec, ShipFaultSpec
 from repro.replication.cluster import Cluster, ReplicationConfig
@@ -116,7 +116,7 @@ class ReplicationScenario:
 
 class _UnverifyingFollower(FollowerNode):
     """``"torn"``, the bug: segments are applied without their integrity
-    checks."""
+    checks (its own fold loop: swallowing the error per frame is the bug)."""
 
     def _decode(self, payload: bytes):
         return decode_stream(payload, verify=False)
@@ -323,9 +323,11 @@ class _Driver(SessionDriver):
                 mode=sc.mode,
                 scheme=sc.scheme,
                 checkpoint_threshold=sc.checkpoint_threshold,
-                archive_epochs_per_file=sc.archive_epochs_per_file,
-                archive_snapshot_every=sc.archive_snapshot_every,
-                archive_gc_every=sc.archive_gc_every,
+                archive=ArchiveConfig(
+                    epochs_per_file=sc.archive_epochs_per_file,
+                    snapshot_every=sc.archive_snapshot_every,
+                    gc_every=sc.archive_gc_every,
+                ),
             ),
             seed=sc.seed,
             ship_spec=sc.plan.ship if sc.plan is not None else None,

@@ -28,21 +28,24 @@ what the replication oracle audits (see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.config import tuna
 from repro.db.database import Database
 from repro.faults.inject import BlockIoFaultInjector
 from repro.hw.clock import SimClock
 from repro.hw.stats import Stats
-from repro.replication.node import FollowerNode
-from repro.replication.ship import Replicator, ReplicatorConfig, ShippingLog
+from repro.replication.node import FollowerNode, pager_frames
+from repro.replication.ship import Replicator, ShippingLog
 from repro.service.server import DatabaseService
 from repro.storage.blockdev import BlockDevice
 from repro.storage.ext4 import Ext4FileSystem
 from repro.system import System
-from repro.wal.frames import NvFrame
 from repro.wal.nvwal import SCHEMES, NvwalBackend
 from repro.workloads.mobi import DDL, TABLE
+
+if TYPE_CHECKING:  # repro.archive decodes shipped segments: it imports this package
+    from repro.archive import ArchiveConfig
 
 
 @dataclass(frozen=True)
@@ -53,16 +56,10 @@ class ReplicationConfig:
     mode: str = "semisync"
     scheme: str = "uh_ls_diff"
     checkpoint_threshold: int = 48
-    latency_ns: int = 300_000
-    poll_ns: int = 150_000
-    resend_ns: int = 1_500_000
-    send_window: int = 4
-    #: The ext4 cold store: sealed epochs spill to segment files, reseeds
+    #: Cadences of the ext4 cold store (:class:`repro.archive.ArchiveConfig`;
+    #: None: its defaults): sealed epochs spill to segment files, reseeds
     #: come from disk, and the in-memory shipping log stays bounded.
-    archive_epochs_per_file: int = 8
-    archive_sync_every: int = 4
-    archive_snapshot_every: int = 24
-    archive_gc_every: int = 8
+    archive: ArchiveConfig | None = None
 
 
 class Cluster:
@@ -83,7 +80,6 @@ class Cluster:
         ship_spec=None,
         on_seal=None,
         on_release=None,
-        profile=None,
         archive_io_spec=None,
         on_gc=None,
         on_snapshot=None,
@@ -93,7 +89,6 @@ class Cluster:
         self.ship_spec = ship_spec
         self.on_seal = on_seal
         self.on_release = on_release
-        self.profile = profile
         self.clock = SimClock()
         self.term = 1
         self.promotions = 0
@@ -102,7 +97,7 @@ class Cluster:
         #: cluster's lifetime (bounded-archive probe).
         self.peak_log_entries = 0
 
-        system = System(profile or tuna(), seed=seed, clock=self.clock)
+        system = System(tuna(), seed=seed, clock=self.clock)
         wal = NvwalBackend(
             system,
             SCHEMES[config.scheme](),
@@ -112,10 +107,10 @@ class Cluster:
         # The cold store is its own ext4 volume on its own (seeded)
         # device: archive I/O shares the timeline but never the WAL
         # device's bandwidth or fault plan.
-        from repro.archive import ArchiveConfig, SegmentArchive
+        from repro.archive import SegmentArchive
 
         self.archive_device = BlockDevice(
-            (profile or tuna()).blockdev,
+            tuna().blockdev,
             self.clock,
             Stats(),
             seed=(seed * 977 + 61) & 0x7FFFFFFF,
@@ -129,19 +124,14 @@ class Cluster:
         self.archive = (self.archive_class or SegmentArchive)(
             archive_fs,
             self.clock,
-            config=ArchiveConfig(
-                epochs_per_file=config.archive_epochs_per_file,
-                sync_every=config.archive_sync_every,
-                snapshot_every=config.archive_snapshot_every,
-                gc_every=config.archive_gc_every,
-            ),
+            config=config.archive,
             telemetry=system.telemetry,
             on_gc=on_gc,
             on_snapshot=on_snapshot,
         )
         # The seq-0 floor: the pristine pre-schema database, so any
         # follower — however far behind — can be reseeded from disk.
-        self.archive.bootstrap(_pager_frames(db), term=self.term)
+        self.archive.bootstrap(pager_frames(db), term=self.term)
         # The shipping log taps the WAL *before* the schema exists, so
         # followers build their entire state — schema included — from
         # the stream alone.
@@ -161,7 +151,6 @@ class Cluster:
                 seed,
                 scheme=config.scheme,
                 checkpoint_threshold=config.checkpoint_threshold,
-                profile=profile,
             )
             for node_id in range(config.followers)
         ]
@@ -175,13 +164,7 @@ class Cluster:
             self.clock,
             self.shiplog,
             followers,
-            ReplicatorConfig(
-                mode=self.config.mode,
-                latency_ns=self.config.latency_ns,
-                poll_ns=self.config.poll_ns,
-                resend_ns=self.config.resend_ns,
-                send_window=self.config.send_window,
-            ),
+            self.config.mode,
             self.archive,
             term=self.term,
             ship_spec=self.ship_spec,
@@ -199,7 +182,6 @@ class Cluster:
         service_config=None,
         seed: int = 0,
         on_ack=None,
-        on_checkpoint=None,
         on_apply=None,
     ) -> DatabaseService:
         """Build a service over the current primary, gated on shipping."""
@@ -208,7 +190,6 @@ class Cluster:
             service_config,
             seed=seed,
             on_ack=on_ack,
-            on_checkpoint=on_checkpoint,
             on_apply=on_apply,
         )
         service.replicator = self.replicator
@@ -303,11 +284,3 @@ class Cluster:
             for replicator in (*self.retired_replicators, self.replicator)
         )
 
-
-def _pager_frames(db) -> tuple:
-    """Full page images of a database's current state (state transfer)."""
-    pager = db.pager
-    return tuple(
-        NvFrame(pno, 0, bytes(pager.page_image(pno)), 0, commit=False)
-        for pno in range(1, pager.n_pages + 1)
-    )

@@ -30,7 +30,7 @@ from repro.config import tuna
 from repro.db.database import Database
 from repro.replication.segment import decode_stream
 from repro.system import System
-from repro.wal.frames import NvFrame
+from repro.wal.frames import NvFrame, fold_frames
 from repro.wal.nvwal import SCHEMES, NvwalBackend
 
 #: Pseudo page carrying the replication watermark inside the WAL.  Far
@@ -54,6 +54,15 @@ def parse_watermark(image: bytes | None) -> tuple[int, int] | None:
     if magic != _WM_MAGIC:
         return None
     return seq, term
+
+
+def pager_frames(db) -> tuple:
+    """Full page images of a database's current state (state transfer)."""
+    pager = db.pager
+    return tuple(
+        NvFrame(pno, 0, bytes(pager.page_image(pno)), 0, commit=False)
+        for pno in range(1, pager.n_pages + 1)
+    )
 
 
 class ReplicaWalBackend(NvwalBackend):
@@ -97,20 +106,18 @@ class FollowerNode:
         seed: int,
         scheme: str = "uh_ls_diff",
         checkpoint_threshold: int = 48,
-        profile=None,
     ) -> None:
         self.node_id = node_id
         self.clock = clock
         self.seed = seed
         self.scheme = scheme
         self.checkpoint_threshold = checkpoint_threshold
-        self.profile = profile
         self.role = "follower"
         self.alive = True
         self.term = 0
         self.durable_seq = 0
         self.system = System(
-            profile or tuna(),
+            tuna(),
             seed=(seed * 131 + node_id * 17 + 5) & 0x7FFFFFFF,
             clock=clock,
         )
@@ -163,13 +170,7 @@ class FollowerNode:
         return decode_stream(payload)
 
     def _fold_frames(self, frames, base_for):
-        final: dict[int, bytes] = {}
-        for frame in frames:
-            base = final.get(frame.page_no)
-            if base is None:
-                base = base_for(frame.page_no)
-            final[frame.page_no] = frame.apply_to(base)
-        return final
+        return fold_frames(frames, base_for)
 
     def _apply(self, segment) -> None:
         final = self._fold_frames(
@@ -227,8 +228,4 @@ class FollowerNode:
 
     def snapshot_frames(self) -> tuple:
         """Full page images of the current state, for state transfer."""
-        pager = self.db.pager
-        return tuple(
-            NvFrame(pno, 0, bytes(pager.page_image(pno)), 0, commit=False)
-            for pno in range(1, pager.n_pages + 1)
-        )
+        return pager_frames(self.db)

@@ -39,6 +39,11 @@ from repro.replication.segment import FLAG_SNAPSHOT, Segment, encode_segment
 
 MODES = ("sync", "semisync", "async")
 
+LINK_LATENCY_NS = 300_000  # one-way, primary→follower
+POLL_NS = 150_000  # cadence of the replicator daemon's pump
+RESEND_NS = 1_500_000  # a batch unacknowledged this long is sent again
+SEND_WINDOW = 4  # epochs per catch-up send
+
 
 @dataclass(frozen=True)
 class LogEntry:
@@ -142,17 +147,6 @@ class Channel:
         return len(self._inflight)
 
 
-@dataclass(frozen=True)
-class ReplicatorConfig:
-    """Tunables of the shipping daemon."""
-
-    mode: str = "semisync"
-    latency_ns: int = 300_000
-    poll_ns: int = 150_000
-    resend_ns: int = 1_500_000
-    send_window: int = 4
-
-
 class Replicator:
     """Ships sealed entries to followers and gates acks on durability."""
 
@@ -161,7 +155,7 @@ class Replicator:
         clock,
         shiplog: ShippingLog,
         followers,
-        config: ReplicatorConfig,
+        mode: str,
         archive,
         term: int = 1,
         ship_spec=None,
@@ -169,12 +163,12 @@ class Replicator:
         on_release=None,
         telemetry=None,
     ) -> None:
-        if config.mode not in MODES:
-            raise ValueError(f"unknown durability mode {config.mode!r}")
+        if mode not in MODES:
+            raise ValueError(f"unknown durability mode {mode!r}")
         self.clock = clock
         self.shiplog = shiplog
         self.followers = list(followers)
-        self.config = config
+        self.mode = mode
         self.term = term
         self.on_release = on_release
         #: The service whose tickets this replicator releases (set by the
@@ -189,7 +183,7 @@ class Replicator:
         self.channels = {
             node.node_id: Channel(
                 clock,
-                config.latency_ns,
+                LINK_LATENCY_NS,
                 ShipFaultInjector(ship_spec, (ship_seed * 31 + node.node_id) & 0x7FFFFFFF)
                 if ship_spec is not None
                 else None,
@@ -233,9 +227,9 @@ class Replicator:
 
     def _satisfied(self, seq: int) -> bool:
         live = self._live()
-        if self.config.mode == "async" or not live:
+        if self.mode == "async" or not live:
             return True
-        if self.config.mode == "sync":
+        if self.mode == "sync":
             return all(node.durable_seq >= seq for node in live)
         return any(node.durable_seq >= seq for node in live)
 
@@ -263,15 +257,17 @@ class Replicator:
 
     # -- shipping -----------------------------------------------------------
 
-    def _encode_entry(self, entry: LogEntry) -> bytes:
-        return encode_segment(
-            Segment(
-                seq=entry.seq,
-                term=self.term,
-                txns=len(entry.metas),
-                frames=entry.frames,
-            )
+    def _segment(self, entry: LogEntry) -> Segment:
+        """``entry`` as a segment of the current term."""
+        return Segment(
+            seq=entry.seq,
+            term=self.term,
+            txns=len(entry.metas),
+            frames=entry.frames,
         )
+
+    def _encode_entry(self, entry: LogEntry) -> bytes:
+        return encode_segment(self._segment(entry))
 
     def _available(self, seq: int) -> bool:
         """Whether the epoch at ``seq`` can still be served from memory
@@ -322,7 +318,7 @@ class Replicator:
             reseeded = True
             self._c_reseed_archive.inc()
             self.reseeds_from_archive += 1
-        hi = min(head, cursor + self.config.send_window)
+        hi = min(head, cursor + SEND_WINDOW)
         for seq in range(cursor + 1, hi + 1):
             blob = self._entry_blob(seq)
             if blob is None:
@@ -348,9 +344,7 @@ class Replicator:
         if not stale and node.durable_seq >= head:
             return
         idle = channel.pending() == 0
-        timed_out = (
-            now_ns - self._last_send_ns[node.node_id] >= self.config.resend_ns
-        )
+        timed_out = now_ns - self._last_send_ns[node.node_id] >= RESEND_NS
         if not idle and not timed_out:
             return
         blob = self._catchup_blob(node, head, stale)
@@ -395,14 +389,7 @@ class Replicator:
             entry = self.shiplog.entry(archive.head + 1)
             if entry is None:
                 break  # unreachable while eviction trails the archive
-            archive.append(
-                Segment(
-                    seq=entry.seq,
-                    term=self.term,
-                    txns=len(entry.metas),
-                    frames=entry.frames,
-                )
-            )
+            archive.append(self._segment(entry))
         archive.maybe_advance_floor(self.term)
         if archive.durable_head - self._last_gc_head >= archive.config.gc_every:
             archive.gc(
@@ -420,6 +407,6 @@ class Replicator:
     def daemon(self):
         """Scheduler daemon: tick the pump forever."""
         while True:
-            yield self.config.poll_ns
+            yield POLL_NS
             self.tick()
             self._archive_work()

@@ -1,0 +1,97 @@
+"""Bounded retry of transient errors on the simulated clock.
+
+:func:`retry_io` is the loop of the tiers that cannot yield (the
+filesystem's page commands, the file WAL's fsyncs);
+:func:`retry_delay_ns` is the "next delay, or raise" step of the service
+tier's generators.  The policy is plain data (picklable, JSON-friendly)
+so chaos scenarios can carry it; the jitter draws from the caller's
+seeded RNG stream, so backoff timing is deterministic per run yet
+decorrelated across sessions — full jitter, the standard defense against
+retry storms synchronizing into thundering herds.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+
+from repro.errors import DeadlineExceeded, IoError, ReproError
+
+
+def retry_io(attempts: int, fn, *args, clock=None, backoff_ns: int = 0):
+    """``fn(*args)``, re-issued on transient :class:`IoError` up to
+    ``attempts`` calls in all; ``clock`` advances ``backoff_ns << attempt``
+    before each retry.  The last failure propagates."""
+    for attempt in range(attempts):
+        try:
+            return fn(*args)
+        except IoError:
+            if attempt == attempts - 1:
+                raise
+            if backoff_ns:
+                clock.advance(backoff_ns << attempt)
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Exponential backoff schedule for retryable errors."""
+
+    max_attempts: int = 5
+    base_delay_ns: int = 200_000  # 0.2 ms
+    multiplier: float = 2.0
+    max_delay_ns: int = 50_000_000  # 50 ms cap
+    jitter: float = 0.5  # fraction of the delay drawn uniformly at random
+
+    def delay_ns(self, attempt: int, rng: random.Random) -> int:
+        """Backoff before retry number ``attempt`` (0-based)."""
+        raw = min(
+            self.base_delay_ns * self.multiplier**attempt, self.max_delay_ns
+        )
+        if self.jitter > 0.0:
+            raw = raw * (1.0 - self.jitter) + raw * self.jitter * rng.random()
+        return max(1, int(raw))
+
+
+def retry_delay_ns(
+    policy: RetryPolicy, attempt: int, rng, clock, deadline_ns, exc: ReproError
+) -> int:
+    """The sleep before retry number ``attempt`` (0-based) of a request
+    that failed with ``exc``.  Re-raises ``exc`` once the budget is spent;
+    a sleep that would overrun ``deadline_ns`` raises
+    :class:`DeadlineExceeded` instead."""
+    if attempt + 1 >= policy.max_attempts:
+        raise exc
+    delay = policy.delay_ns(attempt, rng)
+    if deadline_ns is not None and clock.now_ns + delay > deadline_ns:
+        raise DeadlineExceeded(
+            f"retry backoff would overrun the deadline "
+            f"(attempt {attempt + 1}, {type(exc).__name__}: {exc})"
+        ) from exc
+    return delay
+
+
+def call_with_retry(
+    fn,
+    policy: RetryPolicy,
+    rng: random.Random,
+    clock,
+    deadline_ns: float | None = None,
+):
+    """Generator: run ``fn`` with backoff on retryable errors.
+
+    Yields each backoff delay (for the cooperative scheduler to sleep);
+    returns ``fn()``'s result via ``StopIteration``, so callers write
+    ``result = yield from call_with_retry(...)``.  Non-retryable errors
+    and exhausted budgets re-raise the last error; a backoff that would
+    overrun ``deadline_ns`` raises :class:`DeadlineExceeded` instead of
+    sleeping through it.
+    """
+    attempt = 0
+    while True:
+        try:
+            return fn()
+        except ReproError as exc:
+            if not exc.retryable:
+                raise
+            yield retry_delay_ns(policy, attempt, rng, clock, deadline_ns, exc)
+            attempt += 1

@@ -5,7 +5,7 @@ scheduler (:mod:`repro.service.sched`) multiplexes N client sessions over
 one :class:`repro.db.Database` with SQLite-style single-writer /
 multi-reader admission (:mod:`repro.service.server`).  The robustness
 machinery — per-request deadlines, busy timeouts, retry with exponential
-backoff + jitter (:mod:`repro.service.retry`), a media circuit breaker
+backoff + jitter (:mod:`repro.retry`), a media circuit breaker
 (:mod:`repro.service.breaker`), and degraded read-only mode with
 checkpoint + scrub re-promotion — is all driven off the *simulated*
 clock, so every run is seeded and reproducible.
@@ -16,7 +16,7 @@ oracle checking, seeded digests, and auto-minimized failing traces.
 """
 
 from repro.service.breaker import CircuitBreaker
-from repro.service.retry import RetryPolicy
+from repro.retry import RetryPolicy
 from repro.service.sched import Job, Scheduler
 from repro.service.server import DatabaseService, ServiceConfig
 from repro.service.session import ClientSession

@@ -45,6 +45,7 @@ from repro.db.database import Database
 from repro.errors import IoError, PowerFailure
 from repro.faults import FaultPlan, IoFaultSpec, MediaFaultSpec
 from repro.harness import session_stream
+from repro.retry import retry_io
 from repro.service.sched import Scheduler
 from repro.service.server import DatabaseService, ServiceConfig
 from repro.service.session import ClientSession
@@ -54,7 +55,7 @@ from repro.telemetry.export import build_export, canonical_json, export_digest
 from repro.torture.driver import rotated
 from repro.wal.base import SyncMode
 from repro.wal.nvwal import SCHEMES, NvwalBackend
-from repro.workloads.mobi import DDL, TABLE, generate_txns
+from repro.workloads.mobi import DDL, TABLE, MobiWorkload, generate_txns, group_ops
 
 DB_NAME = "chaos.db"
 
@@ -132,7 +133,7 @@ def _ycsb_stream(stream_seed: int, op_count: int, txn_size: int):
             key, kind = live.pop(sampler.sample(rng)), "delete"
         value = None if kind == "delete" else f"y{i}." + "x" * rng.randint(4, 20)
         ops.append((kind, key, value))
-    return _group_ops(rng, ops, txn_size)
+    return group_ops(rng, ops, txn_size)
 
 
 def _queue_stream(stream_seed: int, op_count: int, txn_size: int):
@@ -151,17 +152,7 @@ def _queue_stream(stream_seed: int, op_count: int, txn_size: int):
             next_id += 1
         else:
             ops.append(("delete", live.pop(0), None))
-    return _group_ops(rng, ops, txn_size)
-
-
-def _group_ops(rng, ops, txn_size: int):
-    txns = []
-    index = 0
-    while index < len(ops):
-        take = rng.randint(1, txn_size)
-        txns.append(tuple(ops[index : index + take]))
-        index += take
-    return tuple(txns)
+    return group_ops(rng, ops, txn_size)
 
 
 #: Stream generators selectable via ``ChaosScenario.workload``, each a
@@ -260,9 +251,11 @@ def make_scenario(
 def _measure_ops(scenario: ChaosScenario) -> int:
     """Primitive-op count of the uncrashed run (crash-point space)."""
     probe = replace(scenario, power_cycles=(), final_power_cycle=False)
-    driver = _Driver(probe, count_ops=True)
-    driver.run()
-    return driver.ops_counted
+    driver = _Driver(probe)
+    crash = driver.system.crash
+    with crash.counting():
+        driver.run()
+    return crash.ops_counted
 
 
 # ----------------------------------------------------------------------
@@ -292,23 +285,17 @@ def placement_rng(seed: int) -> random.Random:
     return random.Random((seed * 0x2545F491 + 0x3C6EF35F) & 0xFFFFFFFF)
 
 
-def fold(base: dict, ops) -> dict:
-    """Fold ops with the service's exact SQL semantics.
+_fold_op = MobiWorkload().fold_op
 
-    ``insert`` upserts (the service falls back to UPDATE on a duplicate
-    key) and ``update`` only touches an existing row — this matters after
-    a legitimate WAL shed, when a client's later transactions update keys
-    whose inserts were shed: SQL no-ops, and so must the model.
-    """
+
+def fold(base: dict, ops) -> dict:
+    """``base`` with ``ops`` folded on top, by the mobi workload's model —
+    which follows the service's SQL: ``insert`` upserts, ``update`` /
+    ``delete`` of a missing key are no-ops (after a legitimate WAL shed a
+    client's later transactions update keys whose inserts were shed)."""
     out = dict(base)
-    for kind, key, value in ops:
-        if kind == "delete":
-            out.pop(key, None)
-        elif kind == "update":
-            if key in out:
-                out[key] = value
-        else:  # insert-as-upsert
-            out[key] = value
+    for op in ops:
+        _fold_op(out, op)
     return out
 
 
@@ -566,7 +553,7 @@ class _Driver(SessionDriver):
 
     final_read = True
 
-    def __init__(self, scenario: ChaosScenario, count_ops: bool = False) -> None:
+    def __init__(self, scenario: ChaosScenario) -> None:
         super().__init__(scenario)
         self.read_every = scenario.read_every
         # Media decay (at power loss or via storms) can legitimately shed
@@ -582,8 +569,6 @@ class _Driver(SessionDriver):
         self.floor = 0
         self.storms_done = 0
         self.shed_acked = 0
-        self.count_ops = count_ops
-        self.ops_counted = 0
         self.system = System(tuna(), seed=scenario.seed)
         #: Telemetry time series; one sample list spans every power cycle.
         self.collector = Collector(self.system.telemetry)
@@ -693,24 +678,11 @@ class _Driver(SessionDriver):
         system = self.system
         if scenario.plan is not None:
             system.inject_faults(scenario.plan)
-        if self.count_ops:
-
-            def hook(_op: str) -> None:
-                self.ops_counted += 1
-
-            system.cpu.crash_hook = hook
         db = self._build_db()
         db.execute(DDL)
         # The table's existence must be durable before any chaos; the IO
         # injector caps failure streaks, so a bounded retry always lands.
-        for _attempt in range(_RECOVERY_ATTEMPTS):
-            try:
-                db.checkpoint()
-                break
-            except IoError:
-                continue
-        else:
-            raise IoError("setup checkpoint did not survive bounded retries")
+        retry_io(_RECOVERY_ATTEMPTS, db.checkpoint)
 
         service_cls = _AckEarlyService if scenario.sabotage else DatabaseService
         config = ServiceConfig(group_commit=scenario.group_commit)
@@ -765,9 +737,6 @@ class _Driver(SessionDriver):
                 epoch += 1
 
         self.violations.extend(starved_clients(clients))
-
-        if self.count_ops:
-            system.cpu.crash_hook = None  # the workload is over
 
         # Every run ends by proving the final state is recoverable.
         if scenario.final_power_cycle:

@@ -46,7 +46,7 @@ from repro.errors import (
     SqlError,
 )
 from repro.service.breaker import CircuitBreaker
-from repro.service.retry import RetryPolicy, call_with_retry
+from repro.retry import RetryPolicy, call_with_retry, retry_delay_ns
 from repro.telemetry.metrics import COUNT_BOUNDS
 from repro.workloads.mobi import TABLE
 
@@ -54,42 +54,43 @@ READ_WRITE = "rw"
 READ_ONLY = "ro"
 
 
+#: How long a writer waits for the writer slot before BusyError.
+BUSY_TIMEOUT_NS = 20_000_000  # 20 ms
+#: Poll cadence while waiting for the writer slot or a parked commit ticket.
+BUSY_POLL_NS = 200_000  # 0.2 ms
+#: Quarantined Heapo descriptor slots that force a demotion.
+QUARANTINE_LIMIT = 1
+#: Maintenance daemon cadence (scrub, breaker probes, re-promotion).
+MAINTENANCE_INTERVAL_NS = 2_000_000  # 2 ms
+#: Cooperative pause between a transaction's statements.  This is what
+#: makes the writer slot *contended*: the writer holds it across scheduler
+#: steps, so other sessions really do busy-wait and readers really do
+#: overlap an in-flight writer.
+TXN_OP_PAUSE_NS = 100_000  # 0.1 ms
+#: Group commit closes the epoch as soon as it holds this many txns ...
+MAX_EPOCH_TXNS = 8
+#: ... or once its first member has waited this long (the batcher daemon
+#: enforces the age bound, so a lone writer is never parked much longer).
+MAX_EPOCH_DELAY_NS = 400_000  # 0.4 ms
+#: Cadence of the batcher daemon's epoch-age check.
+BATCHER_POLL_NS = 100_000  # 0.1 ms
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Knobs for admission, robustness, and maintenance."""
+    """What a deployment chooses; the cadences above are constants."""
 
-    #: How long a writer waits for the writer slot before BusyError.
-    busy_timeout_ns: int = 20_000_000  # 20 ms
-    #: Poll cadence while waiting for the writer slot.
-    busy_poll_ns: int = 200_000  # 0.2 ms
+    #: Group commit: committed transactions join a shared WAL epoch and
+    #: park until the epoch is closed — one flush + persist-barrier
+    #: sequence covers the whole batch, and acks are released only after
+    #: that barrier.
+    group_commit: bool = False
     #: Backoff schedule for transient IoError retries.
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: Consecutive media failures before the breaker trips (demotes).
     breaker_threshold: int = 2
     #: Simulated cooldown before a half-open health probe is allowed.
     breaker_cooldown_ns: int = 5_000_000  # 5 ms
-    #: Quarantined Heapo descriptor slots that force a demotion.
-    quarantine_limit: int = 1
-    #: Maintenance daemon cadence (scrub, breaker probes, re-promotion).
-    maintenance_interval_ns: int = 2_000_000  # 2 ms
-    #: Cooperative pause between a transaction's statements.  This is
-    #: what makes the writer slot *contended*: the writer holds it across
-    #: scheduler steps, so other sessions really do busy-wait and readers
-    #: really do overlap an in-flight writer.
-    txn_op_pause_ns: int = 100_000  # 0.1 ms
-    #: Group commit: committed transactions join a shared WAL epoch and
-    #: park until the epoch is closed — one flush + persist-barrier
-    #: sequence covers the whole batch, and acks are released only after
-    #: that barrier.
-    group_commit: bool = False
-    #: Close the epoch as soon as it holds this many transactions.
-    max_epoch_txns: int = 8
-    #: ...or once its first member has waited this long (the batcher
-    #: daemon enforces the age bound, so a lone writer is never parked
-    #: for more than roughly this).
-    max_epoch_delay_ns: int = 400_000  # 0.4 ms
-    #: Cadence of the batcher daemon's epoch-age check.
-    batcher_poll_ns: int = 100_000  # 0.1 ms
 
 
 @dataclass
@@ -139,7 +140,6 @@ class DatabaseService:
         config: ServiceConfig | None = None,
         seed: int = 0,
         on_ack=None,
-        on_checkpoint=None,
         on_apply=None,
     ) -> None:
         self.db = db
@@ -159,9 +159,6 @@ class DatabaseService:
         #: Called as ``on_ack(session_id, ops)`` the moment a transaction
         #: is acknowledged — the chaos oracle's commit log.
         self.on_ack = on_ack
-        #: Called with no arguments after every successful checkpoint —
-        #: the chaos oracle's durability floor under relaxed schemes.
-        self.on_checkpoint = on_checkpoint
         #: Called as ``on_apply(session_id, ops)`` when a transaction is
         #: applied into the open epoch (visible to readers, not yet
         #: durable or acknowledged) — the chaos freshness model.
@@ -279,20 +276,19 @@ class DatabaseService:
                     self._demote("breaker")
                 raise
             except IoError as exc:
-                attempt += 1
-                if attempt >= self.config.retry.max_attempts:
-                    raise
-                self.stats.io_retries += 1
-                delay = self.config.retry.delay_ns(attempt - 1, self.rng)
-                if (
-                    deadline_ns is not None
-                    and self.clock.now_ns + delay > deadline_ns
-                ):
+                try:
+                    delay = retry_delay_ns(
+                        self.config.retry, attempt, self.rng, self.clock,
+                        deadline_ns, exc,
+                    )
+                except DeadlineExceeded:
+                    # The budget granted the retry; the deadline did not.
+                    self.stats.io_retries += 1
                     self.stats.deadline_misses += 1
                     self._c_deadline.inc()
-                    raise DeadlineExceeded(
-                        "retry backoff would overrun the request deadline"
-                    ) from exc
+                    raise
+                attempt += 1
+                self.stats.io_retries += 1
                 self._t_retry.observe(int(delay))
                 yield delay
 
@@ -304,12 +300,12 @@ class DatabaseService:
                 return
             except BusyError:
                 waited = self.clock.elapsed_since(start_ns)
-                if waited + self.config.busy_poll_ns > self.config.busy_timeout_ns:
+                if waited + BUSY_POLL_NS > BUSY_TIMEOUT_NS:
                     self.stats.busy_timeouts += 1
                     raise
                 self._check_deadline(deadline_ns)
                 self.stats.busy_waits += 1
-                yield self.config.busy_poll_ns
+                yield BUSY_POLL_NS
 
     def _apply_ops(self, ops, deadline_ns: float | None):
         """Generator: apply keyed ops, pausing between statements.
@@ -320,8 +316,8 @@ class DatabaseService:
         :class:`DuplicateKey`.
         """
         for i, (kind, key, value) in enumerate(ops):
-            if i and self.config.txn_op_pause_ns:
-                yield self.config.txn_op_pause_ns
+            if i:
+                yield TXN_OP_PAUSE_NS
             self._check_deadline(deadline_ns)
             if kind == "insert":
                 try:
@@ -378,7 +374,7 @@ class DatabaseService:
             self._epoch_opened_ns = self.clock.now_ns
         if self.on_apply is not None:
             self.on_apply(session_id, ops)
-        if len(self._epoch_queue) >= self.config.max_epoch_txns:
+        if len(self._epoch_queue) >= MAX_EPOCH_TXNS:
             self._flush_epoch()
         return ticket
 
@@ -391,7 +387,7 @@ class DatabaseService:
         durable without its client ever learning so.
         """
         while not ticket.done:
-            yield self.config.busy_poll_ns
+            yield BUSY_POLL_NS
         if ticket.error is not None:
             raise ticket.error
 
@@ -447,13 +443,13 @@ class DatabaseService:
 
         The size bound is enforced inline by :meth:`_join_epoch`; this
         daemon guarantees progress for partially filled epochs (a lone
-        writer is parked for at most ~``max_epoch_delay_ns``)."""
+        writer is parked for at most ~:data:`MAX_EPOCH_DELAY_NS`)."""
         while True:
-            yield self.config.batcher_poll_ns
+            yield BATCHER_POLL_NS
             if not self._epoch_queue:
                 continue
             age = self.clock.elapsed_since(self._epoch_opened_ns)
-            if age >= self.config.max_epoch_delay_ns:
+            if age >= MAX_EPOCH_DELAY_NS:
                 self._flush_epoch()
 
     def epoch_members(self) -> list[tuple[str, object]]:
@@ -520,7 +516,7 @@ class DatabaseService:
         slots = len(self.system.heapo.quarantined_slots())
         if slots > self._seen_quarantine:
             self._seen_quarantine = slots
-            if slots >= self.config.quarantine_limit:
+            if slots >= QUARANTINE_LIMIT:
                 self._demote("quarantine")
 
     def _demote(self, reason: str) -> None:
@@ -558,7 +554,7 @@ class DatabaseService:
         durable state has been rebuilt, so read-write mode is safe.
         """
         while True:
-            yield self.config.maintenance_interval_ns
+            yield MAINTENANCE_INTERVAL_NS
             self._check_quarantine()
             if self.mode == READ_WRITE:
                 # Background health check: a corrupt scrub while healthy
@@ -605,8 +601,6 @@ class DatabaseService:
             # file and frees every NVRAM log block — including decayed
             # ones — so it doubles as the salvage step.
             self.db.checkpoint()
-            if self.on_checkpoint is not None:
-                self.on_checkpoint()
         except IoError:
             self.stats.checkpoint_failures += 1
             return False
@@ -623,7 +617,4 @@ class DatabaseService:
     def checkpoint_now(self):
         """Foreground checkpoint (demo / shutdown path)."""
         self._flush_epoch()  # an open epoch must land first
-        written = self.db.checkpoint()
-        if self.on_checkpoint is not None:
-            self.on_checkpoint()
-        return written
+        return self.db.checkpoint()

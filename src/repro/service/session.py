@@ -21,6 +21,9 @@ from collections import deque
 from repro.errors import MediaError, PowerFailure, ReproError, ServiceError
 from repro.service.server import DatabaseService
 
+REJECTION_BACKOFF_NS = 1_000_000  # 1 ms between resubmits
+MAX_REJECTIONS = 1000  # consecutive, of one transaction, before giving up
+
 
 class ClientSession:
     """One client identity and its pending work."""
@@ -30,14 +33,10 @@ class ClientSession:
         service: DatabaseService,
         session_id: str,
         deadline_budget_ns: int = 50_000_000,  # 50 ms per attempt
-        rejection_backoff_ns: int = 1_000_000,  # 1 ms between resubmits
-        max_rejections: int = 1000,
     ) -> None:
         self.service = service
         self.session_id = session_id
         self.deadline_budget_ns = deadline_budget_ns
-        self.rejection_backoff_ns = rejection_backoff_ns
-        self.max_rejections = max_rejections
         self.pending: deque = deque()
         self.acked: list = []
         #: error category -> count of rejected attempts
@@ -58,7 +57,7 @@ class ClientSession:
 
     def run(self):
         """Generator job: drain the pending queue, resubmitting on
-        rejection, until done or ``max_rejections`` is exhausted."""
+        rejection, until done or :data:`MAX_REJECTIONS` is exhausted."""
         rejections = 0
         while self.pending:
             ops = self.pending[0]
@@ -77,10 +76,10 @@ class ClientSession:
                 # applied; wait for the service to heal and resubmit.
                 rejections += 1
                 self._record(exc)
-                if rejections > self.max_rejections:
+                if rejections > MAX_REJECTIONS:
                     self.gave_up = True
                     return
-                yield self.rejection_backoff_ns
+                yield REJECTION_BACKOFF_NS
                 continue
             except ReproError as exc:
                 # Busy timeout, exhausted IO retries, media failure: same
@@ -92,10 +91,10 @@ class ClientSession:
                 rejections += 1
                 self._record(exc)
                 recoverable = exc.retryable or isinstance(exc, MediaError)
-                if not recoverable or rejections > self.max_rejections:
+                if not recoverable or rejections > MAX_REJECTIONS:
                     self.gave_up = True
                     return
-                yield self.rejection_backoff_ns
+                yield REJECTION_BACKOFF_NS
                 continue
             self.acked.append(ops)
             self.pending.popleft()

@@ -46,12 +46,12 @@ from itertools import chain
 from repro.errors import (
     FileExists,
     FsConsistencyError,
-    IoError,
     NoSuchFile,
     OutOfSpace,
     StorageError,
 )
 from repro.hw.cache import bit_runs
+from repro.retry import retry_io
 from repro.storage.blockdev import BlockDevice
 
 _SUPER_MAGIC = 0x4558_5434_5349_4D31  # "EXT4SIM1"
@@ -217,29 +217,19 @@ class Ext4FileSystem:
     def _dev_write(self, pno: int, data: bytes, tag: str) -> None:
         """``write_page`` with bounded retry-with-backoff on transient
         :class:`IoError`; re-raises once the retry budget is exhausted."""
-        for attempt in range(_IO_RETRIES):
-            try:
-                self.device.write_page(pno, data, tag=tag)
-                return
-            except IoError:
-                if attempt == _IO_RETRIES - 1:
-                    raise
-                self.device.clock.advance(
-                    self.device.config.write_latency_ns << attempt
-                )
+        device = self.device
+        retry_io(
+            _IO_RETRIES, device.write_page, pno, data, tag,
+            clock=device.clock, backoff_ns=device.config.write_latency_ns,
+        )
 
     def _dev_read(self, pno: int, tag: str) -> bytes:
         """``read_page`` with the same bounded retry-with-backoff."""
-        for attempt in range(_IO_RETRIES):
-            try:
-                return self.device.read_page(pno, tag=tag)
-            except IoError:
-                if attempt == _IO_RETRIES - 1:
-                    raise
-                self.device.clock.advance(
-                    self.device.config.read_latency_ns << attempt
-                )
-        raise AssertionError("unreachable")
+        device = self.device
+        return retry_io(
+            _IO_RETRIES, device.read_page, pno, tag,
+            clock=device.clock, backoff_ns=device.config.read_latency_ns,
+        )
 
     # ------------------------------------------------------------------
     # layout

@@ -27,13 +27,18 @@ from repro.telemetry.collector import Collector
 from repro.telemetry.export import build_export
 from repro.workloads.mobi import generate_txns
 
+TXN_SIZE = 3  # ops per transaction are drawn from 1..TXN_SIZE
+SCHEME = "uh_ls_diff"  # the paper's final scheme
+STORMS = 2  # NVRAM decay events per run ...
+STORM_INTERVAL_NS = 3_000_000  # ... and the simulated pause before each
+CHECKPOINT_THRESHOLD = 24  # low: the short run crosses several checkpoints
+COLLECT_INTERVAL_NS = 200_000  # collector sampling cadence
 
-def _storm_job(system, storms: int, interval_ns: int):
-    """Decay NVRAM cells mid-run (no power loss), ``storms`` times."""
-    for _ in range(storms):
-        yield interval_ns
-        if system.nvram_faults is None:
-            return
+
+def _storm_job(system):
+    """Decay NVRAM cells mid-run (no power loss), :data:`STORMS` times."""
+    for _ in range(STORMS):
+        yield STORM_INTERVAL_NS
         system.nvram_faults.on_power_loss(system.nvram)
 
 
@@ -41,38 +46,31 @@ def run_storm(
     seed: int = 0,
     sessions: int = 3,
     txns_per_session: int = 12,
-    txn_size: int = 3,
     followers: int = 2,
     mode: str = "semisync",
-    scheme: str = "uh_ls_diff",
-    storms: int = 2,
-    storm_interval_ns: int = 3_000_000,
-    checkpoint_threshold: int = 24,
-    collect_interval_ns: int = 200_000,
 ) -> dict:
     """Run the storm; returns the canonical telemetry export document."""
     cluster = Cluster(
         ReplicationConfig(
             followers=followers,
             mode=mode,
-            scheme=scheme,
-            checkpoint_threshold=checkpoint_threshold,
+            scheme=SCHEME,
+            checkpoint_threshold=CHECKPOINT_THRESHOLD,
         ),
         seed=seed,
     )
     system = cluster.primary_system
-    if storms:
-        system.inject_faults(
-            FaultPlan(
-                seed=seed,
-                media=MediaFaultSpec(bit_flips=1, stuck_units=1, poison_units=2),
-            )
+    system.inject_faults(
+        FaultPlan(
+            seed=seed,
+            media=MediaFaultSpec(bit_flips=1, stuck_units=1, poison_units=2),
         )
+    )
     service = cluster.start_service(
         ServiceConfig(group_commit=True), seed=seed
     )
     registry = system.telemetry
-    collector = Collector(registry, interval_ns=collect_interval_ns)
+    collector = Collector(registry, interval_ns=COLLECT_INTERVAL_NS)
 
     clients = [
         ClientSession(service, f"c{s}", deadline_budget_ns=60_000_000)
@@ -80,7 +78,7 @@ def run_storm(
     ]
     for s, client in enumerate(clients):
         for txn in session_stream(
-            generate_txns, seed, s, sessions, txns_per_session, txn_size
+            generate_txns, seed, s, sessions, txns_per_session, TXN_SIZE
         ):
             client.enqueue(txn)
 
@@ -91,10 +89,7 @@ def run_storm(
     scheduler.spawn("batcher", service.commit_batcher(), daemon=True)
     scheduler.spawn("replicator", cluster.replicator.daemon(), daemon=True)
     scheduler.spawn("collector", collector.daemon(), daemon=True)
-    if storms:
-        scheduler.spawn(
-            "storms", _storm_job(system, storms, storm_interval_ns), daemon=True
-        )
+    scheduler.spawn("storms", _storm_job(system), daemon=True)
     scheduler.run()
     collector.sample()  # one closing sample at the final simulated time
 
@@ -105,8 +100,8 @@ def run_storm(
         "txns_per_session": txns_per_session,
         "followers": followers,
         "mode": mode,
-        "scheme": scheme,
-        "storms": storms,
+        "scheme": SCHEME,
+        "storms": STORMS,
         "acked": service.stats.txns_acked,
         "gave_up": sum(1 for c in clients if c.gave_up),
         "head_seq": cluster.head_seq,

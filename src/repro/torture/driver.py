@@ -267,12 +267,7 @@ def profile_scenario(scenario: TortureScenario) -> Profile:
     workload = make_workload(scenario.workload)
     system = _make_system(scenario)
     db = _make_db(system, scenario)
-    counter = [0]
-
-    def hook(_op: str) -> None:
-        counter[0] += 1
-
-    system.cpu.crash_hook = hook
+    crash = system.crash
     bounds = [0]
     last_boundary = len(workload.setup_sql()) + len(scenario.txns)
     ckpt_events: list[tuple[int, int]] = []
@@ -282,18 +277,20 @@ def profile_scenario(scenario: TortureScenario) -> Profile:
         written = wal_checkpoint()
         # The boundary in flight is the next to complete; a grouped run's
         # drain flush comes after the last one and belongs to it.
-        ckpt_events.append((counter[0], min(len(bounds), last_boundary)))
+        ckpt_events.append((crash.ops_counted, min(len(bounds), last_boundary)))
         return written
 
     db.wal.checkpoint = tracked_checkpoint
-    _run_script(db, workload, scenario, lambda: bounds.append(counter[0]))
+    with crash.counting():
+        _run_script(
+            db, workload, scenario, lambda: bounds.append(crash.ops_counted)
+        )
     if scenario.group_epoch > 0:
         # The drain flush belongs to the last boundary: a crash before it
         # completes must not count that epoch as committed.
-        bounds[-1] = counter[0]
-    system.cpu.crash_hook = None
+        bounds[-1] = crash.ops_counted
     return Profile(
-        total_ops=counter[0],
+        total_ops=crash.ops_counted,
         bounds=tuple(bounds),
         ckpt_events=tuple(ckpt_events),
     )
@@ -371,18 +368,10 @@ def _run_scenario_checked(
         # Count recovery's own primitive ops while we are here: the sweep
         # driver uses the measurement to pick crash points whose recovery
         # is worth crashing *into*.
-        counter = [0]
-
-        def hook(_op: str) -> None:
-            counter[0] += 1
-
-        system.cpu.crash_hook = hook
-        try:
+        with system.crash.counting():
             system.reboot()
             db = _make_db(system, scenario)
-        finally:
-            system.cpu.crash_hook = None
-        recovery_ops = counter[0]
+        recovery_ops = system.crash.ops_counted
 
     violations: list[str] = []
     allowed = _allowed_boundaries(

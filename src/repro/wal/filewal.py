@@ -20,8 +20,9 @@ from __future__ import annotations
 import struct
 
 from repro.db.pager import EARLY_SPLIT_RESERVE
-from repro.errors import IoError, TransactionError
+from repro.errors import TransactionError
 from repro.hw.stats import TimeBucket
+from repro.retry import retry_io
 from repro.storage.ext4 import Ext4FileSystem, File
 from repro.system import System
 from repro.wal.base import (
@@ -51,13 +52,7 @@ _FSYNC_RETRIES = 3
 
 def _fsync_retry(file: File) -> None:
     """``fsync`` with bounded retry on transient :class:`IoError`."""
-    for attempt in range(_FSYNC_RETRIES):
-        try:
-            file.fsync()
-            return
-        except IoError:
-            if attempt == _FSYNC_RETRIES - 1:
-                raise
+    retry_io(_FSYNC_RETRIES, file.fsync)
 
 
 class FileWalBackend(WalBackend):

@@ -126,6 +126,19 @@ class NvFrame:
         return bytes(image)
 
 
+def fold_frames(frames, base_for: Callable[[int], bytes]) -> dict[int, bytes]:
+    """Apply ``frames`` in order onto page images; ``base_for(page_no)``
+    supplies a page's image the first time a frame touches it.  Returns
+    the final image of every touched page, in first-touch order."""
+    final: dict[int, bytes] = {}
+    for frame in frames:
+        base = final.get(frame.page_no)
+        if base is None:
+            base = base_for(frame.page_no)
+        final[frame.page_no] = frame.apply_to(base)
+    return final
+
+
 def encode_nv_frame(
     frame: NvFrame,
     checksum_bits: int = FULL_CHECKSUM_BITS,

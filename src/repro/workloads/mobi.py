@@ -53,6 +53,11 @@ def generate_txns(seed: int, op_count: int, txn_size: int = 3) -> tuple[Txn, ...
         if kind != "delete":
             value = f"s{seed}.{i}." + "x" * rng.randint(4, 24)
         ops.append((kind, k, value))
+    return group_ops(rng, ops, txn_size)
+
+
+def group_ops(rng: random.Random, ops, txn_size: int) -> tuple[Txn, ...]:
+    """Deal ``ops`` out, in order, as transactions of 1..``txn_size`` ops."""
     txns: list[Txn] = []
     index = 0
     while index < len(ops):

@@ -170,6 +170,63 @@ class TestInjection:
         n = system.crash.count_ops(work, op_filter=lambda op: op == "memcpy")
         assert n == 2
 
+    def test_counting_reports_the_running_count_mid_run(self):
+        system = System(tuna(), seed=0)
+        addr = scratch(system)
+        seen = []
+        with system.crash.counting():
+            assert system.cpu.crash_hook is not None
+            system.cpu.memcpy(addr, b"a")
+            seen.append(system.crash.ops_counted)
+            system.cpu.dmb()
+            system.cpu.persist_barrier()
+            seen.append(system.crash.ops_counted)
+        assert seen == [1, 3]
+        assert system.crash.ops_counted == 3  # still readable afterwards
+        # Outside arming / counting no hook is installed (a set hook makes
+        # the CPU single-step flush ranges).
+        assert system.cpu.crash_hook is None
+
+    def test_counting_restores_a_previously_installed_hook(self):
+        system = System(tuna(), seed=0)
+        addr = scratch(system)
+        foreign_ops = []
+        system.cpu.crash_hook = foreign_ops.append
+        with pytest.raises(RuntimeError):
+            with system.crash.counting():
+                system.cpu.memcpy(addr, b"a")
+                raise RuntimeError("the counted code blew up")
+        assert system.cpu.crash_hook == foreign_ops.append
+        system.cpu.dmb()
+        assert foreign_ops == ["dmb"]
+        assert system.crash.ops_counted == 1
+
+    def test_arm_inside_a_counting_block_fires_at_the_right_op(self):
+        system = System(tuna(), seed=0)
+        addr = scratch(system)
+        with system.crash.counting():
+            system.cpu.memcpy(addr, b"1")
+            system.crash.arm(after_ops=2, op_filter=lambda op: op == "memcpy")
+            system.cpu.dmb()  # counted, but not a step toward the crash
+            system.cpu.memcpy(addr, b"2")
+            with pytest.raises(PowerFailure):
+                system.cpu.memcpy(addr, b"3")
+            # Firing disarms, yet the count goes on to the end of the block.
+            system.cpu.dmb()
+            assert system.crash.ops_counted == 5
+        assert system.cpu.crash_hook is None
+
+    def test_injection_armed_before_counting_survives_the_block(self):
+        system = System(tuna(), seed=0)
+        addr = scratch(system)
+        system.crash.arm(after_ops=2)
+        with system.crash.counting():
+            system.cpu.memcpy(addr, b"1")
+        assert system.crash.ops_counted == 1
+        with pytest.raises(PowerFailure):
+            system.cpu.memcpy(addr, b"2")
+        assert system.cpu.crash_hook is None
+
     def test_reboot_after_power_fail_restores_services(self):
         system = System(tuna(), seed=0)
         system.power_fail()

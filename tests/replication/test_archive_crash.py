@@ -138,9 +138,7 @@ def _run_failover_script(scheme: str) -> Cluster:
             followers=3,
             mode="semisync",
             scheme=scheme,
-            archive_epochs_per_file=2,
-            archive_snapshot_every=4,
-            archive_gc_every=2,
+            archive=ArchiveConfig(epochs_per_file=2, snapshot_every=4, gc_every=2),
         ),
         seed=9,
     )
@@ -216,9 +214,9 @@ class TestEviction:
             ReplicationConfig(
                 followers=2,
                 mode="semisync",
-                archive_epochs_per_file=2,
-                archive_snapshot_every=4,
-                archive_gc_every=2,
+                archive=ArchiveConfig(
+                    epochs_per_file=2, snapshot_every=4, gc_every=2
+                ),
             ),
             seed=3,
         )

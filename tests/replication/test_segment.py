@@ -284,12 +284,12 @@ class TestPinnedWireFormat:
 class TestValidation:
     def test_rejects_unknown_mode_string(self):
         with pytest.raises(ValueError):
-            from repro.replication.ship import Replicator, ReplicatorConfig
+            from repro.replication.ship import Replicator
 
             Replicator(
                 clock=None,
                 shiplog=None,
                 followers=(),
-                config=ReplicatorConfig(mode="paranoid"),
+                mode="paranoid",
                 archive=None,
             )

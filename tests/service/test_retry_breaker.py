@@ -8,8 +8,8 @@ import pytest
 
 from repro.errors import DeadlineExceeded, IoError, MediaError
 from repro.hw.clock import SimClock
+from repro.retry import RetryPolicy, call_with_retry
 from repro.service.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from repro.service.retry import RetryPolicy, call_with_retry
 
 
 def _drain(gen):

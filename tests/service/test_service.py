@@ -16,8 +16,11 @@ from repro.errors import (
 from repro.faults import BlockIoFaultInjector, IoFaultSpec, MediaFaultSpec, NvramFaultInjector
 from repro.service.sched import Scheduler
 from repro.service.server import (
+    BUSY_POLL_NS,
+    BUSY_TIMEOUT_NS,
     READ_ONLY,
     READ_WRITE,
+    TXN_OP_PAUSE_NS,
     DatabaseService,
     ServiceConfig,
 )
@@ -89,7 +92,7 @@ class TestWritePath:
             drive(gen, clock=system.clock)
         assert service.stats.busy_timeouts == 1
         waited = system.clock.now_ns
-        assert waited >= service.config.busy_timeout_ns - service.config.busy_poll_ns
+        assert waited >= BUSY_TIMEOUT_NS - BUSY_POLL_NS
 
     def test_past_deadline_rejected_before_any_work(self):
         system, db, service = make_service()
@@ -163,7 +166,7 @@ class TestReadPath:
             )
 
         def reader():
-            yield service.config.txn_op_pause_ns // 2  # land mid-writer-txn
+            yield TXN_OP_PAUSE_NS // 2  # land mid-writer-txn
             seen["rows"] = yield from service.submit_read(
                 "r", f"SELECT k, v FROM {TABLE}"
             )

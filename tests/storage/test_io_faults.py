@@ -112,3 +112,69 @@ class TestStackAbsorbsTransients:
         with pytest.raises(IoError):
             file.write(0, b"x" * 64)
             file.fsync()
+
+
+class TestRetryBudget:
+    """The budgets and backoff amounts of the shared retry loop
+    (:func:`repro.retry.retry_io`) as its two storage callers use it."""
+
+    @staticmethod
+    def failing_device(kind: str, failures: int) -> System:
+        system = System(tuna(), seed=0)
+        system.blockdev.fault_injector = BlockIoFaultInjector(
+            IoFaultSpec(
+                **{f"{kind}_error_rate": 1.0}, max_consecutive=failures
+            ),
+            seed=0,
+        )
+        return system
+
+    @pytest.mark.parametrize("failures", [0, 1, 2, 3])
+    @pytest.mark.parametrize("kind", ["write", "read"])
+    def test_backoff_is_charged_to_the_device_clock(self, kind, failures):
+        system = self.failing_device(kind, failures)
+        latency = getattr(system.blockdev.config, f"{kind}_latency_ns")
+        pno = system.blockdev.num_pages - 1
+        before = system.clock.now_ns
+        if kind == "write":
+            system.fs._dev_write(pno, bytes(system.page_size), tag="data")
+        else:
+            system.fs._dev_read(pno, tag="data")
+        backoff = sum(latency << attempt for attempt in range(failures))
+        assert system.clock.now_ns - before == backoff + latency
+        assert system.blockdev.fault_injector.injected == failures
+
+    @pytest.mark.parametrize("kind", ["write", "read"])
+    def test_fourth_consecutive_failure_propagates(self, kind):
+        system = self.failing_device(kind, 4)
+        latency = getattr(system.blockdev.config, f"{kind}_latency_ns")
+        pno = system.blockdev.num_pages - 1
+        before = system.clock.now_ns
+        with pytest.raises(IoError):
+            if kind == "write":
+                system.fs._dev_write(pno, bytes(system.page_size), tag="data")
+            else:
+                system.fs._dev_read(pno, tag="data")
+        # Three backoffs were slept; the fourth failure is not retried.
+        assert system.clock.now_ns - before == latency * (1 + 2 + 4)
+        assert system.blockdev.fault_injector.injected == 4
+
+    @pytest.mark.parametrize("failures, survives", [(2, True), (3, False)])
+    def test_fsync_layer_retries_twice_without_backoff(self, failures, survives):
+        from repro.wal.filewal import _fsync_retry
+
+        class FlakyFile:
+            calls = 0
+
+            def fsync(self):
+                self.calls += 1
+                if self.calls <= failures:
+                    raise IoError("transient fsync failure")
+
+        file = FlakyFile()
+        if survives:
+            _fsync_retry(file)
+        else:
+            with pytest.raises(IoError):
+                _fsync_retry(file)
+        assert file.calls == min(failures + 1, 3)

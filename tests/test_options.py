@@ -1,0 +1,64 @@
+"""The settable surface of the serving stack, pinned.
+
+Every independently settable value doubles what the harnesses and nvbench
+would have to cover, so each one here has a caller that sets it.  Adding
+a knob must show up as a deliberate edit of this file; cadences nobody
+turns are module constants beside their class.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import inspect
+
+from repro.archive import ArchiveConfig
+from repro.replication import ReplicationConfig, Replicator
+from repro.service import ClientSession, DatabaseService, ServiceConfig
+from repro.telemetry.storm import run_storm
+
+
+def fields(config_class) -> list[str]:
+    return [f.name for f in dataclasses.fields(config_class)]
+
+
+def parameters(fn) -> list[str]:
+    return [name for name in inspect.signature(fn).parameters if name != "self"]
+
+
+def test_config_fields_are_exactly_the_ones_with_a_setter():
+    assert fields(ServiceConfig) == [
+        "group_commit", "retry", "breaker_threshold", "breaker_cooldown_ns",
+    ]
+    assert fields(ReplicationConfig) == [
+        "followers", "mode", "scheme", "checkpoint_threshold", "archive",
+    ]
+    assert fields(ArchiveConfig) == [
+        "epochs_per_file", "sync_every", "snapshot_every", "gc_every",
+    ]
+
+
+def test_entry_point_parameters_are_exactly_the_ones_with_a_caller():
+    assert parameters(run_storm) == [
+        "seed", "sessions", "txns_per_session", "followers", "mode",
+    ]
+    assert parameters(ClientSession.__init__) == [
+        "service", "session_id", "deadline_budget_ns",
+    ]
+    assert parameters(DatabaseService.__init__) == [
+        "db", "config", "seed", "on_ack", "on_apply",
+    ]
+    assert parameters(Replicator.__init__) == [
+        "clock", "shiplog", "followers", "mode", "archive", "term",
+        "ship_spec", "ship_seed", "on_release", "telemetry",
+    ]
+
+
+def test_archive_cadences_reach_the_cold_store_unrepacked():
+    from repro.replication import Cluster
+
+    cadences = ArchiveConfig(epochs_per_file=2, snapshot_every=4, gc_every=2)
+    cluster = Cluster(ReplicationConfig(followers=0, archive=cadences), seed=1)
+    assert cluster.archive.config is cadences
+    assert Cluster(ReplicationConfig(followers=0), seed=1).archive.config == (
+        ArchiveConfig()
+    )
