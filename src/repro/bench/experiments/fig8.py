@@ -12,6 +12,7 @@ from __future__ import annotations
 from repro.bench.harness import BackendSpec, make_database
 from repro.bench.report import Report, Table
 from repro.config import nexus5
+from repro.storage.trace import BlockTrace
 
 TXNS = 10
 
@@ -23,12 +24,13 @@ def trace_run(optimized: bool):
     db.execute(
         "CREATE TABLE IF NOT EXISTS mobibench (key INTEGER PRIMARY KEY, value TEXT)"
     )
-    system.trace.clear()  # drop mkfs / table-creation noise
+    # Installed only now: mkfs / table-creation traffic is noise.
+    trace = system.blockdev.trace = BlockTrace()
     start = system.clock.now_ns
     for i in range(TXNS):
         db.execute("INSERT INTO mobibench VALUES (?, ?)", (i, "x" * 100))
     batch_ms = (system.clock.now_ns - start) / 1e6
-    return system.trace, batch_ms, system.trace.bytes_by_tag()
+    return trace, batch_ms, trace.bytes_by_tag()
 
 
 def run(quick: bool = False) -> Report:

@@ -18,21 +18,21 @@ backends to agree bit-for-bit on stored row encodings after every
 commit and after a checkpoint + power-fail recovery cycle, and B-tree
 invariants plus page accounting are re-checked between transactions.
 
-Failing streams are recorded as JSON repro files and shrunk to the
-statements that matter by :func:`repro.difftest.runner.minimize_stream`
-(two passes of the shared :mod:`repro.harness` minimizer).  ``python -m
+Failing streams are recorded as the harness kernel's ``{"scenario",
+"violations"}`` trace documents and shrunk to the statements that
+matter by :func:`repro.difftest.runner.minimize_stream` (two passes of
+the shared :mod:`repro.harness` minimizer).  ``python -m
 repro.difftest`` is the CLI; see EXPERIMENTS.md for triage workflow.
 """
 
-from repro.difftest.grammar import Stmt, StreamGenerator, stream_from_dict, stream_to_dict
-from repro.difftest.runner import Finding, minimize_stream, run_stream
+from repro.difftest.grammar import Stmt, StreamGenerator
+from repro.difftest.runner import Finding, Stream, minimize_stream, run_stream
 
 __all__ = [
     "Finding",
     "Stmt",
+    "Stream",
     "StreamGenerator",
     "minimize_stream",
     "run_stream",
-    "stream_from_dict",
-    "stream_to_dict",
 ]

@@ -77,6 +77,9 @@ class Stmt:
     order_index: int | None = None
     order_desc: bool = False
 
+    def to_json(self) -> dict:
+        return stmt_to_dict(self)
+
 
 def stmt_to_dict(stmt: Stmt) -> dict:
     return {
@@ -98,18 +101,6 @@ def stmt_from_dict(data: dict) -> Stmt:
         order_index=data["order_index"],
         order_desc=data["order_desc"],
     )
-
-
-def stream_to_dict(stmts, meta: dict | None = None) -> dict:
-    """JSON-safe repro-file payload for a statement stream."""
-    payload = {"statements": [stmt_to_dict(s) for s in stmts]}
-    if meta:
-        payload["meta"] = meta
-    return payload
-
-
-def stream_from_dict(data: dict) -> list[Stmt]:
-    return [stmt_from_dict(d) for d in data["statements"]]
 
 
 def _encode_param(value):

@@ -20,10 +20,11 @@ rollback-journal backends, and applies five oracles:
 * **final / recovery** — after the stream (and after crash recovery)
   every backend's full logical content must equal SQLite's.
 
-The ``sabotage`` flag plants a wrong-result bug in the NVWAL executor's
-access path (the range planner's key bounds *replace* the residual
-filter instead of narrowing it), which both the SQLite comparison and
-the scheme oracle must catch — the self-test for the whole subsystem.
+``sabotage="drop-residual-where"`` plants a wrong-result bug in the
+NVWAL executor's access path (the range planner's key bounds *replace*
+the residual filter instead of narrowing it), which both the SQLite
+comparison and the scheme oracle must catch — the self-test for the
+whole subsystem.
 """
 
 from __future__ import annotations
@@ -32,12 +33,13 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass, replace
+from functools import partial
 
 from repro.config import tuna
 from repro.db.database import Database
 from repro.db.record import decode_row
 from repro.db.sql.executor import Executor
-from repro.difftest.grammar import Stmt
+from repro.difftest.grammar import Stmt, stmt_from_dict
 from repro.difftest.oracles import (
     Outcome,
     ReproExecutor,
@@ -46,7 +48,7 @@ from repro.difftest.oracles import (
     rows_sorted,
 )
 from repro.errors import DatabaseError, ReproError
-from repro.harness import field_lens, minimize, shrink_to_prefix
+from repro.harness import field_lens, from_json, minimize, shrink_to_prefix
 from repro.system import System
 from repro.wal.filewal import FileWalBackend
 from repro.wal.journal import RollbackJournalBackend
@@ -89,6 +91,10 @@ class _SabotagedExecutor(Executor):
                 yield key, values
 
 
+#: ``sabotage`` name -> the NVWAL executor that has the bug.
+SABOTAGED_EXECUTORS = {"drop-residual-where": _SabotagedExecutor}
+
+
 def build_database(
     backend: str,
     system: System | None = None,
@@ -121,7 +127,7 @@ def run_stream(
     stmts: list[Stmt],
     *,
     checkpoint_threshold: int = DEFAULT_CHECKPOINT_THRESHOLD,
-    sabotage: bool = False,
+    sabotage: str = "",
     integrity_every: int = 8,
     keep_going: bool = False,
 ) -> list[Finding]:
@@ -145,7 +151,7 @@ def run_stream(
             ]
             if sabotage:
                 nvwal = executors[0]
-                nvwal.db.executor = _SabotagedExecutor(nvwal.db)
+                nvwal.db.executor = SABOTAGED_EXECUTORS[sabotage](nvwal.db)
 
             for index, stmt in enumerate(stmts):
                 step = _run_statement(index, stmt, oracle, executors)
@@ -325,7 +331,7 @@ def _finish(stmts, oracle, executors, sabotage) -> list[Finding]:
             checkpoint_threshold=executor.db.wal.checkpoint_threshold,
         )
         if sabotage and executor.label == "nvwal":
-            executor.db.executor = _SabotagedExecutor(executor.db)
+            executor.db.executor = SABOTAGED_EXECUTORS[sabotage](executor.db)
         try:
             if executor.dump_logical() != expected:
                 findings.append(
@@ -348,11 +354,27 @@ def _finish(stmts, oracle, executors, sabotage) -> list[Finding]:
 
 @dataclass(frozen=True)
 class Stream:
-    """A statement stream as a :mod:`repro.harness` scenario."""
+    """A statement stream as a :mod:`repro.harness` scenario: the
+    statements and every parameter of the run that checks them."""
 
     seed: int
     stmts: tuple
-    sabotage: bool = False
+    sabotage: str = ""
+    checkpoint_threshold: int = DEFAULT_CHECKPOINT_THRESHOLD
+    integrity_every: int = 8
+
+    def findings(self) -> list[Finding]:
+        return run_stream(
+            list(self.stmts),
+            checkpoint_threshold=self.checkpoint_threshold,
+            sabotage=self.sabotage,
+            integrity_every=self.integrity_every,
+        )
+
+
+stream_from_json = partial(
+    from_json, Stream, stmts=lambda items: tuple(map(stmt_from_dict, items))
+)
 
 
 def _after_first_divergence(stream: Stream, still_fails, violations) -> Stream:

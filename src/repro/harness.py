@@ -5,11 +5,16 @@ chaos, the differential fuzzer) is the same machine around a different
 generator and oracle: sweep seeds on a process pool, digest the results,
 write failing scenarios as JSON traces, shrink the first to a minimal
 reproducer of the *same failure class*, prove it deterministic by running
-it twice, and — under ``--sabotage`` — make "the planted bug was caught,
-minimized and replayed" the exit status.
+it twice, and — under ``--sabotage NAME`` — make "the planted bug was
+caught, minimized and replayed" the exit status.
 This module is that machine, once; a harness declares a :class:`Harness`.
 (:mod:`repro.bench.harness` is the unrelated benchmark sweep runner; it
 keeps ``parallel_map``.)
+
+Every harness writes one trace document, ``{"scenario", "violations"}``:
+the scenario is the whole run, so a replay needs no flag.  Its planted
+bugs are a registry by name (:attr:`Harness.sabotage`), and a flag that
+more than one harness takes is declared here, once.
 
 Shrinking is greedy delta debugging.  A *pass* maps ``(scenario,
 still_fails, violations)`` — the last being what the unshrunk scenario
@@ -141,6 +146,12 @@ def structural(candidates: Callable) -> Callable:
         return scenario
 
     return apply
+
+
+def without(**values) -> Callable:
+    """Pass: the scenario with ``values`` in place — one whole dimension
+    (a fault plan, a kill script, a feature) gone — if it still fails."""
+    return structural(lambda scenario: [replace(scenario, **values)])
 
 
 @dataclass(frozen=True)
@@ -299,6 +310,71 @@ def from_json(cls, data: dict, **decoders: Callable):
 
 
 # ----------------------------------------------------------------------
+# flags more than one harness takes: name, type and help written once,
+# the harness's default passed in
+# ----------------------------------------------------------------------
+
+#: Default per-seed scheme rotation (the three the crash matrix covers).
+ROTATION = ("uh_ls_diff", "ls", "eager")
+
+
+def rotated(name: str, seed: int, rotation=ROTATION) -> str:
+    """Resolve a ``rotate``-able flag: ``rotate`` cycles ``rotation`` by seed."""
+    return rotation[seed % len(rotation)] if name == "rotate" else name
+
+
+def add_scheme_flag(parser, rotation=ROTATION) -> None:
+    from repro.wal.nvwal import SCHEMES
+
+    parser.add_argument(
+        "--scheme",
+        default="rotate",
+        choices=["rotate", *sorted(SCHEMES)],
+        help="NVWAL scheme; 'rotate' cycles %s by seed" % (rotation,),
+    )
+
+
+def fault_kinds(flag: str) -> tuple:
+    """``--faults a,b`` as a sorted, de-duplicated tuple; ``none`` is empty."""
+    kinds = {item.strip() for item in flag.split(",") if item.strip()}
+    return tuple(sorted(kinds - {"none"}))
+
+
+def add_faults_flag(parser, default: str, kinds: Sequence[str]) -> None:
+    parser.add_argument(
+        "--faults",
+        type=fault_kinds,
+        default=default,
+        help=f"comma list of faults to inject, from {','.join(kinds)} "
+        "('none' for a clean run)",
+    )
+
+
+def add_sessions_flag(parser, default: int = 4) -> None:
+    parser.add_argument("--sessions", type=int, default=default, help="client sessions")
+
+
+def add_txn_size_flag(parser) -> None:
+    parser.add_argument("--txn-size", type=int, default=3, help="max ops per txn")
+
+
+def add_session_flags(parser, txns: int) -> None:
+    """The chaos harnesses' workload: sessions, total txns, txn size."""
+    add_sessions_flag(parser)
+    parser.add_argument("--txns", type=int, default=txns, help="txns across sessions")
+    add_txn_size_flag(parser)
+
+
+def add_checkpoint_flag(parser, default: int) -> None:
+    parser.add_argument(
+        "--checkpoint-threshold",
+        type=int,
+        default=default,
+        help="WAL frames per checkpoint (small = frequent checkpoints)",
+    )
+
+
+# ----------------------------------------------------------------------
 # the sweep CLI
 # ----------------------------------------------------------------------
 
@@ -322,10 +398,11 @@ class Harness:
     #: Default ``--trace-dir`` and ``--seeds``.
     trace_dir: str
     seeds: int = 8
-    #: What the ``--sabotage`` switch plants.  None: the kernel adds no
-    #: such flag (the harness has no planted bug, or declares a richer
-    #: ``--sabotage`` of its own in ``add_arguments``).
-    sabotage_help: str | None = None
+    #: The planted bugs ``--sabotage NAME`` selects, name -> what it
+    #: plants; a bare ``--sabotage`` plants the first.  The scenario's
+    #: ``sabotage`` field carries the name ("" for none), and the driver
+    #: maps it to the broken subclass beside it.
+    sabotage: dict = {}
     #: Shrink passes, applied in order by :func:`minimize`.
     passes: tuple = ()
     #: The task dataclass, and ``run_task(task) -> result``: module-level
@@ -349,10 +426,11 @@ class Harness:
         }
         return [self.task_type(**flags, seed=seed) for seed in range(args.seeds)]
 
-    def failures(self, result: dict) -> list[dict]:
-        """The failing trace documents inside one result — what ``dump``
-        writes, possibly with more keys.  By default the result itself is
-        one, failing when it lists violations."""
+    def failures(self, task, result: dict) -> list[dict]:
+        """The failing trace documents of one task's result —
+        ``{"scenario", "violations"}``, possibly with more keys.  By
+        default the result itself is one, failing when it lists
+        violations."""
         return [result] if result.get("violations") else []
 
     def format_result(self, result: dict) -> str:
@@ -362,12 +440,16 @@ class Harness:
         """The oracle: violation strings, ``code: detail``."""
         raise NotImplementedError
 
-    def dump(self, scenario, violations: list[str]) -> dict:
-        """The trace document of a scenario and what it reported."""
-        return {"scenario": to_json(scenario), "violations": violations}
-
     def load(self, document: dict):
-        """The scenario inside a trace document."""
+        """The scenario inside a trace document.  A planted bug this
+        harness does not have — an unknown name, or a bool from before
+        bugs had names — is refused, not replayed as some other run."""
+        name = document["scenario"].get("sabotage", "")
+        if not isinstance(name, str) or (name and name not in self.sabotage):
+            raise ValueError(
+                f"trace field 'sabotage': {name!r} is not one of "
+                f"{('', *self.sabotage)}"
+            )
         return self.from_json(document["scenario"])
 
     def minimize_and_verify(self, scenario, trace_dir: str):
@@ -378,9 +460,8 @@ class Harness:
         violations, deterministic = replay_twice(self.run, small)
         for violation in violations:
             print(f"  {violation}")
-        path = write_trace(
-            trace_dir, f"minimized-{small.seed}.json", self.dump(small, violations)
-        )
+        document = {"scenario": to_json(small), "violations": violations}
+        path = write_trace(trace_dir, f"minimized-{small.seed}.json", document)
         print(f"minimized trace: {path}")
         if not violations or not deterministic:
             print("minimized trace does NOT replay deterministically — harness bug")
@@ -390,9 +471,15 @@ class Harness:
 
 
 def replay(harness: Harness, path: str) -> int:
-    """Replay one recorded trace; exit status 0 only if it passes."""
+    """Replay one recorded trace; exit status 0 only if it passes, 2 if
+    the trace is refused."""
     with open(path, encoding="utf-8") as fh:
-        scenario = harness.load(json.load(fh))
+        document = json.load(fh)
+    try:
+        scenario = harness.load(document)
+    except ValueError as exc:
+        print(f"refusing {path}: {exc}")
+        return 2
     violations, deterministic = replay_twice(harness.run, scenario)
     print(f"replaying {path}")
     for violation in violations:
@@ -422,12 +509,18 @@ def add_arguments(harness: Harness, parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--replay", metavar="TRACE", help="replay one recorded trace and exit"
     )
-    if harness.sabotage_help is not None:
+    if harness.sabotage:
+        names = list(harness.sabotage)
+        planted = "; ".join(f"'{n}': {what}" for n, what in harness.sabotage.items())
         parser.add_argument(
             "--sabotage",
-            action="store_true",
-            help=f"self-test: {harness.sabotage_help}; the sweep must find, "
-            "minimize, and deterministically replay the planted bug",
+            nargs="?",
+            const=names[0],
+            default="",
+            choices=names,
+            metavar="NAME",
+            help=f"self-test: plant a bug ({planted}; bare: '{names[0]}'); "
+            "the sweep must find, minimize, and deterministically replay it",
         )
     parser.add_argument(
         "--no-minimize",
@@ -459,8 +552,8 @@ def run(harness: Harness, args: argparse.Namespace) -> int:
     print(f"{harness.prog}: {len(tasks)} task(s), jobs={args.jobs}")
     results = parallel_map(harness.run_task, tasks, jobs=args.jobs)
     failures: list[dict] = []
-    for result in results:
-        failures.extend(harness.failures(result))
+    for task, result in zip(tasks, results):
+        failures.extend(harness.failures(task, result))
         print(harness.format_result(result))
     print(
         f"total: {len(results)} result(s), "
@@ -468,7 +561,7 @@ def run(harness: Harness, args: argparse.Namespace) -> int:
     )
     print(f"result digest: sha256:{digest(results)}")
 
-    sabotage = bool(getattr(args, "sabotage", False))
+    sabotage = getattr(args, "sabotage", "")
     if sabotage and not failures:
         print("sabotage self-test FAILED: the planted bug went undetected")
         return 1

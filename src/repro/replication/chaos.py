@@ -34,8 +34,8 @@ below ``min(live fleet's durable cursor, checkpoint floor)``
 (``gc-premature`` otherwise), and a caught-up follower's pages must be
 *byte-identical* to the primary's however it caught up.
 
-``sabotage`` plants a bug the oracle must catch, each a subclass of the
-product class it breaks (:data:`SABOTAGED_CLUSTERS`): ``"torn"`` —
+``sabotage`` names a planted bug the oracle must catch, each a subclass
+of the product class it breaks (:data:`SABOTAGED_CLUSTERS`): ``"torn"`` —
 followers skip segment verification and the primary ships one
 deliberately torn segment; ``"gc"`` — the archive GC ignores follower
 cursors and the floor (trimming epochs a follower still needs).
@@ -66,7 +66,6 @@ from repro.service.chaos import (
 )
 from repro.service.sched import Scheduler
 from repro.service.server import ServiceConfig
-from repro.torture.driver import rotated
 from repro.wal.base import SyncMode
 from repro.wal.frames import NV_HEADER_SIZE, encode_nv_frame
 from repro.wal.nvwal import SCHEMES
@@ -98,7 +97,7 @@ class ReplicationScenario:
     writer_kill_ns: int = 0
     #: ((follower_idx, down_ns, up_ns), ...); up_ns 0 = stays down.
     follower_kills: tuple = ()
-    #: One of :data:`SABOTAGE_KINDS`.
+    #: A planted bug by name (:data:`SABOTAGED_CLUSTERS`); "" for none.
     sabotage: str = ""
     read_interval_ns: int = 600_000
     #: Aggressive archive cadences (vs the production defaults) so short storms
@@ -178,7 +177,9 @@ class _GcCluster(Cluster):
 
 #: ``ReplicationScenario.sabotage`` value -> the cluster that has the bug.
 SABOTAGED_CLUSTERS = {"": Cluster, "torn": _TornCluster, "gc": _GcCluster}
-SABOTAGE_KINDS = tuple(SABOTAGED_CLUSTERS)
+
+#: ``--faults`` kinds (see :func:`build_ship_plan`).
+FAULT_KINDS = ("drop", "dup", "reorder", "corrupt", "archive")
 
 
 def build_ship_plan(seed: int, faults) -> FaultPlan | None:
@@ -193,7 +194,7 @@ def build_ship_plan(seed: int, faults) -> FaultPlan | None:
     bounded retry.
     """
     faults = set(faults)
-    unknown = faults - {"drop", "dup", "reorder", "corrupt", "archive"}
+    unknown = faults - set(FAULT_KINDS)
     if unknown:
         raise ValueError(f"unknown ship fault kinds: {sorted(unknown)}")
     if not faults:
@@ -234,11 +235,11 @@ def make_scenario(
     land mid-epoch.  A ``scheme`` or ``mode`` of ``rotate`` cycles
     :data:`ROTATION` / :data:`MODE_ROTATION` by seed.
     """
-    scheme = rotated(scheme, seed, ROTATION)
-    mode = rotated(mode, seed, MODE_ROTATION)
+    scheme = harness.rotated(scheme, seed, ROTATION)
+    mode = harness.rotated(mode, seed, MODE_ROTATION)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; pick from {sorted(SCHEMES)}")
-    if sabotage not in SABOTAGE_KINDS:
+    if sabotage not in SABOTAGED_CLUSTERS:
         raise ValueError(f"unknown sabotage kind {sabotage!r}")
     scenario = ReplicationScenario(
         seed=seed,
@@ -768,11 +769,6 @@ def scenario_from_dict(data: dict) -> ReplicationScenario:
         raise ValueError(
             "trace field 'archive': the memory-resident (archive-off) mode "
             "was removed; this trace cannot be replayed"
-        )
-    if data.get("sabotage", "") not in SABOTAGE_KINDS:
-        raise ValueError(
-            f"trace field 'sabotage': {data['sabotage']!r} is not one of "
-            f"{SABOTAGE_KINDS}"
         )
     return harness.from_json(
         ReplicationScenario, data, plan=FaultPlan.from_json

@@ -9,7 +9,7 @@ Examples::
     python -m repro.replication --seeds 4 --mode sync --follower-kills 2
 
     # prove the oracle catches a torn segment past the integrity check
-    python -m repro.replication --seeds 3 --sabotage
+    python -m repro.replication --seeds 3 --sabotage torn
 
     # prove the GC oracle catches a cold store trimming live segments
     python -m repro.replication --seeds 3 --sabotage gc --writer-kill
@@ -29,9 +29,9 @@ from dataclasses import replace
 
 from repro import harness
 from repro.replication.chaos import (
+    FAULT_KINDS,
     MODE_ROTATION,
     ROTATION,
-    SABOTAGE_KINDS,
     ReplicationScenario,
     ReplicationTask,
     run_replication_chaos,
@@ -39,29 +39,13 @@ from repro.replication.chaos import (
 )
 from repro.replication.ship import MODES
 from repro.service.chaos import run_task
-from repro.torture.driver import add_scheme_flag, comma_list
 
 
-def _one_dimension_less(scenario: ReplicationScenario):
-    """The scenario as recorded minus one whole dimension; first hit wins.
-
-    The fault plan goes last: a torn-segment failure keeps failing
-    without it, but with it (and unverifying followers) the workload
-    below can shrink all the way to zero operations.
-    """
-    yield replace(scenario, group_commit=False)
+def _one_follower(scenario: ReplicationScenario):
     # A scripted kill names its follower by index; only a kill-free
     # scenario can lose a follower without rewriting the script.
     if scenario.followers > 1 and not scenario.follower_kills:
         yield replace(scenario, followers=1)
-    yield replace(scenario, writer_kill_ns=0)
-    yield replace(scenario, follower_kills=())
-    yield replace(scenario, plan=None)
-
-
-def _fault_kinds(flag: str) -> tuple:
-    """``--faults``: a comma list, or ``none`` for a clean run."""
-    return tuple(k for k in comma_list(flag) if k != "none")
 
 
 class ReplicationHarness(harness.Harness):
@@ -74,28 +58,32 @@ class ReplicationHarness(harness.Harness):
     )
     trace_dir = "replication-traces"
     seeds = 6
+    sabotage = {
+        "torn": "ship one deliberately torn segment past unverifying followers",
+        "gc": "trim the archive past the follower fleet's durable cursor, so "
+        "a reseed after failover comes up short",
+    }
     task_type = ReplicationTask
     run_task = staticmethod(run_task)
     from_json = staticmethod(scenario_from_dict)
-    #: One whole dimension first, then fewer scripted kills, then the
-    #: workload: sessions, then transactions, then operations.
+    #: Whole dimensions first, one pass each, then fewer scripted kills,
+    #: then the workload: sessions, then transactions, then operations.
+    #: The fault plan goes last of the dimensions: a torn-segment failure
+    #: keeps failing without it, but with it (and unverifying followers)
+    #: the workload below can shrink all the way to zero operations.
     passes = (
-        harness.structural(_one_dimension_less),
+        harness.without(group_commit=False),
+        harness.without(writer_kill_ns=0),
+        harness.without(follower_kills=()),
+        harness.structural(_one_follower),
+        harness.without(plan=None),
         harness.field_lens("follower_kills", min_size=1),
         harness.nested_lens("streams", (1, 0, 1)),
     )
 
     def add_arguments(self, parser) -> None:
-        parser.add_argument(
-            "--sessions", type=int, default=4, help="concurrent client sessions"
-        )
-        parser.add_argument(
-            "--txns", type=int, default=36, help="total transactions across sessions"
-        )
-        parser.add_argument(
-            "--txn-size", type=int, default=3, help="max ops per transaction"
-        )
-        add_scheme_flag(parser, ROTATION)
+        harness.add_session_flags(parser, txns=36)
+        harness.add_scheme_flag(parser, ROTATION)
         parser.add_argument(
             "--mode",
             default="rotate",
@@ -106,14 +94,7 @@ class ReplicationHarness(harness.Harness):
         parser.add_argument(
             "--followers", type=int, default=2, help="follower machines"
         )
-        parser.add_argument(
-            "--faults",
-            type=_fault_kinds,
-            default="drop,dup,reorder,corrupt,archive",
-            help="comma list of faults: drop,dup,reorder,corrupt on the "
-            "shipping channel, 'archive' for transient I/O errors on the "
-            "cold-store volume ('none' for a clean run)",
-        )
+        harness.add_faults_flag(parser, ",".join(FAULT_KINDS), FAULT_KINDS)
         parser.add_argument(
             "--writer-kill",
             action="store_true",
@@ -125,19 +106,6 @@ class ReplicationHarness(harness.Harness):
             type=int,
             default=0,
             help="scripted follower power cuts (most restart mid-run)",
-        )
-        kinds = SABOTAGE_KINDS[1:]
-        parser.add_argument(
-            "--sabotage",
-            nargs="?",
-            const=kinds[0],
-            default="",
-            choices=kinds,
-            help="self-test: 'torn' (the bare-flag default) ships one "
-            "deliberately torn segment past unverifying followers; 'gc' makes "
-            "the archive trim past the follower fleet's durable cursor, so "
-            "a reseed after failover comes up short; the sweep must find, "
-            "minimize, and deterministically replay the planted bug",
         )
         parser.add_argument(
             "--no-group-commit",

@@ -16,8 +16,8 @@ Oracles (generalizing the torture driver's single-session checks):
   commit landed) under power faults alone; down to the last completed
   checkpoint when media decay, storms, or an asynchronous-commit scheme
   may legitimately shed the WAL tail.  A violation means a request was
-  acknowledged and rolled back — exactly the bug the ``--sabotage``
-  self-test plants.
+  acknowledged and rolled back — exactly the bug the ``--sabotage
+  ack-early`` self-test plants.
 * **read freshness** — every read a client completes must equal the fold
   of the ack log at that moment: an in-flight writer must be invisible,
   and degraded read-only mode must never serve stale-beyond-snapshot
@@ -44,7 +44,7 @@ from repro.config import tuna
 from repro.db.database import Database
 from repro.errors import IoError, PowerFailure
 from repro.faults import FaultPlan, IoFaultSpec, MediaFaultSpec
-from repro.harness import session_stream
+from repro.harness import rotated, session_stream
 from repro.retry import retry_io
 from repro.service.sched import Scheduler
 from repro.service.server import DatabaseService, ServiceConfig
@@ -52,7 +52,6 @@ from repro.service.session import ClientSession
 from repro.system import System
 from repro.telemetry.collector import Collector
 from repro.telemetry.export import build_export, canonical_json, export_digest
-from repro.torture.driver import rotated
 from repro.wal.base import SyncMode
 from repro.wal.nvwal import SCHEMES, NvwalBackend
 from repro.workloads.mobi import DDL, TABLE, MobiWorkload, generate_txns, group_ops
@@ -86,10 +85,11 @@ class ChaosScenario:
     #: primitive-op counts (per power-on epoch) at which power is cut.
     power_cycles: tuple = ()
     checkpoint_threshold: int = DEFAULT_CHAOS_THRESHOLD
-    #: plant the ack-before-commit bug (harness self-test).  With
-    #: ``group_commit`` this acks parked writers before the epoch
+    #: a planted bug by name (:data:`SERVICES`; harness self-test).
+    #: ``"ack-early"`` acks before the commit is durable; with
+    #: ``group_commit`` it acks parked writers before the epoch
     #: barrier — the ack-before-epoch-barrier bug class.
-    sabotage: bool = False
+    sabotage: str = ""
     #: cut power after the clean drain and prove recovery one last time.
     final_power_cycle: bool = True
     #: issue a freshness-checked read after every Nth acked txn.
@@ -165,6 +165,9 @@ STREAM_GENERATORS = {
 }
 CHAOS_WORKLOADS = tuple(STREAM_GENERATORS)
 
+#: ``--faults`` kinds (see :func:`build_fault_plan`).
+FAULT_KINDS = ("power", "media", "io")
+
 
 def build_fault_plan(seed: int, faults) -> FaultPlan | None:
     """The standard chaos fault plan.
@@ -175,7 +178,7 @@ def build_fault_plan(seed: int, faults) -> FaultPlan | None:
     unlike the torture plan, which stays below the budget.
     """
     faults = set(faults)
-    unknown = faults - {"power", "media", "io"}
+    unknown = faults - set(FAULT_KINDS)
     if unknown:
         raise ValueError(f"unknown fault kinds: {sorted(unknown)}")
     media = None
@@ -204,7 +207,7 @@ def make_scenario(
     storms: int = 0,
     power_cycles: int = 0,
     checkpoint_threshold: int = DEFAULT_CHAOS_THRESHOLD,
-    sabotage: bool = False,
+    sabotage: str = "",
     group_commit: bool = False,
     workload: str = "mobi",
 ) -> ChaosScenario:
@@ -520,7 +523,7 @@ class SessionDriver:
 
 
 class _AckEarlyService(DatabaseService):
-    """The planted bug (``scenario.sabotage``): the ack goes out before
+    """The planted bug ``"ack-early"``: the ack goes out before
     the commit is durable — ahead of the commit mark or, under group
     commit, of the epoch barrier.  No replicator is ever attached here."""
 
@@ -546,6 +549,10 @@ class _AckEarlyService(DatabaseService):
             super()._flush_epoch()
         finally:
             self._epoch_acked = False
+
+
+#: ``ChaosScenario.sabotage`` -> the service that has the bug.
+SERVICES = {"": DatabaseService, "ack-early": _AckEarlyService}
 
 
 class _Driver(SessionDriver):
@@ -684,7 +691,7 @@ class _Driver(SessionDriver):
         # injector caps failure streaks, so a bounded retry always lands.
         retry_io(_RECOVERY_ATTEMPTS, db.checkpoint)
 
-        service_cls = _AckEarlyService if scenario.sabotage else DatabaseService
+        service_cls = SERVICES[scenario.sabotage]
         config = ServiceConfig(group_commit=scenario.group_commit)
         clients = make_clients(scenario.streams)
 
@@ -820,7 +827,7 @@ class ChaosTask(SessionTask):
     storms: int = 0
     power_cycles: int = 1
     checkpoint_threshold: int = DEFAULT_CHAOS_THRESHOLD
-    sabotage: bool = False
+    sabotage: str = ""
     group_commit: bool = False
     workload: str = "mobi"
 

@@ -7,7 +7,7 @@ Examples::
         --faults media,io,power --storms 3 --jobs 4
 
     # prove the oracle catches ack-before-commit (harness self-test)
-    python -m repro.service.chaos --seeds 4 --sabotage
+    python -m repro.service.chaos --seeds 4 --sabotage ack-early
 
     # replay a recorded failing trace
     python -m repro.service.chaos --replay chaos-traces/minimized-2.json
@@ -20,34 +20,18 @@ own.
 from __future__ import annotations
 
 import sys
-from dataclasses import replace
 
 from repro import harness
 from repro.service.chaos import (
     CHAOS_WORKLOADS,
     DEFAULT_CHAOS_THRESHOLD,
+    FAULT_KINDS,
     ChaosScenario,
     ChaosTask,
     run_chaos,
     run_task,
     scenario_from_dict,
 )
-from repro.torture.driver import add_scheme_flag, comma_list
-
-
-def _one_dimension_less(scenario: ChaosScenario):
-    """The scenario as recorded minus one whole class of events; first
-    hit wins.
-
-    The order is a preference and it is pinned: the minimized traces on
-    record (``tests/service/traces``, the artifacts of CI's sabotage
-    steps) are reproduced byte for byte only by this one.
-    """
-    yield replace(scenario, read_every=0)
-    yield replace(scenario, final_power_cycle=False)
-    yield replace(scenario, power_cycles=())
-    yield replace(scenario, storms=0)
-    yield replace(scenario, plan=None, storms=0)
 
 
 class ChaosHarness(harness.Harness):
@@ -59,40 +43,29 @@ class ChaosHarness(harness.Harness):
         "acked-transaction oracle."
     )
     trace_dir = "chaos-traces"
-    sabotage_help = (
-        "acknowledge clients before the commit is durable (with "
-        "--group-commit, before the epoch barrier)"
-    )
+    sabotage = {
+        "ack-early": "acknowledge clients before the commit is durable "
+        "(with --group-commit, before the epoch barrier)",
+    }
     task_type = ChaosTask
     run_task = staticmethod(run_task)
     from_json = staticmethod(scenario_from_dict)
-    #: One whole dimension first, then fewer power cuts, then the
-    #: workload: sessions, then transactions, then operations.
+    #: Whole dimensions first, one pass each, then fewer power cuts,
+    #: then the workload: sessions, then transactions, then operations.
     passes = (
-        harness.structural(_one_dimension_less),
+        harness.without(read_every=0),
+        harness.without(final_power_cycle=False),
+        harness.without(power_cycles=()),
+        harness.without(storms=0),
+        harness.without(plan=None, storms=0),
         harness.field_lens("power_cycles", min_size=1),
         harness.nested_lens("streams", (1, 0, 1)),
     )
 
     def add_arguments(self, parser) -> None:
-        parser.add_argument(
-            "--sessions", type=int, default=4, help="concurrent client sessions"
-        )
-        parser.add_argument(
-            "--txns", type=int, default=40, help="total transactions across sessions"
-        )
-        parser.add_argument(
-            "--txn-size", type=int, default=3, help="max ops per transaction"
-        )
-        add_scheme_flag(parser)
-        parser.add_argument(
-            "--faults",
-            type=comma_list,
-            default="power",
-            help="comma list of power,media,io (media adds NVRAM decay at "
-            "power loss, io adds transient eMMC errors that escape the "
-            "filesystem's bounded retries into the service layer)",
-        )
+        harness.add_session_flags(parser, txns=40)
+        harness.add_scheme_flag(parser)
+        harness.add_faults_flag(parser, "power", FAULT_KINDS)
         parser.add_argument(
             "--storms",
             type=int,
@@ -106,12 +79,7 @@ class ChaosHarness(harness.Harness):
             default=1,
             help="mid-flight power cuts per seed (0 = only the final one)",
         )
-        parser.add_argument(
-            "--checkpoint-threshold",
-            type=int,
-            default=DEFAULT_CHAOS_THRESHOLD,
-            help="WAL frames per checkpoint (small = frequent checkpoints)",
-        )
+        harness.add_checkpoint_flag(parser, DEFAULT_CHAOS_THRESHOLD)
         parser.add_argument(
             "--workload",
             default="mobi",

@@ -187,12 +187,21 @@ class DatabaseService:
             "service.epoch_txns", bounds=COUNT_BOUNDS
         )
         self._t_barrier = registry.histogram("service.barrier_wait_ns")
-        self._c_acked = registry.counter("service.txns_acked")
-        self._c_deadline = registry.counter("service.deadline_misses")
-        self._c_demotions = registry.counter("service.demotions")
-        self._c_promotions = registry.counter("service.promotions")
+        #: The ServiceStats fields that are also telemetry counters.
+        self._counters = {
+            name: registry.counter(f"service.{name}")
+            for name in (
+                "txns_acked", "deadline_misses", "media_failures", "demotions",
+                "promotions",
+            )
+        }
         self._c_breaker_trips = registry.counter("service.breaker_trips")
-        self._c_media = registry.counter("service.media_failures")
+
+    def _count(self, name: str) -> None:
+        """One event with a :class:`ServiceStats` field and a
+        ``service.<name>`` counter: both move here, and only here."""
+        setattr(self.stats, name, getattr(self.stats, name) + 1)
+        self._counters[name].inc()
 
     def _on_breaker_event(
         self, old: str, new: str, cause: str, at_ns: int
@@ -269,11 +278,7 @@ class DatabaseService:
                             pass
                     raise
             except MediaError:
-                self.stats.media_failures += 1
-                self._c_media.inc()
-                self.breaker.record_failure()
-                if self.breaker.state != "closed":
-                    self._demote("breaker")
+                self._media_failure()
                 raise
             except IoError as exc:
                 try:
@@ -284,8 +289,7 @@ class DatabaseService:
                 except DeadlineExceeded:
                     # The budget granted the retry; the deadline did not.
                     self.stats.io_retries += 1
-                    self.stats.deadline_misses += 1
-                    self._c_deadline.inc()
+                    self._count("deadline_misses")
                     raise
                 attempt += 1
                 self.stats.io_retries += 1
@@ -349,8 +353,7 @@ class DatabaseService:
             self.stats.checkpoint_failures += 1
 
     def _ack(self, session_id: str, ops) -> None:
-        self.stats.txns_acked += 1
-        self._c_acked.inc()
+        self._count("txns_acked")
         if self.on_ack is not None:
             self.on_ack(session_id, ops)
 
@@ -507,7 +510,7 @@ class DatabaseService:
 
     def _check_deadline(self, deadline_ns: float | None) -> None:
         if deadline_ns is not None and self.clock.now_ns > deadline_ns:
-            self.stats.deadline_misses += 1
+            self._count("deadline_misses")
             raise DeadlineExceeded(
                 f"request deadline passed at t={self.clock.now_ns:.0f}ns"
             )
@@ -524,8 +527,7 @@ class DatabaseService:
             return
         self.mode = READ_ONLY
         self.demotion_reason = reason
-        self.stats.demotions += 1
-        self._c_demotions.inc()
+        self._count("demotions")
         self._note_mode(READ_WRITE, READ_ONLY, reason)
 
     def _promote(self) -> None:
@@ -533,10 +535,17 @@ class DatabaseService:
         self.mode = READ_WRITE
         self.demotion_reason = ""
         self.breaker.record_success()
-        self.stats.promotions += 1
+        self._count("promotions")
         if old != READ_WRITE:
-            self._c_promotions.inc()
             self._note_mode(old, READ_WRITE, "maintenance_repair")
+
+    def _media_failure(self) -> None:
+        """A request or a scrub hit bad media: feed the breaker, which
+        demotes the service once it trips."""
+        self._count("media_failures")
+        self.breaker.record_failure()
+        if self.breaker.state != "closed":
+            self._demote("breaker")
 
     # ------------------------------------------------------------------
     # maintenance daemon
@@ -561,10 +570,7 @@ class DatabaseService:
                 # feeds the breaker exactly like a request-path failure.
                 report = self._scrub()
                 if report is not None and report.corruption_detected:
-                    self.stats.media_failures += 1
-                    self.breaker.record_failure()
-                    if self.breaker.state != "closed":
-                        self._demote("breaker")
+                    self._media_failure()
                 continue
             if not self.breaker.allow_probe():
                 continue  # still cooling down

@@ -7,8 +7,9 @@ costs this package models:
 * EXT4 ordered-mode journal traffic — at least 16 KB of metadata journaling
   per logging transaction (:mod:`repro.storage.ext4`).
 
-Every block write is recorded by :mod:`repro.storage.trace`, which is what
-regenerates the Figure 8 block-address-vs-time plot.
+A :class:`~repro.storage.trace.BlockTrace` installed on a device
+(``device.trace``) records every block command, which is what regenerates
+the Figure 8 block-address-vs-time plot.
 """
 
 from repro.storage.blockdev import BlockDevice

@@ -19,7 +19,6 @@ from repro.errors import AddressError
 from repro.hw import stats as statnames
 from repro.hw.clock import SimClock
 from repro.hw.stats import Stats, TimeBucket
-from repro.storage.trace import BlockTrace
 
 
 class BlockDevice:
@@ -30,13 +29,11 @@ class BlockDevice:
         config: BlockDevConfig,
         clock: SimClock,
         stats: Stats,
-        trace: BlockTrace | None = None,
         seed: int | None = None,
     ) -> None:
         self.config = config
         self.clock = clock
         self.stats = stats
-        self.trace = trace or BlockTrace()
         self.page_size = config.page_size
         self.num_pages = config.num_pages
         self._durable: dict[int, bytes] = {}
@@ -46,6 +43,9 @@ class BlockDevice:
         # Optional transient-failure injector (repro.faults): timed page
         # commands may raise IoError; read_page_silent is exempt.
         self.fault_injector = None
+        # Optional repro.storage.trace.BlockTrace recording every timed
+        # command (Figure 8); off by default, as it grows with every op.
+        self.trace = None
 
     # ------------------------------------------------------------------
     # data path
@@ -68,7 +68,8 @@ class BlockDevice:
         self.clock.advance(self.config.write_latency_ns)
         self.stats.add_time(TimeBucket.BLOCK_IO, self.config.write_latency_ns)
         self.stats.count(statnames.BLOCK_WRITES)
-        self.trace.record(self.clock.now_ns, "write", pno, self.page_size, tag)
+        if self.trace is not None:
+            self.trace.record(self.clock.now_ns, "write", pno, self.page_size, tag)
 
     def read_page(self, pno: int, tag: str = "unknown") -> bytes:
         """Read one page (write cache wins over durable media)."""
@@ -78,7 +79,8 @@ class BlockDevice:
         self.clock.advance(self.config.read_latency_ns)
         self.stats.add_time(TimeBucket.BLOCK_IO, self.config.read_latency_ns)
         self.stats.count(statnames.BLOCK_READS)
-        self.trace.record(self.clock.now_ns, "read", pno, self.page_size, tag)
+        if self.trace is not None:
+            self.trace.record(self.clock.now_ns, "read", pno, self.page_size, tag)
         page = self._cache.get(pno)
         if page is None:
             page = self._durable.get(pno, self._zero_page)
@@ -97,7 +99,8 @@ class BlockDevice:
         self.clock.advance(self.config.flush_cmd_ns)
         self.stats.add_time(TimeBucket.BLOCK_IO, self.config.flush_cmd_ns)
         self.stats.count(statnames.BLOCK_FLUSHES)
-        self.trace.record(self.clock.now_ns, "flush", 0, 0, "barrier")
+        if self.trace is not None:
+            self.trace.record(self.clock.now_ns, "flush", 0, 0, "barrier")
         self._durable.update(self._cache)
         self._cache.clear()
 

@@ -30,16 +30,14 @@ class TraceEvent(NamedTuple):
 
 
 class BlockTrace:
-    """Accumulates :class:`TraceEvent` records."""
+    """Accumulates :class:`TraceEvent` records of the device it is
+    installed on (``device.trace = BlockTrace()``)."""
 
     def __init__(self) -> None:
         self.events: list[TraceEvent] = []
-        self.enabled = True
 
     def record(self, time_ns: float, op: str, block: int, length: int, tag: str) -> None:
-        """Append one event (no-op while disabled)."""
-        if self.enabled:
-            self.events.append(TraceEvent(time_ns, op, block, length, tag))
+        self.events.append(TraceEvent(time_ns, op, block, length, tag))
 
     def clear(self) -> None:
         """Drop all recorded events."""
@@ -80,14 +78,3 @@ class BlockTrace:
                 (event.time_ns / 1e9, event.block)
             )
         return out
-
-    def to_csv(self) -> str:
-        """blktrace-style CSV (time_sec, op, block, length, tag) for
-        plotting Figure 8 with external tools."""
-        lines = ["time_sec,op,block,length,tag"]
-        for event in self.events:
-            lines.append(
-                f"{event.time_ns / 1e9:.9f},{event.op},{event.block},"
-                f"{event.length},{event.tag}"
-            )
-        return "\n".join(lines) + "\n"

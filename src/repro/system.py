@@ -26,7 +26,6 @@ from repro.hw.stats import Stats
 from repro.nvram.heapo import Heapo
 from repro.storage.blockdev import BlockDevice
 from repro.storage.ext4 import Ext4FileSystem
-from repro.storage.trace import BlockTrace
 from repro.telemetry.metrics import MetricsRegistry, default_enabled
 
 
@@ -55,9 +54,8 @@ class System:
             seed=seed,
         )
         self.heapo = Heapo(self.cpu, self.nvram)
-        self.trace = BlockTrace()
         self.blockdev = BlockDevice(
-            self.config.blockdev, self.clock, self.stats, self.trace, seed=seed
+            self.config.blockdev, self.clock, self.stats, seed=seed
         )
         self.fs = Ext4FileSystem(self.blockdev)
         self.fs.format()

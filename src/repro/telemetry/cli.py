@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.harness import add_sessions_flag
 from repro.telemetry.export import (
     export_digest,
     load_export,
@@ -82,7 +83,7 @@ def main(argv=None) -> int:
 
     run_p = sub.add_parser("run", help="run the all-layer storm, write artifact")
     run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument("--sessions", type=int, default=3)
+    add_sessions_flag(run_p, 3)
     run_p.add_argument("--txns", type=int, default=12, help="txns per session")
     run_p.add_argument("--followers", type=int, default=2)
     run_p.add_argument(

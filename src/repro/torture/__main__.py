@@ -6,7 +6,7 @@ Examples::
     python -m repro.torture --seeds 20 --ops 30 --faults media,power --jobs 4
 
     # prove the harness catches a real bug (persist barrier removed)
-    python -m repro.torture --seeds 4 --ops 12 --sabotage
+    python -m repro.torture --seeds 4 --ops 12 --sabotage unflushed-mark
 
     # crash-point sweep of the durable queue (exactly-once oracle), or of
     # the default mix plus all eight suite workloads
@@ -29,10 +29,9 @@ from repro import harness
 from repro.faults import MediaFaultSpec
 from repro.torture.driver import (
     DEFAULT_TORTURE_THRESHOLD,
+    FAULT_KINDS,
     SeedTask,
     TortureScenario,
-    add_scheme_flag,
-    comma_list,
     run_scenario,
     run_seed,
     scenario_from_dict,
@@ -84,7 +83,7 @@ class TortureHarness(harness.Harness):
         "media/IO faults, and check recovery invariants."
     )
     trace_dir = "torture-traces"
-    sabotage_help = "run a backend whose commit mark is never flushed"
+    sabotage = {"unflushed-mark": "a backend whose commit mark is never flushed"}
     task_type = SeedTask
     run_task = staticmethod(run_seed)
     from_json = staticmethod(scenario_from_dict)
@@ -95,7 +94,7 @@ class TortureHarness(harness.Harness):
         harness.nested_lens("txns", (0, 1)),
         harness.structural(_earlier_crash),
         harness.structural(_earlier_recovery_crash),
-        harness.structural(lambda s: [replace(s, plan=None)]),
+        harness.without(plan=None),
         harness.structural(_one_fault_class),
         *(
             harness.structural(_without_media_fault(field))
@@ -114,17 +113,9 @@ class TortureHarness(harness.Harness):
         parser.add_argument(
             "--ops", type=int, default=30, help="workload operations per seed"
         )
-        parser.add_argument(
-            "--txn-size", type=int, default=3, help="max ops per transaction"
-        )
-        parser.add_argument(
-            "--faults",
-            type=comma_list,
-            default="power",
-            help="comma list of power,media,io (power loss is always "
-            "exercised; media adds NVRAM decay, io adds transient eMMC errors)",
-        )
-        add_scheme_flag(parser)
+        harness.add_txn_size_flag(parser)
+        harness.add_faults_flag(parser, "power", FAULT_KINDS)
+        harness.add_scheme_flag(parser)
         parser.add_argument(
             "--stride", type=int, default=1, help="crash-point stride (1 = every op)"
         )
@@ -134,12 +125,7 @@ class TortureHarness(harness.Harness):
             default=2,
             help="commit boundaries whose recovery is swept op by op",
         )
-        parser.add_argument(
-            "--checkpoint-threshold",
-            type=int,
-            default=DEFAULT_TORTURE_THRESHOLD,
-            help="WAL frames per checkpoint (small = frequent checkpoints)",
-        )
+        harness.add_checkpoint_flag(parser, DEFAULT_TORTURE_THRESHOLD)
         parser.add_argument(
             "--group-epoch",
             type=int,
@@ -156,7 +142,7 @@ class TortureHarness(harness.Harness):
         per_seed = super().tasks(args)
         return [replace(task, workload=name) for name in names for task in per_seed]
 
-    def failures(self, result: dict) -> list[dict]:
+    def failures(self, task, result: dict) -> list[dict]:
         return result["failures"]
 
     def format_result(self, result: dict) -> str:

@@ -61,28 +61,8 @@ DEFAULT_TORTURE_THRESHOLD = 12
 
 DB_NAME = "torture.db"
 
-#: Default per-seed scheme rotation (the three the crash matrix covers).
-ROTATION = ("uh_ls_diff", "ls", "eager")
-
-
-def add_scheme_flag(parser, rotation=ROTATION) -> None:
-    """The ``--scheme`` flag every harness CLI shares."""
-    parser.add_argument(
-        "--scheme",
-        default="rotate",
-        choices=["rotate", *sorted(SCHEMES)],
-        help="NVWAL scheme; 'rotate' cycles %s by seed" % (rotation,),
-    )
-
-
-def comma_list(flag: str) -> tuple:
-    """A ``--faults a,b``-style flag as a sorted, de-duplicated tuple."""
-    return tuple(sorted({item.strip() for item in flag.split(",") if item.strip()}))
-
-
-def rotated(name: str, seed: int, rotation=ROTATION) -> str:
-    """Resolve a ``rotate``-able flag: ``rotate`` cycles ``rotation`` by seed."""
-    return rotation[seed % len(rotation)] if name == "rotate" else name
+#: ``--faults`` kinds (see :func:`build_fault_plan`).
+FAULT_KINDS = ("power", "media", "io")
 
 
 class SabotagedNvwalBackend(NvwalBackend):
@@ -103,6 +83,10 @@ class SabotagedNvwalBackend(NvwalBackend):
         super()._mark(frame_addr, checksum, word_of, durable)
 
 
+#: ``TortureScenario.sabotage`` -> the backend that has the bug.
+BACKENDS = {"": NvwalBackend, "unflushed-mark": SabotagedNvwalBackend}
+
+
 @dataclass(frozen=True)
 class TortureScenario:
     """One reproducible crash experiment (picklable, JSON-serializable)."""
@@ -114,7 +98,8 @@ class TortureScenario:
     recovery_crash_point: int | None = None
     plan: FaultPlan | None = None
     checkpoint_threshold: int = DEFAULT_TORTURE_THRESHOLD
-    sabotage: bool = False
+    #: A planted bug by name (:data:`BACKENDS`); "" runs the real backend.
+    sabotage: str = ""
     #: > 0: commit through the WAL's group-commit path, closing the
     #: shared epoch every ``group_epoch`` transactions.  Durability then
     #: arrives only at epoch closes, so the state oracle restricts the
@@ -163,7 +148,7 @@ def build_fault_plan(seed: int, faults) -> FaultPlan | None:
     recoverable by salvage + quarantine.
     """
     faults = set(faults)
-    unknown = faults - {"power", "media", "io"}
+    unknown = faults - set(FAULT_KINDS)
     if unknown:
         raise ValueError(f"unknown fault kinds: {sorted(unknown)}")
     media = None
@@ -184,7 +169,7 @@ def make_scenario(
     faults=("power",),
     txn_size: int = 3,
     checkpoint_threshold: int = DEFAULT_TORTURE_THRESHOLD,
-    sabotage: bool = False,
+    sabotage: str = "",
     group_epoch: int = 0,
     workload: str = "mobi",
 ) -> TortureScenario:
@@ -211,8 +196,7 @@ def _make_system(scenario: TortureScenario) -> System:
 
 
 def _make_db(system: System, scenario: TortureScenario) -> Database:
-    backend_cls = SabotagedNvwalBackend if scenario.sabotage else NvwalBackend
-    wal = backend_cls(
+    wal = BACKENDS[scenario.sabotage](
         system,
         SCHEMES[scenario.scheme](),
         checkpoint_threshold=scenario.checkpoint_threshold,
@@ -551,7 +535,7 @@ class SeedTask:
     stride: int = 1
     recovery_points: int = 2
     checkpoint_threshold: int = DEFAULT_TORTURE_THRESHOLD
-    sabotage: bool = False
+    sabotage: str = ""
     group_epoch: int = 0
     workload: str = "mobi"
 
@@ -571,7 +555,7 @@ def run_seed(task: SeedTask) -> dict:
     base = make_scenario(
         task.seed,
         task.ops,
-        rotated(task.scheme, task.seed),
+        harness.rotated(task.scheme, task.seed),
         faults=task.faults,
         txn_size=task.txn_size,
         checkpoint_threshold=task.checkpoint_threshold,

@@ -27,7 +27,6 @@ import sys
 from repro import harness
 from repro.bench.harness import parallel_map
 from repro.torture.__main__ import HARNESS
-from repro.torture.driver import add_scheme_flag, rotated
 from repro.workloads.runner import (
     DEFAULT_WORKLOAD_THRESHOLD,
     WORKLOADS,
@@ -54,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument("--seeds", type=int, default=4, help="seeds 0..N-1")
     run_p.add_argument("--ops", type=int, default=120, help="ops per run")
-    add_scheme_flag(run_p)
+    harness.add_scheme_flag(run_p)
     run_p.add_argument(
         "--group-epoch",
         type=int,
@@ -62,12 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="commit through the group-commit epoch, closing it every N "
         "transactions (0 = per-transaction durability)",
     )
-    run_p.add_argument(
-        "--checkpoint-threshold",
-        type=int,
-        default=DEFAULT_WORKLOAD_THRESHOLD,
-        help="WAL frames per checkpoint",
-    )
+    harness.add_checkpoint_flag(run_p, DEFAULT_WORKLOAD_THRESHOLD)
     run_p.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
     tort_p = sub.add_parser(
@@ -84,7 +78,7 @@ def _cmd_run(args) -> int:
             workload=name,
             seed=seed,
             ops=args.ops,
-            scheme=rotated(args.scheme, seed),
+            scheme=harness.rotated(args.scheme, seed),
             group_epoch=args.group_epoch,
             checkpoint_threshold=args.checkpoint_threshold,
         )

@@ -2,7 +2,8 @@
 
 Every file under ``corpus/`` is a minimized stream that once exposed a
 divergence between the repro engine and real SQLite (see each file's
-``meta.note``).  Replaying them through the full four-executor runner
+``note``), recorded as a harness trace document whose scenario carries
+the whole run.  Replaying them through the full four-executor runner
 keeps those divergences fixed forever — a corpus file failing here means
 a semantics regression, and ``python -m repro.difftest --replay <file>``
 reproduces it standalone.
@@ -13,8 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.difftest.grammar import stream_from_dict
-from repro.difftest.runner import run_stream
+from repro.difftest.__main__ import HARNESS
 
 CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.json"))
 
@@ -26,7 +26,5 @@ def test_corpus_is_not_empty():
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
 def test_corpus_stream_has_no_divergence(path):
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    stmts = stream_from_dict(data)
-    findings = run_stream(stmts)
-    assert findings == [], [f.format() for f in findings]
+        stream = HARNESS.load(json.load(fh))
+    assert HARNESS.run(stream) == []

@@ -1,15 +1,16 @@
 """Generator determinism, JSON round-trips, and stream well-formedness."""
 
+import json
 import random
 
+from repro import harness
 from repro.difftest.grammar import (
     Stmt,
     StreamGenerator,
     stmt_from_dict,
     stmt_to_dict,
-    stream_from_dict,
-    stream_to_dict,
 )
+from repro.difftest.runner import Stream, stream_from_json
 
 
 def test_same_seed_same_stream():
@@ -25,8 +26,9 @@ def test_different_seeds_differ():
 
 
 def test_stream_json_roundtrip():
-    stmts = StreamGenerator(3).stream(60)
-    assert stream_from_dict(stream_to_dict(stmts)) == stmts
+    stream = Stream(3, tuple(StreamGenerator(3).stream(60)), "drop-residual-where")
+    wire = json.loads(json.dumps(harness.to_json(stream)))
+    assert stream_from_json(wire) == stream
 
 
 def test_blob_params_roundtrip():

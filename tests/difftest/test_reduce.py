@@ -73,7 +73,7 @@ class TestMinimizeStream:
 @pytest.mark.difftest
 def test_minimizes_real_sabotage_bug_to_few_statements():
     def run(candidate):
-        return run_stream(candidate, sabotage=True)
+        return run_stream(candidate, sabotage="drop-residual-where")
 
     # The CLI self-test's rule (``--seeds 4 --stmts 60 --sabotage``): the
     # first seed whose stream trips the planted bug.  Which seeds do moves

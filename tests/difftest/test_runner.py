@@ -107,7 +107,7 @@ class TestRunStream:
             # key bound plus residual: the planted bug drops the residual
             Stmt("SELECT * FROM t WHERE k >= 1 AND v = 9", kind="select"),
         ]
-        findings = run_stream(stmts, sabotage=True)
+        findings = run_stream(stmts, sabotage="drop-residual-where")
         kinds = {f.kind for f in findings}
         assert "result" in kinds
         assert all(f.executor == "nvwal" for f in findings if f.kind == "result")
@@ -120,7 +120,7 @@ class TestRunStream:
             Stmt("INSERT INTO t VALUES (1, 7), (2, 9)", kind="write"),
             Stmt("DELETE FROM t WHERE k >= 1 AND v = 7", kind="write"),
         ]
-        findings = run_stream(stmts, sabotage=True, keep_going=True)
+        findings = run_stream(stmts, sabotage="drop-residual-where", keep_going=True)
         assert any(f.kind == "scheme" for f in findings)
 
     def test_determinism(self):

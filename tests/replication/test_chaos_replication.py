@@ -107,10 +107,10 @@ class TestArchive:
         bool sabotage form, asks for a mode that no longer exists: it
         must be refused by name, not replayed in a different mode."""
         data = scenario_to_dict(small_scenario())
-        assert scenario_from_dict(dict(data)) == small_scenario()
+        assert HARNESS.load({"scenario": dict(data)}) == small_scenario()
         data[field] = value
         with pytest.raises(ValueError, match=field):
-            scenario_from_dict(data)
+            HARNESS.load({"scenario": data})
         with pytest.raises(ValueError, match="sabotage"):
             small_scenario(sabotage=True)
 

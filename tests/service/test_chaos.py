@@ -52,7 +52,7 @@ class TestScenarioSerialization:
     def test_round_trip(self):
         scenario = make_scenario(
             7, sessions=2, txns=8, faults=("power", "media", "io"),
-            storms=2, power_cycles=1, sabotage=True,
+            storms=2, power_cycles=1, sabotage="ack-early",
         )
         data = json.loads(json.dumps(scenario_to_dict(scenario)))
         assert scenario_from_dict(data) == scenario
@@ -96,12 +96,12 @@ class TestSabotage:
     def test_planted_ack_before_commit_is_caught(self):
         # Seed chosen so the crash lands in the ack-to-commit window.
         result = run_task(
-            small_task(2, scheme="eager", sabotage=True)
+            small_task(2, scheme="eager", sabotage="ack-early")
         )
         assert any(v.startswith("ack-lost") for v in result["violations"])
 
     def test_minimizer_shrinks_and_preserves_failure(self):
-        result = run_task(small_task(2, scheme="eager", sabotage=True))
+        result = run_task(small_task(2, scheme="eager", sabotage="ack-early"))
         scenario = scenario_from_dict(result["scenario"])
         small = minimize(scenario)
         before = sum(len(t) for s in scenario.streams for t in s)
@@ -137,7 +137,7 @@ class TestGroupCommit:
         # epoch barrier; every parked writer in the epoch is exposed.
         result = run_task(
             small_task(
-                1, scheme="ls", txns=24, group_commit=True, sabotage=True
+                1, scheme="ls", txns=24, group_commit=True, sabotage="ack-early"
             )
         )
         assert any(v.startswith("ack-lost") for v in result["violations"])
@@ -152,7 +152,7 @@ class TestGroupCommit:
         with open(path, encoding="utf-8") as fh:
             trace = json.load(fh)
         scenario = scenario_from_dict(trace["scenario"])
-        assert scenario.group_commit and scenario.sabotage
+        assert scenario.group_commit and scenario.sabotage == "ack-early"
         first = run_chaos(scenario)
         assert any(v.startswith("ack-lost") for v in first.violations)
         assert list(first.violations) == trace["violations"]

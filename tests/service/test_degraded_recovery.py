@@ -17,8 +17,8 @@ import pytest
 from repro import System, tuna
 from repro.errors import PowerFailure
 from repro.faults import MediaFaultSpec, NvramFaultInjector
+from repro.harness import ROTATION
 from repro.service.server import READ_ONLY, DatabaseService, ServiceConfig
-from repro.torture.driver import ROTATION
 from repro.wal.nvwal import SCHEMES
 from repro.workloads.mobi import TABLE
 from tests.conftest import make_nvwal_db

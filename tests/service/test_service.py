@@ -233,6 +233,37 @@ class TestDegradationAndHealing:
         drive(service.submit_txn("c0", (("insert", 9, "y"),)))
         assert (9, "y") in db.dump_table(TABLE)
 
+    def test_each_stats_field_equals_its_telemetry_counter(self):
+        """A ``ServiceStats`` field with a ``service.<field>`` counter
+        moves with it — on the deadline path and on a scrub's media
+        failure too, which once bumped only the field."""
+        config = ServiceConfig(breaker_threshold=1, breaker_cooldown_ns=1)
+        system, _db, service = make_service(config=config)
+        for i in range(4):
+            drive(service.submit_txn("c0", (("insert", i, "x"),)))
+        system.clock.advance(1_000_000)
+        with pytest.raises(DeadlineExceeded):
+            drive(service.submit_txn(
+                "c0", (("insert", 9, "x"),), deadline_ns=system.clock.now_ns - 1
+            ))
+        self._poison_log(system)
+        maint = service.maintenance()
+        next(maint)
+        next(maint)  # the scrub finds the decay: media failure, demotion
+        system.clock.advance(config.breaker_cooldown_ns)
+        next(maint)  # repair and re-promotion
+        stats = service.stats.as_dict()
+        counters = {
+            name.removeprefix("service."): value
+            for name, value in system.telemetry.snapshot()["counters"].items()
+            if name.removeprefix("service.") in stats
+        }
+        assert counters == {name: stats[name] for name in counters}
+        assert {name for name, value in counters.items() if value} == {
+            "txns_acked", "deadline_misses", "media_failures", "demotions",
+            "promotions",
+        }
+
     def test_quarantine_growth_demotes(self):
         _system, _db, service = make_service()
         service._seen_quarantine = 0

@@ -12,9 +12,7 @@ from repro.storage.trace import BlockTrace
 
 @pytest.fixture
 def device():
-    return BlockDevice(
-        BlockDevConfig(num_pages=64), SimClock(), Stats(), BlockTrace(), seed=1
-    )
+    return BlockDevice(BlockDevConfig(num_pages=64), SimClock(), Stats(), seed=1)
 
 
 def page(fill, size=4096):
@@ -54,6 +52,7 @@ class TestDataPath:
         assert device.stats.get_time(TimeBucket.BLOCK_IO) > 0
 
     def test_trace_records_writes(self, device):
+        device.trace = BlockTrace()
         device.write_page(7, page(2), tag="journal")
         writes = device.trace.writes("journal")
         assert len(writes) == 1

@@ -14,9 +14,9 @@ from repro.storage.trace import BlockTrace
 
 def make_fs(seed=1, num_pages=2048):
     device = BlockDevice(
-        BlockDevConfig(num_pages=num_pages), SimClock(), Stats(),
-        BlockTrace(), seed=seed,
+        BlockDevConfig(num_pages=num_pages), SimClock(), Stats(), seed=seed
     )
+    device.trace = BlockTrace()
     fs = Ext4FileSystem(device)
     fs.format()
     return fs

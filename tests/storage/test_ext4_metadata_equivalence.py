@@ -126,8 +126,9 @@ class RecordingDevice(BlockDevice):
 def make_fs(cls=Ext4FileSystem, seed=1, num_pages=2048, page_size=4096):
     device = RecordingDevice(
         BlockDevConfig(page_size=page_size, num_pages=num_pages),
-        SimClock(), Stats(), BlockTrace(), seed=seed,
+        SimClock(), Stats(), seed=seed,
     )
+    device.trace = BlockTrace()
     fs = cls(device)
     fs.format()
     return fs

@@ -11,7 +11,6 @@ from repro.hw.clock import SimClock
 from repro.hw.stats import Stats
 from repro.storage.blockdev import BlockDevice
 from repro.storage.ext4 import Ext4FileSystem
-from repro.storage.trace import BlockTrace
 
 NAMES = ["alpha", "beta", "gamma"]
 
@@ -27,10 +26,7 @@ ops = st.lists(
 
 
 def fresh_fs(seed: int) -> Ext4FileSystem:
-    device = BlockDevice(
-        BlockDevConfig(num_pages=2048), SimClock(), Stats(), BlockTrace(),
-        seed=seed,
-    )
+    device = BlockDevice(BlockDevConfig(num_pages=2048), SimClock(), Stats(), seed=seed)
     fs = Ext4FileSystem(device)
     fs.format()
     return fs

@@ -1,5 +1,9 @@
 """Tests for the block I/O trace recorder."""
 
+from repro.config import BlockDevConfig
+from repro.hw.clock import SimClock
+from repro.hw.stats import Stats
+from repro.storage.blockdev import BlockDevice
 from repro.storage.trace import BlockTrace
 
 
@@ -38,10 +42,14 @@ def test_series_converts_time_to_seconds():
 
 
 def test_disabled_trace_records_nothing():
-    trace = BlockTrace()
-    trace.enabled = False
-    trace.record(0, "write", 1, 4096, "x")
-    assert trace.events == []
+    """Tracing is off until a trace is installed on the device."""
+    device = BlockDevice(BlockDevConfig(num_pages=8), SimClock(), Stats(), seed=0)
+    assert device.trace is None
+    device.write_page(1, bytes(4096), tag="x")
+    device.trace = trace = BlockTrace()
+    device.write_page(2, bytes(4096), tag="x")
+    device.flush()
+    assert [(e.op, e.block) for e in trace.events] == [("write", 2), ("flush", 0)]
 
 
 def test_clear():

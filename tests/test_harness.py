@@ -7,7 +7,8 @@ import itertools
 import json
 import re
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import partial, reduce
+from operator import getitem
 
 import pytest
 
@@ -61,7 +62,7 @@ class ToyHarness(harness.Harness):
     description = "toy harness"
     trace_dir = "toy-traces"
     seeds = 3
-    sabotage_help = "plant nothing"
+    sabotage = {"nothing": "plant nothing"}
     task_type = ToyTask
     run_task = staticmethod(toy_task)
     run = staticmethod(toy_run)
@@ -205,35 +206,74 @@ def test_minimize_rejects_a_passing_scenario(passing):
         harness.minimize(scenario, spec.run, spec.passes)
 
 
-def test_difftest_keeps_its_documents_and_flag_on_the_kernel(tmp_path, capsys):
-    """``{"statements", "meta"}`` repro files, ``--out-dir``, and a
-    self-test that ``--no-minimize`` cannot skip."""
-    import argparse
-
-    from repro.difftest.__main__ import DiffHarness, DiffTask, main, run_diff_seed
+def test_difftest_sabotage_repro_is_a_kernel_document_of_at_most_five_statements(
+    tmp_path, capsys
+):
+    """The difftest self-test's own bound holds on the kernel's documents,
+    and ``--no-minimize`` cannot skip it."""
+    from repro.difftest.__main__ import HARNESS, DiffTask, main, run_diff_seed
 
     sweep = ["--seeds", "4", "--stmts", "60", "--sabotage", "--no-minimize"]
-    assert main([*sweep, "--out-dir", str(tmp_path)]) == 0
+    assert main([*sweep, "--trace-dir", str(tmp_path)]) == 0
     assert [p.name for p in tmp_path.iterdir()] == ["minimized-3.json"]
     document = json.loads((tmp_path / "minimized-3.json").read_text())
-    assert set(document) == {"statements", "meta"}
-    assert len(document["statements"]) <= 5
-    assert document["meta"]["seed"] == 3 and document["meta"]["sabotage"] is True
+    assert set(document) == {"scenario", "violations"}
+    scenario = document["scenario"]
+    assert (scenario["seed"], scenario["sabotage"]) == (3, "drop-residual-where")
+    assert 1 <= len(scenario["stmts"]) <= 5
     assert main(["--replay", str(tmp_path / "minimized-3.json")]) == 1
-    assert document["meta"]["findings"][0] in capsys.readouterr().out
+    assert document["violations"][0] in capsys.readouterr().out
 
-    # A raw failure document is rebuilt from the result's seed and reloads
-    # as the stream that failed.
-    flags = dict(
-        stmts=60, tables=3, checkpoint_threshold=1000, integrity_every=8, sabotage=True
-    )
-    spec = DiffHarness(argparse.Namespace(**flags))
-    result = run_diff_seed(DiffTask(seed=3, **flags))
-    [raw] = spec.failures(result)
-    stream = spec.load(json.loads(json.dumps(raw)))
-    assert (stream.seed, stream.sabotage) == (3, True)
+    # A raw failure document is the whole generated stream and its run.
+    task = DiffTask(3, 60, 3, 1000, 8, "drop-residual-where")
+    result = run_diff_seed(task)
+    [raw] = HARNESS.failures(task, result)
+    stream = HARNESS.load(json.loads(json.dumps(raw)))
+    assert stream == task.stream()
     assert len(stream.stmts) == result["statements"]
-    assert harness.failure_classes(spec.run(stream)) == {"result"}
+    assert harness.failure_classes(raw["violations"]) == {"result"}
+    assert HARNESS.run(stream) == raw["violations"]
+
+
+#: Flags a replay command might carry; none may change what it replays.
+REPLAY_FLAGS = [
+    [],
+    ["--sabotage"],
+    ["--checkpoint-threshold", "1", "--integrity-every", "1"],
+    ["--sabotage", "drop-residual-where", "--checkpoint-threshold", "1000"],
+]
+
+
+@pytest.mark.parametrize("sabotage, status", [("", 0), ("drop-residual-where", 1)])
+def test_difftest_replay_takes_nothing_from_the_command_line(
+    sabotage, status, tmp_path, capsys
+):
+    """A repro records the run it reproduces: a stream the planted bug
+    trips replays clean without it and failing with it, whatever the
+    replay command passes."""
+    from repro.difftest.__main__ import main
+    from repro.difftest.grammar import Stmt
+    from repro.difftest.runner import Stream
+
+    stream = Stream(
+        seed=0,
+        stmts=(
+            Stmt("CREATE TABLE t (k INTEGER PRIMARY KEY, v INTEGER)", kind="ddl"),
+            Stmt("INSERT INTO t VALUES (1, 7), (2, 9)", kind="write"),
+            Stmt("SELECT * FROM t WHERE k >= 1 AND v = 9", kind="select"),
+        ),
+        sabotage=sabotage,
+        checkpoint_threshold=2,
+        integrity_every=3,
+    )
+    trace = harness.write_trace(
+        str(tmp_path), "t.json", {"scenario": harness.to_json(stream)}
+    )
+    outputs = set()
+    for flags in REPLAY_FLAGS:
+        assert main([*flags, "--replay", trace]) == status, flags
+        outputs.add(capsys.readouterr().out)
+    assert len(outputs) == 1
 
 
 def _digest_line(out: str) -> str:
@@ -363,8 +403,9 @@ def test_no_planted_bug_in_product_modules():
 #: ``archive.reseeds_from_snapshot`` from its results (parent: 7e104536…).
 #: The two torture pins moved when the workload sweep became the torture
 #: sweep and every record got both ``workload`` and ``recovery_runs``
-#: (parents: 7597cf0e…cab28 and bbabcbe1…97758, kept whole in
-#: ``ONE_KEY_ADDED``, which proves nothing else moved).
+#: (parents: 7597cf0e…cab28 and bbabcbe1…97758); service chaos's when
+#: planted bugs got names and its ``deadline_misses`` counter stopped
+#: undercounting (parent: 51f59346…c4b).  ``MOVED`` proves nothing else did.
 CLI_DIGESTS = {
     "torture": (
         "repro.torture.__main__",
@@ -374,7 +415,7 @@ CLI_DIGESTS = {
     "service-chaos": (
         "repro.service.cli",
         ["--seeds", "2", "--sessions", "3", "--txns", "12"],
-        "51f59346f63b6fde7c143e582467b27dec076a3dc12fa2c6195472e342a32c4b",
+        "a053a6f8c9f78909c22d12999ecf2799a2e4e2a83e4086e09bc941faa2973a9c",
     ),
     "replication": (
         "repro.replication.cli",
@@ -400,18 +441,32 @@ CLI_DIGESTS = {
 }
 
 
-#: The key each moved pin's records gained, and the digest the same sweep
-#: printed at 689c061 (``workloads-torture`` as ``python -m repro.workloads
-#: torture --workload queue --seeds 1 --ops 12``, on the driver deleted
-#: since): without that key the records must still digest to it.
-ONE_KEY_ADDED = {
+#: What moved in each moved pin's records — key paths — and the digest
+#: of the parent's records without them.  The two torture pins' records
+#: gained one key each; the digest is what the same sweep printed at
+#: 689c061 (``workloads-torture`` as ``python -m repro.workloads torture
+#: --workload queue --seeds 1 --ops 12``, on the driver deleted since).
+#: Service chaos's ``scenario.sabotage`` went from ``false`` to ``""``,
+#: and two telemetry counters (with the export digest over them) now
+#: count what ``stats`` always did; the digest is e6b34e0's records
+#: with those four dropped.
+MOVED = {
     "torture": (
-        "workload",
+        [("workload",)],
         "7597cf0ee7d607bafa7a42eccecb2efb66473183d02209f88be60ce7bd5cab28",
     ),
     "workloads-torture": (
-        "recovery_runs",
+        [("recovery_runs",)],
         "bbabcbe1830c890d1f33a8711156f0a1751f8aa879110dda79c0971ada997758",
+    ),
+    "service-chaos": (
+        [
+            ("scenario", "sabotage"),
+            ("telemetry", "digest"),
+            ("telemetry", "counters", "service.deadline_misses"),
+            ("telemetry", "counters", "service.media_failures"),
+        ],
+        "4133e2755d202fe26c278a5d4957572e304584afdf301b189a8ab39e5d20ecf0",
     ),
 }
 
@@ -427,10 +482,11 @@ def test_cli_digest_is_pinned(name, capsys, monkeypatch):
     module, argv, expected = CLI_DIGESTS[name]
     assert importlib.import_module(module).main(argv) == 0
     assert _digest_line(capsys.readouterr().out) == expected
-    if name in ONE_KEY_ADDED:
-        key, parent = ONE_KEY_ADDED[name]
+    if name in MOVED:
+        paths, parent = MOVED[name]
         [records] = digested
-        assert all(record.pop(key) is not None for record in records)
+        for record, (*keys, last) in itertools.product(records, paths):
+            assert reduce(getitem, keys, record).pop(last) is not None
         assert digest(records) == parent
 
 
@@ -465,3 +521,80 @@ def test_committed_trace_replays(name, capsys):
     recorded = json.loads(trace.read_text()).get("violations", [])
     for violation in recorded:
         assert violation in out
+
+
+@pytest.mark.parametrize("name", list(COMMITTED_TRACES))
+@pytest.mark.parametrize("value", [True, False, "no-such-bug"])
+def test_a_trace_naming_no_planted_bug_of_its_harness_is_refused(
+    name, value, tmp_path, capsys
+):
+    """``sabotage`` is a name from the harness's registry or ""; anything
+    else — the bools of the retired switch included — is refused by
+    field name, not replayed as some other run."""
+    import importlib
+    from pathlib import Path
+
+    module, prefix, path, _status = COMMITTED_TRACES[name]
+    document = json.loads((Path(__file__).parent / path).read_text())
+    document["scenario"]["sabotage"] = value
+    trace = harness.write_trace(str(tmp_path), "t.json", document)
+    main = importlib.import_module(module).main
+    assert main([*prefix, "--replay", trace]) == 2
+    assert "trace field 'sabotage'" in capsys.readouterr().out
+
+
+#: Every harness CLI with its registry, and the smallest sweep that
+#: catches each planted bug in it (seed, sessions, statements).
+HARNESS_CLIS = {
+    "torture": "repro.torture.__main__",
+    "service-chaos": "repro.service.cli",
+    "replication": "repro.replication.cli",
+    "difftest": "repro.difftest.__main__",
+}
+SELF_TEST_SIZES = {
+    ("torture", "unflushed-mark"): [
+        "--seeds", "2", "--ops", "2", "--scheme", "uh_ls_diff", "--stride", "24",
+        "--recovery-points", "0",
+    ],
+    ("service-chaos", "ack-early"): [
+        "--seeds", "3", "--sessions", "3", "--txns", "12", "--power-cycles", "1",
+    ],
+    ("replication", "torn"): [
+        "--seeds", "1", "--sessions", "2", "--txns", "10", "--scheme", "uh_ls_diff",
+        "--mode", "semisync",
+    ],
+    ("replication", "gc"): [
+        "--seeds", "1", "--sessions", "2", "--txns", "14", "--scheme", "uh_ls_diff",
+        "--mode", "semisync", "--writer-kill",
+    ],
+    ("difftest", "drop-residual-where"): ["--seeds", "4", "--stmts", "60"],
+}
+
+
+def _planted_bugs():
+    import importlib
+
+    return [
+        (name, bug)
+        for name, module in HARNESS_CLIS.items()
+        for bug in importlib.import_module(module).HARNESS.sabotage
+    ]
+
+
+@pytest.mark.parametrize("name, bug", _planted_bugs())
+def test_every_planted_bug_is_caught_minimized_and_replayed(
+    name, bug, tmp_path, capsys
+):
+    """The diagonal of the kill matrix: each harness's self-test, by
+    name, over the registries themselves."""
+    import importlib
+
+    main = importlib.import_module(HARNESS_CLIS[name]).main
+    argv = [*SELF_TEST_SIZES[name, bug], "--sabotage", bug]
+    assert main([*argv, "--trace-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "minimized trace replays deterministically" in out
+    [trace] = tmp_path.glob("minimized-*.json")
+    assert json.loads(trace.read_text())["scenario"]["sabotage"] == bug
+    assert main(["--replay", str(trace)]) == 1
+    assert "deterministic across replays" in capsys.readouterr().out

@@ -10,7 +10,7 @@ def test_wiring():
     assert system.cpu.cache is system.cache
     assert system.cpu.nvram is system.nvram
     assert system.fs.device is system.blockdev
-    assert system.blockdev.trace is system.trace
+    assert system.blockdev.trace is None  # block tracing is opt-in
 
 
 def test_page_size_property():

@@ -226,7 +226,7 @@ class TestSabotage:
             scheme="uh_ls_diff",
             stride=24,
             recovery_points=0,
-            sabotage=True,
+            sabotage="unflushed-mark",
         )
         result = run_seed(task)
         assert result["failures"], "sabotage went undetected"

@@ -4,6 +4,7 @@ import pytest
 
 from repro import System, nexus5
 from repro.hw import stats as statnames
+from repro.storage.trace import BlockTrace
 from tests.conftest import make_file_db
 
 
@@ -52,11 +53,11 @@ class TestAlignment:
         db = make_file_db(system, optimized=False)
         db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v TEXT)")
         db.execute("INSERT INTO t VALUES (1, 'x')")
-        system.trace.clear()
+        trace = system.blockdev.trace = BlockTrace()
         before = system.stats.snapshot()
         db.execute("INSERT INTO t VALUES (2, 'x')")
         writes = [
-            e for e in system.trace.writes() if e.tag == "file:test.db-wal"
+            e for e in trace.writes() if e.tag == "file:test.db-wal"
         ]
         assert len(writes) == 2
 
@@ -66,10 +67,10 @@ class TestAlignment:
         db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v TEXT)")
         for i in range(1, 4):
             db.execute("INSERT INTO t VALUES (?, 'x')", (i,))
-        system.trace.clear()
+        trace = system.blockdev.trace = BlockTrace()
         db.execute("INSERT INTO t VALUES (9, 'x')")
         writes = [
-            e for e in system.trace.writes() if e.tag == "file:test.db-wal"
+            e for e in trace.writes() if e.tag == "file:test.db-wal"
         ]
         assert len(writes) == 1
 
@@ -79,11 +80,11 @@ class TestAlignment:
             system = System(nexus5(), seed=0)
             db = make_file_db(system, optimized)
             db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v TEXT)")
-            system.trace.clear()
+            trace = system.blockdev.trace = BlockTrace()
             for i in range(10):
                 db.execute("INSERT INTO t VALUES (?, ?)", (i, "x" * 100))
             totals[optimized] = sum(
-                e.length for e in system.trace.writes("journal")
+                e.length for e in trace.writes("journal")
             )
         assert totals[True] < totals[False]
 

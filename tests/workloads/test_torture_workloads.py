@@ -102,7 +102,7 @@ class TestMergedDriverCoverage:
 
     def test_planted_bug_is_named_by_the_queue_oracle(self):
         summary = sweep(
-            "queue", seed=0, ops=10, scheme="uh_ls_diff", stride=24, sabotage=True
+            "queue", seed=0, ops=10, scheme="uh_ls_diff", stride=24, sabotage="unflushed-mark"
         )
         assert summary["failures"], "sabotage went undetected"
         first = summary["failures"][0]
