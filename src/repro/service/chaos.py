@@ -361,9 +361,13 @@ class SessionTask:
 def run_task(task: SessionTask) -> dict:
     """Build and run one seed's scenario; JSON-able result for digests."""
     scenario = task.make_scenario(**asdict(task))
-    result = dict(task.driver.run_scenario(scenario).summary)
-    result["scenario"] = harness.to_json(scenario)
-    return result
+    outcome = task.driver.run_scenario(scenario)
+    # An escaped exception leaves a summary without the run's findings.
+    return {
+        **outcome.summary,
+        "violations": list(outcome.violations),
+        "scenario": harness.to_json(scenario),
+    }
 
 
 class SessionDriver:
@@ -604,12 +608,16 @@ class _Driver(SessionDriver):
         wal.checkpoint = tracked
         return db
 
-    def _recover(self) -> Database | None:
-        """Reboot until the database comes back (bounded IoError retries)."""
+    def _recover(self) -> tuple[Database, list | None] | None:
+        """Reboot until the database comes back and the oracle has read
+        its rows (``None`` without the table); bounded IoError retries."""
         for _attempt in range(_RECOVERY_ATTEMPTS):
             try:
                 self.system.reboot()
-                return self._build_db()
+                db = self._build_db()
+                if not db.table_exists(TABLE):
+                    return db, None
+                return db, sorted(db.dump_table(TABLE))
             except IoError:
                 self.system.power_fail()
         self.violations.append(
@@ -620,18 +628,16 @@ class _Driver(SessionDriver):
 
     # -- oracle --------------------------------------------------------
 
-    def _check_recovery(
-        self, db: Database, inflight_heads, epoch_members=()
-    ) -> None:
-        """Ack-durability oracle; rebases the model on a legitimate shed."""
-        if not db.table_exists(TABLE):
+    def _check_recovery(self, rows, inflight_heads, epoch_members=()) -> None:
+        """Ack-durability oracle over the recovered ``rows`` (``None``: no
+        table); rebases the model on a legitimate shed."""
+        if rows is None:
             self.violations.append(
                 "ack-lost: table missing after recovery despite a durable "
                 "pre-run checkpoint"
             )
             self._rebase([])
             return
-        rows = sorted(db.dump_table(TABLE))
         n = self.head
         floor = min(self.floor, n) if self.relaxed else n
         # Whole-epoch landing (group commit): the epoch's close mark
@@ -737,10 +743,11 @@ class _Driver(SessionDriver):
                 self._power_cut(scheduler)
                 self._absorb_stats(service)
                 system.power_fail()
-                db = self._recover()
-                if db is None:
+                recovered = self._recover()
+                if recovered is None:
                     return self._finish()
-                self._check_recovery(db, inflight, epoch_members=members)
+                db, rows = recovered
+                self._check_recovery(rows, inflight, epoch_members=members)
                 epoch += 1
 
         self.violations.extend(starved_clients(clients))
@@ -749,10 +756,11 @@ class _Driver(SessionDriver):
         if scenario.final_power_cycle:
             self.crashes += 1
             system.power_fail()
-            db = self._recover()
-            if db is None:
+            recovered = self._recover()
+            if recovered is None:
                 return self._finish()
-            self._check_recovery(db, inflight_heads=())
+            db, rows = recovered
+            self._check_recovery(rows, inflight_heads=())
         else:
             rows = sorted(db.dump_table(TABLE))
             if rows != self.states[-1]:

@@ -21,7 +21,7 @@ the mechanism behind that number:
   of Figure 8.
 
 Metadata truly round-trips through serialized blocks: ``mount()`` replays
-committed journal transactions (highest sequence number wins) and rebuilds
+the live chain of committed journal transactions (oldest first) and rebuilds
 all in-memory state from the block images, so crash tests exercise real
 recovery, not bookkeeping shortcuts.
 
@@ -610,7 +610,16 @@ class Ext4FileSystem:
         self._journal_head = 0
 
     def _replay_journal(self) -> dict[int, bytes]:
-        """Scan the ring for committed transactions; latest seq wins."""
+        """Scan the ring for committed transactions and replay the live
+        chain: the sequence-contiguous run ending at the highest committed
+        seq, oldest first.
+
+        The ring restarts at block 0 after every checkpoint and mount, so
+        a transaction from an earlier lap can outlive the ones that
+        superseded it.  Its seq is then cut off from the newest by a gap
+        (the overwritten successors, whose images are already home), and
+        replaying it would put a stale image over the newer home copy.
+        """
         txns: dict[int, dict[int, bytes]] = {}
         pos = 0
         while pos < self.journal_blocks:
@@ -638,8 +647,12 @@ class Ext4FileSystem:
             else:
                 pos += 1
         replayed: dict[int, bytes] = {}
-        for seq in sorted(txns):
-            replayed.update(txns[seq])
+        if txns:
+            last = first = max(txns)
+            while first - 1 in txns:
+                first -= 1
+            for seq in range(first, last + 1):
+                replayed.update(txns[seq])
         self._journal_head = 0
         return replayed
 

@@ -36,6 +36,10 @@ class RecoveryReport:
     these: "the first N closed units" means exactly "the first
     ``commit_boundaries[N-1]`` frames", with no off-by-one between the
     verify_log prefix length and the group-commit close marks.
+
+    ``base_pages_read`` counts the database-file pages recovery read as
+    the base a logged page's frames apply to.  Only NVWAL reads any: the
+    file WAL and the rollback journal log whole pages.
     """
 
     frames_replayed: int = 0
@@ -45,6 +49,7 @@ class RecoveryReport:
     reason: str = ""
     epochs_replayed: int = 0
     commit_boundaries: tuple = ()
+    base_pages_read: int = 0
 
 
 class SyncMode(str, enum.Enum):

@@ -547,13 +547,13 @@ class NvwalBackend(WalBackend):
             )
         self._reclaim_orphan_blocks(reachable)
 
-        # Apply committed transactions over base pages from the db file.
+        # Apply committed transactions over each page's first base.
         images: dict[int, bytes] = {}
         applied = 0
         for frame in committed:
             base = images.get(frame.page_no)
             if base is None:
-                base = self._base_page(frame.page_no)
+                base = self._first_base(frame, report)
             try:
                 images[frame.page_no] = frame.apply_to(base)
             except ChecksumError:
@@ -746,13 +746,23 @@ class NvwalBackend(WalBackend):
                 if self.heapo.is_live(alloc.addr):
                     self.heapo.nvfree(alloc)
 
-    def _base_page(self, pno: int) -> bytes:
+    def _first_base(self, frame: NvFrame, report: RecoveryReport) -> bytes:
+        """The image a page's first committed frame applies to.  A frame
+        that covers the whole page needs none — and the first frame of a
+        page in a log generation always does (:meth:`_build_frames`) — so
+        only a page whose first frame is partial reads the db file."""
+        if frame.offset == 0 and len(frame.payload) == self.system.page_size:
+            return frame.payload
+        return self._base_page(frame.page_no, report)
+
+    def _base_page(self, pno: int, report: RecoveryReport) -> bytes:
         page_size = self.system.page_size
         if self.db_file is None:
             return bytes(page_size)
         offset = (pno - 1) * page_size
         if offset >= self.db_file.size:
             return bytes(page_size)
+        report.base_pages_read += 1
         return self.db_file.read(offset, page_size).ljust(page_size, b"\x00")
 
     # ------------------------------------------------------------------

@@ -108,8 +108,16 @@ def test_motivation_ladder_ordering():
 
 def test_ablation_recovery_grows_with_log():
     report = EXPERIMENTS["ablation_recovery"](quick=True)
-    for row in report.tables[0].rows:
+    rows = report.tables[0].rows
+    # NVWAL over an empty db, NVWAL over a preloaded db, the file WAL
+    assert len(rows) == 3
+    *nvwal, file_wal = rows
+    for row in rows:
         assert row[1] < row[2]  # longer log -> longer recovery
+    for row in nvwal:
+        assert all(nv < f for nv, f in zip(row[1:], file_wal[1:]))
+    # the preloaded row's recoveries read no database page as a base
+    assert "read as a base, per size: 0, 0." in report.render()
 
 
 def test_ablation_checkpoint_runs():

@@ -159,6 +159,26 @@ class TestGroupCommit:
         assert first.violations == run_chaos(scenario).violations
 
 
+def test_an_escaped_exception_fails_the_sweep_and_writes_a_trace(
+    monkeypatch, tmp_path
+):
+    def escape(driver):
+        raise RuntimeError("planted escape")
+
+    monkeypatch.setattr(ChaosTask.driver, "run", escape)
+    status = harness.main(
+        HARNESS,
+        [
+            "--seeds", "1", "--sessions", "2", "--txns", "4",
+            "--power-cycles", "0", "--no-minimize", "--trace-dir", str(tmp_path),
+        ],
+    )
+    assert status == 1
+    (trace,) = tmp_path.iterdir()
+    violations = json.loads(trace.read_text())["violations"]
+    assert violations[0].startswith("error: unhandled RuntimeError")
+
+
 class TestFaultStorm:
     @pytest.mark.slow
     def test_acceptance_storm_heals_and_keeps_every_ack(self):
