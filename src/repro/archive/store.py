@@ -362,9 +362,9 @@ class SegmentArchive:
 
     # -- crash / promotion choreography -------------------------------------
 
-    def power_fail(self, land_probability: float = 0.5) -> None:
+    def power_fail(self) -> None:
         """Cut power to the cold store (OS cache lost, device gambles)."""
-        self.fs.power_fail(land_probability)
+        self.fs.power_fail()
 
     def recover(self) -> None:
         """Remount and salvage: longest valid prefix, torn tail truncated.

@@ -169,10 +169,6 @@ class SystemConfig:
     blockdev: BlockDevConfig = field(default_factory=BlockDevConfig)
     db_costs: DbCosts = field(default_factory=DbCosts)
     heapo: HeapoCosts = field(default_factory=HeapoCosts)
-    #: Probability that a dirty 8-byte unit still in a volatile tier at the
-    #: moment of a crash happens to have reached NVRAM anyway (cache
-    #: eviction, memory-controller drain...).  Exercised by crash tests.
-    crash_land_probability: float = 0.5
     #: Database page size.
     page_size: int = PAGE_SIZE
 

@@ -3,12 +3,12 @@
 The paper could not run physical power-off tests (Section 4.3: the persist
 barrier hardware does not exist yet), so it argues recovery correctness case
 by case.  We can do better in simulation: a crash keeps the durable NVRAM
-bytes exactly, and every *volatile* dirty 8-byte unit — whether still in the
-CPU cache or queued in the memory subsystem — independently lands on the
-device with a seeded-random probability.  That models cache evictions,
-memory-controller drains, and torn cache lines, and it is adversarial enough
-to break any implementation that omits a required flush or barrier while
-remaining deterministic per seed.
+bytes exactly and lands a subset of the *volatile* dirty 8-byte units (CPU
+cache or memory-subsystem queue): cache evictions, memory-controller drains,
+torn lines.  :func:`landed_units` picks that subset here and for the eMMC
+write cache alike: a seeded lottery by default, adversarial enough to break
+any implementation that omits a required flush or barrier yet deterministic
+per seed, or exactly the caller's ``landed`` indexes (``()``, :data:`ALL`).
 
 Crash *injection* works through a hook on the CPU: every primitive operation
 (store, memcpy, dccmvac, dmb, persist_barrier) counts as one step, and the
@@ -23,6 +23,8 @@ while armed or counting: a set hook makes the CPU single-step flush ranges.
 from __future__ import annotations
 
 import random
+import sys
+from collections.abc import Container
 from contextlib import contextmanager
 from typing import Callable
 
@@ -30,6 +32,21 @@ from repro.config import ATOMIC_UNIT
 from repro.errors import PowerFailure
 from repro.hw.cpu import Cpu
 from repro.hw.memory import NvramDevice
+
+#: The chance that a unit still volatile at the cut reached media anyway.
+LAND_PROBABILITY = 0.5
+#: The landed subset in which every unit lands.
+ALL = range(sys.maxsize)
+
+
+def landed_units(
+    n: int, rng: random.Random, landed: Container[int] | None = None
+) -> list[int]:
+    """Ascending indexes, of ``n`` units, that a power cut lands: those in
+    ``landed``, or by default one ``rng`` draw per unit in index order."""
+    if landed is None:
+        return [i for i in range(n) if rng.random() < LAND_PROBABILITY]
+    return [i for i in range(n) if i in landed]
 
 
 class CrashController:
@@ -39,12 +56,10 @@ class CrashController:
         self,
         cpu: Cpu,
         nvram: NvramDevice,
-        land_probability: float = 0.5,
         seed: int | None = None,
     ) -> None:
         self.cpu = cpu
         self.nvram = nvram
-        self.land_probability = land_probability
         self.rng = random.Random(seed)
         self._armed_at: int | None = None
         self._op_count = 0
@@ -109,12 +124,13 @@ class CrashController:
         """Restore power after a failure (part of reboot choreography)."""
         self.powered_off = False
 
-    def apply_power_loss(self) -> None:
+    def apply_power_loss(self, landed: Container[int] | None = None) -> None:
         """The physics of the failure, without the control-flow unwind.
 
-        Each volatile 8-byte unit lands independently with
-        ``land_probability``; durable bytes are untouched.  Afterwards all
-        volatile tiers are empty, as they would be after a reboot.
+        The volatile 8-byte units :func:`landed_units` picks land; durable
+        bytes are untouched.  Units are numbered pending runs, then dirty
+        runs, 8 bytes at a time.  Afterwards all volatile tiers are empty,
+        as they would be after a reboot.
 
         Cutting power on a machine that is already off is a no-op: a dead
         machine has no volatile state left to land, and re-drawing the
@@ -126,19 +142,17 @@ class CrashController:
         self.powered_off = True
         dirty, pending = self.cpu.volatile_state()
         # Memory-subsystem entries are "closer" to the device, but without a
-        # persist barrier nothing guarantees they landed: same coin flip.
-        for addr, data in pending:
-            self._land_partially(addr, data)
-        for addr, data in dirty:
-            self._land_partially(addr, data)
+        # persist barrier nothing guarantees they landed: same lottery.
+        runs = (*pending, *dirty)
+        n = sum(len(data) for _, data in runs) // ATOMIC_UNIT
+        walk, end = iter(runs), 0
+        for i in landed_units(n, self.rng, landed):
+            while i >= end:  # advance to the run holding unit i
+                addr, data = next(walk)
+                first, end = end, end + len(data) // ATOMIC_UNIT
+            offset = (i - first) * ATOMIC_UNIT
+            self.nvram.persist(addr + offset, data[offset : offset + ATOMIC_UNIT])
         self.cpu.drop_volatile()
-
-    def _land_partially(self, addr: int, data: bytes) -> None:
-        """Persist a random subset of ``data`` in 8-byte atomic units."""
-        for offset in range(0, len(data), ATOMIC_UNIT):
-            if self.rng.random() < self.land_probability:
-                chunk = data[offset : offset + ATOMIC_UNIT]
-                self.nvram.persist(addr + offset, chunk)
 
     # ------------------------------------------------------------------
     # counting

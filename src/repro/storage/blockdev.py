@@ -5,19 +5,21 @@ cares about: page-granularity programs with a volatile on-device write cache
 that only a cache-flush command (what ``fsync`` ultimately issues through
 the block layer) makes durable.
 
-A power failure keeps durable pages and lands each cached page with a
-seeded-random probability — enough to force the filesystem journal to do
-its job in crash tests.
+A power failure keeps durable pages and lands the cached pages
+:func:`repro.hw.crash.landed_units` picks — enough to force the filesystem
+journal to do its job in crash tests.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Container
 
 from repro.config import BlockDevConfig
 from repro.errors import AddressError
 from repro.hw import stats as statnames
 from repro.hw.clock import SimClock
+from repro.hw.crash import landed_units
 from repro.hw.stats import Stats, TimeBucket
 
 
@@ -30,6 +32,7 @@ class BlockDevice:
         clock: SimClock,
         stats: Stats,
         seed: int | None = None,
+        rng: random.Random | None = None,
     ) -> None:
         self.config = config
         self.clock = clock
@@ -38,7 +41,8 @@ class BlockDevice:
         self.num_pages = config.num_pages
         self._durable: dict[int, bytes] = {}
         self._cache: dict[int, bytes] = {}
-        self._rng = random.Random(seed)
+        # A System passes its crash controller's RNG: one stream, both tiers.
+        self._rng = rng if rng is not None else random.Random(seed)
         self._zero_page = bytes(self.page_size)
         # Optional transient-failure injector (repro.faults): timed page
         # commands may raise IoError; read_page_silent is exempt.
@@ -108,21 +112,12 @@ class BlockDevice:
     # crash semantics
     # ------------------------------------------------------------------
 
-    def power_fail(
-        self, land_probability: float = 0.5, rng: random.Random | None = None
-    ) -> None:
-        """Cut power: each cached page independently lands or is lost.
-
-        Pass the system-level seeded ``rng`` (the crash controller's) to
-        make the landing pattern deterministic per scenario seed; the
-        device falls back to its own stream for standalone use.  Pages
-        are drawn in sorted order so the outcome does not depend on
-        cache insertion history.
-        """
-        draw = (rng or self._rng).random
-        for pno in sorted(self._cache):
-            if draw() < land_probability:
-                self._durable[pno] = self._cache[pno]
+    def power_fail(self, landed: Container[int] | None = None) -> None:
+        """Cut power: the cached pages :func:`landed_units` picks land, the
+        rest are lost.  Pages are numbered in page-number order."""
+        pages = sorted(self._cache)
+        for i in landed_units(len(pages), self._rng, landed):
+            self._durable[pages[i]] = self._cache[pages[i]]
         self._cache.clear()
 
     def cached_page_count(self) -> int:

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import heapq
 import struct
+from collections.abc import Container
 from itertools import chain
 
 from repro.errors import (
@@ -351,9 +352,9 @@ class Ext4FileSystem:
         self.device.flush()
         self._mounted = False
 
-    def power_fail(self, land_probability: float = 0.5) -> None:
-        """Lose OS caches and (probabilistically) the device cache."""
-        self.device.power_fail(land_probability)
+    def power_fail(self, landed: Container[int] | None = None) -> None:
+        """Lose OS caches and the device cache but its ``landed`` pages."""
+        self.device.power_fail(landed)
         self._mounted = False
 
     # ------------------------------------------------------------------

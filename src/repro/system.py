@@ -47,15 +47,10 @@ class System:
         self.nvram = NvramDevice(self.config.nvram)
         self.cache = CacheHierarchy(self.config.cache, self.nvram)
         self.cpu = Cpu(self.config, self.clock, self.cache, self.nvram, self.stats)
-        self.crash = CrashController(
-            self.cpu,
-            self.nvram,
-            land_probability=self.config.crash_land_probability,
-            seed=seed,
-        )
+        self.crash = CrashController(self.cpu, self.nvram, seed=seed)
         self.heapo = Heapo(self.cpu, self.nvram)
         self.blockdev = BlockDevice(
-            self.config.blockdev, self.clock, self.stats, seed=seed
+            self.config.blockdev, self.clock, self.stats, rng=self.crash.rng
         )
         self.fs = Ext4FileSystem(self.blockdev)
         self.fs.format()
@@ -98,8 +93,8 @@ class System:
     def power_fail(self) -> None:
         """Cut power without unwinding the Python stack.
 
-        Volatile CPU-side and device-cache state is probabilistically
-        landed and then discarded; durable state is untouched.  Call
+        Volatile CPU-side and device-cache state is landed by the seeded
+        lottery and then discarded; durable state is untouched.  Call
         :meth:`reboot` afterwards to bring services back.
 
         Idempotent: cutting power on a machine that is already off does
@@ -113,9 +108,7 @@ class System:
         if self._machine_off:
             return
         self._machine_off = True
-        self.blockdev.power_fail(
-            self.config.crash_land_probability, rng=self.crash.rng
-        )
+        self.blockdev.power_fail()
         if self.nvram_faults is not None:
             self.nvram_faults.on_power_loss(self.nvram)
         self.fs._mounted = False

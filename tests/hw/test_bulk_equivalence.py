@@ -30,7 +30,7 @@ from repro.hw import stats as statnames
 from repro.hw.cache import CHUNK, CacheHierarchy
 from repro.hw.clock import SimClock
 from repro.hw.cpu import Cpu
-from repro.hw.crash import CrashController
+from repro.hw.crash import LAND_PROBABILITY, CrashController
 from repro.hw.memory import WEAR_REGION, NvramDevice
 from repro.hw.stats import Stats, TimeBucket
 
@@ -62,9 +62,7 @@ class FastMachine:
         self.nvram = NvramDevice(config.nvram)
         self.cache = CacheHierarchy(config.cache, self.nvram)
         self.cpu = Cpu(config, self.clock, self.cache, self.nvram, self.stats)
-        self.crash = CrashController(
-            self.cpu, self.nvram, config.crash_land_probability, seed=seed
-        )
+        self.crash = CrashController(self.cpu, self.nvram, seed=seed)
         # the op surface apply_op drives
         self.store = self.cpu.store
         self.memcpy = self.cpu.memcpy
@@ -239,13 +237,13 @@ class ReferenceMachine:
     # -- power loss -----------------------------------------------------
 
     def power_fail(self) -> None:
-        """Every volatile 8-byte unit lands with the configured
-        probability: the flush queue first, then dirty lines by age."""
+        """Every volatile 8-byte unit lands with LAND_PROBABILITY: the
+        flush queue first, then dirty lines by age."""
         in_flight = [(base, data) for base, data, _ in self.pending]
         in_flight += [(base, bytes(self.lines[base])) for base in self.dirty]
         for base, data in in_flight:
             for offset in range(0, len(data), ATOMIC_UNIT):
-                if self.rng.random() < self.config.crash_land_probability:
+                if self.rng.random() < LAND_PROBABILITY:
                     self.nvram.persist(
                         base + offset, data[offset : offset + ATOMIC_UNIT]
                     )

@@ -1,74 +1,78 @@
 """Tests for power-failure semantics and crash injection."""
 
+import random
+
 import pytest
 
 from repro import System, tuna
-from repro.config import SystemConfig, tuna as tuna_profile
+from repro.config import BlockDevConfig
 from repro.errors import PowerFailure
+from repro.hw import crash
+from repro.hw.clock import SimClock
+from repro.hw.crash import ALL
+from repro.hw.stats import Stats
+from repro.storage import blockdev
+from repro.storage.blockdev import BlockDevice
 
 
 def scratch(system):
     return system.heapo.heap_start + 8192
 
 
-def durable_system(land_probability):
-    import dataclasses
-
-    config = dataclasses.replace(
-        tuna_profile(), crash_land_probability=land_probability
-    )
-    return System(config, seed=123)
+def durable_system():
+    return System(tuna(), seed=123)
 
 
 class TestPowerLoss:
     def test_durable_bytes_survive(self, ):
-        system = durable_system(0.0)
+        system = durable_system()
         addr = scratch(system)
         system.cpu.memcpy(addr, b"keepthis")
         system.cpu.cache_line_flush(addr, addr + 8)
         system.cpu.dmb()
         system.cpu.persist_barrier()
-        system.crash.apply_power_loss()
+        system.crash.apply_power_loss(landed=())
         assert system.nvram.read(addr, 8) == b"keepthis"
 
-    def test_volatile_bytes_lost_with_zero_probability(self):
-        system = durable_system(0.0)
+    def test_volatile_bytes_lost_when_none_land(self):
+        system = durable_system()
         addr = scratch(system)
         system.cpu.memcpy(addr, b"volatile")
-        system.crash.apply_power_loss()
+        system.crash.apply_power_loss(landed=())
         assert system.nvram.read(addr, 8) == bytes(8)
 
-    def test_volatile_bytes_land_with_probability_one(self):
-        system = durable_system(1.0)
+    def test_volatile_bytes_land_when_all_land(self):
+        system = durable_system()
         addr = scratch(system)
         system.cpu.memcpy(addr, b"landsall")
-        system.crash.apply_power_loss()
+        system.crash.apply_power_loss(landed=ALL)
         assert system.nvram.read(addr, 8) == b"landsall"
 
     def test_flushed_unbarriered_bytes_also_gamble(self):
-        system = durable_system(0.0)
+        system = durable_system()
         addr = scratch(system)
         system.cpu.memcpy(addr, b"inflight")
         system.cpu.cache_line_flush(addr, addr + 8)
         system.cpu.dmb()  # reached tier 2, no persist barrier
-        system.crash.apply_power_loss()
+        system.crash.apply_power_loss(landed=())
         assert system.nvram.read(addr, 8) == bytes(8)
 
     def test_partial_landing_is_8_byte_atomic(self):
-        """With p=0.5 a 64-byte line lands as a mix of 8-byte units —
-        never torn inside one unit."""
-        system = durable_system(0.5)
+        """Every other unit of a 64-byte line lands: whole 8-byte units
+        alternate with untouched zeros, none torn inside."""
+        system = durable_system()
         addr = scratch(system)
         pattern = bytes(range(1, 65))
         system.cpu.memcpy(addr, pattern)
-        system.crash.apply_power_loss()
-        after = system.nvram.read(addr, 64)
-        for unit in range(0, 64, 8):
-            chunk = after[unit : unit + 8]
-            assert chunk in (pattern[unit : unit + 8], bytes(8))
+        system.crash.apply_power_loss(landed={0, 2, 4, 6})
+        want = b"".join(
+            pattern[unit : unit + 8] if unit % 16 == 0 else bytes(8)
+            for unit in range(0, 64, 8)
+        )
+        assert system.nvram.read(addr, 64) == want
 
     def test_power_loss_clears_volatile_state(self):
-        system = durable_system(0.5)
+        system = durable_system()
         addr = scratch(system)
         system.cpu.memcpy(addr, b"x" * 64)
         system.crash.apply_power_loss()
@@ -88,7 +92,7 @@ class TestPowerLoss:
     def test_power_loss_idempotent_when_already_off(self):
         """Cutting power on a dead machine is a no-op: no volatile state
         can land, and the RNG stream must not be perturbed."""
-        system = durable_system(0.5)
+        system = durable_system()
         addr = scratch(system)
         system.cpu.memcpy(addr, b"y" * 64)
         system.crash.apply_power_loss()
@@ -100,13 +104,13 @@ class TestPowerLoss:
         assert system.crash.rng.getstate() == rng_state
 
     def test_power_on_rearms_power_loss(self):
-        system = durable_system(1.0)
+        system = durable_system()
         addr = scratch(system)
-        system.crash.apply_power_loss()
+        system.crash.apply_power_loss(landed=ALL)
         system.crash.power_on()
         assert not system.crash.powered_off
         system.cpu.memcpy(addr, b"afterwrd")
-        system.crash.apply_power_loss()
+        system.crash.apply_power_loss(landed=ALL)
         assert system.nvram.read(addr, 8) == b"afterwrd"
 
     def test_system_power_fail_idempotent(self):
@@ -130,6 +134,62 @@ class TestPowerLoss:
         assert system.blockdev._cache  # page still in the write cache
         system.power_fail()
         assert not system.blockdev._cache
+
+
+def recording_lottery(monkeypatch, module):
+    """Wrap ``module.landed_units``; returns the list of subsets it picks."""
+    picks = []
+    lottery = module.landed_units
+
+    def record(n, rng, landed=None):
+        picks.append(lottery(n, rng, landed))
+        return picks[-1]
+
+    monkeypatch.setattr(module, "landed_units", record)
+    return picks
+
+
+class TestLotteryReplay:
+    """The seeded lottery is one landed subset: passing the indexes it
+    picked as ``landed`` rebuilds the very same crash state."""
+
+    @staticmethod
+    def cpu_image(landed=None):
+        system = System(tuna(), seed=31)
+        addr = scratch(system)
+        system.cpu.memcpy(addr, bytes(range(1, 161)))
+        system.cpu.cache_line_flush(addr, addr + 64)
+        system.cpu.dmb()  # 8 units queued in tier 2 ...
+        system.cpu.memcpy(addr + 512, b"\xEE" * 40)  # ... 20 dirty in tier 1
+        system.crash.apply_power_loss(landed)
+        return system.nvram.durable_image()
+
+    @staticmethod
+    def device_pages(landed=None):
+        device = BlockDevice(
+            BlockDevConfig(num_pages=64), SimClock(), Stats(), seed=31
+        )
+        for pno in (9, 2, 40, 5, 17, 33, 1, 60):
+            device.write_page(pno, bytes([pno]) * device.page_size)
+        device.flush()
+        for pno in (7, 2, 50, 3, 41, 12, 29, 8, 63, 20):
+            device.write_page(pno, bytes([pno | 0x80]) * device.page_size)
+        device.power_fail(landed)
+        return dict(device._durable)
+
+    def test_cpu_tier(self, monkeypatch):
+        picks = recording_lottery(monkeypatch, crash)
+        image = self.cpu_image()
+        (landed,) = picks
+        assert 0 < len(landed) < 28  # a real mix of the 28 units
+        assert self.cpu_image(set(landed)) == image
+
+    def test_block_tier(self, monkeypatch):
+        picks = recording_lottery(monkeypatch, blockdev)
+        pages = self.device_pages()
+        (landed,) = picks
+        assert 0 < len(landed) < 10
+        assert self.device_pages(set(landed)) == pages
 
 
 class TestInjection:

@@ -72,7 +72,7 @@ class TestTornTailSalvage:
             archive.append(epoch(seq))
         assert archive.durable_head == 6  # 7 is buffered
         # Device cache guaranteed lost: the buffered tail must go.
-        archive.power_fail(land_probability=0.0)
+        archive.fs.power_fail(landed=())
         archive.recover()
         assert archive.durable_head == archive.head <= 6
         for seq in range(1, archive.head + 1):
@@ -96,7 +96,7 @@ class TestGcPowerCut:
 
         def cut_after_first(name):
             original_unlink(name)
-            fs.power_fail(land_probability=0.0)
+            fs.power_fail(landed=())
             raise IoError("power cut mid-GC")
 
         fs.unlink = cut_after_first

@@ -5,6 +5,7 @@ import pytest
 from repro.config import BlockDevConfig
 from repro.errors import AddressError
 from repro.hw.clock import SimClock
+from repro.hw.crash import ALL
 from repro.hw.stats import Stats, TimeBucket
 from repro.storage.blockdev import BlockDevice
 from repro.storage.trace import BlockTrace
@@ -61,20 +62,19 @@ class TestDataPath:
 
 class TestCrashSemantics:
     def test_cached_writes_lost_without_flush(self, device):
-        device._rng.random = lambda: 1.0  # never lands
         device.write_page(1, page(0x11))
-        device.power_fail(land_probability=0.0)
+        device.power_fail(landed=())
         assert device.read_page(1) == bytes(4096)
 
     def test_flushed_writes_survive(self, device):
         device.write_page(1, page(0x22))
         device.flush()
-        device.power_fail(land_probability=0.0)
+        device.power_fail(landed=())
         assert device.read_page(1) == page(0x22)
 
     def test_cached_writes_may_land(self, device):
         device.write_page(1, page(0x33))
-        device.power_fail(land_probability=1.0)
+        device.power_fail(landed=ALL)
         assert device.read_page(1) == page(0x33)
 
     def test_cache_counter(self, device):

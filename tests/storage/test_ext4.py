@@ -107,7 +107,8 @@ class TestFiles:
         victim.write(1, b"\x00")  # page 0 recycled from donor
         assert victim.read(0, 2) == b"\x00\x00"
         fs.sync_all()
-        fs.power_fail(land_probability=0.5)
+        assert fs.device.cached_page_count() == 0
+        fs.power_fail()
         fs.mount()
         assert fs.open("victim").read(0, 2) == b"\x00\x00"
 
@@ -123,7 +124,7 @@ class TestDurability:
         fs = make_fs()
         f = fs.create("f")
         f.write(0, b"unsynced")
-        fs.power_fail(land_probability=0.0)
+        fs.power_fail(landed=())
         fs.mount()
         # the file may not even exist (its create was never journaled)
         if fs.exists("f"):
@@ -134,7 +135,7 @@ class TestDurability:
         f = fs.create("f")
         f.write(0, b"durable!")
         f.fsync()
-        fs.power_fail(land_probability=0.0)
+        fs.power_fail(landed=())
         fs.mount()
         g = fs.open("f")
         assert g.read(0, 8) == b"durable!"
@@ -146,7 +147,7 @@ class TestDurability:
             f = fs.create(f"file{i}")
             f.write(0, f"content{i}".encode())
             f.fsync()
-        fs.power_fail(land_probability=0.0)
+        fs.power_fail(landed=())
         fs.mount()
         for i in range(10):
             assert fs.open(f"file{i}").read(0, 8) == f"content{i}".encode()[:8]
@@ -157,7 +158,8 @@ class TestDurability:
             f = fs.create(f"c{cycle}")
             f.write(0, b"x" * 100)
             f.fsync()
-            fs.power_fail(land_probability=0.5)
+            assert fs.device.cached_page_count() == 0
+            fs.power_fail()
             fs.mount()
             for j in range(cycle + 1):
                 assert fs.exists(f"c{j}"), f"lost c{j} after cycle {cycle}"
@@ -168,7 +170,7 @@ class TestDurability:
         keeper = fs.create("keeper")
         fs.unlink("gone")
         keeper.fsync()
-        fs.power_fail(land_probability=0.0)
+        fs.power_fail(landed=())
         fs.mount()
         assert not fs.exists("gone")
         assert fs.exists("keeper")
@@ -234,7 +236,8 @@ class TestJournalTraffic:
         for i in range(400):
             f.write(i * 4096, b"y" * 4096)
             f.fsync()
-        fs.power_fail(land_probability=0.5)
+        assert fs.device.cached_page_count() == 0
+        fs.power_fail()
         fs.mount()
         g = fs.open("churn")
         assert g.size == 400 * 4096

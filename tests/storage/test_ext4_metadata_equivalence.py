@@ -26,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 from repro.config import BlockDevConfig
 from repro.errors import FsConsistencyError
 from repro.hw.clock import SimClock
+from repro.hw.crash import ALL
 from repro.hw.stats import Stats
 from repro.storage import ext4
 from repro.storage.blockdev import BlockDevice
@@ -268,7 +269,7 @@ operations = st.one_of(
     st.tuples(st.just("fdatasync"), names),
     st.tuples(st.just("append_fsync_burst"), names, st.integers(20, 70)),
     st.tuples(st.just("sync_all")),
-    st.tuples(st.just("crash"), st.sampled_from([0.0, 0.5, 1.0])),
+    st.tuples(st.just("crash"), st.sampled_from([(), None, ALL])),
     st.tuples(st.just("remount")),
 )
 
@@ -297,7 +298,7 @@ def test_shrink_then_reextend_over_a_recycled_block():
     pair.apply("sync_all")
     a = pair.live._inodes[pair.live._dir["a.db"]]
     assert len(a.extents) > 1  # the recycled block split a's run
-    pair.apply("crash", 0.0)
+    pair.apply("crash", ())
     assert pair.live.open("a.db").read(2 * PAGE + 100, 10) == bytes(10)
 
 
@@ -309,7 +310,7 @@ def test_journal_ring_wraps_identically():
     # At least 3 journal blocks per commit over a 256-block ring: the ring
     # wrapped, and the checkpoint wrote the journaled blocks home.
     assert len(pair.live.device.trace.writes("metadata")) > home_writes
-    pair.apply("crash", 0.5)
+    pair.apply("crash", None)
     pair.apply("append_fsync_burst", "a.db-wal", 10)
 
 
@@ -351,7 +352,7 @@ def test_allocation_spanning_two_bitmap_blocks():
     pair.apply("unlink", "a.db")
     pair.apply("write", "b", 20 * 512, 512, 9)
     pair.apply("sync_all")
-    pair.apply("crash", 1.0)
+    pair.apply("crash", ALL)
     assert any(pair.live._bitmaps[1]) and any(pair.live._bitmaps[0])
 
 
@@ -397,7 +398,7 @@ def test_too_fragmented_file_fails_fsync_and_changes_nothing():
     a.fsync()
     assert fs._dirty_inodes == set() and fs._journal_head > before[3]
     assert_images_match_reference(fs)
-    fs.power_fail(0.0)
+    fs.power_fail(landed=())
     fs.mount()
     assert fs.open("a").read(0, PAGE) == b"a" * PAGE
     assert fs.open("a").allocated_pages() == ext4._MAX_EXTENTS
@@ -434,7 +435,7 @@ def history_digest(seed, steps=400):
         elif kind == 8:
             op = ("sync_all",) if rng.random() < 0.5 else ("remount",)
         elif kind == 9 and rng.random() < 0.3:
-            op = ("crash", rng.choice([0.0, 0.5, 1.0]))
+            op = ("crash", rng.choice([(), None, ALL]))
         elif kind == 10 and rng.random() < 0.2:
             op = ("append_fsync_burst", name, rng.randrange(20, 70))
         else:

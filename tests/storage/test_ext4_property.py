@@ -90,7 +90,8 @@ def test_fsynced_state_survives_crash(ops, seed):
     for op in ops:
         apply_op(fs, model, op)
     fs.sync_all()
-    fs.power_fail(land_probability=0.5)
+    assert fs.device.cached_page_count() == 0
+    fs.power_fail()
     fs.mount()
     assert set(fs.list_names()) == set(model)
     for name, content in model.items():

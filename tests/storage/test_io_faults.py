@@ -14,6 +14,8 @@ from repro import System, tuna
 from repro.errors import IoError
 from repro.faults import FaultPlan, IoFaultSpec
 from repro.faults.inject import BlockIoFaultInjector
+from repro.storage import ext4
+from repro.wal import filewal
 from tests.conftest import make_file_db
 
 #: matches ext4's _IO_RETRIES=4 and filewal's _FSYNC_RETRIES=3 budgets
@@ -21,6 +23,13 @@ HIGH_RATE = IoFaultSpec(read_error_rate=1.0, write_error_rate=1.0)
 
 
 class TestInjectorContract:
+    def test_default_cap_fits_every_retry_budget(self):
+        """The default cap lets every bounded retry loop through: ext4's
+        page I/O and the file WAL's fsync each try at least cap + 1 times."""
+        assert IoFaultSpec().max_consecutive + 1 <= min(
+            ext4._IO_RETRIES, filewal._FSYNC_RETRIES
+        )
+
     def test_consecutive_failures_are_capped(self):
         """Even at a 100% error rate, the (max_consecutive+1)-th attempt
         on the same page succeeds — the guarantee retry loops rely on."""
