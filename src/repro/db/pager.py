@@ -294,11 +294,6 @@ class Pager:
             self._pages[pno][:] = image
         self._snapshot_saved = None
 
-    @property
-    def in_snapshot(self) -> bool:
-        """Whether a snapshot view is active."""
-        return self._snapshot_saved is not None
-
     # ------------------------------------------------------------------
     # checkpoint support
     # ------------------------------------------------------------------

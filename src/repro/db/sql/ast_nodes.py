@@ -128,11 +128,6 @@ class Select(Statement):
     #: (function, column) for aggregate queries; column None = COUNT(*).
     aggregate: tuple[str, str | None] | None = None
 
-    @property
-    def count_star(self) -> bool:
-        """Whether this is a SELECT COUNT(*) query."""
-        return self.aggregate == ("COUNT", None)
-
 
 @dataclass(frozen=True)
 class Update(Statement):

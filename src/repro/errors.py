@@ -45,10 +45,6 @@ class AddressError(HardwareError):
     """An access touched an address outside any mapped device region."""
 
 
-class AlignmentError(HardwareError):
-    """An operation violated a required alignment (e.g. 8-byte persist)."""
-
-
 class PowerFailure(HardwareError):
     """Raised by crash injection to unwind the software stack.
 
@@ -207,10 +203,6 @@ class WalError(ReproError):
     """Base class for write-ahead-log errors."""
 
     category = "wal"
-
-
-class RecoveryError(WalError):
-    """Recovery found log state it cannot reconcile."""
 
 
 class ChecksumError(WalError):

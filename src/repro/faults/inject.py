@@ -68,7 +68,7 @@ class NvramFaultInjector:
     def on_power_loss(self, nvram: NvramDevice) -> None:
         """Inject this spec's faults into the durable image.
 
-        Called by the system *after* the crash controller has landed (or
+        Called by the crash controller *after* it has landed (or
         dropped) volatile state, so decay applies to what actually
         reached the DIMM — the state recovery will read at next boot.
         """

@@ -29,8 +29,6 @@ one at a time, in instruction order, to stay bit-exact.
 
 from __future__ import annotations
 
-import random
-
 from repro.config import SystemConfig
 from repro.hw import stats as statnames
 from repro.hw.cache import CacheHierarchy, LineRun, by_address
@@ -338,8 +336,3 @@ class Cpu:
         self.pending.clear()
         self._pipeline_last_completion = 0.0
         self._pending_max_completion = 0.0
-
-
-def make_rng(seed: int | None) -> random.Random:
-    """Seeded RNG factory shared by crash machinery and workloads."""
-    return random.Random(seed)

@@ -18,6 +18,13 @@ transaction exercises every intermediate state of Algorithm 1.
 The controller owns that hook (nothing else assigns ``cpu.crash_hook``) and
 the op count (:meth:`CrashController.counting`), and installs the hook only
 while armed or counting: a set hook makes the CPU single-step flush ranges.
+
+One cut, one flag: :meth:`CrashController.apply_power_loss` is the whole
+power cut of a machine, whether an armed injection fires it at op N or a
+caller runs ``System.power_fail()`` — the CPU/NVRAM landing, then the
+plugged-in :attr:`~CrashController.storage` (eMMC cache lottery, unmount),
+then media decay by the NVRAM fault injector.  ``powered_off`` is the
+machine's only "off" flag; :meth:`~CrashController.power_on` clears it.
 """
 
 from __future__ import annotations
@@ -68,8 +75,13 @@ class CrashController:
         self.ops_counted = 0
         self._counting = False
         self._count_filter: Callable[[str], bool] | None = None
-        #: True between a power failure and the next :meth:`power_on`.
+        #: True between a power failure and the next :meth:`power_on`: the
+        #: machine is off.
         self.powered_off = False
+        #: The machine's filesystem, cut with it: anything with a
+        #: ``power_fail()`` that loses its device cache and unmounts.  A
+        #: ``System`` plugs it in; ``hw`` imports nothing from ``storage``.
+        self.storage = None
 
     # ------------------------------------------------------------------
     # arming
@@ -115,8 +127,8 @@ class CrashController:
     # ------------------------------------------------------------------
 
     def power_fail(self) -> None:
-        """Cut power *now*: land a random subset of volatile units, discard
-        the rest, and raise :class:`PowerFailure`."""
+        """Cut power *now* (:meth:`apply_power_loss`) and raise
+        :class:`PowerFailure`."""
         self.apply_power_loss()
         raise PowerFailure("simulated power failure")
 
@@ -125,12 +137,15 @@ class CrashController:
         self.powered_off = False
 
     def apply_power_loss(self, landed: Container[int] | None = None) -> None:
-        """The physics of the failure, without the control-flow unwind.
+        """The whole power cut, without the control-flow unwind.
 
         The volatile 8-byte units :func:`landed_units` picks land; durable
         bytes are untouched.  Units are numbered pending runs, then dirty
         runs, 8 bytes at a time.  Afterwards all volatile tiers are empty,
-        as they would be after a reboot.
+        as they would be after a reboot.  Then the :attr:`storage` loses
+        power (its own lottery over the eMMC write cache, then unmount),
+        and the NVRAM fault injector, if any, decays media after the
+        landing, so it corrupts exactly the bytes recovery will read.
 
         Cutting power on a machine that is already off is a no-op: a dead
         machine has no volatile state left to land, and re-drawing the
@@ -153,6 +168,10 @@ class CrashController:
             offset = (i - first) * ATOMIC_UNIT
             self.nvram.persist(addr + offset, data[offset : offset + ATOMIC_UNIT])
         self.cpu.drop_volatile()
+        if self.storage is not None:
+            self.storage.power_fail()
+        if self.nvram.fault_injector is not None:
+            self.nvram.fault_injector.on_power_loss(self.nvram)
 
     # ------------------------------------------------------------------
     # counting

@@ -126,7 +126,3 @@ class UserHeap:
         addr = self.blocks[-1].addr + self.used
         self.used += size
         return addr
-
-    def frames_per_block_estimate(self, frame_size: int) -> float:
-        """How many ``frame_size`` frames fit per block (ablation A1)."""
-        return self.block_size / frame_size if frame_size else 0.0

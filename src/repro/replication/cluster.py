@@ -211,11 +211,7 @@ class Cluster:
         :meth:`SegmentArchive.recover` must salvage at promotion.
         """
         self.kill_ns = self.clock.now_ns
-        if self.primary_node is not None:
-            self.primary_node.alive = False
-            self.primary_node.system.power_fail()
-        else:
-            self.primary_system.power_fail()
+        self.db.system.power_fail()
         self.archive.power_fail()
 
     def promote(self):

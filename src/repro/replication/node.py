@@ -113,7 +113,6 @@ class FollowerNode:
         self.scheme = scheme
         self.checkpoint_threshold = checkpoint_threshold
         self.role = "follower"
-        self.alive = True
         self.term = 0
         self.durable_seq = 0
         self.system = System(
@@ -206,18 +205,19 @@ class FollowerNode:
 
     # -- lifecycle ----------------------------------------------------------
 
+    @property
+    def alive(self) -> bool:
+        """Whether this node's machine has power."""
+        return not self.system.crash.powered_off
+
     def kill(self) -> None:
         """Power-fail this machine; in-flight channel traffic is lost."""
-        if not self.alive:
-            return
-        self.alive = False
         self.system.power_fail()
 
     def restart(self) -> None:
         """Reboot and recover state + cursor from the node's own NVWAL."""
         self.system.reboot()
         self._open()
-        self.alive = True
 
     # -- promotion ----------------------------------------------------------
 

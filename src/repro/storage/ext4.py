@@ -353,7 +353,8 @@ class Ext4FileSystem:
         self._mounted = False
 
     def power_fail(self, landed: Container[int] | None = None) -> None:
-        """Lose OS caches and the device cache but its ``landed`` pages."""
+        """Lose OS caches and the device cache but its ``landed`` pages, and
+        unmount: a ``System``'s power cut runs this as ``crash.storage``."""
         self.device.power_fail(landed)
         self._mounted = False
 

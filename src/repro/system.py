@@ -4,16 +4,17 @@ A :class:`System` wires together the clock, stats, NVRAM device, CPU cache,
 CPU, crash controller, Heapo heap manager, eMMC block device, and EXT4
 filesystem — everything the database stack needs from "hardware".
 
-Reboot semantics: :meth:`power_fail` drops all volatile state (landing a
-random subset of in-flight bytes, per the crash model) and raises nothing;
-:meth:`reboot` then re-attaches the persistent services (heap namespace,
-filesystem journal replay).  Durable NVRAM and flash contents survive, so
-database recovery code can be tested end to end.
+Reboot semantics: a power cut is one event with one "off" flag,
+``crash.powered_off``.  :meth:`power_fail` and an armed crash firing at op
+N run the same cut (:meth:`CrashController.apply_power_loss`): it drops all
+volatile state, CPU, NVRAM and eMMC cache alike (landing a random subset of
+in-flight bytes, per the crash model), decays media under a fault plan and
+unmounts the filesystem.  :meth:`reboot` then re-attaches the persistent
+services (heap namespace, filesystem journal replay).  Durable NVRAM and
+flash contents survive, so database recovery code can be tested end to end.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from repro.config import SystemConfig, tuna
 from repro.faults import BlockIoFaultInjector, FaultPlan, NvramFaultInjector
@@ -54,18 +55,12 @@ class System:
         )
         self.fs = Ext4FileSystem(self.blockdev)
         self.fs.format()
+        self.crash.storage = self.fs
         # Telemetry rides the simulated clock and never touches the CPU
         # model, so instrumented code spends zero simulated time on it.
         # The registry survives power cycles (reboot() doesn't reset it):
         # telemetry is the observer's notebook, not machine state.
         self.telemetry = MetricsRegistry(self.clock, enabled=default_enabled())
-        self.fault_plan: FaultPlan | None = None
-        self.nvram_faults: NvramFaultInjector | None = None
-        self.io_faults: BlockIoFaultInjector | None = None
-        # Machine-level power state.  Distinct from crash.powered_off: a
-        # controller-fired crash only lands CPU/NVRAM state; the machine
-        # side (eMMC cache, media decay, unmount) completes here.
-        self._machine_off = False
 
     # ------------------------------------------------------------------
     # fault injection
@@ -78,13 +73,10 @@ class System:
         cells are observed on reboot); I/O faults start failing timed
         block commands immediately.
         """
-        self.fault_plan = plan
         if plan.media is not None:
-            self.nvram_faults = NvramFaultInjector(plan.media, plan.seed)
-            self.nvram.fault_injector = self.nvram_faults
+            self.nvram.fault_injector = NvramFaultInjector(plan.media, plan.seed)
         if plan.io is not None:
-            self.io_faults = BlockIoFaultInjector(plan.io, plan.seed)
-            self.blockdev.fault_injector = self.io_faults
+            self.blockdev.fault_injector = BlockIoFaultInjector(plan.io, plan.seed)
 
     # ------------------------------------------------------------------
     # power-cycle choreography
@@ -97,27 +89,16 @@ class System:
         lottery and then discarded; durable state is untouched.  Call
         :meth:`reboot` afterwards to bring services back.
 
-        Idempotent: cutting power on a machine that is already off does
-        nothing (see :meth:`CrashController.apply_power_loss`); after a
-        controller-fired crash it completes the machine-level loss
-        (eMMC cache, unmount) without re-landing CPU/NVRAM state.  With a
-        fault plan installed, media decay is applied after the landing
-        lottery, so it corrupts exactly the bytes recovery will read.
+        The same cut an armed crash runs when it fires, so it is
+        idempotent: cutting power on a machine that is already off,
+        by either, does nothing (see
+        :meth:`CrashController.apply_power_loss`).  With a fault plan
+        installed, media decay is applied after the landing lottery, so
+        it corrupts exactly the bytes recovery will read.
         """
-        self.crash.apply_power_loss()  # no-op if the controller already did
-        if self._machine_off:
-            return
-        self._machine_off = True
-        self.blockdev.power_fail()
-        if self.nvram_faults is not None:
-            self.nvram_faults.on_power_loss(self.nvram)
-        self.fs._mounted = False
+        self.crash.apply_power_loss()
 
-    def reboot(
-        self,
-        arm_after_ops: int | None = None,
-        op_filter: Callable[[str], bool] | None = None,
-    ) -> list[int]:
+    def reboot(self) -> list[int]:
         """Boot the machine after a power failure.
 
         Replays the filesystem journal, re-attaches the NVRAM heap
@@ -125,15 +106,12 @@ class System:
         Returns the addresses of the reclaimed blocks — the database layer
         uses this during its own recovery.
 
-        ``arm_after_ops`` re-arms the crash controller *before* the
-        persistent services come back, so the torture harness can sweep
-        crash points inside heap recovery and WAL recovery itself
-        (crash-during-recovery, Section 4.3's hardest case).
+        A crash armed before the call (``crash.arm(k)``) fires inside heap
+        or WAL recovery, so the torture harness can sweep crash points in
+        recovery itself (crash-during-recovery, Section 4.3's hardest
+        case).
         """
         self.crash.power_on()
-        self._machine_off = False
-        if arm_after_ops is not None:
-            self.crash.arm(arm_after_ops, op_filter)
         self.fs.mount()
         self.heapo.attach()
         return self.heapo.recover()

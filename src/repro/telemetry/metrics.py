@@ -300,9 +300,6 @@ class MetricsRegistry:
         record.update(fields)
         self.events.append(record)
 
-    def events_named(self, name: str) -> list[dict]:
-        return [e for e in self.events if e["name"] == name]
-
     def snapshot(self) -> dict:
         """Canonical JSON-able state of every instrument, sorted by name."""
         return {

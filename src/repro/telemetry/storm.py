@@ -39,7 +39,7 @@ def _storm_job(system):
     """Decay NVRAM cells mid-run (no power loss), :data:`STORMS` times."""
     for _ in range(STORMS):
         yield STORM_INTERVAL_NS
-        system.nvram_faults.on_power_loss(system.nvram)
+        system.nvram.fault_injector.on_power_loss(system.nvram)
 
 
 def run_storm(

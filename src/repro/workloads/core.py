@@ -42,6 +42,17 @@ def workload_rng(seed: int, salt: int = 0) -> random.Random:
     return random.Random(mixed)
 
 
+def group_ops(rng: random.Random, ops, txn_size: int) -> tuple[Txn, ...]:
+    """Deal ``ops`` out, in order, as transactions of 1..``txn_size`` ops."""
+    txns: list[Txn] = []
+    index = 0
+    while index < len(ops):
+        take = rng.randint(1, txn_size)
+        txns.append(tuple(ops[index : index + take]))
+        index += take
+    return tuple(txns)
+
+
 # ----------------------------------------------------------------------
 # key-choice samplers (YCSB-style)
 # ----------------------------------------------------------------------

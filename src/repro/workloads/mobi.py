@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from repro.workloads.core import Op, Txn, Workload
+from repro.workloads.core import Op, Txn, Workload, group_ops
 
 TABLE = "t"
 DDL = f"CREATE TABLE {TABLE} (k INTEGER PRIMARY KEY, v TEXT)"
@@ -54,17 +54,6 @@ def generate_txns(seed: int, op_count: int, txn_size: int = 3) -> tuple[Txn, ...
             value = f"s{seed}.{i}." + "x" * rng.randint(4, 24)
         ops.append((kind, k, value))
     return group_ops(rng, ops, txn_size)
-
-
-def group_ops(rng: random.Random, ops, txn_size: int) -> tuple[Txn, ...]:
-    """Deal ``ops`` out, in order, as transactions of 1..``txn_size`` ops."""
-    txns: list[Txn] = []
-    index = 0
-    while index < len(ops):
-        take = rng.randint(1, txn_size)
-        txns.append(tuple(ops[index : index + take]))
-        index += take
-    return tuple(txns)
 
 
 class MobiWorkload(Workload):

@@ -14,7 +14,7 @@ scans.  Values are quarter-integers so REAL round-trips are exact.
 
 from __future__ import annotations
 
-from repro.workloads.core import Op, Txn, Workload, workload_rng
+from repro.workloads.core import Op, Txn, Workload, group_ops, workload_rng
 
 TABLE = "ts"
 INDEX = "ts_source"
@@ -65,13 +65,7 @@ class TimeSeriesWorkload(Workload):
             else:
                 lo = rng.randint(max(1, next_t - WINDOW), next_t)
                 ops.append(("wread", lo, lo + rng.randint(1, WINDOW // 2)))
-        txns: list[Txn] = []
-        index = 0
-        while index < len(ops):
-            take = rng.randint(1, self.txn_size)
-            txns.append(tuple(ops[index : index + take]))
-            index += take
-        return tuple(txns)
+        return group_ops(rng, ops, self.txn_size)
 
     # ------------------------------------------------------------------
     # model

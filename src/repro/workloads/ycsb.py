@@ -28,6 +28,7 @@ from repro.workloads.core import (
     Op,
     Txn,
     Workload,
+    group_ops,
     make_sampler,
     workload_rng,
 )
@@ -139,13 +140,7 @@ class YcsbWorkload(Workload):
             else:  # rmw
                 ops.append(("rmw", pick_key(), f"+r{i}"))
 
-        txns: list[Txn] = []
-        index = 0
-        while index < len(ops):
-            take = rng.randint(1, self.txn_size)
-            txns.append(tuple(ops[index : index + take]))
-            index += take
-        return tuple(txns)
+        return group_ops(rng, ops, self.txn_size)
 
     # ------------------------------------------------------------------
     # model

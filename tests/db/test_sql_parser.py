@@ -75,7 +75,7 @@ class TestSelect:
         assert parse("SELECT a, b FROM t").columns == ("a", "b")
 
     def test_count_star(self):
-        assert parse("SELECT COUNT(*) FROM t").count_star
+        assert parse("SELECT COUNT(*) FROM t").aggregate == ("COUNT", None)
 
     def test_count_as_column_name(self):
         stmt = parse("SELECT count FROM t")

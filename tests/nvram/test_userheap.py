@@ -135,7 +135,3 @@ class TestProtocol:
         heap = UserHeap(system.heapo, block_size=4096)
         alloc = heap.pre_allocate_block()
         assert alloc.size >= 4096
-
-    def test_frames_per_block_estimate(self, heap):
-        assert heap.frames_per_block_estimate(128) == 1024 / 128
-        assert heap.frames_per_block_estimate(0) == 0.0

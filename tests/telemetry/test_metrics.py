@@ -159,7 +159,6 @@ class TestRegistry:
         assert reg.events == [
             {"name": "mode", "at_ns": 1_500, "old": "rw", "new": "ro"}
         ]
-        assert reg.events_named("mode") == reg.events
 
     def test_telemetry_disabled_restores_default(self):
         assert default_enabled()

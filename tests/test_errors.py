@@ -8,7 +8,6 @@ from repro import errors
 def test_everything_derives_from_repro_error():
     leaf_exceptions = [
         errors.AddressError,
-        errors.AlignmentError,
         errors.PowerFailure,
         errors.OutOfNvram,
         errors.BadHandle,
@@ -23,7 +22,6 @@ def test_everything_derives_from_repro_error():
         errors.KeyNotFound,
         errors.DuplicateKey,
         errors.PageError,
-        errors.RecoveryError,
         errors.ChecksumError,
     ]
     for exc in leaf_exceptions:

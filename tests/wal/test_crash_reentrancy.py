@@ -101,7 +101,8 @@ def test_crash_at_every_op_of_recovery(scheme):
     for r in range(1, total + 1):
         system = _crashed_state(scheme, crash_at)
         try:
-            system.reboot(arm_after_ops=r)
+            system.crash.arm(r)
+            system.reboot()
             db2 = make_nvwal_db(system, SCHEMES[scheme]())
             system.crash.disarm()
         except PowerFailure:
