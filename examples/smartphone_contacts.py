@@ -84,7 +84,6 @@ def main() -> None:
         system=flash,
         wal=FileWalBackend(flash, optimized=False),
         name="contacts.db",
-        early_split=False,
     )
     results["stock WAL on eMMC flash"] = run_app(db)
 

@@ -52,15 +52,12 @@ def _recover(backend_kind: str, txns: int, preload: int = 0):
         db.execute(INSERT, (key, "x" * 100))
     system.power_fail()
     system.reboot()
-    fs = system.fs
-    db_file = fs.open("test.db") if fs.exists("test.db") else fs.create("test.db")
     start = system.clock.now_ns
     if backend_kind == "nvwal":
         wal = NvwalBackend(system, NvwalScheme.uh_ls_diff())
-        wal.bind(db_file)
     else:
         wal = FileWalBackend(system, optimized=True)
-        wal.bind_files(db_file, fs, "test.db-wal")
+    wal.bind(system.fs, "test.db")
     wal.recover()
     return (system.clock.now_ns - start) / 1e6, wal.last_recovery
 

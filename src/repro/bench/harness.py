@@ -72,20 +72,15 @@ def make_database(
         wal = NvwalBackend(
             system, backend.scheme, checkpoint_threshold=backend.checkpoint_threshold
         )
-        early_split = True
     elif backend.kind == "journal":
         wal = RollbackJournalBackend(system)
-        early_split = False
     else:
         wal = FileWalBackend(
             system,
             optimized=backend.optimized,
             checkpoint_threshold=backend.checkpoint_threshold,
         )
-        # Stock SQLite has no early-split page reservation (Section 5.4
-        # introduces it as part of the optimized WAL and NVWAL).
-        early_split = backend.optimized
-    return Database(system, wal=wal, early_split=early_split)
+    return Database(system, wal=wal)
 
 
 def run_workload(

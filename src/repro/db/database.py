@@ -5,12 +5,13 @@ single-writer embedded database whose dirty pages go to a pluggable
 write-ahead log at commit (Figure 1).  The Mobibench harness and all
 examples talk to this class.
 
-Lifecycle: constructing a :class:`Database` opens (or creates) the database
-file on the system's filesystem, runs WAL recovery (installing committed
-log content into the page cache), and loads the table catalog.  After a
-simulated power failure, call ``system.reboot()`` and construct a new
-Database over the same system — that is the crash-recovery path the tests
-exercise.
+Lifecycle: constructing a :class:`Database` binds its WAL backend, which
+opens (or creates) the database file and its own log files on the
+system's filesystem and decides the page layout; it then runs WAL recovery
+(installing committed log content into the page cache) and loads the table
+catalog.  After a simulated power failure, call ``system.reboot()`` and
+construct a new Database over the same system — that is the crash-recovery
+path the tests exercise.
 """
 
 from __future__ import annotations
@@ -66,11 +67,8 @@ class Database:
         system: System,
         wal=None,
         name: str = "test.db",
-        early_split: bool = True,
         auto_checkpoint: bool = True,
     ) -> None:
-        from repro.wal.filewal import FileWalBackend
-        from repro.wal.journal import RollbackJournalBackend
         from repro.wal.nvwal import NvwalBackend
 
         self.system = system
@@ -80,34 +78,14 @@ class Database:
         self._compute = system.cpu.compute
         self._statement_ns = system.config.db_costs.statement_ns
         self._txn_base_ns = system.config.db_costs.txn_base_ns
-        fs = system.fs
-        if fs.exists(name):
-            self.db_file = fs.open(name)
-        else:
-            self.db_file = fs.create(name)
         self.wal = wal if wal is not None else NvwalBackend(system)
-        if isinstance(self.wal, FileWalBackend):
-            if self.wal.optimized and not early_split:
-                raise TableError(
-                    "the optimized file WAL requires the early-split pager"
-                )
-            self.wal.bind_files(self.db_file, fs, name + "-wal")
-        elif isinstance(self.wal, RollbackJournalBackend):
-            self.wal.bind_files(self.db_file, fs, name + "-journal")
-        else:
-            self.wal.bind(self.db_file)
-        self.pager = Pager(system, self.db_file, early_split)
+        self.wal.bind(system.fs, name)
+        self.pager = Pager(system, self.wal.db_file, self.wal.early_split)
         for pno, image in self.wal.recover().items():
             self.pager.install_page(pno, image)
         self.executor = Executor(self)
         self._in_explicit_txn = False
         self._txn_owner: object = None
-        #: Optional SQLite-style busy handler: called as ``handler(attempt)``
-        #: when :meth:`begin` finds the writer slot held by a *different*
-        #: owner.  Return True to re-check (after e.g. advancing the
-        #: simulated clock), False to give up — :class:`BusyError` is then
-        #: raised.  With no handler installed contention fails fast.
-        self.busy_handler = None
         self._tables_cache: dict[str, TableInfo] = {}
         self._indexes_cache: dict[str, IndexInfo] = {}
         #: table name -> its indexes sorted by name, same cache generation.
@@ -220,24 +198,13 @@ class Database:
         fronts.  A reentrant BEGIN by the *same* owner (or any BEGIN when
         no owner is tracked) is a clean :class:`TransactionError` that
         leaves the open transaction untouched.  A BEGIN by a *different*
-        owner consults :attr:`busy_handler` and raises :class:`BusyError`
-        once it gives up — the ``SQLITE_BUSY`` path.
+        owner raises :class:`BusyError` — the ``SQLITE_BUSY`` path; the
+        caller decides whether and when to retry.
         """
         if self._in_explicit_txn:
             if owner is not None and owner != self._txn_owner:
-                attempt = 0
-                while (
-                    self._in_explicit_txn
-                    and self.busy_handler is not None
-                    and self.busy_handler(attempt)
-                ):
-                    attempt += 1
-                if self._in_explicit_txn:
-                    raise BusyError(
-                        f"writer slot held by {self._txn_owner!r}"
-                    )
-            else:
-                raise TransactionError("transaction already in progress")
+                raise BusyError(f"writer slot held by {self._txn_owner!r}")
+            raise TransactionError("transaction already in progress")
         self.pager.begin()
         self._in_explicit_txn = True
         self._txn_owner = owner

@@ -21,9 +21,11 @@ the differential-logging evaluation:
   explanation for why delete/update gain less from byte-granularity logging
   than insert does (Section 5.2).
 
-The *early-split* option reserves the trailing 24 bytes of every page so a
-WAL frame header plus page fits exactly in one filesystem block
-(Section 5.4's optimization, applied to both the file WAL and NVWAL).
+The *early-split* reserve keeps the trailing 24 bytes of every page free so
+a WAL frame header plus page fits exactly in one filesystem block
+(Section 5.4's optimization).  The WAL backend decides it
+(``WalBackend.early_split``: NVWAL and the optimized file WAL keep it, the
+stock file WAL and the rollback journal do not) and the pager applies it.
 """
 
 from __future__ import annotations

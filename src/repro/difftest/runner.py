@@ -109,18 +109,15 @@ def build_database(
         system = System(tuna(), seed=0)
     if backend == "nvwal":
         wal = NvwalBackend(system, checkpoint_threshold=checkpoint_threshold)
-        early_split = True
     elif backend == "filewal":
         wal = FileWalBackend(
             system, optimized=True, checkpoint_threshold=checkpoint_threshold
         )
-        early_split = True
     elif backend == "journal":
         wal = RollbackJournalBackend(system)
-        early_split = False
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    return Database(system, wal=wal, early_split=early_split)
+    return Database(system, wal=wal)
 
 
 def run_stream(

@@ -1,7 +1,9 @@
 """Bounded retry of transient errors on the simulated clock.
 
 :func:`retry_io` is the loop of the tiers that cannot yield (the
-filesystem's page commands, the file WAL's fsyncs);
+filesystem's page commands).  That is the one device-level budget: every
+log's fsync — the file WAL's, the rollback journal's, NVWAL's checkpoint
+— gets the same bound from it, and no layer above re-issues a whole fsync;
 :func:`retry_delay_ns` is the "next delay, or raise" step of the service
 tier's generators.  The policy is plain data (picklable, JSON-friendly)
 so chaos scenarios can carry it; the jitter draws from the caller's

@@ -631,7 +631,7 @@ class _Driver(SessionDriver):
 
     def _check_recovery(self, rows, inflight_heads, epoch_members=()) -> None:
         """Ack-durability oracle over the recovered ``rows`` (``None``: no
-        table); rebases the model on a legitimate shed."""
+        table); truncates the model's history to a legitimate shed."""
         if rows is None:
             self.violations.append(
                 "ack-lost: table missing after recovery despite a durable "
@@ -658,8 +658,12 @@ class _Driver(SessionDriver):
         for i in range(n, floor - 1, -1):
             if rows == self.states[i]:
                 if i < n:
+                    # Truncate, do not rebase: the states between the
+                    # last checkpoint and i still live only in the log,
+                    # so a later cut may legitimately drop back to them.
                     self.shed_acked += n - i
-                    self._rebase(self.states[i])
+                    self.states = self.states[: i + 1]
+                    self.kv = dict(rows)
                 return
         self.violations.append(
             f"ack-lost: recovered state ({len(rows)} rows) matches no allowed "

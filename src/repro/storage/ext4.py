@@ -579,7 +579,6 @@ class Ext4FileSystem:
         if self._journal_head + needed > self.journal_blocks:
             self._checkpoint_journal()
         seq = self._journal_seq
-        self._journal_seq += 1
         home_blocks = sorted(images)
         desc = struct.pack(
             _JDESC_FMT, _JMAGIC, _JTYPE_DESC, seq, len(home_blocks)
@@ -595,6 +594,10 @@ class Ext4FileSystem:
             tag="journal",
         )
         self.device.flush()
+        # Only a flushed commit consumes its seq: a write that exhausts
+        # its retries leaves the next attempt at the same seq and slot,
+        # so replay's sequence-contiguous chain keeps every earlier commit.
+        self._journal_seq += 1
         self._journal_head += needed
         self._pending_home.update(images)
         self._dirty_inodes.clear()

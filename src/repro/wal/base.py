@@ -7,7 +7,7 @@ import enum
 from dataclasses import dataclass
 
 from repro.errors import TransactionError
-from repro.storage.ext4 import File
+from repro.storage.ext4 import Ext4FileSystem, File
 from repro.system import System
 
 #: SQLite's default checkpoint threshold: 1000 logged frames.
@@ -67,7 +67,17 @@ class SyncMode(str, enum.Enum):
 
 
 class WalBackend(abc.ABC):
-    """What the database engine needs from a write-ahead log."""
+    """What the database engine needs from a write-ahead log.
+
+    A backend is the one place that knows its files and its page layout:
+    :meth:`bind` opens (or creates) the database file and any log file of
+    its own, and :attr:`early_split` says whether the pager reserves the
+    last ``EARLY_SPLIT_RESERVE`` bytes of every page for the log.
+    """
+
+    #: NVWAL keeps Section 5.4's reserve; backends whose frames carry whole
+    #: pages override this with False.
+    early_split = True
 
     def __init__(
         self,
@@ -85,9 +95,11 @@ class WalBackend(abc.ABC):
         # The occupancy gauges, looked up on the first note_occupancy().
         self._occupancy_gauges = None
 
-    def bind(self, db_file: File) -> None:
-        """Attach the database file (needed for checkpoint and recovery)."""
-        self.db_file = db_file
+    def bind(self, fs: Ext4FileSystem, name: str) -> None:
+        """Open or create the database file ``name`` on ``fs`` (needed for
+        checkpoint and recovery); backends with a log file of their own
+        extend this to open or create it beside the database file."""
+        self.db_file = fs.open(name) if fs.exists(name) else fs.create(name)
 
     # ------------------------------------------------------------------
     # the contract

@@ -7,10 +7,11 @@ Two variants, matching Section 5.4:
   blocks, so appending one frame dirties *two* device pages; every append
   also grows the file, so each fsync journals the inode, block bitmap, and
   group descriptor — the "at least 16 KBytes of I/O per transaction".
-* **optimized** WAL: the early-split B-tree reserves the last 24 bytes of
-  every page, so header + page content fit exactly one filesystem block
-  (the log-file header gets a block of its own), and log pages are
-  pre-allocated with doubling (WALDIO-style), so most appends are
+* **optimized** WAL: the backend keeps the early-split reserve
+  (:attr:`FileWalBackend.early_split`), so the B-tree leaves the last 24
+  bytes of every page free and header + page content fit exactly one
+  filesystem block (the log-file header gets a block of its own), and log
+  pages are pre-allocated with doubling (WALDIO-style), so most appends are
   metadata-free overwrites.  This is what reduces EXT4 journal traffic by
   ~40% in Figure 8.
 """
@@ -22,7 +23,6 @@ import struct
 from repro.db.pager import EARLY_SPLIT_RESERVE
 from repro.errors import TransactionError
 from repro.hw.stats import TimeBucket
-from repro.retry import retry_io
 from repro.storage.ext4 import Ext4FileSystem, File
 from repro.system import System
 from repro.wal.base import (
@@ -43,17 +43,6 @@ _WAL_HEADER_SIZE = 32
 #: Initial pre-allocation, in log pages, for the optimized variant; doubled
 #: every time the pre-allocated region fills up (Section 5.4).
 _INITIAL_PREALLOC_PAGES = 8
-
-#: fsync attempts before a transient IoError propagates.  The filesystem
-#: already retries individual page commands; this second layer absorbs an
-#: fsync whose *last* page write exhausted the lower budget.
-_FSYNC_RETRIES = 3
-
-
-def _fsync_retry(file: File) -> None:
-    """``fsync`` with bounded retry on transient :class:`IoError`."""
-    retry_io(_FSYNC_RETRIES, file.fsync)
-
 
 class FileWalBackend(WalBackend):
     """SQLite-style WAL in a ``.db-wal`` file."""
@@ -76,6 +65,12 @@ class FileWalBackend(WalBackend):
     def name(self) -> str:
         """Paper-style label."""
         return "Optimized WAL" if self.optimized else "WAL"
+
+    @property
+    def early_split(self) -> bool:
+        """Stock SQLite has no early-split page reservation (Section 5.4
+        introduces it as part of the optimized WAL and NVWAL)."""
+        return self.optimized
 
     # -- geometry -----------------------------------------------------------
 
@@ -103,10 +98,11 @@ class FileWalBackend(WalBackend):
 
     # -- binding ------------------------------------------------------------
 
-    def bind_files(self, db_file: File, fs: Ext4FileSystem, wal_name: str) -> None:
-        """Attach both the database file and the log file (creating the log
-        file if needed)."""
-        self.bind(db_file)
+    def bind(self, fs: Ext4FileSystem, name: str) -> None:
+        """Attach the database file and the ``-wal`` log file beside it
+        (creating the log file, with its header, if needed)."""
+        super().bind(fs, name)
+        wal_name = name + "-wal"
         if fs.exists(wal_name):
             self.wal_file = fs.open(wal_name)
         else:
@@ -129,14 +125,14 @@ class FileWalBackend(WalBackend):
         """Append one frame per dirty page; the last carries the commit
         marker; a single fsync makes the transaction durable."""
         if self._append_frames(dirty_pages):
-            _fsync_retry(self.wal_file)
+            self.wal_file.fsync()
             self.note_occupancy()
 
     def _append_frames(self, dirty_pages: dict[int, bytes]) -> bool:
         """Write one transaction's frames, commit marker on the last,
         without syncing them; False when there was nothing to write."""
         if self.wal_file is None:
-            raise RuntimeError("file WAL is not bound (call bind_files)")
+            raise RuntimeError("file WAL is not bound (call bind)")
         if not dirty_pages:
             return False
         costs = self.system.config.db_costs
@@ -182,7 +178,7 @@ class FileWalBackend(WalBackend):
         """One fsync makes every transaction of the epoch durable."""
         txns = super().group_close()
         if txns and self.wal_file is not None:
-            _fsync_retry(self.wal_file)
+            self.wal_file.fsync()
         return txns
 
     def _ensure_preallocated(self, needed_bytes: int) -> None:
@@ -208,7 +204,7 @@ class FileWalBackend(WalBackend):
         at the first invalid frame — a corrupt frame mid-log salvages the
         committed prefix before it, reported in :attr:`last_recovery`."""
         if self.wal_file is None:
-            raise RuntimeError("file WAL is not bound (call bind_files)")
+            raise RuntimeError("file WAL is not bound (call bind)")
         report = RecoveryReport()
         self.last_recovery = report
         self._logged_images.clear()
@@ -219,7 +215,7 @@ class FileWalBackend(WalBackend):
         raw_header = self.wal_file.read(0, _WAL_HEADER_SIZE)
         if len(raw_header) < _WAL_HEADER_SIZE:
             self._write_wal_header()
-            _fsync_retry(self.wal_file)
+            self.wal_file.fsync()
             return {}
         magic, salt, page_size, _flags = struct.unpack_from(
             _WAL_HEADER_FMT, raw_header, 0
@@ -227,7 +223,7 @@ class FileWalBackend(WalBackend):
         if magic != _WAL_MAGIC or page_size != self.system.page_size:
             self._salt += 1
             self._write_wal_header()
-            _fsync_retry(self.wal_file)
+            self.wal_file.fsync()
             report.corruption_detected = True
             report.reason = "log header invalid"
             return {}
@@ -278,11 +274,11 @@ class FileWalBackend(WalBackend):
         for pno in pages:
             self.db_file.write((pno - 1) * page_size, self._logged_images[pno])
         if pages:
-            _fsync_retry(self.db_file)
+            self.db_file.fsync()
         self._salt += 1
         self.wal_file.truncate(0)
         self._write_wal_header()
-        _fsync_retry(self.wal_file)
+        self.wal_file.fsync()
         self._frame_index = 0
         self._prealloc_pages = 0
         self._logged_images.clear()

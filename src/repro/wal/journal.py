@@ -43,6 +43,9 @@ _RECORD_HEADER_FMT = "<III"  # page_no, checksum, pad
 class RollbackJournalBackend(WalBackend):
     """DELETE-mode rollback journaling (the paper's status-quo baseline)."""
 
+    #: Journal records carry whole pre-images; stock SQLite reserves nothing.
+    early_split = False
+
     def __init__(self, system: System) -> None:
         super().__init__(system, DEFAULT_CHECKPOINT_THRESHOLD)
         self.journal_file: File | None = None
@@ -57,11 +60,11 @@ class RollbackJournalBackend(WalBackend):
     # binding
     # ------------------------------------------------------------------
 
-    def bind_files(
-        self, db_file: File, fs: Ext4FileSystem, journal_name: str
-    ) -> None:
-        """Attach the database file and create/open the journal file."""
-        self.bind(db_file)
+    def bind(self, fs: Ext4FileSystem, name: str) -> None:
+        """Attach the database file and open or create the ``-journal``
+        file beside it."""
+        super().bind(fs, name)
+        journal_name = name + "-journal"
         if fs.exists(journal_name):
             self.journal_file = fs.open(journal_name)
         else:

@@ -45,7 +45,6 @@ def make_file_db(
 ) -> Database:
     """Database over a file-WAL backend."""
     wal = FileWalBackend(system, optimized=optimized)
-    kwargs.setdefault("early_split", optimized)
     return Database(system, wal=wal, name=name, **kwargs)
 
 

@@ -52,30 +52,6 @@ class TestBusyPath:
         db.commit(owner="a")
         assert db.row_count("kv") == 1
 
-    def test_busy_handler_bounded_retries(self, db):
-        calls = []
-        db.busy_handler = lambda attempt: calls.append(attempt) or attempt < 2
-        db.begin(owner="a")
-        with pytest.raises(BusyError):
-            db.begin(owner="b")
-        assert calls == [0, 1, 2]
-        db.rollback(owner="a")
-
-    def test_busy_handler_observes_release(self, db):
-        db.begin(owner="a")
-        db.execute("INSERT INTO kv VALUES (1, 'x')")
-
-        def handler(attempt):
-            db.commit(owner="a")  # holder finishes while we wait
-            return True
-
-        db.busy_handler = handler
-        db.begin(owner="b")
-        assert db.in_transaction
-        db.execute("INSERT INTO kv VALUES (2, 'y')")
-        db.commit(owner="b")
-        assert db.row_count("kv") == 2
-
 
 class TestOwnerTracking:
     def test_commit_by_wrong_owner_rejected(self, db):

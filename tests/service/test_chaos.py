@@ -159,6 +159,25 @@ class TestGroupCommit:
         assert first.violations == run_chaos(scenario).violations
 
 
+def test_media_shed_keeps_the_history_still_in_the_log():
+    """Seed 14, minimized: a power cut whose media faults shed acked
+    transactions, then the final power cycle.  The first recovery matches
+    an earlier commit point; the states between the last checkpoint and
+    that point live on in the NVRAM log, so the second recovery may
+    legitimately land on one of them — an oracle that rebased its history
+    to the one matched state reported that as ack-lost."""
+    path = os.path.join(
+        os.path.dirname(__file__), "traces", "media_shed_keeps_log_history.json"
+    )
+    with open(path, encoding="utf-8") as fh:
+        trace = json.load(fh)
+    scenario = scenario_from_dict(trace["scenario"])
+    assert scenario.scheme == "eager" and scenario.power_cycles == (1159,)
+    outcome = run_chaos(scenario)
+    assert outcome.summary["shed_acked"] > 0
+    assert list(outcome.violations) == trace["violations"] == []
+
+
 def test_an_escaped_exception_fails_the_sweep_and_writes_a_trace(
     monkeypatch, tmp_path
 ):

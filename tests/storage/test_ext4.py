@@ -1,13 +1,16 @@
 """Tests for the simplified EXT4 filesystem and its ordered-mode journal."""
 
+import struct
+
 import pytest
 
 from repro.config import BlockDevConfig
-from repro.errors import FileExists, NoSuchFile, StorageError
+from repro.errors import FileExists, IoError, NoSuchFile, StorageError
 from repro.hw.clock import SimClock
 from repro.hw.stats import Stats
 from repro.hw import stats as statnames
 from repro.storage.blockdev import BlockDevice
+from repro.storage import ext4
 from repro.storage.ext4 import Ext4FileSystem
 from repro.storage.trace import BlockTrace
 
@@ -174,6 +177,37 @@ class TestDurability:
         fs.mount()
         assert not fs.exists("gone")
         assert fs.exists("keeper")
+
+    def test_failed_commit_leaves_its_seq_to_the_retry(self):
+        """A journal commit whose commit-block write exhausts its retries
+        consumes no seq: the retry rewrites the same seq in the same ring
+        slot, so replay's sequence-contiguous chain keeps every earlier
+        commit (here, the directory entries of both files)."""
+        fs = make_fs()
+        a = fs.create("a")
+        a.write(0, b"a" * 100)
+        a.fsync()
+        b = fs.create("b")
+        b.write(0, b"b" * 100)
+        b.fsync()
+        a.write(0, b"A" * 100)
+        device = fs.device
+        write_page = device.write_page
+
+        def failing_commit_block(pno, data, tag="unknown"):
+            if struct.unpack_from("<II", data)[1] == ext4._JTYPE_COMMIT:
+                raise IoError(f"commit block {pno} not programmed")
+            write_page(pno, data, tag)
+
+        device.write_page = failing_commit_block
+        with pytest.raises(IoError):
+            a.fsync()
+        del device.write_page
+        a.fsync()  # journals only a's inode block
+        assert device.cached_page_count() == 0
+        fs.power_fail(landed=())
+        fs.mount()
+        assert fs.list_names() == ["a", "b"]
 
     def test_unmount_then_mount_is_clean(self):
         fs = make_fs()

@@ -15,20 +15,17 @@ from repro.errors import IoError
 from repro.faults import FaultPlan, IoFaultSpec
 from repro.faults.inject import BlockIoFaultInjector
 from repro.storage import ext4
-from repro.wal import filewal
 from tests.conftest import make_file_db
 
-#: matches ext4's _IO_RETRIES=4 and filewal's _FSYNC_RETRIES=3 budgets
+#: fits ext4's _IO_RETRIES=4 budget, the one every fsync goes through
 HIGH_RATE = IoFaultSpec(read_error_rate=1.0, write_error_rate=1.0)
 
 
 class TestInjectorContract:
     def test_default_cap_fits_every_retry_budget(self):
         """The default cap lets every bounded retry loop through: ext4's
-        page I/O and the file WAL's fsync each try at least cap + 1 times."""
-        assert IoFaultSpec().max_consecutive + 1 <= min(
-            ext4._IO_RETRIES, filewal._FSYNC_RETRIES
-        )
+        page I/O, under every log's fsync, tries at least cap + 1 times."""
+        assert IoFaultSpec().max_consecutive + 1 <= ext4._IO_RETRIES
 
     def test_consecutive_failures_are_capped(self):
         """Even at a 100% error rate, the (max_consecutive+1)-th attempt
@@ -88,13 +85,17 @@ class TestStackAbsorbsTransients:
         assert system.blockdev.fault_injector.injected > 0
 
     def test_filewal_commits_survive_fsync_faults(self):
-        """The file WAL's fsync retry layer absorbs a transient failure
-        whose page writes exhausted the lower retry budget."""
+        """ext4's page-command retry loop alone absorbs the longest
+        failure streak its budget allows under the file WAL's fsyncs."""
         system = System(tuna(), seed=3)
         system.inject_faults(
             FaultPlan(
                 seed=3,
-                io=IoFaultSpec(read_error_rate=0.2, write_error_rate=0.2),
+                io=IoFaultSpec(
+                    read_error_rate=0.2,
+                    write_error_rate=0.2,
+                    max_consecutive=ext4._IO_RETRIES - 1,
+                ),
             )
         )
         db = make_file_db(system, name="io.db")
@@ -125,7 +126,8 @@ class TestStackAbsorbsTransients:
 
 class TestRetryBudget:
     """The budgets and backoff amounts of the shared retry loop
-    (:func:`repro.retry.retry_io`) as its two storage callers use it."""
+    (:func:`repro.retry.retry_io`) as the filesystem's page commands use
+    it."""
 
     @staticmethod
     def failing_device(kind: str, failures: int) -> System:
@@ -167,23 +169,3 @@ class TestRetryBudget:
         # Three backoffs were slept; the fourth failure is not retried.
         assert system.clock.now_ns - before == latency * (1 + 2 + 4)
         assert system.blockdev.fault_injector.injected == 4
-
-    @pytest.mark.parametrize("failures, survives", [(2, True), (3, False)])
-    def test_fsync_layer_retries_twice_without_backoff(self, failures, survives):
-        from repro.wal.filewal import _fsync_retry
-
-        class FlakyFile:
-            calls = 0
-
-            def fsync(self):
-                self.calls += 1
-                if self.calls <= failures:
-                    raise IoError("transient fsync failure")
-
-        file = FlakyFile()
-        if survives:
-            _fsync_retry(file)
-        else:
-            with pytest.raises(IoError):
-                _fsync_retry(file)
-        assert file.calls == min(failures + 1, 3)

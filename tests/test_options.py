@@ -10,11 +10,18 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+from functools import partial
 
+from repro import Database, System, tuna
 from repro.archive import ArchiveConfig
+from repro.db.pager import EARLY_SPLIT_RESERVE
 from repro.replication import ReplicationConfig, Replicator
 from repro.service import ClientSession, DatabaseService, ServiceConfig
 from repro.telemetry.storm import run_storm
+from repro.wal.base import WalBackend
+from repro.wal.filewal import FileWalBackend
+from repro.wal.journal import RollbackJournalBackend
+from repro.wal.nvwal import SCHEMES, NvwalBackend
 
 
 def fields(config_class) -> list[str]:
@@ -62,3 +69,28 @@ def test_archive_cadences_reach_the_cold_store_unrepacked():
     assert Cluster(ReplicationConfig(followers=0), seed=1).archive.config == (
         ArchiveConfig()
     )
+
+
+
+def test_the_wal_backend_owns_its_files_and_its_page_reserve():
+    assert parameters(Database.__init__) == [
+        "system", "wal", "name", "auto_checkpoint",
+    ]
+    assert parameters(WalBackend.bind) == ["fs", "name"]
+
+
+def test_the_backend_decides_the_early_split_reserve():
+    """NVWAL and the optimized file WAL keep Section 5.4's reserve; the
+    stock file WAL and the rollback journal log whole pages."""
+    table = [
+        (name, lambda system, make=make: NvwalBackend(system, make()), EARLY_SPLIT_RESERVE)
+        for name, make in SCHEMES.items()
+    ] + [
+        ("optimized WAL", partial(FileWalBackend, optimized=True), EARLY_SPLIT_RESERVE),
+        ("stock WAL", FileWalBackend, 0),
+        ("rollback journal", RollbackJournalBackend, 0),
+    ]
+    for label, make, reserve in table:
+        system = System(tuna(), seed=0)
+        pager = Database(system, wal=make(system)).pager
+        assert pager.usable_size == system.page_size - reserve, label

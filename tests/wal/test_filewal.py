@@ -143,12 +143,3 @@ class TestRecovery:
             system.reboot()
             db = make_file_db(system, optimized)
             assert db.row_count("t") == cycle + 1
-
-    def test_optimized_requires_early_split(self, system):
-        from repro.errors import TableError
-        from repro.wal.filewal import FileWalBackend
-        from repro import Database
-
-        wal = FileWalBackend(system, optimized=True)
-        with pytest.raises(TableError):
-            Database(system, wal=wal, early_split=False)

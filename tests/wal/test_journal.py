@@ -14,7 +14,6 @@ def make_journal_db(system, name="test.db"):
         system,
         wal=RollbackJournalBackend(system),
         name=name,
-        early_split=False,
     )
 
 
@@ -39,7 +38,7 @@ class TestBasics:
         db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v TEXT)")
         db.execute("INSERT INTO t VALUES (1, 'x')")
         # no checkpoint needed — journal mode writes the db file in place
-        assert db.db_file.size > 0
+        assert db.wal.db_file.size > 0
         assert db.wal.frame_count() == 0
 
     def test_journal_truncated_after_commit(self, system):

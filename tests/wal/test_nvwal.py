@@ -150,7 +150,7 @@ class TestCheckpoint:
         pages = db.checkpoint()
         assert pages > 0
         assert db.wal.frame_count() == 0
-        assert db.db_file.size > 0
+        assert db.wal.db_file.size > 0
 
     def test_checkpoint_frees_all_blocks(self, system):
         db = make_nvwal_db(system)

@@ -83,7 +83,7 @@ def _run_script(system: System, name: str, epoch: int) -> None:
     """The transactions solo or in epochs of ``epoch``, with a checkpoint
     after the first three, so the log holds a second generation."""
     wal = NvwalBackend(system, SCHEMES[name]())
-    wal.bind(system.fs.open(DB_NAME))
+    wal.bind(system.fs, DB_NAME)
     for i, dirty in enumerate(TXNS):
         if i == 3:
             wal.checkpoint()
@@ -114,7 +114,7 @@ def _crashed_machine(name: str, epoch: int, crash_at: int) -> System:
 def _recover(cls, system: System, name: str):
     """Recover with ``cls``; what recovery leaves behind, and its cost."""
     wal = cls(system, SCHEMES[name]())
-    wal.bind(system.fs.open(DB_NAME))
+    wal.bind(system.fs, DB_NAME)
     started = system.clock.now_ns
     images = wal.recover()
     state = (
@@ -167,7 +167,7 @@ def test_recovery_equals_the_always_read_reference_at_every_crash_point(
 def test_a_partial_first_frame_reads_exactly_one_base():
     system = _machine()
     wal = NvwalBackend(system, SCHEMES["uh_ls_diff"]())
-    wal.bind(system.fs.open(DB_NAME))
+    wal.bind(system.fs, DB_NAME)
     # Seed the diff base with the file's copy of page 2, so the log's only
     # frame for it carries just the rewritten bytes.
     wal._logged_images[2] = BASE[2]
@@ -177,7 +177,7 @@ def test_a_partial_first_frame_reads_exactly_one_base():
     system.power_fail()
     system.reboot()
     wal = NvwalBackend(system, SCHEMES["uh_ls_diff"]())
-    wal.bind(system.fs.open(DB_NAME))
+    wal.bind(system.fs, DB_NAME)
     images = wal.recover()
     assert images[2] == bytes(image)
     assert wal.last_recovery.frames_replayed == 2

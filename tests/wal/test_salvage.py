@@ -181,7 +181,7 @@ class TestJournalSalvage:
         db_file.write(page_size, orig2)
         db_file.fsync()
         backend = RollbackJournalBackend(system)
-        backend.bind_files(db_file, fs, "j.db-journal")
+        backend.bind(fs, "j.db")
 
         # The transaction stalls after journaling its undo images but
         # before its commit point: the journal is hot with two records.
