@@ -19,6 +19,9 @@ from repro.hw.stats import Stats
 
 _OPS = ("insert", "update", "delete")
 
+#: The one table every run writes.
+TABLE = "mobibench"
+
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -29,7 +32,6 @@ class WorkloadSpec:
     ops_per_txn: int = 1
     value_size: int = 100
     seed: int = 1234
-    table: str = "mobibench"
     #: 0 = per-transaction commit (classic Mobibench).  N > 0 batches N
     #: transactions into one WAL epoch: each transaction joins the open
     #: epoch via ``group_commit`` and the epoch closes (one flush +
@@ -102,7 +104,7 @@ class Mobibench:
         """
         spec = self.spec
         self.db.execute(
-            f"CREATE TABLE IF NOT EXISTS {spec.table} "
+            f"CREATE TABLE IF NOT EXISTS {TABLE} "
             "(key INTEGER PRIMARY KEY, value TEXT)"
         )
         if spec.op == "insert":
@@ -111,7 +113,7 @@ class Mobibench:
         with self.db.transaction():
             for key in range(total):
                 self.db.execute(
-                    f"INSERT INTO {spec.table} VALUES (?, ?)",
+                    f"INSERT INTO {TABLE} VALUES (?, ?)",
                     (key, self._value()),
                 )
         # Start the measured phase from a clean log, as Mobibench restarts
@@ -185,7 +187,7 @@ class Mobibench:
         spec = self.spec
         if spec.op == "insert":
             self.db.execute(
-                f"INSERT INTO {spec.table} VALUES (?, ?)",
+                f"INSERT INTO {TABLE} VALUES (?, ?)",
                 (key_cursor, self._value()),
             )
             return key_cursor + 1
@@ -193,12 +195,12 @@ class Mobibench:
             total = spec.txns * spec.ops_per_txn
             key = self.rng.randrange(total)
             self.db.execute(
-                f"UPDATE {spec.table} SET value = ? WHERE key = ?",
+                f"UPDATE {TABLE} SET value = ? WHERE key = ?",
                 (self._value(), key),
             )
             return key_cursor
         # delete: remove keys sequentially so every delete hits a row
         self.db.execute(
-            f"DELETE FROM {spec.table} WHERE key = ?", (key_cursor,)
+            f"DELETE FROM {TABLE} WHERE key = ?", (key_cursor,)
         )
         return key_cursor + 1

@@ -187,6 +187,14 @@ class BlockIoFaultInjector:
         self._consecutive.pop(key, None)
 
 
+#: Consecutive drops per channel at most, so resends always land.
+MAX_CONSECUTIVE_DROPS = 3
+#: A duplicate arrives this long after its original.
+DUPLICATE_DELAY_NS = 300_000
+#: A reordered batch is held back 1-4 times this long.
+REORDER_DELAY_NS = 500_000
+
+
 class ShipFaultInjector:
     """Seeded drop/duplicate/reorder/bit-flip faults for one replication
     channel.
@@ -214,14 +222,14 @@ class ShipFaultInjector:
         """Fate of one sent batch: list of (extra delay ns, bytes) copies."""
         spec = self.spec
         if self.rng.random() < spec.drop_rate:
-            if self._consecutive_drops < spec.max_consecutive:
+            if self._consecutive_drops < MAX_CONSECUTIVE_DROPS:
                 self._consecutive_drops += 1
                 self.dropped += 1
                 return []
         self._consecutive_drops = 0
         delay = 0
         if self.rng.random() < spec.reorder_rate:
-            delay = spec.reorder_delay_ns * (1 + self.rng.randrange(4))
+            delay = REORDER_DELAY_NS * (1 + self.rng.randrange(4))
             self.reordered += 1
         if self.rng.random() < spec.corrupt_rate and payload:
             flipped = bytearray(payload)
@@ -231,6 +239,6 @@ class ShipFaultInjector:
             self.corrupted += 1
         out = [(delay, payload)]
         if self.rng.random() < spec.duplicate_rate:
-            out.append((delay + spec.duplicate_delay_ns, payload))
+            out.append((delay + DUPLICATE_DELAY_NS, payload))
             self.duplicated += 1
         return out

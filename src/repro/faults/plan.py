@@ -21,7 +21,7 @@ minimized.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -64,12 +64,12 @@ class ShipFaultSpec:
     """Seeded misbehaviour of the log-shipping replication channel.
 
     Each shipped segment batch independently suffers (in check order):
-    **drop** — the batch never arrives (capped at ``max_consecutive``
-    consecutive drops per channel, so resends always make progress);
-    **duplicate** — a second copy arrives ``duplicate_delay_ns`` later;
-    **reorder** — delivery is delayed by 1–4 × ``reorder_delay_ns``, so
-    a later batch overtakes it; **corrupt** — one seeded bit of the
-    payload flips in flight.  Followers are expected to absorb all four:
+    **drop** — the batch never arrives (a few consecutive drops per
+    channel at most, so resends always make progress); **duplicate** — a
+    second copy arrives later; **reorder** — delivery is delayed, so a
+    later batch overtakes it; **corrupt** — one seeded bit of the payload
+    flips in flight.  The cap and the delays are constants of
+    :mod:`repro.faults.inject`.  Followers are expected to absorb all four:
     segment decode validates checksums and close words, and the
     sequence-number cursor makes duplicates and stale reorders no-ops.
     """
@@ -78,9 +78,6 @@ class ShipFaultSpec:
     duplicate_rate: float = 0.0
     reorder_rate: float = 0.0
     corrupt_rate: float = 0.0
-    max_consecutive: int = 3
-    duplicate_delay_ns: int = 300_000
-    reorder_delay_ns: int = 500_000
 
 
 @dataclass(frozen=True)
@@ -111,13 +108,19 @@ class FaultPlan:
 
     @classmethod
     def from_json(cls, data: dict) -> "FaultPlan":
-        """Rebuild a plan from :meth:`to_json` output."""
+        """Rebuild a plan from :meth:`to_json` output.  A spec key this
+        code no longer has is ignored, so older traces still replay."""
+
+        def spec(spec_class, key):
+            if not data.get(key):
+                return None
+            names = {f.name for f in fields(spec_class)}
+            return spec_class(**{k: v for k, v in data[key].items() if k in names})
+
         return cls(
             seed=data.get("seed", 0),
-            media=MediaFaultSpec(**data["media"]) if data.get("media") else None,
-            io=IoFaultSpec(**data["io"]) if data.get("io") else None,
-            ship=ShipFaultSpec(**data["ship"]) if data.get("ship") else None,
-            archive_io=IoFaultSpec(**data["archive_io"])
-            if data.get("archive_io")
-            else None,
+            media=spec(MediaFaultSpec, "media"),
+            io=spec(IoFaultSpec, "io"),
+            ship=spec(ShipFaultSpec, "ship"),
+            archive_io=spec(IoFaultSpec, "archive_io"),
         )

@@ -79,6 +79,15 @@ MODE_ROTATION = ("semisync", "sync", "async")
 
 _GRIM_POLL_NS = 100_000
 _SETTLE_POLL_NS = 200_000
+#: Cadence of each follower's bounded-staleness read.
+_READ_INTERVAL_NS = 600_000
+#: Budget for followers to reach the head after the clients drain.
+_SETTLE_NS = 60_000_000
+#: Absolute sim-time liveness deadline for the client phase.
+_DEADLINE_NS = 4_000_000_000
+#: Aggressive archive cadences (vs the production defaults) so short storms
+#: still roll files, advance the floor, and GC.
+_ARCHIVE = ArchiveConfig(epochs_per_file=4, snapshot_every=12, gc_every=4)
 
 
 @dataclass(frozen=True)
@@ -99,18 +108,7 @@ class ReplicationScenario:
     follower_kills: tuple = ()
     #: A planted bug by name (:data:`SABOTAGED_CLUSTERS`); "" for none.
     sabotage: str = ""
-    read_interval_ns: int = 600_000
-    #: Aggressive archive cadences (vs the production defaults) so short storms
-    #: still roll files, advance the floor, and GC.
-    archive_epochs_per_file: int = 4
-    archive_snapshot_every: int = 12
-    archive_gc_every: int = 4
-    checkpoint_threshold: int = 48
     group_commit: bool = True
-    #: budget for followers to reach the head after the clients drain.
-    settle_ns: int = 60_000_000
-    #: absolute sim-time liveness deadline for the client phase.
-    deadline_ns: int = 4_000_000_000
 
 
 class _UnverifyingFollower(FollowerNode):
@@ -323,12 +321,7 @@ class _Driver(SessionDriver):
                 followers=sc.followers,
                 mode=sc.mode,
                 scheme=sc.scheme,
-                checkpoint_threshold=sc.checkpoint_threshold,
-                archive=ArchiveConfig(
-                    epochs_per_file=sc.archive_epochs_per_file,
-                    snapshot_every=sc.archive_snapshot_every,
-                    gc_every=sc.archive_gc_every,
-                ),
+                archive=_ARCHIVE,
             ),
             seed=sc.seed,
             ship_spec=sc.plan.ship if sc.plan is not None else None,
@@ -396,7 +389,7 @@ class _Driver(SessionDriver):
     def _follower_reader(self, node):
         """Daemon: bounded-staleness checked reads against one follower."""
         while True:
-            yield self.scenario.read_interval_ns
+            yield _READ_INTERVAL_NS
             if not node.alive or node.role != "follower":
                 continue
             if node.term != self.cluster.term:
@@ -540,7 +533,7 @@ class _Driver(SessionDriver):
             scheduler = Scheduler(self.clock)
 
             def waiter():
-                deadline = self.clock.now_ns + self.scenario.settle_ns
+                deadline = self.clock.now_ns + _SETTLE_NS
                 while self.clock.now_ns < deadline:
                     if not self._lagging():
                         return
@@ -670,13 +663,13 @@ class _Driver(SessionDriver):
             if sc.writer_kill_ns or sc.follower_kills:
                 scheduler.spawn("grim", self._grim_job(), daemon=True)
             try:
-                scheduler.run(deadline_ns=self.start_ns + sc.deadline_ns)
+                scheduler.run(deadline_ns=self.start_ns + _DEADLINE_NS)
                 self._absorb_stats(service)
                 if any(not j.done and not j.daemon for j in scheduler.jobs):
                     stalled = True
                     self.violations.append(
                         "replication-stalled: client(s) still blocked at "
-                        f"the {sc.deadline_ns // 1_000_000} ms liveness "
+                        f"the {_DEADLINE_NS // 1_000_000} ms liveness "
                         "deadline"
                     )
                     scheduler.abandon()

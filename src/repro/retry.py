@@ -5,19 +5,28 @@ filesystem's page commands).  That is the one device-level budget: every
 log's fsync — the file WAL's, the rollback journal's, NVWAL's checkpoint
 — gets the same bound from it, and no layer above re-issues a whole fsync;
 :func:`retry_delay_ns` is the "next delay, or raise" step of the service
-tier's generators.  The policy is plain data (picklable, JSON-friendly)
-so chaos scenarios can carry it; the jitter draws from the caller's
-seeded RNG stream, so backoff timing is deterministic per run yet
-decorrelated across sessions — full jitter, the standard defense against
-retry storms synchronizing into thundering herds.
+tier's generators, on one exponential backoff schedule (the constants
+below).  The jitter draws from the caller's seeded RNG stream, so backoff
+timing is deterministic per run yet decorrelated across sessions — full
+jitter, the standard defense against retry storms synchronizing into
+thundering herds.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from repro.errors import DeadlineExceeded, IoError, ReproError
+
+#: Calls of a retried service request, the first one included.
+MAX_ATTEMPTS = 5
+#: Backoff before the first retry; each later one multiplies it ...
+BASE_DELAY_NS = 200_000  # 0.2 ms
+BACKOFF_MULTIPLIER = 2.0
+#: ... up to this cap.
+MAX_DELAY_NS = 50_000_000  # 50 ms
+#: Fraction of each delay drawn uniformly at random.
+JITTER = 0.5
 
 
 def retry_io(attempts: int, fn, *args, clock=None, backoff_ns: int = 0):
@@ -34,36 +43,21 @@ def retry_io(attempts: int, fn, *args, clock=None, backoff_ns: int = 0):
                 clock.advance(backoff_ns << attempt)
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Exponential backoff schedule for retryable errors."""
-
-    max_attempts: int = 5
-    base_delay_ns: int = 200_000  # 0.2 ms
-    multiplier: float = 2.0
-    max_delay_ns: int = 50_000_000  # 50 ms cap
-    jitter: float = 0.5  # fraction of the delay drawn uniformly at random
-
-    def delay_ns(self, attempt: int, rng: random.Random) -> int:
-        """Backoff before retry number ``attempt`` (0-based)."""
-        raw = min(
-            self.base_delay_ns * self.multiplier**attempt, self.max_delay_ns
-        )
-        if self.jitter > 0.0:
-            raw = raw * (1.0 - self.jitter) + raw * self.jitter * rng.random()
-        return max(1, int(raw))
+def backoff_delay_ns(attempt: int, rng: random.Random) -> int:
+    """Backoff before retry number ``attempt`` (0-based)."""
+    raw = min(BASE_DELAY_NS * BACKOFF_MULTIPLIER**attempt, MAX_DELAY_NS)
+    raw = raw * (1.0 - JITTER) + raw * JITTER * rng.random()
+    return max(1, int(raw))
 
 
-def retry_delay_ns(
-    policy: RetryPolicy, attempt: int, rng, clock, deadline_ns, exc: ReproError
-) -> int:
+def retry_delay_ns(attempt: int, rng, clock, deadline_ns, exc: ReproError) -> int:
     """The sleep before retry number ``attempt`` (0-based) of a request
     that failed with ``exc``.  Re-raises ``exc`` once the budget is spent;
     a sleep that would overrun ``deadline_ns`` raises
     :class:`DeadlineExceeded` instead."""
-    if attempt + 1 >= policy.max_attempts:
+    if attempt + 1 >= MAX_ATTEMPTS:
         raise exc
-    delay = policy.delay_ns(attempt, rng)
+    delay = backoff_delay_ns(attempt, rng)
     if deadline_ns is not None and clock.now_ns + delay > deadline_ns:
         raise DeadlineExceeded(
             f"retry backoff would overrun the deadline "
@@ -74,7 +68,6 @@ def retry_delay_ns(
 
 def call_with_retry(
     fn,
-    policy: RetryPolicy,
     rng: random.Random,
     clock,
     deadline_ns: float | None = None,
@@ -95,5 +88,5 @@ def call_with_retry(
         except ReproError as exc:
             if not exc.retryable:
                 raise
-            yield retry_delay_ns(policy, attempt, rng, clock, deadline_ns, exc)
+            yield retry_delay_ns(attempt, rng, clock, deadline_ns, exc)
             attempt += 1

@@ -16,7 +16,6 @@ oracle checking, seeded digests, and auto-minimized failing traces.
 """
 
 from repro.service.breaker import CircuitBreaker
-from repro.retry import RetryPolicy
 from repro.service.sched import Job, Scheduler
 from repro.service.server import DatabaseService, ServiceConfig
 from repro.service.session import ClientSession
@@ -26,7 +25,6 @@ __all__ = [
     "ClientSession",
     "DatabaseService",
     "Job",
-    "RetryPolicy",
     "Scheduler",
     "ServiceConfig",
 ]

@@ -66,6 +66,9 @@ DEFAULT_CHAOS_THRESHOLD = 48
 #: Attempts at rebooting + recovering before recovery counts as dead.
 _RECOVERY_ATTEMPTS = 10
 
+#: Simulated time between NVRAM decay storms.
+_STORM_INTERVAL_NS = 4_000_000
+
 READ_SQL = f"SELECT k, v FROM {TABLE}"
 
 
@@ -82,7 +85,6 @@ class ChaosScenario:
     #: runtime NVRAM decay events (requires plan.media); each storm
     #: re-applies the media spec to the durable image mid-run.
     storms: int = 0
-    storm_interval_ns: int = 4_000_000
     #: primitive-op counts (per power-on epoch) at which power is cut.
     power_cycles: tuple = ()
     checkpoint_threshold: int = DEFAULT_CHAOS_THRESHOLD
@@ -683,7 +685,7 @@ class _Driver(SessionDriver):
     def _storm_job(self):
         nvram = self.system.nvram
         while self.storms_done < self.scenario.storms:
-            yield self.scenario.storm_interval_ns
+            yield _STORM_INTERVAL_NS
             if nvram.fault_injector is None:
                 return
             nvram.fault_injector.on_power_loss(nvram)

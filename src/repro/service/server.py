@@ -30,7 +30,7 @@ design already paid for.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.db.database import Database
 from repro.errors import (
@@ -46,7 +46,7 @@ from repro.errors import (
     SqlError,
 )
 from repro.service.breaker import CircuitBreaker
-from repro.retry import RetryPolicy, call_with_retry, retry_delay_ns
+from repro.retry import call_with_retry, retry_delay_ns
 from repro.telemetry.metrics import COUNT_BOUNDS
 from repro.workloads.mobi import TABLE
 
@@ -78,15 +78,14 @@ BATCHER_POLL_NS = 100_000  # 0.1 ms
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """What a deployment chooses; the cadences above are constants."""
+    """What a deployment chooses; the cadences above and the retry
+    backoff schedule (:mod:`repro.retry`) are constants."""
 
     #: Group commit: committed transactions join a shared WAL epoch and
     #: park until the epoch is closed — one flush + persist-barrier
     #: sequence covers the whole batch, and acks are released only after
     #: that barrier.
     group_commit: bool = False
-    #: Backoff schedule for transient IoError retries.
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: Consecutive media failures before the breaker trips (demotes).
     breaker_threshold: int = 2
     #: Simulated cooldown before a half-open health probe is allowed.
@@ -283,8 +282,7 @@ class DatabaseService:
             except IoError as exc:
                 try:
                     delay = retry_delay_ns(
-                        self.config.retry, attempt, self.rng, self.clock,
-                        deadline_ns, exc,
+                        attempt, self.rng, self.clock, deadline_ns, exc
                     )
                 except DeadlineExceeded:
                     # The budget granted the retry; the deadline did not.
@@ -483,7 +481,6 @@ class DatabaseService:
         self._check_deadline(deadline_ns)
         rows = yield from call_with_retry(
             lambda: self.db.snapshot_query(sql, params),
-            self.config.retry,
             self.rng,
             self.clock,
             deadline_ns=deadline_ns,

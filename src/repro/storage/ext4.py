@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import heapq
 import struct
+import zlib
 from collections.abc import Container
 from itertools import chain
 
@@ -68,7 +69,9 @@ _DIRENT_SIZE = 64
 _DIRENT_FMT = "<B3xI56s"
 
 _JMAGIC = 0x4A42_4432  # "JBD2"
-_JDESC_FMT = "<IIQI"  # magic, type, seq, n_blocks
+#: magic, type, seq, then n_blocks (descriptor) or the transaction's
+#: checksum (commit): crc32 over the descriptor and image blocks.
+_JDESC_FMT = "<IIQI"
 _JTYPE_DESC = 1
 _JTYPE_COMMIT = 2
 
@@ -584,10 +587,16 @@ class Ext4FileSystem:
             _JDESC_FMT, _JMAGIC, _JTYPE_DESC, seq, len(home_blocks)
         ) + struct.pack(f"<{len(home_blocks)}I", *home_blocks)
         jpos = self.journal_start + self._journal_head
-        self._dev_write(jpos, desc.ljust(self.page_size, b"\x00"), tag="journal")
+        desc = desc.ljust(self.page_size, b"\x00")
+        self._dev_write(jpos, desc, tag="journal")
+        checksum = zlib.crc32(desc)
         for i, bno in enumerate(home_blocks):
             self._dev_write(jpos + 1 + i, images[bno], tag="journal")
-        commit = struct.pack(_JDESC_FMT, _JMAGIC, _JTYPE_COMMIT, seq, 0)
+            checksum = zlib.crc32(images[bno], checksum)
+        # The commit block lands in the same flush as the blocks it
+        # covers, so it may outlive them: its checksum says whether they
+        # all landed (JBD2's COMPAT_CHECKSUM).
+        commit = struct.pack(_JDESC_FMT, _JMAGIC, _JTYPE_COMMIT, seq, checksum)
         self._dev_write(
             jpos + 1 + len(home_blocks),
             commit.ljust(self.page_size, b"\x00"),
@@ -624,11 +633,24 @@ class Ext4FileSystem:
         superseded it.  Its seq is then cut off from the newest by a gap
         (the overwritten successors, whose images are already home), and
         replaying it would put a stale image over the newer home copy.
+
+        A transaction whose commit checksum does not match its blocks (a
+        power cut landed the commit block but not every image) is not
+        replayed.  Only one that can be torn is hashed, newest seq first:
+        the newest, and one whose successor sits at ring position 0.  Any
+        other had its successor written after its own flush returned, and
+        a flushed page stays as it landed.  A torn transaction is always
+        one of the two: the next mount restarts the ring at position 0,
+        and the next commit takes the next seq.  A refused newest
+        transaction still anchors the chain, which must go on at the seq
+        below it: a gap there means everything older is home already, and
+        an earlier lap left in the ring must not head a chain of its own.
         """
-        txns: dict[int, dict[int, bytes]] = {}
+        read = self.device.read_page_silent
+        found: dict[int, tuple[int, list[int], int]] = {}
         pos = 0
         while pos < self.journal_blocks:
-            raw = self.device.read_page_silent(self.journal_start + pos)
+            raw = read(self.journal_start + pos)
             magic, jtype, seq, n_blocks = struct.unpack_from(_JDESC_FMT, raw, 0)
             if magic != _JMAGIC or jtype != _JTYPE_DESC:
                 pos += 1
@@ -640,24 +662,41 @@ class Ext4FileSystem:
             end = pos + 1 + n_blocks
             if end >= self.journal_blocks:
                 break
-            commit_raw = self.device.read_page_silent(self.journal_start + end)
-            cmagic, ctype, cseq, _ = struct.unpack_from(_JDESC_FMT, commit_raw, 0)
+            commit_raw = read(self.journal_start + end)
+            cmagic, ctype, cseq, checksum = struct.unpack_from(
+                _JDESC_FMT, commit_raw, 0
+            )
             if cmagic == _JMAGIC and ctype == _JTYPE_COMMIT and cseq == seq:
-                txns[seq] = {
-                    bno: self.device.read_page_silent(self.journal_start + pos + 1 + i)
-                    for i, bno in enumerate(home_blocks)
-                }
+                found[seq] = (pos, home_blocks, checksum)
                 self._journal_seq = max(self._journal_seq, seq + 1)
                 pos = end + 1
             else:
                 pos += 1
+
+        def intact(seq: int) -> dict[int, bytes] | None:
+            start, home_blocks, checksum = found[seq]
+            base = self.journal_start + start
+            images = {bno: read(base + 1 + i) for i, bno in enumerate(home_blocks)}
+            if seq == newest or found[seq + 1][0] == 0:
+                crc = zlib.crc32(read(base))
+                for image in images.values():
+                    crc = zlib.crc32(image, crc)
+                if crc != checksum:
+                    return None
+            return images
+
+        chain: list[dict[int, bytes]] = []
+        newest = seq = max(found, default=0)
+        while seq in found:
+            images = intact(seq)
+            if images is not None:
+                chain.append(images)
+            elif chain:
+                break
+            seq -= 1
         replayed: dict[int, bytes] = {}
-        if txns:
-            last = first = max(txns)
-            while first - 1 in txns:
-                first -= 1
-            for seq in range(first, last + 1):
-                replayed.update(txns[seq])
+        for images in reversed(chain):
+            replayed.update(images)
         self._journal_head = 0
         return replayed
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 _CHART_WIDTH = 50
 _CHART_ROWS = 18
 
-#: (kind, key) series charted by default when present in the samples.
-DEFAULT_CHARTS = (
+#: (kind, key) series charted when present in the samples.
+CHARTS = (
     ("gauges", "wal.frames"),
     ("counters", "service.breaker_trips"),
 )
@@ -138,7 +138,7 @@ def render_chart(samples: list, kind: str, key: str) -> list[str]:
     return lines + [""]
 
 
-def render_report(doc: dict, charts=DEFAULT_CHARTS) -> str:
+def render_report(doc: dict) -> str:
     """The full plain-text dashboard for one export document."""
     meta = doc.get("meta", {})
     metrics = doc.get("metrics", {})
@@ -162,6 +162,6 @@ def render_report(doc: dict, charts=DEFAULT_CHARTS) -> str:
     lines += _render_histograms(metrics.get("histograms", {}))
     lines += _render_spans(doc.get("spans", {}))
     lines += _render_events(doc.get("events", []))
-    for kind, key in charts:
+    for kind, key in CHARTS:
         lines += render_chart(samples, kind, key)
     return "\n".join(lines)

@@ -521,7 +521,10 @@ class NvwalBackend(WalBackend):
         self._epoch = None  # any open epoch died with the crash
 
         chain = self._walk_chain(report)
-        committed, tail_position = self._scan_frames(chain, report)
+        committed, tail_position, stop = self._scan_frames(chain, report)
+        # Decided before the chain past the tail is freed: its blocks may
+        # come back at the same addresses (see the end of this method).
+        stale = stop is not None and self._commits_past(chain, stop)
 
         # Rebuild volatile allocator state up to the end of committed data.
         reachable = set()
@@ -577,7 +580,41 @@ class NvwalBackend(WalBackend):
             report.epochs_replayed = len(report.commit_boundaries)
         if report.corruption_detected:
             report.frames_salvaged = len(committed)
+        if stale:
+            # Salvage kept a prefix, but committed frames of this log
+            # generation lie past it.  An append that ends where one of
+            # them begins (resubmitted transactions log identical bytes)
+            # would make a later scan replay it as a transaction of the
+            # new history.  A checkpoint retires the generation.
+            self.checkpoint()
         return images
+
+    def _commits_past(
+        self, chain: list[NvAllocation], stop: tuple[int, int | None]
+    ) -> bool:
+        """Whether the log past a salvage ``stop`` — (block index, offset
+        just past the refused frame), offset None if the block was
+        unreadable — holds an intact committed frame of the current
+        generation, or cannot be read.  Read-only, and charges no time."""
+        block_index, pos = stop
+        if pos is None:
+            return True
+        try:
+            for alloc in chain[block_index:]:
+                raw = self.cpu.load_free(alloc.addr, alloc.size)
+                while True:
+                    try:
+                        frame, _checksum, word, intact, pos = decode_nv_frame(
+                            raw, pos, alloc.size, self.checksum_bits
+                        )
+                    except FrameFormatError:
+                        break
+                    if intact and word and frame.checkpoint_id == self._checkpoint_id:
+                        return True
+                pos = _BLOCK_HEADER_SIZE
+        except MediaError:
+            return True
+        return False
 
     def _walk_chain(self, report: RecoveryReport) -> list[NvAllocation]:
         """Follow the persistent block list, dropping dangling references
@@ -628,9 +665,11 @@ class NvwalBackend(WalBackend):
 
     def _scan_frames(
         self, chain: list[NvAllocation], report: RecoveryReport
-    ) -> tuple[list[NvFrame], tuple[int, int] | None]:
-        """Parse frames block by block; return the committed prefix and the
-        position (block index, offset) just after the last committed frame.
+    ) -> tuple[list[NvFrame], tuple[int, int] | None, tuple[int, int | None] | None]:
+        """Parse frames block by block; return the committed prefix, the
+        position (block index, offset) just after the last committed frame,
+        and where a salvage stopped the scan (None if nothing was refused;
+        see :meth:`_commits_past`).
 
         The scan stops — keeping what is committed so far — at the first
         frame whose payload checksum or commit word is invalid, or whose
@@ -651,23 +690,23 @@ class NvwalBackend(WalBackend):
         tail: tuple[int, int] | None = None
         boundaries: list[int] = []
 
-        def finish() -> tuple[list[NvFrame], tuple[int, int] | None]:
+        def finish(stop=None):
             report.commit_boundaries = tuple(boundaries)
             report.epochs_replayed = len(boundaries)
-            return committed, tail
+            return committed, tail, stop
 
-        def salvage(reason: str) -> tuple[list[NvFrame], tuple[int, int] | None]:
+        def salvage(reason: str, stop: tuple[int, int | None]):
             report.corruption_detected = True
             report.reason = report.reason or reason
             report.frames_dropped += len(pending)
-            return finish()
+            return finish(stop)
 
         for block_index, alloc in enumerate(chain):
             pos = _BLOCK_HEADER_SIZE
             try:
                 block_bytes = self.cpu.load(alloc.addr, alloc.size)
             except MediaError:
-                return salvage("log block unreadable")
+                return salvage("log block unreadable", (block_index, None))
             while True:
                 try:
                     frame, checksum, word, intact, end = decode_nv_frame(
@@ -680,14 +719,14 @@ class NvwalBackend(WalBackend):
                 if not intact:
                     # Torn frame (or the asynchronous-commit window): the
                     # transaction it belongs to is considered aborted.
-                    return salvage("frame checksum mismatch")
+                    return salvage("frame checksum mismatch", (block_index, end))
                 member_word = epoch_member_value(checksum)
                 if word and word not in (
                     commit_mark_value(checksum),
                     member_word,
                     epoch_close_value(checksum),
                 ):
-                    return salvage("invalid commit word")
+                    return salvage("invalid commit word", (block_index, end))
                 pending.append(frame)
                 pos = end
                 if word and word != member_word:
@@ -711,7 +750,7 @@ class NvwalBackend(WalBackend):
         """
         report = RecoveryReport()
         chain = self._walk_chain(report)
-        committed, _tail = self._scan_frames(chain, report)
+        committed, _tail, _stop = self._scan_frames(chain, report)
         report.frames_replayed = len(committed)
         if report.corruption_detected:
             report.frames_salvaged = len(committed)

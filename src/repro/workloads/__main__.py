@@ -9,14 +9,10 @@ Examples::
     python -m repro.workloads run --workload ycsb-a --scheme uh_cs_diff \
         --group-epoch 4
 
-    # crash-point sweep of the durable queue (exactly-once oracle)
-    python -m repro.workloads torture --workload queue --seeds 2 --stride 3
-
 Exit status: 0 for a clean sweep, 1 when any oracle was violated.  The
 digest line is a SHA-256 over canonical JSON results and is
-bit-identical for any ``--jobs`` value.  ``torture`` is
-``python -m repro.torture`` under a second name: the same harness object
-with the same flags.
+bit-identical for any ``--jobs`` value.  The crash-point sweep of these
+workloads is ``python -m repro.torture --workload NAME``.
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ import sys
 
 from repro import harness
 from repro.bench.harness import parallel_map
-from repro.torture.__main__ import HARNESS
 from repro.workloads.runner import (
     DEFAULT_WORKLOAD_THRESHOLD,
     WORKLOADS,
@@ -40,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.workloads",
         description="Seeded workload suite (YCSB mixes, time-series, "
         "durable queue) over the NVWAL database, with fold-model read "
-        "checks, page-accounting integrity, and crash-point sweeps.",
+        "checks and page-accounting integrity.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -63,11 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     harness.add_checkpoint_flag(run_p, DEFAULT_WORKLOAD_THRESHOLD)
     run_p.add_argument("--jobs", type=int, default=1, help="parallel workers")
-
-    tort_p = sub.add_parser(
-        "torture", help="the crash-point sweep, `python -m repro.torture`"
-    )
-    harness.add_arguments(HARNESS, tort_p)
     return parser
 
 
@@ -107,10 +97,7 @@ def _cmd_run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    return harness.run(HARNESS, args)
+    return _cmd_run(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

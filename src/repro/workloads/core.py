@@ -58,15 +58,22 @@ def group_ops(rng: random.Random, ops, txn_size: int) -> tuple[Txn, ...]:
 # ----------------------------------------------------------------------
 
 
+#: YCSB's zipfian constant.
+ZIPF_THETA = 0.99
+#: Hotspot: this share of accesses ...
+HOT_PROB = 0.8
+#: ... hits this leading share of the ranks.
+HOT_FRACTION = 0.2
+
+
 class ZipfianSampler:
     """Zipfian ranks over ``0..n-1``: rank r is drawn with probability
-    proportional to ``1/(r+1)**theta``.  Built once per population size
-    via a cumulative table + bisect; n stays small enough here that the
-    rebuild cost on growth is irrelevant."""
+    proportional to ``1/(r+1)**ZIPF_THETA``.  Built once per population
+    size via a cumulative table + bisect; n stays small enough here that
+    the rebuild cost on growth is irrelevant."""
 
-    def __init__(self, n: int, theta: float = 0.99) -> None:
+    def __init__(self, n: int) -> None:
         self.n = 0
-        self.theta = theta
         self._cum: list[float] = []
         self.resize(n)
 
@@ -77,7 +84,7 @@ class ZipfianSampler:
         total = 0.0
         cum = []
         for rank in range(n):
-            total += 1.0 / (rank + 1) ** self.theta
+            total += 1.0 / (rank + 1) ** ZIPF_THETA
             cum.append(total)
         self._cum = cum
 
@@ -90,15 +97,11 @@ class ZipfianSampler:
 
 
 class HotspotSampler:
-    """YCSB hotspot: ``hot_prob`` of accesses hit the first
-    ``hot_fraction`` of ranks, the rest spread uniformly."""
+    """YCSB hotspot: ``HOT_PROB`` of accesses hit the first
+    ``HOT_FRACTION`` of ranks, the rest spread uniformly."""
 
-    def __init__(
-        self, n: int, hot_fraction: float = 0.2, hot_prob: float = 0.8
-    ) -> None:
+    def __init__(self, n: int) -> None:
         self.n = n
-        self.hot_fraction = hot_fraction
-        self.hot_prob = hot_prob
 
     def resize(self, n: int) -> None:
         self.n = n
@@ -106,8 +109,8 @@ class HotspotSampler:
     def sample(self, rng: random.Random) -> int:
         if self.n <= 1:
             return 0
-        hot = max(1, int(self.n * self.hot_fraction))
-        if rng.random() < self.hot_prob:
+        hot = max(1, int(self.n * HOT_FRACTION))
+        if rng.random() < HOT_PROB:
             return rng.randrange(hot)
         return rng.randrange(self.n)
 

@@ -58,14 +58,17 @@ _INDEXED_UPDATE_FRACTION = 0.15
 _MAX_SCAN = 12
 
 
-class YcsbWorkload(Workload):
-    """One YCSB mix; ``record_count`` rows are loaded first."""
+#: Rows loaded before a mix's operations start.
+RECORD_COUNT = 24
 
-    def __init__(self, mix: str = "a", record_count: int = 24, txn_size: int = 3):
+
+class YcsbWorkload(Workload):
+    """One YCSB mix; ``RECORD_COUNT`` rows are loaded first."""
+
+    def __init__(self, mix: str = "a", txn_size: int = 3):
         if mix not in MIXES:
             raise ValueError(f"unknown YCSB mix {mix!r}; pick from {sorted(MIXES)}")
         self.mix = mix
-        self.record_count = record_count
         self.txn_size = txn_size
         self.name = f"ycsb-{mix}"
         self.table = TABLE
@@ -99,7 +102,7 @@ class YcsbWorkload(Workload):
                 return live[len(live) - 1 - rank]  # rank 0 = newest
             return live[rank]
 
-        for i in range(self.record_count):
+        for i in range(RECORD_COUNT):
             ops.append(("insert", next_key, (rng.randrange(GROUPS), payload(i))))
             live.append(next_key)
             next_key += 1

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from repro.faults import FaultPlan, ShipFaultInjector, ShipFaultSpec
+from repro.faults import FaultPlan, ShipFaultInjector, ShipFaultSpec, inject
 
 
 def spec(**kw) -> ShipFaultSpec:
@@ -17,9 +17,18 @@ def spec(**kw) -> ShipFaultSpec:
 
 class TestPlanRoundTrip:
     def test_ship_spec_json_round_trips(self):
-        plan = FaultPlan(seed=7, ship=spec(max_consecutive=5))
+        plan = FaultPlan(seed=7, ship=spec(drop_rate=0.5))
         data = json.loads(json.dumps(plan.to_json()))
         assert FaultPlan.from_json(data) == plan
+
+    def test_spec_keys_of_older_traces_are_ignored(self):
+        """Traces from before the drop cap and the channel delays became
+        constants still carry them."""
+        data = FaultPlan(seed=7, ship=spec()).to_json()
+        data["ship"].update(
+            max_consecutive=5, duplicate_delay_ns=1, reorder_delay_ns=2
+        )
+        assert FaultPlan.from_json(data) == FaultPlan(seed=7, ship=spec())
 
     def test_plan_without_ship_spec(self):
         plan = FaultPlan(seed=7)
@@ -58,10 +67,10 @@ class TestFates:
         )
 
     def test_consecutive_drop_cap(self):
-        inj = ShipFaultInjector(spec(drop_rate=1.0, max_consecutive=3), 5)
+        inj = ShipFaultInjector(spec(drop_rate=1.0), 5)
         fates = [inj.deliveries(b"p" * 10) for _ in range(8)]
-        # With certain drops, exactly max_consecutive batches vanish and
-        # then one gets through, forever.
+        # With certain drops, exactly MAX_CONSECUTIVE_DROPS (3) batches
+        # vanish and then one gets through, forever.
         assert [len(f) for f in fates] == [0, 0, 0, 1, 0, 0, 0, 1]
 
     def test_duplicate_delivers_twice_with_delay(self):
@@ -73,7 +82,7 @@ class TestFates:
         fates = inj.deliveries(b"q" * 16)
         assert len(fates) == 2
         assert fates[0][1] == fates[1][1] == b"q" * 16
-        assert fates[1][0] - fates[0][0] == inj.spec.duplicate_delay_ns
+        assert fates[1][0] - fates[0][0] == inject.DUPLICATE_DELAY_NS
         assert inj.duplicated == 1
 
     def test_corrupt_flips_exactly_one_bit(self):
@@ -96,7 +105,7 @@ class TestFates:
                  reorder_rate=1.0),
             13,
         )
-        unit = inj.spec.reorder_delay_ns
+        unit = inject.REORDER_DELAY_NS
         for _ in range(12):
             [(delay, _payload)] = inj.deliveries(b"r" * 8)
             assert delay % unit == 0

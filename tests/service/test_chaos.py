@@ -178,6 +178,24 @@ def test_media_shed_keeps_the_history_still_in_the_log():
     assert list(outcome.violations) == trace["violations"] == []
 
 
+def test_salvage_leaves_no_stale_commits_to_replay():
+    """Seed 18 of the 40-seed media, power and I/O sweep, minimized.  The
+    power cut at op 317 leaves a decayed frame at the head of the NVRAM
+    log, and recovery salvages the empty prefix.  The resubmitted
+    transactions then logged frames identical to the lost ones, ending
+    where a lost committed frame began.  The final recovery replayed it
+    with them, and a torn record escaped the driver."""
+    path = os.path.join(
+        os.path.dirname(__file__), "traces", "salvage_leaves_no_stale_commits.json"
+    )
+    with open(path, encoding="utf-8") as fh:
+        trace = json.load(fh)
+    scenario = scenario_from_dict(trace["scenario"])
+    assert scenario.scheme == "uh_ls_diff" and scenario.power_cycles == (317,)
+    outcome = run_chaos(scenario)
+    assert list(outcome.violations) == trace["violations"] == []
+
+
 def test_an_escaped_exception_fails_the_sweep_and_writes_a_trace(
     monkeypatch, tmp_path
 ):

@@ -8,7 +8,8 @@ import pytest
 
 from repro.errors import DeadlineExceeded, IoError, MediaError
 from repro.hw.clock import SimClock
-from repro.retry import RetryPolicy, call_with_retry
+from repro import retry
+from repro.retry import backoff_delay_ns, call_with_retry
 from repro.service.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 
 
@@ -23,26 +24,27 @@ def _drain(gen):
 
 
 class TestRetryPolicy:
+    """The one backoff schedule: 0.2 ms doubling to a 50 ms cap, each
+    delay jittered down by up to half."""
+
     def test_exponential_growth_and_cap(self):
-        policy = RetryPolicy(
-            base_delay_ns=100, multiplier=2.0, max_delay_ns=450, jitter=0.0
-        )
         rng = random.Random(0)
-        assert [policy.delay_ns(a, rng) for a in range(4)] == [100, 200, 400, 450]
+        for attempt in range(10):
+            raw = min(200_000 * 2**attempt, 50_000_000)
+            assert raw // 2 <= backoff_delay_ns(attempt, rng) <= raw
+        assert retry.MAX_DELAY_NS < retry.BASE_DELAY_NS * 2**9
 
     def test_jitter_bounds(self):
-        policy = RetryPolicy(base_delay_ns=1000, jitter=0.5)
         rng = random.Random(7)
         for attempt in range(3):
-            raw = min(1000 * 2**attempt, policy.max_delay_ns)
-            for _ in range(50):
-                d = policy.delay_ns(attempt, rng)
-                assert raw * 0.5 <= d <= raw
+            raw = retry.BASE_DELAY_NS * 2**attempt
+            delays = {backoff_delay_ns(attempt, rng) for _ in range(50)}
+            assert all(raw * 0.5 <= d <= raw for d in delays)
+            assert len(delays) > 1
 
     def test_jitter_is_seed_deterministic(self):
-        policy = RetryPolicy()
-        a = [policy.delay_ns(i, random.Random(3)) for i in range(5)]
-        b = [policy.delay_ns(i, random.Random(3)) for i in range(5)]
+        a = [backoff_delay_ns(i, random.Random(3)) for i in range(5)]
+        b = [backoff_delay_ns(i, random.Random(3)) for i in range(5)]
         assert a == b
 
 
@@ -50,7 +52,7 @@ class TestCallWithRetry:
     def test_success_first_try_yields_nothing(self):
         clock = SimClock()
         delays, result = _drain(
-            call_with_retry(lambda: 7, RetryPolicy(), random.Random(0), clock)
+            call_with_retry(lambda: 7, random.Random(0), clock)
         )
         assert delays == [] and result == 7
 
@@ -65,7 +67,7 @@ class TestCallWithRetry:
             return "done"
 
         delays, result = _drain(
-            call_with_retry(flaky, RetryPolicy(), random.Random(0), clock)
+            call_with_retry(flaky, random.Random(0), clock)
         )
         assert result == "done" and len(delays) == 2 and calls[0] == 3
 
@@ -78,18 +80,20 @@ class TestCallWithRetry:
             raise MediaError("poisoned")
 
         with pytest.raises(MediaError):
-            _drain(call_with_retry(broken, RetryPolicy(), random.Random(0), clock))
+            _drain(call_with_retry(broken, random.Random(0), clock))
         assert calls[0] == 1
 
     def test_exhausted_budget_reraises_last_error(self):
         clock = SimClock()
+        calls = [0]
 
         def always():
+            calls[0] += 1
             raise IoError("still failing")
 
-        policy = RetryPolicy(max_attempts=3)
         with pytest.raises(IoError):
-            _drain(call_with_retry(always, policy, random.Random(0), clock))
+            _drain(call_with_retry(always, random.Random(0), clock))
+        assert calls[0] == retry.MAX_ATTEMPTS
 
     def test_backoff_overrunning_deadline_raises_deadline(self):
         clock = SimClock()
@@ -97,11 +101,10 @@ class TestCallWithRetry:
         def always():
             raise IoError("transient")
 
-        policy = RetryPolicy(base_delay_ns=1_000_000, jitter=0.0)
         with pytest.raises(DeadlineExceeded):
             _drain(
                 call_with_retry(
-                    always, policy, random.Random(0), clock,
+                    always, random.Random(0), clock,
                     deadline_ns=clock.now_ns + 10,
                 )
             )

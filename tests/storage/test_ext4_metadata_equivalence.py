@@ -185,10 +185,10 @@ def observable(fs):
 #: block came back older than its neighbours, and calls failed with
 #: ``NoSuchFile``, ``double free`` or an ``IndexError``.  It now replays
 #: only the live chain (see
-#: ``test_remount_does_not_replay_a_transaction_whose_successor_is_gone``).
-#: ``Pair.apply`` still compares failures rather than refusing them until
-#: the journal checksums its transactions: a crash can land a commit block
-#: around a metadata block that did not land.
+#: ``test_remount_does_not_replay_a_transaction_whose_successor_is_gone``),
+#: and only transactions whose commit checksum matches their blocks, so a
+#: crash that lands a commit block around a lost metadata block no longer
+#: replays it.  ``Pair.apply`` therefore refuses any failure.
 
 
 class Pair:
@@ -199,12 +199,7 @@ class Pair:
         self.reference = make_fs(ReferenceExt4, **kwargs)
 
     def apply(self, *op):
-        outcomes = []
-        for fs in (self.live, self.reference):
-            try:
-                outcomes.append(("ok", run(fs, *op)))
-            except Exception as exc:  # see STALE_REPLAY above
-                outcomes.append((type(exc).__name__, str(exc)))
+        outcomes = [run(fs, *op) for fs in (self.live, self.reference)]
         assert outcomes[0] == outcomes[1]
         if self.live._mounted:
             assert_images_match_reference(self.live)
@@ -450,14 +445,18 @@ def history_digest(seed, steps=400):
 #: ``history_digest(seed)`` as printed by commit f897dd6 (the last one with
 #: the from-scratch encoders in ``src/``) for seed 4, the one history that
 #: never reached STALE_REPLAY; the others as printed once mount replayed
-#: only the live journal chain, when each first ran all 400 steps.
+#: only the live journal chain, when each first ran all 400 steps.  All six
+#: were re-pinned when the commit block began to carry its transaction's
+#: checksum: with that field zeroed, each history writes the bytes above
+#: (seed 1 was 1858:8b704706…, 2 2197:95773f19…, 3 2244:51f2b4a1…,
+#: 4 1253:cf750c84…, 5 1987:01979693…, 6 2005:355fbb48…).
 HISTORY_DIGESTS = {
-    1: "1858:8b7047063969f92c9bb8a9700f757dcba146ef3010d836619cf5c0e0fe84ad16",
-    2: "2197:95773f19cd429044f412d0fbeeb851408f7adeb97226e34bab3233ec564d7b85",
-    3: "2244:51f2b4a124ac9f766c211932ca91fcdbc9e4a5ca38cfc8d51f06718b8fa9ed67",
-    4: "1253:cf750c848e2ee59f9c142314dd8b8a77b897010c179c296837aa71fb9d7bf6bd",
-    5: "1987:0197969366201dba1a9b714fc4a271fe2fe44e5e4765da13f73f97f8f440d4cc",
-    6: "2005:355fbb48a3378b6ce995951618dc11e67d2d791bfa4725bd691a7228c1f1166f",
+    1: "1858:d57af6ce4d2d6471336fa253ea65ed8c2014883db0dd34c5b4c1dab4da7d6c9d",
+    2: "2197:ccda6d38844c17ebb06531c6605664b1734c13f4cc2f7482e56c465c8bae76fe",
+    3: "2244:224e65e13c13643b0723e75feac32b163348cbf6b5c339ea1d924dcafa28025d",
+    4: "1253:cb5423dbc00dd6540cf963d21fcbb0bfa1dc4c1335d4c9e578783811bf4e25e9",
+    5: "1987:857b7abbfa74830cce11eaa8114aeb2f1acd3cdb349da8b10a5a2ca4ecc3cf63",
+    6: "2005:10176cd7bcf1051898649a32ed4f2d4f6f1aeacb5e6afbb95b63ed8471c6b714",
 }
 
 

@@ -408,7 +408,11 @@ def test_no_planted_bug_in_product_modules():
 #: undercounting (parent: 51f59346…c4b), and again when NVWAL recovery
 #: stopped reading base pages it overwrites: shorter recoveries move one
 #: record's ``telemetry.digest`` (parent: a053a6f8…a9c).  ``MOVED`` proves
-#: nothing else did.
+#: nothing else did.  Service chaos's and replication's moved once more
+#: when never-set scenario values became constants; each is the parent's
+#: (22c2da52…0a7, 0f238c83…bef) digest over its records with exactly the
+#: removed keys dropped: ``scenario.storm_interval_ns``; and seven
+#: ``scenario`` keys plus three of ``scenario.plan.ship``.
 CLI_DIGESTS = {
     "torture": (
         "repro.torture.__main__",
@@ -418,12 +422,12 @@ CLI_DIGESTS = {
     "service-chaos": (
         "repro.service.cli",
         ["--seeds", "2", "--sessions", "3", "--txns", "12"],
-        "22c2da524e4380c68f2062c02c6fe04f348dbae7de71776730b74adae9f580a7",
+        "bf042b88df00669e6b5e4444b38dd992176ab800d88ad8044eee5f9859d6f034",
     ),
     "replication": (
         "repro.replication.cli",
         ["--seeds", "2", "--sessions", "3", "--txns", "12", "--writer-kill"],
-        "0f238c83a6402ed3cde1282370014f8d13b1ac10f864411aede2a76bbb9d6bef",
+        "06626cb699f86e7b98ae83ead4c89746a4b2b921213e9c35ddff6b005585b12e",
     ),
     "workloads-run": (
         "repro.workloads.__main__",
@@ -431,8 +435,8 @@ CLI_DIGESTS = {
         "a4f1b3fd933290456e8ba1f2e4cf903e45f01874acd5f7dce5ae8b12fa285bba",
     ),
     "workloads-torture": (
-        "repro.workloads.__main__",
-        ["torture", "--workload", "queue", "--seeds", "1", "--ops", "12",
+        "repro.torture.__main__",
+        ["--workload", "queue", "--seeds", "1", "--ops", "12",
          "--recovery-points", "0"],
         "0118994c6fd4495ced8396db6e3519d67890aa2c5ee137e8ada17b2877f23b6b",
     ),
@@ -452,7 +456,8 @@ CLI_DIGESTS = {
 #: Service chaos's ``scenario.sabotage`` went from ``false`` to ``""``,
 #: and two telemetry counters (with the export digest over them) now
 #: count what ``stats`` always did; the digest is e6b34e0's records
-#: with those four dropped.
+#: with those four dropped, and with ``scenario.storm_interval_ns``,
+#: which the current records no longer carry.
 MOVED = {
     "torture": (
         [("workload",)],
@@ -469,7 +474,7 @@ MOVED = {
             ("telemetry", "counters", "service.deadline_misses"),
             ("telemetry", "counters", "service.media_failures"),
         ],
-        "4133e2755d202fe26c278a5d4957572e304584afdf301b189a8ab39e5d20ecf0",
+        "5309a33e130d9f4232f117fe568f81fd96ab13d44467170af739396094cb4ddc",
     ),
 }
 
@@ -501,7 +506,7 @@ COMMITTED_TRACES = {
     "service-chaos": ("repro.service.cli", [], "service/traces/group_commit_ack_early.json", 1),
     "replication": ("repro.replication.cli", [], "replication/traces/premature_gc.json", 1),
     "workloads-torture": (
-        "repro.workloads.__main__", ["torture"], "workloads/traces/queue_crash_point_400.json", 0,
+        "repro.torture.__main__", [], "workloads/traces/queue_crash_point_400.json", 0,
     ),
     "workloads-sabotage": (
         "repro.torture.__main__", [], "workloads/traces/queue_unflushed_commit_mark.json", 1,

@@ -14,14 +14,22 @@ from functools import partial
 
 from repro import Database, System, tuna
 from repro.archive import ArchiveConfig
+from repro.bench.mobibench import WorkloadSpec
 from repro.db.pager import EARLY_SPLIT_RESERVE
+from repro.faults import ShipFaultSpec
 from repro.replication import ReplicationConfig, Replicator
+from repro.replication.chaos import ReplicationScenario
+from repro.retry import call_with_retry
 from repro.service import ClientSession, DatabaseService, ServiceConfig
+from repro.service.chaos import ChaosScenario
+from repro.telemetry.report import render_report
 from repro.telemetry.storm import run_storm
 from repro.wal.base import WalBackend
 from repro.wal.filewal import FileWalBackend
 from repro.wal.journal import RollbackJournalBackend
 from repro.wal.nvwal import SCHEMES, NvwalBackend
+from repro.workloads.core import HotspotSampler, ZipfianSampler
+from repro.workloads.ycsb import YcsbWorkload
 
 
 def fields(config_class) -> list[str]:
@@ -34,7 +42,7 @@ def parameters(fn) -> list[str]:
 
 def test_config_fields_are_exactly_the_ones_with_a_setter():
     assert fields(ServiceConfig) == [
-        "group_commit", "retry", "breaker_threshold", "breaker_cooldown_ns",
+        "group_commit", "breaker_threshold", "breaker_cooldown_ns",
     ]
     assert fields(ReplicationConfig) == [
         "followers", "mode", "scheme", "checkpoint_threshold", "archive",
@@ -42,6 +50,39 @@ def test_config_fields_are_exactly_the_ones_with_a_setter():
     assert fields(ArchiveConfig) == [
         "epochs_per_file", "sync_every", "snapshot_every", "gc_every",
     ]
+    assert fields(WorkloadSpec) == [
+        "op", "txns", "ops_per_txn", "value_size", "seed", "group_epoch",
+    ]
+
+
+def test_harness_scenarios_carry_only_what_a_sweep_varies():
+    """A scenario field is a dimension of a sweep or of its minimizer;
+    a cadence every scenario shares is a constant of the driver."""
+    assert fields(ChaosScenario) == [
+        "seed", "scheme", "streams", "plan", "storms", "power_cycles",
+        "checkpoint_threshold", "sabotage", "final_power_cycle",
+        "read_every", "group_commit", "workload",
+    ]
+    assert fields(ReplicationScenario) == [
+        "seed", "scheme", "mode", "streams", "followers", "plan",
+        "writer_kill_ns", "follower_kills", "sabotage", "group_commit",
+    ]
+    assert fields(ShipFaultSpec) == [
+        "drop_rate", "duplicate_rate", "reorder_rate", "corrupt_rate",
+    ]
+
+
+def test_each_harness_has_one_cli_name():
+    """``python -m repro.torture`` is the crash-point sweep; the workload
+    suite's CLI only runs workloads."""
+    from repro.workloads.__main__ import _build_parser
+
+    [subcommands] = [
+        action.choices
+        for action in _build_parser()._actions
+        if action.dest == "command"
+    ]
+    assert list(subcommands) == ["run"]
 
 
 def test_entry_point_parameters_are_exactly_the_ones_with_a_caller():
@@ -58,6 +99,11 @@ def test_entry_point_parameters_are_exactly_the_ones_with_a_caller():
         "clock", "shiplog", "followers", "mode", "archive", "term",
         "ship_spec", "ship_seed", "on_release", "telemetry",
     ]
+    assert parameters(call_with_retry) == ["fn", "rng", "clock", "deadline_ns"]
+    assert parameters(YcsbWorkload.__init__) == ["mix", "txn_size"]
+    assert parameters(ZipfianSampler.__init__) == ["n"]
+    assert parameters(HotspotSampler.__init__) == ["n"]
+    assert parameters(render_report) == ["doc"]
 
 
 def test_archive_cadences_reach_the_cold_store_unrepacked():
@@ -69,7 +115,6 @@ def test_archive_cadences_reach_the_cold_store_unrepacked():
     assert Cluster(ReplicationConfig(followers=0), seed=1).archive.config == (
         ArchiveConfig()
     )
-
 
 
 def test_the_wal_backend_owns_its_files_and_its_page_reserve():

@@ -122,6 +122,30 @@ class TestNvwalSalvage:
             (j, f"v{j}") for j in range(N_ROWS - 1)
         ]
 
+    def test_salvage_leaves_no_committed_frame_to_resurrect(self):
+        """Salvage stops at a decayed frame mid-log, so the committed
+        frames past it are lost.  Clients resubmit the lost transactions;
+        the first ones log byte-identical frames at the same offsets, and
+        end where a lost one begins.  A later recovery must not read on
+        into it and replay transactions nobody resubmitted."""
+        system, db = build_nvwal()
+        frames = nv_frames(db.wal)
+        commits = [i for i, (_, _, commit) in enumerate(frames) if commit]
+        decayed = commits[2] + 1  # first frame of the txn inserting row 2
+        addr, _size, _commit = frames[decayed]
+        byte = system.nvram.read(addr + NV_HEADER_SIZE, 1)[0]
+        system.nvram.persist(addr + NV_HEADER_SIZE, bytes([byte ^ 0x01]))
+
+        db = reopen(system)
+        assert db.wal.last_recovery.reason == "frame checksum mismatch"
+        assert sorted(db.dump_table("t")) == [(0, "v0"), (1, "v1")]
+        for j in (2, 3):
+            db.execute("INSERT INTO t VALUES (?, ?)", (j, f"v{j}"))
+
+        db = reopen(system)
+        assert not db.wal.last_recovery.corruption_detected
+        assert sorted(db.dump_table("t")) == [(j, f"v{j}") for j in range(4)]
+
     def test_unreadable_log_block_boots_and_stays_writable(self):
         """A poisoned (ECC-uncorrectable) unit inside a log block ends the
         scan there; the database still boots and accepts new writes."""
