@@ -108,7 +108,7 @@ class Database:
         Outside an explicit transaction, writes autocommit.
         """
         self._compute(self._statement_ns, TimeBucket.CPU)
-        stmt = parse(sql)
+        stmt, lifted = parse(sql)
         if isinstance(stmt, ast.Begin):
             self.begin()
             return 0
@@ -121,8 +121,8 @@ class Database:
         if isinstance(stmt, ast.Checkpoint):
             return self.checkpoint()
         if self._in_explicit_txn:
-            return self.executor.run(stmt, params)
-        return self._autocommit(stmt, params)
+            return self.executor.run(stmt, params, lifted)
+        return self._autocommit(stmt, params, lifted)
 
     def query(self, sql: str, params: tuple = ()) -> list[tuple]:
         """Run a SELECT and return its rows."""
@@ -168,11 +168,11 @@ class Database:
     def snapshot_query(self, sql: str, params: tuple = ()) -> list[tuple]:
         """Run one SELECT against the last-committed snapshot."""
         self._compute(self._statement_ns, TimeBucket.CPU)
-        stmt = parse(sql)
+        stmt, lifted = parse(sql)
         if not isinstance(stmt, ast.Select):
             raise SqlError("snapshot_query() requires a SELECT statement")
         with self.snapshot_view():
-            return self.executor.run(stmt, params)
+            return self.executor.run(stmt, params, lifted)
 
     @contextlib.contextmanager
     def transaction(self, owner: object = None):
@@ -292,11 +292,11 @@ class Database:
         self.flush_group()  # an open epoch must land before the checkpoint
         self.wal.checkpoint()
 
-    def _autocommit(self, stmt: ast.Statement, params: tuple):
+    def _autocommit(self, stmt: ast.Statement, params: tuple, lifted: tuple):
         self.pager.begin()
         self._in_explicit_txn = True
         try:
-            result = self.executor.run(stmt, params)
+            result = self.executor.run(stmt, params, lifted)
         except BaseException:
             if self.pager.in_transaction:
                 self.pager.rollback()

@@ -26,6 +26,14 @@ class Literal(Expr):
 
 
 @dataclass(frozen=True)
+class Lifted(Expr):
+    """A literal of the statement text, lifted out of the shared template:
+    its value is ``lifted[slot]`` of the execution (see ``parser.parse``)."""
+
+    slot: int
+
+
+@dataclass(frozen=True)
 class Column(Expr):
     """A column reference."""
 

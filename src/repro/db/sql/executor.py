@@ -1,11 +1,13 @@
 """SQL statement execution against the storage engine: prepare, bind, step.
 
-*Prepare* happens once per parsed statement and catalog generation: a
-plan object resolves every column reference to a position in the decoded
+*Prepare* happens once per statement template (every text of one shape,
+see :func:`repro.db.sql.parser.parse`) and catalog generation: a plan
+object resolves every column reference to a position in the decoded
 row tuple, compiles the WHERE / SET / VALUES expressions to closures
 (:mod:`repro.db.sql.expr`), and picks out the conjuncts that can bound a
 primary-key range or a secondary-index probe.  *Bind* is what depends on
-the ``?`` values of one execution: the arity check and the actual bounds.
+the ``?`` values and lifted literals of one execution: the arity check (of
+the ``?``s alone) and the actual bounds.
 *Step* walks the B-tree through the same ``BTree`` entry points, in the
 same order, as the interpreter it replaced — page visits are what the
 simulated clock charges, so a plan may save host work but never a visit.
@@ -20,8 +22,8 @@ from repro.db.sql import parser
 from repro.db.sql.expr import compile_expr
 from repro.errors import DatabaseError, SqlError
 
-#: One plan per statement the parse LRU can hold: past that the statements
-#: behind the oldest plans have been evicted and re-parsed anyway.
+#: One plan per template the parser's shape map can hold: past that the
+#: templates behind the oldest plans have been dropped and re-parsed anyway.
 _PLAN_LIMIT = parser.parse.cache_parameters()["maxsize"]
 
 _RANGE_OPS = ("=", "<", ">", "<=", ">=")
@@ -126,11 +128,13 @@ class _RowsPlan(_Plan):
         if self._bind_error is not None:
             raise SqlError(self._bind_error)
 
-    def key_range(self, params: tuple) -> tuple[int | None, int | None]:
+    def key_range(
+        self, params: tuple, lifted: tuple
+    ) -> tuple[int | None, int | None]:
         """Primary-key bounds (inclusive) this execution's constants give."""
         lo = hi = None
         for op, constant in self.key_bounds:
-            value = constant(None, params)
+            value = constant(None, params, lifted)
             if not isinstance(value, int):
                 continue
             if op == "=":
@@ -144,7 +148,7 @@ class _RowsPlan(_Plan):
                 hi = adjusted if hi is None else min(hi, adjusted)
         return lo, hi
 
-    def index_probe(self, params: tuple):
+    def index_probe(self, params: tuple, lifted: tuple):
         """``(index, lo, hi)`` for a secondary-index probe, or None.
 
         Picks the indexed column whose conjuncts narrow the index-key
@@ -156,7 +160,7 @@ class _RowsPlan(_Plan):
         """
         bounds: dict[str, list] = {}
         for column, op, constant in self.index_bounds:
-            value = constant(None, params)
+            value = constant(None, params, lifted)
             if value is None:
                 # ``col <op> NULL`` is never true; the predicate rejects
                 # every row anyway, so it plans nothing.
@@ -292,7 +296,7 @@ def _column_bound(expr: ast.Expr, columns):
 
 
 def _is_constant(expr: ast.Expr) -> bool:
-    if isinstance(expr, (ast.Literal, ast.Param)):
+    if isinstance(expr, (ast.Literal, ast.Lifted, ast.Param)):
         return True
     if isinstance(expr, ast.UnaryOp) and expr.op == "-":
         return _is_constant(expr.operand)
@@ -318,9 +322,9 @@ _AGGREGATES = {
 class Executor:
     """Runs parsed statements against one database.
 
-    Plans are filed under the identity of the parsed statement (the parse
-    LRU hands every execution of one SQL text the same tree) and belong to
-    this executor, because they are bound to *this* database's catalog.
+    Plans are filed under the identity of the statement template (the
+    parser hands every text of one shape the same tree) and belong to this
+    executor, because they are bound to *this* database's catalog.
     """
 
     def __init__(self, database) -> None:
@@ -332,15 +336,18 @@ class Executor:
     # dispatch
     # ------------------------------------------------------------------
 
-    def run(self, stmt: ast.Statement, params: tuple) -> list[tuple] | int:
-        """Execute one (non-transaction-control) statement."""
+    def run(
+        self, stmt: ast.Statement, params: tuple, lifted: tuple
+    ) -> list[tuple] | int:
+        """Execute one (non-transaction-control) statement template with
+        its ``?`` values and its lifted literals."""
         entry = _STATEMENTS.get(type(stmt))
         if entry is None:
             raise SqlError(f"cannot execute {type(stmt).__name__} here")
         plan_type, step = entry
         if plan_type is None:
             return step(self, stmt)
-        return step(self, self._prepare(stmt, plan_type), params)
+        return step(self, self._prepare(stmt, plan_type), params, lifted)
 
     def _prepare(self, stmt, plan_type) -> _Plan:
         """The statement's plan against the catalog as it is now.
@@ -389,12 +396,12 @@ class Executor:
     # INSERT
     # ------------------------------------------------------------------
 
-    def _insert(self, plan: _InsertPlan, params: tuple) -> int:
+    def _insert(self, plan: _InsertPlan, params: tuple, lifted: tuple) -> int:
         table, tree, columns = plan.table, plan.tree, plan.columns
         index_columns, or_replace = plan.index_columns, plan.or_replace
         count = 0
         for fns, error in plan.rows:
-            values = [fn(None, params) for fn in fns]
+            values = [fn(None, params, lifted) for fn in fns]
             if error is not None:
                 raise SqlError(error)
             if plan.slots is not None:
@@ -436,9 +443,11 @@ class Executor:
     # SELECT
     # ------------------------------------------------------------------
 
-    def _select(self, plan: _SelectPlan, params: tuple) -> list[tuple]:
+    def _select(
+        self, plan: _SelectPlan, params: tuple, lifted: tuple
+    ) -> list[tuple]:
         plan.check_bind(params)
-        rows = list(self._matching_rows(plan, params))
+        rows = list(self._matching_rows(plan, params, lifted))
         if plan.late_error is not None:
             raise SqlError(plan.late_error)
         if plan.aggregate is not None:
@@ -463,10 +472,10 @@ class Executor:
     # UPDATE / DELETE
     # ------------------------------------------------------------------
 
-    def _update(self, plan: _UpdatePlan, params: tuple) -> int:
+    def _update(self, plan: _UpdatePlan, params: tuple, lifted: tuple) -> int:
         plan.check_bind(params)
         table, tree, columns = plan.table, plan.tree, plan.columns
-        matches = list(self._matching_rows(plan, params))
+        matches = list(self._matching_rows(plan, params, lifted))
         # Key order keeps the mutation sequence identical whether the
         # matches came off a table scan or a secondary-index probe.
         matches.sort(key=lambda kv: kv[0])
@@ -474,7 +483,7 @@ class Executor:
         for key, values in matches:
             new_values = list(values)
             for position, expr in plan.assignments:
-                new_values[position] = expr(values, params)
+                new_values[position] = expr(values, params, lifted)
             for value, col in zip(new_values, columns):
                 validate_type(value, col.type, col.name)
             new_key = key
@@ -497,10 +506,10 @@ class Executor:
             count += 1
         return count
 
-    def _delete(self, plan: _DeletePlan, params: tuple) -> int:
+    def _delete(self, plan: _DeletePlan, params: tuple, lifted: tuple) -> int:
         plan.check_bind(params)
         tree = plan.tree
-        matches = list(self._matching_rows(plan, params))
+        matches = list(self._matching_rows(plan, params, lifted))
         matches.sort(key=lambda kv: kv[0])
         for key, values in matches:
             tree.delete(key)
@@ -511,13 +520,13 @@ class Executor:
     # row access
     # ------------------------------------------------------------------
 
-    def _matching_rows(self, plan: _RowsPlan, params: tuple):
+    def _matching_rows(self, plan: _RowsPlan, params: tuple, lifted: tuple):
         """Yield (key, decoded_row) for the rows the plan's WHERE keeps:
         both false and NULL reject a row (three-valued logic)."""
         tree, predicate = plan.tree, plan.predicate
-        lo, hi = plan.key_range(params)
+        lo, hi = plan.key_range(params, lifted)
         if lo is None and hi is None and plan.index_bounds:
-            probe = plan.index_probe(params)
+            probe = plan.index_probe(params, lifted)
             if probe is not None:
                 info, index_lo, index_hi = probe
                 for rowid in self.db.index_tree(info).rowids(index_lo, index_hi):
@@ -527,7 +536,7 @@ class Executor:
                             f"index {info.name} references missing row {rowid}"
                         )
                     values = decode_row(payload)
-                    verdict = predicate(values, params)
+                    verdict = predicate(values, params, lifted)
                     if verdict is not None and verdict:
                         yield rowid, values
                 return
@@ -537,7 +546,7 @@ class Executor:
             return
         for key, payload in tree.scan(lo, hi):
             values = decode_row(payload)
-            verdict = predicate(values, params)
+            verdict = predicate(values, params, lifted)
             if verdict is not None and verdict:
                 yield key, values
 

@@ -1,9 +1,10 @@
 """SQL expressions compiled to closures over the decoded row tuple.
 
-:func:`compile_expr` turns an expression tree into ``fn(values, params)``
-once, when a statement is planned; executing the statement then costs one
-Python call per node per row, with column positions already resolved — no
-type dispatch over the tree and no per-row name lookup.  The tree-walking
+:func:`compile_expr` turns an expression tree into
+``fn(values, params, lifted)`` once, when a statement is planned; executing
+the statement then costs one Python call per node per row, with column
+positions already resolved — no type dispatch over the tree and no per-row
+name lookup.  The tree-walking
 evaluator these closures replaced lives on as the reference model in
 ``tests/db/sql/reference_eval.py``; a property test holds the two to the
 same value or the same error for every expression.
@@ -18,9 +19,10 @@ from repro.db.record import Value
 from repro.db.sql import ast_nodes as ast
 from repro.errors import SqlError
 
-#: A compiled expression: ``fn(values, params)`` where ``values`` is the
-#: decoded row (None where there is no row) and ``params`` the bound ``?``s.
-Compiled = Callable[[tuple | None, tuple], Value]
+#: A compiled expression: ``fn(values, params, lifted)`` where ``values`` is
+#: the decoded row (None where there is no row), ``params`` the bound ``?``s
+#: and ``lifted`` the statement text's own literals (see ``parser.parse``).
+Compiled = Callable[[tuple | None, tuple, tuple], Value]
 
 #: SQLite storage-class ordering: NULL < numeric < TEXT < BLOB.  NULL is
 #: handled by the three-valued-logic short circuit before ranking.
@@ -85,7 +87,10 @@ def compile_expr(expr: ast.Expr, columns: dict[str, int] | None) -> Compiled:
     """
     if isinstance(expr, ast.Literal):
         value = expr.value
-        return lambda values, params: value
+        return lambda values, params, lifted: value
+    if isinstance(expr, ast.Lifted):
+        slot = expr.slot
+        return lambda values, params, lifted: lifted[slot]
     if isinstance(expr, ast.Param):
         return _compile_param(expr.index)
     if isinstance(expr, ast.Column):
@@ -95,13 +100,15 @@ def compile_expr(expr: ast.Expr, columns: dict[str, int] | None) -> Compiled:
     if isinstance(expr, ast.BinOp):
         left = compile_expr(expr.left, columns)
         if expr.op == "IS NULL":
-            return lambda values, params: left(values, params) is None
+            return lambda values, params, lifted: (
+                left(values, params, lifted) is None
+            )
         return _compile_binop(expr.op, left, compile_expr(expr.right, columns))
     raise SqlError(f"cannot evaluate {type(expr).__name__}")
 
 
 def _compile_param(index: int) -> Compiled:
-    def param(values, params):
+    def param(values, params, lifted):
         try:
             return params[index]
         except IndexError:
@@ -120,9 +127,9 @@ def _compile_column(name: str, columns: dict[str, int] | None) -> Compiled:
         message = f"unknown column {name!r}"
     else:
         index = columns[name]
-        return lambda values, params: values[index]
+        return lambda values, params, lifted: values[index]
 
-    def unresolved(values, params):
+    def unresolved(values, params, lifted):
         raise SqlError(message)
 
     return unresolved
@@ -131,14 +138,14 @@ def _compile_column(name: str, columns: dict[str, int] | None) -> Compiled:
 def _compile_unary(op: str, operand: Compiled) -> Compiled:
     if op == "NOT":
         # Three-valued logic: NOT NULL is NULL.
-        def negate(values, params):
-            value = operand(values, params)
+        def negate(values, params, lifted):
+            value = operand(values, params, lifted)
             return None if value is None else not value
 
         return negate
     if op == "-":
-        def minus(values, params):
-            value = operand(values, params)
+        def minus(values, params, lifted):
+            value = operand(values, params, lifted)
             return -value if value is not None else None
 
         return minus
@@ -149,22 +156,22 @@ def _compile_binop(op: str, left: Compiled, right: Compiled) -> Compiled:
     if op == "AND":
         # Three-valued logic with short circuit: false dominates AND,
         # true dominates OR, NULL propagates otherwise.
-        def conjunction(values, params):
-            lval = left(values, params)
+        def conjunction(values, params, lifted):
+            lval = left(values, params, lifted)
             if lval is not None and not lval:
                 return False
-            rval = right(values, params)
+            rval = right(values, params, lifted)
             if rval is not None and not rval:
                 return False
             return None if lval is None or rval is None else True
 
         return conjunction
     if op == "OR":
-        def disjunction(values, params):
-            lval = left(values, params)
+        def disjunction(values, params, lifted):
+            lval = left(values, params, lifted)
             if lval is not None and lval:
                 return True
-            rval = right(values, params)
+            rval = right(values, params, lifted)
             if rval is not None and rval:
                 return True
             return None if lval is None or rval is None else False
@@ -173,9 +180,9 @@ def _compile_binop(op: str, left: Compiled, right: Compiled) -> Compiled:
     if op in _ACCEPTS:
         accepts = _ACCEPTS[op]
 
-        def compare(values, params):
-            lval = left(values, params)
-            rval = right(values, params)
+        def compare(values, params, lifted):
+            lval = left(values, params, lifted)
+            rval = right(values, params, lifted)
             # Comparing anything with NULL yields NULL (never true/false).
             if lval is None or rval is None:
                 return None
@@ -185,9 +192,9 @@ def _compile_binop(op: str, left: Compiled, right: Compiled) -> Compiled:
     if op in _ARITHMETIC:
         apply = _ARITHMETIC[op]
 
-        def arithmetic(values, params):
-            lval = left(values, params)
-            rval = right(values, params)
+        def arithmetic(values, params, lifted):
+            lval = left(values, params, lifted)
+            rval = right(values, params, lifted)
             if lval is None or rval is None:
                 return None
             if isinstance(lval, (str, bytes)) or isinstance(rval, (str, bytes)):

@@ -11,16 +11,61 @@ from repro.errors import SqlError
 
 
 @functools.lru_cache(maxsize=256)
-def parse(text: str) -> ast.Statement:
-    """Parse one SQL statement.
+def parse(text: str) -> tuple[ast.Statement, tuple]:
+    """Parse one SQL statement into ``(template, lifted)``.
 
-    Statements are cached by text: every AST node is a frozen dataclass
-    holding only tuples and scalars, so the shared tree is safe to hand
-    to any number of executions (parameters bind at execution time, the
-    tree is never rewritten).  Benchmarks replay the same parameterized
-    statement thousands of times, where re-lexing dominated host cost.
+    Every int / float / string literal becomes an :class:`ast.Lifted`
+    slot of the template, and its value goes into ``lifted``, in text
+    order; executions bind ``lifted`` beside their ``?`` parameters.  So
+    all texts that differ only in literal values share one template
+    object, and with it one plan per database.
+
+    Two maps sit in front of the parser.  This LRU, keyed by text, hands
+    every execution of one text the same pair.  Behind it, a miss
+    tokenizes the text and looks its shape up in ``_templates``; only a
+    shape seen for the first time is parsed.  Templates are frozen
+    dataclasses holding only tuples and scalars, never rewritten, so a
+    shared one is safe to hand to any number of executions.  A text that
+    fails to parse leaves nothing in either map.
     """
-    return _Parser(tokenize(text), text).parse_statement()
+    tokens = tokenize(text)
+    key, lifted = _shape(tokens)
+    template = _templates.get(key)
+    if template is None:
+        template = _Parser(tokens, text).parse_statement()
+        if len(_templates) >= _TEMPLATE_LIMIT:
+            _templates.clear()
+        _templates[key] = template
+    return template, lifted
+
+
+#: Token kinds whose value :meth:`_Parser._primary` lifts out of the AST.
+_LIFTED_KINDS = ("int", "float", "string")
+
+#: Statement shape -> its template.  One per shape the text LRU can hold.
+_templates: dict[tuple, ast.Statement] = {}
+_TEMPLATE_LIMIT = parse.cache_parameters()["maxsize"]
+
+
+def _shape(tokens: list[Token]) -> tuple[tuple, tuple]:
+    """The shape key of a token list and its lifted literal values.
+
+    A literal token enters the key by kind alone, except the integer
+    after LIMIT: the parser takes that one into the AST, so its value is
+    part of the shape.  Positions stay out of the key; they only appear
+    in error messages, and a text that raises is never cached.
+    """
+    key = []
+    lifted = []
+    after_limit = False
+    for kind, value, _pos in tokens:
+        if kind in _LIFTED_KINDS and not after_limit:
+            key.append(kind)
+            lifted.append(value)
+        else:
+            key.append((kind, value))
+        after_limit = kind == "keyword" and value == "LIMIT"
+    return tuple(key), tuple(lifted)
 
 
 class _Parser:
@@ -29,6 +74,7 @@ class _Parser:
         self.text = text
         self.pos = 0
         self.param_count = 0
+        self.lifted_count = 0
 
     # -- token plumbing ------------------------------------------------------
 
@@ -342,9 +388,11 @@ class _Parser:
 
     def _primary(self) -> ast.Expr:
         token = self.peek()
-        if token.kind in ("int", "float", "string"):
+        if token.kind in _LIFTED_KINDS:
             self.advance()
-            return ast.Literal(token.value)
+            slot = self.lifted_count
+            self.lifted_count += 1
+            return ast.Lifted(slot)
         if token.kind == "keyword" and token.value == "NULL":
             self.advance()
             return ast.Literal(None)

@@ -80,14 +80,14 @@ class _SabotagedExecutor(Executor):
     scan — extra rows leak into every SELECT/UPDATE/DELETE whose
     predicate is wider than its key range."""
 
-    def _matching_rows(self, plan, params):
-        lo, hi = plan.key_range(params)
+    def _matching_rows(self, plan, params, lifted):
+        lo, hi = plan.key_range(params, lifted)
         residual = plan.predicate
         if lo is not None or hi is not None:
             residual = None  # the bug: bounds treated as the whole filter
         for key, payload in plan.tree.scan(lo, hi):
             values = decode_row(payload)
-            if residual is None or residual(values, params):
+            if residual is None or residual(values, params, lifted):
                 yield key, values
 
 

@@ -521,10 +521,13 @@ class NvwalBackend(WalBackend):
         self._epoch = None  # any open epoch died with the crash
 
         chain = self._walk_chain(report)
+        # A walk cut short by corruption orphans the blocks past the cut,
+        # which may hold committed frames of this generation just the same.
+        cut = report.corruption_detected
         committed, tail_position, stop = self._scan_frames(chain, report)
         # Decided before the chain past the tail is freed: its blocks may
         # come back at the same addresses (see the end of this method).
-        stale = stop is not None and self._commits_past(chain, stop)
+        stale = cut or (stop is not None and self._commits_past(chain, stop))
 
         # Rebuild volatile allocator state up to the end of committed data.
         reachable = set()
@@ -582,10 +585,10 @@ class NvwalBackend(WalBackend):
             report.frames_salvaged = len(committed)
         if stale:
             # Salvage kept a prefix, but committed frames of this log
-            # generation lie past it.  An append that ends where one of
-            # them begins (resubmitted transactions log identical bytes)
-            # would make a later scan replay it as a transaction of the
-            # new history.  A checkpoint retires the generation.
+            # generation lie past it, or may.  An append that ends where
+            # one of them begins (resubmitted transactions log identical
+            # bytes) would make a later scan replay it as a transaction of
+            # the new history.  A checkpoint retires the generation.
             self.checkpoint()
         return images
 

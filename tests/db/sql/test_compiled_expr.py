@@ -5,7 +5,9 @@ statements were compiled to plans.  Random expressions over the difftest
 grammar's operator set, evaluated on random rows and parameter tuples, must
 give the same value — or the same exception class and message — whichever
 way they are evaluated; the plan's bind check and key-range extraction are
-held to ``_validate_expr`` and ``_key_bound`` the same way.
+held to ``_validate_expr`` and ``_key_bound`` the same way.  The reference
+predates lifted literals: it sees each ``Lifted`` slot as the ``Literal``
+of its value.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ values = st.one_of(
 )
 leaves = st.one_of(
     values.map(ast.Literal),
+    st.integers(0, 1).map(ast.Lifted),
     st.integers(0, 3).map(ast.Param),
     st.sampled_from(NAMES + ["nope"]).map(ast.Column),
 )
@@ -76,6 +79,22 @@ numeric_exprs = st.recursive(
 exprs = st.one_of(st.recursive(leaves, _grow, max_leaves=8), numeric_exprs)
 rows = st.tuples(st.integers(-5, 5), st.one_of(numbers, values), values, values)
 params = st.lists(st.one_of(numbers, values), max_size=4).map(tuple)
+#: A statement's lifted literals: every slot a parsed template holds has a
+#: value, so the two slots the strategies draw are always filled.
+lifted_values = st.tuples(st.one_of(numbers, values), st.one_of(numbers, values))
+
+
+def _unlift(expr, lifted):
+    """``expr`` with each ``Lifted`` slot replaced by its value's Literal."""
+    if isinstance(expr, ast.Lifted):
+        return ast.Literal(lifted[expr.slot])
+    if isinstance(expr, ast.UnaryOp):
+        return ast.UnaryOp(expr.op, _unlift(expr.operand, lifted))
+    if isinstance(expr, ast.BinOp):
+        return ast.BinOp(
+            expr.op, _unlift(expr.left, lifted), _unlift(expr.right, lifted)
+        )
+    return expr
 
 
 def outcome(fn, *args):
@@ -91,40 +110,45 @@ def _lit(op, left, right):
 
 
 @settings(max_examples=600, deadline=None)
-@given(exprs, rows, params)
-@example(_lit("/", -7, 2), (0, 0, 0, 0), ())  # truncates toward zero: -3
-@example(_lit("/", 7, -2), (0, 0, 0, 0), ())
-@example(_lit("/", 7, 0), (0, 0, 0, 0), ())  # NULL, not an error
-@example(_lit("/", 7, 2.0), (0, 0, 0, 0), ())
-@example(_lit("AND", None, 0), (0, 0, 0, 0), ())  # false dominates NULL
-@example(_lit("OR", None, 1), (0, 0, 0, 0), ())
-@example(_lit("=", 1, "1"), (0, 0, 0, 0), ())  # storage classes never mix
-@example(_lit("<", "z", b""), (0, 0, 0, 0), ())
-@example(_lit("+", 1, "a"), (0, 0, 0, 0), ())
-@example(ast.UnaryOp("-", ast.Literal("a")), (0, 0, 0, 0), ())
-@example(ast.BinOp("AND", ast.Literal(0), ast.Column("nope")), (0, 0, 0, 0), ())
-@example(ast.BinOp("=", ast.Column("k"), ast.Param(2)), (0, 0, 0, 0), (1, 2))
-def test_compiled_expression_matches_the_interpreter(expr, row, args):
+@given(exprs, rows, params, lifted_values)
+@example(_lit("/", -7, 2), (0, 0, 0, 0), (), ())  # truncates toward zero: -3
+@example(_lit("/", 7, -2), (0, 0, 0, 0), (), ())
+@example(_lit("/", 7, 0), (0, 0, 0, 0), (), ())  # NULL, not an error
+@example(_lit("/", 7, 2.0), (0, 0, 0, 0), (), ())
+@example(_lit("AND", None, 0), (0, 0, 0, 0), (), ())  # false dominates NULL
+@example(_lit("OR", None, 1), (0, 0, 0, 0), (), ())
+@example(_lit("=", 1, "1"), (0, 0, 0, 0), (), ())  # storage classes never mix
+@example(_lit("<", "z", b""), (0, 0, 0, 0), (), ())
+@example(_lit("+", 1, "a"), (0, 0, 0, 0), (), ())
+@example(ast.UnaryOp("-", ast.Literal("a")), (0, 0, 0, 0), (), ())
+@example(ast.BinOp("AND", ast.Literal(0), ast.Column("nope")), (0, 0, 0, 0), (), ())
+@example(ast.BinOp("=", ast.Column("k"), ast.Param(2)), (0, 0, 0, 0), (1, 2), ())
+@example(  # a lifted literal is not a ``?``: no missing-parameter error
+    ast.BinOp("=", ast.Column("k"), ast.Lifted(1)), (0, 0, 0, 0), (), (0, 0)
+)
+def test_compiled_expression_matches_the_interpreter(expr, row, args, lifted):
     compiled = compile_expr(expr, POSITIONS)
-    assert outcome(compiled, row, args) == outcome(
-        ref._eval, expr, dict(zip(NAMES, row)), args
+    assert outcome(compiled, row, args, lifted) == outcome(
+        ref._eval, _unlift(expr, lifted), dict(zip(NAMES, row)), args
     )
 
 
 @settings(max_examples=300, deadline=None)
-@given(exprs, params)
-def test_rowless_expression_matches_the_interpreter(expr, args):
+@given(exprs, params, lifted_values)
+def test_rowless_expression_matches_the_interpreter(expr, args, lifted):
     """VALUES lists and planner constants: no row, a column is an error."""
     compiled = compile_expr(expr, None)
-    assert outcome(compiled, None, args) == outcome(ref._eval, expr, None, args)
+    assert outcome(compiled, None, args, lifted) == outcome(
+        ref._eval, _unlift(expr, lifted), None, args
+    )
 
 
 @settings(max_examples=300, deadline=None)
-@given(exprs, params)
-def test_bind_check_matches_validate_expr(expr, args):
+@given(exprs, params, lifted_values)
+def test_bind_check_matches_validate_expr(expr, args, lifted):
     plan = _SelectPlan(ast.Select(None, "t", where=expr), TABLE, [], None)
     assert outcome(plan.check_bind, args) == outcome(
-        ref._validate_expr, expr, NAMES, args
+        ref._validate_expr, _unlift(expr, lifted), NAMES, args
     )
 
 
@@ -157,6 +181,7 @@ def _conjuncts(expr):
 key_side = st.just(ast.Column("k"))
 constants = st.one_of(
     values.map(ast.Literal),
+    st.integers(0, 1).map(ast.Lifted),
     st.integers(0, 2).map(ast.Param),
     st.integers(-9, 9).map(lambda v: ast.UnaryOp("-", ast.Literal(v))),
     st.just(ast.UnaryOp("-", ast.Literal("text"))),
@@ -179,9 +204,13 @@ def _and(conjuncts):
 
 
 @settings(max_examples=400, deadline=None)
-@given(conjunctions, st.lists(values, min_size=3, max_size=3).map(tuple))
-def test_key_range_matches_key_bound(where, args):
+@given(
+    conjunctions,
+    st.lists(values, min_size=3, max_size=3).map(tuple),
+    lifted_values,
+)
+def test_key_range_matches_key_bound(where, args, lifted):
     plan = _SelectPlan(ast.Select(None, "t", where=where), TABLE, [], None)
-    assert outcome(plan.key_range, args) == outcome(
-        _reference_key_range, where, args
+    assert outcome(plan.key_range, args, lifted) == outcome(
+        _reference_key_range, _unlift(where, lifted), args
     )

@@ -10,15 +10,17 @@ from repro.errors import SqlError
 class TestParseCreateIndex:
     def test_basic(self):
         stmt = parse("CREATE INDEX t_grp ON t (grp)")
-        assert stmt == ast.CreateIndex("t_grp", "t", "grp")
+        assert stmt == (ast.CreateIndex("t_grp", "t", "grp"), ())
 
     def test_if_not_exists(self):
         stmt = parse("CREATE INDEX IF NOT EXISTS t_grp ON t (grp)")
-        assert stmt == ast.CreateIndex("t_grp", "t", "grp", if_not_exists=True)
+        assert stmt == (
+            ast.CreateIndex("t_grp", "t", "grp", if_not_exists=True), ()
+        )
 
     def test_case_insensitive_keywords(self):
         stmt = parse("create index i on t (c)")
-        assert stmt == ast.CreateIndex("i", "t", "c")
+        assert stmt == (ast.CreateIndex("i", "t", "c"), ())
 
     def test_multi_column_rejected(self):
         with pytest.raises(SqlError):
@@ -35,11 +37,11 @@ class TestParseCreateIndex:
 
 class TestParseDropIndex:
     def test_basic(self):
-        assert parse("DROP INDEX i") == ast.DropIndex("i")
+        assert parse("DROP INDEX i") == (ast.DropIndex("i"), ())
 
     def test_if_exists(self):
-        assert parse("DROP INDEX IF EXISTS i") == ast.DropIndex(
-            "i", if_exists=True
+        assert parse("DROP INDEX IF EXISTS i") == (
+            ast.DropIndex("i", if_exists=True), ()
         )
 
     def test_trailing_garbage_rejected(self):

@@ -2,8 +2,9 @@
 
 A plan is bound to one catalog generation of one database: any schema
 change (committed or rolled back) must retire it, two databases sharing a
-parsed statement must not share its plan, and the plan map stays within
-the parse cache's size.
+parsed statement must not share its plan, every literal variant of one
+statement shape shares one plan, and the plan map stays within the parse
+cache's size.
 """
 
 import pytest
@@ -78,7 +79,7 @@ def test_index_ddl_flips_the_access_path_of_a_planned_statement(db, monkeypatch)
 
 
 def test_two_databases_share_the_statement_but_not_the_plan():
-    sql = "SELECT v FROM t WHERE k = 1"
+    sql, other = "SELECT v FROM t WHERE k = 1", "SELECT v FROM t WHERE k = 2"
     first = make_nvwal_db(System(tuna(), seed=0))
     second = make_nvwal_db(System(tuna(), seed=0))
     first.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v TEXT)")
@@ -88,10 +89,17 @@ def test_two_databases_share_the_statement_but_not_the_plan():
     for _ in range(2):  # second pass runs off the cached plans
         assert first.query(sql) == [("one",)]
         assert second.query(sql) == [("uno",)]
+    template, _lifted = parse(sql)
     assert parse(sql) is parse(sql)
-    assert first.executor._plans[id(parse(sql))] is not (
-        second.executor._plans[id(parse(sql))]
+    assert parse(other)[0] is template
+    assert first.executor._plans[id(template)] is not (
+        second.executor._plans[id(template)]
     )
+    # Another literal of the same shape runs off the same plan.
+    plans = dict(first.executor._plans)
+    first.execute("INSERT INTO t VALUES (2, 'two')")
+    assert first.query(other) == [("two",)]
+    assert first.executor._plans == plans  # plans compare by identity
 
 
 def test_plan_map_is_bounded_by_the_parse_cache(db):
@@ -105,3 +113,5 @@ def test_plan_map_is_bounded_by_the_parse_cache(db):
         )
         assert db.query(hot, (1,)) == [("x",)]
         assert len(db.executor._plans) <= limit
+    # One plan per shape: the INSERT, the literal SELECT and the hot one.
+    assert len(db.executor._plans) <= 3

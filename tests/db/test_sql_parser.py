@@ -7,9 +7,14 @@ from repro.db.sql.parser import parse
 from repro.errors import SqlError
 
 
+def template(text):
+    """The statement template ``text`` parses to, lifted values dropped."""
+    return parse(text)[0]
+
+
 class TestCreateTable:
     def test_basic(self):
-        stmt = parse("CREATE TABLE t (id INTEGER PRIMARY KEY, name TEXT)")
+        stmt = template("CREATE TABLE t (id INTEGER PRIMARY KEY, name TEXT)")
         assert stmt == ast.CreateTable(
             "t",
             (
@@ -19,11 +24,11 @@ class TestCreateTable:
         )
 
     def test_if_not_exists(self):
-        stmt = parse("CREATE TABLE IF NOT EXISTS t (a INTEGER)")
+        stmt = template("CREATE TABLE IF NOT EXISTS t (a INTEGER)")
         assert stmt.if_not_exists
 
     def test_all_types(self):
-        stmt = parse("CREATE TABLE t (a INTEGER, b REAL, c TEXT, d BLOB)")
+        stmt = template("CREATE TABLE t (a INTEGER, b REAL, c TEXT, d BLOB)")
         assert [c.type for c in stmt.columns] == ["INTEGER", "REAL", "TEXT", "BLOB"]
 
     def test_missing_type_rejected(self):
@@ -37,78 +42,83 @@ class TestCreateTable:
 
 class TestInsert:
     def test_values(self):
-        stmt = parse("INSERT INTO t VALUES (1, 'x')")
+        stmt, lifted = parse("INSERT INTO t VALUES (1, 'x')")
         assert stmt.table == "t"
-        assert stmt.rows == ((ast.Literal(1), ast.Literal("x")),)
+        assert stmt.rows == ((ast.Lifted(0), ast.Lifted(1)),)
+        assert lifted == (1, "x")
 
     def test_column_list(self):
-        stmt = parse("INSERT INTO t (a, b) VALUES (1, 2)")
+        stmt = template("INSERT INTO t (a, b) VALUES (1, 2)")
         assert stmt.columns == ("a", "b")
 
     def test_multi_row(self):
-        stmt = parse("INSERT INTO t VALUES (1), (2), (3)")
+        stmt = template("INSERT INTO t VALUES (1), (2), (3)")
         assert len(stmt.rows) == 3
 
     def test_params(self):
-        stmt = parse("INSERT INTO t VALUES (?, ?)")
+        stmt, lifted = parse("INSERT INTO t VALUES (?, ?)")
         assert stmt.rows == ((ast.Param(0), ast.Param(1)),)
+        assert lifted == ()
 
     def test_or_replace(self):
-        assert parse("INSERT OR REPLACE INTO t VALUES (1)").or_replace
+        assert template("INSERT OR REPLACE INTO t VALUES (1)").or_replace
 
     def test_null_literal(self):
-        stmt = parse("INSERT INTO t VALUES (NULL)")
+        stmt = template("INSERT INTO t VALUES (NULL)")
         assert stmt.rows[0][0] == ast.Literal(None)
 
     def test_negative_number(self):
-        stmt = parse("INSERT INTO t VALUES (-5)")
-        assert stmt.rows[0][0] == ast.UnaryOp("-", ast.Literal(5))
+        stmt, lifted = parse("INSERT INTO t VALUES (-5)")
+        assert stmt.rows[0][0] == ast.UnaryOp("-", ast.Lifted(0))
+        assert lifted == (5,)
 
 
 class TestSelect:
     def test_star(self):
-        stmt = parse("SELECT * FROM t")
+        stmt = template("SELECT * FROM t")
         assert stmt.columns is None
         assert stmt.where is None
 
     def test_columns(self):
-        assert parse("SELECT a, b FROM t").columns == ("a", "b")
+        assert template("SELECT a, b FROM t").columns == ("a", "b")
 
     def test_count_star(self):
-        assert parse("SELECT COUNT(*) FROM t").aggregate == ("COUNT", None)
+        assert template("SELECT COUNT(*) FROM t").aggregate == ("COUNT", None)
 
     def test_count_as_column_name(self):
-        stmt = parse("SELECT count FROM t")
+        stmt = template("SELECT count FROM t")
         assert stmt.columns == ("count",)
 
     def test_where(self):
-        stmt = parse("SELECT * FROM t WHERE key = 5")
-        assert stmt.where == ast.BinOp("=", ast.Column("key"), ast.Literal(5))
+        stmt, lifted = parse("SELECT * FROM t WHERE key = 5")
+        assert stmt.where == ast.BinOp("=", ast.Column("key"), ast.Lifted(0))
+        assert lifted == (5,)
 
     def test_order_limit(self):
-        stmt = parse("SELECT * FROM t ORDER BY a DESC LIMIT 10")
+        stmt = template("SELECT * FROM t ORDER BY a DESC LIMIT 10")
         assert stmt.order_by == "a"
         assert stmt.descending
         assert stmt.limit == 10
 
     def test_order_asc_default(self):
-        stmt = parse("SELECT * FROM t ORDER BY a ASC")
+        stmt = template("SELECT * FROM t ORDER BY a ASC")
         assert not stmt.descending
 
     def test_between_desugars(self):
-        stmt = parse("SELECT * FROM t WHERE k BETWEEN 1 AND 5")
+        stmt, lifted = parse("SELECT * FROM t WHERE k BETWEEN 1 AND 5")
         assert stmt.where == ast.BinOp(
             "AND",
-            ast.BinOp(">=", ast.Column("k"), ast.Literal(1)),
-            ast.BinOp("<=", ast.Column("k"), ast.Literal(5)),
+            ast.BinOp(">=", ast.Column("k"), ast.Lifted(0)),
+            ast.BinOp("<=", ast.Column("k"), ast.Lifted(1)),
         )
+        assert lifted == (1, 5)
 
     def test_is_null(self):
-        stmt = parse("SELECT * FROM t WHERE v IS NULL")
+        stmt = template("SELECT * FROM t WHERE v IS NULL")
         assert stmt.where == ast.BinOp("IS NULL", ast.Column("v"), ast.Literal(None))
 
     def test_is_not_null(self):
-        stmt = parse("SELECT * FROM t WHERE v IS NOT NULL")
+        stmt = template("SELECT * FROM t WHERE v IS NOT NULL")
         assert stmt.where == ast.UnaryOp(
             "NOT", ast.BinOp("IS NULL", ast.Column("v"), ast.Literal(None))
         )
@@ -116,60 +126,62 @@ class TestSelect:
 
 class TestExpressions:
     def test_precedence_and_over_or(self):
-        stmt = parse("SELECT * FROM t WHERE a = 1 OR b = 2 AND c = 3")
+        stmt = template("SELECT * FROM t WHERE a = 1 OR b = 2 AND c = 3")
         assert stmt.where.op == "OR"
         assert stmt.where.right.op == "AND"
 
     def test_arithmetic_precedence(self):
-        stmt = parse("SELECT * FROM t WHERE a = 1 + 2 * 3")
+        stmt = template("SELECT * FROM t WHERE a = 1 + 2 * 3")
         plus = stmt.where.right
         assert plus.op == "+"
         assert plus.right.op == "*"
 
     def test_parentheses(self):
-        stmt = parse("SELECT * FROM t WHERE (a = 1 OR b = 2) AND c = 3")
+        stmt = template("SELECT * FROM t WHERE (a = 1 OR b = 2) AND c = 3")
         assert stmt.where.op == "AND"
         assert stmt.where.left.op == "OR"
 
     def test_not(self):
-        stmt = parse("SELECT * FROM t WHERE NOT a = 1")
+        stmt, lifted = parse("SELECT * FROM t WHERE NOT a = 1")
         assert stmt.where == ast.UnaryOp(
-            "NOT", ast.BinOp("=", ast.Column("a"), ast.Literal(1))
+            "NOT", ast.BinOp("=", ast.Column("a"), ast.Lifted(0))
         )
+        assert lifted == (1,)
 
     def test_neq_normalized(self):
-        a = parse("SELECT * FROM t WHERE a <> 1").where
-        b = parse("SELECT * FROM t WHERE a != 1").where
+        a = template("SELECT * FROM t WHERE a <> 1").where
+        b = template("SELECT * FROM t WHERE a != 1").where
         assert a == b
 
 
 class TestOtherStatements:
     def test_update(self):
-        stmt = parse("UPDATE t SET a = 1, b = ? WHERE key = 2")
+        stmt, lifted = parse("UPDATE t SET a = 1, b = ? WHERE key = 2")
         assert stmt.assignments == (
-            ("a", ast.Literal(1)), ("b", ast.Param(0)),
+            ("a", ast.Lifted(0)), ("b", ast.Param(0)),
         )
-        assert stmt.where is not None
+        assert stmt.where == ast.BinOp("=", ast.Column("key"), ast.Lifted(1))
+        assert lifted == (1, 2)
 
     def test_delete(self):
-        stmt = parse("DELETE FROM t WHERE key = 1")
+        stmt = template("DELETE FROM t WHERE key = 1")
         assert stmt.table == "t"
 
     def test_delete_all(self):
-        assert parse("DELETE FROM t").where is None
+        assert template("DELETE FROM t").where is None
 
     def test_drop(self):
-        assert parse("DROP TABLE t").name == "t"
+        assert template("DROP TABLE t").name == "t"
 
     def test_transaction_control(self):
-        assert isinstance(parse("BEGIN"), ast.Begin)
-        assert isinstance(parse("BEGIN TRANSACTION"), ast.Begin)
-        assert isinstance(parse("COMMIT"), ast.Commit)
-        assert isinstance(parse("ROLLBACK"), ast.Rollback)
-        assert isinstance(parse("CHECKPOINT"), ast.Checkpoint)
+        assert isinstance(template("BEGIN"), ast.Begin)
+        assert isinstance(template("BEGIN TRANSACTION"), ast.Begin)
+        assert isinstance(template("COMMIT"), ast.Commit)
+        assert isinstance(template("ROLLBACK"), ast.Rollback)
+        assert isinstance(template("CHECKPOINT"), ast.Checkpoint)
 
     def test_trailing_semicolon_ok(self):
-        assert isinstance(parse("COMMIT;"), ast.Commit)
+        assert isinstance(template("COMMIT;"), ast.Commit)
 
     def test_trailing_garbage_rejected(self):
         with pytest.raises(SqlError):

@@ -412,12 +412,16 @@ def test_no_planted_bug_in_product_modules():
 #: when never-set scenario values became constants; each is the parent's
 #: (22c2da52…0a7, 0f238c83…bef) digest over its records with exactly the
 #: removed keys dropped: ``scenario.storm_interval_ns``; and seven
-#: ``scenario`` keys plus three of ``scenario.plan.ship``.
+#: ``scenario`` keys plus three of ``scenario.plan.ship``.  Torture's moved
+#: again when NVWAL recovery began to checkpoint after a chain walk cut
+#: short by corruption: one recovery of seed 1 (``ls``) now runs a
+#: checkpoint, so its recovery-crash sweep crashes at 14 more points
+#: (parent: 705a4c25…b167).
 CLI_DIGESTS = {
     "torture": (
         "repro.torture.__main__",
         ["--seeds", "2", "--ops", "20", "--jobs", "2"],
-        "705a4c2508f665559fb20b9b6042540ba87d22f1ac9501150ba256613726b167",
+        "27bf30033f8df12e0f781d46abcdd79c51794839c346d03e961f9ceabedbbd99",
     ),
     "service-chaos": (
         "repro.service.cli",
@@ -453,6 +457,10 @@ CLI_DIGESTS = {
 #: gained one key each; the digest is what the same sweep printed at
 #: 689c061 (``workloads-torture`` as ``python -m repro.workloads torture
 #: --workload queue --seeds 1 --ops 12``, on the driver deleted since).
+#: Torture's three run counters moved with the checkpoint after a cut
+#: chain walk; its digest is the parent's (afc1954) records without them
+#: and without ``workload``, and those records without ``workload`` alone
+#: digested to 689c061's 7597cf0e…cab28.
 #: Service chaos's ``scenario.sabotage`` went from ``false`` to ``""``,
 #: and two telemetry counters (with the export digest over them) now
 #: count what ``stats`` always did; the digest is e6b34e0's records
@@ -460,8 +468,8 @@ CLI_DIGESTS = {
 #: which the current records no longer carry.
 MOVED = {
     "torture": (
-        [("workload",)],
-        "7597cf0ee7d607bafa7a42eccecb2efb66473183d02209f88be60ce7bd5cab28",
+        [("workload",), ("crashes",), ("runs",), ("recovery_runs",)],
+        "ad6d81811f1701eb3ad3d0d40f4a79db5c71155ae1a90e8b5bb0380caa689377",
     ),
     "workloads-torture": (
         [("recovery_runs",)],

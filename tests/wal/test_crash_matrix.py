@@ -138,6 +138,9 @@ class TestSection43Cases:
         system.reboot()
         db2 = make_nvwal_db(system)
         assert db2.dump_table("t") == [(1, "keep")]
+        # A normal end of the chain, not corruption: no salvage checkpoint.
+        assert not db2.wal.last_recovery.corruption_detected
+        assert db2.wal._checkpoint_id == wal._checkpoint_id
 
     def test_crash_during_memcpy_aborts_transaction(self):
         """Case 3: a torn frame memcpy means no commit mark — aborted."""

@@ -146,6 +146,36 @@ class TestNvwalSalvage:
         assert not db.wal.last_recovery.corruption_detected
         assert sorted(db.dump_table("t")) == [(j, f"v{j}") for j in range(4)]
 
+    def test_cut_chain_walk_leaves_no_committed_frame_to_resurrect(self):
+        """A flipped chain index in a block header cuts the chain walk
+        there, so the committed frames in the blocks past the cut are lost.
+        Clients resubmit the first lost transactions; the next block comes
+        back at the orphan's address, and they log byte-identical frames
+        at the same offsets.  A later recovery must not read on into the
+        orphan's old frames and replay transactions nobody resubmitted."""
+        rows = 60
+        system, db = build_nvwal(rows=rows)
+        blocks = db.wal.userheap.blocks
+        assert len(blocks) >= 3  # the cut must leave the table's blocks
+        header = system.nvram.read(blocks[-1].addr, _BLOCK_HEADER_SIZE)
+        chain_index = struct.unpack_from("<I", header, 12)[0]
+        system.nvram.persist(
+            blocks[-1].addr + 12, struct.pack("<I", chain_index ^ 0x4)
+        )
+
+        db = reopen(system)
+        assert db.wal.last_recovery.reason == "chain position mismatch"
+        kept = sorted(db.dump_table("t"))
+        assert kept == [(j, f"v{j}") for j in range(len(kept))]
+        assert len(kept) < rows
+        resubmitted = [(j, f"v{j}") for j in range(len(kept), len(kept) + 2)]
+        for row in resubmitted:
+            db.execute("INSERT INTO t VALUES (?, ?)", row)
+
+        db = reopen(system)
+        assert not db.wal.last_recovery.corruption_detected
+        assert sorted(db.dump_table("t")) == kept + resubmitted
+
     def test_unreadable_log_block_boots_and_stays_writable(self):
         """A poisoned (ECC-uncorrectable) unit inside a log block ends the
         scan there; the database still boots and accepts new writes."""
