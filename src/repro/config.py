@@ -42,6 +42,17 @@ FILE_FRAME_HEADER_SIZE = 24
 NV_FRAME_HEADER_SIZE = 32
 
 
+def _reject_negative(config: object, names: tuple[str, ...]) -> None:
+    """Raise ``ValueError`` if any of the named latencies or costs of
+    ``config`` is negative."""
+    for name in names:
+        value = getattr(config, name)
+        if value < 0:
+            raise ValueError(
+                f"{type(config).__name__}.{name} must be >= 0, got {value}"
+            )
+
+
 @dataclass(frozen=True)
 class NvramConfig:
     """The emulated NVRAM DIMM."""
@@ -52,6 +63,9 @@ class NvramConfig:
     write_latency_ns: int = 500
     #: Read latency per cache line; NVRAM reads are close to DRAM.
     read_latency_ns: int = 120
+
+    def __post_init__(self) -> None:
+        _reject_negative(self, ("write_latency_ns", "read_latency_ns"))
 
 
 @dataclass(frozen=True)
@@ -96,6 +110,18 @@ class CacheConfig:
     memcpy_ns_per_byte: float = 0.35
     #: Fixed per-call memcpy overhead.
     memcpy_base_ns: int = 90
+
+    def __post_init__(self) -> None:
+        # The CPU charges these inline, with no per-call check, so a bad
+        # value is refused here rather than moving the clock backwards.
+        _reject_negative(self, (
+            "flush_issue_ns", "dmb_ns", "persist_barrier_ns", "syscall_ns",
+            "memcpy_ns_per_byte", "memcpy_base_ns",
+        ))
+        if self.pipeline_depth < 1:
+            raise ValueError(
+                f"CacheConfig.pipeline_depth must be >= 1, got {self.pipeline_depth}"
+            )
 
 
 @dataclass(frozen=True)

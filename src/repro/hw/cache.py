@@ -155,22 +155,36 @@ class CacheHierarchy:
         first line first.
         """
         length = len(data)
-        self.nvram.check_range(addr, length)
+        end = addr + length
+        if addr < 0 or end > self.nvram.config.size:
+            self.nvram.check_range(addr, length)
         if length == 0:
             return
         line_size = self.line_size
-        end = addr + length
         first = addr - (addr % line_size)
         stop = end + (-end % line_size)
-        if first != addr:
-            self._write_allocate(first)
-        if stop != end:
-            self._write_allocate(stop - line_size)
-
         chunks = self._chunks
         resident = self._resident
+        index, offset = divmod(addr, CHUNK)
+        if offset + length <= CHUNK:
+            # One chunk (almost every store), which holds the partial head
+            # and tail lines too: a resident one needs no fill, and that is
+            # one test of the chunk's mask.
+            mask = resident.get(index, 0)
+            if first != addr and not (mask >> (offset // line_size)) & 1:
+                self._write_allocate(first)
+            if stop != end and not (mask >> ((offset + length - 1) // line_size)) & 1:
+                self._write_allocate(stop - line_size)
+            pieces = ((index, offset, length),)
+        else:
+            if first != addr:
+                self._write_allocate(first)
+            if stop != end:
+                self._write_allocate(stop - line_size)
+            pieces = self._pieces(addr, end)
+
         pos = 0
-        for index, offset, take in self._pieces(addr, end):
+        for index, offset, take in pieces:
             chunk = chunks.get(index)
             if chunk is None:
                 chunk = chunks[index] = bytearray(CHUNK)

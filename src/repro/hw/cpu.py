@@ -25,6 +25,15 @@ range.  A flush call cuts the dirty part of its range out of the cache's
 age-ordered extent list in one step and queues it run by run; the only work
 left per line is the time arithmetic, whose float additions have to happen
 one at a time, in instruction order, to stay bit-exact.
+
+Each primitive charges inline: it adds its cost to ``clock.now_ns``, to its
+:class:`TimeBucket` in ``stats.time_ns`` and to its counters itself, with
+the same float additions in the same order as ``SimClock.advance`` and
+``Stats.add_time`` would make.  The crash hook is the one indirection left:
+an armed hook is called at the start of each primitive (and once per
+flushed line), with the clock, stats and queue already written back.  The
+cost constants are validated when the config is built, which is what lets
+these charges skip ``SimClock.advance``'s check.
 """
 
 from __future__ import annotations
@@ -36,9 +45,14 @@ from repro.hw.clock import SimClock
 from repro.hw.memory import NvramDevice
 from repro.hw.stats import Stats, TimeBucket
 
-#: Raw Counter key for the dccmvac time bucket, hoisted out of the flush
-#: routine (enum attribute access is measurable at this call volume).
+#: Raw Counter keys of the time buckets the primitives charge, hoisted out
+#: of them (enum attribute access is measurable at this call volume).
+_CPU_KEY = TimeBucket.CPU.value
+_MEMCPY_KEY = TimeBucket.MEMCPY.value
+_SYSCALL_KEY = TimeBucket.SYSCALL.value
 _DCCMVAC_KEY = TimeBucket.DCCMVAC.value
+_DMB_KEY = TimeBucket.DMB.value
+_PERSIST_BARRIER_KEY = TimeBucket.PERSIST_BARRIER.value
 
 
 class Cpu:
@@ -72,24 +86,17 @@ class Cpu:
         self.crash_hook = None
 
     # ------------------------------------------------------------------
-    # internal helpers
-    # ------------------------------------------------------------------
-
-    def _tick(self, op: str) -> None:
-        if self.crash_hook is not None:
-            self.crash_hook(op)
-
-    # ------------------------------------------------------------------
     # volatile data path
     # ------------------------------------------------------------------
 
     def store(self, addr: int, data: bytes) -> None:
         """Plain store: volatile write into the cache, minimal cost."""
-        self._tick("store")
+        if self.crash_hook is not None:
+            self.crash_hook("store")
         cost = self.config.cache.memcpy_ns_per_byte * len(data)
         self.cache.store(addr, data)
-        self.clock.advance(cost)
-        self.stats.add_time(TimeBucket.CPU, cost)
+        self.clock.now_ns += cost
+        self.stats.time_ns[_CPU_KEY] += cost
 
     def memcpy(self, dst: int, data: bytes) -> None:
         """Copy ``data`` to NVRAM address ``dst`` through the cache.
@@ -98,15 +105,15 @@ class Cpu:
         they sit in the cache until flushed and barriered (or evicted, which
         the crash controller models probabilistically).
         """
-        self._tick("memcpy")
-        cost = (
-            self.config.cache.memcpy_base_ns
-            + self.config.cache.memcpy_ns_per_byte * len(data)
-        )
+        if self.crash_hook is not None:
+            self.crash_hook("memcpy")
+        cache_cfg = self.config.cache
+        cost = cache_cfg.memcpy_base_ns + cache_cfg.memcpy_ns_per_byte * len(data)
         self.cache.store(dst, data)
-        self.clock.advance(cost)
-        self.stats.add_time(TimeBucket.MEMCPY, cost)
-        self.stats.count("memcpy_bytes", len(data))
+        self.clock.now_ns += cost
+        stats = self.stats
+        stats.time_ns[_MEMCPY_KEY] += cost
+        stats.counters["memcpy_bytes"] += len(data)
         self._evict_excess()
 
     def _evict_excess(self) -> None:
@@ -123,7 +130,7 @@ class Cpu:
         now = self.clock.now_ns
         if now > self._pending_max_completion:
             self._pending_max_completion = now
-        self.stats.count("cache_evictions", excess)
+        self.stats.counters["cache_evictions"] += excess
 
     def load(self, addr: int, length: int) -> bytes:
         """Read the volatile view of NVRAM (cache overlay over device).
@@ -140,8 +147,8 @@ class Cpu:
             last = (addr + length - 1) - ((addr + length - 1) % line_size)
             lines = (last - first) // line_size + 1
         cost = self.config.nvram.read_latency_ns * lines
-        self.clock.advance(cost)
-        self.stats.add_time(TimeBucket.CPU, cost)
+        self.clock.now_ns += cost
+        self.stats.time_ns[_CPU_KEY] += cost
         return self.cache.load(addr, length)
 
     def load_free(self, addr: int, length: int) -> bytes:
@@ -177,15 +184,17 @@ class Cpu:
         covers — which is why lazy synchronization, batching many lines per
         call, also saves mode switches.
         """
-        self._tick("cache_line_flush")
-        self.clock.advance(self.config.cache.syscall_ns)
-        self.stats.add_time(TimeBucket.SYSCALL, self.config.cache.syscall_ns)
-        self.stats.count(statnames.FLUSH_CALLS)
+        if self.crash_hook is not None:
+            self.crash_hook("cache_line_flush")
+        cache_cfg = self.config.cache
+        syscall = cache_cfg.syscall_ns
+        self.clock.now_ns += syscall
+        stats = self.stats
+        stats.time_ns[_SYSCALL_KEY] += syscall
+        stats.counters[statnames.FLUSH_CALLS] += 1
         if end > start:
-            line_size = self.config.cache.line_size
-            self._dccmvac_lines(
-                self.cache.line_base(start), end + (-end % line_size)
-            )
+            line_size = cache_cfg.line_size
+            self._dccmvac_lines(start - start % line_size, end + (-end % line_size))
 
     def _dccmvac_lines(self, first: int, stop: int) -> None:
         """Issue ``dccmvac`` for the lines [first, stop), line-aligned.
@@ -224,7 +233,9 @@ class Cpu:
         dccmvac_ns = self.stats.time_ns[_DCCMVAC_KEY]
         last = self._pipeline_last_completion
 
-        runs = by_address(self.cache.undirty(first, stop))
+        runs = self.cache.undirty(first, stop)
+        if len(runs) > 1:
+            runs = by_address(runs)
         at = first
         for lo, hi in runs:
             for _ in range(at, lo, line_size):
@@ -247,8 +258,9 @@ class Cpu:
             dccmvac_ns += issue
 
         self.clock.now_ns = now
-        self.stats.time_ns[_DCCMVAC_KEY] = dccmvac_ns
-        self.stats.count(statnames.FLUSHES, (stop - first) // line_size)
+        stats = self.stats
+        stats.time_ns[_DCCMVAC_KEY] = dccmvac_ns
+        stats.counters[statnames.FLUSHES] += (stop - first) // line_size
         self._pipeline_last_completion = last
         # Completions only move forward, so the last line flushed is the
         # latest thing in the queue.
@@ -266,13 +278,16 @@ class Cpu:
         memory subsystem (tier 2) — they are still *not* durable until a
         persist barrier drains them.
         """
-        self._tick("dmb")
+        if self.crash_hook is not None:
+            self.crash_hook("dmb")
         start = self.clock.now_ns
-        self.clock.advance(self.config.cache.dmb_ns)
-        if self.pending:
-            self.clock.advance_to(self._pending_max_completion)
-        self.stats.add_time(TimeBucket.DMB, self.clock.now_ns - start)
-        self.stats.count(statnames.DMBS)
+        now = start + self.config.cache.dmb_ns
+        if self.pending and self._pending_max_completion > now:
+            now = self._pending_max_completion
+        self.clock.now_ns = now
+        stats = self.stats
+        stats.time_ns[_DMB_KEY] += now - start
+        stats.counters[statnames.DMBS] += 1
 
     def persist_barrier(self) -> None:
         """Drain the memory-subsystem queue into durable NVRAM.
@@ -281,13 +296,16 @@ class Cpu:
         we additionally wait for any flush still in flight, then commit the
         queued lines to the device.
         """
-        self._tick("persist_barrier")
-        start = self.clock.now_ns
-        if self.pending:
-            self.clock.advance_to(self._pending_max_completion)
-        self.clock.advance(self.config.cache.persist_barrier_ns)
-        self.stats.add_time(TimeBucket.PERSIST_BARRIER, self.clock.now_ns - start)
-        self.stats.count(statnames.PERSIST_BARRIERS)
+        if self.crash_hook is not None:
+            self.crash_hook("persist_barrier")
+        start = now = self.clock.now_ns
+        if self.pending and self._pending_max_completion > now:
+            now = self._pending_max_completion
+        now += self.config.cache.persist_barrier_ns
+        self.clock.now_ns = now
+        stats = self.stats
+        stats.time_ns[_PERSIST_BARRIER_KEY] += now - start
+        stats.counters[statnames.PERSIST_BARRIERS] += 1
         if self.drain(self.pending):
             self.pending.clear()
             self._pending_max_completion = 0.0
@@ -301,8 +319,9 @@ class Cpu:
         line_size = self.config.cache.line_size
         written = self.nvram.persist_lines(runs, line_size)
         lines = written // line_size
-        self.stats.count(statnames.NVRAM_LINES_PERSISTED, lines)
-        self.stats.count(statnames.NVRAM_BYTES_WRITTEN, written)
+        counters = self.stats.counters
+        counters[statnames.NVRAM_LINES_PERSISTED] += lines
+        counters[statnames.NVRAM_BYTES_WRITTEN] += written
         return lines
 
     # ------------------------------------------------------------------
@@ -313,8 +332,8 @@ class Cpu:
         """Charge ``ns`` nanoseconds of computation to the clock."""
         if ns <= 0:
             return
-        self.clock.advance(ns)
-        self.stats.add_time(bucket, ns)
+        self.clock.now_ns += ns
+        self.stats.time_ns[bucket._value_] += ns
 
     def syscall_overhead(self) -> None:
         """Charge one kernel-mode switch (for non-flush syscalls)."""

@@ -4,20 +4,20 @@ Given the previously logged image of a B-tree page and its current image,
 compute the byte extents that changed; only those extents are written to
 NVRAM.  The paper describes truncating the preceding and trailing clean
 regions of the page (one contiguous extent).  We implement that as
-``DiffMode.SINGLE_RANGE`` and additionally a precise multi-extent encoding
+``DiffMode.SINGLE_RANGE`` and additionally a multi-extent encoding
 (``MULTI_RANGE``, classic delta encoding) — ablation A3 quantifies the gap
 between them, which is substantial because an insert dirties two distant
 clusters (header + slot array near the top, cell content lower down).
+
+The rule for an extent: a maximal run of dirty 64-byte chunks (chunk ``k``
+is bytes ``[64k, 64k + 64)`` of the page), trimmed bytewise to its first
+and last differing byte.  Two extents are therefore always at least one
+clean chunk — 64 bytes — apart, and are never merged.
 """
 
 from __future__ import annotations
 
 import enum
-
-#: Extents closer than this are merged, since flushing happens at
-#: cache-line granularity anyway and each extra extent costs a 32-byte
-#: frame header.
-_MERGE_GAP = 64
 
 
 class DiffMode(str, enum.Enum):
@@ -28,7 +28,7 @@ class DiffMode(str, enum.Enum):
     #: One extent from the first to the last dirty byte (the truncation
     #: scheme the paper describes).
     SINGLE_RANGE = "single"
-    #: Precise dirty extents, merged across small gaps.
+    #: One extent per maximal run of dirty 64-byte chunks, trimmed bytewise.
     MULTI_RANGE = "multi"
 
 
@@ -54,8 +54,7 @@ def compute_extents(
         start = ranges[0][0]
         end = ranges[-1][1]
         return [(start, bytes(new[start:end]))]
-    merged = _merge_ranges(ranges, _MERGE_GAP)
-    return [(start, bytes(new[start:end])) for start, end in merged]
+    return [(start, bytes(new[start:end])) for start, end in ranges]
 
 
 def apply_extents(base: bytes, extents: list[tuple[int, bytes]]) -> bytes:
@@ -72,57 +71,45 @@ def apply_extents(base: bytes, extents: list[tuple[int, bytes]]) -> bytes:
 
 
 def _changed_ranges(old: bytes, new: bytes) -> list[tuple[int, int]]:
-    """Exact [start, end) ranges where the images differ.
+    """Exact [start, end) ranges where the images differ, one per maximal
+    run of differing 64-byte chunks.
 
-    A range is a maximal run of differing 64-byte chunks with its first and
-    last chunk trimmed bytewise.  Chunks are located with a two-level scan
-    (1 KB slice comparisons, refined to 64-byte slices only inside dirty
-    kilobytes): slice comparison is C-speed in CPython, and a typical
-    B-tree page change dirties two or three small clusters, so almost all
-    of the page is dismissed at the coarse level.
+    Chunks are located with a three-level scan — 1 KB slice comparisons,
+    refined to 256-byte slices only inside dirty kilobytes and to 64-byte
+    slices only inside dirty quarters: slice comparison is C-speed in
+    CPython, and a typical B-tree page change dirties two or three small
+    clusters, so almost all of the page is dismissed at the coarse levels.
+    Slices clip at the end of the page, so a short last chunk needs no
+    special case, and positions past it compare equal.  A run's first and
+    last chunk are trimmed with one XOR of their two slices read as
+    little-endian integers: the lowest set bit lies in the first differing
+    byte, the highest in the last.
     """
-    chunk = 64
-    coarse = 1024
-    n = len(old)
-    dirty: list[int] = []  # start offsets of differing 64-byte chunks
-    for cpos in range(0, n, coarse):
-        cend = cpos + coarse
-        if cend > n:
-            cend = n
-        if old[cpos:cend] != new[cpos:cend]:
-            for pos in range(cpos, cend, chunk):
-                end = pos + chunk
-                if end > n:
-                    end = n
-                if old[pos:end] != new[pos:end]:
-                    dirty.append(pos)
+    runs: list[list[int]] = []  # [first, last] dirty chunk of each run
+    last = -128
+    for kpos in range(0, len(old), 1024):
+        if old[kpos : kpos + 1024] != new[kpos : kpos + 1024]:
+            for qpos in range(kpos, kpos + 1024, 256):
+                if old[qpos : qpos + 256] != new[qpos : qpos + 256]:
+                    for pos in range(qpos, qpos + 256, 64):
+                        if old[pos : pos + 64] != new[pos : pos + 64]:
+                            if pos == last + 64:
+                                runs[-1][1] = pos
+                            else:
+                                runs.append([pos, pos])
+                            last = pos
     ranges: list[tuple[int, int]] = []
-    i = 0
-    m = len(dirty)
-    while i < m:
-        j = i
-        while j + 1 < m and dirty[j + 1] == dirty[j] + chunk:
-            j += 1
-        start = dirty[i]
-        while old[start] == new[start]:
-            start += 1
-        stop = min(dirty[j] + chunk, n)
-        while old[stop - 1] == new[stop - 1]:
-            stop -= 1
-        ranges.append((start, stop))
-        i = j + 1
+    for head, tail in runs:
+        bits = _xor(old, new, head)
+        start = head + ((bits & -bits).bit_length() - 1) // 8
+        if tail != head:
+            bits = _xor(old, new, tail)
+        ranges.append((start, tail + (bits.bit_length() + 7) // 8))
     return ranges
 
 
-def _merge_ranges(
-    ranges: list[tuple[int, int]], gap: int
-) -> list[tuple[int, int]]:
-    """Merge ranges separated by less than ``gap`` bytes."""
-    merged = [ranges[0]]
-    for start, end in ranges[1:]:
-        last_start, last_end = merged[-1]
-        if start - last_end < gap:
-            merged[-1] = (last_start, end)
-        else:
-            merged.append((start, end))
-    return merged
+def _xor(old: bytes, new: bytes, pos: int) -> int:
+    """The 64-byte chunks at ``pos`` XORed, as a little-endian integer."""
+    return int.from_bytes(old[pos : pos + 64], "little") ^ int.from_bytes(
+        new[pos : pos + 64], "little"
+    )

@@ -55,10 +55,10 @@ from repro.wal.frames import (
     commit_mark_bytes,
     commit_mark_value,
     decode_nv_frame,
+    decode_nv_frame_header,
     encode_nv_frame,
     epoch_close_value,
     epoch_member_value,
-    payload_checksum,
 )
 
 _ROOT_MAGIC = 0x4E56_5741_4C00_0001
@@ -295,7 +295,8 @@ class NvwalBackend(WalBackend):
     ) -> int:
         """Logging step (Algorithm 1 lines 1-20): copy each frame into
         NVRAM and append its ``(addr, length)`` to ``ptrs``.  Returns the
-        last frame's stored checksum, which the mark step binds to."""
+        last frame's stored checksum, read back from its header, which the
+        mark step binds to."""
         costs = self.system.config.db_costs
         for frame in frames:
             self.cpu.compute(costs.frame_assembly_ns, TimeBucket.CPU)
@@ -312,10 +313,7 @@ class NvwalBackend(WalBackend):
             if sync_each:
                 self.persist_domain.flush_ranges(ptrs[-1:])
         self._frame_count += len(frames)
-        last = frames[-1]
-        return payload_checksum(
-            last.payload, last.page_no, last.offset, self.checksum_bits
-        )
+        return decode_nv_frame_header(encoded)[4]
 
     def _mark(
         self,

@@ -70,6 +70,7 @@ class FastMachine:
         self.cache_line_flush = self.cpu.cache_line_flush
         self.dmb = self.cpu.dmb
         self.persist_barrier = self.cpu.persist_barrier
+        self.compute = self.cpu.compute
         self.power_fail = self.crash.apply_power_loss
 
     def set_hook(self, hook) -> None:
@@ -234,6 +235,14 @@ class ReferenceMachine:
             self.stats.count(statnames.NVRAM_BYTES_WRITTEN, len(data))
         self.pending.clear()
 
+    # -- CPU work -------------------------------------------------------
+
+    def compute(self, ns: float, bucket: TimeBucket = TimeBucket.CPU) -> None:
+        if ns <= 0:
+            return
+        self.clock.advance(ns)
+        self.stats.add_time(bucket, ns)
+
     # -- power loss -----------------------------------------------------
 
     def power_fail(self) -> None:
@@ -346,6 +355,21 @@ def random_ops(rng: random.Random, steps: int, storms: bool = False):
             yield (kind,)
 
 
+def with_compute(rng: random.Random, ops):
+    """``ops`` with ``compute`` charges interleaved — zero, negative, whole
+    and fractional nanoseconds, on the CPU and the HEAP bucket — drawn from
+    their own RNG, so the primitive ops are exactly the stream given."""
+    amounts = (0, -3, 1, 0.35, 7.7, 90, 9_000.125, 14_000, 205_000)
+    for op in ops:
+        if rng.random() < 0.3:
+            yield (
+                "compute",
+                rng.choice(amounts) * rng.choice((1, 3, 0.1)),
+                rng.choice((TimeBucket.CPU, TimeBucket.HEAP)),
+            )
+        yield op
+
+
 def apply_op(machine, op):
     """Apply one scripted op; loads return their bytes (or the error)."""
     kind = op[0]
@@ -364,6 +388,8 @@ def apply_op(machine, op):
         machine.dmb()
     elif kind == "pb":
         machine.persist_barrier()
+    elif kind == "compute":
+        machine.compute(op[1], op[2])
     else:  # "storm": media decay at run time, no power loss
         machine.nvram.fault_injector.on_power_loss(machine.nvram)
     return None
@@ -651,3 +677,75 @@ def test_poisoned_unit_under_resident_lines_still_fails_the_load():
     fast.dmb()
     fast.persist_barrier()
     assert fast.load(WINDOW_BASE, 4 * line) == b"\x42" * (4 * line)
+
+
+@seeded_profiles(35)
+def test_randomized_ops_with_compute_match_per_line_oracle(make_config, seed):
+    """The primitives charge the clock, their bucket and their counters
+    inline; interleaved with ``compute`` on two buckets they still match
+    the reference's ``SimClock.advance`` + ``Stats.add_time``, exactly."""
+    fast = FastMachine(small(make_config))
+    ref = ReferenceMachine(small(make_config))
+    ops = with_compute(random.Random(-seed), random_ops(random.Random(seed), 500))
+    run_lockstep(fast, ref, ops)
+    assert fast.stats.get_time(TimeBucket.HEAP) > 0
+    assert fast.stats.get_count(statnames.NVRAM_LINES_PERSISTED) > 0
+
+
+def test_armed_hook_sees_every_primitive_in_program_order():
+    """The whole sequence of steps an armed hook sees for a fixed script:
+    one per store, memcpy, flush call, dmb and persist barrier, in program
+    order, plus one ``"dccmvac"`` per line a flush call covers; loads and
+    ``compute`` are not steps.  At every step the clock, stats and queue
+    already hold everything before it, as in the per-line reference."""
+    line = tuna().cache.line_size
+    a = WINDOW_BASE
+    script = [
+        ("store", a + 5, b"s" * 40),
+        ("memcpy", a + 64, b"m" * 100),
+        ("load", a, 200),
+        ("compute", 500, TimeBucket.CPU),
+        ("flush", a, a + 3 * line + 1),  # four lines
+        ("dmb",),
+        ("flush", a + 10, a + 10),  # empty range: the call only
+        ("compute", 70.5, TimeBucket.HEAP),
+        ("flush", a + 2 * line - 1, a + 2 * line + 1),  # straddles: two
+        ("pb",),
+        ("store", a, b"x"),
+        ("memcpy", a + 4 * line, b"y" * line),
+        ("flush", a, a + 5 * line),  # five lines, two of them dirty
+        ("dmb",),
+        ("pb",),
+    ]
+    expected = [
+        "store", "memcpy",
+        "cache_line_flush", "dccmvac", "dccmvac", "dccmvac", "dccmvac",
+        "dmb",
+        "cache_line_flush",
+        "cache_line_flush", "dccmvac", "dccmvac",
+        "persist_barrier",
+        "store", "memcpy",
+        "cache_line_flush", *["dccmvac"] * 5,
+        "dmb", "persist_barrier",
+    ]
+    steps = {}
+    for name, machine in (
+        ("fast", FastMachine(small(tuna))),
+        ("reference", ReferenceMachine(small(tuna))),
+    ):
+        seen = steps[name] = []
+
+        def hook(op, machine=machine, seen=seen):
+            seen.append((
+                op,
+                repr(machine.clock.now_ns),
+                {k: repr(v) for k, v in machine.stats.time_ns.items()},
+                dict(machine.stats.counters),
+                machine.pending_lines(),
+            ))
+
+        machine.set_hook(hook)
+        for op in script:
+            apply_op(machine, op)
+        assert [step[0] for step in seen] == expected, name
+    assert steps["fast"] == steps["reference"]

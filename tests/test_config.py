@@ -8,6 +8,8 @@ from repro.config import (
     ATOMIC_UNIT,
     PAGE_SIZE,
     PROFILES,
+    CacheConfig,
+    NvramConfig,
     nexus5,
     tuna,
 )
@@ -55,3 +57,40 @@ def test_paper_constants():
 def test_nexus_cpu_faster_than_tuna():
     assert nexus5().db_costs.statement_ns < tuna().db_costs.statement_ns
     assert nexus5().heapo.nvmalloc_ns < tuna().heapo.nvmalloc_ns
+
+
+@pytest.mark.parametrize(
+    "make,field",
+    [(NvramConfig, name) for name in ("write_latency_ns", "read_latency_ns")]
+    + [
+        (CacheConfig, name)
+        for name in (
+            "flush_issue_ns",
+            "dmb_ns",
+            "persist_barrier_ns",
+            "syscall_ns",
+            "memcpy_ns_per_byte",
+            "memcpy_base_ns",
+        )
+    ],
+)
+def test_negative_latency_or_cost_rejected_at_construction(make, field):
+    """The CPU charges these inline with no per-call check: a negative
+    value would move the clock backwards, so it never gets that far."""
+    with pytest.raises(ValueError, match=field):
+        make(**{field: -1})
+    make(**{field: 0})  # zero is a legal cost
+
+
+@pytest.mark.parametrize("depth", [0, -2])
+def test_pipeline_depth_below_one_rejected(depth):
+    with pytest.raises(ValueError, match="pipeline_depth"):
+        CacheConfig(pipeline_depth=depth)
+
+
+def test_profiles_and_zero_latency_still_build():
+    assert tuna().cache.pipeline_depth >= 1
+    assert nexus5().cache.pipeline_depth >= 1
+    assert tuna().with_nvram_write_latency(0).nvram.write_latency_ns == 0
+    with pytest.raises(ValueError):
+        tuna().with_nvram_write_latency(-500)
