@@ -176,6 +176,35 @@ class TestNvwalSalvage:
         assert not db.wal.last_recovery.corruption_detected
         assert sorted(db.dump_table("t")) == kept + resubmitted
 
+    def test_decayed_next_pointer_back_edge_keeps_the_chain_it_reaches(self):
+        """A next pointer decayed into the address of an earlier block is a
+        back-edge: the walk must flag it as corruption, keep the prefix,
+        and free none of the blocks that prefix still lives in — so the
+        database keeps accepting writes and survives the next power
+        cycle with the resubmitted rows."""
+        rows = 60
+        system, db = build_nvwal(rows=rows)
+        blocks = db.wal.userheap.blocks
+        assert len(blocks) >= 3
+        system.nvram.persist(blocks[1].addr, struct.pack("<Q", blocks[0].addr))
+
+        db = reopen(system)
+        report = db.wal.last_recovery
+        assert report.corruption_detected
+        assert report.reason == "chain position mismatch"
+        kept = sorted(db.dump_table("t"))
+        assert kept == [(j, f"v{j}") for j in range(len(kept))]
+        assert 0 < len(kept) < rows
+        for block in db.wal.userheap.blocks:
+            assert system.heapo.is_live(block.addr)
+        resubmitted = [(j, f"v{j}") for j in range(len(kept), len(kept) + 2)]
+        for row in resubmitted:
+            db.execute("INSERT INTO t VALUES (?, ?)", row)
+
+        db = reopen(system)
+        assert not db.wal.last_recovery.corruption_detected
+        assert sorted(db.dump_table("t")) == kept + resubmitted
+
     def test_unreadable_log_block_boots_and_stays_writable(self):
         """A poisoned (ECC-uncorrectable) unit inside a log block ends the
         scan there; the database still boots and accepts new writes."""
