@@ -215,13 +215,16 @@ class CacheHierarchy:
 
         A range that is fully resident inside one chunk is one arena slice.
         Anything else is one bulk device read overlaid with the resident
-        runs that intersect it.
+        runs that intersect it — on a cache that holds no line (every read
+        of recovery, right after a reboot) just the device read.
         """
+        resident = self._resident
+        if not resident:
+            return self.nvram.read(addr, length)
         self.nvram.check_range(addr, length)
         if length <= 0:
             return b""
         line_size = self.line_size
-        resident = self._resident
         end = addr + length
         out = None
         for index, offset, take in self._pieces(addr, end):
