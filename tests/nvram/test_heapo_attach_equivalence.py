@@ -1,10 +1,10 @@
 """``Heapo.attach`` must rebuild exactly what the slot-by-slot scan rebuilt.
 
-``attach()`` decodes the descriptor table with one ``struct.iter_unpack``
-and skips state-byte-0 slots without looking at them.  The scan it
-replaced — ``unpack_from`` per slot, ``_descriptor_valid`` on every one,
-``BlockState(...)`` and a name decode even for free slots — lives only
-here, as :func:`reference_attach`.
+``attach()`` finds the slots whose state byte is non-zero in one pass over
+the table's state bytes and decodes only those.  The scan it replaced —
+``unpack_from`` per slot, a validity check on every one, ``BlockState(...)``
+and a name decode even for free slots — lives only here, as
+:func:`reference_attach`.
 
 The one intended difference: a *free* slot whose payload bytes decayed used
 to keep that payload in ``_slots``; it now reads as the shared all-zero
@@ -207,3 +207,44 @@ def test_all_free_table_attaches_to_the_shared_tuple(heapo):
     heapo.attach()
     assert attached_state(heapo) == reference_attach(heapo)
     assert len({id(entry) for entry in heapo._slots}) == 1
+
+
+def _table_of(heapo: Heapo, allocs: int) -> None:
+    """A healthy table: ``allocs`` live allocations, then free slots."""
+    heapo.nvram.fault_injector = None
+    heapo.format()
+    for i in range(allocs):
+        heapo.nvmalloc(4096, name="nvwal-blk" if i % 2 else "hdr")
+
+
+@pytest.mark.parametrize("state_byte", [1, 2, 0x41, 0xFF])
+def test_free_slot_whose_state_byte_decays_is_quarantined(heapo, state_byte):
+    """Decay turns a free slot's state byte non-zero over its all-zero
+    payload: the slot is decoded, found invalid (size 0, or no state),
+    and quarantined with no extent; the allocations around it attach."""
+    _table_of(heapo, 5)
+    decayed = 9
+    heapo.nvram.persist(_SUPERBLOCK_SIZE + decayed * _DESC_SIZE, bytes([state_byte]))
+    expected = reference_attach(heapo)
+    heapo.attach()
+    assert attached_state(heapo) == expected
+    assert heapo._quarantined == {decayed: None}
+    assert sorted(heapo._live) == list(range(5))
+    assert decayed not in heapo._free_slots
+
+
+def test_poisoned_table_unit_costs_its_slot_only(heapo):
+    """A poisoned unit inside a live descriptor fails the bulk read; the
+    per-descriptor fallback quarantines that slot alone, extent unknown."""
+    _table_of(heapo, 6)
+    live = sorted(heapo._live)
+    lost = live[3]
+    injector = NvramFaultInjector(MediaFaultSpec(), seed=0)
+    injector.poisoned.add(_SUPERBLOCK_SIZE + lost * _DESC_SIZE + 8)
+    heapo.nvram.fault_injector = injector
+    expected = reference_attach(heapo)
+    heapo.attach()
+    assert attached_state(heapo) == expected
+    assert heapo._quarantined == {lost: None}
+    assert sorted(heapo._live) == [slot for slot in live if slot != lost]
+    heapo.nvram.fault_injector = None
