@@ -38,7 +38,8 @@ NV_FRAME_MAGIC = 0x4E_56_46_52  # "NVFR"
 # the paper's "commit mark ... flushed to NVRAM with 8 bytes padding"
 # (Section 4.1).
 NV_HEADER_FMT = "<IIIIQII"
-NV_HEADER_SIZE = struct.calcsize(NV_HEADER_FMT)
+_NV_HEADER = struct.Struct(NV_HEADER_FMT)
+NV_HEADER_SIZE = _NV_HEADER.size
 assert NV_HEADER_SIZE == NV_FRAME_HEADER_SIZE
 _NV_COMMIT_OFFSET = 24  # byte offset of the commit field within the header
 
@@ -103,27 +104,47 @@ class NvFrame:
 
     def extent_list(self) -> list[tuple[int, bytes]]:
         """The dirty extents this frame carries."""
-        if self.offset != EXTENT_LIST:
-            return [(self.offset, self.payload)]
-        extents = []
-        pos = 0
-        while pos + _EXTENT_HEADER.size <= len(self.payload):
-            offset, length = _EXTENT_HEADER.unpack_from(self.payload, pos)
-            pos += _EXTENT_HEADER.size
-            extents.append((offset, bytes(self.payload[pos : pos + length])))
-            pos += length
-        return extents
+        return [
+            (offset, bytes(data)) for offset, data in extents(self.offset, self.payload)
+        ]
 
     def apply_to(self, base: bytes) -> bytes:
         """Apply this frame's extents to a base page image."""
         image = bytearray(base)
-        for offset, data in self.extent_list():
-            if offset + len(data) > len(image):
-                raise ChecksumError(
-                    f"frame for page {self.page_no}: extent out of bounds"
-                )
-            image[offset : offset + len(data)] = data
+        patch_page(image, self.page_no, self.offset, self.payload)
         return bytes(image)
+
+
+def extents(offset: int, payload) -> list[tuple[int, bytes]]:
+    """The ``(in-page offset, bytes)`` extents of a frame whose header
+    offset field is ``offset``; slices of ``payload``, so a memoryview
+    payload yields views."""
+    if offset != EXTENT_LIST:
+        return [(offset, payload)]
+    out = []
+    pos = 0
+    last = len(payload) - _EXTENT_HEADER.size  # where the last header can start
+    unpack = _EXTENT_HEADER.unpack_from
+    while pos <= last:
+        at, length = unpack(payload, pos)
+        pos += _EXTENT_HEADER.size
+        out.append((at, payload[pos : pos + length]))
+        pos += length
+    return out
+
+
+def patch_page(image: bytearray, page_no: int, offset: int, payload) -> None:
+    """Write one frame's extents into the page ``image`` in place.
+
+    Raises :class:`ChecksumError`, with ``image`` untouched, if any extent
+    runs past the page."""
+    parts = extents(offset, payload)
+    size = len(image)
+    for at, data in parts:
+        if at + len(data) > size:
+            raise ChecksumError(f"frame for page {page_no}: extent out of bounds")
+    for at, data in parts:
+        image[at : at + len(data)] = data
 
 
 def fold_frames(frames, base_for: Callable[[int], bytes]) -> dict[int, bytes]:
@@ -189,6 +210,14 @@ def commit_mark_value(checksum: int) -> int:
     return ((checksum ^ (checksum >> 32)) & 0xFFFF_FFFF) | 1
 
 
+#: How an epoch word differs from the standalone commit word (XOR): a
+#: non-zero commit word ``w`` of a frame with checksum ``c`` is valid iff
+#: ``w ^ commit_mark_value(c)`` is 0 (commit), :data:`EPOCH_MEMBER` or
+#: :data:`EPOCH_CLOSE`.
+EPOCH_MEMBER = 2
+EPOCH_CLOSE = 4
+
+
 def epoch_member_value(checksum: int) -> int:
     """Commit word stamped on a transaction's last frame inside an *open*
     group-commit epoch.
@@ -200,7 +229,7 @@ def epoch_member_value(checksum: int) -> int:
     word lands, which is how a power failure inside an open epoch loses
     the whole epoch and never a partial one.
     """
-    return commit_mark_value(checksum) ^ 2
+    return commit_mark_value(checksum) ^ EPOCH_MEMBER
 
 
 def epoch_close_value(checksum: int) -> int:
@@ -211,7 +240,7 @@ def epoch_close_value(checksum: int) -> int:
     like the other words it is derived from the carrying frame's checksum
     so corruption cannot mint a phantom epoch.
     """
-    return commit_mark_value(checksum) ^ 4
+    return commit_mark_value(checksum) ^ EPOCH_CLOSE
 
 
 def commit_mark_bytes(
@@ -237,10 +266,36 @@ def decode_nv_frame_header(
 ) -> tuple[int, int, int, int, int, int, int]:
     """Unpack a frame header; returns
     (magic, page_no, payload_offset, size, checksum, ckpt_id, commit)."""
-    magic, page_no, off, size, checksum, commit, ckpt = struct.unpack_from(
-        NV_HEADER_FMT, raw, offset
+    magic, page_no, off, size, checksum, commit, ckpt = _NV_HEADER.unpack_from(
+        raw, offset
     )
     return magic, page_no, off, size, checksum, ckpt, commit
+
+
+def nv_frame_at(
+    raw: bytes, pos: int, limit: int
+) -> tuple[int, int, int, int, int, int, int] | str:
+    """Locate the frame at ``raw[pos:limit]`` without copying or checking
+    its payload: ``(page_no, offset, size, checksum, word, ckpt_id,
+    end)`` — its header fields and the position of the next frame (past
+    the padding); the payload is the ``size`` bytes after the header —
+    or, when no whole frame is there, the stop reason.
+
+    The one frame decoder: :func:`decode_nv_frame` wraps it, and a scan
+    that expects to run off the end of a block calls it directly instead
+    of raising and catching a :class:`FrameFormatError` per block.
+    """
+    if pos + NV_HEADER_SIZE > limit:
+        return "torn frame header"
+    magic, page_no, offset, size, checksum, word, ckpt = _NV_HEADER.unpack_from(
+        raw, pos
+    )
+    if magic != NV_FRAME_MAGIC:
+        return "bad frame magic"
+    if pos + NV_HEADER_SIZE + size > limit:
+        return "torn frame payload"
+    end = pos + NV_HEADER_SIZE + _align8(size)
+    return page_no, offset, size, checksum, word, ckpt, end
 
 
 def decode_nv_frame(
@@ -259,23 +314,15 @@ def decode_nv_frame(
     raised: a stale frame of an earlier log generation is the normal end
     of an NVRAM block, and only the caller knows its generation.
     """
-    if pos + NV_HEADER_SIZE > limit:
-        raise FrameFormatError("torn frame header")
-    magic, page_no, offset, size, checksum, ckpt, word = decode_nv_frame_header(
-        raw, pos
-    )
-    if magic != NV_FRAME_MAGIC:
-        raise FrameFormatError("bad frame magic")
+    found = nv_frame_at(raw, pos, limit)
+    if isinstance(found, str):
+        raise FrameFormatError(found)
+    page_no, offset, size, checksum, word, ckpt, end = found
     start = pos + NV_HEADER_SIZE
-    if start + size > limit:
-        raise FrameFormatError("torn frame payload")
-    frame = NvFrame(
-        page_no, offset, bytes(raw[start : start + size]), ckpt, commit=bool(word)
-    )
-    intact = checksum == payload_checksum(
-        frame.payload, page_no, offset, checksum_bits
-    )
-    return frame, checksum, word, intact, start + _align8(size)
+    payload = bytes(raw[start : start + size])
+    frame = NvFrame(page_no, offset, payload, ckpt, commit=bool(word))
+    intact = checksum == payload_checksum(payload, page_no, offset, checksum_bits)
+    return frame, checksum, word, intact, end
 
 
 # ---------------------------------------------------------------------------

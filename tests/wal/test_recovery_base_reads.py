@@ -29,8 +29,8 @@ from tests.wal.test_journal import make_journal_db
 class AlwaysReadNvwal(NvwalBackend):
     """The reference: the apply loop that read every page's base."""
 
-    def _first_base(self, frame, report):
-        return self._base_page(frame.page_no, report)
+    def _first_base(self, page_no, offset, payload, report):
+        return self._base_page(page_no, report)
 
 
 # ----------------------------------------------------------------------
