@@ -98,6 +98,17 @@ class BlockDevice:
             page = self._durable.get(pno, self._zero_page)
         return page
 
+    def read_pages_silent(self, first: int, count: int) -> list[bytes]:
+        """:meth:`read_page_silent` of ``count`` pages from ``first`` on."""
+        if count > 0:
+            self._check(first)
+            self._check(first + count - 1)
+        cache, durable, zero = self._cache, self._durable, self._zero_page
+        return [
+            cache[pno] if pno in cache else durable.get(pno, zero)
+            for pno in range(first, first + count)
+        ]
+
     def flush(self) -> None:
         """Cache-flush command: make every cached page durable."""
         self.clock.advance(self.config.flush_cmd_ns)

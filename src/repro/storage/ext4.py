@@ -72,6 +72,8 @@ _JMAGIC = 0x4A42_4432  # "JBD2"
 #: magic, type, seq, then n_blocks (descriptor) or the transaction's
 #: checksum (commit): crc32 over the descriptor and image blocks.
 _JDESC_FMT = "<IIQI"
+_JDESC = struct.Struct(_JDESC_FMT)
+_JMAGIC_BYTES = struct.pack("<I", _JMAGIC)  # how every journal block starts
 _JTYPE_DESC = 1
 _JTYPE_COMMIT = 2
 
@@ -314,11 +316,9 @@ class Ext4FileSystem:
         self._dir = {}
         self._tags = {}
         for i in range(_DIR_BLOCKS):
-            img = block_image(self.dir_start + i)
-            for j in range(self.page_size // _DIRENT_SIZE):
-                used, ino, name_b = struct.unpack_from(
-                    _DIRENT_FMT, img, j * _DIRENT_SIZE
-                )
+            for used, ino, name_b in struct.iter_unpack(
+                _DIRENT_FMT, block_image(self.dir_start + i)
+            ):
                 if used:
                     name = name_b.rstrip(b"\x00").decode()
                     self._dir[name] = ino
@@ -646,39 +646,32 @@ class Ext4FileSystem:
         below it: a gap there means everything older is home already, and
         an earlier lap left in the ring must not head a chain of its own.
         """
-        read = self.device.read_page_silent
+        ring = self.device.read_pages_silent(self.journal_start, self.journal_blocks)
         found: dict[int, tuple[int, list[int], int]] = {}
-        pos = 0
-        while pos < self.journal_blocks:
-            raw = read(self.journal_start + pos)
-            magic, jtype, seq, n_blocks = struct.unpack_from(_JDESC_FMT, raw, 0)
-            if magic != _JMAGIC or jtype != _JTYPE_DESC:
-                pos += 1
+        pos = 0  # ring positions below are inside a transaction found
+        # Only a block that starts with the magic can be a descriptor.
+        for at in [at for at, raw in enumerate(ring) if raw.startswith(_JMAGIC_BYTES)]:
+            if at < pos:
                 continue
-            home_blocks = [
-                struct.unpack_from("<I", raw, struct.calcsize(_JDESC_FMT) + 4 * i)[0]
-                for i in range(n_blocks)
-            ]
-            end = pos + 1 + n_blocks
+            raw = ring[at]
+            _magic, jtype, seq, n_blocks = _JDESC.unpack_from(raw, 0)
+            if jtype != _JTYPE_DESC:
+                continue
+            home_blocks = list(struct.unpack_from(f"<{n_blocks}I", raw, _JDESC.size))
+            end = at + 1 + n_blocks
             if end >= self.journal_blocks:
                 break
-            commit_raw = read(self.journal_start + end)
-            cmagic, ctype, cseq, checksum = struct.unpack_from(
-                _JDESC_FMT, commit_raw, 0
-            )
+            cmagic, ctype, cseq, checksum = _JDESC.unpack_from(ring[end], 0)
             if cmagic == _JMAGIC and ctype == _JTYPE_COMMIT and cseq == seq:
-                found[seq] = (pos, home_blocks, checksum)
+                found[seq] = (at, home_blocks, checksum)
                 self._journal_seq = max(self._journal_seq, seq + 1)
                 pos = end + 1
-            else:
-                pos += 1
 
         def intact(seq: int) -> dict[int, bytes] | None:
             start, home_blocks, checksum = found[seq]
-            base = self.journal_start + start
-            images = {bno: read(base + 1 + i) for i, bno in enumerate(home_blocks)}
+            images = {bno: ring[start + 1 + i] for i, bno in enumerate(home_blocks)}
             if seq == newest or found[seq + 1][0] == 0:
-                crc = zlib.crc32(read(base))
+                crc = zlib.crc32(ring[start])
                 for image in images.values():
                     crc = zlib.crc32(image, crc)
                 if crc != checksum:
