@@ -30,10 +30,11 @@ from repro.bench.harness import BackendSpec, run_workload
 from repro.bench.mobibench import WorkloadSpec
 from repro.bench.report import git_rev
 from repro.config import tuna
+from repro.db.database import Database
 from repro.system import System
 from repro.telemetry.metrics import telemetry_disabled
 from repro.wal.diff import DiffMode, compute_extents
-from repro.wal.nvwal import NvwalScheme
+from repro.wal.nvwal import NvwalBackend, NvwalScheme
 
 #: Target wall-clock per probe: long enough to be stable, short enough that
 #: the whole harness stays well under a minute.
@@ -198,6 +199,30 @@ def probe_heapo_attach() -> float:
         heapo.nvmalloc(PAGE, name="nvwal-blk")
 
     return _rate(heapo.attach)
+
+
+def probe_power_cycle_recover() -> float:
+    """Power cut, reboot and NVWAL reopen of a ``uh_ls_diff`` database: a
+    checkpointed 200-row table plus one committed insert.  Every crash
+    state of a crash-point sweep over one insert costs at least this
+    once the prefix to the crash has run."""
+    system, _ = _fresh_system()
+
+    def reopen() -> Database:
+        return Database(system, wal=NvwalBackend(system, NvwalScheme.uh_ls_diff()))
+
+    db = reopen()
+    db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v TEXT)")
+    db.executemany("INSERT INTO t VALUES (?, ?)", [(k, f"v{k}") for k in range(200)])
+    db.checkpoint()
+    db.execute("INSERT INTO t VALUES (?, ?)", (200, "v200"))
+
+    def step() -> None:
+        system.power_fail()
+        system.reboot()
+        reopen()
+
+    return _rate(step)
 
 
 def probe_ext4_append_fsync() -> float:
@@ -377,6 +402,7 @@ PROBES = {
     "heapo_alloc_free_per_sec": probe_heapo_churn,
     "heapo_lookup_per_sec": probe_heapo_lookup,
     "heapo_attach_per_sec": probe_heapo_attach,
+    "power_cycle_recover_per_sec": probe_power_cycle_recover,
     "ext4_append_fsync_per_sec": probe_ext4_append_fsync,
     "diff_compute_extents_per_sec": probe_diff_extents,
     "btree_point_get_per_sec": probe_btree_point_get,
