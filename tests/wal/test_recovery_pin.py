@@ -12,7 +12,9 @@ leave every cell of ``recovery_pins.json`` as it is.
 
 Cells: every NVWAL scheme under the explicit persistency model, committing
 solo (the cut lands inside a transaction) or in epochs of four (the cut
-leaves an epoch open), and the stock file WAL.
+leaves an epoch open), and the file tier: the stock and the optimized file
+WAL, a rollback journal left hot by the cut, and a stock file WAL whose log
+ends in a frame spanning three pages (``filewal_span3``).
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ import pytest
 from repro import System, tuna
 from repro.db.database import Database
 from repro.errors import PowerFailure
+from repro.storage.ext4 import Ext4FileSystem
 from repro.wal.filewal import FileWalBackend
+from repro.wal.journal import RollbackJournalBackend
 from repro.wal.nvwal import SCHEMES, NvwalBackend
 
 RECOVERY_PINS = Path(__file__).with_name("recovery_pins.json")
@@ -45,8 +49,20 @@ def _at_store(op: str) -> bool:
     commit mark is stored."""
     return op == "store"
 
+#: The file tier's backends, by cell name.
+FILE_TIER = {
+    "filewal": lambda system: FileWalBackend(system, optimized=False),
+    "filewal_opt": lambda system: FileWalBackend(system, optimized=True),
+    "journal": RollbackJournalBackend,
+    "filewal_span3": lambda system: FileWalBackend(system, optimized=False),
+}
+#: Frames in ``filewal_span3``'s log: a stock frame is 4120 bytes after a
+#: 32-byte header, so frame 169 starts 8 bytes before a page boundary and
+#: ends 16 bytes past the next one.
+SPAN3_FRAMES = 170
+
 RECOVERY_CELLS = [(name, epoch) for name in sorted(SCHEMES) for epoch in (0, EPOCH)]
-RECOVERY_CELLS.append(("filewal", 0))
+RECOVERY_CELLS += [(name, 0) for name in FILE_TIER]
 
 
 def cell_id(name: str, epoch: int) -> str:
@@ -54,8 +70,8 @@ def cell_id(name: str, epoch: int) -> str:
 
 
 def _backend(system: System, name: str):
-    if name == "filewal":
-        return FileWalBackend(system, optimized=False)
+    if name in FILE_TIER:
+        return FILE_TIER[name](system)
     return NvwalBackend(system, SCHEMES[name](), checkpoint_threshold=40)
 
 
@@ -65,14 +81,17 @@ def _statement(rng: random.Random, i: int) -> tuple[str, tuple]:
     return "UPDATE t SET v = ? WHERE k = ?", ("y" * rng.randrange(20, 600), rng.randrange(70))
 
 
-def recovery_fingerprint(name: str, epoch: int) -> dict:
-    """Run the pinned workload in one cell, cut power, recover, and
-    fingerprint the recovery.
+def run_to_cut(name: str, epoch: int) -> System:
+    """Run the pinned workload in one cell and cut power.
 
-    110 seeded single-statement transactions against a 40-frame
+    110 seeded single-statement transactions (NVWAL: against a 40-frame
     checkpoint threshold, so the surviving log is a later generation over
-    blocks an earlier one used, then the cut: inside one more solo
+    blocks an earlier one used), then the cut: inside one more solo
     transaction, or with an epoch of two transactions left open.
+    ``filewal_span3`` instead adds single-row inserts up to
+    :data:`SPAN3_FRAMES` frames and is cut between transactions.  The
+    rollback journal is cut at its commit point, the journal truncate, so
+    the journal is hot and the database file holds the torn transaction.
     """
     system = System(tuna(), seed=7)
     db = Database(system, wal=_backend(system, name))
@@ -89,13 +108,24 @@ def recovery_fingerprint(name: str, epoch: int) -> dict:
         else:
             db.execute(sql, params)
     db.flush_group()
-    if epoch:
+    if name == "filewal_span3":
+        k = 2000
+        while db.wal.frame_count() < SPAN3_FRAMES:
+            db.execute("INSERT INTO t VALUES (?, ?)", (k, "s" * 40))
+            k += 1
+    elif epoch:
         for row in CUT_ROWS:
             db.begin()
             db.execute("INSERT INTO t VALUES (?, ?)", row)
             db.group_commit()
     else:
-        system.crash.arm(1, _at_store)
+        if name == "journal":
+            def commit_point(_size: int) -> None:
+                system.crash.power_fail()
+
+            db.wal.journal_file.truncate = commit_point
+        else:
+            system.crash.arm(1, _at_store)
         try:
             db.execute("INSERT INTO t VALUES (?, ?)", CUT_ROWS[0])
         except PowerFailure:
@@ -103,6 +133,13 @@ def recovery_fingerprint(name: str, epoch: int) -> dict:
         finally:
             system.crash.disarm()
     system.power_fail()
+    return system
+
+
+def recovery_fingerprint(name: str, epoch: int) -> dict:
+    """Run one cell to its cut (:func:`run_to_cut`), recover, and
+    fingerprint the recovery."""
+    system = run_to_cut(name, epoch)
     cut_ns = system.clock.now_ns
 
     system.reboot()
@@ -134,12 +171,35 @@ def recovery_fingerprint(name: str, epoch: int) -> dict:
 )
 def test_recovery_cost_is_pinned(name, epoch):
     pinned = json.loads(RECOVERY_PINS.read_text())[cell_id(name, epoch)]
-    if name != "filewal":
+    if name not in FILE_TIER:
         assert pinned["report"]["frames_replayed"] > 0
         counters = pinned["counters"]
         chained = counters["nvmalloc_calls"] + counters.get("nv_pre_malloc_calls", 0)
         assert chained >= 5  # the log spans several blocks
     assert recovery_fingerprint(name, epoch) == pinned
+
+
+def test_file_tier_cells_reach_what_they_pin():
+    """The journal cell's journal is hot at the cut; ``filewal_span3``'s
+    mount replays journaled metadata and its log ends in the frame that
+    spans three pages."""
+    system = run_to_cut("journal", 0)
+    assert Ext4FileSystem(system.blockdev)._replay_journal()
+    system.reboot()
+    journal = system.fs.open("test.db-journal")
+    assert journal.size > 0
+
+    system = run_to_cut("filewal_span3", 0)
+    assert Ext4FileSystem(system.blockdev)._replay_journal()
+    system.reboot()
+    wal = FileWalBackend(system, optimized=False)
+    Database(system, wal=wal)
+    assert wal.last_recovery.frames_replayed == SPAN3_FRAMES
+    page_size = system.page_size
+    start = wal._frame_offset(SPAN3_FRAMES - 1)
+    end = start + wal._frame_stride()
+    assert end // page_size - start // page_size == 2  # three pages
+    assert end == wal.wal_file.size
 
 
 def regenerate() -> None:
