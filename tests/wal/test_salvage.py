@@ -253,6 +253,79 @@ class TestFileWalSalvage:
         ]
 
 
+    def test_resubmitted_frame_resurrects_nothing_past_the_salvage_stop(self):
+        """A resubmitted transaction logs the very frame it logged before,
+        so a chained checksum alone would reach the stale frames after it
+        again: the salvage must retire the log generation."""
+        system = System(tuna(), seed=3)
+        db = make_file_db(system, name="salv.db")
+        db.execute(DDL)
+        for j in range(6):
+            if j == 2:
+                corrupt_at = (
+                    db.wal._frame_offset(db.wal._frame_index) + FILE_HEADER_SIZE + 7
+                )
+            db.execute("INSERT INTO t VALUES (?, ?)", (j, f"v{j}"))
+
+        system.power_fail()
+        system.reboot()
+        wal_file = system.fs.open("salv.db-wal")
+        byte = wal_file.read(corrupt_at, 1)[0]
+        wal_file.write(corrupt_at, bytes([byte ^ 0x10]))
+        wal_file.fsync()
+        db2 = make_file_db(system, name="salv.db")
+        assert db2.wal.last_recovery.reason == "frame checksum mismatch"
+        assert sorted(db2.dump_table("t")) == [(0, "v0"), (1, "v1")]
+
+        db2.execute("INSERT INTO t VALUES (?, ?)", (2, "v2"))
+        system.power_fail()
+        system.reboot()
+        db3 = make_file_db(system, name="salv.db")
+        assert not db3.wal.last_recovery.corruption_detected
+        assert sorted(db3.dump_table("t")) == [(j, f"v{j}") for j in range(3)]
+
+    def test_frame_past_a_lost_one_does_not_chain_after_a_new_frame(self):
+        """A cut inside an fsync can land a transaction's second frame but
+        not its first.  Recovery ends the log at the missing frame; the
+        next transaction's frame takes its place, and the stranded second
+        frame must not be replayed after it."""
+        system = System(tuna(), seed=5)
+        db = make_file_db(system, optimized=True, name="salv.db")
+        db.execute(DDL)
+        db.execute("CREATE TABLE t2 (k INTEGER PRIMARY KEY, v TEXT)")
+        for j in range(3):
+            db.execute("INSERT INTO t VALUES (?, ?)", (j, f"a{j}"))
+        wal = db.wal
+        first = wal._frame_index
+        db.execute("BEGIN")
+        db.execute("INSERT INTO t VALUES (100, 'T')")
+        db.execute("INSERT INTO t2 VALUES (100, 'T')")
+        db.execute("COMMIT")
+        assert wal._frame_index == first + 2
+
+        system.power_fail()
+        # The eMMC cache landed the transaction's second frame, not its
+        # first: that block reads as the zeros preallocation left there.
+        page = wal._frame_offset(first) // system.page_size
+        block = system.fs._inodes[wal.wal_file.ino].page_blocks[page]
+        system.blockdev._durable[block] = bytes(system.page_size)
+        system.reboot()
+        db2 = make_file_db(system, optimized=True, name="salv.db")
+        assert not db2.wal.last_recovery.corruption_detected
+        assert sorted(db2.dump_table("t")) == [(j, f"a{j}") for j in range(3)]
+        assert db2.dump_table("t2") == []
+
+        db2.execute("INSERT INTO t VALUES (7, 'U')")
+        assert db2.wal._frame_index == first + 1
+        system.power_fail()
+        system.reboot()
+        db3 = make_file_db(system, optimized=True, name="salv.db")
+        assert db3.dump_table("t2") == []
+        assert sorted(db3.dump_table("t")) == [(j, f"a{j}") for j in range(3)] + [
+            (7, "U")
+        ]
+
+
 class TestJournalSalvage:
     def test_torn_record_rolls_back_the_valid_prefix(self):
         system = System(tuna(), seed=4)
