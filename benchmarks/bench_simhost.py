@@ -34,6 +34,7 @@ from repro.db.database import Database
 from repro.system import System
 from repro.telemetry.metrics import telemetry_disabled
 from repro.wal.diff import DiffMode, compute_extents
+from repro.wal.filewal import FileWalBackend
 from repro.wal.nvwal import NvwalBackend, NvwalScheme
 
 #: Target wall-clock per probe: long enough to be stable, short enough that
@@ -225,6 +226,31 @@ def probe_power_cycle_recover() -> float:
     return _rate(step)
 
 
+def probe_filewal_power_cycle_recover() -> float:
+    """Power cut, reboot and stock file-WAL reopen: a checkpointed 200-row
+    table plus 20 committed inserts, one frame each.  Every crash state of
+    a sweep over the file tier's writes costs at least this: ext4 mount
+    (journal replay) and a file-WAL scan of the committed frames."""
+    system, _ = _fresh_system()
+
+    def reopen() -> Database:
+        return Database(system, wal=FileWalBackend(system))
+
+    db = reopen()
+    db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v TEXT)")
+    db.executemany("INSERT INTO t VALUES (?, ?)", [(k, f"v{k}") for k in range(200)])
+    db.checkpoint()
+    for k in range(200, 220):
+        db.execute("INSERT INTO t VALUES (?, ?)", (k, f"v{k}"))
+
+    def step() -> None:
+        system.power_fail()
+        system.reboot()
+        reopen()
+
+    return _rate(step)
+
+
 def probe_ext4_append_fsync() -> float:
     """Append one WAL frame to a file already 1000 pages long, then fsync.
 
@@ -403,6 +429,7 @@ PROBES = {
     "heapo_lookup_per_sec": probe_heapo_lookup,
     "heapo_attach_per_sec": probe_heapo_attach,
     "power_cycle_recover_per_sec": probe_power_cycle_recover,
+    "filewal_power_cycle_recover_per_sec": probe_filewal_power_cycle_recover,
     "ext4_append_fsync_per_sec": probe_ext4_append_fsync,
     "diff_compute_extents_per_sec": probe_diff_extents,
     "btree_point_get_per_sec": probe_btree_point_get,
