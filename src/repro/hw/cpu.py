@@ -133,7 +133,15 @@ class Cpu:
         self.stats.counters["cache_evictions"] += excess
 
     def load(self, addr: int, length: int) -> bytes:
-        """Read the volatile view of NVRAM (cache overlay over device).
+        """Read the volatile view of NVRAM (cache overlay over device),
+        charged as :meth:`charge_load` says."""
+        self.charge_load(addr, length)
+        return self.cache.load(addr, length)
+
+    def charge_load(self, addr: int, length: int) -> None:
+        """Charge the time :meth:`load` of ``[addr, addr + length)`` costs,
+        without reading: a recovery that reads a range once uncharged
+        (:meth:`load_free`) charges each load it stands for.
 
         Charged per cache line actually touched: a 63-byte read that spans
         two lines costs two line reads (``length // line_size`` would
@@ -149,7 +157,6 @@ class Cpu:
         cost = self.config.nvram.read_latency_ns * lines
         self.clock.now_ns += cost
         self.stats.time_ns[_CPU_KEY] += cost
-        return self.cache.load(addr, length)
 
     def load_free(self, addr: int, length: int) -> bytes:
         """Volatile read without a time charge (for assertions in tests and

@@ -524,11 +524,11 @@ class NvwalBackend(WalBackend):
         self._link_addr = self._root.addr + _ROOT_FIRST_BLOCK_OFFSET
         self._epoch = None  # any open epoch died with the crash
 
-        chain = self._walk_chain(report)
+        chain, blocks = self._walk_chain(report)
         # A walk cut short by corruption orphans the blocks past the cut,
         # which may hold committed frames of this generation just the same.
         cut = report.corruption_detected
-        committed, tail_position, stop = self._scan_frames(chain, report)
+        committed, tail_position, stop = self._scan_frames(chain, blocks, report)
         # Decided before the chain past the tail is freed: its blocks may
         # come back at the same addresses (see the end of this method).
         stale = cut or (stop is not None and self._commits_past(chain, stop))
@@ -606,10 +606,13 @@ class NvwalBackend(WalBackend):
             return True
         return False
 
-    def _walk_chain(self, report: RecoveryReport) -> list[NvAllocation]:
+    def _walk_chain(
+        self, report: RecoveryReport
+    ) -> tuple[list[NvAllocation], list[bytes | None]]:
         """Follow the persistent block list, dropping dangling references
         (a crash between linking and set_used_flag leaves the block
-        reclaimed by heap recovery — Section 4.3 case 2).
+        reclaimed by heap recovery — Section 4.3 case 2).  Returns the
+        chain and each chained block's bytes, for :meth:`_scan_frames`.
 
         Hardened against media decay: a link is only followed into a live
         ``nvwal-blk`` allocation whose header carries the expected chain
@@ -618,6 +621,12 @@ class NvwalBackend(WalBackend):
         would replay a non-prefix of the log).  Positions strictly increase
         along the walk, so a pointer decayed into a back-edge is refused
         the same way and no cycle can be walked.
+
+        Each block is read once, whole and uncharged; the walk charges the
+        load of its header and the scan the load of the block, so the
+        clock moves as two loads per block move it.  A block the media
+        will not return whole is read as those two loads (its bytes are
+        None): the header may still be readable.
         """
         try:
             raw = self.cpu.load_free(
@@ -627,33 +636,46 @@ class NvwalBackend(WalBackend):
         except MediaError:
             report.corruption_detected = True
             report.reason = "root block pointer unreadable"
-            return []
+            return [], []
         chain: list[NvAllocation] = []
+        blocks: list[bytes | None] = []
         in_use_at = self.heapo.in_use_at
+        cpu = self.cpu
         while addr:
             alloc = in_use_at(addr)
             if alloc is None or alloc.name != _BLOCK_NAME:
                 break
             try:
-                header = self.cpu.load(addr, _BLOCK_HEADER_SIZE)
+                block = header = cpu.load_free(addr, alloc.size)
             except MediaError:
-                report.corruption_detected = True
-                report.reason = report.reason or "block header unreadable"
-                break
+                block = None
+                try:
+                    header = cpu.load(addr, _BLOCK_HEADER_SIZE)
+                except MediaError:
+                    report.corruption_detected = True
+                    report.reason = report.reason or "block header unreadable"
+                    break
+            else:
+                cpu.charge_load(addr, _BLOCK_HEADER_SIZE)
             next_addr, _size, chain_index = _BLOCK_HEADER.unpack_from(header, 0)
             if chain_index != len(chain):
                 report.corruption_detected = True
                 report.reason = report.reason or "chain position mismatch"
                 break
             chain.append(alloc)
+            blocks.append(block)
             addr = next_addr
-        return chain
+        return chain, blocks
 
     def _scan_frames(
-        self, chain: list[NvAllocation], report: RecoveryReport
+        self,
+        chain: list[NvAllocation],
+        blocks: list[bytes | None],
+        report: RecoveryReport,
     ) -> tuple[list[tuple], tuple[int, int] | None, tuple[int, int | None] | None]:
-        """Parse frames block by block; return the committed prefix as
-        ``(page_no, offset, payload)`` triples (payloads are views into the
+        """Parse frames block by block (the bytes :meth:`_walk_chain` read,
+        or a load of the block where it read none); return the committed
+        prefix as ``(page_no, offset, payload)`` triples (payloads are views into the
         loaded blocks), the position (block index, offset) just after the
         last committed frame, and where a salvage stopped the scan (None if
         nothing was refused; see :meth:`_commits_past`).
@@ -689,13 +711,19 @@ class NvwalBackend(WalBackend):
             return finish(stop)
 
         load = self.cpu.load
+        charge_load = self.cpu.charge_load
         checkpoint_id = self._checkpoint_id
         checksum_bits = self.checksum_bits
         for block_index, alloc in enumerate(chain):
-            try:
-                block = memoryview(load(alloc.addr, alloc.size))
-            except MediaError:
-                return salvage("log block unreadable", (block_index, None))
+            block = blocks[block_index]
+            if block is None:
+                try:
+                    block = load(alloc.addr, alloc.size)
+                except MediaError:
+                    return salvage("log block unreadable", (block_index, None))
+            else:
+                charge_load(alloc.addr, alloc.size)
+            block = memoryview(block)
             pos = _BLOCK_HEADER_SIZE
             while True:
                 found = nv_frame_at(block, pos, alloc.size)
@@ -738,8 +766,7 @@ class NvwalBackend(WalBackend):
         requests.
         """
         report = RecoveryReport()
-        chain = self._walk_chain(report)
-        committed, _tail, _stop = self._scan_frames(chain, report)
+        committed, _tail, _stop = self._scan_frames(*self._walk_chain(report), report)
         report.frames_replayed = len(committed)
         if report.corruption_detected:
             report.frames_salvaged = len(committed)

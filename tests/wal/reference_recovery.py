@@ -42,7 +42,7 @@ class ReferenceNvwal(NvwalBackend):
         except MediaError:
             report.corruption_detected = True
             report.reason = "root block pointer unreadable"
-            return []
+            return [], None
         chain = []
         while addr:
             alloc = None
@@ -63,9 +63,9 @@ class ReferenceNvwal(NvwalBackend):
                 break
             chain.append(alloc)
             addr = next_addr
-        return chain
+        return chain, None  # no block is read ahead of the scan
 
-    def _scan_frames(self, chain, report: RecoveryReport):
+    def _scan_frames(self, chain, _blocks, report: RecoveryReport):
         committed: list[NvFrame] = []
         pending: list[NvFrame] = []
         tail = None

@@ -34,6 +34,11 @@ DB_NAME = "eq.db"
 EPOCH = 3
 CADENCES = ("solo", "epoch-closed", "epoch-open")
 DAMAGE = ("none", "flip", "torn", "word", "poison", "cut", "back-edge")
+#: Poisoned units elsewhere: the walk reads each block whole, and a block
+#: the media refuses whole is read as a header load and a block load.
+#: In a block's header the walk stops; in the last block's payload the
+#: scan stops there, after every earlier block was read whole.
+POISON = ("poison-header", "poison-last")
 
 
 def _build(name: str, cadence: str, bits: int, damage: str) -> System:
@@ -81,9 +86,15 @@ def _damage(system: System, wal: NvwalBackend, damage: str) -> None:
         nvram.persist(at, bytes(block.addr + block.size - at))
     elif damage == "word":
         nvram.persist(addr + 24, struct.pack("<I", 0x5A5A5A5B))
-    elif damage == "poison":
+    elif damage in ("poison", "poison-header", "poison-last"):
         injector = NvramFaultInjector(MediaFaultSpec(), seed=0)
-        injector.poisoned.add(blocks[2].addr + 64)
+        injector.poisoned.add(
+            {
+                "poison": blocks[2].addr + 64,
+                "poison-header": blocks[2].addr,
+                "poison-last": blocks[-1].addr + 64,
+            }[damage]
+        )
         nvram.fault_injector = injector
     elif damage == "cut":
         header = nvram.read(blocks[2].addr, 16)
@@ -135,7 +146,7 @@ CASES = (
         (name, cadence, 64, damage)
         for name in ("eager", "ls", "ls_diff", "cs_diff", "uh_ls_diff")
         for cadence in CADENCES
-        for damage in DAMAGE
+        for damage in DAMAGE + POISON
     ]
     # narrow checksums, where torn payloads can pass as intact
     + [
@@ -155,6 +166,15 @@ def test_recovery_equals_the_reference(name, cadence, bits, damage):
     product = _recovered(NvwalBackend, name, cadence, bits, damage)
     reference = _recovered(ReferenceNvwal, name, cadence, bits, damage)
     assert product == reference
+
+
+def test_poisoned_units_stop_where_they_sit():
+    """A poisoned header ends the walk; a poisoned payload the scan."""
+    header = _recovered(NvwalBackend, "ls_diff", "solo", 64, "poison-header")
+    assert header["report"]["reason"] == "block header unreadable"
+    last = _recovered(NvwalBackend, "ls_diff", "solo", 64, "poison-last")
+    assert last["report"]["reason"] == "log block unreadable"
+    assert last["report"]["frames_replayed"] > header["report"]["frames_replayed"]
 
 
 def test_cases_reach_every_recovery_outcome():
