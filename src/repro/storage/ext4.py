@@ -318,10 +318,12 @@ class Ext4FileSystem:
         ]
         # Blocks and inode slots of zeros hold nothing to decode, and a
         # zero slot decodes to a default inode: only the inodes of the
-        # files created since mkfs are decoded.
+        # files created since mkfs are decoded.  The zero slots share one
+        # default inode, which nothing changes: an inode not in use is
+        # only read, and create() installs a fresh one.
         zero_block, zero_slot = bytes(self.page_size), bytes(_INODE_SIZE)
         per_block = self.page_size // _INODE_SIZE
-        self._inodes = inodes = [Inode() for _ in range(_NUM_INODES)]
+        self._inodes = inodes = [Inode()] * _NUM_INODES
         for block, image in enumerate(self._itab):
             if image == zero_block:
                 continue
@@ -397,9 +399,8 @@ class Ext4FileSystem:
         )
         if ino is None:
             raise OutOfSpace("inode table full")
-        inode = self._inodes[ino]
+        self._inodes[ino] = inode = Inode()
         inode.used = True
-        inode.reset()
         inode.mtime = int(self.device.clock.now_ns)
         self._dir[name] = ino
         self._tags[ino] = f"file:{name}"
@@ -708,7 +709,7 @@ class Ext4FileSystem:
         found: dict[int, tuple[int, int, int]] = {}  # seq -> position, n, checksum
         pos = 0  # ring positions below are inside a transaction found
         # Only a block that starts with the magic can be a descriptor.
-        for at in [at for at, raw in enumerate(ring) if raw.startswith(_JMAGIC_BYTES)]:
+        for at in [at for at, raw in enumerate(ring) if raw[:4] == _JMAGIC_BYTES]:
             if at < pos:
                 continue
             _magic, jtype, seq, n_blocks = _JDESC.unpack_from(ring[at], 0)
