@@ -26,11 +26,13 @@ from pathlib import Path
 if __name__ == "__main__":  # allow running as a plain script from repo root
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.archive import ArchiveConfig
 from repro.bench.harness import BackendSpec, run_workload
 from repro.bench.mobibench import WorkloadSpec
 from repro.bench.report import git_rev
 from repro.config import tuna
 from repro.db.database import Database
+from repro.replication.cluster import TABLE, Cluster, ReplicationConfig
 from repro.system import System
 from repro.telemetry.metrics import telemetry_disabled
 from repro.wal.diff import DiffMode, compute_extents
@@ -44,20 +46,24 @@ _MIN_SECONDS = 0.2
 PAGE = 4096
 
 
-def _rate(fn, *, min_seconds: float = _MIN_SECONDS) -> float:
+def _rate(fn, *, min_seconds: float = _MIN_SECONDS, setup=None) -> float:
     """Calls/sec of ``fn``, measured over at least ``min_seconds``.
 
     Reports the reciprocal of the *median* per-call time rather than the
     mean: on shared or frequency-scaled hosts, occasional multi-ms stalls
     (scheduler preemption, GC) would otherwise dominate short probes and
-    make the trajectory numbers noise-bound.
+    make the trajectory numbers noise-bound.  With ``setup``, each call is
+    ``fn(setup())`` and only ``fn`` is timed: for a step that consumes
+    its state.
     """
-    fn()  # warm up (first NVRAM materialization, caches, etc.)
+    args = () if setup is None else (setup(),)
+    fn(*args)  # warm up (first NVRAM materialization, caches, etc.)
     times: list[float] = []
     total = 0.0
     while total < min_seconds:
+        args = () if setup is None else (setup(),)
         start = time.perf_counter()
-        fn()
+        fn(*args)
         elapsed = time.perf_counter() - start
         times.append(elapsed)
         total += elapsed
@@ -251,6 +257,37 @@ def probe_filewal_power_cycle_recover() -> float:
     return _rate(step)
 
 
+def probe_failover() -> float:
+    """``kill_primary`` + ``promote`` of a semisync cluster with two
+    followers and the ext4 archive, quiesced after 24 one-row epochs: the
+    primary's power cut, the elected follower's log scrub, and the cold
+    store's mount, salvage and fencing.  Each failover needs a cluster of
+    its own (built untimed), so the probe runs about 20 of them."""
+
+    def archived_cluster() -> Cluster:
+        cluster = Cluster(
+            ReplicationConfig(
+                archive=ArchiveConfig(epochs_per_file=4, snapshot_every=8, gc_every=4)
+            ),
+            seed=1,
+        )
+        for k in range(24):
+            cluster.db.execute(f"INSERT INTO {TABLE} VALUES (?, ?)", (k, f"v{k}"))
+            cluster.shiplog.seal(())
+            for _ in range(20):
+                cluster.clock.advance(200_000)
+                cluster.replicator.tick()
+                cluster.replicator._archive_work()
+        cluster.archive.sync()
+        return cluster
+
+    def failover(cluster: Cluster) -> None:
+        cluster.kill_primary()
+        cluster.promote()
+
+    return _rate(failover, setup=archived_cluster, min_seconds=0.02)
+
+
 def probe_ext4_append_fsync() -> float:
     """Append one WAL frame to a file already 1000 pages long, then fsync.
 
@@ -430,6 +467,7 @@ PROBES = {
     "heapo_attach_per_sec": probe_heapo_attach,
     "power_cycle_recover_per_sec": probe_power_cycle_recover,
     "filewal_power_cycle_recover_per_sec": probe_filewal_power_cycle_recover,
+    "failover_per_sec": probe_failover,
     "ext4_append_fsync_per_sec": probe_ext4_append_fsync,
     "diff_compute_extents_per_sec": probe_diff_extents,
     "btree_point_get_per_sec": probe_btree_point_get,
