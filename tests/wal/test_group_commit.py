@@ -95,6 +95,16 @@ class TestEpochExclusion:
             db.execute("INSERT INTO t VALUES (1, 'x')")
         db.wal.group_close()
 
+    def test_autocommit_select_rejected_while_epoch_open(self, system):
+        """NVWAL refuses every standalone transaction while an epoch is
+        open, a read-only autocommit's empty one included."""
+        db = make_nvwal_db(system)
+        db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v TEXT)")
+        _insert_grouped(db, [1])
+        with pytest.raises(TransactionError, match="group-commit epoch is open"):
+            db.execute("SELECT v FROM t WHERE k = 1")
+        assert db.wal.group_open
+
     def test_checkpoint_rejected_while_epoch_open(self, system):
         db = make_nvwal_db(system)
         db.wal.group_begin()
@@ -187,3 +197,11 @@ class TestFileWalParity:
         system.reboot()
         db2 = make_file_db(system)
         assert len(db2.query("SELECT * FROM t")) == 4
+
+    def test_autocommit_select_while_epoch_open(self, system):
+        """The file WAL's epoch is bookkeeping only: reads go on."""
+        db = make_file_db(system)
+        db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v TEXT)")
+        _insert_grouped(db, [1])
+        assert db.execute("SELECT v FROM t WHERE k = 1") == [("v1",)]
+        assert db.flush_group() == 1
