@@ -24,6 +24,9 @@ _TAG_BLOB = 4
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 _U16 = struct.Struct("<H")
+_read_i64 = _I64.unpack_from
+_read_f64 = _F64.unpack_from
+_read_u16 = _U16.unpack_from
 
 #: SQL type names accepted by CREATE TABLE.
 SQL_TYPES = ("INTEGER", "REAL", "TEXT", "BLOB")
@@ -96,15 +99,31 @@ def encode_row(values: tuple[Value, ...] | list[Value]) -> bytes:
 
 
 def decode_row(buf: bytes) -> tuple[Value, ...]:
-    """Decode a full row."""
+    """Decode a full row in one pass over ``buf`` (what
+    :func:`decode_value` does per field, without a call per field)."""
     if not buf:
         raise DatabaseError("corrupt record: empty payload")
-    count = buf[0]
     values = []
+    append = values.append
     offset = 1
-    for _ in range(count):
-        value, offset = decode_value(buf, offset)
-        values.append(value)
+    for _ in range(buf[0]):
+        tag = buf[offset]
+        offset += 1
+        if tag == _TAG_INT:
+            append(_read_i64(buf, offset)[0])
+            offset += 8
+        elif tag == _TAG_TEXT or tag == _TAG_BLOB:
+            start = offset + 2
+            offset = start + _read_u16(buf, offset)[0]
+            raw = buf[start:offset]
+            append(raw.decode("utf-8") if tag == _TAG_TEXT else bytes(raw))
+        elif tag == _TAG_NULL:
+            append(None)
+        elif tag == _TAG_REAL:
+            append(_read_f64(buf, offset)[0])
+            offset += 8
+        else:
+            raise DatabaseError(f"corrupt record: unknown value tag {tag}")
     return tuple(values)
 
 

@@ -11,6 +11,26 @@ class TestTransactions:
         db.execute("INSERT INTO kv VALUES (1, 'x')")
         assert db.query("SELECT value FROM kv WHERE key = 1") == [("x",)]
 
+    def test_read_only_transactions_make_no_wal_call(self, db, monkeypatch):
+        """A transaction that dirtied no page is not handed to the WAL;
+        it still charges its commit."""
+        calls = []
+        write = db.wal.write_transaction
+        monkeypatch.setattr(
+            db.wal, "write_transaction",
+            lambda dirty, **kw: (calls.append(sorted(dirty)), write(dirty, **kw)),
+        )
+        db.execute("INSERT INTO kv VALUES (1, 'x')")
+        assert len(calls) == 1
+        clock = db.system.clock.now_ns
+        assert db.execute("SELECT value FROM kv WHERE key = 1") == [("x",)]
+        db.begin()
+        db.execute("SELECT key FROM kv")
+        db.commit()
+        assert len(calls) == 1
+        costs = db.system.config.db_costs
+        assert db.system.clock.now_ns > clock + 2 * costs.txn_base_ns
+
     def test_explicit_commit(self, db):
         db.begin()
         db.execute("INSERT INTO kv VALUES (1, 'x')")

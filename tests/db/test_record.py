@@ -69,6 +69,45 @@ class TestRows:
     def test_roundtrip_property(self, values):
         assert decode_row(encode_row(values)) == tuple(values)
 
+    @given(
+        st.one_of(
+            st.binary(max_size=40),
+            st.lists(
+                st.one_of(
+                    st.none(), st.integers(-5, 5), st.floats(allow_nan=False),
+                    st.text(max_size=8), st.binary(max_size=8),
+                ),
+                max_size=6,
+            ).map(encode_row),
+        ),
+        st.integers(0, 40),
+        st.integers(0, 255),
+    )
+    def test_one_pass_decode_matches_decode_value(self, buf, at, byte):
+        """decode_row reads a row the way a loop of decode_value calls
+        does, down to the exception a damaged payload raises."""
+        if buf:
+            damaged = bytearray(buf)
+            damaged[at % len(buf)] = byte
+            buf = bytes(damaged)
+
+        def per_field(buf):
+            if not buf:
+                raise DatabaseError("corrupt record: empty payload")
+            values, offset = [], 1
+            for _ in range(buf[0]):
+                value, offset = decode_value(buf, offset)
+                values.append(value)
+            return tuple(values)
+
+        outcomes = []
+        for decode in (decode_row, per_field):
+            try:
+                outcomes.append(("ok", repr(decode(buf))))  # NaN != NaN
+            except Exception as exc:  # noqa: BLE001 - the error is the outcome
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+
 
 class TestTypeValidation:
     def test_null_always_passes(self):

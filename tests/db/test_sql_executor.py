@@ -100,6 +100,33 @@ class TestSelect:
         rows = people.query("SELECT id FROM people WHERE 2 = id")
         assert rows == [(2,)]
 
+    def test_key_range_filter_with_a_shadowed_key_name(self, system):
+        """With two columns of the key's name, the WHERE reads the last
+        one: the key range cannot decide it, the filter still applies."""
+        db = make_nvwal_db(system)
+        db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, k TEXT)")
+        db.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b')")
+        assert db.query("SELECT * FROM t WHERE k = 1") == []
+        assert db.query("SELECT * FROM t WHERE k >= 1 AND k <= 2") == []
+        assert db.query("SELECT k FROM t WHERE k < 3") == []
+
+    def test_key_only_selects(self, people):
+        """Statements reading nothing but the key take it from the cells;
+        an ORDER BY on another column still reads that column."""
+        people.execute("INSERT INTO people VALUES (4, 'aaa', 50)")
+        assert people.query("SELECT id FROM people WHERE id >= 2 AND id <= 3") == [
+            (2,), (3,)
+        ]
+        assert people.query("SELECT id, id FROM people WHERE id > 3") == [(4, 4)]
+        assert people.query("SELECT id FROM people ORDER BY id DESC LIMIT 2") == [
+            (4,), (3,)
+        ]
+        assert people.query("SELECT id FROM people ORDER BY name") == [
+            (4,), (1,), (2,), (3,)
+        ]
+        assert people.query("SELECT MAX(id) FROM people WHERE id < 4") == [(3,)]
+        assert people.query("SELECT COUNT(*) FROM people WHERE id >= 2") == [(3,)]
+
     def test_non_key_filter(self, people):
         assert people.query("SELECT name FROM people WHERE age > 28 AND age < 33") == [
             ("ann",)
