@@ -1,20 +1,27 @@
 """The salvage property (``tests/salvage_property.py``) on the segment
-stream and the segment archive.
+stream, the segment archive and the NVWAL log.
 
 The stream is what a follower receives: it keeps the prefix the decoder
 accepted and appends what arrives next.  The archive holds the same
 segments in epoch files on ext4, three to a file, so a damaged unit may
 sit mid-file, first in a file, or in the newest file, with whole files
-after it; its recovery runs across a power cut.
+after it; its recovery runs across a power cut.  NVWAL's unit is one
+committed transaction (one row inserted by an autocommit statement) in
+the user-heap log blocks of ``uh_ls_diff``; its recovery is a power cycle
+and a reopen of the database.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Database, System
 from repro.archive import ArchiveConfig, SegmentArchive
 from repro.config import tuna
+from repro.errors import PowerFailure
 from repro.hw.clock import SimClock
 from repro.hw.stats import Stats
 from repro.replication.segment import (
@@ -26,7 +33,9 @@ from repro.replication.segment import (
 from repro.storage.blockdev import BlockDevice
 from repro.storage.ext4 import Ext4FileSystem
 from repro.wal.frames import NV_HEADER_SIZE, NvFrame
+from tests.conftest import make_nvwal_db
 from tests.salvage_property import DAMAGE_KINDS, SalvageFormat, check_salvage
+from tests.wal.test_salvage import nv_frames
 
 
 def segment_unit(j: int) -> Segment:
@@ -137,7 +146,88 @@ SEGMENT_ARCHIVE = SalvageFormat(
     _archive_recover,
 )
 
-FORMATS = (SEGMENT_STREAM, SEGMENT_ARCHIVE)
+# -- the NVWAL log ------------------------------------------------------------
+
+_NV_DDL = "CREATE TABLE t (k INTEGER PRIMARY KEY, v TEXT)"
+_NV_INSERT = "INSERT INTO t VALUES (?, ?)"
+
+
+def nvwal_unit(j: int) -> tuple:
+    """Row ``j``: a few bytes to most of an inline cell, and every fifth
+    an overflow chain, so units split leaves and span several frames."""
+    return (j, f"u{j}." * (400 if j % 5 == 4 else 3 + 80 * (j % 4)))
+
+
+@dataclass
+class _NvwalLog:
+    """A machine with an NVWAL database, and where each unit last landed."""
+
+    system: System
+    db: Database
+    #: unit index -> [(frame addr, payload size, committed)] as it was logged
+    frames: dict
+    #: unit index -> CPU ops its commit issued (the crash points inside it)
+    ops: dict
+
+
+def _fresh_nvwal() -> _NvwalLog:
+    system = System(tuna(), seed=3)
+    db = make_nvwal_db(system, name="salvage.db", auto_checkpoint=False)
+    db.execute(_NV_DDL)
+    return _NvwalLog(system, db, {}, {})
+
+
+def _nvwal_append(log: _NvwalLog, units: list) -> None:
+    for unit in units:
+        before = len(nv_frames(log.db.wal))
+        with log.system.crash.counting():
+            log.db.execute(_NV_INSERT, unit)
+        log.ops[unit[0]] = log.system.crash.ops_counted
+        log.frames[unit[0]] = nv_frames(log.db.wal)[before:]
+
+
+def _nvwal_damage(log: _NvwalLog, j: int, kind: str) -> None:
+    """``torn``: the machine is rebuilt up to unit ``j`` and the power is
+    cut halfway through that unit's commit, so no unit after it exists;
+    ``flip`` / ``header``: one bit of the payload / of the page-number
+    field (which the frame checksum binds) of the unit's first frame,
+    with every later unit's frames intact past it."""
+    if kind == "torn":
+        rebuilt = _fresh_nvwal()
+        _nvwal_append(rebuilt, [nvwal_unit(u) for u in range(j)])
+        rebuilt.system.crash.arm(log.ops[j] // 2)
+        try:
+            rebuilt.db.execute(_NV_INSERT, nvwal_unit(j))
+        except PowerFailure:
+            pass
+        else:
+            raise AssertionError("the armed cut did not fire")
+        log.system, log.db, log.frames = rebuilt.system, rebuilt.db, rebuilt.frames
+        return
+    addr, size, _commit = log.frames[j][0]
+    at = addr + NV_HEADER_SIZE + size // 2 if kind == "flip" else addr + 4
+    nvram = log.system.nvram
+    nvram.persist(at, bytes([nvram.read(at, 1)[0] ^ 0x01]))
+    log.system.power_fail()
+
+
+def _nvwal_recover(log: _NvwalLog) -> list:
+    log.system.power_fail()
+    log.system.reboot()
+    log.db = make_nvwal_db(log.system, name="salvage.db", auto_checkpoint=False)
+    return log.db.query("SELECT k, v FROM t ORDER BY k")
+
+
+NVWAL_LOG = SalvageFormat(
+    "NVWAL log",
+    nvwal_unit,
+    _fresh_nvwal,
+    _nvwal_append,
+    _nvwal_damage,
+    _nvwal_recover,
+)
+
+FORMATS = (SEGMENT_STREAM, SEGMENT_ARCHIVE, NVWAL_LOG)
 
 
 @st.composite
