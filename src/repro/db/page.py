@@ -44,14 +44,36 @@ _LEAF_CELL_HEADER = struct.Struct("<qHB")  # key, payload length, flags
 _INTERIOR_CELL = struct.Struct("<qI")  # key, child page number
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
-_read_u16 = _U16.unpack_from
-_read_u32 = _U32.unpack_from
-_read_key = struct.Struct("<q").unpack_from
-_read_leaf_header = _LEAF_CELL_HEADER.unpack_from
+# Readers of a page image, for SlottedPage and for the B-tree's read walk,
+# which reads page images without building a view.
+read_u16 = _U16.unpack_from
+read_u32 = _U32.unpack_from
+read_key = struct.Struct("<q").unpack_from
+read_leaf_header = _LEAF_CELL_HEADER.unpack_from
+LEAF_CELL_HEADER_SIZE = _LEAF_CELL_HEADER.size
 
 #: Leaf-cell flag: the payload is an overflow stub
 #: (first overflow page u32 + total length u32), not the value itself.
 CELL_FLAG_OVERFLOW = 0x01
+
+
+def find_cell(data: bytearray, key: int) -> tuple[int, int]:
+    """Binary search of a page image: the insertion index of ``key``, and
+    the content offset of the cell holding it (-1: none)."""
+    # Every probed slot lies in [0, n_cells), so the range check
+    # cell_offset() makes for outside callers is not repeated here.
+    lo, hi = 0, read_u16(data, 2)[0]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        offset = read_u16(data, HEADER_SIZE + SLOT_SIZE * mid)[0]
+        mid_key = read_key(data, offset)[0]
+        if mid_key < key:
+            lo = mid + 1
+        elif mid_key > key:
+            hi = mid
+        else:
+            return mid, offset
+    return lo, -1
 
 
 class SlottedPage:
@@ -116,7 +138,7 @@ class SlottedPage:
     @property
     def n_cells(self) -> int:
         """Number of cells on the page."""
-        return _read_u16(self.data, 2)[0]
+        return read_u16(self.data, 2)[0]
 
     def _set_n_cells(self, n: int) -> None:
         _U16.pack_into(self.data, 2, n)
@@ -124,7 +146,7 @@ class SlottedPage:
     @property
     def content_start(self) -> int:
         """Lowest offset of cell content."""
-        return _read_u16(self.data, 4)[0]
+        return read_u16(self.data, 4)[0]
 
     def _set_content_start(self, offset: int) -> None:
         _U16.pack_into(self.data, 4, offset)
@@ -132,7 +154,7 @@ class SlottedPage:
     @property
     def aux(self) -> int:
         """Right-most child (interior) or next-leaf pointer (leaf)."""
-        return _read_u32(self.data, 8)[0]
+        return read_u32(self.data, 8)[0]
 
     @aux.setter
     def aux(self, value: int) -> None:
@@ -148,16 +170,16 @@ class SlottedPage:
     def cell_offset(self, index: int) -> int:
         """Content offset of cell ``index``."""
         data = self.data
-        n = _read_u16(data, 2)[0]
+        n = read_u16(data, 2)[0]
         if not 0 <= index < n:
             raise PageError(f"slot index {index} out of range (n={n})")
-        return _read_u16(data, HEADER_SIZE + SLOT_SIZE * index)[0]
+        return read_u16(data, HEADER_SIZE + SLOT_SIZE * index)[0]
 
     def free_space(self) -> int:
         """Bytes available for one more cell plus its slot."""
         data = self.data
-        return _read_u16(data, 4)[0] - (
-            HEADER_SIZE + SLOT_SIZE * _read_u16(data, 2)[0]
+        return read_u16(data, 4)[0] - (
+            HEADER_SIZE + SLOT_SIZE * read_u16(data, 2)[0]
         )
 
     # ------------------------------------------------------------------
@@ -166,14 +188,14 @@ class SlottedPage:
 
     def cell_key(self, index: int) -> int:
         """Key of cell ``index``."""
-        return _read_key(self.data, self.cell_offset(index))[0]
+        return read_key(self.data, self.cell_offset(index))[0]
 
     def leaf_cell(self, index: int) -> tuple[int, bytes, int]:
         """``(key, payload, flags)`` of leaf cell ``index`` off one header
         decode (the payload is an overflow stub if flagged)."""
         self._require_leaf()
         offset = self.cell_offset(index)
-        key, length, flags = _read_leaf_header(self.data, offset)
+        key, length, flags = read_leaf_header(self.data, offset)
         start = offset + _LEAF_CELL_HEADER.size
         return key, bytes(self.data[start : start + length]), flags
 
@@ -184,7 +206,7 @@ class SlottedPage:
     def leaf_flags(self, index: int) -> int:
         """Flags byte of leaf cell ``index``."""
         self._require_leaf()
-        return _read_leaf_header(self.data, self.cell_offset(index))[2]
+        return read_leaf_header(self.data, self.cell_offset(index))[2]
 
     def interior_child(self, index: int) -> int:
         """Child page number of interior cell ``index``."""
@@ -192,17 +214,6 @@ class SlottedPage:
         offset = self.cell_offset(index)
         _key, child = _INTERIOR_CELL.unpack_from(self.data, offset)
         return child
-
-    def child_for(self, key: int) -> int:
-        """The child page an interior page routes ``key`` to: the first
-        cell with ``key <= cell key``, else the right-most child."""
-        self._require_interior()
-        index, _exact = self.find(key)
-        data = self.data
-        if index == _read_u16(data, 2)[0]:
-            return _read_u32(data, 8)[0]
-        offset = _read_u16(data, HEADER_SIZE + SLOT_SIZE * index)[0]
-        return _INTERIOR_CELL.unpack_from(data, offset)[1]
 
     def keys(self) -> list[int]:
         """All keys in slot order."""
@@ -214,22 +225,8 @@ class SlottedPage:
 
     def find(self, key: int) -> tuple[int, bool]:
         """Binary search: (insertion index, exact match?)."""
-        # Every probed slot lies in [0, n_cells), so the range check
-        # cell_offset() makes for outside callers is not repeated here.
-        data = self.data
-        lo, hi = 0, _read_u16(data, 2)[0]
-        while lo < hi:
-            mid = (lo + hi) // 2
-            mid_key = _read_key(
-                data, _read_u16(data, HEADER_SIZE + SLOT_SIZE * mid)[0]
-            )[0]
-            if mid_key < key:
-                lo = mid + 1
-            elif mid_key > key:
-                hi = mid
-            else:
-                return mid, True
-        return lo, False
+        index, offset = find_cell(self.data, key)
+        return index, offset >= 0
 
     # ------------------------------------------------------------------
     # mutation
@@ -299,7 +296,7 @@ class SlottedPage:
         # fix slot offsets of cells that moved
         data = self.data
         for slot in range(HEADER_SIZE, slots_end - SLOT_SIZE, SLOT_SIZE):
-            offset = _read_u16(data, slot)[0]
+            offset = read_u16(data, slot)[0]
             if offset < removed_offset:
                 _U16.pack_into(data, slot, offset + removed_size)
 

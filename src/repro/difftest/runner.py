@@ -81,7 +81,7 @@ class _SabotagedExecutor(Executor):
     predicate is wider than its key range."""
 
     def _matching_rows(self, plan, params, lifted):
-        lo, hi = plan.key_range(params, lifted)
+        lo, hi, _exact = plan.key_range(params, lifted)
         residual = plan.predicate
         if lo is not None or hi is not None:
             residual = None  # the bug: bounds treated as the whole filter
