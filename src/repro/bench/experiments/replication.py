@@ -15,8 +15,8 @@ and promises on top of it, per durability mode:
 Every cell runs the full replication-consistency oracle under channel
 storms (drop/duplicate/reorder/corrupt) with a scripted writer kill —
 a nonzero violation count fails the experiment.  ``run()`` snapshots
-the results to ``BENCH_replication.json`` so future PRs can track the
-replication probes.
+the results to ``BENCH_replication.json``; ``report(doc)`` builds the
+table from such a document, the CLI's and the docs' alike.
 """
 
 from __future__ import annotations
@@ -77,11 +77,10 @@ def _archive_probes(results) -> dict:
 
 
 def run(quick: bool = False, jobs: int = 1) -> Report:
-    """Replication lag + failover probes per durability mode."""
+    """Measure every durability mode, snapshot, and report."""
     seeds = QUICK_SEEDS if quick else SEEDS
     txns = 24 if quick else 48
     sessions = 3 if quick else 4
-    rows = []
     snapshot = {}
     for mode in MODES:
         tasks = [
@@ -96,8 +95,27 @@ def run(quick: bool = False, jobs: int = 1) -> Report:
             )
             for seed in seeds
         ]
-        agg = _aggregate(parallel_map(run_task, tasks, jobs=jobs))
-        snapshot[mode] = agg
+        snapshot[mode] = _aggregate(parallel_map(run_task, tasks, jobs=jobs))
+    doc = {
+        "experiment": "replication",
+        "quick": quick,
+        "seeds": list(seeds),
+        "sessions": sessions,
+        "txns_per_seed": txns,
+        "modes": snapshot,
+    }
+    out_file = write_snapshot("replication", doc)
+    result = report(doc)
+    result.notes.append(f"Snapshot written to {out_file}.")
+    return result
+
+
+def report(doc: dict) -> Report:
+    """Replication lag + failover probes per durability mode, from a
+    ``BENCH_replication.json`` document."""
+    rows = []
+    for mode in MODES:
+        agg = doc["modes"][mode]
         rows.append([
             mode, agg["acked"], agg["promotions"], agg["ship_faults"],
             agg["lag_mean_us"], agg["lag_p95_us"], agg["failover_ms"],
@@ -106,17 +124,6 @@ def run(quick: bool = False, jobs: int = 1) -> Report:
             agg["archive_gc_segments"], agg["peak_log_entries"],
             agg["violations"],
         ])
-    out_file = write_snapshot(
-        "replication",
-        {
-            "experiment": "replication",
-            "quick": quick,
-            "seeds": list(seeds),
-            "sessions": sessions,
-            "txns_per_seed": txns,
-            "modes": snapshot,
-        },
-    )
     return Report(
         "replication",
         "Log-shipping replication lag and failover time per durability mode",
@@ -130,13 +137,13 @@ def run(quick: bool = False, jobs: int = 1) -> Report:
             )
         ],
         notes=[
-            f"Tuna profile; {sessions} sessions x {len(seeds)} seeds, "
-            f"{txns} txns/seed, NVWAL UH+LS+Diff, 2 followers.",
+            f"Tuna profile; {doc['sessions']} sessions x {len(doc['seeds'])} "
+            f"seeds, {doc['txns_per_seed']} txns/seed, NVWAL UH+LS+Diff, "
+            "2 followers.",
             "Channel storm (drop/dup/reorder/corrupt) + cold-store I/O",
             "faults + writer kill + one follower kill in every cell; the",
             "replication oracle must report 0 violations.",
             "Reseeds from disk: follower resets served from the archived",
             "floor snapshot + segment files.",
-            f"Snapshot written to {out_file}.",
         ],
     )

@@ -10,9 +10,10 @@ had to absorb to get there.  Every cell is a deterministic function of
 the seed list, and the oracle runs in every cell — a nonzero violation
 count fails the experiment.
 
-``run()`` also snapshots the results to ``BENCH_service.json`` (like
-``BENCH_simulator.json``, a committed trajectory file) so future PRs can
-track service-level throughput.
+``run()`` measures and snapshots the results to ``BENCH_service.json``
+(a committed trajectory file); ``report(doc)`` builds the table from such
+a document, so the CLI and the docs rendered from the tracked file
+(:mod:`repro.bench.docs`) show the same table.
 """
 
 from __future__ import annotations
@@ -90,11 +91,10 @@ def _aggregate(results) -> dict:
 
 
 def run(quick: bool = False, jobs: int = 1) -> Report:
-    """Throughput + robustness counters per fault configuration."""
+    """Measure every fault configuration, snapshot, and report."""
     seeds = QUICK_SEEDS if quick else SEEDS
     txns = 60 if quick else 160
     sessions = 4 if quick else 8
-    rows = []
     snapshot = {}
     for label, faults, storms, cycles in CONFIGS:
         tasks = [
@@ -104,24 +104,33 @@ def run(quick: bool = False, jobs: int = 1) -> Report:
             )
             for seed in seeds
         ]
-        agg = _aggregate(parallel_map(run_task, tasks, jobs=jobs))
-        snapshot[label] = agg
+        snapshot[label] = _aggregate(parallel_map(run_task, tasks, jobs=jobs))
+    doc = {
+        "experiment": "service_storm",
+        "quick": quick,
+        "seeds": list(seeds),
+        "sessions": sessions,
+        "txns_per_seed": txns,
+        "configs": snapshot,
+    }
+    out_file = write_snapshot("service", doc)
+    result = report(doc)
+    result.notes.append(f"Snapshot written to {out_file}.")
+    return result
+
+
+def report(doc: dict) -> Report:
+    """Throughput + robustness counters per fault configuration, from a
+    ``BENCH_service.json`` document."""
+    rows = []
+    for label, *_ in CONFIGS:
+        agg = doc["configs"][label]
         rows.append([
-            label, agg["txns_per_sec"], agg["acked"], agg["crashes"],
+            # txns/s as the snapshot rounds it, not to the integer
+            label, f"{agg['txns_per_sec']:.1f}", agg["acked"], agg["crashes"],
             agg["busy_waits"], agg["deadline_misses"],
             agg["demotions"], agg["promotions"], agg["violations"],
         ])
-    out_file = write_snapshot(
-        "service",
-        {
-            "experiment": "service_storm",
-            "quick": quick,
-            "seeds": list(seeds),
-            "sessions": sessions,
-            "txns_per_seed": txns,
-            "configs": snapshot,
-        },
-    )
     return Report(
         "service_storm",
         "Concurrent service throughput under fault storms",
@@ -133,10 +142,9 @@ def run(quick: bool = False, jobs: int = 1) -> Report:
             )
         ],
         notes=[
-            f"Tuna profile; {sessions} sessions x {len(seeds)} seeds, "
-            f"{txns} txns/seed, NVWAL UH+LS+Diff.",
+            f"Tuna profile; {doc['sessions']} sessions x {len(doc['seeds'])} "
+            f"seeds, {doc['txns_per_seed']} txns/seed, NVWAL UH+LS+Diff.",
             "Violations must be 0: the chaos oracle (ack durability,",
             "read freshness, liveness) runs inside every cell.",
-            f"Snapshot written to {out_file}.",
         ],
     )

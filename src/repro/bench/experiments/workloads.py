@@ -11,8 +11,8 @@ integrity, recovery check), so a nonzero violation count fails the
 experiment.
 
 ``run()`` snapshots the results to ``BENCH_workloads.json`` (a committed
-trajectory file like ``BENCH_service.json``) so future PRs can track
-per-mix throughput.
+trajectory file like ``BENCH_service.json``); ``report(doc)`` builds the
+table from such a document, the CLI's and the docs' alike.
 """
 
 from __future__ import annotations
@@ -72,40 +72,47 @@ def run(quick: bool = False, jobs: int = 1) -> Report:
             (r["workload"], r["scheme"], r["group_epoch"]), []
         ).append(r)
 
-    rows = []
     snapshot: dict = {}
-    violations_total = 0
     for mix in WORKLOADS:
-        probes = snapshot.setdefault(mix, {})
-        for scheme_label, scheme in SCHEMES_UNDER_TEST:
-            per_scheme = probes.setdefault(scheme_label, {})
-            cells_out = {}
-            for group_label, epoch in GROUP_MODES:
-                agg = _aggregate(by_cell[(mix, scheme, epoch)])
-                per_scheme[f"group_{group_label}"] = agg
-                cells_out[group_label] = agg
-                violations_total += agg["violations"]
+        snapshot[mix] = {
+            scheme_label: {
+                f"group_{group_label}": _aggregate(by_cell[(mix, scheme, epoch)])
+                for group_label, epoch in GROUP_MODES
+            }
+            for scheme_label, scheme in SCHEMES_UNDER_TEST
+        }
+
+    doc = {
+        "experiment": "workloads",
+        "quick": quick,
+        "seeds": list(seeds),
+        "ops_per_run": ops,
+        "group_epoch": dict(GROUP_MODES)["on"],
+        "probes": snapshot,
+    }
+    out_file = write_snapshot("workloads", doc)
+    result = report(doc)
+    result.notes.append(f"Snapshot written to {out_file}.")
+    return result
+
+
+def report(doc: dict) -> Report:
+    """Throughput + p95 per workload mix x scheme x group commit, from a
+    ``BENCH_workloads.json`` document."""
+    rows = []
+    for mix in WORKLOADS:
+        for scheme_label, _scheme in SCHEMES_UNDER_TEST:
+            cell = doc["probes"][mix][scheme_label]
+            off, on = cell["group_off"], cell["group_on"]
             rows.append([
                 mix,
                 scheme_label,
-                cells_out["off"]["txns_per_sec"],
-                cells_out["off"]["p95_us"],
-                cells_out["on"]["txns_per_sec"],
-                cells_out["on"]["p95_us"],
-                cells_out["off"]["violations"] + cells_out["on"]["violations"],
+                off["txns_per_sec"],
+                off["p95_us"],
+                on["txns_per_sec"],
+                on["p95_us"],
+                off["violations"] + on["violations"],
             ])
-
-    out_file = write_snapshot(
-        "workloads",
-        {
-            "experiment": "workloads",
-            "quick": quick,
-            "seeds": list(seeds),
-            "ops_per_run": ops,
-            "group_epoch": dict(GROUP_MODES)["on"],
-            "probes": snapshot,
-        },
-    )
     return Report(
         "workloads",
         "Workload suite: mix x scheme x group commit",
@@ -117,11 +124,11 @@ def run(quick: bool = False, jobs: int = 1) -> Report:
             )
         ],
         notes=[
-            f"Tuna profile; {len(seeds)} seed(s) x {ops} ops per run; "
-            "E = eager, LS = UH+LS+Diff, CS = UH+CS+Diff.",
-            "Group commit closes the shared epoch every 4 transactions.",
+            f"Tuna profile; {len(doc['seeds'])} seed(s) x {doc['ops_per_run']} "
+            "ops per run; E = eager, LS = UH+LS+Diff, CS = UH+CS+Diff.",
+            f"Group commit closes the shared epoch every {doc['group_epoch']} "
+            "transactions.",
             "Violations must be 0: every cell runs fold-model read checks,",
             "page-accounting integrity, and a post-run recovery check.",
-            f"Snapshot written to {out_file}.",
         ],
     )

@@ -2,8 +2,8 @@
 the tracked ``BENCH_*.json`` trajectory files.
 
 Every experiment returns a :class:`Report`: a title, commentary lines, and
-one or more tables.  The `__main__` CLI prints them; EXPERIMENTS.md embeds
-them.
+one or more tables.  The `__main__` CLI prints them; :mod:`repro.bench.docs`
+renders the tables backed by a tracked ``BENCH_*.json`` into the docs.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class Table:
         lines.append("  ".join("-" * w for w in widths))
         for row in cells:
             lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-        return "\n".join(lines)
+        return "\n".join(line.rstrip() for line in lines)
 
 
 @dataclass

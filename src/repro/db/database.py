@@ -127,12 +127,12 @@ class Database:
         self._in_explicit_txn = True
         try:
             result = self.executor.run(stmt, params, lifted)
+            self._commit_pager_txn()
         except BaseException:
             if pager.in_transaction:
                 pager.rollback()
             self._in_explicit_txn = False
             raise
-        self._commit_pager_txn()
         self._in_explicit_txn = False
         if self.auto_checkpoint:
             self.wal.maybe_checkpoint()

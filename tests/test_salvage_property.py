@@ -1,5 +1,5 @@
 """The salvage property (``tests/salvage_property.py``) on the segment
-stream, the segment archive and the NVWAL log.
+stream, the segment archive, the NVWAL log and the stock file WAL.
 
 The stream is what a follower receives: it keeps the prefix the decoder
 accepted and appends what arrives next.  The archive holds the same
@@ -8,7 +8,9 @@ sit mid-file, first in a file, or in the newest file, with whole files
 after it; its recovery runs across a power cut.  NVWAL's unit is one
 committed transaction (one row inserted by an autocommit statement) in
 the user-heap log blocks of ``uh_ls_diff``; its recovery is a power cycle
-and a reopen of the database.
+and a reopen of the database.  The file WAL's unit is the same
+transaction, one frame per page it dirtied, in the ``-wal`` file of a
+stock (unoptimized) :class:`~repro.wal.filewal.FileWalBackend`.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from repro.replication.segment import (
 )
 from repro.storage.blockdev import BlockDevice
 from repro.storage.ext4 import Ext4FileSystem
-from repro.wal.frames import NV_HEADER_SIZE, NvFrame
-from tests.conftest import make_nvwal_db
+from repro.wal.frames import FILE_HEADER_SIZE, NV_HEADER_SIZE, NvFrame
+from tests.conftest import make_file_db, make_nvwal_db
 from tests.salvage_property import DAMAGE_KINDS, SalvageFormat, check_salvage
 from tests.wal.test_salvage import nv_frames
 
@@ -152,7 +154,7 @@ _NV_DDL = "CREATE TABLE t (k INTEGER PRIMARY KEY, v TEXT)"
 _NV_INSERT = "INSERT INTO t VALUES (?, ?)"
 
 
-def nvwal_unit(j: int) -> tuple:
+def row_unit(j: int) -> tuple:
     """Row ``j``: a few bytes to most of an inline cell, and every fifth
     an overflow chain, so units split leaves and span several frames."""
     return (j, f"u{j}." * (400 if j % 5 == 4 else 3 + 80 * (j % 4)))
@@ -194,10 +196,10 @@ def _nvwal_damage(log: _NvwalLog, j: int, kind: str) -> None:
     with every later unit's frames intact past it."""
     if kind == "torn":
         rebuilt = _fresh_nvwal()
-        _nvwal_append(rebuilt, [nvwal_unit(u) for u in range(j)])
+        _nvwal_append(rebuilt, [row_unit(u) for u in range(j)])
         rebuilt.system.crash.arm(log.ops[j] // 2)
         try:
-            rebuilt.db.execute(_NV_INSERT, nvwal_unit(j))
+            rebuilt.db.execute(_NV_INSERT, row_unit(j))
         except PowerFailure:
             pass
         else:
@@ -220,14 +222,78 @@ def _nvwal_recover(log: _NvwalLog) -> list:
 
 NVWAL_LOG = SalvageFormat(
     "NVWAL log",
-    nvwal_unit,
+    row_unit,
     _fresh_nvwal,
     _nvwal_append,
     _nvwal_damage,
     _nvwal_recover,
 )
 
-FORMATS = (SEGMENT_STREAM, SEGMENT_ARCHIVE, NVWAL_LOG)
+# -- the file WAL -------------------------------------------------------------
+
+
+@dataclass
+class _FileWalLog:
+    """A machine with a stock file-WAL database, and the byte range of the
+    ``-wal`` file each unit's frames last took."""
+
+    system: System
+    db: Database
+    #: unit index -> (first byte, end byte) of its frames
+    spans: dict
+
+
+def _open_filewal(system: System) -> Database:
+    return make_file_db(system, name="salvage.db", auto_checkpoint=False)
+
+
+def _fresh_filewal() -> _FileWalLog:
+    system = System(tuna(), seed=3)
+    db = _open_filewal(system)
+    db.execute(_NV_DDL)
+    return _FileWalLog(system, db, {})
+
+
+def _filewal_append(log: _FileWalLog, units: list) -> None:
+    wal = log.db.wal
+    for unit in units:
+        first = wal._frame_offset(wal.frame_count())
+        log.db.execute(_NV_INSERT, unit)
+        log.spans[unit[0]] = (first, wal._frame_offset(wal.frame_count()))
+
+
+def _filewal_damage(log: _FileWalLog, j: int, kind: str) -> None:
+    """``torn``: the file ends halfway into the unit's frames; ``flip``:
+    one payload byte of its first frame; ``header``: one byte of that
+    frame's page-number field, which the frame's own checksum covers."""
+    start, end = log.spans[j]
+    wal_file = log.db.wal.wal_file
+    if kind == "torn":
+        wal_file.truncate((start + end) // 2)
+    else:
+        at = start + FILE_HEADER_SIZE + 100 if kind == "flip" else start
+        wal_file.write(at, bytes([wal_file.read(at, 1)[0] ^ 0x01]))
+    wal_file.fsync()
+    log.system.power_fail()
+
+
+def _filewal_recover(log: _FileWalLog) -> list:
+    log.system.power_fail()
+    log.system.reboot()
+    log.db = _open_filewal(log.system)
+    return log.db.query("SELECT k, v FROM t ORDER BY k")
+
+
+FILE_WAL = SalvageFormat(
+    "file WAL",
+    row_unit,
+    _fresh_filewal,
+    _filewal_append,
+    _filewal_damage,
+    _filewal_recover,
+)
+
+FORMATS = (SEGMENT_STREAM, SEGMENT_ARCHIVE, NVWAL_LOG, FILE_WAL)
 
 
 @st.composite
@@ -250,9 +316,11 @@ def test_salvage_keeps_the_prefix_and_nothing_past_it(case):
 
 
 def test_every_unit_of_every_format():
-    """Each damage at each of seven units, with every lost unit
-    resubmitted: the cases the property's search may not draw."""
+    """Each damage at each of seven units, with one lost unit resubmitted
+    (the stale units past it must stay lost) and with every one: the
+    cases the property's search may not draw."""
     for fmt in FORMATS:
         for kind in DAMAGE_KINDS:
             for i in range(7):
-                check_salvage(fmt, 7, i, kind, 7 - i)
+                for k in {1, 7 - i}:
+                    check_salvage(fmt, 7, i, kind, k)

@@ -97,13 +97,20 @@ class TestEpochExclusion:
 
     def test_autocommit_select_rejected_while_epoch_open(self, system):
         """NVWAL refuses every standalone transaction while an epoch is
-        open, a read-only autocommit's empty one included."""
+        open, a read-only autocommit's empty one included, and the refused
+        statement rolls back like any failed autocommit: the session is
+        free for the next transaction once the epoch closes."""
         db = make_nvwal_db(system)
         db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v TEXT)")
         _insert_grouped(db, [1])
         with pytest.raises(TransactionError, match="group-commit epoch is open"):
             db.execute("SELECT v FROM t WHERE k = 1")
         assert db.wal.group_open
+        assert not db.in_transaction
+        db.flush_group()
+        db.begin()
+        db.commit()
+        assert db.query("SELECT v FROM t WHERE k = 1") == [("v1",)]
 
     def test_checkpoint_rejected_while_epoch_open(self, system):
         db = make_nvwal_db(system)

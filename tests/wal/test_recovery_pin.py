@@ -14,7 +14,11 @@ Cells: every NVWAL scheme under the explicit persistency model, committing
 solo (the cut lands inside a transaction) or in epochs of four (the cut
 leaves an epoch open), and the file tier: the stock and the optimized file
 WAL, a rollback journal left hot by the cut, and a stock file WAL whose log
-ends in a frame spanning three pages (``filewal_span3``).
+ends in a frame spanning three pages (``filewal_span3``).  The file WAL's
+commit path issues no ``cpu.store``, so the solo cut armed in ``filewal``
+and ``filewal_opt`` cannot fire: those two cells pin a clean power-off
+after 111 committed statements (:data:`UNCUT`) until a cut can land
+inside the file WAL's block commands.
 """
 
 from __future__ import annotations
@@ -48,6 +52,10 @@ def _at_store(op: str) -> bool:
     after its frames are copied (and, but under CS, flushed), before its
     commit mark is stored."""
     return op == "store"
+
+#: Cells whose armed solo cut cannot fire (no ``cpu.store`` on their commit
+#: path); every other solo cut must raise :class:`PowerFailure`.
+UNCUT = ("filewal", "filewal_opt")
 
 #: The file tier's backends, by cell name.
 FILE_TIER = {
@@ -130,6 +138,8 @@ def run_to_cut(name: str, epoch: int) -> System:
             db.execute("INSERT INTO t VALUES (?, ?)", CUT_ROWS[0])
         except PowerFailure:
             pass
+        else:
+            assert name in UNCUT, f"{name}: the armed cut never fired"
         finally:
             system.crash.disarm()
     system.power_fail()
