@@ -438,10 +438,11 @@ def probe_insert_txns() -> float:
 
 #: Recorded ceiling on telemetry's host-side cost: with every layer
 #: instrumented, end-to-end host throughput may drop by at most this
-#: fraction versus a telemetry-disabled run.  Generous enough to absorb
-#: shared-host noise, tight enough to catch an accidentally hot
-#: instrument (e.g. a snapshot on the commit path).
-TELEMETRY_OVERHEAD_BOUND = 0.35
+#: fraction versus a telemetry-disabled run.  Judged on a median of
+#: pairs (below), unplanted runs read a few percent either way; the bound
+#: leaves room for that and still catches an accidentally hot instrument
+#: (e.g. a snapshot on the commit path).
+TELEMETRY_OVERHEAD_BOUND = 0.15
 #: Interleaved (off, on) pairs the overhead is judged on, by their median:
 #: one stalled pass on a shared host read 44 % against the bound.
 TELEMETRY_PAIRS = 5

@@ -35,7 +35,6 @@ All device I/O goes through the filesystem's bounded retry-with-backoff
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 from repro.replication.node import PSEUDO_PAGE
 from repro.replication.segment import (
@@ -308,11 +307,10 @@ class SegmentArchive:
         return cached[1].get(seq)
 
     def _read(self, name: str, size: int) -> memoryview:
-        """The first ``size`` bytes of file ``name``, read in page order
-        through the page cache (:meth:`File.pages`): each page once, a miss
-        charged as ``File.read`` charges it, and one copy of the bytes."""
-        pages = self.fs.open(name).pages()
-        return memoryview(b"".join(islice(pages, -(-size // self.fs.page_size))))[:size]
+        """The first ``size`` bytes of file ``name``, one ``File.read``
+        through the page cache: each page read once in page order, a miss
+        charged once, the bytes copied once."""
+        return memoryview(self.fs.open(name).read(0, size))
 
     def _run(
         self, name: str, size: int, seq: int, snapshot: bool

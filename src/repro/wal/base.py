@@ -56,9 +56,11 @@ class LogPages:
     """A log file's bytes, checked in place in the page cache.
 
     :attr:`pages` holds every page read so far, the page cache's own
-    buffers; :meth:`reach` reads more from :meth:`File.pages`, in
-    ascending order, so each page is read, and a miss charged, once: when
-    the first record reaching into it is checked.  A log scan asks for its
+    immutable ``bytes``, not copies (only a page written since it was
+    read comes as one), so no later write changes them; :meth:`reach`
+    reads more from :meth:`File.pages`, in ascending order, so each page
+    is read, and a miss charged, once: when the first record reaching
+    into it is checked.  A log scan asks for its
     records in file order and reads nothing past the one it stops at.
 
     No view of a page outlives the call that takes it: a view is an object
@@ -70,7 +72,7 @@ class LogPages:
 
     def __init__(self, file: File, page_size: int) -> None:
         self._next_page = file.pages().__next__
-        self.pages: list[bytearray] = []
+        self.pages: list[bytes] = []
         self.page_size = page_size
         self.size = file.size
         self._read_to = 0  # file bytes the pages read so far hold

@@ -48,5 +48,5 @@ def test_a_planted_50_percent_overhead_fails(simhost, monkeypatch):
         return result
 
     monkeypatch.setattr(simhost, "run_workload", slowed)
-    with pytest.raises(AssertionError, match="exceeds the 35% bound"):
+    with pytest.raises(AssertionError, match="exceeds the 15% bound"):
         simhost.probe_telemetry_overhead()

@@ -18,6 +18,14 @@ The damage targets bytes the format claims to check; which bytes those
 are is the format's to say (``SalvageFormat.damage``).  A format joins by
 adding one :class:`SalvageFormat` to a test's list: how to make an empty
 log, append units, damage one, and recover what the log holds.
+
+The rollback journal does not fit the five steps.  Its log holds the
+undo images of one open transaction, not a run of committed units, and
+its recovery consumes it: the valid prefix of records is written back to
+the database file and the journal is truncated, so after step 3 there is
+no log for step 4's resubmitted units to follow, and step 5 has nothing
+to recover.  ``tests/wal/test_salvage.py::TestJournalSalvage`` tests its
+prefix rule: a torn record rolls back exactly the records before it.
 """
 
 from __future__ import annotations
@@ -38,7 +46,8 @@ class SalvageFormat:
     after what the log holds; ``damage(log, j, kind)`` damages unit ``j``
     on the medium (and cuts the power, where the format has any);
     ``recover(log)`` recovers and returns the units the log now holds, in
-    order, comparable with ``unit(j)``.
+    order, comparable with ``unit(j)``; ``kinds`` are the damage kinds
+    that apply to the format (its ``damage`` says why any is left out).
     """
 
     name: str
@@ -47,12 +56,13 @@ class SalvageFormat:
     append: Callable[[Any, list], None]
     damage: Callable[[Any, int, str], None]
     recover: Callable[[Any], list]
+    kinds: tuple[str, ...] = DAMAGE_KINDS
 
 
 def check_salvage(fmt: SalvageFormat, n: int, i: int, kind: str, k: int) -> None:
     """Run the five steps on ``fmt``; an assertion names the step that
     broke the rule."""
-    assert 0 <= i < n and 0 <= k <= n - i and kind in DAMAGE_KINDS
+    assert 0 <= i < n and 0 <= k <= n - i and kind in fmt.kinds
     units = [fmt.unit(j) for j in range(n)]
     log = fmt.fresh()
     fmt.append(log, units)

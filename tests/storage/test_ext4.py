@@ -121,6 +121,28 @@ class TestFiles:
         assert f.allocated_pages() == 8
         assert f.size == 8 * 4096
 
+    @pytest.mark.parametrize("remount", [True, False], ids=["as-read", "written"])
+    def test_a_page_read_keeps_its_bytes_under_a_later_write(self, fs, remount):
+        """What ``File.read`` returns and ``File.pages`` yields is the
+        page as it was read: writing that file page afterwards changes
+        neither, whether the page came from the device or was written in
+        the cache before it was read."""
+        page_size = fs.page_size
+        f = fs.create("log")
+        f.write(0, b"\xaa" * (2 * page_size))
+        f.fsync()
+        if remount:  # an empty page cache: both pages come from the device
+            fs.power_fail()
+            fs.mount()
+            f = fs.open("log")
+        whole, part = f.read(0, page_size), f.read(page_size + 10, 20)
+        pages = list(f.pages())
+        f.write(0, b"\x55" * (2 * page_size))
+        assert whole == pages[0] == b"\xaa" * page_size
+        assert part == b"\xaa" * 20
+        assert pages[1] == b"\xaa" * page_size
+        assert f.read(0, 2 * page_size) == b"\x55" * (2 * page_size)
+
 
 class TestDurability:
     def test_unsynced_data_lost_on_crash(self):

@@ -1,5 +1,6 @@
 """The salvage property (``tests/salvage_property.py``) on the segment
-stream, the segment archive, the NVWAL log and the stock file WAL.
+stream, the segment archive, the NVWAL log, the stock file WAL and the
+ext4 journal.
 
 The stream is what a follower receives: it keeps the prefix the decoder
 accepted and appends what arrives next.  The archive holds the same
@@ -10,11 +11,14 @@ committed transaction (one row inserted by an autocommit statement) in
 the user-heap log blocks of ``uh_ls_diff``; its recovery is a power cycle
 and a reopen of the database.  The file WAL's unit is the same
 transaction, one frame per page it dirtied, in the ``-wal`` file of a
-stock (unoptimized) :class:`~repro.wal.filewal.FileWalBackend`.
+stock (unoptimized) :class:`~repro.wal.filewal.FileWalBackend`.  The ext4
+journal's unit is one journaled metadata transaction, a create and an
+fsync, and its recovery is a mount; only a cut tears a unit there.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from hypothesis import given, settings
@@ -36,7 +40,7 @@ from repro.storage.blockdev import BlockDevice
 from repro.storage.ext4 import Ext4FileSystem
 from repro.wal.frames import FILE_HEADER_SIZE, NV_HEADER_SIZE, NvFrame
 from tests.conftest import make_file_db, make_nvwal_db
-from tests.salvage_property import DAMAGE_KINDS, SalvageFormat, check_salvage
+from tests.salvage_property import SalvageFormat, check_salvage
 from tests.wal.test_salvage import nv_frames
 
 
@@ -293,18 +297,94 @@ FILE_WAL = SalvageFormat(
     _filewal_recover,
 )
 
-FORMATS = (SEGMENT_STREAM, SEGMENT_ARCHIVE, NVWAL_LOG, FILE_WAL)
+# -- the ext4 journal ---------------------------------------------------------
+
+
+def file_unit(j: int) -> str:
+    """Unit ``j``: the name of a file whose create and fsync are one
+    journaled metadata transaction."""
+    return f"unit{j:02d}"
+
+
+@dataclass
+class _Ext4Log:
+    """A formatted file system; a torn unit replaces it."""
+
+    fs: Ext4FileSystem
+
+
+def _fresh_ext4() -> _Ext4Log:
+    fs = Ext4FileSystem(BlockDevice(tuna().blockdev, SimClock(), Stats(), seed=5))
+    fs.format()
+    return _Ext4Log(fs)
+
+
+def _ext4_append(log: _Ext4Log, units: list) -> None:
+    for name in units:
+        log.fs.create(name).fsync()
+
+
+def _ext4_damage(log: _Ext4Log, j: int, kind: str) -> None:
+    """``torn`` only: the file system is rebuilt up to unit ``j``, and the
+    power is cut at the device flush of unit ``j``'s journal transaction
+    with a seeded subset of its blocks landed.  One block is always lost,
+    by turns the descriptor, the inode-table image and the commit block:
+    a lost image of zeros (the second directory block's) would leave the
+    ring as written.  The flash model has no decay, so a page that landed
+    holds what was written: ``flip`` and ``header`` do not apply."""
+    assert kind == "torn"
+    rebuilt = _fresh_ext4()
+    _ext4_append(rebuilt, [file_unit(u) for u in range(j)])
+    fs = log.fs = rebuilt.fs
+    device = fs.device
+
+    def cutting_flush():
+        raise PowerFailure("power cut in the journal flush")
+
+    device.flush = cutting_flush
+    try:
+        fs.create(file_unit(j)).fsync()
+    except PowerFailure:
+        pass
+    else:
+        raise AssertionError("the journal flush did not run")
+    finally:
+        del device.flush
+    rng = random.Random(j)
+    cached = device.cached_page_count()  # in ring order, commit block last
+    lost = (0, 1, cached - 1)[j % 3]
+    fs.power_fail({p for p in range(cached) if p != lost and rng.random() < 0.5})
+
+
+def _ext4_recover(log: _Ext4Log) -> list:
+    log.fs.power_fail(landed=())
+    log.fs.mount()
+    return log.fs.list_names()
+
+
+EXT4_JOURNAL = SalvageFormat(
+    "ext4 journal",
+    file_unit,
+    _fresh_ext4,
+    _ext4_append,
+    _ext4_damage,
+    _ext4_recover,
+    kinds=("torn",),
+)
+
+FORMATS = (SEGMENT_STREAM, SEGMENT_ARCHIVE, NVWAL_LOG, FILE_WAL, EXT4_JOURNAL)
 
 
 @st.composite
 def _cases(draw):
+    fmt = draw(st.sampled_from(FORMATS))
     n = draw(st.integers(1, 8))
     i = draw(st.integers(0, n - 1))
     return (
-        draw(st.sampled_from(FORMATS)),
+        fmt,
         n,
         i,
-        draw(st.sampled_from(DAMAGE_KINDS)),
+        draw(st.sampled_from(fmt.kinds)),
         draw(st.integers(0, n - i)),
     )
 
@@ -320,7 +400,7 @@ def test_every_unit_of_every_format():
     (the stale units past it must stay lost) and with every one: the
     cases the property's search may not draw."""
     for fmt in FORMATS:
-        for kind in DAMAGE_KINDS:
+        for kind in fmt.kinds:
             for i in range(7):
                 for k in {1, 7 - i}:
                     check_salvage(fmt, 7, i, kind, k)
