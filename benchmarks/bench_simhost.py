@@ -397,6 +397,23 @@ def probe_sql_point_select() -> float:
     return _rate(step)
 
 
+def probe_sql_point_select_inlined() -> float:
+    """nvbench ``kv-read``'s inlined-key statement, ``SELECT value FROM t
+    WHERE key = <n>``, end to end (autocommit) over more distinct keys
+    than the 256-text parse cache holds: every execution misses that
+    cache and is served by the statement-skeleton map."""
+    db, _tree, keys = _point_lookup_table()
+    texts = [f"SELECT value FROM t WHERE key = {key}" for key in dict.fromkeys(keys)]
+    assert len(texts) > 256, len(texts)
+    state = {"i": 0}
+
+    def step() -> None:
+        i = state["i"] = (state["i"] + 1) % len(texts)
+        db.execute(texts[i])
+
+    return _rate(step)
+
+
 def probe_sql_range_select() -> float:
     """nvbench ``kv-read``'s range statement, ``SELECT key ... WHERE key
     >= ? AND key <= ?`` over 10 to 50 consecutive keys, end to end
@@ -520,6 +537,7 @@ PROBES = {
     "diff_compute_extents_per_sec": probe_diff_extents,
     "btree_point_get_per_sec": probe_btree_point_get,
     "sql_point_select_per_sec": probe_sql_point_select,
+    "sql_point_select_inlined_per_sec": probe_sql_point_select_inlined,
     "sql_range_select_per_sec": probe_sql_range_select,
     "host_insert_txns_per_sec": probe_insert_txns,
     "telemetry_overhead_txns_per_sec": probe_telemetry_overhead,

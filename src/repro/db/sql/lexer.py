@@ -26,19 +26,27 @@ class Token(NamedTuple):
     pos: int
 
 
+#: A string literal, quotes included.  Its closing quote may not be followed
+#: by another quote, which makes the split into characters, '' escapes and
+#: terminator unique: the regex can only find the decomposition a
+#: left-to-right reader finds.
+STRING = r"'[^']*(?:''[^']*)*'(?!')"
+
+#: A number literal; a float iff it holds a ``.``.  Digits are ASCII only
+#: (str.isdigit() also accepts superscripts and other Unicode digits that
+#: int() rejects).
+NUMBER = r"[0-9]+(?:\.[0-9]*)?|\.[0-9]+"
+
 # One token per match: leading whitespace, then exactly one alternative, the
 # last of which takes whatever character no token can start with — so the
-# matches tile the text and finditer() never skips anything.
-# A string's closing quote may not be followed by another quote, which makes
-# the split into characters, '' escapes and terminator unique — the regex can
-# only find the decomposition a left-to-right reader finds.  Digits are ASCII
-# only (str.isdigit() also accepts superscripts and other Unicode digits that
-# int() rejects); a word is ``\w+`` here and must start with a letter or
-# underscore, checked in tokenize().
+# matches tile the text and finditer() never skips anything.  A word is
+# ``\w+`` here and must start with a letter or underscore, checked in
+# tokenize().  The parser's literal split is built from STRING and NUMBER
+# too (``parser._LITERAL``).
 _TOKEN = re.compile(
-    r"""\s*(?:
-        '(?P<string>[^']*(?:''[^']*)*)'(?!')
-      | (?P<number>[0-9]+(?:\.[0-9]*)?|\.[0-9]+)
+    rf"""\s*(?:
+        (?P<string>{STRING})
+      | (?P<number>{NUMBER})
       | (?P<word>\w+)
       | (?P<punct><=|>=|!=|<>|[(),*?=+\-/;<>])
       | (?P<eof>\Z)
@@ -72,7 +80,7 @@ def tokenize(text: str) -> list[Token]:
                 tokens.append(Token("int", int(value), start))
         elif kind == "string":
             # A string token's position is where the string *ends*.
-            tokens.append(Token("string", value.replace("''", "'"), match.end()))
+            tokens.append(Token("string", unquote(value), match.end()))
         elif kind == "eof":
             tokens.append(Token("eof", None, start))
             return tokens
@@ -81,6 +89,11 @@ def tokenize(text: str) -> list[Token]:
         else:
             raise _unexpected(value, start)
     raise AssertionError("unreachable: the eof alternative matches at the end")
+
+
+def unquote(literal: str) -> str:
+    """The value of a :data:`STRING` literal: quotes off, ``''`` -> ``'``."""
+    return literal[1:-1].replace("''", "'")
 
 
 def _unexpected(ch: str, pos: int) -> SqlError:

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import functools
+import re
 
 from repro.db.record import SQL_TYPES
 from repro.db.sql import ast_nodes as ast
-from repro.db.sql.lexer import Token, tokenize
+from repro.db.sql.lexer import NUMBER, STRING, Token, tokenize, unquote
 from repro.errors import SqlError
 
 
@@ -20,35 +21,111 @@ def parse(text: str) -> tuple[ast.Statement, tuple]:
     all texts that differ only in literal values share one template
     object, and with it one plan per database.
 
-    Two maps sit in front of the parser.  This LRU, keyed by text, hands
-    every execution of one text the same pair.  Behind it, a miss
-    tokenizes the text and looks its shape up in ``_templates``; only a
-    shape seen for the first time is parsed.  Templates are frozen
-    dataclasses holding only tuples and scalars, never rewritten, so a
-    shared one is safe to hand to any number of executions.  A text that
-    fails to parse leaves nothing in either map.
+    Three lookups, cheapest first:
+
+    1. This LRU, keyed by text, hands every execution of one text the
+       same pair.
+    2. On a miss, one ``re.split`` cuts the text at its literals
+       (:data:`_LITERAL`).  The pieces between them and the literals'
+       kinds are the text's *skeleton*; ``_skeletons`` maps a known one
+       to its template, and the values come from the split pieces.
+       Neither the tokenizer nor the shape key runs.
+    3. Otherwise the text is tokenized and its shape (:func:`_shape`)
+       looked up in ``_templates``; only a shape seen for the first time
+       is parsed.
+
+    A skeleton is registered only after step 3 parsed a text that has
+    it, and only if the lexer's lifted literal tokens are exactly the
+    split's literals: same kinds, values and positions.  Then every text
+    of that skeleton tokenizes to the same shape, so the fast path and
+    the tokenizer cannot disagree.  Texts that never register, and so
+    always take step 3: a ``LIMIT n`` (its count is in the shape, not
+    lifted); a ``.`` number right after a word character, which the
+    lexer splits off there and the split does not (``a.5``,
+    ``BETWEEN.5``); and any text that fails to parse (``5abc``,
+    ``1e5``).  Digits inside a word (``t1``) stay in a piece, as they
+    stay in the lexer's word.
+
+    Templates are frozen dataclasses holding only tuples and scalars,
+    never rewritten, so a shared one is safe to hand to any number of
+    executions.  A text that fails to parse leaves nothing in any map.
     """
-    tokens = tokenize(text)
-    key, lifted = _shape(tokens)
-    template = _templates.get(key)
+    parts = _split_literals(text)
+    skeleton = parts[::2]
+    lifted = []
+    for literal in parts[1::2]:
+        if literal[0] == "'":
+            skeleton.append("string")
+            lifted.append(unquote(literal))
+        elif "." in literal:
+            skeleton.append("float")
+            lifted.append(float(literal))
+        else:
+            skeleton.append("int")
+            lifted.append(int(literal))
+    skeleton = tuple(skeleton)
+    template = _skeletons.get(skeleton)
     if template is None:
-        template = _Parser(tokens, text).parse_statement()
-        if len(_templates) >= _TEMPLATE_LIMIT:
-            _templates.clear()
-        _templates[key] = template
-    return template, lifted
+        return _parse_tokens(text, parts, skeleton, lifted)
+    return template, tuple(lifted)
 
 
 #: Token kinds whose value :meth:`_Parser._primary` lifts out of the AST.
 _LIFTED_KINDS = ("int", "float", "string")
 
+#: The lexer's own string and number literals, cut out by ``re.split``:
+#: the skeleton of a text is its pieces between them, then their kinds (one
+#: piece more than literals keeps the two runs apart).  A number right
+#: after a word character is no literal here, just as the lexer reads
+#: ``t1`` as one word; without that, a registered ``BETWEEN.5`` would
+#: hand its skeleton to ``BETWEEN5.0``, which the lexer reads as a word.
+#: The lookahead only lets the regex engine skip the characters no
+#: literal starts with.
+_LITERAL = re.compile(rf"(?=['.0-9])({STRING}|(?<!\w)(?:{NUMBER}))")
+_split_literals = _LITERAL.split
+
 #: Statement shape -> its template.  One per shape the text LRU can hold.
 _templates: dict[tuple, ast.Statement] = {}
+#: Statement skeleton -> its template, for texts the lexer agrees on.
+_skeletons: dict[tuple, ast.Statement] = {}
 _TEMPLATE_LIMIT = parse.cache_parameters()["maxsize"]
 
 
-def _shape(tokens: list[Token]) -> tuple[tuple, tuple]:
-    """The shape key of a token list and its lifted literal values.
+def _parse_tokens(
+    text: str, parts: list[str], skeleton: tuple, lifted: list
+) -> tuple[ast.Statement, tuple]:
+    """:func:`parse` through the tokenizer.  Registers ``skeleton`` when
+    the lexer lifts exactly the split's literals (``parts``, whose values
+    are ``lifted``): same kinds, values and positions."""
+    tokens = tokenize(text)
+    key, literals = _shape(tokens)
+    if len(_templates) >= _TEMPLATE_LIMIT or len(_skeletons) >= _TEMPLATE_LIMIT:
+        _templates.clear()
+        _skeletons.clear()
+    template = _templates.get(key)
+    if template is None:
+        template = _Parser(tokens, text).parse_statement()
+        _templates[key] = template
+    if literals == _split_tokens(parts, skeleton, lifted):
+        _skeletons[skeleton] = template
+    return template, tuple(token.value for token in literals)
+
+
+def _split_tokens(parts: list[str], skeleton: tuple, lifted: list) -> list[Token]:
+    """The split's literals as the lexer tokenizes a literal: a number's
+    position is its start, a string's its end."""
+    kinds = skeleton[len(lifted) + 1:]
+    tokens = []
+    pos = 0
+    for piece, literal, kind, value in zip(parts[::2], parts[1::2], kinds, lifted):
+        start = pos + len(piece)
+        pos = start + len(literal)
+        tokens.append(Token(kind, value, pos if kind == "string" else start))
+    return tokens
+
+
+def _shape(tokens: list[Token]) -> tuple[tuple, list[Token]]:
+    """The shape key of a token list and its lifted literal tokens.
 
     A literal token enters the key by kind alone, except the integer
     after LIMIT: the parser takes that one into the AST, so its value is
@@ -58,14 +135,15 @@ def _shape(tokens: list[Token]) -> tuple[tuple, tuple]:
     key = []
     lifted = []
     after_limit = False
-    for kind, value, _pos in tokens:
+    for token in tokens:
+        kind, value, _pos = token
         if kind in _LIFTED_KINDS and not after_limit:
             key.append(kind)
-            lifted.append(value)
+            lifted.append(token)
         else:
             key.append((kind, value))
         after_limit = kind == "keyword" and value == "LIMIT"
-    return tuple(key), tuple(lifted)
+    return tuple(key), lifted
 
 
 class _Parser:

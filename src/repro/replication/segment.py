@@ -12,7 +12,11 @@ WAL's longest-valid-prefix salvage rules to the byte stream it received:
 * the last frame carries the *epoch close* word derived from its
   checksum — a torn or bit-flipped segment cannot end in a valid close
   word, so :func:`decode_stream` stops at the last fully closed epoch,
-  mirroring ``NvwalBackend._scan_frames``.
+  mirroring ``NvwalBackend._scan_frames``;
+* every frame's checkpoint-id field and payload padding are zero.  No
+  checksum covers them, and no receiver reads the id (a follower re-logs
+  the frames under its own), so the encoder writes a fixed
+  :data:`CHECKPOINT_ID` and the decoder checks the bytes for it.
 
 The header binds the segment to a replication *term* (bumped at every
 failover promotion, fencing stale primaries) and a dense epoch sequence
@@ -54,6 +58,9 @@ assert EPOCH_HEADER_SIZE == 36
 #: Segment carries a full-state snapshot, not an incremental epoch.
 FLAG_SNAPSHOT = 1
 
+#: The checkpoint id every shipped frame carries.
+CHECKPOINT_ID = 0
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -84,7 +91,8 @@ def encode_segment(segment: Segment) -> bytes:
 
     All frames get commit word ``0`` except the last, which gets the
     epoch-close word — the same marking :meth:`NvwalBackend.group_close`
-    leaves in NVRAM, so a decoder can tell a whole epoch landed.  An
+    leaves in NVRAM, so a decoder can tell a whole epoch landed — and
+    checkpoint id :data:`CHECKPOINT_ID`, whatever the frame's own.  An
     empty epoch (group commit round that logged no bytes) is legal and
     encodes as a bare header.
     """
@@ -93,7 +101,9 @@ def encode_segment(segment: Segment) -> bytes:
     for index, frame in enumerate(frames):
         closing = index == len(frames) - 1
         body += encode_nv_frame(
-            frame, word_of=epoch_close_value if closing else pending_value
+            frame,
+            word_of=epoch_close_value if closing else pending_value,
+            checkpoint_id=CHECKPOINT_ID,
         )
     header = _pack_header(
         segment.term,
@@ -139,9 +149,10 @@ def walk_stream(data, report: StreamReport, verify: bool = True):
 
     Structural damage (bad magic, torn header, body shorter than
     ``byte_len``) always stops the walk.  With ``verify`` (the default)
-    payload checksums and the final close word are checked too, so a
-    single flipped payload bit rejects the whole segment.  ``verify=False``
-    accepts structurally parseable segments with whatever bytes arrived.
+    payload checksums, the final close word and the zero checkpoint ids
+    and padding are checked too, so a single flipped bit anywhere in a
+    frame rejects the whole segment.  ``verify=False`` accepts
+    structurally parseable segments with whatever bytes arrived.
     """
     view = memoryview(data)
     size = len(view)
@@ -180,6 +191,9 @@ def walk_stream(data, report: StreamReport, verify: bool = True):
                     return
                 if word != (epoch_close_value(checksum) if index == last else 0):
                     report.reason = "missing epoch close word"
+                    return
+                if ckpt != CHECKPOINT_ID or any(view[start + length : end]):
+                    report.reason = "frame checkpoint id or padding not zero"
                     return
             frames.append((page_no, offset, start, length, ckpt))
             fpos = end

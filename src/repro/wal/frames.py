@@ -167,13 +167,15 @@ def encode_nv_frame(
     frame: NvFrame,
     checksum_bits: int = FULL_CHECKSUM_BITS,
     word_of: Callable[[int], int] | None = None,
+    checkpoint_id: int | None = None,
 ) -> bytes:
     """Serialize a frame: header, payload, zero padding to 8 bytes.
 
     The commit field holds ``word_of(checksum)`` — by default the
     standalone commit word for a frame flagged ``commit`` and
     :func:`pending_value` otherwise (NVWAL stores the word later, with
-    the commit mark).
+    the commit mark).  ``checkpoint_id``, when given, is written instead
+    of the frame's own.
     """
     if word_of is None:
         word_of = commit_mark_value if frame.commit else pending_value
@@ -188,7 +190,7 @@ def encode_nv_frame(
         len(frame.payload),
         checksum,
         word_of(checksum),
-        frame.checkpoint_id,
+        frame.checkpoint_id if checkpoint_id is None else checkpoint_id,
     )
     padded = frame.payload + bytes(_align8(len(frame.payload)) - len(frame.payload))
     return header + padded

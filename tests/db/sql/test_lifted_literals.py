@@ -109,11 +109,14 @@ def test_texts_of_one_shape_share_the_template():
     "SELECT v FROM t WHERE k = 1 1",  # tokenizes, does not parse
     "SELECT v FROM t LIMIT 'x'",
     "SELECT v FROM t WHERE k = 'open",  # does not tokenize
+    "SELECT v FROM t WHERE k = 1 OR k = 2 2",  # splits, does not parse
 ])
 def test_a_failed_parse_leaves_nothing_in_either_cache(text):
     parser.parse.cache_clear()
     parser._templates.clear()
+    parser._skeletons.clear()
     with pytest.raises(SqlError):
         parser.parse(text)
     assert parser.parse.cache_info().currsize == 0
     assert parser._templates == {}
+    assert parser._skeletons == {}

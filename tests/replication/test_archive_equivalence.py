@@ -29,6 +29,7 @@ from repro.faults.plan import IoFaultSpec
 from repro.hw.clock import SimClock
 from repro.hw.stats import Stats
 from repro.replication.segment import (
+    CHECKPOINT_ID,
     EPOCH_HEADER_SIZE,
     FLAG_SNAPSHOT,
     Segment,
@@ -98,9 +99,10 @@ def test_reported_ends_are_the_encoded_lengths(specs):
 
 
 def _closed(frames) -> tuple:
-    """``frames`` as decoded: the last one carries the epoch close."""
+    """``frames`` as decoded: the last one carries the epoch close, and
+    each one the checkpoint id the encoder writes, whatever its own."""
     return tuple(
-        NvFrame(f.page_no, f.offset, f.payload, f.checkpoint_id, i == len(frames) - 1)
+        NvFrame(f.page_no, f.offset, f.payload, CHECKPOINT_ID, i == len(frames) - 1)
         for i, f in enumerate(frames)
     )
 

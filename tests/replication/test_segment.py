@@ -147,6 +147,32 @@ class TestSalvage:
         assert report.consumed == len(good)
 
 
+class TestReservedBytes:
+    """A frame's checkpoint-id field and its payload padding are covered
+    by no checksum; the encoder writes zeros there and the decoder holds
+    them to it."""
+
+    #: Header + one frame: 32-byte frame header, 11 bytes padded to 16.
+    ONE = encode_segment(segment(2, [b"hello world"]))
+    CKPT = EPOCH_HEADER_SIZE + 28
+    PADDING = EPOCH_HEADER_SIZE + 32 + 11
+
+    def test_the_encoder_writes_checkpoint_id_zero(self):
+        assert frame(2, b"x").checkpoint_id == 1
+        assert self.ONE[self.CKPT : self.CKPT + 4] == bytes(4)
+        assert decode_stream(self.ONE).segments[0].frames[0].checkpoint_id == 0
+
+    @pytest.mark.parametrize("at", [CKPT, CKPT + 3, PADDING, PADDING + 4])
+    def test_a_flip_there_stops_the_walk(self, at):
+        damaged = bytearray(self.ONE)
+        damaged[at] ^= 1
+        report = decode_stream(bytes(damaged))
+        assert (report.segments, report.consumed) == ([], 0)
+        assert report.reason == "frame checkpoint id or padding not zero"
+        # A follower whose integrity check is off takes it as it came.
+        assert decode_stream(bytes(damaged), verify=False).clean
+
+
 # ---------------------------------------------------------------------------
 # pinned wire bytes and decode reports
 # ---------------------------------------------------------------------------
@@ -165,6 +191,7 @@ ALL_REASONS = {
     "frame checksum mismatch",
     "missing epoch close word",
     "segment length mismatch",
+    "frame checkpoint id or padding not zero",
 }
 
 
@@ -254,7 +281,9 @@ def wire_pins() -> dict:
 
 class TestPinnedWireFormat:
     """``segment_pins.json`` was recorded before the frame codec moved into
-    ``wal/frames.py``; bytes and reports must not have moved with it."""
+    ``wal/frames.py``, and re-recorded when the encoder began writing
+    checkpoint id 0 and the decoder checking it and the padding; bytes
+    and reports must not move unless the format does."""
 
     def test_encoded_bytes_are_pinned(self):
         pinned = json.loads(SEGMENT_PINS.read_text())["encoded"]

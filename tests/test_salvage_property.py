@@ -56,14 +56,22 @@ def segment_unit(j: int) -> Segment:
     return Segment(seq=seq, term=1, txns=count, frames=frames)
 
 
+#: Byte offset of the checkpoint-id field in an NVWAL frame header.
+_FRAME_CHECKPOINT_ID = 28
+
+
 def _damage_at(blob: bytes, kind: str) -> tuple[int, int | None]:
     """Where in a unit's bytes the damage goes: ``(offset, xor)``, or
-    ``(offset, None)`` for a log that ends at ``offset``.  A unit without
-    a payload takes a flip in its header."""
+    ``(offset, None)`` for a log that ends at ``offset``.  ``header``
+    flips the first frame's checkpoint id, which no checksum covers,
+    only the decoder's zero check.  A unit without frames takes either
+    flip in its segment header."""
     if kind == "torn":
         return len(blob) // 2, None
-    if kind == "flip" and len(blob) > EPOCH_HEADER_SIZE:
-        return EPOCH_HEADER_SIZE + NV_HEADER_SIZE + 1, 0x08
+    if len(blob) > EPOCH_HEADER_SIZE:
+        if kind == "flip":
+            return EPOCH_HEADER_SIZE + NV_HEADER_SIZE + 1, 0x08
+        return EPOCH_HEADER_SIZE + _FRAME_CHECKPOINT_ID, 0x01
     return 9, 0x01  # the seq field: the header CRC no longer matches
 
 
